@@ -1,8 +1,7 @@
 /**
  * @file
  * Fleet throughput scaling: service-layer behaviour as tenant count
- * grows 1 -> 16 on one shared set of XFM DIMMs, plus the sharded
- * event-core sweep (PR 7).
+ * grows 1 -> 16 on one shared set of XFM DIMMs.
  *
  * The contended resources are the per-tREFI offload slots and the
  * scratchpad: as tenants multiply, the QoS arbiter keeps the
@@ -11,28 +10,12 @@
  * every tenant of the 16-way run: NMA vs CPU split, quota events,
  * and p99 demand-fault latency.
  *
- * Usage: fleet_throughput [--sweep | --smoke] [--out FILE]
- *
- *   (no flags)  the legacy tenant-scaling table (1 -> 16 tenants)
- *   --sweep     1000-tenant x 8-channel fleet replayed at
- *               sim_shards in {1, 2, 8}; per-point wall time and
- *               events/sec land in BENCH_FLEET.json (schema
- *               xfm.fleet_sweep.v1). The metric snapshot of every
- *               point is byte-compared against sim_shards = 1; the
- *               process exits non-zero ONLY on divergence, never on
- *               a missing speedup (whether sharding pays off is a
- *               host property, the report is honest either way).
- *   --smoke     the same sweep at CI scale (64 tenants, 4 ms).
- *   --out FILE  JSON destination (default BENCH_FLEET.json).
+ * Usage: fleet_throughput (no arguments)
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "dram/ddr_config.hh"
 #include "obs/registry.hh"
@@ -54,12 +37,12 @@ tenantPrefix(service::TenantId id)
 }
 
 service::ServiceConfig
-makeServiceConfig(std::size_t max_tenants, std::size_t dimms = 4)
+makeServiceConfig(std::size_t max_tenants)
 {
     service::ServiceConfig cfg;
     cfg.registry.maxTenants = max_tenants;
     cfg.registry.pagesPerShard = 512;
-    cfg.system.numDimms = dimms;
+    cfg.system.numDimms = 4;
     cfg.system.dimmMem.rank.device = dram::ddr5Device32Gb();
     cfg.system.dimmMem.channels = 1;
     cfg.system.dimmMem.dimmsPerChannel = 1;
@@ -98,191 +81,15 @@ runFleet(std::size_t tenants)
     return r;
 }
 
-// ---------------------------------------------------------------
-// Sharded event-core sweep (--sweep / --smoke).
-// ---------------------------------------------------------------
-
-struct SweepPoint
-{
-    std::size_t shards = 1;
-    double wallS = 0.0;
-    std::uint64_t events = 0;       ///< events executed by the core
-    std::uint64_t barriers = 0;     ///< conservative window barriers
-    std::uint64_t staged = 0;       ///< events staged in parallel
-    double eventsPerSec = 0.0;
-    std::string snapshot;           ///< full metric snapshot text
-};
-
-/**
- * One full fleet run on a sharded event core. Everything the
- * service exports is captured so the sweep can prove byte-identity
- * across shard counts, not just eyeball a summary.
- */
-SweepPoint
-runShardedFleet(std::size_t shards, std::size_t tenants,
-                std::size_t dimms, double sim_ms)
-{
-    SweepPoint pt;
-    pt.shards = shards;
-
-    EventQueueConfig eq_cfg;
-    eq_cfg.shards = shards;
-    eq_cfg.windowTicks = dram::ddr5Device32Gb().tREFI();
-    eq_cfg.drainWorkers =
-        std::max<std::size_t>(std::thread::hardware_concurrency(), 2);
-    EventQueue eq(eq_cfg);
-
-    service::FarMemoryService svc(
-        "svc", eq, makeServiceConfig(tenants, dimms));
-    workload::FleetConfig fcfg;
-    fcfg.numTenants = tenants;
-    fcfg.pagesPerTenant = 128;
-    fcfg.accessesPerSecond = 100000.0;
-    workload::FleetDriver fleet("fleet", eq, svc, fcfg);
-
-    const auto t0 = std::chrono::steady_clock::now();
-    svc.start();
-    fleet.start();
-    eq.run(milliseconds(sim_ms));
-    pt.wallS = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-    pt.events = eq.executed();
-    pt.barriers = eq.barriers();
-    pt.staged = eq.stagedEvents();
-    pt.eventsPerSec =
-        pt.wallS > 0.0 ? static_cast<double>(pt.events) / pt.wallS
-                       : 0.0;
-    pt.snapshot = svc.metrics().snapshot().renderText();
-    return pt;
-}
-
-/** Write @p text to @p path; returns false on failure. */
-bool
-writeFile(const std::string &path, const std::string &text)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    return true;
-}
-
-int
-runSweep(bool smoke, const std::string &out_path)
-{
-    // Full sweep: fleet scale in tenants (the contended axis), a
-    // shorter horizon than the legacy table keeps the three points
-    // to minutes of wall clock.
-    const std::size_t tenants = smoke ? 64 : 1000;
-    const std::size_t dimms = 8;
-    const double sim_ms = smoke ? 4.0 : 10.0;
-    const std::vector<std::size_t> shard_counts = {1, 2, 8};
-
-    std::printf("Fleet event-core sweep%s: %zu tenants, %zu DIMM "
-                "channels, %.0f ms simulated\n\n",
-                smoke ? " (smoke)" : "", tenants, dimms, sim_ms);
-    std::printf("%8s %10s %14s %10s %12s %10s\n", "shards", "wall_s",
-                "events/s", "barriers", "stagedEvts", "identical");
-
-    std::vector<SweepPoint> points;
-    bool divergence = false;
-    for (std::size_t shards : shard_counts) {
-        points.push_back(
-            runShardedFleet(shards, tenants, dimms, sim_ms));
-        const SweepPoint &pt = points.back();
-        const bool same = pt.snapshot == points.front().snapshot;
-        divergence |= !same;
-        std::printf("%8zu %10.3f %14.0f %10llu %12llu %10s\n",
-                    pt.shards, pt.wallS, pt.eventsPerSec,
-                    (unsigned long long)pt.barriers,
-                    (unsigned long long)pt.staged,
-                    same ? "yes" : "NO");
-    }
-
-    const double speedup =
-        points.back().wallS > 0.0
-            ? points.front().wallS / points.back().wallS
-            : 0.0;
-    // Honest reporting: the conservative barrier serialises commits,
-    // so wall-clock gains only appear when staging dominates. If
-    // this host shows none, say so; the byte-identity result is the
-    // property the sweep certifies.
-    std::printf("\nshards=%zu wall-clock speedup over shards=1: "
-                "%.2fx%s\n",
-                shard_counts.back(), speedup,
-                speedup < 1.05
-                    ? " (no speedup on this host; staging is "
-                      "not the bottleneck)"
-                    : "");
-    std::printf("snapshots across shard counts: %s\n",
-                divergence ? "DIVERGED" : "byte-identical");
-
-    std::string j = "{\n  \"schema\": \"xfm.fleet_sweep.v1\",\n";
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "  \"smoke\": %s,\n  \"tenants\": %zu,\n"
-                  "  \"dimms\": %zu,\n  \"sim_ms\": %.1f,\n"
-                  "  \"hw_threads\": %u,\n"
-                  "  \"identical_across_shards\": %s,\n"
-                  "  \"speedup_s%zu_over_s1\": %.3f,\n",
-                  smoke ? "true" : "false", tenants, dimms, sim_ms,
-                  std::thread::hardware_concurrency(),
-                  divergence ? "false" : "true",
-                  shard_counts.back(), speedup);
-    j += buf;
-    j += "  \"points\": [\n";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        std::snprintf(
-            buf, sizeof buf,
-            "    {\"sim_shards\": %zu, \"wall_s\": %.4f, "
-            "\"events\": %llu, \"events_per_sec\": %.1f, "
-            "\"barriers\": %llu, \"staged_events\": %llu}%s\n",
-            points[i].shards, points[i].wallS,
-            (unsigned long long)points[i].events,
-            points[i].eventsPerSec,
-            (unsigned long long)points[i].barriers,
-            (unsigned long long)points[i].staged,
-            i + 1 < points.size() ? "," : "");
-        j += buf;
-    }
-    j += "  ]\n}\n";
-    if (!writeFile(out_path, j)) {
-        std::fprintf(stderr, "fleet_throughput: cannot write %s\n",
-                     out_path.c_str());
-        return 1;
-    }
-    std::printf("wrote %s\n", out_path.c_str());
-    // Exit status: only cross-shard divergence is a failure.
-    return divergence ? 1 : 0;
-}
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main(int argc, char **)
 {
-    bool sweep = false;
-    bool smoke = false;
-    std::string out_path = "BENCH_FLEET.json";
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--sweep")) {
-            sweep = true;
-        } else if (!std::strcmp(argv[i], "--smoke")) {
-            sweep = true;
-            smoke = true;
-        } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
-            out_path = argv[++i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: fleet_throughput [--sweep | "
-                         "--smoke] [--out FILE]\n");
-            return 1;
-        }
+    if (argc > 1) {
+        std::fprintf(stderr, "usage: fleet_throughput\n");
+        return 1;
     }
-    if (sweep)
-        return runSweep(smoke, out_path);
 
     std::printf("Fleet throughput scaling (%.0f ms per point, "
                 "100k touches/s/tenant)\n\n", simMs);

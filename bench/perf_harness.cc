@@ -5,12 +5,7 @@
  *
  * Four phases:
  *   0. codec — per-codec compress/decompress MB/s over the corpus
- *      kinds, measured twice on the same binary: hot paths on
- *      (SWAR match extension, chain prefilter, batched Huffman)
- *      and forced scalar via compress::hotpaths. The compressed
- *      bytes must be identical between the two runs — that parity
- *      IS a gate — while the speedup itself is an honest per-host
- *      measurement.
+ *      kinds.
  *   1. cpu_pipeline — pure-CPU swap-out/in cycles on an 8-DIMM
  *      XfmBackend over the mixed-corpus page set, swept over
  *      worker counts {1, 2, 8}. Reports pages/sec and checks that
@@ -32,7 +27,6 @@
  */
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -42,7 +36,6 @@
 #include "common/random.hh"
 #include "compress/compressor.hh"
 #include "compress/corpus.hh"
-#include "compress/hotpaths.hh"
 #include "system/system.hh"
 #include "xfm/xfm_backend.hh"
 
@@ -70,18 +63,11 @@ struct CodecResult
 {
     compress::Algorithm algo;
     compress::CorpusKind kind;
-    double compFastMBps = 0.0;
-    double compScalarMBps = 0.0;
-    double decFastMBps = 0.0;
-    double decScalarMBps = 0.0;
-    bool identical = false;  ///< fast and scalar compressed bytes
+    double compMBps = 0.0;
+    double decMBps = 0.0;
 };
 
-/**
- * Phase 0: one (codec, corpus) cell. Both passes compress and then
- * decompress the same page set; the fast pass's compressed blocks
- * must equal the scalar pass's byte for byte.
- */
+/** Phase 0: compress, then decompress, one (codec, corpus) cell. */
 CodecResult
 runCodecCell(compress::Algorithm algo, compress::CorpusKind kind,
              std::size_t npages, std::size_t reps)
@@ -95,36 +81,23 @@ runCodecCell(compress::Algorithm algo, compress::CorpusKind kind,
     const double raw_mb = static_cast<double>(npages) * pageBytes
         * static_cast<double>(reps) / 1e6;
 
-    const auto pass = [&](bool fast, std::vector<Bytes> &blocks,
-                          double &comp_mbps, double &dec_mbps) {
-        compress::hotpaths::ScopedToggle s(
-            compress::hotpaths::swarMatch, fast);
-        compress::hotpaths::ScopedToggle b(
-            compress::hotpaths::batchedHuffman, fast);
-        blocks.assign(npages, Bytes{});
-        auto t0 = std::chrono::steady_clock::now();
-        for (std::size_t r = 0; r < reps; ++r)
-            for (std::size_t p = 0; p < npages; ++p)
-                codec->compressInto(pages[p], blocks[p]);
-        const double comp_s = wallSeconds(t0);
-        Bytes out;
-        t0 = std::chrono::steady_clock::now();
-        for (std::size_t r = 0; r < reps; ++r)
-            for (std::size_t p = 0; p < npages; ++p)
-                codec->decompressInto(blocks[p], out);
-        const double dec_s = wallSeconds(t0);
-        comp_mbps = comp_s > 0.0 ? raw_mb / comp_s : 0.0;
-        dec_mbps = dec_s > 0.0 ? raw_mb / dec_s : 0.0;
-    };
-
     CodecResult r;
     r.algo = algo;
     r.kind = kind;
-    std::vector<Bytes> fast_blocks;
-    std::vector<Bytes> scalar_blocks;
-    pass(true, fast_blocks, r.compFastMBps, r.decFastMBps);
-    pass(false, scalar_blocks, r.compScalarMBps, r.decScalarMBps);
-    r.identical = fast_blocks == scalar_blocks;
+    std::vector<Bytes> blocks(npages);
+    auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t rep = 0; rep < reps; ++rep)
+        for (std::size_t p = 0; p < npages; ++p)
+            codec->compressInto(pages[p], blocks[p]);
+    const double comp_s = wallSeconds(t0);
+    Bytes out;
+    t0 = std::chrono::steady_clock::now();
+    for (std::size_t rep = 0; rep < reps; ++rep)
+        for (std::size_t p = 0; p < npages; ++p)
+            codec->decompressInto(blocks[p], out);
+    const double dec_s = wallSeconds(t0);
+    r.compMBps = comp_s > 0.0 ? raw_mb / comp_s : 0.0;
+    r.decMBps = dec_s > 0.0 ? raw_mb / dec_s : 0.0;
     return r;
 }
 
@@ -327,46 +300,21 @@ main(int argc, char **argv)
         compress::CorpusKind::ZeroHeavy,
         compress::CorpusKind::RandomBytes,
     };
-    std::printf("phase 0: codec (%zu pages x %zu reps per cell; "
-                "fast vs forced-scalar)\n",
+    std::printf("phase 0: codec (%zu pages x %zu reps per cell)\n",
                 codec_pages, codec_reps);
     std::vector<CodecResult> codecr;
-    bool codec_identical = true;
-    double text_speedup_log = 0.0;
-    std::size_t text_cells = 0;
     for (const auto algo : codec_algos) {
         for (const auto kind : codec_kinds) {
             codecr.push_back(
                 runCodecCell(algo, kind, codec_pages, codec_reps));
             const auto &c = codecr.back();
-            const double cs = c.compScalarMBps > 0.0
-                ? c.compFastMBps / c.compScalarMBps : 0.0;
-            const double ds = c.decScalarMBps > 0.0
-                ? c.decFastMBps / c.decScalarMBps : 0.0;
-            std::printf("  %-8s %-12s comp %7.1f MB/s (%4.2fx)  "
-                        "dec %7.1f MB/s (%4.2fx)%s\n",
+            std::printf("  %-8s %-12s comp %7.1f MB/s  "
+                        "dec %7.1f MB/s\n",
                         compress::algorithmName(algo).c_str(),
                         compress::corpusName(kind).c_str(),
-                        c.compFastMBps, cs, c.decFastMBps, ds,
-                        c.identical ? "" : "  BYTES DIFFER");
-            codec_identical &= c.identical;
-            if (kind == compress::CorpusKind::EnglishText
-                || kind == compress::CorpusKind::SourceCode) {
-                if (cs > 0.0 && ds > 0.0) {
-                    text_speedup_log += std::log(cs) + std::log(ds);
-                    text_cells += 2;
-                }
-            }
+                        c.compMBps, c.decMBps);
         }
     }
-    const double text_speedup = text_cells
-        ? std::exp(text_speedup_log
-                   / static_cast<double>(text_cells))
-        : 0.0;
-    std::printf("  text/source geomean speedup: %.2fx  "
-                "(compressed bytes %s)\n",
-                text_speedup,
-                codec_identical ? "identical" : "DIFFER");
 
     std::printf("\nphase 1: cpu_pipeline (8 DIMMs, %llu pages x %zu "
                 "cycles)\n",
@@ -414,17 +362,14 @@ main(int argc, char **argv)
     std::printf("  sim results %s across worker counts\n",
                 deterministic ? "identical" : "DIFFER");
 
-    std::string j = "{\n  \"schema\": \"xfm.perf_harness.v2\",\n";
+    std::string j = "{\n  \"schema\": \"xfm.perf_harness.v3\",\n";
     char buf[320];
     std::snprintf(buf, sizeof buf,
                   "  \"smoke\": %s,\n  \"hw_threads\": %u,\n"
-                  "  \"deterministic\": %s,\n"
-                  "  \"codec_identical\": %s,\n"
-                  "  \"codec_text_speedup\": %.3f,\n",
+                  "  \"deterministic\": %s,\n",
                   smoke ? "true" : "false",
                   std::thread::hardware_concurrency(),
-                  deterministic ? "true" : "false",
-                  codec_identical ? "true" : "false", text_speedup);
+                  deterministic ? "true" : "false");
     j += buf;
     j += "  \"codec\": [\n";
     for (std::size_t i = 0; i < codecr.size(); ++i) {
@@ -432,15 +377,10 @@ main(int argc, char **argv)
         std::snprintf(
             buf, sizeof buf,
             "    {\"algo\": \"%s\", \"corpus\": \"%s\", "
-            "\"compress_fast_mbps\": %.1f, "
-            "\"compress_scalar_mbps\": %.1f, "
-            "\"decompress_fast_mbps\": %.1f, "
-            "\"decompress_scalar_mbps\": %.1f, "
-            "\"identical\": %s}%s\n",
+            "\"compress_mbps\": %.1f, \"decompress_mbps\": %.1f}%s\n",
             compress::algorithmName(c.algo).c_str(),
-            compress::corpusName(c.kind).c_str(), c.compFastMBps,
-            c.compScalarMBps, c.decFastMBps, c.decScalarMBps,
-            c.identical ? "true" : "false",
+            compress::corpusName(c.kind).c_str(), c.compMBps,
+            c.decMBps,
             i + 1 < codecr.size() ? "," : "");
         j += buf;
     }
@@ -487,8 +427,8 @@ main(int argc, char **argv)
     std::fclose(f);
     std::printf("\nwrote %s\n", out.c_str());
 
-    // Determinism and fast-vs-scalar byte parity are the contract;
-    // the speedup ratios are measurements that depend on host cores
-    // and are reported, not gated on.
-    return (deterministic && codec_identical) ? 0 : 1;
+    // Determinism is the contract; the speedup ratios are
+    // measurements that depend on host cores and are reported, not
+    // gated on.
+    return deterministic ? 0 : 1;
 }

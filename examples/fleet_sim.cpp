@@ -13,10 +13,7 @@
  *
  * The config file (key = value) may set the same knobs (tenants,
  * ms, rate, seed), `workers` (shard-compression threads for every
- * tenant's CPU swap path; results identical for any value),
- * `sim_shards` (event-core shards: 1 = classic monolithic kernel,
- * N > 1 stages per-DIMM event domains in parallel at tREFI window
- * barriers — output stays byte-identical), plus
+ * tenant's CPU swap path; results identical for any value), plus
  * the observability sinks:
  *   stats.json = fleet.json    # metric-registry JSON snapshot
  *   trace.out  = fleet.jsonl   # per-swap span trace (JSON lines)
@@ -68,6 +65,7 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "common/logging.hh"
 #include "dram/ddr_config.hh"
 #include "fault/fault.hh"
 #include "obs/tracer.hh"
@@ -130,7 +128,6 @@ main(int argc, char **argv)
     std::uint32_t cq_coalesce = 1;
     bool shard_dict = false;
     std::size_t dict_bytes = 2048;
-    std::size_t sim_shards = 1;
     std::string model = "fleet";
     health::HealthConfig health_cfg;
     health::ShedConfig shed_cfg;
@@ -170,8 +167,6 @@ main(int argc, char **argv)
             shard_dict = cfg.getBool("xfm.shard_dict", shard_dict);
             dict_bytes = static_cast<std::size_t>(
                 cfg.getU64("xfm.dict_bytes", dict_bytes));
-            sim_shards = static_cast<std::size_t>(
-                cfg.getU64("sim_shards", sim_shards));
             model = cfg.getString("workload.model", model);
             // Refresh realism on the shared DIMMs and the QoS
             // defense knobs (both byte-identical when unset).
@@ -220,8 +215,11 @@ main(int argc, char **argv)
             // unless configured).
             tier_cfg.faults = fault::FaultPlan::fromConfig(cfg);
             tier_cfg.retry = fault::RetryPolicy::fromConfig(cfg);
-            for (const auto &key : cfg.unconsumedKeys())
-                warn("unknown config key '", key, "' ignored");
+            try {
+                cfg.requireAllConsumed();
+            } catch (const FatalError &) {
+                return 1;  // fatal() already named the unknown keys
+            }
         } else {
             std::fprintf(stderr,
                          "fleet_sim: unknown flag %s\n"
@@ -233,14 +231,7 @@ main(int argc, char **argv)
         }
     }
 
-    // Window barriers of the sharded event core land on tREFI
-    // boundaries, where the DIMMs already synchronise (DESIGN.md
-    // §13); sim_shards = 1 builds no barrier at all.
-    EventQueueConfig eq_cfg;
-    eq_cfg.shards = sim_shards;
-    eq_cfg.windowTicks = dram::ddr5Device32Gb().tREFI();
-    eq_cfg.drainWorkers = workers;
-    EventQueue eq(eq_cfg);
+    EventQueue eq;
     // The adversary model admits three abusive tenants on top of
     // the victim fleet, so the registry needs the extra slots.
     service::ServiceConfig scfg = makeServiceConfig(

@@ -49,11 +49,6 @@
  *   tier.dfm_gbps      = 12         # spill link bandwidth
  *   fault.dfm_delay.p  = 0.05       # spill-link latency spikes
  *   fault.dfm_drop.p   = 0.02       # spill-link transfer drops
- *   sim_shards         = 1          # event-core shards (1 = classic
- *                                   # monolithic kernel; N > 1 adds
- *                                   # per-DIMM domains staged in
- *                                   # parallel at tREFI barriers —
- *                                   # output is byte-identical)
  *
  * Fault injection (see src/fault/fault.hh and configs/faults.cfg):
  *   fault.seed               = 7
@@ -90,6 +85,7 @@
 #include <string>
 
 #include "common/config.hh"
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "compress/corpus.hh"
 #include "dram/ddr_config.hh"
@@ -173,8 +169,6 @@ main(int argc, char **argv)
     // (DfmLinkDelay / DfmLinkDrop sites; disarmed unless configured).
     sys_cfg.tier.faults = sys_cfg.faultPlan;
     sys_cfg.tier.retry = sys_cfg.retry;
-    const std::size_t sim_shards =
-        static_cast<std::size_t>(cfg.getU64("sim_shards", 1));
     const bool verify = cfg.getBool("verify", false);
 
     const double run_seconds =
@@ -187,17 +181,13 @@ main(int argc, char **argv)
     const std::string trace_out = cfg.getString("trace.out", "");
     const std::uint64_t trace_cap = cfg.getU64("trace.cap", 65536);
 
-    for (const auto &key : cfg.unconsumedKeys())
-        warn("unknown config key '", key, "' ignored");
+    try {
+        cfg.requireAllConsumed();
+    } catch (const FatalError &) {
+        return 1;  // fatal() already named the unknown keys
+    }
 
-    // The sharded event core is keyed to the DDR5 refresh interval:
-    // conservative window barriers land on tREFI boundaries, where
-    // cross-DIMM interactions already synchronise (DESIGN.md §13).
-    EventQueueConfig eq_cfg;
-    eq_cfg.shards = sim_shards;
-    eq_cfg.windowTicks = dram::ddr5Device32Gb().tREFI();
-    eq_cfg.drainWorkers = sys_cfg.workers;
-    EventQueue eq(eq_cfg);
+    EventQueue eq;
     System sys("xfmsim", eq, sys_cfg);
     obs::Tracer tracer(static_cast<std::size_t>(trace_cap));
     if (!trace_out.empty())

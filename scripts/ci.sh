@@ -8,10 +8,9 @@
 # to fail hard on any report.
 #
 # SANITIZE=thread builds under TSan and runs the concurrency-facing
-# tests (worker pool, event kernel, sharded event core, service
-# layer, worker-count determinism) plus the perf-harness and fleet
-# smokes, which drive the threaded shard-compression paths and the
-# sim_shards = 8 parallel window staging end to end.
+# tests (worker pool, event kernel, service layer, worker-count
+# determinism) plus the perf-harness smoke, which drives the threaded
+# shard-compression paths end to end.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -42,14 +41,9 @@ cmake --build "${build_dir}" -j "${jobs}"
 
 if [[ "${sanitize}" == "thread" ]]; then
     ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
-        -R 'WorkerPool|EventQueue|ShardedEventQueue|ShardedOracle|Determinism|ServiceTest|ArbiterTest'
+        -R 'WorkerPool|EventQueue|Determinism|ServiceTest|ArbiterTest'
     "${build_dir}/bench/perf_harness" --smoke \
         --out "${build_dir}/BENCH_PERF.json"
-    # Fleet smoke under TSan: sim_shards = 8 stages every DIMM's
-    # heap on the worker pool between window barriers — the main
-    # cross-thread surface the sharded event core adds.
-    "${build_dir}/bench/fleet_throughput" --smoke \
-        --out "${build_dir}/BENCH_FLEET.json"
     exit 0
 fi
 
@@ -113,13 +107,6 @@ echo "stats.json = ${adv_dir}/stats.json" >> "${adv_dir}/adversary.cfg"
 # measurement archived by CI, not a gate.
 "${build_dir}/bench/qd_sweep" --smoke \
     --out "${build_dir}/BENCH_QD.json"
-
-# Fleet event-core sweep smoke: the multi-tenant service replayed at
-# sim_shards = 1, 2, 8. Exits non-zero only if the metric snapshots
-# diverge across shard counts (the byte-identity contract); the
-# events/sec curve is a measurement archived by CI, not a gate.
-"${build_dir}/bench/fleet_throughput" --smoke \
-    --out "${build_dir}/BENCH_FLEET.json"
 
 # Tier-policy sweep smoke: the three demotion policies (xfm_first,
 # auto, dfm_first) under working-set drift. Exits non-zero only if

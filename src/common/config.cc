@@ -141,6 +141,18 @@ Config::unconsumedKeys() const
     return out;
 }
 
+void
+Config::requireAllConsumed() const
+{
+    const auto unused = unconsumedKeys();
+    if (unused.empty())
+        return;
+    std::string names;
+    for (const auto &key : unused)
+        names += (names.empty() ? "'" : ", '") + key + "'";
+    fatal("unknown config key", unused.size() > 1 ? "s " : " ", names);
+}
+
 std::vector<std::string>
 Config::keys() const
 {

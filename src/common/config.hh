@@ -5,7 +5,7 @@
  * Format: one `key = value` per line; `#` starts a comment; blank
  * lines ignored. Keys are dotted lowercase paths
  * (e.g. `sfm.promotion_rate`). Typed getters record which keys were
- * consumed so unknown keys (typos) can be reported.
+ * consumed so unknown keys (typos, retired options) fail loudly.
  */
 
 #ifndef XFM_COMMON_CONFIG_HH
@@ -45,6 +45,12 @@ class Config
 
     /** Keys present in the input but never read by any getter. */
     std::vector<std::string> unconsumedKeys() const;
+
+    /**
+     * Fail unless every parsed key was read by a getter.
+     * @throws FatalError naming each unread key.
+     */
+    void requireAllConsumed() const;
 
     /** All parsed keys in order of first appearance. */
     std::vector<std::string> keys() const;

@@ -2,8 +2,7 @@
  * @file
  * WorkerPool: fixed-size thread pool for deterministic fan-out of
  * embarrassingly-parallel simulator work (per-DIMM shard codec
- * calls, NMA engine jobs, and the sharded event core's per-domain
- * window staging — see sim/event_queue.hh and DESIGN.md §13).
+ * calls and NMA engine jobs).
  *
  * Determinism contract: the pool only accelerates wall-clock time,
  * never simulated behavior. Callers hand out independent jobs that

@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "compress/bitstream.hh"
-#include "compress/hotpaths.hh"
 #include "compress/huffman.hh"
 #include "compress/lz77.hh"
 
@@ -244,19 +243,14 @@ DeflateCodec::decompressBody(ByteSpan block, ByteSpan dict,
 
     out.assign(dict.begin(), dict.end());
     out.reserve(target);
-    const bool batched = hotpaths::batchedHuffman;
     for (;;) {
         std::uint32_t sym;
-        if (batched) {
-            std::uint32_t sym2;
-            if (lit_dec.decodePair(br, sym, sym2) == 2) {
-                // Pairs are literal-only by construction.
-                out.push_back(static_cast<std::uint8_t>(sym));
-                out.push_back(static_cast<std::uint8_t>(sym2));
-                continue;
-            }
-        } else {
-            sym = lit_dec.decode(br);
+        std::uint32_t sym2;
+        if (lit_dec.decodePair(br, sym, sym2) == 2) {
+            // Pairs are literal-only by construction.
+            out.push_back(static_cast<std::uint8_t>(sym));
+            out.push_back(static_cast<std::uint8_t>(sym2));
+            continue;
         }
         if (sym == eobSymbol)
             break;

@@ -1,11 +1,9 @@
 #include "lz77.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "common/logging.hh"
-#include "compress/hotpaths.hh"
 
 namespace xfm
 {
@@ -52,56 +50,6 @@ finderTables()
 {
     thread_local FinderTables tables;
     return tables;
-}
-
-/** Byte-at-a-time prefix scan: the reference the SWAR path must match. */
-inline std::uint32_t
-matchLengthScalar(const std::uint8_t *a, const std::uint8_t *b,
-                  std::uint32_t limit)
-{
-    std::uint32_t n = 0;
-    while (n < limit && a[n] == b[n])
-        ++n;
-    return n;
-}
-
-/**
- * SWAR prefix scan: compare 8 bytes per step via unaligned 64-bit
- * loads; the first differing byte index falls out of countr_zero on
- * the XOR. Both pointers are readable through a + limit - 1 and
- * b + limit - 1 (the caller clamps limit to the input end and a
- * precedes b), so the 8-byte loads never overread the input.
- */
-inline std::uint32_t
-matchLengthSwar64(const std::uint8_t *a, const std::uint8_t *b,
-                  std::uint32_t limit)
-{
-    if constexpr (std::endian::native != std::endian::little)
-        return matchLengthScalar(a, b, limit);
-    std::uint32_t n = 0;
-    while (n + 8 <= limit) {
-        std::uint64_t x;
-        std::uint64_t y;
-        std::memcpy(&x, a + n, 8);
-        std::memcpy(&y, b + n, 8);
-        const std::uint64_t diff = x ^ y;
-        if (diff != 0)
-            return n
-                + (static_cast<std::uint32_t>(std::countr_zero(diff))
-                   >> 3);
-        n += 8;
-    }
-    while (n < limit && a[n] == b[n])
-        ++n;
-    return n;
-}
-
-inline std::uint32_t
-matchLength(const std::uint8_t *a, const std::uint8_t *b,
-            std::uint32_t limit)
-{
-    return hotpaths::swarMatch ? matchLengthSwar64(a, b, limit)
-                               : matchLengthScalar(a, b, limit);
 }
 
 /** Unaligned little-endian 32-bit load for the chain prefilter. */
@@ -172,7 +120,7 @@ struct Finder
         std::int64_t cand =
             t.headGen[h] == t.gen ? std::int64_t(t.headPos[h]) : -1;
         unsigned chain = p.maxChainLength;
-        const bool prefilter_ok = hotpaths::swarMatch && limit >= 4;
+        const bool prefilter_ok = limit >= 4;
         while (cand >= 0 && chain-- > 0) {
             const auto cpos = static_cast<std::size_t>(cand);
             if (cpos < window_start)
@@ -184,8 +132,8 @@ struct Finder
             // 4-byte candidate prefilter: once any improvement
             // needs >= 4 matching bytes (minMatch >= 4, or a best
             // of >= 3 already held), a first-dword mismatch proves
-            // the candidate cannot improve — exact, so the scalar
-            // path's match selection is preserved byte-for-byte.
+            // the candidate cannot improve, so match selection is
+            // exactly that of a plain chain walk.
             if (prefilter_ok && (best_len >= 3 || p.minMatch >= 4)
                 && load32(in.data() + cpos) != load32(in.data() + pos)) {
                 cand = t.prev[cpos];
@@ -212,20 +160,6 @@ struct Finder
 };
 
 } // namespace
-
-std::uint32_t
-matchLengthReference(const std::uint8_t *a, const std::uint8_t *b,
-                     std::uint32_t limit)
-{
-    return matchLengthScalar(a, b, limit);
-}
-
-std::uint32_t
-matchLengthFast(const std::uint8_t *a, const std::uint8_t *b,
-                std::uint32_t limit)
-{
-    return matchLengthSwar64(a, b, limit);
-}
 
 std::pair<std::uint64_t, std::uint64_t>
 finderTableStats()

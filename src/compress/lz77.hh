@@ -11,7 +11,9 @@
 #ifndef XFM_COMPRESS_LZ77_HH
 #define XFM_COMPRESS_LZ77_HH
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -63,17 +65,38 @@ std::vector<Lz77Token> lz77TokenizeSuffix(ByteSpan input,
 Bytes lz77Reconstruct(const std::vector<Lz77Token> &tokens);
 
 /**
- * Test hooks for the match-extension kernels: the byte-at-a-time
- * reference scan and the SWAR 64-bit-at-a-time scan. Both return
- * the length of the common prefix of a and b up to @p limit and
- * must agree for every input (asserted by test_compress).
+ * Length of the common prefix of @p a and @p b, up to @p limit: the
+ * match-extension kernel. Both buffers must be readable through
+ * index limit - 1. Inline because it sits in the chain walk's
+ * innermost loop.
  */
-std::uint32_t matchLengthReference(const std::uint8_t *a,
-                                   const std::uint8_t *b,
-                                   std::uint32_t limit);
-std::uint32_t matchLengthFast(const std::uint8_t *a,
-                              const std::uint8_t *b,
-                              std::uint32_t limit);
+inline std::uint32_t
+matchLength(const std::uint8_t *a, const std::uint8_t *b,
+            std::uint32_t limit)
+{
+    // SWAR scan: compare 8 bytes per step via unaligned 64-bit loads;
+    // the first differing byte index falls out of countr_zero on the
+    // XOR, and the 8-byte loads never pass index limit - 1.
+    std::uint32_t n = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        while (n + 8 <= limit) {
+            std::uint64_t x;
+            std::uint64_t y;
+            std::memcpy(&x, a + n, 8);
+            std::memcpy(&y, b + n, 8);
+            const std::uint64_t diff = x ^ y;
+            if (diff != 0)
+                return n
+                    + (static_cast<std::uint32_t>(
+                           std::countr_zero(diff))
+                       >> 3);
+            n += 8;
+        }
+    }
+    while (n < limit && a[n] == b[n])
+        ++n;
+    return n;
+}
 
 /**
  * Allocation stats of this thread's pooled finder tables:

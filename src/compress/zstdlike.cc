@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "compress/bitstream.hh"
-#include "compress/hotpaths.hh"
 #include "compress/huffman.hh"
 #include "compress/lz77.hh"
 
@@ -248,8 +247,8 @@ ZstdLikeCodec::decompressBody(ByteSpan block, ByteSpan dict,
     const std::uint32_t seq_count = getU32(block, 9);
 
     // Literals section; pair-table decode drains two symbols per
-    // lookup (bit-identical to the scalar loop, which remains for
-    // the last odd literal and the toggled-off path).
+    // lookup (the single-symbol decode handles the last odd
+    // literal, where a pair would overrun the count).
     Bytes literals;
     literals.reserve(lit_count);
     std::size_t pos = 13;
@@ -257,10 +256,9 @@ ZstdLikeCodec::decompressBody(ByteSpan block, ByteSpan dict,
         BitReader br(block.subspan(pos));
         const auto lit_lengths = readCodeLengthsRle(br, 256);
         HuffmanDecoder lit_dec(lit_lengths);
-        const bool batched = hotpaths::batchedHuffman;
         std::uint32_t i = 0;
         while (i < lit_count) {
-            if (batched && i + 1 < lit_count) {
+            if (i + 1 < lit_count) {
                 std::uint32_t s0;
                 std::uint32_t s1;
                 const unsigned n = lit_dec.decodePair(br, s0, s1);

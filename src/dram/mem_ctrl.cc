@@ -82,8 +82,7 @@ MemCtrl::submit(MemRequest req)
             pump_scheduled_[coord.channel] = true;
             eventq().scheduleIn(0,
                                 [this, ch = coord.channel] { pump(ch); },
-                                EventQueue::controllerMin,
-                                eventDomain());
+                                EventQueue::controllerMin);
         }
         a += in_chunk;
         remaining -= in_chunk;
@@ -103,7 +102,7 @@ MemCtrl::pump(std::uint32_t channel)
         pump_scheduled_[channel] = true;
         eventq().schedule(busy_until_[channel],
                           [this, channel] { pump(channel); },
-                          EventQueue::controllerMin, eventDomain());
+                          EventQueue::controllerMin);
         return;
     }
 
@@ -135,12 +134,12 @@ MemCtrl::pump(std::uint32_t channel)
     eventq().schedule(done, [parent = chunk.parent, done] {
         if (--parent->first == 0 && parent->second)
             parent->second(done);
-    }, EventQueue::defaultPriority, eventDomain());
+    });
 
     if (!q.empty()) {
         pump_scheduled_[channel] = true;
         eventq().schedule(done, [this, channel] { pump(channel); },
-                          EventQueue::controllerMin, eventDomain());
+                          EventQueue::controllerMin);
     }
 }
 

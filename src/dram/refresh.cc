@@ -58,8 +58,7 @@ RefreshController::start()
             * static_cast<std::uint64_t>(r) / num_ranks_;
         eventq().schedule(curTick() + phase,
                           [this, r] { issueRef(r); },
-                          EventQueue::refreshPriority,
-                          rankDomain(r));
+                          EventQueue::refreshPriority);
     }
 }
 
@@ -149,7 +148,7 @@ RefreshController::issueRef(std::uint32_t rank)
                 [this, rank, b, first_row] {
                     issuePbWindow(rank, b, first_row);
                 },
-                EventQueue::refreshPriority, rankDomain(rank));
+                EventQueue::refreshPriority);
         }
     } else {
         RefreshWindow window;
@@ -188,8 +187,7 @@ RefreshController::issueRef(std::uint32_t rank)
     }
 
     eventq().scheduleIn(dev_.tREFI(), [this, rank] { issueRef(rank); },
-                        EventQueue::refreshPriority,
-                        rankDomain(rank));
+                        EventQueue::refreshPriority);
 }
 
 void

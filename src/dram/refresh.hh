@@ -125,26 +125,6 @@ class RefreshController : public SimObject
     /** Begin issuing REF commands (idempotent). */
     void start();
 
-    /**
-     * Route each rank's REF events to event domain base + rank
-     * (0 — the default — posts every rank on this object's own
-     * domain). The XFM backend maps rank r onto DIMM r, so its
-     * refresh ticks ride the same shard as the DIMM's device and
-     * driver events (DESIGN.md §13).
-     */
-    void setRankDomainBase(std::uint32_t base)
-    {
-        rank_domain_base_ = base;
-    }
-
-    /** Event domain used for @p rank's REF events. */
-    std::uint32_t
-    rankDomain(std::uint32_t rank) const
-    {
-        return rank_domain_base_ ? rank_domain_base_ + rank
-                                 : eventDomain();
-    }
-
     /** Register an observer of window starts. */
     void addListener(RefreshListener listener);
 
@@ -264,9 +244,6 @@ class RefreshController : public SimObject
     DeviceConfig dev_;
     std::uint32_t num_ranks_;
     bool started_ = false;
-
-    /** Event-domain base for per-rank REF events (0 = untagged). */
-    std::uint32_t rank_domain_base_ = 0;
 
     /** Next row to refresh, per rank. */
     std::vector<std::uint32_t> refresh_counter_;

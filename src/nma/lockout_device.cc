@@ -61,7 +61,7 @@ HostLockoutDevice::offload(const OffloadRequest &req,
         mem_.write(dst, out);
         if (done)
             done({id, kind, out_size, curTick()});
-    }, EventQueue::defaultPriority, eventDomain());
+    });
 }
 
 } // namespace nma

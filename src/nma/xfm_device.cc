@@ -376,7 +376,7 @@ XfmDevice::executeRead(const ReadOp &op, AccessClass cls)
             if (!stalled_.erase(id))
                 return;  // aborted before the timeout was noticed
             deliverDrop(id, DropReason::EngineStall, tid);
-        }, EventQueue::defaultPriority, eventDomain());
+        });
         return true;
     }
 
@@ -417,7 +417,7 @@ XfmDevice::executeRead(const ReadOp &op, AccessClass cls)
         } else if (on_complete_) {
             on_complete_({id, kind, out_size, curTick()});
         }
-    }, EventQueue::defaultPriority, eventDomain());
+    });
     return true;
 }
 
@@ -469,12 +469,12 @@ XfmDevice::executeWriteback(SpmEntry entry, AccessClass cls)
             rec.type = CompletionType::Writeback;
             rec.traceId = tid;
             postRecord(rec);
-        }, EventQueue::defaultPriority, eventDomain());
+        });
     } else if (on_writeback_) {
         eventq().scheduleIn(transfer,
                             [this, id = entry.id] {
             on_writeback_(id, curTick());
-        }, EventQueue::defaultPriority, eventDomain());
+        });
     }
 }
 

@@ -126,11 +126,7 @@ QosArbiter::start()
     if (started_)
         return;
     started_ = true;
-    // The arbiter spans every tenant and DIMM, so its window timer
-    // stays on the global event domain (shard 0).
-    eventq().scheduleIn(cfg_.window, [this] { window(); },
-                        EventQueue::defaultPriority,
-                        EventQueue::globalDomain);
+    eventq().scheduleIn(cfg_.window, [this] { window(); });
 }
 
 void
@@ -515,11 +511,7 @@ QosArbiter::window()
         batch_rr_ = (batch_rr_ + 1) % n;
         reserved_rr_ = (reserved_rr_ + 1) % n;
     }
-    // The arbiter spans every tenant and DIMM, so its window timer
-    // stays on the global event domain (shard 0).
-    eventq().scheduleIn(cfg_.window, [this] { window(); },
-                        EventQueue::defaultPriority,
-                        EventQueue::globalDomain);
+    eventq().scheduleIn(cfg_.window, [this] { window(); });
 }
 
 } // namespace service

@@ -25,8 +25,7 @@
  * batch backs off multiplicatively, when they run cold it probes
  * additively.
  *
- * Determinism contract (same as DESIGN.md §13): the manager lives on
- * the global event domain, every transition commits in event order,
+ * Determinism contract: every transition commits in event order,
  * and a disabled TierManager is simply never constructed — `tiering
  * = off` runs are byte-identical to pre-tiering builds.
  */

@@ -1,100 +1,63 @@
 #include "event_queue.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.hh"
-#include "common/worker_pool.hh"
 
 namespace xfm
 {
 namespace
 {
 
-// EventId layout: [ gen:32 | shard:8 | slot+1:24 ]. The +1 keeps the
-// low word nonzero so no id ever collides with invalidEventId; with
-// shard 0 the encoding is exactly the legacy single-queue id.
-constexpr std::uint32_t slotBits = 24;
-constexpr std::uint32_t slotMask = (1u << slotBits) - 1;
-constexpr std::uint32_t maxShards = 256;
-
+// EventId layout: [ gen:32 | slot+1:32 ]. The +1 keeps the low word
+// nonzero so no id ever collides with invalidEventId.
 EventId
-makeId(std::uint32_t gen, std::uint32_t shard, std::uint32_t slot)
+makeId(std::uint32_t gen, std::uint32_t slot)
 {
     return (static_cast<EventId>(gen) << 32) |
-           (static_cast<EventId>(shard) << slotBits) |
            (static_cast<EventId>(slot) + 1);
 }
 
 } // namespace
 
-EventQueue::EventQueue() : EventQueue(EventQueueConfig{}) {}
-
-EventQueue::EventQueue(const EventQueueConfig &cfg)
-    : window_ticks_(cfg.windowTicks),
-      parallel_stage_min_(cfg.parallelStageMin)
-{
-    XFM_ASSERT(cfg.shards >= 1, "event queue needs at least one shard");
-    XFM_ASSERT(cfg.shards <= maxShards,
-               "EventId encoding caps shards at ", maxShards);
-    shards_.resize(cfg.shards);
-    if (cfg.shards > 1 && cfg.drainWorkers > 1)
-        pool_ = std::make_unique<WorkerPool>(cfg.drainWorkers);
-}
-
-EventQueue::~EventQueue() = default;
-
 std::uint32_t
-EventQueue::shardOf(std::uint32_t domain) const
+EventQueue::acquireSlot()
 {
-    // Shard 0 is reserved for the global domain; channel/DIMM
-    // domains 1..N spread round-robin over the remaining shards.
-    const std::size_t n = shards_.size();
-    if (n == 1 || domain == globalDomain)
-        return 0;
-    return 1 + (domain - 1) % static_cast<std::uint32_t>(n - 1);
-}
-
-std::uint32_t
-EventQueue::acquireSlot(Shard &s)
-{
-    if (!s.free_slots.empty()) {
-        const std::uint32_t slot = s.free_slots.back();
-        s.free_slots.pop_back();
+    if (!free_slots_.empty()) {
+        const std::uint32_t slot = free_slots_.back();
+        free_slots_.pop_back();
         return slot;
     }
-    if (s.slot_count % chunkSize == 0)
-        s.chunks.emplace_back(std::make_unique<Entry[]>(chunkSize));
-    XFM_ASSERT(s.slot_count + 1 < slotMask,
-               "shard slot space exhausted");
-    return s.slot_count++;
+    if (slot_count_ % chunkSize == 0)
+        chunks_.emplace_back(std::make_unique<Entry[]>(chunkSize));
+    XFM_ASSERT(slot_count_ < std::numeric_limits<std::uint32_t>::max(),
+               "event slot space exhausted");
+    return slot_count_++;
 }
 
 void
-EventQueue::releaseSlot(Shard &s, std::uint32_t slot)
+EventQueue::releaseSlot(std::uint32_t slot)
 {
-    Entry &e = entry(s, slot);
+    Entry &e = entry(slot);
     e.cb = EventCallback();
     e.cancelled = false;
-    e.staged = false;
     // Invalidate every EventId handed out for this incarnation.
     ++e.gen;
-    s.free_slots.push_back(slot);
+    free_slots_.push_back(slot);
 }
 
 EventId
-EventQueue::schedule(Tick when, Callback cb, int priority,
-                     std::uint32_t domain)
+EventQueue::schedule(Tick when, Callback cb, int priority)
 {
     XFM_ASSERT(when >= now_, "scheduling event in the past: when=", when,
                " now=", now_);
-    const std::uint32_t sh = shardOf(domain);
-    Shard &s = shards_[sh];
-    const std::uint32_t slot = acquireSlot(s);
-    Entry &e = entry(s, slot);
+    const std::uint32_t slot = acquireSlot();
+    Entry &e = entry(slot);
     e.cb = std::move(cb);
-    s.heap.push_back(HeapNode{when, priority, next_seq_++, slot});
-    std::push_heap(s.heap.begin(), s.heap.end(), Later{});
-    return makeId(e.gen, sh, slot);
+    heap_.push_back(HeapNode{when, priority, next_seq_++, slot});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    return makeId(e.gen, slot);
 }
 
 bool
@@ -102,15 +65,10 @@ EventQueue::deschedule(EventId id)
 {
     if (id == invalidEventId)
         return false;
-    const auto low = static_cast<std::uint32_t>(id);
-    const std::uint32_t sh = low >> slotBits;
-    if (sh >= shards_.size())
+    const std::uint32_t slot = static_cast<std::uint32_t>(id) - 1;
+    if (slot >= slot_count_)
         return false;
-    Shard &s = shards_[sh];
-    const std::uint32_t slot = (low & slotMask) - 1;
-    if (slot >= s.slot_count)
-        return false;
-    Entry &e = entry(s, slot);
+    Entry &e = entry(slot);
     if (e.gen != static_cast<std::uint32_t>(id >> 32) || e.cancelled)
         return false;
     e.cancelled = true;
@@ -118,338 +76,93 @@ EventQueue::deschedule(EventId id)
     // node stays behind as a tombstone until popped or swept.
     e.cb = EventCallback();
     ++descheduled_;
-    if (e.staged) {
-        // The node lives in the current window's staged batch, not
-        // the heap: charge the staged tombstone count. Charging the
-        // heap count instead would inflate the compaction trigger
-        // with tombstones the sweep can never reclaim (the
-        // regression pinned by EventQueueSharded.*Tombstone* tests).
-        ++s.cancelled_staged;
-        return true;
-    }
-    ++s.cancelled_heap;
-    if (s.cancelled_heap > s.heap.size() / 2
-        && s.heap.size() >= compactMinHeap) {
-        compact(s);
-    }
+    ++cancelled_;
+    if (cancelled_ > heap_.size() / 2 && heap_.size() >= compactMinHeap)
+        compact();
     return true;
 }
 
 void
-EventQueue::compact(Shard &s)
+EventQueue::compact()
 {
     // Sweep tombstones in one pass instead of letting them trickle
     // through pops; keeps long soaks with heavy deschedule traffic
     // (retry ladders, watchdogs) from growing the heap unboundedly.
-    auto keep = s.heap.begin();
-    for (auto &node : s.heap) {
-        if (entry(s, node.slot).cancelled) {
-            releaseSlot(s, node.slot);
+    auto keep = heap_.begin();
+    for (auto &node : heap_) {
+        if (entry(node.slot).cancelled) {
+            releaseSlot(node.slot);
         } else {
             *keep++ = node;
         }
     }
-    s.heap.erase(keep, s.heap.end());
-    s.cancelled_heap = 0;
-    std::make_heap(s.heap.begin(), s.heap.end(), Later{});
-    ++s.compactions;
+    heap_.erase(keep, heap_.end());
+    cancelled_ = 0;
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
+    ++compactions_;
 }
 
-const EventQueue::HeapNode *
-EventQueue::shardFront(const Shard &s, bool &from_staged) const
+EventQueue::HeapNode
+EventQueue::popTop()
 {
-    const HeapNode *staged = s.staged_pos < s.staged.size()
-                                 ? &s.staged[s.staged_pos]
-                                 : nullptr;
-    const HeapNode *top = s.heap.empty() ? nullptr : &s.heap.front();
-    if (staged && (!top || earlier(*staged, *top))) {
-        from_staged = true;
-        return staged;
-    }
-    from_staged = false;
-    return top;
+    const HeapNode node = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    return node;
+}
+
+bool
+EventQueue::dropCancelledTop()
+{
+    const std::uint32_t slot = heap_.front().slot;
+    if (!entry(slot).cancelled)
+        return false;
+    popTop();
+    --cancelled_;
+    releaseSlot(slot);
+    return true;
 }
 
 void
-EventQueue::popFront(Shard &s, bool from_staged)
+EventQueue::fireTop()
 {
-    if (from_staged) {
-        ++s.staged_pos;
-        return;
-    }
-    std::pop_heap(s.heap.begin(), s.heap.end(), Later{});
-    s.heap.pop_back();
-}
-
-int
-EventQueue::pickMinShard(bool &from_staged) const
-{
-    int best = -1;
-    bool best_staged = false;
-    const HeapNode *best_node = nullptr;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        bool st;
-        const HeapNode *n = shardFront(shards_[i], st);
-        if (n && (!best_node || earlier(*n, *best_node))) {
-            best = static_cast<int>(i);
-            best_staged = st;
-            best_node = n;
-        }
-    }
-    from_staged = best_staged;
-    return best;
+    const HeapNode node = popTop();
+    XFM_ASSERT(node.when >= now_, "event queue time went backwards");
+    now_ = node.when;
+    EventCallback cb = std::move(entry(node.slot).cb);
+    // Release before invoking so a callback that reschedules sees the
+    // slot free and a self-deschedule returns false.
+    releaseSlot(node.slot);
+    cb();
+    ++executed_;
 }
 
 bool
 EventQueue::step()
 {
-    for (;;) {
-        bool from_staged;
-        const int si = pickMinShard(from_staged);
-        if (si < 0)
-            return false;
-        Shard &s = shards_[si];
-        bool st;
-        const HeapNode node = *shardFront(s, st);
-        popFront(s, from_staged);
-        Entry &e = entry(s, node.slot);
-        if (e.cancelled) {
-            if (from_staged)
-                --s.cancelled_staged;
-            else
-                --s.cancelled_heap;
-            releaseSlot(s, node.slot);
+    while (!heap_.empty()) {
+        if (dropCancelledTop())
             continue;
-        }
-        XFM_ASSERT(node.when >= now_, "event queue time went backwards");
-        now_ = node.when;
-        EventCallback cb = std::move(e.cb);
-        // Release before invoking so a callback that reschedules
-        // sees the slot free and a self-deschedule returns false —
-        // the same contract as the old erase-before-call kernel.
-        releaseSlot(s, node.slot);
-        cb();
-        ++executed_;
-        ++s.executed;
+        fireTop();
         return true;
     }
-}
-
-std::uint64_t
-EventQueue::runMonolithic(Tick limit)
-{
-    // The exact legacy single-queue loop: no windows, no barrier.
-    Shard &s = shards_[0];
-    std::uint64_t n = 0;
-    while (!s.heap.empty()) {
-        const HeapNode &top = s.heap.front();
-        if (entry(s, top.slot).cancelled) {
-            const std::uint32_t slot = top.slot;
-            std::pop_heap(s.heap.begin(), s.heap.end(), Later{});
-            s.heap.pop_back();
-            --s.cancelled_heap;
-            releaseSlot(s, slot);
-            continue;
-        }
-        if (top.when > limit)
-            break;
-        if (step())
-            ++n;
-    }
-    return n;
-}
-
-Tick
-EventQueue::windowEnd(Tick t, Tick limit) const
-{
-    const Tick cap = limit == maxTick ? maxTick : limit + 1;
-    if (window_ticks_ == 0)
-        return cap;
-    const Tick next = (t / window_ticks_ + 1) * window_ticks_;
-    if (next < t)  // multiplication wrapped near maxTick
-        return cap;
-    return std::min(next, cap);
-}
-
-void
-EventQueue::stageShard(Shard &s, Tick window_end)
-{
-    // Shard-local heap extraction: pops every in-window node into
-    // an ordered batch and sweeps tombstones met along the way.
-    // Touches only this shard's state, so the drain pool may run
-    // all shards concurrently; callbacks are neither moved nor run
-    // here, and staged entries stay live for deschedule().
-    s.staged.clear();
-    s.staged_pos = 0;
-    while (!s.heap.empty() && s.heap.front().when < window_end) {
-        const HeapNode node = s.heap.front();
-        std::pop_heap(s.heap.begin(), s.heap.end(), Later{});
-        s.heap.pop_back();
-        Entry &e = entry(s, node.slot);
-        if (e.cancelled) {
-            --s.cancelled_heap;
-            releaseSlot(s, node.slot);
-            continue;
-        }
-        e.staged = true;
-        s.staged.push_back(node);
-    }
-}
-
-void
-EventQueue::maybeParallelStage(Tick window_end)
-{
-    if (!pool_ || pending() < parallel_stage_min_)
-        return;
-    pool_->parallelFor(shards_.size(), [this, window_end](std::size_t i) {
-        stageShard(shards_[i], window_end);
-    });
-    for (const Shard &s : shards_)
-        staged_events_ += s.staged.size();
-}
-
-std::uint64_t
-EventQueue::drainWindow(Tick window_end)
-{
-    // Commit in global (tick, priority, seq) order across staged
-    // batches and live heap tops. Staged nodes are all < window_end
-    // and newly scheduled events land on the heaps, so the merge is
-    // exactly the monolithic fire order.
-    std::uint64_t n = 0;
-    for (;;) {
-        bool from_staged;
-        const int si = pickMinShard(from_staged);
-        if (si < 0)
-            break;
-        Shard &s = shards_[si];
-        bool st;
-        const HeapNode node = *shardFront(s, st);
-        Entry &e = entry(s, node.slot);
-        if (e.cancelled) {
-            popFront(s, from_staged);
-            if (from_staged)
-                --s.cancelled_staged;
-            else
-                --s.cancelled_heap;
-            releaseSlot(s, node.slot);
-            continue;
-        }
-        if (node.when >= window_end)
-            break;
-        popFront(s, from_staged);
-        XFM_ASSERT(node.when >= now_, "event queue time went backwards");
-        now_ = node.when;
-        EventCallback cb = std::move(e.cb);
-        releaseSlot(s, node.slot);
-        cb();
-        ++executed_;
-        ++s.executed;
-        ++n;
-    }
-    return n;
+    return false;
 }
 
 std::uint64_t
 EventQueue::run(Tick limit)
 {
-    if (shards_.size() == 1)
-        return runMonolithic(limit);
-
-    XFM_ASSERT(!draining_, "EventQueue::run is not reentrant");
-    draining_ = true;
     std::uint64_t n = 0;
-    for (;;) {
-        // Find the next live event, reaping tombstone fronts on the
-        // way (the legacy loop also reaps tombstones past the
-        // limit).
-        bool from_staged;
-        int si = pickMinShard(from_staged);
-        Tick next_live = maxTick;
-        bool have_live = false;
-        while (si >= 0) {
-            Shard &s = shards_[si];
-            bool st;
-            const HeapNode node = *shardFront(s, st);
-            Entry &e = entry(s, node.slot);
-            if (!e.cancelled) {
-                next_live = node.when;
-                have_live = true;
-                break;
-            }
-            popFront(s, from_staged);
-            if (from_staged)
-                --s.cancelled_staged;
-            else
-                --s.cancelled_heap;
-            releaseSlot(s, node.slot);
-            si = pickMinShard(from_staged);
-        }
-        if (!have_live || next_live > limit)
+    while (!heap_.empty()) {
+        // Tombstones are reaped even past the limit.
+        if (dropCancelledTop())
+            continue;
+        if (heap_.front().when > limit)
             break;
-
-        const Tick wend = windowEnd(next_live, limit);
-        ++barriers_;
-        maybeParallelStage(wend);
-        n += drainWindow(wend);
-    }
-    draining_ = false;
-    return n;
-}
-
-std::size_t
-EventQueue::pending() const
-{
-    std::size_t n = 0;
-    for (const Shard &s : shards_) {
-        n += s.heap.size() - s.cancelled_heap;
-        n += (s.staged.size() - s.staged_pos) - s.cancelled_staged;
+        fireTop();
+        ++n;
     }
     return n;
-}
-
-std::size_t
-EventQueue::slots() const
-{
-    std::size_t n = 0;
-    for (const Shard &s : shards_)
-        n += s.slot_count;
-    return n;
-}
-
-std::uint64_t
-EventQueue::compactions() const
-{
-    std::uint64_t n = 0;
-    for (const Shard &s : shards_)
-        n += s.compactions;
-    return n;
-}
-
-std::uint64_t
-EventQueue::shardCompactions(std::size_t s) const
-{
-    return shards_.at(s).compactions;
-}
-
-std::size_t
-EventQueue::shardCancelled(std::size_t s) const
-{
-    const Shard &sh = shards_.at(s);
-    return sh.cancelled_heap + sh.cancelled_staged;
-}
-
-std::size_t
-EventQueue::shardPending(std::size_t s) const
-{
-    const Shard &sh = shards_.at(s);
-    return sh.heap.size() - sh.cancelled_heap
-        + (sh.staged.size() - sh.staged_pos) - sh.cancelled_staged;
-}
-
-std::uint64_t
-EventQueue::shardExecuted(std::size_t s) const
-{
-    return shards_.at(s).executed;
 }
 
 } // namespace xfm

@@ -1,6 +1,6 @@
 /**
  * @file
- * Discrete-event simulation kernel, sharded per event domain.
+ * Discrete-event simulation kernel.
  *
  * A single EventQueue orders callbacks by (tick, priority, sequence
  * number) so same-tick events run in a deterministic order. Events
@@ -13,21 +13,6 @@
  * small-buffer optimization — so steady-state scheduling performs
  * no heap allocation at all. Cancelled entries are swept out of the
  * heap when they outnumber live ones (see deschedule()).
- *
- * Sharded parallel core (DESIGN.md §13): the queue can be built
- * with `shards` per-domain sub-queues — domain 0 is the "global"
- * shard (service/tenant/host events), domains 1..N hash onto the
- * channel/DIMM shards. Execution proceeds in conservative windows
- * aligned to tREFI boundaries: at each window barrier every shard
- * drains its slab-pooled heap (heap pops plus tombstone sweeping)
- * on a WorkerPool into an ordered staged batch, then the simulation
- * thread commits callbacks in exact global (tick, priority, seq)
- * merge order across staged batches and live heap tops. Because the
- * commit order is the monolithic order by construction, metrics and
- * traces are byte-identical for any `shards x drainWorkers`
- * combination — even if an event posts across shards mid-window.
- * `shards = 1` (the default) builds no barrier, no window state and
- * no pool, and runs the exact legacy kernel.
  */
 
 #ifndef XFM_SIM_EVENT_QUEUE_HH
@@ -45,8 +30,6 @@
 
 namespace xfm
 {
-
-class WorkerPool;
 
 /** Handle to a scheduled event, usable for cancellation. */
 using EventId = std::uint64_t;
@@ -205,53 +188,10 @@ class EventCallback
 };
 
 /**
- * Sharding configuration for the event core. The defaults are the
- * legacy monolithic kernel; see DESIGN.md §13 for the knobs.
- */
-struct EventQueueConfig
-{
-    /**
-     * Per-domain sub-queues. 1 = monolithic legacy kernel (no
-     * barrier is built). Each extra shard serves a slice of the
-     * channel/DIMM domains; shard 0 always serves domain 0. Capped
-     * at 256 by the EventId encoding.
-     */
-    std::size_t shards = 1;
-
-    /**
-     * Conservative-window length: shard drains are batched between
-     * barriers at multiples of this tick count. Callers pass the
-     * DRAM tREFI (cross-shard traffic — driver submits, reap
-     * dispatch, refresh epochs — is tREFI-aligned, so the barrier
-     * is natural). The default is the DDR5 8192-per-32ms tREFI.
-     * 0 means a single unbounded window. Any value is
-     * behavior-preserving; only staging batch sizes change.
-     */
-    Tick windowTicks = nanoseconds(3906.25);
-
-    /**
-     * WorkerPool contexts for the parallel window drain (1 = no
-     * pool, drain inline). Results are byte-identical for any
-     * value: the pool only performs shard-local heap extraction;
-     * callbacks always commit on the simulation thread in global
-     * (tick, priority, seq) order.
-     */
-    std::size_t drainWorkers = 1;
-
-    /**
-     * Minimum pending events before a window drain is fanned out to
-     * the pool; smaller windows stay inline to avoid barrier
-     * latency on idle shards.
-     */
-    std::size_t parallelStageMin = 128;
-};
-
-/**
  * Deterministic discrete-event queue.
  *
  * Lower priority values run first among events scheduled for the
- * same tick; ties break on scheduling order. The ordering contract
- * is independent of the sharding configuration.
+ * same tick; ties break on scheduling order.
  */
 class EventQueue
 {
@@ -268,12 +208,7 @@ class EventQueue
         statsPriority = 90,    ///< end-of-interval accounting
     };
 
-    /** Domain of service/tenant/host events (always shard 0). */
-    static constexpr std::uint32_t globalDomain = 0;
-
-    EventQueue();
-    explicit EventQueue(const EventQueueConfig &cfg);
-    ~EventQueue();
+    EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -287,22 +222,16 @@ class EventQueue
      * Schedule a callback at an absolute tick.
      *
      * @param when absolute time; must be >= now().
-     * @param domain event domain (0 = global shard; 1..N = the
-     *        posting component's channel/DIMM domain). Purely a
-     *        load-balancing hint: any value yields identical
-     *        simulated behavior.
      * @return handle usable with deschedule().
      */
     EventId schedule(Tick when, Callback cb,
-                     int priority = defaultPriority,
-                     std::uint32_t domain = globalDomain);
+                     int priority = defaultPriority);
 
     /** Schedule a callback @p delta ticks in the future. */
     EventId
-    scheduleIn(Tick delta, Callback cb, int priority = defaultPriority,
-               std::uint32_t domain = globalDomain)
+    scheduleIn(Tick delta, Callback cb, int priority = defaultPriority)
     {
-        return schedule(now_ + delta, std::move(cb), priority, domain);
+        return schedule(now_ + delta, std::move(cb), priority);
     }
 
     /**
@@ -317,7 +246,7 @@ class EventQueue
     bool empty() const { return pending() == 0; }
 
     /** Number of pending (non-cancelled) events. */
-    std::size_t pending() const;
+    std::size_t pending() const { return heap_.size() - cancelled_; }
 
     /**
      * Run events until the queue empties or @p limit is reached.
@@ -338,61 +267,22 @@ class EventQueue
     std::uint64_t descheduled() const { return descheduled_; }
 
     /** Entry slots currently allocated (capacity, not pending). */
-    std::size_t slots() const;
+    std::size_t slots() const { return slot_count_; }
 
-    /** Times the cancelled-entry sweep ran, summed over shards. */
-    std::uint64_t compactions() const;
-
-    // Sharding introspection -----------------------------------------
-
-    /** Configured shard count (1 = monolithic legacy kernel). */
-    std::size_t shards() const { return shards_.size(); }
-
-    /** Conservative-window length in ticks. */
-    Tick windowTicks() const { return window_ticks_; }
-
-    /** Shard serving @p domain. */
-    std::uint32_t shardOf(std::uint32_t domain) const;
-
-    /** Window barriers crossed (0 while shards() == 1). */
-    std::uint64_t barriers() const { return barriers_; }
-
-    /** Events extracted by parallel window staging. */
-    std::uint64_t stagedEvents() const { return staged_events_; }
-
-    /** Per-shard cancelled-entry sweeps. */
-    std::uint64_t shardCompactions(std::size_t s) const;
-
-    /** Per-shard live tombstones (heap + staged batch). */
-    std::size_t shardCancelled(std::size_t s) const;
-
-    /** Per-shard pending (non-cancelled) events. */
-    std::size_t shardPending(std::size_t s) const;
-
-    /** Per-shard events executed. */
-    std::uint64_t shardExecuted(std::size_t s) const;
+    /** Times the cancelled-entry sweep ran. */
+    std::uint64_t compactions() const { return compactions_; }
 
   private:
     /**
-     * Slab entry. The slot index plus shard id plus a generation
-     * counter forms the EventId; the generation is bumped on
-     * release so stale handles never resolve to a recycled slot.
+     * Slab entry. The slot index plus a generation counter forms the
+     * EventId; the generation is bumped on release so stale handles
+     * never resolve to a recycled slot.
      */
     struct Entry
     {
         EventCallback cb;
         std::uint32_t gen = 0;
         bool cancelled = false;
-        /**
-         * True while the entry's heap node sits in the shard's
-         * staged window batch instead of the heap. A deschedule of
-         * a staged entry must charge the shard's staged-tombstone
-         * count, NOT the heap count: heap compaction can only
-         * reclaim heap nodes, so charging staged tombstones there
-         * inflates the compaction trigger and permanently skews the
-         * sweep accounting (tombstones the sweep can never find).
-         */
-        bool staged = false;
     };
 
     /** Heap node; everything the comparator needs, no pointers. */
@@ -418,88 +308,38 @@ class EventQueue
         }
     };
 
-    /** One per-domain sub-queue: slab, free list, heap, batch. */
-    struct Shard
-    {
-        std::vector<HeapNode> heap;
-        std::vector<std::unique_ptr<Entry[]>> chunks;
-        std::vector<std::uint32_t> free_slots;
-        std::uint32_t slot_count = 0;
-        /** Tombstones still inside `heap` (compaction's domain). */
-        std::size_t cancelled_heap = 0;
-        /** Tombstones inside the staged window batch. */
-        std::size_t cancelled_staged = 0;
-        std::uint64_t compactions = 0;
-        std::uint64_t executed = 0;
-        /** Current window's batch, ascending (tick,prio,seq). */
-        std::vector<HeapNode> staged;
-        std::size_t staged_pos = 0;
-    };
-
     static constexpr std::size_t chunkSize = 128;
     /** Don't bother sweeping tiny heaps. */
     static constexpr std::size_t compactMinHeap = 64;
 
-    /** True when @p a commits before @p b (global merge order). */
-    static bool
-    earlier(const HeapNode &a, const HeapNode &b)
-    {
-        // Later{} is the max-heap comparator; a precedes b iff b is
-        // later than a. Sequence numbers are unique, so ties are
-        // impossible.
-        return Later{}(b, a);
-    }
-
     Entry &
-    entry(Shard &s, std::uint32_t slot)
+    entry(std::uint32_t slot)
     {
-        return s.chunks[slot / chunkSize][slot % chunkSize];
+        return chunks_[slot / chunkSize][slot % chunkSize];
     }
 
-    const Entry &
-    entry(const Shard &s, std::uint32_t slot) const
-    {
-        return s.chunks[slot / chunkSize][slot % chunkSize];
-    }
+    std::uint32_t acquireSlot();
+    void releaseSlot(std::uint32_t slot);
+    void compact();
 
-    std::uint32_t acquireSlot(Shard &s);
-    void releaseSlot(Shard &s, std::uint32_t slot);
-    void compact(Shard &s);
-
-    /**
-     * The shard's next node in merge order (staged front vs heap
-     * top), or nullptr. @p from_staged reports the source.
-     */
-    const HeapNode *shardFront(const Shard &s, bool &from_staged) const;
-    /** Remove the node shardFront() reported. */
-    void popFront(Shard &s, bool from_staged);
-    /** Shard index holding the global minimum node, or -1. */
-    int pickMinShard(bool &from_staged) const;
-
-    /** Pop all in-window heap nodes into the staged batch. */
-    void stageShard(Shard &s, Tick window_end);
-    /** Fan window staging out to the drain pool if worthwhile. */
-    void maybeParallelStage(Tick window_end);
-    /** Execute staged + heap events with when < window_end. */
-    std::uint64_t drainWindow(Tick window_end);
-    /** Barrier tick following @p t, capped for @p limit. */
-    Tick windowEnd(Tick t, Tick limit) const;
-
-    /** Legacy monolithic loop (shards() == 1 fast path). */
-    std::uint64_t runMonolithic(Tick limit);
+    /** Remove and return the heap top. */
+    HeapNode popTop();
+    /** Reap the heap top if it is a tombstone; true if it was. */
+    bool dropCancelledTop();
+    /** Run the (live) heap top's callback. */
+    void fireTop();
 
     Tick now_ = 0;
     std::uint64_t next_seq_ = 1;
     std::uint64_t executed_ = 0;
     std::uint64_t descheduled_ = 0;
-    std::uint64_t barriers_ = 0;
-    std::uint64_t staged_events_ = 0;
-    Tick window_ticks_;
-    std::size_t parallel_stage_min_;
-    bool draining_ = false;
-    std::vector<Shard> shards_;
-    /** Built only when shards > 1 and drainWorkers > 1. */
-    std::unique_ptr<WorkerPool> pool_;
+    std::vector<HeapNode> heap_;
+    std::vector<std::unique_ptr<Entry[]>> chunks_;
+    std::vector<std::uint32_t> free_slots_;
+    std::uint32_t slot_count_ = 0;
+    /** Tombstones still inside the heap. */
+    std::size_t cancelled_ = 0;
+    std::uint64_t compactions_ = 0;
 };
 
 } // namespace xfm

@@ -37,20 +37,9 @@ class SimObject
     EventQueue &eventq() { return eq_; }
     const EventQueue &eventq() const { return eq_; }
 
-    /**
-     * Event domain this component posts into (DESIGN.md §13):
-     * 0 — the global shard — by default; per-channel/DIMM
-     * components are tagged 1 + index by their owner. Purely a
-     * load-balancing hint for the sharded event core; any value
-     * yields identical simulated behavior.
-     */
-    std::uint32_t eventDomain() const { return domain_; }
-    void setEventDomain(std::uint32_t d) { domain_ = d; }
-
   private:
     std::string name_;
     EventQueue &eq_;
-    std::uint32_t domain_ = EventQueue::globalDomain;
 };
 
 } // namespace xfm

@@ -13,12 +13,6 @@ System::System(std::string name, EventQueue &eq,
 {
     XFM_ASSERT(cfg_.pages > 0, "system needs at least one page");
 
-    // Host-side components (controller, refresh, SFM control plane)
-    // deliberately stay on the global event domain (shard 0): they
-    // interleave with every DIMM's traffic, so pinning them to one
-    // shard keeps the conservative window barrier simple
-    // (DESIGN.md §13). Per-DIMM domains are assigned inside
-    // XfmBackend.
     host_phys_ = std::make_unique<dram::PhysMem>(
         cfg_.hostMem.totalCapacityBytes());
     host_refresh_ = std::make_unique<dram::RefreshController>(

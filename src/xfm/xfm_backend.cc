@@ -81,10 +81,6 @@ XfmBackend::XfmBackend(std::string name, EventQueue &eq,
     refresh_ = std::make_unique<dram::RefreshController>(
         this->name() + ".refresh", eq, cfg_.dimmMem.rank.device,
         static_cast<std::uint32_t>(cfg_.numDimms));
-    // Rank r of the refresh controller maps onto DIMM r, so its REF
-    // events ride the same event domain as that DIMM's device and
-    // driver (DESIGN.md §13).
-    refresh_->setRankDomainBase(1);
 
     dimms_.reserve(cfg_.numDimms);
     for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
@@ -100,9 +96,6 @@ XfmBackend::XfmBackend(std::string name, EventQueue &eq,
         dimm.device = std::make_unique<nma::XfmDevice>(
             this->name() + ".dimm" + std::to_string(d), eq, dcfg,
             *dimm.map, *dimm.mem, *refresh_);
-        // Per-DIMM traffic lands on its own event domain; the sharded
-        // event core can then stage each DIMM's heap in parallel.
-        dimm.device->setEventDomain(1 + static_cast<std::uint32_t>(d));
         dimm.driver = std::make_unique<XfmDriver>(*dimm.device);
         dimm.driver->xfmParamset(cfg_.sfmBase, cfg_.sfmBytes);
         // Page registration (Sec. 6): the NMA may only touch the
@@ -439,8 +432,6 @@ XfmBackend::cpuSwapOut(VirtPage page, SwapCallback done,
     if (tracer_ && trace_id)
         tracer_->record(trace_id, obs::Stage::CpuCompute, curTick(),
                         curTick() + latency);
-    // CPU-fallback completions touch whole-page state spanning every
-    // DIMM, so they stay on the global event domain (shard 0).
     eventq().scheduleIn(latency,
                         [outcome, done, trace_id, this]() mutable {
         outcome.completed = curTick();
@@ -508,8 +499,6 @@ XfmBackend::cpuSwapIn(VirtPage page, SwapCallback done,
     if (tracer_ && trace_id)
         tracer_->record(trace_id, obs::Stage::CpuCompute, curTick(),
                         curTick() + latency);
-    // CPU-fallback completions touch whole-page state spanning every
-    // DIMM, so they stay on the global event domain (shard 0).
     eventq().scheduleIn(latency,
                         [outcome, done, trace_id, this]() mutable {
         outcome.completed = curTick();

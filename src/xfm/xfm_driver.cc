@@ -188,9 +188,7 @@ XfmDriver::scheduleDoorbellFlush()
     doorbell_attempts_ = 0;
     // Same-tick event: every submission of this tick (the tREFI
     // batch) is covered by one SQ tail doorbell MMIO write.
-    dev_.eventq().scheduleIn(0, [this] { flushDoorbell(); },
-                             EventQueue::defaultPriority,
-                             dev_.eventDomain());
+    dev_.eventq().scheduleIn(0, [this] { flushDoorbell(); });
 }
 
 void
@@ -221,8 +219,7 @@ XfmDriver::flushDoorbell()
         doorbell_scheduled_ = true;
         dev_.eventq().scheduleIn(
             retry_.backoffFor(doorbell_attempts_ - 1),
-            [this] { flushDoorbell(); },
-            EventQueue::defaultPriority, dev_.eventDomain());
+            [this] { flushDoorbell(); });
         return;
     }
     dev_.regs().write(nma::Reg::SqTailDoorbell, sq.tailIndex());

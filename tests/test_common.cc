@@ -345,6 +345,30 @@ TEST(Config, TracksUnconsumedKeys)
     EXPECT_EQ(unused[0], "typo");
 }
 
+TEST(Config, UnreadKeyIsFatal)
+{
+    // A retired option left in a config file must fail loudly, not
+    // run the experiment silently with defaults.
+    const auto cfg = Config::parseString("used = 1\nsim_shards = 8\n");
+    cfg.getU64("used");
+    try {
+        cfg.requireAllConsumed();
+        FAIL() << "unread key did not throw";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("sim_shards"), std::string::npos) << msg;
+        EXPECT_EQ(msg.find("used"), std::string::npos) << msg;
+    }
+}
+
+TEST(Config, FullyReadConfigPasses)
+{
+    const auto cfg = Config::parseString("a = 1\nb = on\n");
+    cfg.getU64("a");
+    cfg.getBool("b");
+    EXPECT_NO_THROW(cfg.requireAllConsumed());
+}
+
 TEST(Config, BooleanSpellings)
 {
     const auto cfg = Config::parseString(

@@ -633,96 +633,6 @@ TEST(CodecComparison, RatioHelper)
     EXPECT_DOUBLE_EQ(ratio(4096, 0), 0.0);
 }
 
-} // namespace
-} // namespace compress
-} // namespace xfm
-
-#include "compress/incremental.hh"
-
-namespace xfm
-{
-namespace compress
-{
-namespace
-{
-
-TEST(Incremental, ChunkedRoundTrip)
-{
-    const Bytes corpus =
-        generateCorpus(CorpusKind::EnglishText, 12, 64 * 1024);
-    IncrementalCompressor comp;
-    IncrementalDecompressor dec;
-    for (std::size_t off = 0; off < corpus.size(); off += 4096) {
-        const std::size_t len =
-            std::min<std::size_t>(4096, corpus.size() - off);
-        const Bytes seg = comp.addChunk(
-            ByteSpan(corpus.data() + off, len));
-        const Bytes chunk = dec.addSegment(seg);
-        ASSERT_EQ(chunk,
-                  Bytes(corpus.begin() + off,
-                        corpus.begin() + off + len));
-    }
-    EXPECT_EQ(comp.historyBytes(), corpus.size());
-    EXPECT_EQ(dec.historyBytes(), corpus.size());
-}
-
-TEST(Incremental, SharedHistoryBeatsIndependentChunks)
-{
-    // Identical chunks: with shared history every later chunk is a
-    // single long back-reference; independent compression pays the
-    // full cost each time.
-    const Bytes chunk =
-        generateCorpus(CorpusKind::LogLines, 3, 4096);
-    IncrementalCompressor shared;
-    std::size_t shared_bytes = 0;
-    std::size_t independent_bytes = 0;
-    LzFastCodec independent;
-    for (int i = 0; i < 8; ++i) {
-        shared_bytes += shared.addChunk(chunk).size();
-        independent_bytes += independent.compress(chunk).size();
-    }
-    EXPECT_LT(shared_bytes, independent_bytes / 2);
-}
-
-TEST(Incremental, CrossChunkMatchesReachFullHistory)
-{
-    // First chunk unique, second chunk repeats it exactly: the
-    // second segment must be tiny (one giant match).
-    Rng rng(8);
-    Bytes chunk(8192);
-    for (auto &b : chunk)
-        b = static_cast<std::uint8_t>(rng.uniformInt(250));
-    IncrementalCompressor comp;
-    const Bytes first = comp.addChunk(chunk);
-    const Bytes second = comp.addChunk(chunk);
-    EXPECT_LT(second.size(), 64u);
-    EXPECT_GT(first.size(), 1000u);
-
-    IncrementalDecompressor dec;
-    EXPECT_EQ(dec.addSegment(first), chunk);
-    EXPECT_EQ(dec.addSegment(second), chunk);
-}
-
-TEST(Incremental, EmptyChunkAllowed)
-{
-    IncrementalCompressor comp;
-    IncrementalDecompressor dec;
-    const Bytes seg = comp.addChunk({});
-    EXPECT_TRUE(dec.addSegment(seg).empty());
-}
-
-TEST(Incremental, OutOfOrderSegmentFails)
-{
-    const Bytes chunk = generateCorpus(CorpusKind::Json, 5, 4096);
-    IncrementalCompressor comp;
-    comp.addChunk(chunk);                     // establishes history
-    const Bytes second = comp.addChunk(chunk);
-    IncrementalDecompressor dec;
-    // Feeding segment 2 without segment 1's history: distances
-    // reach beyond what the decoder has.
-    EXPECT_THROW(dec.addSegment(second), FatalError);
-}
-
 TEST(Lz77Suffix, PrefixProducesNoTokens)
 {
     const Bytes data = generateCorpus(CorpusKind::Html, 2, 8192);
@@ -821,7 +731,6 @@ INSTANTIATE_TEST_SUITE_P(
 // PR 10 hot-path and preset-dictionary coverage.
 
 #include "compress/dict.hh"
-#include "compress/hotpaths.hh"
 
 namespace xfm
 {
@@ -829,6 +738,17 @@ namespace compress
 {
 namespace
 {
+
+/** Byte-at-a-time prefix scan: the oracle for the SWAR kernel. */
+std::uint32_t
+matchLengthReference(const std::uint8_t *a, const std::uint8_t *b,
+                     std::uint32_t limit)
+{
+    std::uint32_t n = 0;
+    while (n < limit && a[n] == b[n])
+        ++n;
+    return n;
+}
 
 /** The SWAR 64-bit match extension must agree with the reference
  *  byte scan at every alignment and boundary. */
@@ -845,7 +765,7 @@ TEST(SwarMatch, BoundaryLengthsAgreeWithReference)
              {prefix, prefix + 1, prefix + 9, 160u}) {
             const auto want = matchLengthReference(
                 a.data(), b.data(), std::min<std::uint32_t>(limit, 160));
-            const auto got = matchLengthFast(
+            const auto got = matchLength(
                 a.data(), b.data(), std::min<std::uint32_t>(limit, 160));
             EXPECT_EQ(got, want)
                 << "prefix=" << prefix << " limit=" << limit;
@@ -863,7 +783,7 @@ TEST(SwarMatch, UnalignedPointersAgree)
         for (std::size_t ob = 0; ob < 9; ++ob) {
             const std::uint32_t limit = static_cast<std::uint32_t>(
                 buf.size() - std::max(oa, ob) - 1);
-            EXPECT_EQ(matchLengthFast(buf.data() + oa,
+            EXPECT_EQ(matchLength(buf.data() + oa,
                                       buf.data() + ob, limit),
                       matchLengthReference(buf.data() + oa,
                                            buf.data() + ob, limit));
@@ -875,15 +795,15 @@ TEST(SwarMatch, AllEqualHitsLimit)
 {
     const Bytes a(300, 0xEE);
     const Bytes b(300, 0xEE);
-    EXPECT_EQ(matchLengthFast(a.data(), b.data(), 300), 300u);
-    EXPECT_EQ(matchLengthFast(a.data(), b.data(), 0), 0u);
+    EXPECT_EQ(matchLength(a.data(), b.data(), 300), 300u);
+    EXPECT_EQ(matchLength(a.data(), b.data(), 0), 0u);
 }
 
 TEST(SwarMatch, FirstByteDiffers)
 {
     const Bytes a(64, 1);
     const Bytes b(64, 2);
-    EXPECT_EQ(matchLengthFast(a.data(), b.data(), 64), 0u);
+    EXPECT_EQ(matchLength(a.data(), b.data(), 64), 0u);
 }
 
 /** Page-tail reads: the fast scan must not require padding past the
@@ -894,7 +814,7 @@ TEST(SwarMatch, PageTailExactLimit)
     for (std::size_t n : {1u, 5u, 8u, 13u, 64u, 100u}) {
         const Bytes a(n, 0x42);
         const Bytes b(n, 0x42);
-        EXPECT_EQ(matchLengthFast(a.data(), b.data(),
+        EXPECT_EQ(matchLength(a.data(), b.data(),
                                   static_cast<std::uint32_t>(n)),
                   n);
     }
@@ -987,37 +907,6 @@ TEST(Huffman, SubtableDeepCodesRoundTrip)
     BitReader br(stream);
     for (const auto want : symbols)
         EXPECT_EQ(dec.decode(br), want);
-}
-
-/** The hot-path toggles change speed only: compressed bytes must be
- *  identical with the SWAR matcher and batched Huffman decode
- *  forced off. */
-TEST(Hotpaths, TogglesPreserveCompressedBytes)
-{
-    for (const auto algo :
-         {Algorithm::LzFast, Algorithm::Deflate, Algorithm::ZstdLike}) {
-        const auto codec = makeCompressor(algo);
-        for (const auto kind :
-             {CorpusKind::EnglishText, CorpusKind::Json,
-              CorpusKind::ZeroHeavy}) {
-            const Bytes data = generateCorpus(kind, 11, 16384);
-            Bytes fast_block;
-            Bytes scalar_block;
-            codec->compressInto(data, fast_block);
-            {
-                hotpaths::ScopedToggle no_swar(hotpaths::swarMatch,
-                                               false);
-                hotpaths::ScopedToggle no_pairs(
-                    hotpaths::batchedHuffman, false);
-                codec->compressInto(data, scalar_block);
-                Bytes out;
-                codec->decompressInto(scalar_block, out);
-                EXPECT_EQ(out, data);
-            }
-            EXPECT_EQ(fast_block, scalar_block)
-                << algorithmName(algo) << "/" << corpusName(kind);
-        }
-    }
 }
 
 /** Steady-state tokenisation reuses the pooled finder tables

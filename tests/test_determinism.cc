@@ -17,7 +17,9 @@
 #include "compress/corpus.hh"
 #include "nma/engine.hh"
 #include "obs/tracer.hh"
+#include "service/service.hh"
 #include "system/system.hh"
+#include "workload/fleet.hh"
 
 namespace xfm
 {
@@ -76,19 +78,10 @@ enum class DictMode
 RunResult
 runSystem(std::uint64_t fault_seed, std::size_t workers = 1,
           std::uint32_t sq_depth = 1, std::uint32_t cq_coalesce = 1,
-          std::size_t sim_shards = 1,
           TierMode tier_mode = TierMode::Default,
           DictMode dict_mode = DictMode::Default)
 {
-    // Sharded event core: per-DIMM domains staged between tREFI
-    // window barriers (DESIGN.md §13). sim_shards = 1 is the
-    // classic monolithic kernel.
-    EventQueueConfig eq_cfg;
-    eq_cfg.shards = sim_shards;
-    eq_cfg.windowTicks = dram::ddr5Device32Gb().tREFI();
-    eq_cfg.drainWorkers = workers;
-    eq_cfg.parallelStageMin = 0;  // stage every window in tests
-    EventQueue eq(eq_cfg);
+    EventQueue eq;
     SystemConfig cfg = faultedConfig(fault_seed);
     cfg.workers = workers;
     cfg.xfmDevice.sqDepth = sq_depth;
@@ -212,56 +205,6 @@ TEST(Determinism, RingDepthEightIsReproducible)
     EXPECT_EQ(a.trace, w8.trace);
 }
 
-TEST(Determinism, ShardMatrixIsByteIdentical)
-{
-    // The tentpole contract: metrics snapshot, JSON export, and the
-    // span trace are byte-identical for EVERY (sim_shards, workers,
-    // sq_depth) combination — sharding, drain workers, and the
-    // async ring are all host-runtime knobs, never simulation
-    // inputs. Fault injection schedules included.
-    const RunResult base = runSystem(7);
-    EXPECT_GT(base.injections, 0u);
-    EXPECT_FALSE(base.json.empty());
-    EXPECT_FALSE(base.trace.empty());
-    for (std::size_t shards : {1, 2, 8}) {
-        for (std::size_t workers : {1, 8}) {
-            for (std::uint32_t sq_depth : {1u, 8u}) {
-                // The ring reorders completions relative to depth 1
-                // (deterministically), so each depth has its own
-                // golden run at shards = 1, workers = 1.
-                const RunResult golden =
-                    sq_depth == 1 ? base
-                                  : runSystem(7, 1, sq_depth, 2);
-                const RunResult got =
-                    runSystem(7, workers, sq_depth,
-                              sq_depth == 1 ? 1 : 2, shards);
-                EXPECT_EQ(got.stats, golden.stats)
-                    << "shards=" << shards << " workers=" << workers
-                    << " sq_depth=" << sq_depth;
-                EXPECT_EQ(got.json, golden.json)
-                    << "shards=" << shards << " workers=" << workers
-                    << " sq_depth=" << sq_depth;
-                EXPECT_EQ(got.trace, golden.trace)
-                    << "shards=" << shards << " workers=" << workers
-                    << " sq_depth=" << sq_depth;
-                EXPECT_EQ(got.injections, golden.injections);
-            }
-        }
-    }
-}
-
-TEST(Determinism, ExplicitShardOneMatchesDefault)
-{
-    // sim_shards = 1 spelled out must not change a single byte of
-    // any export relative to the default-constructed EventQueue
-    // (no barrier is built at all).
-    const RunResult def = runSystem(7);
-    const RunResult s1 = runSystem(7, 1, 1, 1, 1);
-    EXPECT_EQ(def.stats, s1.stats);
-    EXPECT_EQ(def.json, s1.json);
-    EXPECT_EQ(def.trace, s1.trace);
-}
-
 TEST(Determinism, ExplicitRefAbMatchesDefault)
 {
     // Refresh-realism opt-out contract: spelling out the default
@@ -270,10 +213,7 @@ TEST(Determinism, ExplicitRefAbMatchesDefault)
     // never mentioned refresh — the disarmed controller takes the
     // exact legacy code path (refreshRealismArmed() == false).
     const RunResult def = runSystem(7);
-    EventQueueConfig eq_cfg;
-    eq_cfg.windowTicks = dram::ddr5Device32Gb().tREFI();
-    eq_cfg.parallelStageMin = 0;
-    EventQueue eq(eq_cfg);
+    EventQueue eq;
     SystemConfig cfg = faultedConfig(7);
     cfg.dimmDevice.refreshMode = dram::RefreshMode::RefAb;
     cfg.dimmDevice.rfmRaaimt = 0;
@@ -307,7 +247,7 @@ TEST(Determinism, TieringOffMatchesDefault)
     // hook fires, no metric appears.
     const RunResult def = runSystem(7);
     const RunResult off =
-        runSystem(7, 1, 1, 1, 1, TierMode::ConfiguredOff);
+        runSystem(7, 1, 1, 1, TierMode::ConfiguredOff);
     EXPECT_EQ(def.stats, off.stats);
     EXPECT_EQ(def.json, off.json);
     EXPECT_EQ(def.trace, off.trace);
@@ -318,29 +258,22 @@ TEST(Determinism, TieredMatrixIsByteIdentical)
 {
     // Tiering on extends the determinism matrix: the spill scan,
     // the DFM link, and the promote-on-fault path must replay
-    // byte-identically across event-core shard counts and drain
-    // workers — and differently from the non-tiered run (the tiers
-    // actually engaged).
-    const RunResult base =
-        runSystem(7, 1, 1, 1, 1, TierMode::On);
+    // byte-identically across worker counts — and differently from
+    // the non-tiered run (the tiers actually engaged).
+    const RunResult base = runSystem(7, 1, 1, 1, TierMode::On);
     const RunResult plain = runSystem(7);
     EXPECT_GT(base.injections, 0u);
     EXPECT_FALSE(base.json.empty());
     EXPECT_FALSE(base.trace.empty());
     EXPECT_NE(base.stats, plain.stats);
     EXPECT_NE(base.json.find(".tier."), std::string::npos);
-    for (std::size_t shards : {1, 8}) {
-        for (std::size_t workers : {1, 8}) {
-            const RunResult got =
-                runSystem(7, workers, 1, 1, shards, TierMode::On);
-            EXPECT_EQ(got.stats, base.stats)
-                << "shards=" << shards << " workers=" << workers;
-            EXPECT_EQ(got.json, base.json)
-                << "shards=" << shards << " workers=" << workers;
-            EXPECT_EQ(got.trace, base.trace)
-                << "shards=" << shards << " workers=" << workers;
-            EXPECT_EQ(got.injections, base.injections);
-        }
+    for (std::size_t workers : {2, 8}) {
+        const RunResult got =
+            runSystem(7, workers, 1, 1, TierMode::On);
+        EXPECT_EQ(got.stats, base.stats) << "workers=" << workers;
+        EXPECT_EQ(got.json, base.json) << "workers=" << workers;
+        EXPECT_EQ(got.trace, base.trace) << "workers=" << workers;
+        EXPECT_EQ(got.injections, base.injections);
     }
 }
 
@@ -349,8 +282,8 @@ TEST(Determinism, TieredRingIsReproducible)
     // Tiering composed with the async command rings: sq_depth = 8
     // reorders completion delivery under the tier router too, and
     // must do so identically on every run and at any worker count.
-    const RunResult a = runSystem(7, 1, 8, 2, 1, TierMode::On);
-    const RunResult b = runSystem(7, 8, 8, 2, 8, TierMode::On);
+    const RunResult a = runSystem(7, 1, 8, 2, TierMode::On);
+    const RunResult b = runSystem(7, 8, 8, 2, TierMode::On);
     EXPECT_GT(a.injections, 0u);
     EXPECT_FALSE(a.trace.empty());
     EXPECT_EQ(a.stats, b.stats);
@@ -366,7 +299,7 @@ TEST(Determinism, ExplicitDictOffMatchesDefault)
     // never mentioned dictionaries — no dictionary is sampled, no
     // packed dict is placed, no stat appears.
     const RunResult def = runSystem(7);
-    const RunResult off = runSystem(7, 1, 1, 1, 1, TierMode::Default,
+    const RunResult off = runSystem(7, 1, 1, 1, TierMode::Default,
                                     DictMode::ConfiguredOff);
     EXPECT_EQ(def.stats, off.stats);
     EXPECT_EQ(def.json, off.json);
@@ -378,36 +311,30 @@ TEST(Determinism, DictMatrixIsByteIdentical)
 {
     // Dictionaries on extend the determinism matrix: sampling,
     // per-shard adaptive fallback, and water-filled placement must
-    // replay byte-identically across event-core shard counts, drain
-    // workers, and ring depths — and differently from the plain run
-    // (the dictionaries actually engaged).
+    // replay byte-identically across worker counts and ring depths —
+    // and differently from the plain run (the dictionaries actually
+    // engaged).
     const RunResult base =
-        runSystem(7, 1, 1, 1, 1, TierMode::Default, DictMode::On);
+        runSystem(7, 1, 1, 1, TierMode::Default, DictMode::On);
     const RunResult plain = runSystem(7);
     EXPECT_GT(base.injections, 0u);
     EXPECT_FALSE(base.json.empty());
     EXPECT_FALSE(base.trace.empty());
     EXPECT_NE(base.stats, plain.stats);
-    for (std::size_t shards : {1, 8}) {
-        for (std::size_t workers : {1, 8}) {
-            const RunResult got =
-                runSystem(7, workers, 1, 1, shards,
-                          TierMode::Default, DictMode::On);
-            EXPECT_EQ(got.stats, base.stats)
-                << "shards=" << shards << " workers=" << workers;
-            EXPECT_EQ(got.json, base.json)
-                << "shards=" << shards << " workers=" << workers;
-            EXPECT_EQ(got.trace, base.trace)
-                << "shards=" << shards << " workers=" << workers;
-            EXPECT_EQ(got.injections, base.injections);
-        }
+    for (std::size_t workers : {2, 8}) {
+        const RunResult got = runSystem(7, workers, 1, 1,
+                                        TierMode::Default, DictMode::On);
+        EXPECT_EQ(got.stats, base.stats) << "workers=" << workers;
+        EXPECT_EQ(got.json, base.json) << "workers=" << workers;
+        EXPECT_EQ(got.trace, base.trace) << "workers=" << workers;
+        EXPECT_EQ(got.injections, base.injections);
     }
     // Composed with the async command rings: depth 8 has its own
     // golden (the ring reorders completions deterministically).
     const RunResult ring1 =
-        runSystem(7, 1, 8, 2, 1, TierMode::Default, DictMode::On);
+        runSystem(7, 1, 8, 2, TierMode::Default, DictMode::On);
     const RunResult ring2 =
-        runSystem(7, 8, 8, 2, 8, TierMode::Default, DictMode::On);
+        runSystem(7, 8, 8, 2, TierMode::Default, DictMode::On);
     EXPECT_EQ(ring1.stats, ring2.stats);
     EXPECT_EQ(ring1.json, ring2.json);
     EXPECT_EQ(ring1.trace, ring2.trace);
@@ -420,6 +347,106 @@ TEST(Determinism, DifferentFaultSeedDiverges)
     // Same workload, different fault RNG: the injected sequence must
     // differ somewhere observable.
     EXPECT_NE(a.stats, c.stats);
+}
+
+/** FNV-1a 64 over @p n bytes, continuing from @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const void *data, std::size_t n)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+constexpr std::uint64_t fnvBasis = 14695981039346656037ull;
+
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    return fnv1a(fnvBasis, s.data(), s.size());
+}
+
+/** A 16-tenant, 4 ms FarMemoryService + FleetDriver run's snapshot. */
+std::string
+fleetSnapshot()
+{
+    EventQueue eq;
+    service::ServiceConfig scfg;
+    scfg.registry.maxTenants = 16;
+    scfg.registry.pagesPerShard = 64;
+    scfg.system.numDimms = 2;
+    scfg.system.dimmMem.rank.device = dram::ddr5Device32Gb();
+    scfg.system.dimmMem.channels = 1;
+    scfg.system.dimmMem.dimmsPerChannel = 1;
+    scfg.system.dimmMem.ranksPerDimm = 1;
+    scfg.system.sfmBase = gib(1);
+    scfg.system.sfmBytes = mib(4);
+    scfg.system.device.spmBytes = kib(512);
+    scfg.system.device.queueDepth = 32;
+    scfg.batchSpmCapBytes = kib(256);
+    service::FarMemoryService svc("svc", eq, scfg);
+
+    workload::FleetConfig fcfg;
+    fcfg.numTenants = 16;
+    fcfg.pagesPerTenant = 32;
+    fcfg.accessesPerSecond = 200000.0;
+    workload::FleetDriver fleet("fleet", eq, svc, fcfg);
+    svc.start();
+    fleet.start();
+    eq.run(milliseconds(4.0));
+    return svc.metrics().renderText() + svc.metrics().toJson();
+}
+
+/** FNV-1a of every compressed block of the six-class page mix. */
+std::uint64_t
+codecHash(compress::Algorithm algo)
+{
+    static const compress::CorpusKind mix[] = {
+        compress::CorpusKind::KeyValue,   compress::CorpusKind::Json,
+        compress::CorpusKind::LogLines,   compress::CorpusKind::EnglishText,
+        compress::CorpusKind::SourceCode, compress::CorpusKind::Html,
+    };
+    const auto codec = compress::makeCompressor(algo);
+    std::uint64_t h = fnvBasis;
+    Bytes block;
+    Bytes out;
+    for (const auto kind : mix) {
+        for (std::uint64_t seed = 0; seed < 4; ++seed) {
+            const Bytes page =
+                compress::generateCorpus(kind, seed, pageBytes);
+            codec->compressInto(page, block);
+            codec->decompressInto(block, out);
+            EXPECT_EQ(out, page);
+            h = fnv1a(h, block.data(), block.size());
+        }
+    }
+    return h;
+}
+
+TEST(Determinism, GoldenHashes)
+{
+    // Pinned outputs of the simulator and the codecs. A refactor
+    // that claims to change no simulated byte must leave every one
+    // of these values unchanged; update them only for a change that
+    // is meant to alter simulated behaviour or the block format.
+    const RunResult d1 = runSystem(7, 1, 1, 1);
+    const RunResult d8 = runSystem(7, 1, 8, 2);
+    EXPECT_EQ(fnv1a(d1.stats), 11774752361943175825ull);
+    EXPECT_EQ(fnv1a(d1.json), 16155391961526558008ull);
+    EXPECT_EQ(fnv1a(d1.trace), 16209460826128089596ull);
+    EXPECT_EQ(fnv1a(d8.stats), 10717661055474186667ull);
+    EXPECT_EQ(fnv1a(d8.json), 14471054420722875960ull);
+    EXPECT_EQ(fnv1a(d8.trace), 17269287033067266739ull);
+    EXPECT_EQ(fnv1a(fleetSnapshot()), 14733238106887643583ull);
+    EXPECT_EQ(codecHash(compress::Algorithm::LzFast),
+              18114446391647626256ull);
+    EXPECT_EQ(codecHash(compress::Algorithm::Deflate),
+              14225057169789828618ull);
+    EXPECT_EQ(codecHash(compress::Algorithm::ZstdLike),
+              14084188174987479450ull);
 }
 
 TEST(Determinism, ModeledEngineIsPerEngineState)

@@ -81,18 +81,9 @@ struct DifferentialResult
 DifferentialResult
 runDifferential(compress::Algorithm alg, const fault::FaultPlan &plan,
                 const health::HealthConfig &health = {},
-                std::uint32_t sq_depth = 1,
-                std::size_t sim_shards = 1, bool shard_dict = false)
+                std::uint32_t sq_depth = 1, bool shard_dict = false)
 {
-    // sim_shards > 1 runs the sharded event core with per-DIMM
-    // domains staged at tREFI window barriers (DESIGN.md §13); the
-    // data-integrity contract is identical either way.
-    EventQueueConfig eq_cfg;
-    eq_cfg.shards = sim_shards;
-    eq_cfg.windowTicks = dram::ddr5Device32Gb().tREFI();
-    eq_cfg.drainWorkers = sim_shards > 1 ? 4 : 1;
-    eq_cfg.parallelStageMin = 0;
-    EventQueue eq(eq_cfg);
+    EventQueue eq;
 
     auto xcfg = testutil::testXfmConfig(2);
     xcfg.algorithm = alg;
@@ -356,40 +347,6 @@ TEST_P(DifferentialTest, RingDepthEightFaultedRestoresAllPages)
     EXPECT_GT(r.xfmCpuOps, 0u);
 }
 
-TEST_P(DifferentialTest, ShardedCoreFaultedRestoresAllPages)
-{
-    // The aggressive fault plan replayed on the sharded event core
-    // at full width: retries, stalls, and doorbell losses now cross
-    // window barriers, and every page must still restore exactly —
-    // with the same CPU-fallback degradation the monolithic kernel
-    // shows.
-    const auto mono = runDifferential(GetParam(), aggressivePlan());
-    const auto s8 =
-        runDifferential(GetParam(), aggressivePlan(), {}, 1, 8);
-    EXPECT_GT(s8.xfmCpuOps, 0u);
-    EXPECT_EQ(s8.xfmCpuOps, mono.xfmCpuOps);
-    EXPECT_EQ(s8.offloadRetries, mono.offloadRetries);
-}
-
-TEST_P(DifferentialTest, ShardedCoreBreakersRestoresAllPages)
-{
-    // Breaker trips, half-open probes, and channel offlining on the
-    // sharded core: the health state machine walks the exact same
-    // transitions as on the monolithic kernel.
-    health::HealthConfig h;
-    h.enabled = true;
-    h.window = 8;
-    h.failConsecutive = 3;
-    h.cooldown = microseconds(50.0);
-    const auto mono =
-        runDifferential(GetParam(), aggressivePlan(), h);
-    const auto s8 =
-        runDifferential(GetParam(), aggressivePlan(), h, 1, 8);
-    EXPECT_GT(s8.xfmCpuOps, 0u);
-    EXPECT_EQ(s8.xfmCpuOps, mono.xfmCpuOps);
-    EXPECT_EQ(s8.offloadRetries, mono.offloadRetries);
-}
-
 TEST_P(DifferentialTest, DictCleanRunRestoresAllPages)
 {
     // Preset dictionaries on (`xfm.shard_dict`): shards store in the
@@ -397,7 +354,7 @@ TEST_P(DifferentialTest, DictCleanRunRestoresAllPages)
     // slot tails, and every restore must still be byte-exact against
     // the dict-less CPU baseline.
     const auto r = runDifferential(GetParam(), fault::FaultPlan{},
-                                   {}, 1, 1, true);
+                                   {}, 1, true);
     EXPECT_EQ(r.offloadRetries, 0u);
     // The page mix is dominated by spatially-correlated classes, so
     // dict mode must actually engage, not silently fall back.
@@ -415,7 +372,7 @@ TEST_P(DifferentialTest, DictFaultedRunRestoresAllPages)
     h.failConsecutive = 3;
     h.cooldown = microseconds(50.0);
     const auto r = runDifferential(GetParam(), aggressivePlan(), h,
-                                   1, 1, true);
+                                   1, true);
     EXPECT_GT(r.xfmCpuOps, 0u);
     EXPECT_GT(r.dictShards, 0u);
 }
@@ -425,7 +382,7 @@ TEST_P(DifferentialTest, DictRingDepthEightFaultedRestoresAllPages)
     // Dict mode, deep ring, faults: completion reordering must not
     // detach a shard from its page's dictionary.
     const auto r = runDifferential(GetParam(), aggressivePlan(), {},
-                                   8, 1, true);
+                                   8, true);
     EXPECT_GT(r.dictShards, 0u);
 }
 

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <functional>
+#include <set>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -248,150 +251,87 @@ TEST(SimObject, ExposesNameAndTime)
     EXPECT_EQ(obj.curTick(), 42u);
 }
 
-// ---------------------------------------------------------------
-// Sharded event core (DESIGN.md §13).
-// ---------------------------------------------------------------
+// --- Reference-model harness ------------------------------------
 
-EventQueueConfig
-shardedConfig(std::size_t shards, std::size_t workers = 1)
+/**
+ * Naive reference queue: a std::vector of (tick, priority, seq)
+ * kept sorted latest-first, so the next event is always at the back,
+ * plus the set of cancelled sequence numbers. No slab, no heap, no
+ * generations, no compaction: the ordering contract in its plainest
+ * form.
+ */
+class ReferenceQueue
 {
-    EventQueueConfig cfg;
-    cfg.shards = shards;
-    cfg.windowTicks = 1000;  // small windows: many barriers
-    cfg.drainWorkers = workers;
-    cfg.parallelStageMin = 0;  // always exercise the pool path
-    return cfg;
-}
+  public:
+    Tick now() const { return now_; }
+    std::uint64_t executed() const { return executed_; }
+    std::uint64_t descheduled() const { return descheduled_; }
 
-TEST(ShardedEventQueue, ShardOfMapsDomainsRoundRobin)
-{
-    EventQueue mono;
-    EXPECT_EQ(mono.shards(), 1u);
-    EXPECT_EQ(mono.shardOf(0), 0u);
-    EXPECT_EQ(mono.shardOf(17), 0u);
+    std::uint64_t
+    schedule(Tick when, std::function<void()> cb, int priority)
+    {
+        Item item{when, priority, next_seq_++, std::move(cb)};
+        const auto pos = std::lower_bound(items_.begin(), items_.end(),
+                                          item, runsLater);
+        const std::uint64_t id = item.seq;
+        items_.insert(pos, std::move(item));
+        return id;
+    }
 
-    EventQueue eq(shardedConfig(4));
-    EXPECT_EQ(eq.shards(), 4u);
-    EXPECT_EQ(eq.shardOf(EventQueue::globalDomain), 0u);
-    EXPECT_EQ(eq.shardOf(1), 1u);
-    EXPECT_EQ(eq.shardOf(2), 2u);
-    EXPECT_EQ(eq.shardOf(3), 3u);
-    EXPECT_EQ(eq.shardOf(4), 1u);  // wraps over the non-global shards
-    EXPECT_EQ(eq.shardOf(5), 2u);
-}
+    bool
+    deschedule(std::uint64_t id)
+    {
+        // Only a pending event can be cancelled: one that already
+        // ran (or is running) has left the vector.
+        const bool pending =
+            std::any_of(items_.begin(), items_.end(),
+                        [id](const Item &i) { return i.seq == id; });
+        if (!pending || !cancelled_.insert(id).second)
+            return false;
+        ++descheduled_;
+        return true;
+    }
 
-TEST(ShardedEventQueue, CrossShardOrderIsGlobal)
-{
-    // Events on different domains at interleaved ticks must fire in
-    // global (tick, priority, seq) order, never shard-batched.
-    EventQueue eq(shardedConfig(4));
-    std::vector<int> order;
-    eq.schedule(30, [&] { order.push_back(3); },
-                EventQueue::defaultPriority, 1);
-    eq.schedule(10, [&] { order.push_back(1); },
-                EventQueue::defaultPriority, 2);
-    eq.schedule(20, [&] { order.push_back(2); },
-                EventQueue::defaultPriority, 3);
-    eq.schedule(10, [&] { order.push_back(10); },
-                EventQueue::refreshPriority, EventQueue::globalDomain);
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{10, 1, 2, 3}));
-    EXPECT_EQ(eq.now(), 30u);
-}
+    void
+    run()
+    {
+        while (!items_.empty()) {
+            Item item = std::move(items_.back());
+            items_.pop_back();
+            if (cancelled_.erase(item.seq))
+                continue;
+            now_ = item.when;
+            item.cb();
+            ++executed_;
+        }
+    }
 
-TEST(ShardedEventQueue, MonolithicBuildsNoBarrier)
-{
-    EventQueue eq;  // shards = 1
-    for (int i = 0; i < 64; ++i)
-        eq.schedule(static_cast<Tick>(i) * 500, [] {});
-    eq.run();
-    EXPECT_EQ(eq.barriers(), 0u);
-    EXPECT_EQ(eq.stagedEvents(), 0u);
-}
+  private:
+    struct Item
+    {
+        Tick when;
+        int priority;
+        std::uint64_t seq;
+        std::function<void()> cb;
+    };
 
-TEST(ShardedEventQueue, WindowBarriersAdvanceMonotonically)
-{
-    EventQueue eq(shardedConfig(2));
-    for (int i = 0; i < 8; ++i)
-        eq.schedule(static_cast<Tick>(i) * 2500, [] {}, 0,
-                    1 + (i % 2));
-    eq.run();
-    EXPECT_GT(eq.barriers(), 0u);
-    EXPECT_EQ(eq.executed(), 8u);
-}
+    static bool
+    runsLater(const Item &a, const Item &b)
+    {
+        if (a.when != b.when)
+            return a.when > b.when;
+        if (a.priority != b.priority)
+            return a.priority > b.priority;
+        return a.seq > b.seq;
+    }
 
-TEST(ShardedEventQueue, StagedEntryCanBeDescheduled)
-{
-    // A callback cancels a later same-window event on another
-    // shard; staging must keep entries live (deschedulable).
-    EventQueue eq(shardedConfig(2));
-    bool fired = false;
-    EventId victim =
-        eq.schedule(500, [&] { fired = true; }, 0, 1);
-    eq.schedule(100, [&] { EXPECT_TRUE(eq.deschedule(victim)); },
-                0, EventQueue::globalDomain);
-    eq.run();
-    EXPECT_FALSE(fired);
-    EXPECT_EQ(eq.executed(), 1u);
-    EXPECT_EQ(eq.descheduled(), 1u);
-}
-
-// --- Per-shard tombstone accounting (the PR 7 fix) --------------
-
-TEST(ShardedEventQueue, TombstonesChargeTheOwningShardOnly)
-{
-    // Cancels in one domain must only ever compact that shard;
-    // before the fix a tombstone could be charged to the wrong
-    // shard's heap count and inflate its compaction trigger with
-    // nodes the sweep cannot find.
-    EventQueue eq(shardedConfig(3));
-    std::vector<EventId> ids;
-    for (int i = 0; i < 256; ++i)
-        ids.push_back(eq.schedule(1000000 + i, [] {}, 0, 1));
-    for (int i = 0; i < 64; ++i)
-        eq.schedule(1000000 + i, [] {}, 0, 2);
-    const std::size_t victim_shard = eq.shardOf(1);
-    const std::size_t other_shard = eq.shardOf(2);
-    for (std::size_t i = 0; i < 200; ++i)
-        ASSERT_TRUE(eq.deschedule(ids[i]));
-    EXPECT_GT(eq.shardCompactions(victim_shard), 0u);
-    EXPECT_EQ(eq.shardCompactions(other_shard), 0u);
-    EXPECT_EQ(eq.shardCancelled(other_shard), 0u);
-    eq.run();
-    EXPECT_EQ(eq.executed(), 256u - 200u + 64u);
-    for (std::size_t s = 0; s < eq.shards(); ++s)
-        EXPECT_EQ(eq.shardCancelled(s), 0u) << "shard " << s;
-}
-
-TEST(ShardedEventQueue, StagedCancelDoesNotInflateHeapCompaction)
-{
-    // Cancelling an already-staged entry must charge the staged
-    // tombstone bucket: the heap sweep can never reclaim it, so
-    // charging it to the heap count would push the shard toward
-    // compactions that find nothing.
-    // Two drain workers so the shard heaps really are staged by
-    // the pool before the canceller runs (workers = 1 builds no
-    // pool and the cancels would take the ordinary heap path).
-    EventQueue eq(shardedConfig(2, /*workers=*/2));
-    std::vector<EventId> victims;
-    for (int i = 0; i < 128; ++i)
-        victims.push_back(
-            eq.schedule(900, [] {}, EventQueue::defaultPriority, 1));
-    eq.schedule(100, [&] {
-        // Same window as the victims: they are staged by now.
-        for (EventId id : victims)
-            EXPECT_TRUE(eq.deschedule(id));
-    }, 0, EventQueue::globalDomain);
-    const std::uint64_t before = eq.compactions();
-    eq.run();
-    EXPECT_EQ(eq.compactions(), before);
-    EXPECT_EQ(eq.executed(), 1u);
-    EXPECT_EQ(eq.descheduled(), 128u);
-    for (std::size_t s = 0; s < eq.shards(); ++s)
-        EXPECT_EQ(eq.shardCancelled(s), 0u) << "shard " << s;
-}
-
-// --- Oracle equivalence harness ---------------------------------
+    std::vector<Item> items_;
+    std::set<std::uint64_t> cancelled_;
+    Tick now_ = 0;
+    std::uint64_t next_seq_ = 1;
+    std::uint64_t executed_ = 0;
+    std::uint64_t descheduled_ = 0;
+};
 
 /** One fired event, as observed by the harness. */
 struct FireRecord
@@ -446,73 +386,60 @@ class ScheduleRng
  * exact (tick, priority, serial) fire order.
  *
  * The generator exercises every mutation the real simulator
- * performs: plain posts across domains, posts landing exactly on
- * window/epoch boundaries (the barrier edge), cancels of pending
- * and already-staged events, reschedule (cancel + repost at a new
- * tick), self-deschedule from inside a callback, and callbacks that
- * post follow-up work into *other* domains mid-window.
+ * performs: plain posts, posts landing on the same tick, up-front
+ * cancels (@p cancels of them) and reschedules (cancel + repost at
+ * a new tick), cancels from inside a callback — including of the
+ * running event itself — and callbacks that post follow-up work.
  */
+template <typename Queue>
 ReplayResult
-replaySchedule(EventQueue &eq, std::uint64_t seed,
-               std::uint32_t domains)
+replaySchedule(Queue &eq, std::uint64_t seed, int cancels = 170)
 {
-    constexpr Tick kWindow = 1000;  // matches shardedConfig()
+    constexpr Tick kSpan = 40000;
     ReplayResult out;
     ScheduleRng rng(seed);
     std::vector<std::pair<std::uint64_t, EventId>> live;
     std::uint64_t serial = 0;
 
-    auto post = [&](Tick when, int prio, std::uint32_t domain,
-                    auto &&self) -> void {
+    auto post = [&](Tick when, int prio, auto &&self) -> void {
         const std::uint64_t id = serial++;
-        EventId ev = eq.schedule(when, [&, id, when, prio, domain,
-                                        self]() mutable {
+        EventId ev = eq.schedule(when, [&, id, prio, self]() mutable {
             out.fires.push_back({eq.now(), prio, id});
-            // 1 in 4 callbacks posts follow-up work, half of it
-            // into a different domain (cross-shard post).
+            // 1 in 4 callbacks posts follow-up work.
             if (rng.pick(4) == 0 && serial < 4096) {
-                const std::uint32_t d =
-                    rng.pick(2) ? domain
-                                : static_cast<std::uint32_t>(
-                                      rng.pick(domains));
-                const Tick delta = 1 + rng.pick(3 * kWindow);
+                const Tick delta = 1 + rng.pick(kSpan / 10);
                 self(eq.now() + delta,
-                     static_cast<int>(rng.pick(3)) - 1, d, self);
+                     static_cast<int>(rng.pick(3)) - 1, self);
             }
-            // 1 in 8 callbacks cancels a random live event (which
-            // may already be staged in the current window).
+            // 1 in 8 callbacks cancels a random event it has seen
+            // posted: pending, already fired, or itself.
             if (rng.pick(8) == 0 && !live.empty()) {
                 const std::size_t idx = rng.pick(live.size());
                 if (eq.deschedule(live[idx].second))
                     live.erase(live.begin()
                                + static_cast<std::ptrdiff_t>(idx));
             }
-        }, prio, domain);
+        }, prio);
         live.push_back({id, ev});
     };
 
-    // Seed schedule: a mix of plain ticks and exact epoch
-    // boundaries, over all domains and three priorities.
+    // Seed schedule over three priorities; a fifth of the posts
+    // share a handful of ticks so same-tick ordering is exercised.
     for (int i = 0; i < 512; ++i) {
-        Tick when = 1 + rng.pick(40 * kWindow);
+        Tick when = 1 + rng.pick(kSpan);
         if (rng.pick(5) == 0)
-            when = (1 + rng.pick(40)) * kWindow;  // barrier edge
-        const int prio = static_cast<int>(rng.pick(3)) - 1;
-        const std::uint32_t domain =
-            static_cast<std::uint32_t>(rng.pick(domains));
-        post(when, prio, domain, post);
+            when = (1 + rng.pick(40)) * (kSpan / 40);
+        post(when, static_cast<int>(rng.pick(3)) - 1, post);
     }
-    // Up-front cancels and reschedules of a third of the seeds.
-    for (int i = 0; i < 170 && !live.empty(); ++i) {
+    // Up-front cancels, half of them rescheduled elsewhere.
+    for (int i = 0; i < cancels && !live.empty(); ++i) {
         const std::size_t idx = rng.pick(live.size());
         if (eq.deschedule(live[idx].second)) {
             live.erase(live.begin()
                        + static_cast<std::ptrdiff_t>(idx));
-            if (rng.pick(2) == 0)  // reschedule: repost elsewhere
-                post(1 + rng.pick(40 * kWindow),
-                     static_cast<int>(rng.pick(3)) - 1,
-                     static_cast<std::uint32_t>(rng.pick(domains)),
-                     post);
+            if (rng.pick(2) == 0)
+                post(1 + rng.pick(kSpan),
+                     static_cast<int>(rng.pick(3)) - 1, post);
         }
     }
 
@@ -523,69 +450,67 @@ replaySchedule(EventQueue &eq, std::uint64_t seed,
     return out;
 }
 
-class ShardedOracleTest
-    : public ::testing::TestWithParam<std::size_t>
-{};
-
-TEST_P(ShardedOracleTest, MatchesMonolithicOracle)
+void
+expectSameReplay(const ReplayResult &got, const ReplayResult &want,
+                 std::uint64_t seed)
 {
-    const std::size_t shards = GetParam();
-    for (std::uint64_t seed : {1ull, 7ull, 42ull, 1234567ull}) {
-        EventQueue oracle(shardedConfig(1));
-        const ReplayResult want =
-            replaySchedule(oracle, seed, /*domains=*/9);
-
-        EventQueue eq(shardedConfig(shards));
-        const ReplayResult got = replaySchedule(eq, seed, 9);
-
-        ASSERT_EQ(got.fires.size(), want.fires.size())
-            << "seed " << seed << " shards " << shards;
-        for (std::size_t i = 0; i < want.fires.size(); ++i) {
-            ASSERT_TRUE(got.fires[i] == want.fires[i])
-                << "seed " << seed << " shards " << shards
-                << " fire " << i << ": got (" << got.fires[i].tick
-                << "," << got.fires[i].priority << ","
-                << got.fires[i].serial << ") want ("
-                << want.fires[i].tick << ","
-                << want.fires[i].priority << ","
-                << want.fires[i].serial << ")";
-        }
-        EXPECT_EQ(got.executed, want.executed);
-        EXPECT_EQ(got.descheduled, want.descheduled);
-        EXPECT_EQ(got.finalNow, want.finalNow);
-        // Cancelled-entry compaction must leave no tombstone
-        // behind in any shard once the run drains.
-        for (std::size_t s = 0; s < eq.shards(); ++s)
-            EXPECT_EQ(eq.shardCancelled(s), 0u)
-                << "seed " << seed << " shard " << s;
-        EXPECT_EQ(eq.pending(), 0u);
+    ASSERT_EQ(got.fires.size(), want.fires.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < want.fires.size(); ++i) {
+        ASSERT_TRUE(got.fires[i] == want.fires[i])
+            << "seed " << seed << " fire " << i << ": got ("
+            << got.fires[i].tick << "," << got.fires[i].priority << ","
+            << got.fires[i].serial << ") want (" << want.fires[i].tick
+            << "," << want.fires[i].priority << ","
+            << want.fires[i].serial << ")";
     }
+    EXPECT_EQ(got.executed, want.executed) << "seed " << seed;
+    EXPECT_EQ(got.descheduled, want.descheduled) << "seed " << seed;
+    EXPECT_EQ(got.finalNow, want.finalNow) << "seed " << seed;
 }
 
-TEST_P(ShardedOracleTest, MatchesOracleWithDrainWorkers)
+/** Replay @p seed on both queues and require identical fire order. */
+void
+checkAgainstReference(std::uint64_t seed)
 {
-    // Same oracle, staged on a real worker pool: the parallel
-    // staging path must not perturb the fire order either.
-    const std::size_t shards = GetParam();
-    EventQueue oracle(shardedConfig(1));
-    const ReplayResult want = replaySchedule(oracle, 99, 9);
-
-    EventQueue eq(shardedConfig(shards, /*workers=*/4));
-    const ReplayResult got = replaySchedule(eq, 99, 9);
-
-    ASSERT_EQ(got.fires.size(), want.fires.size());
-    for (std::size_t i = 0; i < want.fires.size(); ++i)
-        ASSERT_TRUE(got.fires[i] == want.fires[i]) << "fire " << i;
-    EXPECT_EQ(got.executed, want.executed);
-    EXPECT_EQ(got.finalNow, want.finalNow);
+    ReferenceQueue ref;
+    const ReplayResult want = replaySchedule(ref, seed);
+    EventQueue eq;
+    const ReplayResult got = replaySchedule(eq, seed);
+    expectSameReplay(got, want, seed);
+    EXPECT_GT(got.descheduled, 0u);
+    EXPECT_EQ(eq.pending(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllShardCounts, ShardedOracleTest,
-                         ::testing::Values(1, 2, 4, 8),
-                         [](const auto &info) {
-                             return "shards"
-                                 + std::to_string(info.param);
-                         });
+// One test per seed so a divergence names the schedule that caused it.
+TEST(EventQueueReference, MatchesNaiveModelSeed1) { checkAgainstReference(1); }
+TEST(EventQueueReference, MatchesNaiveModelSeed7) { checkAgainstReference(7); }
+TEST(EventQueueReference, MatchesNaiveModelSeed42)
+{
+    checkAgainstReference(42);
+}
+TEST(EventQueueReference, MatchesNaiveModelSeed99)
+{
+    checkAgainstReference(99);
+}
+TEST(EventQueueReference, MatchesNaiveModelSeed1234567)
+{
+    checkAgainstReference(1234567);
+}
+
+TEST(EventQueueReference, MatchesNaiveModelThroughCompaction)
+{
+    // Cancel most of the seed schedule up front: the tombstones
+    // outnumber live entries, so the sweep runs mid-replay and must
+    // not perturb the fire order.
+    const std::uint64_t seed = 2024;
+    ReferenceQueue ref;
+    const ReplayResult want = replaySchedule(ref, seed, 450);
+    EventQueue eq;
+    const ReplayResult got = replaySchedule(eq, seed, 450);
+    EXPECT_GT(eq.compactions(), 0u);
+    expectSameReplay(got, want, seed);
+    EXPECT_EQ(eq.pending(), 0u);
+}
 
 } // namespace
 } // namespace xfm
