@@ -1,36 +1,10 @@
 #include "worker_pool.hh"
 
 #include <algorithm>
-#include <atomic>
+#include <utility>
 
 namespace xfm
 {
-
-void
-WorkerPool::Task::run()
-{
-    try {
-        fn_();
-    } catch (...) {
-        std::lock_guard<std::mutex> g(m_);
-        error_ = std::current_exception();
-    }
-    {
-        std::lock_guard<std::mutex> g(m_);
-        fn_ = nullptr;
-        done_ = true;
-    }
-    cv_.notify_all();
-}
-
-void
-WorkerPool::Task::wait()
-{
-    std::unique_lock<std::mutex> g(m_);
-    cv_.wait(g, [this] { return done_; });
-    if (error_)
-        std::rethrow_exception(error_);
-}
 
 WorkerPool::WorkerPool(std::size_t workers)
     : workers_(std::max<std::size_t>(1, workers))
@@ -46,77 +20,76 @@ WorkerPool::~WorkerPool()
         std::lock_guard<std::mutex> g(m_);
         stop_ = true;
     }
-    cv_.notify_all();
+    wake_.notify_all();
     for (auto &t : threads_)
         t.join();
-}
-
-WorkerPool::TaskPtr
-WorkerPool::submit(std::function<void()> fn)
-{
-    auto task = std::make_shared<Task>();
-    task->fn_ = std::move(fn);
-    ++stats_.tasks;
-    if (!parallel()) {
-        ++stats_.inlineTasks;
-        task->run();
-        return task;
-    }
-    {
-        std::lock_guard<std::mutex> g(m_);
-        queue_.push_back(task);
-    }
-    cv_.notify_one();
-    return task;
 }
 
 void
 WorkerPool::parallelFor(std::size_t n,
                         const std::function<void(std::size_t)> &fn)
 {
-    ++stats_.parallelLoops;
     if (!parallel() || n <= 1) {
         for (std::size_t i = 0; i < n; ++i)
             fn(i);
         return;
     }
 
-    // Atomic work-stealing counter; helpers and the caller drain it
-    // together. fn is captured by reference — safe because every
-    // helper task is awaited before returning.
-    auto next = std::make_shared<std::atomic<std::size_t>>(0);
-    const auto *body = &fn;
-    auto drain = [next, n, body] {
-        for (std::size_t i = next->fetch_add(1); i < n;
-             i = next->fetch_add(1)) {
-            (*body)(i);
-        }
-    };
-
+    // Helpers and the caller drain one shared index counter.
     const std::size_t helpers = std::min(threads_.size(), n - 1);
-    std::vector<TaskPtr> tasks;
-    tasks.reserve(helpers);
+    {
+        std::lock_guard<std::mutex> g(m_);
+        body_ = &fn;
+        n_ = n;
+        next_.store(0);
+        tickets_ = helpers;
+        busy_ = helpers;
+    }
     for (std::size_t h = 0; h < helpers; ++h)
-        tasks.push_back(submit(drain));
+        wake_.notify_one();
     drain();
-    for (auto &t : tasks)
-        t->wait();
+
+    // Join before rethrowing: fn and everything its bodies reference
+    // must outlive every helper's last body.
+    std::unique_lock<std::mutex> g(m_);
+    idle_.wait(g, [this] { return busy_ == 0; });
+    body_ = nullptr;
+    const std::exception_ptr error = std::exchange(error_, nullptr);
+    g.unlock();
+    if (error)
+        std::rethrow_exception(error);
+}
+
+void
+WorkerPool::drain()
+{
+    try {
+        for (std::size_t i = next_.fetch_add(1); i < n_;
+             i = next_.fetch_add(1)) {
+            (*body_)(i);
+        }
+    } catch (...) {
+        next_.store(n_);  // start no further index
+        std::lock_guard<std::mutex> g(m_);
+        if (!error_)
+            error_ = std::current_exception();
+    }
 }
 
 void
 WorkerPool::workerLoop()
 {
+    std::unique_lock<std::mutex> g(m_);
     for (;;) {
-        TaskPtr task;
-        {
-            std::unique_lock<std::mutex> g(m_);
-            cv_.wait(g, [this] { return stop_ || !queue_.empty(); });
-            if (queue_.empty())
-                return;  // stop_ set and nothing left to drain
-            task = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        task->run();
+        wake_.wait(g, [this] { return stop_ || tickets_ > 0; });
+        if (stop_)
+            return;
+        --tickets_;
+        g.unlock();
+        drain();
+        g.lock();
+        if (--busy_ == 0)
+            idle_.notify_one();
     }
 }
 

@@ -1,13 +1,12 @@
 /**
  * @file
  * WorkerPool: fixed-size thread pool for deterministic fan-out of
- * embarrassingly-parallel simulator work (per-DIMM shard codec
- * calls and NMA engine jobs).
+ * embarrassingly-parallel simulator work (the CPU path's per-DIMM
+ * shard codec calls).
  *
  * Determinism contract: the pool only accelerates wall-clock time,
- * never simulated behavior. Callers hand out independent jobs that
- * each write only their own output slot, then commit results on the
- * calling thread in deterministic (shard-index / submission) order
+ * never simulated behavior. parallelFor() bodies each write only
+ * their own output slot; the caller commits results in index order
  * after the barrier. Simulated timing, metrics, and traces are
  * byte-identical for any worker count.
  *
@@ -21,12 +20,11 @@
 #ifndef XFM_COMMON_WORKER_POOL_HH
 #define XFM_COMMON_WORKER_POOL_HH
 
+#include <atomic>
 #include <condition_variable>
-#include <cstdint>
-#include <deque>
+#include <cstddef>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -38,36 +36,6 @@ namespace xfm
 class WorkerPool
 {
   public:
-    /** A submitted job; wait() blocks until it has run. */
-    class Task
-    {
-      public:
-        /**
-         * Block until the body finished (inline tasks are born
-         * done). Rethrows any exception the body raised.
-         */
-        void wait();
-
-      private:
-        friend class WorkerPool;
-        void run();
-
-        std::function<void()> fn_;
-        std::mutex m_;
-        std::condition_variable cv_;
-        bool done_ = false;
-        std::exception_ptr error_;
-    };
-    using TaskPtr = std::shared_ptr<Task>;
-
-    /** Lifetime submission counters (main-thread reads only). */
-    struct Stats
-    {
-        std::uint64_t tasks = 0;
-        std::uint64_t inlineTasks = 0;
-        std::uint64_t parallelLoops = 0;
-    };
-
     explicit WorkerPool(std::size_t workers = 1);
     ~WorkerPool();
     WorkerPool(const WorkerPool &) = delete;
@@ -80,33 +48,42 @@ class WorkerPool
     bool parallel() const { return !threads_.empty(); }
 
     /**
-     * Run @p fn — queued to a worker thread when parallel(), run
-     * inline before returning otherwise. Submit from the simulation
-     * thread only.
-     */
-    TaskPtr submit(std::function<void()> fn);
-
-    /**
      * Run fn(0) .. fn(n-1), potentially concurrently; the caller
-     * participates and the call returns only after every index
-     * completed (a barrier). Bodies must write disjoint state;
+     * participates and the call returns only after every helper
+     * left the loop (a barrier). Bodies must write disjoint state;
      * commit results in index order after this returns.
+     *
+     * If a body throws, indices not yet claimed are skipped, every
+     * helper is joined, and only then is the first exception
+     * rethrown, so no body outlives @p fn or the caller's locals.
+     * Call from one thread at a time (the simulation thread).
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &fn);
 
-    const Stats &stats() const { return stats_; }
-
   private:
     void workerLoop();
+    /** Claim and run indices of the current loop until none remain;
+     *  the first exception is kept in error_. */
+    void drain();
 
     std::size_t workers_;
     std::vector<std::thread> threads_;
-    std::deque<TaskPtr> queue_;
+
     std::mutex m_;
-    std::condition_variable cv_;
+    std::condition_variable wake_;  ///< helpers: tickets posted / stop
+    std::condition_variable idle_;  ///< caller: every helper finished
     bool stop_ = false;
-    Stats stats_;
+    /** Helper slots of the current loop not yet claimed. */
+    std::size_t tickets_ = 0;
+    /** Helpers that claimed a ticket and have not finished. */
+    std::size_t busy_ = 0;
+
+    // The current loop; written only while no helper is busy.
+    const std::function<void(std::size_t)> *body_ = nullptr;
+    std::size_t n_ = 0;
+    std::atomic<std::size_t> next_{0};
+    std::exception_ptr error_;
 };
 
 } // namespace xfm

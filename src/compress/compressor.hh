@@ -77,8 +77,8 @@ class Compressor
      * input (a stored-block header is added).
      *
      * Thin wrapper over compressInto() that allocates a fresh
-     * buffer; hot paths should hold a reusable buffer (e.g. from a
-     * ScratchArena) and call compressInto() directly.
+     * buffer; hot paths should hold a reusable member buffer and
+     * call compressInto() directly.
      */
     Bytes compress(ByteSpan input) const;
 

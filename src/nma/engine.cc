@@ -44,8 +44,7 @@ CompressionEngine::modeledSize(std::size_t input_size)
 }
 
 std::pair<Bytes, Tick>
-CompressionEngine::compress(ByteSpan input,
-                            std::shared_ptr<const Bytes> dict)
+CompressionEngine::compress(ByteSpan input, const Bytes *dict)
 {
     bytes_compressed_ += input.size();
     Bytes out;
@@ -62,7 +61,7 @@ CompressionEngine::compress(ByteSpan input,
 std::pair<Bytes, Tick>
 CompressionEngine::decompress(ByteSpan block,
                               std::uint32_t expected_raw,
-                              std::shared_ptr<const Bytes> dict)
+                              const Bytes *dict)
 {
     Bytes out;
     if (profile_.modeledRatio > 0.0) {
@@ -81,102 +80,6 @@ CompressionEngine::decompress(ByteSpan block,
     bytes_decompressed_ += out.size();
     return {std::move(out), durationFor(out.size(),
                                         profile_.decompressGBps)};
-}
-
-std::pair<EngineJob, Tick>
-CompressionEngine::compressDeferred(compress::ScratchArena::Lease input,
-                                    std::shared_ptr<const Bytes> dict)
-{
-    const std::size_t n = input->size();
-    bytes_compressed_ += n;
-    const Tick latency = durationFor(n, profile_.compressGBps);
-
-    EngineJob job;
-    job.state_ = std::make_shared<EngineJob::State>();
-    auto &state = *job.state_;
-    if (profile_.modeledRatio > 0.0) {
-        // Inline: the jitter counter must advance in submission
-        // order or same-seed runs diverge across worker counts.
-        state.out.assign(modeledSize(n), 0);
-        return {std::move(job), latency};
-    }
-    state.input = std::move(input);
-    if (dict && dict->empty())
-        dict.reset();
-    if (pool_ && pool_->parallel()) {
-        state.task = pool_->submit(
-            [codec = codec_, s = job.state_, d = std::move(dict)] {
-                if (d)
-                    compress::encodeShardRef(*codec, *d, *s->input,
-                                             s->out);
-                else
-                    codec->compressInto(*s->input, s->out);
-            });
-    } else if (dict) {
-        compress::encodeShardRef(*codec_, *dict, *state.input,
-                                 state.out);
-    } else {
-        codec_->compressInto(*state.input, state.out);
-    }
-    return {std::move(job), latency};
-}
-
-std::pair<EngineJob, Tick>
-CompressionEngine::decompressDeferred(
-    compress::ScratchArena::Lease input, std::uint32_t expected_raw,
-    std::shared_ptr<const Bytes> dict)
-{
-    EngineJob job;
-    job.state_ = std::make_shared<EngineJob::State>();
-    auto &state = *job.state_;
-    if (dict && dict->empty())
-        dict.reset();
-
-    if (profile_.modeledRatio > 0.0) {
-        XFM_ASSERT(expected_raw > 0,
-                   "size-model decompression needs the expected "
-                   "output size");
-        state.out.assign(expected_raw, 0);
-        bytes_decompressed_ += expected_raw;
-        return {std::move(job),
-                durationFor(expected_raw, profile_.decompressGBps)};
-    }
-
-    if (expected_raw == 0) {
-        // Unknown output size: run inline so the latency and byte
-        // counter can be charged from the actual output.
-        if (dict)
-            compress::decodeShard(*codec_, *input, *dict, state.out);
-        else
-            compress::decodeShard(*codec_, *input, state.out);
-        bytes_decompressed_ += state.out.size();
-        return {std::move(job), durationFor(state.out.size(),
-                                            profile_.decompressGBps)};
-    }
-
-    // A valid block decompresses to exactly expected_raw bytes, so
-    // charging latency and counters from it at submission keeps both
-    // identical to the synchronous path for any worker count.
-    bytes_decompressed_ += expected_raw;
-    const Tick latency =
-        durationFor(expected_raw, profile_.decompressGBps);
-    state.input = std::move(input);
-    if (pool_ && pool_->parallel()) {
-        state.task = pool_->submit(
-            [codec = codec_, s = job.state_, d = std::move(dict)] {
-                if (d)
-                    compress::decodeShard(*codec, *s->input, *d,
-                                          s->out);
-                else
-                    compress::decodeShard(*codec, *s->input, s->out);
-            });
-    } else if (dict) {
-        compress::decodeShard(*codec_, *state.input, *dict,
-                              state.out);
-    } else {
-        compress::decodeShard(*codec_, *state.input, state.out);
-    }
-    return {std::move(job), latency};
 }
 
 } // namespace nma

@@ -2,12 +2,14 @@
  * @file
  * The NMA's (de)compression engine.
  *
- * Functionally it runs a real codec over real bytes; its timing is
- * a throughput model matching the paper's accelerator (14.8 GB/s
- * compression, 17.2 GB/s decompression on the AxDIMM prototype's
- * customised open-source engine). An alternative FPGA profile
- * models the 1.4/1.7 GB/s Deflate soft-core from Table 2's
- * discussion.
+ * Functionally it runs a real codec over real bytes, synchronously
+ * on the calling thread; its timing is a throughput model matching
+ * the paper's accelerator (14.8 GB/s compression, 17.2 GB/s
+ * decompression on the AxDIMM prototype's customised open-source
+ * engine). An alternative FPGA profile models the 1.4/1.7 GB/s
+ * Deflate soft-core from Table 2's discussion. The simulated latency
+ * depends only on the byte counts, so where the host runs the codec
+ * cannot change any result.
  */
 
 #ifndef XFM_NMA_ENGINE_HH
@@ -17,8 +19,6 @@
 #include <utility>
 
 #include "common/stats.hh"
-#include "common/worker_pool.hh"
-#include "compress/arena.hh"
 #include "compress/compressor.hh"
 #include "nma/offload.hh"
 
@@ -26,47 +26,6 @@ namespace xfm
 {
 namespace nma
 {
-
-/**
- * Handle to an engine (de)compression whose codec work may still be
- * running on a WorkerPool thread. The simulated latency is known at
- * submission; only the bytes arrive later. take() blocks until the
- * codec finished (a no-op for inline jobs) and moves the output out.
- *
- * The shared state owns the staged input lease, so the source bytes
- * stay alive for a worker even after the caller moved on; the lease
- * returns to its (mutex-protected) arena when the job is dropped.
- */
-class EngineJob
-{
-  public:
-    EngineJob() = default;
-
-    /** True once a job was issued into this handle. */
-    explicit operator bool() const { return state_ != nullptr; }
-
-    /** Wait for the codec and move the output out (once). */
-    Bytes
-    take()
-    {
-        auto state = std::move(state_);
-        if (state->task)
-            state->task->wait();
-        return std::move(state->out);
-    }
-
-  private:
-    friend class CompressionEngine;
-
-    struct State
-    {
-        Bytes out;
-        compress::ScratchArena::Lease input;
-        WorkerPool::TaskPtr task;
-    };
-
-    std::shared_ptr<State> state_;
-};
 
 /** Engine timing profile. */
 struct EngineProfile
@@ -112,8 +71,7 @@ class CompressionEngine
      *        Ignored in size-model mode.
      */
     std::pair<Bytes, Tick>
-    compress(ByteSpan input,
-             std::shared_ptr<const Bytes> dict = nullptr);
+    compress(ByteSpan input, const Bytes *dict = nullptr);
 
     /**
      * Decompress and report (output, compute latency).
@@ -125,40 +83,7 @@ class CompressionEngine
      */
     std::pair<Bytes, Tick>
     decompress(ByteSpan block, std::uint32_t expected_raw = 0,
-               std::shared_ptr<const Bytes> dict = nullptr);
-
-    /**
-     * Deferred compress: the simulated latency (a function of the
-     * input size only) returns immediately; the codec itself runs on
-     * the worker pool when one is attached and parallel, inline
-     * otherwise. Size-model mode always runs inline so the modeled
-     * jitter counter advances in submission order. Byte counters are
-     * charged at submission either way, so metrics are identical for
-     * any worker count.
-     *
-     * @param input staged input bytes; the job owns the lease.
-     * @param dict  optional preset dictionary; see compress(). The
-     *        shared_ptr keeps it alive for worker-pool execution.
-     */
-    std::pair<EngineJob, Tick>
-    compressDeferred(compress::ScratchArena::Lease input,
-                     std::shared_ptr<const Bytes> dict = nullptr);
-
-    /**
-     * Deferred decompress; see compressDeferred(). Requires the
-     * expected raw size (which the simulated latency and the byte
-     * counter are charged from — equal to the actual output for any
-     * valid block); pass 0 to force inline execution with counters
-     * charged from the actual output. The optional dictionary is
-     * required whenever the staged block is a 0xD2 container.
-     */
-    std::pair<EngineJob, Tick>
-    decompressDeferred(compress::ScratchArena::Lease input,
-                       std::uint32_t expected_raw,
-                       std::shared_ptr<const Bytes> dict = nullptr);
-
-    /** Attach (or detach, nullptr) the fan-out pool. */
-    void setWorkerPool(WorkerPool *pool) { pool_ = pool; }
+               const Bytes *dict = nullptr);
 
     /**
      * Worst-case compressed size for an input, used for the SPM's
@@ -186,9 +111,8 @@ class CompressionEngine
     Tick durationFor(std::size_t bytes, double gbps) const;
     std::uint32_t modeledSize(std::size_t input_size);
 
-    std::shared_ptr<compress::Compressor> codec_;
+    std::unique_ptr<compress::Compressor> codec_;
     EngineProfile profile_;
-    WorkerPool *pool_ = nullptr;
     /**
      * Jitter counter for size-model mode. Per-engine state (not a
      * process-wide static): two engines — or two back-to-back runs

@@ -355,8 +355,7 @@ XfmDevice::executeRead(const ReadOp &op, AccessClass cls)
                        cls == AccessClass::Conditional ? 0 : 1);
     }
 
-    auto staged = arena_.acquire(op.req.size);
-    mem_.read(op.req.srcAddr, op.req.size, *staged);
+    mem_.read(op.req.srcAddr, op.req.size, staging_);
     const OffloadId id = op.id;
     const OffloadKind kind = op.req.kind;
 
@@ -380,17 +379,17 @@ XfmDevice::executeRead(const ReadOp &op, AccessClass cls)
         return true;
     }
 
-    EngineJob job;
+    Bytes out;
     Tick latency;
     if (kind == OffloadKind::Compress) {
         ++stats_.compressOffloads;
-        std::tie(job, latency) =
-            engine_.compressDeferred(std::move(staged), op.req.dict);
+        std::tie(out, latency) =
+            engine_.compress(staging_, op.req.dict.get());
     } else {
         ++stats_.decompressOffloads;
-        std::tie(job, latency) =
-            engine_.decompressDeferred(std::move(staged),
-                                       op.req.rawSize, op.req.dict);
+        std::tie(out, latency) =
+            engine_.decompress(staging_, op.req.rawSize,
+                               op.req.dict.get());
     }
 
     if (tracer_ && op.req.traceId)
@@ -399,11 +398,10 @@ XfmDevice::executeRead(const ReadOp &op, AccessClass cls)
 
     eventq().scheduleIn(transfer + latency,
                         [this, id, kind,
-                         job = std::move(job)]() mutable {
+                         out = std::move(out)]() mutable {
         engine_health_.recordSuccess(curTick());
         if (aborted_.erase(id))
             return;  // offload abandoned mid-compute
-        Bytes out = job.take();
         const auto out_size = static_cast<std::uint32_t>(out.size());
         spm_.complete(id, std::move(out), curTick());
         if (ring_) {

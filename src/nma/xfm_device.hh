@@ -283,16 +283,6 @@ class XfmDevice : public SimObject
         spm_.setFaultInjector(inj);
     }
 
-    /**
-     * Attach the deterministic fan-out pool (null detaches); codec
-     * work for offloads runs on it while simulated timing stays
-     * byte-identical for any worker count.
-     */
-    void setWorkerPool(WorkerPool *pool)
-    {
-        engine_.setWorkerPool(pool);
-    }
-
     RegisterFile &regs() { return regs_; }
     const ScratchPad &spm() const { return spm_; }
     const XfmDeviceStats &stats() const { return stats_; }
@@ -379,8 +369,9 @@ class XfmDevice : public SimObject
     std::unique_ptr<CommandRing> ring_;
     RegisterFile regs_;
     CompressionEngine engine_;
-    /** Staging buffers for DRAM reads handed to engine jobs. */
-    compress::ScratchArena arena_;
+    /** Staging buffer for the engine's DRAM read, reused by every
+     *  offload (the codec consumes it before executeRead returns). */
+    Bytes staging_;
 
     Tick dev_trefi_ = 0;  ///< tREFI of the attached refresh domain
     dram::DeviceConfig dev_cfg_;  ///< timing of the attached DRAM

@@ -188,8 +188,7 @@ SameOffsetAllocator::slotSize(std::uint64_t offset) const
 MultiChannelResult
 measureMultiChannel(const std::vector<Bytes> &pages,
                     const compress::Compressor &codec,
-                    std::size_t num_dimms, std::size_t interleave,
-                    WorkerPool *pool)
+                    std::size_t num_dimms, std::size_t interleave)
 {
     MultiChannelResult res;
     res.dimms = num_dimms;
@@ -198,16 +197,8 @@ measureMultiChannel(const std::vector<Bytes> &pages,
     for (const auto &page : pages) {
         res.rawBytes += page.size();
         splitPageInto(page, num_dimms, interleave, shards);
-        if (pool && pool->parallel()) {
-            pool->parallelFor(num_dimms, [&](std::size_t d) {
-                codec.compressInto(shards[d], blocks[d]);
-            });
-        } else {
-            for (std::size_t d = 0; d < num_dimms; ++d)
-                codec.compressInto(shards[d], blocks[d]);
-        }
-        // Sizes accumulate in shard order regardless of which
-        // worker compressed each shard.
+        for (std::size_t d = 0; d < num_dimms; ++d)
+            codec.compressInto(shards[d], blocks[d]);
         std::uint64_t max_shard = 0;
         for (const auto &block : blocks) {
             res.compressedBytes += block.size();
@@ -224,7 +215,7 @@ MultiChannelResult
 measureMultiChannelDict(const std::vector<Bytes> &pages,
                         const compress::Compressor &codec,
                         std::size_t num_dimms, std::size_t dict_bytes,
-                        std::size_t interleave, WorkerPool *pool)
+                        std::size_t interleave)
 {
     MultiChannelResult res;
     res.dimms = num_dimms;
@@ -240,16 +231,8 @@ measureMultiChannelDict(const std::vector<Bytes> &pages,
         dict = compress::buildPresetDictionary(page, interleave,
                                                dict_bytes);
         compress::packDict(codec, dict, packed);
-        if (pool && pool->parallel()) {
-            pool->parallelFor(num_dimms, [&](std::size_t d) {
-                compress::encodeShardRef(codec, dict, shards[d],
-                                         blocks[d]);
-            });
-        } else {
-            for (std::size_t d = 0; d < num_dimms; ++d)
-                compress::encodeShardRef(codec, dict, shards[d],
-                                         blocks[d]);
-        }
+        for (std::size_t d = 0; d < num_dimms; ++d)
+            compress::encodeShardRef(codec, dict, shards[d], blocks[d]);
         std::vector<std::uint32_t> sizes(num_dimms);
         for (std::size_t d = 0; d < num_dimms; ++d) {
             sizes[d] = static_cast<std::uint32_t>(blocks[d].size());

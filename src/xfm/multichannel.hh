@@ -19,7 +19,6 @@
 #include <map>
 #include <vector>
 
-#include "common/worker_pool.hh"
 #include "compress/compressor.hh"
 
 namespace xfm
@@ -154,18 +153,12 @@ struct MultiChannelResult
  * Fig. 8 metrics. Each shard is compressed independently with
  * @p codec; placement assumes same-offset slots sized by the
  * largest shard of each page.
- *
- * @param pool optional worker pool: the per-DIMM shard
- *        compressions of each page fan out over it, with sizes
- *        accumulated in shard order so the result is identical for
- *        any worker count.
  */
 MultiChannelResult
 measureMultiChannel(const std::vector<Bytes> &pages,
                     const compress::Compressor &codec,
                     std::size_t num_dimms,
-                    std::size_t interleave = defaultInterleave,
-                    WorkerPool *pool = nullptr);
+                    std::size_t interleave = defaultInterleave);
 
 /**
  * measureMultiChannel() with preset dictionaries (DESIGN.md §16),
@@ -181,8 +174,7 @@ MultiChannelResult
 measureMultiChannelDict(const std::vector<Bytes> &pages,
                         const compress::Compressor &codec,
                         std::size_t num_dimms, std::size_t dict_bytes,
-                        std::size_t interleave = defaultInterleave,
-                        WorkerPool *pool = nullptr);
+                        std::size_t interleave = defaultInterleave);
 
 } // namespace xfmsys
 } // namespace xfm

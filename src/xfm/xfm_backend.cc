@@ -119,7 +119,6 @@ XfmBackend::XfmBackend(std::string name, EventQueue &eq,
         // plan's RNG stream and statistics, and the event queue
         // orders evaluations deterministically across DIMMs.
         dimm.device->setFaultInjector(&injector_);
-        dimm.device->setWorkerPool(&pool_);
         dimm.driver->setFaultInjector(&injector_);
         dimm.driver->setRetryPolicy(cfg_.retry);
         dimm.driver->configureHealth(cfg_.health);

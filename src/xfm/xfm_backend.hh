@@ -109,12 +109,12 @@ struct XfmSystemConfig
     std::size_t dictBytes = 2048;
 
     /**
-     * Wall-clock execution contexts for the embarrassingly-parallel
-     * codec work (per-DIMM shard compression, NMA engine jobs).
-     * Only host runtime changes: results are committed in shard
-     * order, so simulated timing, metrics, and traces are
-     * byte-identical for any value. 1 (the default) spawns no
-     * threads and is exactly the single-threaded simulator.
+     * Wall-clock execution contexts for the CPU path's per-DIMM
+     * shard (de)compression. Only host runtime changes: results are
+     * committed in shard order, so simulated timing, metrics, and
+     * traces are byte-identical for any value. 1 (the default)
+     * spawns no threads and is exactly the single-threaded
+     * simulator.
      */
     std::size_t workers = 1;
 
@@ -261,12 +261,6 @@ class XfmBackend : public SimObject, public sfm::SfmBackend
     {
         return channel_health_[dimm];
     }
-
-    /**
-     * The backend-wide fan-out pool (sized by cfg.workers); shared
-     * by the per-DIMM CPU shard loops and every DIMM's NMA engine.
-     */
-    WorkerPool &workerPool() { return pool_; }
 
     /** Worst per-DIMM SPM occupancy fraction (overload signal). */
     double spmOccupancyFraction() const;
@@ -444,11 +438,7 @@ class XfmBackend : public SimObject, public sfm::SfmBackend
     /** Per-DIMM shard/block staging reused across CPU swaps. */
     std::vector<Bytes> shard_scratch_;
     std::vector<Bytes> block_scratch_;
-    /**
-     * Declared last so it is destroyed first: the pool's destructor
-     * drains and joins every worker before the DIMM devices (whose
-     * codecs in-flight jobs reference) go away.
-     */
+    /** Fan-out for the per-DIMM shard loops of cpuSwapOut/In. */
     WorkerPool pool_;
 };
 

@@ -13,7 +13,6 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/units.hh"
-#include "compress/arena.hh"
 #include "compress/bitstream.hh"
 #include "compress/compressor.hh"
 #include "compress/corpus.hh"
@@ -536,53 +535,6 @@ TEST(AppendMatch, MatchesByteAtATimeReference)
             slow.push_back(slow[slow.size() - dist]);
         ASSERT_EQ(fast, slow) << "dist=" << dist << " len=" << len;
     }
-}
-
-// ------------------------------------------------------ scratch arena
-
-TEST(ScratchArena, FirstAcquireAllocatesThenReuses)
-{
-    ScratchArena arena;
-    {
-        auto lease = arena.acquire(4096);
-        EXPECT_TRUE(lease);
-        EXPECT_GE(lease->capacity(), 4096u);
-        lease->assign(100, 0xAB);
-    }
-    EXPECT_EQ(arena.allocations(), 1u);
-    EXPECT_EQ(arena.pooled(), 1u);
-    {
-        auto lease = arena.acquire();
-        EXPECT_TRUE(lease->empty());  // returned buffers are cleared
-        EXPECT_GE(lease->capacity(), 100u);  // capacity survived
-    }
-    EXPECT_EQ(arena.reuses(), 1u);
-    EXPECT_EQ(arena.allocations(), 1u);
-}
-
-TEST(ScratchArena, ConcurrentLeasesGetDistinctBuffers)
-{
-    ScratchArena arena;
-    auto a = arena.acquire(16);
-    auto b = arena.acquire(16);
-    a->assign(4, 1);
-    b->assign(4, 2);
-    EXPECT_NE(a->data(), b->data());
-    EXPECT_EQ((*a)[0], 1);
-    EXPECT_EQ((*b)[0], 2);
-}
-
-TEST(ScratchArena, MoveTransfersOwnership)
-{
-    ScratchArena arena;
-    auto a = arena.acquire(64);
-    a->assign(8, 7);
-    ScratchArena::Lease b = std::move(a);
-    EXPECT_FALSE(a);
-    EXPECT_TRUE(b);
-    EXPECT_EQ(b->size(), 8u);
-    { ScratchArena::Lease c = std::move(b); }
-    EXPECT_EQ(arena.pooled(), 1u);  // released exactly once
 }
 
 // ------------------------------------------------------- codec comparisons

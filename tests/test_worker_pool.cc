@@ -1,15 +1,18 @@
 /**
  * @file
- * WorkerPool unit tests: inline/threaded submission, the
- * parallelFor barrier and full index coverage, exception
- * propagation, and the determinism contract (index-order commits
- * produce identical results for any worker count).
+ * WorkerPool unit tests: inline execution, the parallelFor barrier
+ * and full index coverage, join-before-rethrow on exceptions, and
+ * the determinism contract (index-order commits produce identical
+ * results for any worker count).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/worker_pool.hh"
@@ -25,14 +28,14 @@ TEST(WorkerPool, SingleWorkerIsInline)
     EXPECT_EQ(pool.workers(), 1u);
     EXPECT_FALSE(pool.parallel());
 
-    // Inline tasks run before submit() returns, on this thread.
+    // Every body runs on this thread, in index order.
     const auto self = std::this_thread::get_id();
-    std::thread::id ran_on;
-    auto t = pool.submit([&] { ran_on = std::this_thread::get_id(); });
-    EXPECT_EQ(ran_on, self);
-    t->wait();  // born done; must not block
-    EXPECT_EQ(pool.stats().tasks, 1u);
-    EXPECT_EQ(pool.stats().inlineTasks, 1u);
+    std::vector<std::size_t> order;
+    pool.parallelFor(4, [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), self);
+        order.push_back(i);
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
 TEST(WorkerPool, ZeroClampsToOne)
@@ -40,19 +43,6 @@ TEST(WorkerPool, ZeroClampsToOne)
     WorkerPool pool(0);
     EXPECT_EQ(pool.workers(), 1u);
     EXPECT_FALSE(pool.parallel());
-}
-
-TEST(WorkerPool, ThreadedTasksComplete)
-{
-    WorkerPool pool(4);
-    EXPECT_TRUE(pool.parallel());
-    std::vector<WorkerPool::TaskPtr> tasks;
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 64; ++i)
-        tasks.push_back(pool.submit([&] { ++ran; }));
-    for (auto &t : tasks)
-        t->wait();
-    EXPECT_EQ(ran.load(), 64);
 }
 
 TEST(WorkerPool, ParallelForCoversEveryIndexExactlyOnce)
@@ -92,21 +82,68 @@ TEST(WorkerPool, ParallelForZeroAndOne)
     EXPECT_EQ(one.load(), 1);
 }
 
-TEST(WorkerPool, SubmitPropagatesExceptions)
-{
-    WorkerPool pool(2);
-    auto t = pool.submit([] { throw std::runtime_error("boom"); });
-    EXPECT_THROW(t->wait(), std::runtime_error);
-}
-
+// The two exception tests keep the names they had when the pool
+// also offered submit(); both now go through parallelFor.
 TEST(WorkerPool, InlineSubmitPropagatesExceptions)
 {
+    // workers = 1: the inline loop stops at the throwing body and the
+    // exception reaches the caller unchanged.
     WorkerPool pool(1);
-    WorkerPool::TaskPtr t;
-    // Inline bodies run during submit(), but the error still
-    // surfaces at wait() so both modes have the same interface.
-    t = pool.submit([] { throw std::runtime_error("boom"); });
-    EXPECT_THROW(t->wait(), std::runtime_error);
+    int ran = 0;
+    EXPECT_THROW(pool.parallelFor(8, [&](std::size_t i) {
+        ++ran;
+        if (i == 2)
+            throw std::runtime_error("boom");
+    }), std::runtime_error);
+    EXPECT_EQ(ran, 3);
+}
+
+TEST(WorkerPool, SubmitPropagatesExceptions)
+{
+    // A body that throws (decodeShard on a corrupt block) must not
+    // let parallelFor unwind while other bodies still run: they
+    // would touch the caller's destroyed locals. No body may be in
+    // flight when the exception reaches the caller, whether the
+    // caller or a helper thread threw.
+    using namespace std::chrono_literals;
+    const auto caller = std::this_thread::get_id();
+    for (const bool helper_throws : {false, true}) {
+        WorkerPool pool(4);
+        std::atomic<int> in_flight{0};
+        std::atomic<int> caller_started{0};
+        std::atomic<int> helper_started{0};
+        std::atomic<bool> thrown{false};
+        struct InFlight
+        {
+            std::atomic<int> &n;
+            explicit InFlight(std::atomic<int> &c) : n(c) { ++n; }
+            ~InFlight() { --n; }
+        };
+        bool caught = false;
+        try {
+            pool.parallelFor(16, [&](std::size_t) {
+                InFlight guard(in_flight);
+                const bool on_caller =
+                    std::this_thread::get_id() == caller;
+                ++(on_caller ? caller_started : helper_started);
+                const auto &other =
+                    on_caller ? helper_started : caller_started;
+                if (on_caller != helper_throws && !thrown.exchange(true)) {
+                    // Throw once the other side has a body running.
+                    for (int spin = 0; spin < 2000 && other.load() == 0;
+                         ++spin)
+                        std::this_thread::sleep_for(1ms);
+                    throw std::runtime_error("boom");
+                }
+                std::this_thread::sleep_for(20ms);
+            });
+        } catch (const std::runtime_error &) {
+            caught = true;
+            EXPECT_EQ(in_flight.load(), 0)
+                << "helper_throws=" << helper_throws;
+        }
+        EXPECT_TRUE(caught) << "helper_throws=" << helper_throws;
+    }
 }
 
 TEST(WorkerPool, IndexOrderCommitIsWorkerCountInvariant)
@@ -137,20 +174,6 @@ TEST(WorkerPool, ManyLoopsReuseThreads)
     for (int round = 0; round < 50; ++round)
         pool.parallelFor(16, [&](std::size_t i) { sum += i; });
     EXPECT_EQ(sum.load(), 50u * (15 * 16 / 2));
-    EXPECT_EQ(pool.stats().parallelLoops, 50u);
-}
-
-TEST(WorkerPool, DestructorDrainsPendingTasks)
-{
-    std::atomic<int> ran{0};
-    {
-        WorkerPool pool(2);
-        for (int i = 0; i < 32; ++i)
-            pool.submit([&] { ++ran; });
-        // No waits: the destructor must finish every queued task
-        // before joining.
-    }
-    EXPECT_EQ(ran.load(), 32);
 }
 
 } // namespace
