@@ -111,10 +111,23 @@ makeServiceConfig(std::size_t max_tenants)
     return cfg;
 }
 
-} // namespace
+/** Config key read for each command-line flag (null: not a flag
+ *  of that kind). */
+const char *
+flagKey(const char *flag)
+{
+    static const char *const keys[][2] = {
+        {"--tenants", "tenants"}, {"--ms", "ms"},
+        {"--rate", "rate"},       {"--seed", "seed"},
+    };
+    for (const auto &k : keys)
+        if (!std::strcmp(flag, k[0]))
+            return k[1];
+    return nullptr;
+}
 
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::size_t tenants = 8;
     double sim_ms = 50.0;
@@ -136,25 +149,26 @@ main(int argc, char **argv)
     service::QosArbiterConfig arb_cfg;
     workload::RfmStarverConfig starver_cfg;
     workload::CovertConfig covert_cfg;
+    // Flags and file share one parse path: both go through the
+    // validated Config getters.
+    const auto read_run_keys = [&](const Config &cfg) {
+        tenants = cfg.getU64("tenants", tenants);
+        sim_ms = cfg.getDouble("ms", sim_ms);
+        rate = cfg.getDouble("rate", rate);
+        seed = cfg.getU64("seed", seed);
+    };
     for (int i = 1; i < argc; i += 2) {
         if (i + 1 >= argc) {
             std::fprintf(stderr, "fleet_sim: %s needs a value\n", argv[i]);
             return 1;
         }
-        if (!std::strcmp(argv[i], "--tenants"))
-            tenants = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (!std::strcmp(argv[i], "--ms"))
-            sim_ms = std::strtod(argv[i + 1], nullptr);
-        else if (!std::strcmp(argv[i], "--rate"))
-            rate = std::strtod(argv[i + 1], nullptr);
-        else if (!std::strcmp(argv[i], "--seed"))
-            seed = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (!std::strcmp(argv[i], "--config")) {
+        if (const char *key = flagKey(argv[i])) {
+            Config flag;
+            flag.set(key, argv[i + 1]);
+            read_run_keys(flag);
+        } else if (!std::strcmp(argv[i], "--config")) {
             Config cfg = Config::parseFile(argv[i + 1]);
-            tenants = cfg.getU64("tenants", tenants);
-            sim_ms = cfg.getDouble("ms", sim_ms);
-            rate = cfg.getDouble("rate", rate);
-            seed = cfg.getU64("seed", seed);
+            read_run_keys(cfg);
             workers = static_cast<std::size_t>(
                 cfg.getU64("workers", workers));
             stats_json = cfg.getString("stats.json", stats_json);
@@ -215,11 +229,7 @@ main(int argc, char **argv)
             // unless configured).
             tier_cfg.faults = fault::FaultPlan::fromConfig(cfg);
             tier_cfg.retry = fault::RetryPolicy::fromConfig(cfg);
-            try {
-                cfg.requireAllConsumed();
-            } catch (const FatalError &) {
-                return 1;  // fatal() already named the unknown keys
-            }
+            cfg.requireAllConsumed();
         } else {
             std::fprintf(stderr,
                          "fleet_sim: unknown flag %s\n"
@@ -464,4 +474,16 @@ main(int argc, char **argv)
                                              : "");
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const FatalError &) {
+        return 1;  // fatal() already printed the message
+    }
 }

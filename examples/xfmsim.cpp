@@ -111,8 +111,11 @@ writeFile(const std::string &path, const std::string &text)
 using namespace xfm;
 using namespace xfm::system;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config cfg = argc > 1 ? Config::parseFile(argv[1])
                           : Config::parseString("");
@@ -181,11 +184,7 @@ main(int argc, char **argv)
     const std::string trace_out = cfg.getString("trace.out", "");
     const std::uint64_t trace_cap = cfg.getU64("trace.cap", 65536);
 
-    try {
-        cfg.requireAllConsumed();
-    } catch (const FatalError &) {
-        return 1;  // fatal() already named the unknown keys
-    }
+    cfg.requireAllConsumed();
 
     EventQueue eq;
     System sys("xfmsim", eq, sys_cfg);
@@ -267,4 +266,16 @@ main(int argc, char **argv)
             return 1;
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const FatalError &) {
+        return 1;  // fatal() already printed the message
+    }
 }

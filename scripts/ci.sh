@@ -96,6 +96,24 @@ echo "stats.json = ${adv_dir}/stats.json" >> "${adv_dir}/adversary.cfg"
     > /dev/null
 "${build_dir}/tools/check_obs_output" abuse "${adv_dir}/stats.json"
 
+# Flag validation: fleet_sim reads its flags through the same
+# Config getters as its file keys, so a malformed value is a config
+# error (exit 1), never a silent run with a garbage value.
+if "${build_dir}/examples/fleet_sim" --ms xyz > /dev/null 2>&1; then
+    echo "ci: fleet_sim accepted '--ms xyz'" >&2
+    exit 1
+fi
+
+# Repository benchmark (BENCHMARK.json): one short run per workload.
+# run.py builds its own tree under the build dir and exits non-zero
+# when a page fails its byte audit or episodes disagree on the
+# simulated results; the timings are informational.
+for workload in swap_cpu swap_nma fleet; do
+    CARGO_TARGET_DIR="${build_dir}/perfbench" \
+        python3 "${repo_root}/perfbench/run.py" \
+        --workload "${workload}" --seconds 1
+done
+
 # Perf smoke: the hot-path harness at tiny sizes. Exits non-zero
 # only if results diverge across worker counts (the determinism
 # contract) — the measured speedup is informational and depends on

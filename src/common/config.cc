@@ -50,9 +50,7 @@ Config::parseString(const std::string &text)
         const std::string value = trim(trimmed.substr(eq + 1));
         if (key.empty())
             fatal("config line ", lineno, ": empty key");
-        if (!cfg.values_.count(key))
-            cfg.order_.push_back(key);
-        cfg.values_[key] = value;
+        cfg.set(key, value);
     }
     return cfg;
 }
@@ -66,6 +64,14 @@ Config::parseFile(const std::string &path)
     std::ostringstream ss;
     ss << f.rdbuf();
     return parseString(ss.str());
+}
+
+void
+Config::set(const std::string &key, const std::string &value)
+{
+    if (!values_.count(key))
+        order_.push_back(key);
+    values_[key] = value;
 }
 
 bool
@@ -92,9 +98,11 @@ Config::getU64(const std::string &key, std::uint64_t fallback) const
         return fallback;
     char *end = nullptr;
     const auto v = std::strtoull(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
+    // strtoull negates a leading '-' into a huge value; refuse it.
+    if (end == it->second.c_str() || *end != '\0'
+        || it->second[0] == '-')
         fatal("config key '", key, "': '", it->second,
-              "' is not an integer");
+              "' is not an unsigned integer");
     return v;
 }
 

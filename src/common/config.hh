@@ -30,6 +30,9 @@ class Config
     /** Parse a file. @throws FatalError if unreadable/malformed. */
     static Config parseFile(const std::string &path);
 
+    /** Set @p key as if parsed from `key = value` (last one wins). */
+    void set(const std::string &key, const std::string &value);
+
     /** True if the key was present in the input. */
     bool has(const std::string &key) const;
 

@@ -36,14 +36,10 @@ carryRetries(std::uint32_t retries, SwapCallback done)
 
 /** True when every shard of the op was handled on the CPU. */
 bool
-allOnCpu(const std::vector<std::uint8_t> &cpu_shard, std::size_t n)
+allOnCpu(const std::vector<std::uint8_t> &cpu_shard)
 {
-    if (cpu_shard.size() != n)
-        return false;
-    for (auto f : cpu_shard)
-        if (!f)
-            return false;
-    return true;
+    return std::all_of(cpu_shard.begin(), cpu_shard.end(),
+                       [](std::uint8_t f) { return f != 0; });
 }
 
 } // namespace
@@ -294,17 +290,43 @@ XfmBackend::fragmentationBytes() const
     return frag;
 }
 
-void
-XfmBackend::chargeCpu(std::uint64_t bytes, bool compress_op,
-                      Tick &latency_out)
+Tick
+XfmBackend::chargeCpu(std::uint64_t bytes, bool compress_op)
 {
     const auto cost = compress::cpuCost(cfg_.algorithm);
     const double per_byte = compress_op ? cost.compressCyclesPerByte
                                         : cost.decompressCyclesPerByte;
     const double cycles = per_byte * static_cast<double>(bytes);
     stats_.cpuCycles += static_cast<std::uint64_t>(cycles);
-    latency_out =
-        static_cast<Tick>(cycles / cfg_.cpuFreqGHz * 1000.0);
+    return static_cast<Tick>(cycles / cfg_.cpuFreqGHz * 1000.0);
+}
+
+std::uint64_t
+XfmBackend::allocateSlot(std::uint32_t size)
+{
+    std::uint64_t offset = alloc_.allocate(size);
+    if (offset == SameOffsetAllocator::invalidOffset) {
+        compact();
+        offset = alloc_.allocate(size);
+    }
+    return offset;
+}
+
+void
+XfmBackend::hostTraffic(VirtPage page, std::uint32_t raw_bytes,
+                        std::uint32_t stored_bytes, bool compress_op)
+{
+    // CPU (de)compression burns host channel bandwidth: the read of
+    // its input plus the write of its output (the traffic XFM
+    // offloads avoid entirely).
+    if (!host_ctrl_)
+        return;
+    host_ctrl_->submit({page * pageBytes,
+                        compress_op ? raw_bytes : stored_bytes, false,
+                        nullptr});
+    host_ctrl_->submit({page * pageBytes,
+                        compress_op ? stored_bytes : raw_bytes, true,
+                        nullptr});
 }
 
 Tick
@@ -328,11 +350,73 @@ XfmBackend::cpuRefreshStall(std::uint64_t addr)
 // --------------------------------------------------------- CPU fallback
 
 void
-XfmBackend::traceFailed(std::uint64_t trace_id)
+XfmBackend::tracePoint(std::uint64_t tid, obs::Stage stage,
+                       std::uint64_t arg)
+{
+    if (tracer_ && tid)
+        tracer_->point(tid, stage, curTick(), arg);
+}
+
+void
+XfmBackend::reject(VirtPage page, sfm::RejectReason reason,
+                   std::uint64_t tid, const SwapCallback &done)
+{
+    tracePoint(tid, obs::Stage::Complete, obs::outcomeFailed);
+    SwapOutcome o;
+    o.page = page;
+    o.success = false;
+    o.rejected = reason;
+    o.completed = curTick();
+    if (done)
+        done(o);
+}
+
+bool
+XfmBackend::encodeShardBlock(const Bytes *dict, ByteSpan shard,
+                             Bytes &block) const
+{
+    if (dict)
+        return compress::encodeShardRef(*codec_, *dict, shard, block);
+    codec_->compressInto(shard, block);
+    return false;
+}
+
+void
+XfmBackend::decodeShardBlock(const Bytes *dict, ByteSpan block,
+                             Bytes &shard) const
+{
+    if (dict)
+        compress::decodeShard(*codec_, block, *dict, shard);
+    else
+        compress::decodeShard(*codec_, block, shard);
+    XFM_ASSERT(shard.size() == cfg_.shardBytes(),
+               "shard decompressed to wrong size");
+}
+
+void
+XfmBackend::cpuSwap(bool compress_op, VirtPage page, SwapCallback done,
+                    std::uint64_t trace_id)
+{
+    if (compress_op)
+        cpuSwapOut(page, std::move(done), trace_id);
+    else
+        cpuSwapIn(page, std::move(done), trace_id);
+}
+
+void
+XfmBackend::completeCpuSwap(SwapOutcome outcome, Tick latency,
+                            SwapCallback done, std::uint64_t trace_id)
 {
     if (tracer_ && trace_id)
-        tracer_->point(trace_id, obs::Stage::Complete, curTick(),
-                       obs::outcomeFailed);
+        tracer_->record(trace_id, obs::Stage::CpuCompute, curTick(),
+                        curTick() + latency);
+    eventq().scheduleIn(latency,
+                        [outcome, done, trace_id, this]() mutable {
+        outcome.completed = curTick();
+        tracePoint(trace_id, obs::Stage::Complete, obs::outcomeCpu);
+        if (done)
+            done(outcome);
+    });
 }
 
 void
@@ -351,12 +435,8 @@ XfmBackend::cpuSwapOut(VirtPage page, SwapCallback done,
     pool_.parallelFor(cfg_.numDimms, [&](std::size_t d) {
         dimms_[d].mem->read(shardFrameAddr(page), cfg_.shardBytes(),
                             shard_scratch_[d]);
-        if (dict)
-            dict_used[d] = compress::encodeShardRef(
-                *codec_, *dict, shard_scratch_[d],
-                block_scratch_[d]);
-        else
-            codec_->compressInto(shard_scratch_[d], block_scratch_[d]);
+        dict_used[d] = encodeShardBlock(dict.get(), shard_scratch_[d],
+                                        block_scratch_[d]);
     });
     // Every shard fell back to a plain block: the dictionary would
     // be dead weight, so the page stores none.
@@ -369,14 +449,8 @@ XfmBackend::cpuSwapOut(VirtPage page, SwapCallback done,
     std::vector<std::uint32_t> sizes(cfg_.numDimms);
     for (std::size_t d = 0; d < cfg_.numDimms; ++d)
         sizes[d] = static_cast<std::uint32_t>(blocks[d].size());
-    const std::uint32_t max_size = compress::dictSlotSize(
-        sizes, static_cast<std::uint32_t>(packed_dict.size()));
-
-    std::uint64_t offset = alloc_.allocate(max_size);
-    if (offset == SameOffsetAllocator::invalidOffset) {
-        compact();
-        offset = alloc_.allocate(max_size);
-    }
+    const std::uint64_t offset = allocateSlot(compress::dictSlotSize(
+        sizes, static_cast<std::uint32_t>(packed_dict.size())));
 
     SwapOutcome outcome;
     outcome.page = page;
@@ -384,10 +458,8 @@ XfmBackend::cpuSwapOut(VirtPage page, SwapCallback done,
     if (offset == SameOffsetAllocator::invalidOffset) {
         ++stats_.rejectedSwapOuts;
         ++xfm_stats_.fallbackAlloc;
-        if (tracer_ && trace_id)
-            tracer_->point(trace_id, obs::Stage::Fallback, curTick(),
-                           obs::fallbackAlloc);
-        traceFailed(trace_id);
+        tracePoint(trace_id, obs::Stage::Fallback, obs::fallbackAlloc);
+        tracePoint(trace_id, obs::Stage::Complete, obs::outcomeFailed);
         outcome.success = false;
         outcome.rejected = sfm::RejectReason::SfmFull;
         outcome.completed = curTick();
@@ -413,33 +485,13 @@ XfmBackend::cpuSwapOut(VirtPage page, SwapCallback done,
     ++stats_.swapOuts;
     ++stats_.cpuSwapOuts;
     stats_.bytesCompressed += pageBytes;
-    // CPU fallback burns host channel bandwidth: page read plus
-    // compressed write (the traffic XFM offloads avoid entirely).
-    if (host_ctrl_) {
-        host_ctrl_->submit({page * pageBytes,
-                            static_cast<std::uint32_t>(pageBytes),
-                            false, nullptr});
-        host_ctrl_->submit({page * pageBytes, outcome.compressedSize,
-                            true, nullptr});
-    }
-    Tick latency;
-    chargeCpu(pageBytes, true, latency);
+    hostTraffic(page, pageBytes, outcome.compressedSize, true);
     // The host's page read stalls on refresh/RFM locks on its way
     // to the frame (0 while refresh realism is disarmed).
+    Tick latency = chargeCpu(pageBytes, true);
     latency += cpuRefreshStall(shardFrameAddr(page));
     outcome.success = true;
-    if (tracer_ && trace_id)
-        tracer_->record(trace_id, obs::Stage::CpuCompute, curTick(),
-                        curTick() + latency);
-    eventq().scheduleIn(latency,
-                        [outcome, done, trace_id, this]() mutable {
-        outcome.completed = curTick();
-        if (tracer_ && trace_id)
-            tracer_->point(trace_id, obs::Stage::Complete, curTick(),
-                           obs::outcomeCpu);
-        if (done)
-            done(outcome);
-    });
+    completeCpuSwap(outcome, latency, std::move(done), trace_id);
 }
 
 void
@@ -463,16 +515,10 @@ XfmBackend::cpuSwapIn(VirtPage page, SwapCallback done,
     pool_.parallelFor(cfg_.numDimms, [&](std::size_t d) {
         dimms_[d].mem->read(slotAddr(entry.offset),
                             entry.shardSizes[d], block_scratch_[d]);
-        if (dict)
-            compress::decodeShard(*codec_, block_scratch_[d], *dict,
-                                  shard_scratch_[d]);
-        else
-            compress::decodeShard(*codec_, block_scratch_[d],
-                                  shard_scratch_[d]);
+        decodeShardBlock(dict.get(), block_scratch_[d],
+                         shard_scratch_[d]);
     });
     for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-        XFM_ASSERT(shard_scratch_[d].size() == cfg_.shardBytes(),
-                   "shard decompressed to wrong size");
         dimms_[d].mem->write(shardFrameAddr(page), shard_scratch_[d]);
         outcome.compressedSize += entry.shardSizes[d];
     }
@@ -483,30 +529,44 @@ XfmBackend::cpuSwapIn(VirtPage page, SwapCallback done,
     ++stats_.swapIns;
     ++stats_.cpuSwapIns;
     stats_.bytesDecompressed += pageBytes;
-    if (host_ctrl_) {
-        host_ctrl_->submit({page * pageBytes, outcome.compressedSize,
-                            false, nullptr});
-        host_ctrl_->submit({page * pageBytes,
-                            static_cast<std::uint32_t>(pageBytes),
-                            true, nullptr});
-    }
-    Tick latency;
-    chargeCpu(pageBytes, false, latency);
+    hostTraffic(page, pageBytes, outcome.compressedSize, false);
     // The demand fault's compressed-slot read stalls on refresh/RFM
     // locks (0 while refresh realism is disarmed).
+    Tick latency = chargeCpu(pageBytes, false);
     latency += cpuRefreshStall(slotAddr(entry.offset));
-    if (tracer_ && trace_id)
-        tracer_->record(trace_id, obs::Stage::CpuCompute, curTick(),
+    completeCpuSwap(outcome, latency, std::move(done), trace_id);
+}
+
+void
+XfmBackend::cpuShard(PendingOp &op, std::size_t d)
+{
+    const auto shard = static_cast<std::uint32_t>(cfg_.shardBytes());
+    dram::PhysMem &mem = *dimms_[d].mem;
+    std::uint32_t stored;
+    if (op.isCompress) {
+        mem.read(shardFrameAddr(op.page), shard, shard_scratch_[d]);
+        encodeShardBlock(op.dict.get(), shard_scratch_[d],
+                         op.cpuBlocks[d]);
+        stored = static_cast<std::uint32_t>(op.cpuBlocks[d].size());
+        op.sizes[d] = stored;
+    } else {
+        // Same zero-copy shape as cpuSwapIn, reading the compressed
+        // shard back from the page's same-offset slot.
+        const auto eit = entries_.find(op.page);
+        XFM_ASSERT(eit != entries_.end(),
+                   "CPU shard of swap-in for unknown page ", op.page);
+        stored = eit->second.shardSizes[d];
+        mem.read(slotAddr(op.offset), stored, block_scratch_[d]);
+        decodeShardBlock(op.dict.get(), block_scratch_[d],
+                         shard_scratch_[d]);
+        mem.write(shardFrameAddr(op.page), shard_scratch_[d]);
+    }
+    // Modelled only: the shard itself commits synchronously.
+    const Tick latency = chargeCpu(shard, op.isCompress);
+    hostTraffic(op.page, shard, stored, op.isCompress);
+    if (tracer_ && op.traceId)
+        tracer_->record(op.traceId, obs::Stage::CpuCompute, curTick(),
                         curTick() + latency);
-    eventq().scheduleIn(latency,
-                        [outcome, done, trace_id, this]() mutable {
-        outcome.completed = curTick();
-        if (tracer_ && trace_id)
-            tracer_->point(trace_id, obs::Stage::Complete, curTick(),
-                           obs::outcomeCpu);
-        if (done)
-            done(outcome);
-    });
 }
 
 // ------------------------------------------------------------- offloads
@@ -525,187 +585,20 @@ XfmBackend::swapOut(VirtPage page, bool allow_offload,
     if (entries_.count(page))
         fatal("swapOut: page ", page, " already in far memory");
     const std::uint64_t tid = tracer_ ? tracer_->begin() : 0;
-    if (busy_.count(page)) {
-        traceFailed(tid);
-        SwapOutcome o;
-        o.page = page;
-        o.success = false;
-        o.rejected = sfm::RejectReason::Busy;
-        o.completed = curTick();
-        if (done)
-            done(o);
-        return;
-    }
-
-    // The service layer degrades over-quota tenants to the CPU path
-    // without touching the NMA's queues.
-    if (!allow_offload) {
-        cpuSwapOut(page, std::move(done), tid);
-        return;
-    }
-
-    // Channel-shard breakers: a Failed channel is routed around by
-    // compressing its shard on the CPU while the healthy channels
-    // stay offloaded. If every channel is open, the whole page goes
-    // to the CPU path.
-    // The routing decision uses wouldAdmit() — no half-open probe
-    // slot is consumed until the shard is actually submitted below,
-    // so capacity fallbacks cannot churn a probation round.
-    std::vector<std::uint8_t> use_cpu;
-    std::size_t cpu_shards = 0;
-    if (cfg_.health.enabled) {
-        use_cpu.assign(cfg_.numDimms, 0);
-        for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-            if (!channel_health_[d].wouldAdmit(curTick())) {
-                use_cpu[d] = 1;
-                ++cpu_shards;
-            }
-        }
-        if (cpu_shards == cfg_.numDimms) {
-            ++xfm_stats_.breakerFallbacks;
-            if (tracer_ && tid)
-                tracer_->point(tid, obs::Stage::Fallback, curTick(),
-                               obs::fallbackBreaker);
-            cpuSwapOut(page, std::move(done), tid);
-            return;
-        }
-    }
-    const auto shard_on_cpu = [&use_cpu](std::size_t d) {
-        return !use_cpu.empty() && use_cpu[d];
-    };
-
-    // Lazy capacity check on every offloading DIMM before submitting
-    // anywhere, so a partial submit (and abort storm) stays rare.
-    const auto worst = nma::CompressionEngine::worstCaseCompressedSize(
-        static_cast<std::uint32_t>(cfg_.shardBytes()));
-    for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-        if (!shard_on_cpu(d)
-            && (!dimms_[d].driver->ringHasSlot()
-                || !dimms_[d].driver->canAccept(worst))) {
-            ++xfm_stats_.fallbackCapacity;
-            if (tracer_ && tid)
-                tracer_->point(tid, obs::Stage::Fallback, curTick(),
-                               obs::fallbackCapacity);
-            cpuSwapOut(page, std::move(done), tid);
-            return;
-        }
-    }
-
-    auto op = std::make_shared<PendingOp>();
-    op->page = page;
-    op->isCompress = true;
-    op->ids.resize(cfg_.numDimms, nma::invalidOffloadId);
-    op->sizes.resize(cfg_.numDimms, 0);
-    op->cpuShard = use_cpu;
-    op->shardDone = use_cpu;
-    op->completions = cpu_shards;  // CPU shards are done up front
-    op->done = std::move(done);
-    op->traceId = tid;
-    op->traceStart = curTick();
-    op->dict = pageDict(page);
-    if (op->dict)
-        compress::packDict(*codec_, *op->dict, op->packedDict);
-    if (cpu_shards)
-        op->cpuBlocks.resize(cfg_.numDimms);
-
-    const Tick deadline =
-        curTick() + cfg_.dimmMem.rank.device.retention;
-    for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-        if (shard_on_cpu(d)) {
-            // Per-shard CPU fallback: compress this channel's shard
-            // now; the block lands in the slot once its size is
-            // known (all completions in).
-            dimms_[d].mem->read(shardFrameAddr(page),
-                                cfg_.shardBytes(), shard_scratch_[d]);
-            if (op->dict)
-                compress::encodeShardRef(*codec_, *op->dict,
-                                         shard_scratch_[d],
-                                         op->cpuBlocks[d]);
-            else
-                codec_->compressInto(shard_scratch_[d],
-                                     op->cpuBlocks[d]);
-            op->sizes[d] = static_cast<std::uint32_t>(
-                op->cpuBlocks[d].size());
-            ++xfm_stats_.shardCpuFallbacks;
-            Tick latency;
-            chargeCpu(cfg_.shardBytes(), true, latency);
-            if (host_ctrl_) {
-                host_ctrl_->submit(
-                    {page * pageBytes,
-                     static_cast<std::uint32_t>(cfg_.shardBytes()),
-                     false, nullptr});
-                host_ctrl_->submit({page * pageBytes, op->sizes[d],
-                                    true, nullptr});
-            }
-            if (tracer_ && tid)
-                tracer_->record(tid, obs::Stage::CpuCompute,
-                                curTick(), curTick() + latency);
-            continue;
-        }
-        // Consume the channel's admission (a probe slot while in
-        // probation) only now that the shard truly goes to hardware.
-        // A same-tick race with another operation's probes can still
-        // refuse here; roll back like a failed submit.
-        const bool admitted = channel_health_[d].admit(curTick());
-        const nma::OffloadId id = !admitted
-            ? nma::invalidOffloadId
-            : dimms_[d].driver->xfmCompress(
-                  shardFrameAddr(page),
-                  static_cast<std::uint32_t>(cfg_.shardBytes()),
-                  deadline, partition_, tid, op->dict);
-        if (admitted) {
-            op->retries += dimms_[d].driver->lastSubmitRetries();
-            xfm_stats_.offloadRetries +=
-                dimms_[d].driver->lastSubmitRetries();
-        }
-        if (id == nma::invalidOffloadId) {
-            // Roll back what was already submitted; no channel saw
-            // its shard through, so admitted probes are returned.
-            for (std::size_t k = 0; k < d; ++k) {
-                if (op->ids[k] == nma::invalidOffloadId)
-                    continue;
-                routes_[k].erase(op->ids[k]);
-                dimms_[k].driver->abort(op->ids[k]);
-            }
-            for (std::size_t k = 0; k <= d; ++k)
-                if (!shard_on_cpu(k) && (k < d || admitted))
-                    channel_health_[k].cancelProbe(curTick());
-            ++xfm_stats_.fallbackCapacity;
-            if (tracer_ && tid)
-                tracer_->point(tid, obs::Stage::Fallback, curTick(),
-                               obs::fallbackCapacity);
-            cpuSwapOut(page,
-                       carryRetries(op->retries, std::move(op->done)),
-                       tid);
-            return;
-        }
-        if (tracer_ && tid)
-            tracer_->point(tid, obs::Stage::Submit, curTick(), d);
-        op->ids[d] = id;
-        routes_[d].emplace(id, op);
-    }
-    busy_.emplace(page, op);
+    startSwap(page, true, allow_offload, tid, std::move(done));
 }
 
 void
 XfmBackend::swapIn(VirtPage page, bool allow_offload, SwapCallback done)
 {
-    auto it = entries_.find(page);
-    if (it == entries_.end())
+    if (!entries_.count(page))
         fatal("swapIn: page ", page, " is not in far memory");
     const std::uint64_t tid = tracer_ ? tracer_->begin() : 0;
     // Quarantined pages fail fast: their compressed image took an
     // uncorrectable ECC error, so decompressing it would hand
     // corrupt data to the application.
     if (quarantined_.count(page)) {
-        traceFailed(tid);
-        SwapOutcome o;
-        o.page = page;
-        o.success = false;
-        o.rejected = sfm::RejectReason::Quarantined;
-        o.completed = curTick();
-        if (done)
-            done(o);
+        reject(page, sfm::RejectReason::Quarantined, tid, done);
         return;
     }
     if (injector_.armed()) {
@@ -715,175 +608,146 @@ XfmBackend::swapIn(VirtPage page, bool allow_offload, SwapCallback done)
                 fault::FaultSite::EccUncorrectable)) {
             quarantinePage(page);
             ++xfm_stats_.eccQuarantines;
-            traceFailed(tid);
-            SwapOutcome o;
-            o.page = page;
-            o.success = false;
-            o.rejected = sfm::RejectReason::Quarantined;
-            o.completed = curTick();
-            if (done)
-                done(o);
+            reject(page, sfm::RejectReason::Quarantined, tid, done);
             return;
         }
     }
+    startSwap(page, false, allow_offload, tid, std::move(done));
+}
+
+void
+XfmBackend::startSwap(VirtPage page, bool compress_op, bool allow_offload,
+                      std::uint64_t tid, SwapCallback done)
+{
     if (busy_.count(page)) {
-        traceFailed(tid);
-        SwapOutcome o;
-        o.page = page;
-        o.success = false;
-        o.rejected = sfm::RejectReason::Busy;
-        o.completed = curTick();
-        if (done)
-            done(o);
+        reject(page, sfm::RejectReason::Busy, tid, done);
         return;
     }
-
-    // Latency-critical demand faults default to the CPU (Sec. 6).
+    // The service layer degrades over-quota tenants, and
+    // latency-critical demand faults default (Sec. 6), to the CPU
+    // path without touching the NMA's queues.
     if (!allow_offload) {
-        cpuSwapIn(page, std::move(done), tid);
+        cpuSwap(compress_op, page, std::move(done), tid);
         return;
     }
 
-    const PageEntry &entry = it->second;
-
-    // Channel-shard breakers (see swapOut): a Failed channel's shard
-    // decompresses on the CPU straight into its local frame; the
-    // healthy channels stay offloaded.
-    // wouldAdmit() only — probe slots are consumed at the actual
-    // submission below (see swapOut).
-    std::vector<std::uint8_t> use_cpu;
+    // Channel-shard breakers: a Failed channel is routed around by
+    // (de)compressing its shard on the CPU while the healthy
+    // channels stay offloaded. If every channel is open, the whole
+    // page goes to the CPU path.
+    // The routing decision uses wouldAdmit() — no half-open probe
+    // slot is consumed until the shard is actually submitted below,
+    // so capacity fallbacks cannot churn a probation round.
+    const std::size_t n = cfg_.numDimms;
+    std::vector<std::uint8_t> use_cpu(n, 0);
     std::size_t cpu_shards = 0;
-    if (cfg_.health.enabled) {
-        use_cpu.assign(cfg_.numDimms, 0);
-        for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-            if (!channel_health_[d].wouldAdmit(curTick())) {
-                use_cpu[d] = 1;
-                ++cpu_shards;
-            }
-        }
-        if (cpu_shards == cfg_.numDimms) {
-            ++xfm_stats_.breakerFallbacks;
-            if (tracer_ && tid)
-                tracer_->point(tid, obs::Stage::Fallback, curTick(),
-                               obs::fallbackBreaker);
-            cpuSwapIn(page, std::move(done), tid);
-            return;
+    for (std::size_t d = 0; d < n; ++d) {
+        if (!channel_health_[d].wouldAdmit(curTick())) {
+            use_cpu[d] = 1;
+            ++cpu_shards;
         }
     }
-    const auto shard_on_cpu = [&use_cpu](std::size_t d) {
-        return !use_cpu.empty() && use_cpu[d];
-    };
+    if (cpu_shards == n) {
+        ++xfm_stats_.breakerFallbacks;
+        tracePoint(tid, obs::Stage::Fallback, obs::fallbackBreaker);
+        cpuSwap(compress_op, page, std::move(done), tid);
+        return;
+    }
 
-    for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-        if (!shard_on_cpu(d)
+    // Lazy capacity check on every offloading DIMM before submitting
+    // anywhere, so a partial submit (and abort storm) stays rare. A
+    // compression may need the codec's worst case; a decompression
+    // stages the stored shard.
+    const PageEntry *entry = compress_op ? nullptr : &entries_.at(page);
+    const auto worst = nma::CompressionEngine::worstCaseCompressedSize(
+        static_cast<std::uint32_t>(cfg_.shardBytes()));
+    for (std::size_t d = 0; d < n; ++d) {
+        if (!use_cpu[d]
             && (!dimms_[d].driver->ringHasSlot()
                 || !dimms_[d].driver->canAccept(
-                       entry.shardSizes[d]))) {
+                       compress_op ? worst : entry->shardSizes[d]))) {
             ++xfm_stats_.fallbackCapacity;
-            if (tracer_ && tid)
-                tracer_->point(tid, obs::Stage::Fallback, curTick(),
-                               obs::fallbackCapacity);
-            cpuSwapIn(page, std::move(done), tid);
+            tracePoint(tid, obs::Stage::Fallback, obs::fallbackCapacity);
+            cpuSwap(compress_op, page, std::move(done), tid);
             return;
         }
     }
 
     auto op = std::make_shared<PendingOp>();
     op->page = page;
-    op->isCompress = false;
-    op->ids.resize(cfg_.numDimms, nma::invalidOffloadId);
-    op->sizes = entry.shardSizes;
-    op->offset = entry.offset;
+    op->isCompress = compress_op;
+    op->ids.assign(n, nma::invalidOffloadId);
     op->cpuShard = use_cpu;
     op->shardDone = use_cpu;
-    op->completions = cpu_shards;
-    op->writebacks = cpu_shards;  // CPU shards land immediately
+    op->completions = cpu_shards;  // CPU shards are done up front
     op->done = std::move(done);
     op->traceId = tid;
     op->traceStart = curTick();
-    // Pages stored with a preset dictionary: gather the packed copy
-    // from the slot-tail stripes and stage it with every descriptor.
-    // The host reads it once and fans it out to each engine's SPM,
-    // so the dict transfer burns a little host bandwidth per DIMM.
-    op->dict = loadPageDict(entry);
-    if (op->dict && host_ctrl_)
-        host_ctrl_->submit({slotAddr(entry.offset), entry.dictStored,
-                            false, nullptr});
+    Tick deadline;
+    if (compress_op) {
+        op->sizes.assign(n, 0);
+        op->cpuBlocks.resize(n);
+        op->dict = pageDict(page);
+        if (op->dict)
+            compress::packDict(*codec_, *op->dict, op->packedDict);
+        deadline = curTick() + cfg_.dimmMem.rank.device.retention;
+    } else {
+        op->sizes = entry->shardSizes;
+        op->offset = entry->offset;
+        op->writebacks = cpu_shards;  // CPU shards land immediately
+        // Pages stored with a preset dictionary: gather the packed
+        // copy from the slot-tail stripes and stage it with every
+        // descriptor. The host reads it once and fans it out to each
+        // engine's SPM, so the dict transfer burns a little host
+        // bandwidth per DIMM.
+        op->dict = loadPageDict(*entry);
+        if (op->dict && host_ctrl_)
+            host_ctrl_->submit({slotAddr(op->offset), entry->dictStored,
+                                false, nullptr});
+        deadline = decompressDeadline();
+    }
 
-    const Tick deadline = decompressDeadline();
-    for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-        if (op->dict && !shard_on_cpu(d) && host_ctrl_)
-            host_ctrl_->submit({slotAddr(entry.offset),
-                                entry.dictStored, true, nullptr});
-        if (shard_on_cpu(d)) {
-            // Per-shard CPU fallback, same zero-copy shape as
-            // cpuSwapIn: decompress straight into the local frame.
-            dimms_[d].mem->read(slotAddr(entry.offset),
-                                entry.shardSizes[d],
-                                block_scratch_[d]);
-            if (op->dict)
-                compress::decodeShard(*codec_, block_scratch_[d],
-                                      *op->dict, shard_scratch_[d]);
-            else
-                compress::decodeShard(*codec_, block_scratch_[d],
-                                      shard_scratch_[d]);
-            XFM_ASSERT(shard_scratch_[d].size() == cfg_.shardBytes(),
-                       "shard decompressed to wrong size");
-            dimms_[d].mem->write(shardFrameAddr(page),
-                                 shard_scratch_[d]);
+    const auto shard = static_cast<std::uint32_t>(cfg_.shardBytes());
+    for (std::size_t d = 0; d < n; ++d) {
+        if (use_cpu[d]) {
             ++xfm_stats_.shardCpuFallbacks;
-            Tick latency;
-            chargeCpu(cfg_.shardBytes(), false, latency);
-            if (host_ctrl_) {
-                host_ctrl_->submit({page * pageBytes,
-                                    entry.shardSizes[d], false,
-                                    nullptr});
-                host_ctrl_->submit(
-                    {page * pageBytes,
-                     static_cast<std::uint32_t>(cfg_.shardBytes()),
-                     true, nullptr});
-            }
-            if (tracer_ && tid)
-                tracer_->record(tid, obs::Stage::CpuCompute,
-                                curTick(), curTick() + latency);
+            cpuShard(*op, d);
             continue;
         }
-        // See swapOut: the channel admission (probe slot) is consumed
-        // only at the real submission.
+        if (!compress_op && op->dict && host_ctrl_)
+            host_ctrl_->submit({slotAddr(op->offset), entry->dictStored,
+                                true, nullptr});
+        // Consume the channel's admission (a probe slot while in
+        // probation) only now that the shard truly goes to hardware.
+        // A same-tick race with another operation's probes can still
+        // refuse here; roll back like a failed submit.
         const bool admitted = channel_health_[d].admit(curTick());
-        const nma::OffloadId id = !admitted
-            ? nma::invalidOffloadId
-            : dimms_[d].driver->xfmDecompress(
-                  slotAddr(entry.offset), entry.shardSizes[d],
-                  shardFrameAddr(page),
-                  static_cast<std::uint32_t>(cfg_.shardBytes()),
-                  deadline, partition_, tid, op->dict);
+        nma::OffloadId id = nma::invalidOffloadId;
         if (admitted) {
-            op->retries += dimms_[d].driver->lastSubmitRetries();
-            xfm_stats_.offloadRetries +=
-                dimms_[d].driver->lastSubmitRetries();
+            XfmDriver &drv = *dimms_[d].driver;
+            id = compress_op
+                ? drv.xfmCompress(shardFrameAddr(page), shard, deadline,
+                                  partition_, tid, op->dict)
+                : drv.xfmDecompress(slotAddr(op->offset), op->sizes[d],
+                                    shardFrameAddr(page), shard,
+                                    deadline, partition_, tid,
+                                    op->dict);
+            op->retries += drv.lastSubmitRetries();
+            xfm_stats_.offloadRetries += drv.lastSubmitRetries();
         }
         if (id == nma::invalidOffloadId) {
-            for (std::size_t k = 0; k < d; ++k) {
-                if (op->ids[k] == nma::invalidOffloadId)
-                    continue;
-                routes_[k].erase(op->ids[k]);
-                dimms_[k].driver->abort(op->ids[k]);
-            }
-            for (std::size_t k = 0; k <= d; ++k)
-                if (!shard_on_cpu(k) && (k < d || admitted))
-                    channel_health_[k].cancelProbe(curTick());
+            // Roll back what was already submitted; no channel saw
+            // its shard through, so admitted probes are returned.
+            abortShards(*op);
+            if (admitted)
+                channel_health_[d].cancelProbe(curTick());
             ++xfm_stats_.fallbackCapacity;
-            if (tracer_ && tid)
-                tracer_->point(tid, obs::Stage::Fallback, curTick(),
-                               obs::fallbackCapacity);
-            cpuSwapIn(page,
-                      carryRetries(op->retries, std::move(op->done)),
-                      tid);
+            tracePoint(tid, obs::Stage::Fallback, obs::fallbackCapacity);
+            cpuSwap(compress_op, page,
+                    carryRetries(op->retries, std::move(op->done)), tid);
             return;
         }
-        if (tracer_ && tid)
-            tracer_->point(tid, obs::Stage::Submit, curTick(), d);
+        tracePoint(tid, obs::Stage::Submit, d);
         op->ids[d] = id;
         routes_[d].emplace(id, op);
     }
@@ -901,8 +765,6 @@ XfmBackend::onComplete(std::size_t dimm, const nma::OffloadCompletion &c)
         return;
 
     op->sizes[dimm] = c.outputSize;
-    if (op->shardDone.empty())
-        op->shardDone.assign(cfg_.numDimms, 0);
     op->shardDone[dimm] = 1;
     if (++op->completions < cfg_.numDimms)
         return;
@@ -918,39 +780,17 @@ XfmBackend::placeCompressWritebacks(
     // All shards compressed: size the same-offset slot by the
     // largest shard, grown only if the water-filled dictionary
     // stripes overflow the padding — then commit write-backs.
-    const std::uint32_t max_size = compress::dictSlotSize(
-        op->sizes, static_cast<std::uint32_t>(op->packedDict.size()));
-    std::uint64_t offset = alloc_.allocate(max_size);
-    if (offset == SameOffsetAllocator::invalidOffset) {
-        compact();
-        offset = alloc_.allocate(max_size);
-    }
+    const std::uint64_t offset = allocateSlot(compress::dictSlotSize(
+        op->sizes, static_cast<std::uint32_t>(op->packedDict.size())));
     if (offset == SameOffsetAllocator::invalidOffset) {
         ++stats_.rejectedSwapOuts;
         ++xfm_stats_.fallbackAlloc;
-        op->dead = true;
-        for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-            auto rit = routes_[d].find(op->ids[d]);
-            if (rit != routes_[d].end()) {
-                routes_[d].erase(rit);
-                dimms_[d].driver->abort(op->ids[d]);
-                // Aborted shards report no outcome: return any
-                // half-open probe slot they were admitted under.
-                channel_health_[d].cancelProbe(curTick());
-            }
-        }
+        abortShards(*op);
         busy_.erase(op->page);
-        if (tracer_ && op->traceId)
-            tracer_->point(op->traceId, obs::Stage::Fallback,
-                           curTick(), obs::fallbackAlloc);
-        traceFailed(op->traceId);
-        SwapOutcome o;
-        o.page = op->page;
-        o.success = false;
-        o.rejected = sfm::RejectReason::SfmFull;
-        o.completed = curTick();
-        if (op->done)
-            op->done(o);
+        tracePoint(op->traceId, obs::Stage::Fallback,
+                   obs::fallbackAlloc);
+        reject(op->page, sfm::RejectReason::SfmFull, op->traceId,
+               op->done);
         return;
     }
     op->offset = offset;
@@ -958,7 +798,7 @@ XfmBackend::placeCompressWritebacks(
     // write-backs touch only the first sizes[d] bytes of each slot.
     placePageDict(offset, op->sizes, op->packedDict);
     for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-        if (!op->cpuShard.empty() && op->cpuShard[d]) {
+        if (op->cpuShard[d]) {
             // The CPU-compressed shard block can land now that the
             // same-offset slot exists.
             dimms_[d].mem->write(slotAddr(offset), op->cpuBlocks[d]);
@@ -972,7 +812,7 @@ XfmBackend::placeCompressWritebacks(
     // watchdog recovery redid the stragglers): nothing is left in
     // flight, so the op finishes here.
     if (op->writebacks == cfg_.numDimms)
-        finishOp(op, curTick(), allOnCpu(op->cpuShard, cfg_.numDimms));
+        finishOp(op, curTick(), allOnCpu(op->cpuShard));
 }
 
 void
@@ -1085,9 +925,7 @@ XfmBackend::onDrop(std::size_t dimm, nma::OffloadId id,
         return;
     }
     ++xfm_stats_.fallbackDeadline;
-    if (tracer_ && op->traceId)
-        tracer_->point(op->traceId, obs::Stage::Fallback, curTick(),
-                       obs::fallbackDeadline);
+    tracePoint(op->traceId, obs::Stage::Fallback, obs::fallbackDeadline);
     failToCpu(op);
 }
 
@@ -1096,113 +934,61 @@ XfmBackend::recoverShardOnCpu(std::size_t dimm,
                               const std::shared_ptr<PendingOp> &op)
 {
     ++xfm_stats_.watchdogShardRedos;
-    if (op->cpuShard.empty())
-        op->cpuShard.assign(cfg_.numDimms, 0);
     op->cpuShard[dimm] = 1;
-    if (op->shardDone.empty())
-        op->shardDone.assign(cfg_.numDimms, 0);
     const bool was_done = op->shardDone[dimm];
     op->shardDone[dimm] = 1;
-    const VirtPage page = op->page;
-    Tick latency;  // modelled; the redo itself commits synchronously
+    // A compress redo reuses the op's dictionary, so the redone
+    // block is byte-identical to the one the engine would have
+    // staged; a decompress redo lands straight in the local frame.
+    cpuShard(*op, dimm);
 
-    if (op->isCompress) {
-        if (op->cpuBlocks.empty())
-            op->cpuBlocks.resize(cfg_.numDimms);
-        dimms_[dimm].mem->read(shardFrameAddr(page), cfg_.shardBytes(),
-                               shard_scratch_[dimm]);
-        // Reuse the op's dictionary: the redone block must be
-        // byte-identical to the one the engine would have staged.
-        if (op->dict)
-            compress::encodeShardRef(*codec_, *op->dict,
-                                     shard_scratch_[dimm],
-                                     op->cpuBlocks[dimm]);
-        else
-            codec_->compressInto(shard_scratch_[dimm],
-                                 op->cpuBlocks[dimm]);
-        op->sizes[dimm] =
-            static_cast<std::uint32_t>(op->cpuBlocks[dimm].size());
-        chargeCpu(cfg_.shardBytes(), true, latency);
-        if (host_ctrl_) {
-            host_ctrl_->submit(
-                {page * pageBytes,
-                 static_cast<std::uint32_t>(cfg_.shardBytes()), false,
-                 nullptr});
-            host_ctrl_->submit({page * pageBytes, op->sizes[dimm],
-                                true, nullptr});
-        }
-        if (tracer_ && op->traceId)
-            tracer_->record(op->traceId, obs::Stage::CpuCompute,
-                            curTick(), curTick() + latency);
-        if (was_done
-            && op->offset != SameOffsetAllocator::invalidOffset) {
-            // The write-back was stranded after placement: the codec
-            // is deterministic, so the redone block matches the
-            // staged one and fits the already-sized slot.
-            dimms_[dimm].mem->write(slotAddr(op->offset),
-                                    op->cpuBlocks[dimm]);
-            if (++op->writebacks == cfg_.numDimms)
-                finishOp(op, curTick(),
-                         allOnCpu(op->cpuShard, cfg_.numDimms));
-            return;
-        }
-        // Dropped before engine completion (a drop between
-        // completion and placement cannot happen: a staged shard
-        // without a destination is outside the watchdog's scans).
-        if (!was_done && ++op->completions == cfg_.numDimms)
+    if (!op->isCompress) {
+        if (!was_done)
+            ++op->completions;
+        if (++op->writebacks == cfg_.numDimms)
+            finishOp(op, curTick(), allOnCpu(op->cpuShard));
+        return;
+    }
+    // Dropped before engine completion (a drop between completion
+    // and placement cannot happen: a staged shard without a
+    // destination is outside the watchdog's scans).
+    if (!was_done) {
+        if (++op->completions == cfg_.numDimms)
             placeCompressWritebacks(op);
         return;
     }
-
-    // Decompress: redo straight into the local frame, reading the
-    // compressed shard back from the same-offset slot.
-    const auto eit = entries_.find(page);
-    XFM_ASSERT(eit != entries_.end(),
-               "watchdog recovery of swap-in for unknown page ", page);
-    const std::uint32_t csize = eit->second.shardSizes[dimm];
-    dimms_[dimm].mem->read(slotAddr(op->offset), csize,
-                           block_scratch_[dimm]);
-    if (op->dict)
-        compress::decodeShard(*codec_, block_scratch_[dimm],
-                              *op->dict, shard_scratch_[dimm]);
-    else
-        compress::decodeShard(*codec_, block_scratch_[dimm],
-                              shard_scratch_[dimm]);
-    XFM_ASSERT(shard_scratch_[dimm].size() == cfg_.shardBytes(),
-               "shard decompressed to wrong size");
-    dimms_[dimm].mem->write(shardFrameAddr(page), shard_scratch_[dimm]);
-    chargeCpu(cfg_.shardBytes(), false, latency);
-    if (host_ctrl_) {
-        host_ctrl_->submit({page * pageBytes, csize, false, nullptr});
-        host_ctrl_->submit(
-            {page * pageBytes,
-             static_cast<std::uint32_t>(cfg_.shardBytes()), true,
-             nullptr});
+    if (op->offset != SameOffsetAllocator::invalidOffset) {
+        // The write-back was stranded after placement: the codec is
+        // deterministic, so the redone block matches the staged one
+        // and fits the already-sized slot.
+        dimms_[dimm].mem->write(slotAddr(op->offset),
+                                op->cpuBlocks[dimm]);
+        if (++op->writebacks == cfg_.numDimms)
+            finishOp(op, curTick(), allOnCpu(op->cpuShard));
     }
-    if (tracer_ && op->traceId)
-        tracer_->record(op->traceId, obs::Stage::CpuCompute,
-                        curTick(), curTick() + latency);
-    if (!was_done)
-        ++op->completions;
-    if (++op->writebacks == cfg_.numDimms)
-        finishOp(op, curTick(), allOnCpu(op->cpuShard, cfg_.numDimms));
+}
+
+void
+XfmBackend::abortShards(PendingOp &op)
+{
+    op.dead = true;
+    for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
+        auto rit = routes_[d].find(op.ids[d]);
+        if (rit == routes_[d].end())
+            continue;
+        routes_[d].erase(rit);
+        dimms_[d].driver->abort(op.ids[d]);
+        // Aborted shards report no outcome: return any half-open
+        // probe slot they were admitted under, so the faulting
+        // channel alone carries the blame.
+        channel_health_[d].cancelProbe(curTick());
+    }
 }
 
 void
 XfmBackend::failToCpu(const std::shared_ptr<PendingOp> &op)
 {
-    op->dead = true;
-    for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-        auto rit = routes_[d].find(op->ids[d]);
-        if (rit != routes_[d].end()) {
-            routes_[d].erase(rit);
-            dimms_[d].driver->abort(op->ids[d]);
-            // Aborted shards report no outcome: return any half-open
-            // probe slot they were admitted under, so the faulting
-            // channel alone carries the blame.
-            channel_health_[d].cancelProbe(curTick());
-        }
-    }
+    abortShards(*op);
     // A watchdog can drop a compress op after its same-offset slot
     // was already allocated (write-backs committed); release it or
     // the slot leaks — the CPU path allocates its own.
@@ -1212,12 +998,8 @@ XfmBackend::failToCpu(const std::shared_ptr<PendingOp> &op)
         op->offset = SameOffsetAllocator::invalidOffset;
     }
     busy_.erase(op->page);
-    if (op->isCompress)
-        cpuSwapOut(op->page, carryRetries(op->retries, op->done),
-                   op->traceId);
-    else
-        cpuSwapIn(op->page, carryRetries(op->retries, op->done),
-                  op->traceId);
+    cpuSwap(op->isCompress, op->page, carryRetries(op->retries, op->done),
+            op->traceId);
 }
 
 void

@@ -314,7 +314,9 @@ class XfmBackend : public SimObject, public sfm::SfmBackend
         std::uint32_t dictStored = 0;
     };
 
-    /** Coordination record for a multi-DIMM offload in flight. */
+    /** Coordination record for a multi-DIMM offload in flight.
+     *  Every per-DIMM vector is sized numDimms at creation
+     *  (cpuBlocks for compress ops only). */
     struct PendingOp
     {
         sfm::VirtPage page;
@@ -325,11 +327,11 @@ class XfmBackend : public SimObject, public sfm::SfmBackend
         std::size_t completions = 0;
         std::size_t writebacks = 0;
         std::uint64_t offset = SameOffsetAllocator::invalidOffset;
-        /** Per-DIMM flag: shard handled on the CPU because that
-         *  channel's breaker was open (empty = all offloaded). */
+        /** Per-DIMM flag: shard handled on the CPU (its channel's
+         *  breaker was open, or a watchdog drop redid it). */
         std::vector<std::uint8_t> cpuShard;
         /** CPU-compressed shard blocks awaiting slot placement
-         *  (hybrid swap-out only; indexed like ids). */
+         *  (compress ops only). */
         std::vector<Bytes> cpuBlocks;
         /** Per-DIMM flag: this shard's completion has been seen
          *  (CPU shards count as done up front). Distinguishes a
@@ -371,14 +373,47 @@ class XfmBackend : public SimObject, public sfm::SfmBackend
      *  counters (no-op while dict mode is off). */
     void countDictShard(ByteSpan block);
 
+    /** Compress one shard, against @p dict when non-null.
+     *  @return true when the dict-referencing container won. */
+    bool encodeShardBlock(const Bytes *dict, ByteSpan shard,
+                          Bytes &block) const;
+    /** Decompress one shard block (against @p dict when non-null). */
+    void decodeShardBlock(const Bytes *dict, ByteSpan block,
+                          Bytes &shard) const;
+
     void cpuSwapOut(sfm::VirtPage page, sfm::SwapCallback done,
-                    std::uint64_t trace_id = 0);
+                    std::uint64_t trace_id);
     void cpuSwapIn(sfm::VirtPage page, sfm::SwapCallback done,
-                   std::uint64_t trace_id = 0);
-    /** Trace a failed request end (busy/quarantine/reject paths). */
-    void traceFailed(std::uint64_t trace_id);
-    void chargeCpu(std::uint64_t bytes, bool compress_op,
-                   Tick &latency_out);
+                   std::uint64_t trace_id);
+    /** Whole-page CPU path of either direction. */
+    void cpuSwap(bool compress_op, sfm::VirtPage page,
+                 sfm::SwapCallback done, std::uint64_t trace_id);
+    /** Schedule a CPU-path outcome @p latency from now. */
+    void completeCpuSwap(sfm::SwapOutcome outcome, Tick latency,
+                         sfm::SwapCallback done, std::uint64_t trace_id);
+    /**
+     * (De)compress shard @p d of @p op on the CPU: a swap-out's
+     * block waits in op.cpuBlocks for slot placement, a swap-in's
+     * shard lands straight in its local frame. Charges the shard's
+     * CPU cycles and host traffic and records the CpuCompute span.
+     */
+    void cpuShard(PendingOp &op, std::size_t d);
+    /** Host channel traffic of a CPU (de)compression: the read of
+     *  the input then the write of the output. */
+    void hostTraffic(sfm::VirtPage page, std::uint32_t raw_bytes,
+                     std::uint32_t stored_bytes, bool compress_op);
+    /** Trace an instantaneous @p stage point for request @p tid. */
+    void tracePoint(std::uint64_t tid, obs::Stage stage,
+                    std::uint64_t arg);
+    /** Fail a request without attempting it. */
+    void reject(sfm::VirtPage page, sfm::RejectReason reason,
+                std::uint64_t tid, const sfm::SwapCallback &done);
+    /** CPU cycles for @p bytes of (de)compression; returns the
+     *  modelled latency. */
+    Tick chargeCpu(std::uint64_t bytes, bool compress_op);
+    /** Same-offset slot of @p size bytes, compacting once if the
+     *  region is too fragmented (invalidOffset when full). */
+    std::uint64_t allocateSlot(std::uint32_t size);
 
     /**
      * CPU-visible refresh stall for a demand access to @p addr
@@ -393,6 +428,16 @@ class XfmBackend : public SimObject, public sfm::SfmBackend
      *  page when cfg.quarantineCap would be exceeded. */
     void quarantinePage(sfm::VirtPage page);
 
+    /**
+     * The offload path of both directions: route each shard around
+     * open channel breakers, check every offloading DIMM's capacity,
+     * then submit shard by shard. A busy page is rejected; any
+     * other refusal sends the whole page to the CPU path.
+     */
+    void startSwap(sfm::VirtPage page, bool compress_op,
+                   bool allow_offload, std::uint64_t tid,
+                   sfm::SwapCallback done);
+
     void onComplete(std::size_t dimm, const nma::OffloadCompletion &c);
     void onWriteback(std::size_t dimm, nma::OffloadId id, Tick t);
     void onDrop(std::size_t dimm, nma::OffloadId id,
@@ -404,6 +449,9 @@ class XfmBackend : public SimObject, public sfm::SfmBackend
      *  other shards stay offloaded. */
     void recoverShardOnCpu(std::size_t dimm,
                            const std::shared_ptr<PendingOp> &op);
+    /** Withdraw every shard of @p op still routed to a device and
+     *  mark the op dead. */
+    void abortShards(PendingOp &op);
     void failToCpu(const std::shared_ptr<PendingOp> &op);
     void finishOp(const std::shared_ptr<PendingOp> &op, Tick now,
                   bool used_cpu);

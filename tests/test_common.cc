@@ -320,8 +320,11 @@ TEST(Config, MalformedLineFatal)
 
 TEST(Config, BadTypesFatal)
 {
-    const auto cfg = Config::parseString("n = abc\nb = maybe\n");
+    const auto cfg =
+        Config::parseString("n = abc\nb = maybe\nneg = -1\n");
     EXPECT_THROW(cfg.getU64("n"), FatalError);
+    // strtoull would wrap -1 to 2^64 - 1.
+    EXPECT_THROW(cfg.getU64("neg"), FatalError);
     EXPECT_THROW(cfg.getDouble("n"), FatalError);
     EXPECT_THROW(cfg.getBool("b"), FatalError);
 }

@@ -19,6 +19,7 @@
 #include "obs/tracer.hh"
 #include "service/service.hh"
 #include "system/system.hh"
+#include "test_util.hh"
 #include "workload/fleet.hh"
 
 namespace xfm
@@ -56,6 +57,7 @@ struct RunResult
     std::string json;             ///< JSON snapshot export
     std::string trace;            ///< JSON-lines trace export
     std::uint64_t injections;     ///< total injected faults
+    obs::Snapshot snap;           ///< end-of-run metric snapshot
 };
 
 /** How runSystem configures the three-tier hierarchy. */
@@ -74,6 +76,37 @@ enum class DictMode
     On,            ///< shardDict = true
 };
 
+/** One complete demote/promote run of @p cfg, traced. */
+RunResult
+runConfig(const SystemConfig &cfg)
+{
+    EventQueue eq;
+    System sys("sys", eq, cfg);
+    obs::Tracer tracer(4096);
+    sys.setTracer(&tracer);
+    for (sfm::VirtPage p = 0; p < 96; ++p)
+        sys.writePage(p, compress::generateCorpus(
+                             compress::CorpusKind::LogLines, p + 1,
+                             pageBytes));
+    sys.start();
+    eq.run(milliseconds(60.0));
+    // Touch pages in a seeded order so promotions also exercise the
+    // backend (and its fault sites) deterministically.
+    Rng rng(99);
+    for (int i = 0; i < 48; ++i) {
+        sys.access(rng.uniformInt(96));
+        eq.run(eq.now() + milliseconds(1.0));
+    }
+
+    RunResult r;
+    r.snap = sys.metrics().snapshot();
+    r.stats = r.snap.renderText();
+    r.json = r.snap.toJson();
+    r.trace = tracer.toJsonLines();
+    r.injections = sys.faultInjections();
+    return r;
+}
+
 /** One complete demote/promote run under the given fault seed. */
 RunResult
 runSystem(std::uint64_t fault_seed, std::size_t workers = 1,
@@ -81,7 +114,6 @@ runSystem(std::uint64_t fault_seed, std::size_t workers = 1,
           TierMode tier_mode = TierMode::Default,
           DictMode dict_mode = DictMode::Default)
 {
-    EventQueue eq;
     SystemConfig cfg = faultedConfig(fault_seed);
     cfg.workers = workers;
     cfg.xfmDevice.sqDepth = sq_depth;
@@ -105,29 +137,7 @@ runSystem(std::uint64_t fault_seed, std::size_t workers = 1,
         cfg.shardDict = dict_mode == DictMode::On;
         cfg.dictBytes = 2048;
     }
-    System sys("sys", eq, cfg);
-    obs::Tracer tracer(4096);
-    sys.setTracer(&tracer);
-    for (sfm::VirtPage p = 0; p < 96; ++p)
-        sys.writePage(p, compress::generateCorpus(
-                             compress::CorpusKind::LogLines, p + 1,
-                             pageBytes));
-    sys.start();
-    eq.run(milliseconds(60.0));
-    // Touch pages in a seeded order so promotions also exercise the
-    // backend (and its fault sites) deterministically.
-    Rng rng(99);
-    for (int i = 0; i < 48; ++i) {
-        sys.access(rng.uniformInt(96));
-        eq.run(eq.now() + milliseconds(1.0));
-    }
-
-    RunResult r;
-    r.stats = sys.metrics().renderText();
-    r.json = sys.metrics().toJson();
-    r.trace = tracer.toJsonLines();
-    r.injections = sys.faultInjections();
-    return r;
+    return runConfig(cfg);
 }
 
 TEST(Determinism, SameSeedsSameStats)
@@ -213,30 +223,16 @@ TEST(Determinism, ExplicitRefAbMatchesDefault)
     // never mentioned refresh — the disarmed controller takes the
     // exact legacy code path (refreshRealismArmed() == false).
     const RunResult def = runSystem(7);
-    EventQueue eq;
     SystemConfig cfg = faultedConfig(7);
     cfg.dimmDevice.refreshMode = dram::RefreshMode::RefAb;
     cfg.dimmDevice.rfmRaaimt = 0;
     cfg.dimmDevice.rfmRaammt = 0;
     cfg.dimmDevice.hira = false;
-    System sys("sys", eq, cfg);
-    obs::Tracer tracer(4096);
-    sys.setTracer(&tracer);
-    for (sfm::VirtPage p = 0; p < 96; ++p)
-        sys.writePage(p, compress::generateCorpus(
-                             compress::CorpusKind::LogLines, p + 1,
-                             pageBytes));
-    sys.start();
-    eq.run(milliseconds(60.0));
-    Rng rng(99);
-    for (int i = 0; i < 48; ++i) {
-        sys.access(rng.uniformInt(96));
-        eq.run(eq.now() + milliseconds(1.0));
-    }
-    EXPECT_EQ(def.stats, sys.metrics().renderText());
-    EXPECT_EQ(def.json, sys.metrics().toJson());
-    EXPECT_EQ(def.trace, tracer.toJsonLines());
-    EXPECT_EQ(def.injections, sys.faultInjections());
+    const RunResult ref = runConfig(cfg);
+    EXPECT_EQ(def.stats, ref.stats);
+    EXPECT_EQ(def.json, ref.json);
+    EXPECT_EQ(def.trace, ref.trace);
+    EXPECT_EQ(def.injections, ref.injections);
 }
 
 TEST(Determinism, TieringOffMatchesDefault)
@@ -447,6 +443,22 @@ TEST(Determinism, GoldenHashes)
               14225057169789828618ull);
     EXPECT_EQ(codecHash(compress::Algorithm::ZstdLike),
               14084188174987479450ull);
+
+    // Hybrid offloads. The health-armed chaos run routes single
+    // shards to the CPU in both directions while the other channels
+    // stay offloaded; the dict run at ring depth 8 stores and
+    // restores preset dictionaries through the engines and the CPU.
+    const RunResult hy = runConfig(testutil::chaoticSystemConfig());
+    const RunResult dict =
+        runSystem(7, 1, 8, 2, TierMode::Default, DictMode::On);
+    EXPECT_GT(hy.snap.u64("sys.backend.shardCpuFallbacks"), 0u);
+    EXPECT_GT(dict.snap.u64("sys.backend.dictShards"), 0u);
+    EXPECT_EQ(fnv1a(hy.stats), 18401263587832409536ull);
+    EXPECT_EQ(fnv1a(hy.json), 14529048192304809584ull);
+    EXPECT_EQ(fnv1a(hy.trace), 984528116307416887ull);
+    EXPECT_EQ(fnv1a(dict.stats), 14070367407899252141ull);
+    EXPECT_EQ(fnv1a(dict.json), 9303783945717121759ull);
+    EXPECT_EQ(fnv1a(dict.trace), 17269287033067266739ull);
 }
 
 TEST(Determinism, ModeledEngineIsPerEngineState)

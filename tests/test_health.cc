@@ -384,6 +384,14 @@ class BackendHealthTest : public ::testing::Test
         return out;
     }
 
+    /** Overwrite a Far page's local frames, as frame reuse would,
+     *  so a restore must write every shard back. */
+    void
+    clobberLocal(VirtPage p)
+    {
+        backend_->writePage(p, Bytes(pageBytes, 0xA5));
+    }
+
     SwapOutcome
     runSwapIn(VirtPage p, bool allow_offload = true)
     {
@@ -400,7 +408,11 @@ class BackendHealthTest : public ::testing::Test
 
 TEST_F(BackendHealthTest, OfflinedChannelReassemblesViaCpuShard)
 {
-    makeBackend(healthConfig());
+    // Preset dictionaries on: the CPU shard must encode and decode
+    // against the same page dictionary as the offloaded one.
+    auto cfg = healthConfig();
+    cfg.shardDict = true;
+    makeBackend(cfg);
     backend_->channelHealth(1).forceFail(0);
 
     // The page demotes with DIMM 1's shard compressed on the CPU and
@@ -410,9 +422,11 @@ TEST_F(BackendHealthTest, OfflinedChannelReassemblesViaCpuShard)
     EXPECT_EQ(backend_->pageState(1), PageState::Far);
     EXPECT_EQ(backend_->xfmStats().shardCpuFallbacks, 1u);
     EXPECT_EQ(backend_->xfmStats().breakerFallbacks, 0u);
+    EXPECT_GT(backend_->xfmStats().dictShards, 0u);
 
     // Promotion with the channel still offline: the shard comes back
     // through per-shard CPU decompression, byte-identically.
+    clobberLocal(1);
     const SwapOutcome in = runSwapIn(1);
     EXPECT_TRUE(in.success);
     EXPECT_EQ(backend_->xfmStats().shardCpuFallbacks, 2u);
@@ -483,12 +497,14 @@ TEST_F(BackendHealthTest, WatchdogFiresStuckOffload)
 {
     auto cfg = healthConfig();
     cfg.device.watchdogWindows = 2;
-    // Every SPM reservation fails: accepted offloads are deferred
-    // window after window, never winning an execution slot, until
-    // the watchdog forces completion-with-error and the backend
-    // falls back to the CPU.
+    // SPM reservations fail: accepted offloads are deferred window
+    // after window, never winning an execution slot, until the
+    // watchdog forces completion-with-error and the backend redoes
+    // each shard on the CPU. Eight failures strand both shards of
+    // the first swap-out and of its swap-in; then the plan is spent.
     cfg.faults.site(fault::FaultSite::SpmReserveFail).probability =
         1.0;
+    cfg.faults.site(fault::FaultSite::SpmReserveFail).maxTriggers = 8;
     makeBackend(cfg);
 
     const SwapOutcome out = runSwapOut(3);
@@ -498,10 +514,32 @@ TEST_F(BackendHealthTest, WatchdogFiresStuckOffload)
     for (std::size_t d = 0; d < 2; ++d)
         fires += backend_->driver(d).device().stats().watchdogFires;
     EXPECT_GT(fires, 0u);
-
     EXPECT_EQ(backend_->pageState(3), PageState::Far);
-    EXPECT_TRUE(runSwapIn(3, false).success);
+
+    // The offloaded swap-in strands too: each shard decompresses on
+    // the CPU straight into its local frame.
+    std::uint64_t redos = backend_->xfmStats().watchdogShardRedos;
+    clobberLocal(3);
+    EXPECT_TRUE(runSwapIn(3).success);
+    EXPECT_GT(backend_->xfmStats().watchdogShardRedos, redos);
     EXPECT_EQ(backend_->readPage(3), pageContent(3));
+
+    // A burst of swap-outs outruns the two-window watchdog after
+    // placement: write-backs strand in the SPM behind the burst and
+    // their blocks are redone into the already-sized slots.
+    redos = backend_->xfmStats().watchdogShardRedos;
+    for (VirtPage p = 10; p < 42; ++p) {
+        backend_->writePage(p, pageContent(p));
+        backend_->swapOut(p, [](const SwapOutcome &) {});
+    }
+    eq_.run(eq_.now() + seconds(0.2));
+    EXPECT_GT(backend_->xfmStats().watchdogShardRedos, redos);
+    for (VirtPage p = 10; p < 42; ++p) {
+        ASSERT_EQ(backend_->pageState(p), PageState::Far) << p;
+        clobberLocal(p);
+        EXPECT_TRUE(runSwapIn(p, false).success) << p;
+        EXPECT_EQ(backend_->readPage(p), pageContent(p)) << p;
+    }
 }
 
 // --------------------------------------------- service-level shedding
@@ -578,38 +616,12 @@ TEST(ServiceShed, BatchSwapOutsRejectedTypedWhileOverloaded)
 
 // ------------------------------------------------------- determinism
 
-system::SystemConfig
-chaoticSystemConfig()
-{
-    system::SystemConfig cfg;
-    cfg.backend = system::BackendKind::Xfm;
-    cfg.pages = 96;
-    cfg.sfmBytes = mib(8);
-    cfg.controller.coldThreshold = milliseconds(5.0);
-    cfg.controller.scanInterval = milliseconds(1.0);
-    cfg.controller.maxSwapOutsPerScan = 16;
-    cfg.faultPlan.seed = 11;
-    cfg.faultPlan.site(fault::FaultSite::SpmReserveFail).probability =
-        0.20;
-    cfg.faultPlan.site(fault::FaultSite::EngineStall).probability =
-        0.10;
-    cfg.faultPlan.site(fault::FaultSite::MmioDoorbellLoss)
-        .probability = 0.25;
-    cfg.health.enabled = true;
-    cfg.health.window = 8;
-    cfg.health.failConsecutive = 4;
-    cfg.health.cooldown = microseconds(50.0);
-    cfg.xfmDevice.watchdogWindows = 512;
-    cfg.quarantineCap = 4;
-    return cfg;
-}
-
 /** One faulted run; returns the rendered end-of-run stats. */
 std::string
 runChaoticSystem()
 {
     EventQueue eq;
-    system::System sys("sys", eq, chaoticSystemConfig());
+    system::System sys("sys", eq, testutil::chaoticSystemConfig());
     for (VirtPage p = 0; p < 96; ++p)
         sys.writePage(p, testutil::corpusPage(
                              compress::CorpusKind::LogLines, p + 1));

@@ -15,6 +15,7 @@
 #include "compress/corpus.hh"
 #include "dram/ddr_config.hh"
 #include "service/service.hh"
+#include "system/system.hh"
 #include "xfm/xfm_backend.hh"
 
 namespace xfm
@@ -71,6 +72,38 @@ testServiceConfig()
     cfg.system.sfmBytes = mib(8);
     cfg.system.device.spmBytes = mib(1);
     cfg.system.device.queueDepth = 64;
+    return cfg;
+}
+
+/**
+ * The health-armed chaos system: 96 pages under a seeded fault plan
+ * whose rates trip channel breakers mid-run, with a small quarantine
+ * cap. Its runs route single shards to the CPU in both swap
+ * directions while the other channels stay offloaded.
+ */
+inline system::SystemConfig
+chaoticSystemConfig()
+{
+    system::SystemConfig cfg;
+    cfg.backend = system::BackendKind::Xfm;
+    cfg.pages = 96;
+    cfg.sfmBytes = mib(8);
+    cfg.controller.coldThreshold = milliseconds(5.0);
+    cfg.controller.scanInterval = milliseconds(1.0);
+    cfg.controller.maxSwapOutsPerScan = 16;
+    cfg.faultPlan.seed = 11;
+    cfg.faultPlan.site(fault::FaultSite::SpmReserveFail).probability =
+        0.20;
+    cfg.faultPlan.site(fault::FaultSite::EngineStall).probability =
+        0.10;
+    cfg.faultPlan.site(fault::FaultSite::MmioDoorbellLoss)
+        .probability = 0.25;
+    cfg.health.enabled = true;
+    cfg.health.window = 8;
+    cfg.health.failConsecutive = 4;
+    cfg.health.cooldown = microseconds(50.0);
+    cfg.xfmDevice.watchdogWindows = 512;
+    cfg.quarantineCap = 4;
     return cfg;
 }
 
