@@ -71,10 +71,6 @@ main()
     EventQueue eq2;
     xfmsys::XfmSystemConfig xcfg;
     xcfg.numDimms = 4;
-    xcfg.dimmMem.rank.device = dram::ddr5Device32Gb();
-    xcfg.dimmMem.channels = 1;
-    xcfg.dimmMem.dimmsPerChannel = 1;
-    xcfg.dimmMem.ranksPerDimm = 1;
     xcfg.localPages = 16;
     xcfg.sfmBase = gib(1);
     xcfg.sfmBytes = mib(4);

@@ -94,10 +94,6 @@ advConfig(bool defense)
     cfg.registry.maxTenants = 4;
     cfg.registry.pagesPerShard = 64;
     cfg.system.numDimms = 4;
-    cfg.system.dimmMem.rank.device = dram::ddr5Device32Gb();
-    cfg.system.dimmMem.channels = 1;
-    cfg.system.dimmMem.dimmsPerChannel = 1;
-    cfg.system.dimmMem.ranksPerDimm = 1;
     cfg.system.sfmBase = gib(1);
     cfg.system.sfmBytes = mib(8);
     cfg.system.device.spmBytes = mib(1);

@@ -43,10 +43,6 @@ makeServiceConfig(std::size_t max_tenants)
     cfg.registry.maxTenants = max_tenants;
     cfg.registry.pagesPerShard = 512;
     cfg.system.numDimms = 4;
-    cfg.system.dimmMem.rank.device = dram::ddr5Device32Gb();
-    cfg.system.dimmMem.channels = 1;
-    cfg.system.dimmMem.dimmsPerChannel = 1;
-    cfg.system.dimmMem.ranksPerDimm = 1;
     cfg.system.sfmBase = gib(1);
     cfg.system.sfmBytes = mib(16);
     cfg.system.device.spmBytes = mib(2);

@@ -121,10 +121,6 @@ runCpuPipeline(std::size_t workers, std::uint64_t pages,
     EventQueue eq;
     xfmsys::XfmSystemConfig cfg;
     cfg.numDimms = 8;
-    cfg.dimmMem.rank.device = dram::ddr5Device32Gb();
-    cfg.dimmMem.channels = 1;
-    cfg.dimmMem.dimmsPerChannel = 1;
-    cfg.dimmMem.ranksPerDimm = 1;
     cfg.localPages = pages;
     cfg.sfmBase = gib(1);
     cfg.sfmBytes = mib(64);
@@ -218,8 +214,8 @@ runSystem(std::size_t workers, double run_seconds)
     cfg.backend = system::BackendKind::Xfm;
     cfg.pages = 512;
     cfg.sfmBytes = mib(16);
-    cfg.xfmDimms = 4;
-    cfg.workers = workers;
+    cfg.xfm.numDimms = 4;
+    cfg.xfm.workers = workers;
     system::System sys("perf", eq, cfg);
     for (sfm::VirtPage p = 0; p < cfg.pages; ++p) {
         sys.writePage(

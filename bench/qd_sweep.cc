@@ -73,10 +73,6 @@ runDepth(std::uint32_t depth, Tick horizon)
     EventQueue eq;
     xfmsys::XfmSystemConfig cfg;
     cfg.numDimms = 4;
-    cfg.dimmMem.rank.device = dram::ddr5Device32Gb();
-    cfg.dimmMem.channels = 1;
-    cfg.dimmMem.dimmsPerChannel = 1;
-    cfg.dimmMem.ranksPerDimm = 1;
     cfg.localBase = 0;
     cfg.localPages = numPages;
     cfg.sfmBase = gib(1);

@@ -86,10 +86,6 @@ runPolicy(sfm::TierPolicy policy, Tick horizon)
     EventQueue eq;
     xfmsys::XfmSystemConfig xcfg;
     xcfg.numDimms = 4;
-    xcfg.dimmMem.rank.device = dram::ddr5Device32Gb();
-    xcfg.dimmMem.channels = 1;
-    xcfg.dimmMem.dimmsPerChannel = 1;
-    xcfg.dimmMem.ranksPerDimm = 1;
     xcfg.localBase = 0;
     xcfg.localPages = numPages;
     xcfg.sfmBase = gib(1);

@@ -70,10 +70,6 @@ main()
 
     XfmSystemConfig cfg;
     cfg.numDimms = 4;
-    cfg.dimmMem.rank.device = dram::ddr5Device32Gb();
-    cfg.dimmMem.channels = 1;
-    cfg.dimmMem.dimmsPerChannel = 1;
-    cfg.dimmMem.ranksPerDimm = 1;
     cfg.localPages = 512;
     cfg.sfmBase = gib(1);
     cfg.sfmBytes = mib(64);

@@ -11,19 +11,10 @@
  * Usage: fleet_sim [--tenants N] [--ms M] [--rate R] [--seed S]
  *                  [--config FILE]
  *
- * The config file (key = value) may set the same knobs (tenants,
- * ms, rate, seed), `workers` (shard-compression threads for every
- * tenant's CPU swap path; results identical for any value), plus
- * the observability sinks:
- *   stats.json = fleet.json    # metric-registry JSON snapshot
- *   trace.out  = fleet.jsonl   # per-swap span trace (JSON lines)
- *   trace.cap  = 65536         # trace ring capacity in events
- * and the robustness knobs (src/health):
- *   health.*                   # circuit breakers on every domain
- *   shed.*                     # overload-shedding watermarks
- *
- * Workload selection:
- *   workload.model = fleet     # fleet | apps | adversary
+ * A flag is the config key of its name (`--ms 5` is `ms = 5`); later
+ * flags and files override earlier ones. The run keys are read here:
+ *   tenants = 8    ms = 50    rate = 100000    seed = 1
+ *   workload.model = fleet    # fleet | apps | adversary
  * `fleet` is the classic heterogeneous zipf fleet (workload/fleet).
  * `apps` alternates two application models per tenant slot
  * (workload/app_model): memtier-like KV stores (latency class,
@@ -32,43 +23,23 @@
  * windows feed the spill scan.
  * `adversary` runs the zipf fleet as victims plus three abusive
  * tenants (workload/adversary): an RFM-starver and a covert
- * sender/receiver pair. Usually combined with the refresh-realism
- * and QoS-defense keys below:
- *   refresh.mode / refresh.hira / refresh.trfcpb_ns
- *   rfm.raaimt / rfm.raammt / rfm.trfm_ns   # see xfmsim
- *   qos.reserved_slot_frac = 0.25  # per-lane guaranteed slots
- *   qos.slot_debt          = 1     # charge RFM steals to the source
- *   qos.abuse_enabled      = 1     # windowed z-score abuse detector
- *   qos.abuse_windows / qos.abuse_z / qos.abuse_min_loss
- *   qos.abuse_consecutive / qos.abuse_cooldown_ns
- *   adversary.bursts_per_second = 4000000
- *   adversary.activations_per_burst = 128
- *   adversary.pages / adversary.target_dimm / adversary.sweep_banks
- *   adversary.burst_budget      = 0      # 0 = hammer forever
- *   covert.bits / covert.bit_period_us / covert.bursts_per_bit
- *   covert.activations_per_burst / covert.probes_per_bit
- *   covert.seed                 # shared schedule secret
+ * sender/receiver pair (see configs/adversary.cfg).
  *
- * Tiered far memory (src/sfm/tier_manager.hh; `tier.enabled = 0`,
- * the default, is byte-identical to the two-state stack):
- *   tier.*                     # same keys as xfmsim (see there)
- *   fault.dfm_delay.p / fault.dfm_drop.p  # spill-link fault sites
- * Flags given after --config override the file.
+ * Every other key is documented on its parser:
+ * service::ServiceConfig::fromConfig (and the parsers it names),
+ * workload::RfmStarverConfig / CovertConfig::fromConfig
+ * (adversary.*, covert.*) and obs::RunSinks.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <string>
-
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/config.hh"
 #include "common/logging.hh"
-#include "dram/ddr_config.hh"
-#include "fault/fault.hh"
-#include "obs/tracer.hh"
+#include "obs/sinks.hh"
 #include "service/service.hh"
 #include "workload/adversary.hh"
 #include "workload/app_model.hh"
@@ -79,32 +50,16 @@ using namespace xfm;
 namespace
 {
 
-/** Write @p text to @p path, fatally on failure. */
-void
-writeFile(const std::string &path, const std::string &text)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("cannot open '", path, "' for writing");
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-}
-
+/** The fleet's deployment before any config key applies: the
+ *  default 4-DIMM XfmSystemConfig with a 16 MiB SFM region each. */
 service::ServiceConfig
-makeServiceConfig(std::size_t max_tenants)
+baseServiceConfig(std::size_t max_tenants)
 {
     service::ServiceConfig cfg;
     cfg.registry.maxTenants = max_tenants;
     cfg.registry.pagesPerShard = 512;
-    cfg.system.numDimms = 4;
-    cfg.system.dimmMem.rank.device = dram::ddr5Device32Gb();
-    cfg.system.dimmMem.channels = 1;
-    cfg.system.dimmMem.dimmsPerChannel = 1;
-    cfg.system.dimmMem.ranksPerDimm = 1;
     cfg.system.sfmBase = gib(1);
     cfg.system.sfmBytes = mib(16);
-    cfg.system.device.spmBytes = mib(2);
-    cfg.system.device.queueDepth = 64;
     // Batch tenants share half the scratchpad; the latency class
     // keeps the rest plus anything batch leaves idle.
     cfg.batchSpmCapBytes = mib(4);
@@ -129,107 +84,19 @@ flagKey(const char *flag)
 int
 run(int argc, char **argv)
 {
-    std::size_t tenants = 8;
-    double sim_ms = 50.0;
-    double rate = 100000.0;
-    std::uint64_t seed = 1;
-    std::size_t workers = 1;
-    std::string stats_json;
-    std::string trace_out;
-    std::uint64_t trace_cap = 65536;
-    std::uint32_t sq_depth = 1;
-    std::uint32_t cq_coalesce = 1;
-    bool shard_dict = false;
-    std::size_t dict_bytes = 2048;
-    std::string model = "fleet";
-    health::HealthConfig health_cfg;
-    health::ShedConfig shed_cfg;
-    sfm::TierConfig tier_cfg;
-    dram::DeviceConfig dev_cfg = dram::ddr5Device32Gb();
-    service::QosArbiterConfig arb_cfg;
-    workload::RfmStarverConfig starver_cfg;
-    workload::CovertConfig covert_cfg;
-    // Flags and file share one parse path: both go through the
-    // validated Config getters.
-    const auto read_run_keys = [&](const Config &cfg) {
-        tenants = cfg.getU64("tenants", tenants);
-        sim_ms = cfg.getDouble("ms", sim_ms);
-        rate = cfg.getDouble("rate", rate);
-        seed = cfg.getU64("seed", seed);
-    };
+    // Flags and files merge into one Config in argument order (the
+    // last value of a key wins); every component then parses its
+    // own keys from it.
+    Config cfg;
     for (int i = 1; i < argc; i += 2) {
         if (i + 1 >= argc) {
             std::fprintf(stderr, "fleet_sim: %s needs a value\n", argv[i]);
             return 1;
         }
         if (const char *key = flagKey(argv[i])) {
-            Config flag;
-            flag.set(key, argv[i + 1]);
-            read_run_keys(flag);
+            cfg.set(key, argv[i + 1]);
         } else if (!std::strcmp(argv[i], "--config")) {
-            Config cfg = Config::parseFile(argv[i + 1]);
-            read_run_keys(cfg);
-            workers = static_cast<std::size_t>(
-                cfg.getU64("workers", workers));
-            stats_json = cfg.getString("stats.json", stats_json);
-            trace_out = cfg.getString("trace.out", trace_out);
-            trace_cap = cfg.getU64("trace.cap", trace_cap);
-            sq_depth = static_cast<std::uint32_t>(
-                cfg.getU64("xfm.sq_depth", sq_depth));
-            cq_coalesce = static_cast<std::uint32_t>(
-                cfg.getU64("xfm.cq_coalesce", cq_coalesce));
-            shard_dict = cfg.getBool("xfm.shard_dict", shard_dict);
-            dict_bytes = static_cast<std::size_t>(
-                cfg.getU64("xfm.dict_bytes", dict_bytes));
-            model = cfg.getString("workload.model", model);
-            // Refresh realism on the shared DIMMs and the QoS
-            // defense knobs (both byte-identical when unset).
-            dram::applyRefreshConfig(dev_cfg, cfg);
-            arb_cfg = service::QosArbiterConfig::fromConfig(cfg);
-            starver_cfg.pages =
-                cfg.getU64("adversary.pages", starver_cfg.pages);
-            starver_cfg.burstsPerSecond =
-                cfg.getDouble("adversary.bursts_per_second",
-                              starver_cfg.burstsPerSecond);
-            starver_cfg.activationsPerBurst =
-                static_cast<std::uint32_t>(
-                    cfg.getU64("adversary.activations_per_burst",
-                               starver_cfg.activationsPerBurst));
-            starver_cfg.targetDimm = static_cast<std::uint32_t>(
-                cfg.getU64("adversary.target_dimm",
-                           starver_cfg.targetDimm));
-            starver_cfg.sweepBanks = cfg.getBool(
-                "adversary.sweep_banks", starver_cfg.sweepBanks);
-            starver_cfg.burstBudget =
-                cfg.getU64("adversary.burst_budget",
-                           starver_cfg.burstBudget);
-            covert_cfg.bits = static_cast<std::uint32_t>(
-                cfg.getU64("covert.bits", covert_cfg.bits));
-            covert_cfg.bitPeriod = microseconds(
-                cfg.getDouble("covert.bit_period_us",
-                              static_cast<double>(covert_cfg.bitPeriod)
-                                  / microseconds(1.0)));
-            covert_cfg.burstsPerBit = static_cast<std::uint32_t>(
-                cfg.getU64("covert.bursts_per_bit",
-                           covert_cfg.burstsPerBit));
-            covert_cfg.activationsPerBurst =
-                static_cast<std::uint32_t>(
-                    cfg.getU64("covert.activations_per_burst",
-                               covert_cfg.activationsPerBurst));
-            covert_cfg.probesPerBit = static_cast<std::uint32_t>(
-                cfg.getU64("covert.probes_per_bit",
-                           covert_cfg.probesPerBit));
-            covert_cfg.scheduleSeed =
-                cfg.getU64("covert.seed", covert_cfg.scheduleSeed);
-            health_cfg = health::HealthConfig::fromConfig(cfg);
-            shed_cfg = health::ShedConfig::fromConfig(cfg);
-            tier_cfg = sfm::TierConfig::fromConfig(cfg);
-            // The spill link shares the run's fault plan and retry
-            // policy (DfmLinkDelay / DfmLinkDrop sites; disarmed
-            // unless configured).
-            tier_cfg.faults = fault::FaultPlan::fromConfig(cfg);
-            tier_cfg.retry = fault::RetryPolicy::fromConfig(cfg);
-            cfg.requireAllConsumed();
+            cfg.merge(Config::parseFile(argv[i + 1]));
         } else {
             std::fprintf(stderr,
                          "fleet_sim: unknown flag %s\n"
@@ -240,26 +107,25 @@ run(int argc, char **argv)
             return 1;
         }
     }
-
-    EventQueue eq;
+    const std::size_t tenants = cfg.getU64("tenants", 8);
+    const double sim_ms = cfg.getDouble("ms", 50.0);
+    const double rate = cfg.getDouble("rate", 100000.0);
+    const std::uint64_t seed = cfg.getU64("seed", 1);
+    const std::string model = cfg.getString("workload.model", "fleet");
     // The adversary model admits three abusive tenants on top of
     // the victim fleet, so the registry needs the extra slots.
-    service::ServiceConfig scfg = makeServiceConfig(
-        model == "adversary" ? tenants + 3 : tenants);
-    scfg.arbiter = arb_cfg;
-    scfg.system.dimmMem.rank.device = dev_cfg;
-    scfg.system.health = health_cfg;
-    scfg.system.workers = workers;
-    scfg.system.device.sqDepth = sq_depth;
-    scfg.system.device.cqCoalesce = cq_coalesce;
-    scfg.system.shardDict = shard_dict;
-    scfg.system.dictBytes = dict_bytes;
-    scfg.shed = shed_cfg;
-    scfg.tier = tier_cfg;
+    const auto scfg = service::ServiceConfig::fromConfig(
+        cfg, baseServiceConfig(model == "adversary" ? tenants + 3
+                                                    : tenants));
+    const auto starver_cfg = workload::RfmStarverConfig::fromConfig(cfg);
+    const auto covert_cfg = workload::CovertConfig::fromConfig(cfg);
+    obs::RunSinks sinks(cfg);
+    cfg.requireAllConsumed();
+
+    EventQueue eq;
     service::FarMemoryService svc("svc", eq, scfg);
-    obs::Tracer tracer(static_cast<std::size_t>(trace_cap));
-    if (!trace_out.empty())
-        svc.setTracer(&tracer);
+    if (obs::Tracer *tracer = sinks.tracer())
+        svc.setTracer(tracer);
 
     std::unique_ptr<workload::FleetDriver> fleet;
     std::vector<std::unique_ptr<workload::KvStoreModel>> kvs;
@@ -267,12 +133,7 @@ run(int argc, char **argv)
     std::unique_ptr<workload::RfmStarverModel> starver;
     std::unique_ptr<workload::CovertSenderModel> covert_tx;
     std::unique_ptr<workload::CovertReceiverModel> covert_rx;
-    if (model == "adversary") {
-        // Victim fleet plus the three abusive tenants: the starver
-        // hammers RAA counters on one DIMM while the covert pair
-        // modulates/decodes RFM pressure on the shared refresh
-        // machinery. The QoS defense (qos.* keys) is what keeps the
-        // fleet's tail intact.
+    if (model == "fleet" || model == "adversary") {
         workload::FleetConfig fcfg;
         fcfg.numTenants = tenants;
         fcfg.pagesPerTenant = 128;
@@ -280,6 +141,13 @@ run(int argc, char **argv)
         fcfg.seed = seed;
         fleet = std::make_unique<workload::FleetDriver>(
             "fleet", eq, svc, fcfg);
+    }
+    if (model == "adversary") {
+        // Three abusive tenants next to the victim fleet: the
+        // starver hammers RAA counters on one DIMM while the covert
+        // pair modulates/decodes RFM pressure on the shared refresh
+        // machinery. The QoS defense (qos.* keys) is what keeps the
+        // fleet's tail intact.
         service::TenantConfig atcfg;
         atcfg.name = "starver";
         starver = std::make_unique<workload::RfmStarverModel>(
@@ -292,14 +160,6 @@ run(int argc, char **argv)
         txcfg.name = "covert_tx";
         covert_tx = std::make_unique<workload::CovertSenderModel>(
             "covert_tx", eq, svc, covert_cfg, txcfg);
-    } else if (model == "fleet") {
-        workload::FleetConfig fcfg;
-        fcfg.numTenants = tenants;
-        fcfg.pagesPerTenant = 128;
-        fcfg.accessesPerSecond = rate;
-        fcfg.seed = seed;
-        fleet = std::make_unique<workload::FleetDriver>(
-            "fleet", eq, svc, fcfg);
     } else if (model == "apps") {
         // Application-model mix: KV serving jobs alternate with
         // inference-batch servers. The KV tenants pin their hot
@@ -345,7 +205,7 @@ run(int argc, char **argv)
                         tcfg));
             }
         }
-    } else {
+    } else if (model != "fleet") {
         fatal("workload.model must be 'fleet', 'apps', or "
               "'adversary', got '", model, "'");
     }
@@ -403,16 +263,9 @@ run(int argc, char **argv)
 
     const obs::Snapshot snap = svc.metrics().snapshot();
     std::printf("%s\n", snap.renderText().c_str());
-    if (!stats_json.empty())
-        writeFile(stats_json, snap.toJson());
-    if (!trace_out.empty()) {
-        writeFile(trace_out, tracer.toJsonLines());
-        std::printf("trace: %llu events recorded, %llu dropped "
-                    "-> %s\n",
-                    (unsigned long long)tracer.recorded(),
-                    (unsigned long long)tracer.dropped(),
-                    trace_out.c_str());
-    }
+    const std::string trace_line = sinks.write(snap);
+    if (!trace_line.empty())
+        std::printf("%s\n", trace_line.c_str());
 
     if (starver) {
         const auto &ss = starver->stats();

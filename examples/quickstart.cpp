@@ -24,10 +24,6 @@ main()
     //    32 Gb DDR5 devices; a 16 MiB SFM region on each DIMM.
     XfmSystemConfig cfg;
     cfg.numDimms = 4;
-    cfg.dimmMem.rank.device = dram::ddr5Device32Gb();
-    cfg.dimmMem.channels = 1;
-    cfg.dimmMem.dimmsPerChannel = 1;
-    cfg.dimmMem.ranksPerDimm = 1;
     cfg.localPages = 64;
     cfg.sfmBase = gib(1);
     cfg.sfmBytes = mib(16);

@@ -84,6 +84,14 @@ echo "stats.json = ${chaos_dir}/stats.json" >> "${chaos_dir}/chaos.cfg"
 "${build_dir}/examples/xfmsim" "${chaos_dir}/chaos.cfg" > /dev/null
 "${build_dir}/tools/check_obs_output" health "${chaos_dir}/stats.json"
 
+# Shipped configs: the remaining example configs must run to
+# completion (set -e fails the gate on any non-zero exit, such as a
+# key no component parses any more).
+for cfg in xfm baseline faults; do
+    "${build_dir}/examples/xfmsim" "${repo_root}/configs/${cfg}.cfg" \
+        > /dev/null
+done
+
 # Adversary soak: the RFM-starver and covert pair against a victim
 # fleet with the full QoS defense armed (configs/adversary.cfg).
 # The abuse checker then asserts the detector settled: at least one
@@ -97,12 +105,15 @@ echo "stats.json = ${adv_dir}/stats.json" >> "${adv_dir}/adversary.cfg"
 "${build_dir}/tools/check_obs_output" abuse "${adv_dir}/stats.json"
 
 # Flag validation: fleet_sim reads its flags through the same
-# Config getters as its file keys, so a malformed value is a config
-# error (exit 1), never a silent run with a garbage value.
-if "${build_dir}/examples/fleet_sim" --ms xyz > /dev/null 2>&1; then
-    echo "ci: fleet_sim accepted '--ms xyz'" >&2
-    exit 1
-fi
+# Config getters as its file keys, so a malformed or non-finite
+# value is a config error (exit 1), never a silent run with a
+# garbage value (nan never ends; inf simulates nothing).
+for bad in xyz nan inf; do
+    if "${build_dir}/examples/fleet_sim" --ms "${bad}" > /dev/null 2>&1; then
+        echo "ci: fleet_sim accepted '--ms ${bad}'" >&2
+        exit 1
+    fi
+done
 
 # Repository benchmark (BENCHMARK.json): one short run per workload.
 # run.py builds its own tree under the build dir and exits non-zero

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "logging.hh"
@@ -74,6 +77,13 @@ Config::set(const std::string &key, const std::string &value)
     values_[key] = value;
 }
 
+void
+Config::merge(const Config &other)
+{
+    for (const auto &key : other.order_)
+        set(key, other.values_.at(key));
+}
+
 bool
 Config::has(const std::string &key) const
 {
@@ -97,13 +107,28 @@ Config::getU64(const std::string &key, std::uint64_t fallback) const
     if (it == values_.end())
         return fallback;
     char *end = nullptr;
+    errno = 0;
     const auto v = std::strtoull(it->second.c_str(), &end, 0);
     // strtoull negates a leading '-' into a huge value; refuse it.
     if (end == it->second.c_str() || *end != '\0'
         || it->second[0] == '-')
         fatal("config key '", key, "': '", it->second,
               "' is not an unsigned integer");
+    // ...and saturates an overflowing value at 2^64 - 1.
+    if (errno == ERANGE)
+        fatal("config key '", key, "': '", it->second,
+              "' is out of range");
     return v;
+}
+
+std::uint32_t
+Config::getU32(const std::string &key, std::uint32_t fallback) const
+{
+    const std::uint64_t v = getU64(key, fallback);
+    if (v > std::numeric_limits<std::uint32_t>::max())
+        fatal("config key '", key, "': '", values_.at(key),
+              "' is out of range");
+    return static_cast<std::uint32_t>(v);
 }
 
 double
@@ -118,6 +143,11 @@ Config::getDouble(const std::string &key, double fallback) const
     if (end == it->second.c_str() || *end != '\0')
         fatal("config key '", key, "': '", it->second,
               "' is not a number");
+    // strtod accepts "nan" and "inf" and overflows to inf; no
+    // quantity in a config is meaningfully infinite.
+    if (!std::isfinite(v))
+        fatal("config key '", key, "': '", it->second,
+              "' is not a finite number");
     return v;
 }
 
@@ -150,15 +180,18 @@ Config::unconsumedKeys() const
 }
 
 void
-Config::requireAllConsumed() const
+Config::requireAllConsumed(const std::string &prefix) const
 {
-    const auto unused = unconsumedKeys();
-    if (unused.empty())
-        return;
+    std::size_t unused = 0;
     std::string names;
-    for (const auto &key : unused)
+    for (const auto &key : unconsumedKeys()) {
+        if (key.rfind(prefix, 0) != 0)
+            continue;
+        ++unused;
         names += (names.empty() ? "'" : ", '") + key + "'";
-    fatal("unknown config key", unused.size() > 1 ? "s " : " ", names);
+    }
+    if (unused > 0)
+        fatal("unknown config key", unused > 1 ? "s " : " ", names);
 }
 
 std::vector<std::string>

@@ -1,5 +1,7 @@
 #include "ddr_config.hh"
 
+#include <utility>
+
 #include "common/config.hh"
 #include "common/logging.hh"
 
@@ -110,12 +112,12 @@ maxAccessesPerWindowOf(const DeviceConfig &dev, Tick window)
                                           / per_access);
 }
 
-void
-applyRefreshConfig(DeviceConfig &dev, const Config &cfg)
+DeviceConfig
+DeviceConfig::fromConfig(const Config &cfg, DeviceConfig base)
 {
+    DeviceConfig dev = std::move(base);
     const std::string mode =
-        cfg.getString("refresh.mode",
-                      refreshModeName(dev.refreshMode));
+        cfg.getString("refresh.mode", refreshModeName(dev.refreshMode));
     if (mode == "refab")
         dev.refreshMode = RefreshMode::RefAb;
     else if (mode == "refpb")
@@ -124,18 +126,13 @@ applyRefreshConfig(DeviceConfig &dev, const Config &cfg)
         fatal("refresh.mode must be 'refab' or 'refpb', got '", mode,
               "'");
     dev.hira = cfg.getBool("refresh.hira", dev.hira);
-    dev.tRFCpb = nanoseconds(
-        cfg.getDouble("refresh.trfcpb_ns",
-                      static_cast<double>(dev.tRFCpb)
-                          / nanoseconds(1.0)));
-    dev.rfmRaaimt = static_cast<std::uint32_t>(
-        cfg.getU64("rfm.raaimt", dev.rfmRaaimt));
-    dev.rfmRaammt = static_cast<std::uint32_t>(
-        cfg.getU64("rfm.raammt", dev.rfmRaammt));
-    dev.tRFM = nanoseconds(
-        cfg.getDouble("rfm.trfm_ns",
-                      static_cast<double>(dev.tRFM)
-                          / nanoseconds(1.0)));
+    if (cfg.has("refresh.trfcpb_ns"))
+        dev.tRFCpb = nanoseconds(cfg.getDouble("refresh.trfcpb_ns"));
+    dev.rfmRaaimt = cfg.getU32("rfm.raaimt", dev.rfmRaaimt);
+    dev.rfmRaammt = cfg.getU32("rfm.raammt", dev.rfmRaammt);
+    if (cfg.has("rfm.trfm_ns"))
+        dev.tRFM = nanoseconds(cfg.getDouble("rfm.trfm_ns"));
+    return dev;
 }
 
 Tick

@@ -14,12 +14,11 @@
 #include <cstdint>
 #include <string>
 
+#include "common/config.hh"
 #include "common/units.hh"
 
 namespace xfm
 {
-
-class Config;
 
 namespace dram
 {
@@ -156,6 +155,18 @@ struct DeviceConfig
         return (rowsPerBank + refCommandsPerRetention - 1)
             / refCommandsPerRetention;
     }
+
+    /**
+     * @p base with the refresh-realism keys applied to the fields
+     * above (absent keys keep the base's value, so a config without
+     * them stays byte-identical to the pre-realism model):
+     * refresh.mode (refab | refpb), refresh.hira,
+     * refresh.trfcpb_ns, rfm.raaimt, rfm.raammt, rfm.trfm_ns. Timing
+     * and geometry come from the base only.
+     */
+    static DeviceConfig
+    fromConfig(const Config &cfg,
+               DeviceConfig base = defaults<DeviceConfig>());
 };
 
 /**
@@ -175,19 +186,6 @@ std::uint32_t maxAccessesPerWindowOf(const DeviceConfig &dev,
 /** Time offset (from window start) at which access @p k completes:
  *  first access pays the full activation, later ones pipeline. */
 Tick accessCompletionOffset(const DeviceConfig &dev, std::uint32_t k);
-
-/**
- * Apply the `refresh.*` / `rfm.*` config keys to @p dev:
- *   refresh.mode      = refab | refpb
- *   refresh.hira      = 0 | 1
- *   refresh.trfcpb_ns = per-bank refresh duration
- *   rfm.raaimt        = RFM issue threshold (0 = RFM disabled)
- *   rfm.raammt        = ACT-blocking threshold (0 = 4 x raaimt)
- *   rfm.trfm_ns       = RFM lock duration
- * Absent keys leave the device untouched, so a config without any
- * of them stays byte-identical to the pre-realism model.
- */
-void applyRefreshConfig(DeviceConfig &dev, const Config &cfg);
 
 /** Table 1 devices: 8 Gb, 16 Gb, and 32 Gb DDR5. */
 DeviceConfig ddr5Device8Gb();

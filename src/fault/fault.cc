@@ -36,9 +36,9 @@ FaultPlan::anyArmed() const
 }
 
 FaultPlan
-FaultPlan::fromConfig(const Config &cfg)
+FaultPlan::fromConfig(const Config &cfg, FaultPlan base)
 {
-    FaultPlan plan;
+    FaultPlan plan = base;
     plan.seed = cfg.getU64("fault.seed", plan.seed);
     plan.spmHighWatermark =
         cfg.getDouble("fault.spm_watermark", plan.spmHighWatermark);
@@ -62,31 +62,16 @@ FaultPlan::fromConfig(const Config &cfg)
 
     // Typos in fault.* keys would silently disarm a scenario the
     // test author believes is active; reject them.
-    for (const auto &key : cfg.keys()) {
-        if (key.rfind("fault.", 0) != 0)
-            continue;
-        if (key == "fault.seed" || key == "fault.spm_watermark"
-            || key == "fault.dfm_delay_ns")
-            continue;
-        bool known = false;
-        for (std::size_t s = 0; s < faultSiteCount && !known; ++s) {
-            const std::string base =
-                std::string("fault.") + siteNames[s] + ".";
-            known = key == base + "p" || key == base + "one_shot"
-                || key == base + "max";
-        }
-        if (!known)
-            fatal("unknown fault-plan key '", key, "'");
-    }
+    cfg.requireAllConsumed("fault.");
     return plan;
 }
 
 RetryPolicy
-RetryPolicy::fromConfig(const Config &cfg)
+RetryPolicy::fromConfig(const Config &cfg, RetryPolicy base)
 {
-    RetryPolicy policy;
-    policy.maxAttempts = static_cast<std::uint32_t>(
-        cfg.getU64("retry.max_attempts", policy.maxAttempts));
+    RetryPolicy policy = base;
+    policy.maxAttempts =
+        cfg.getU32("retry.max_attempts", policy.maxAttempts);
     if (cfg.has("retry.backoff_ns"))
         policy.backoffBase =
             nanoseconds(cfg.getDouble("retry.backoff_ns"));

@@ -84,22 +84,7 @@ struct SiteStats
     std::uint64_t injections = 0;
 };
 
-/**
- * A complete fault scenario.
- *
- * Config keys (all optional; anything absent keeps its default):
- *
- *   fault.seed            = 7        # injector RNG seed
- *   fault.spm_watermark   = 0.875    # high-watermark fraction
- *   fault.dfm_delay_ns    = 2000     # link latency spike size
- *   fault.<site>.p        = 0.1      # per-evaluation probability
- *   fault.<site>.one_shot = 12       # fire on the Nth evaluation
- *   fault.<site>.max      = 3        # cap on injections
- *
- * where <site> is one of: ecc_correctable, ecc_uncorrectable,
- * spm_reserve, spm_watermark, engine_stall, mmio_doorbell,
- * dfm_delay, dfm_drop.
- */
+/** A complete fault scenario (config keys: see fromConfig). */
 struct FaultPlan
 {
     std::uint64_t seed = 1;
@@ -124,9 +109,22 @@ struct FaultPlan
     /** True if any site can ever fire. */
     bool anyArmed() const;
 
-    /** Parse the fault.* keys of a Config (missing keys = defaults).
-     *  @throws FatalError on an unknown site name under fault. */
-    static FaultPlan fromConfig(const Config &cfg);
+    /**
+     * @p base with the fault.* keys applied (absent keys keep the
+     * base's value):
+     *   fault.seed            = 7      # injector RNG seed
+     *   fault.spm_watermark   = 0.875  # high-watermark fraction
+     *   fault.dfm_delay_ns    = 2000   # link latency spike size
+     *   fault.<site>.p        = 0.1    # per-evaluation probability
+     *   fault.<site>.one_shot = 12     # fire on the Nth evaluation
+     *   fault.<site>.max      = 3      # cap on injections
+     * where <site> is one of: ecc_correctable, ecc_uncorrectable,
+     * spm_reserve, spm_watermark, engine_stall, mmio_doorbell,
+     * dfm_delay, dfm_drop.
+     * @throws FatalError on an unknown key under fault.
+     */
+    static FaultPlan fromConfig(const Config &cfg,
+                                FaultPlan base = defaults<FaultPlan>());
 };
 
 /**
@@ -136,8 +134,6 @@ struct FaultPlan
  * next try; after maxAttempts total attempts the caller falls back
  * to the CPU path. maxAttempts = 1 degenerates to first-failure
  * fallback.
- *
- * Config keys: retry.max_attempts, retry.backoff_ns, retry.cap_ns.
  */
 struct RetryPolicy
 {
@@ -165,7 +161,11 @@ struct RetryPolicy
         return raw < backoffCap ? raw : backoffCap;
     }
 
-    static RetryPolicy fromConfig(const Config &cfg);
+    /** @p base with the retry.* keys applied (absent keys keep the
+     *  base's value): retry.max_attempts, retry.backoff_ns (base of
+     *  the exponential backoff) and retry.cap_ns. */
+    static RetryPolicy fromConfig(const Config &cfg,
+                                  RetryPolicy base = defaults<RetryPolicy>());
 };
 
 /**

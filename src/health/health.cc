@@ -20,23 +20,21 @@ healthStateName(HealthState s)
 }
 
 HealthConfig
-HealthConfig::fromConfig(const Config &cfg)
+HealthConfig::fromConfig(const Config &cfg, HealthConfig base)
 {
-    HealthConfig c;
+    HealthConfig c = base;
     c.enabled = cfg.getBool("health.enabled", c.enabled);
-    c.window = static_cast<std::uint32_t>(
-        cfg.getU64("health.window", c.window));
+    c.window = cfg.getU32("health.window", c.window);
     c.degradeThreshold =
         cfg.getDouble("health.degrade", c.degradeThreshold);
     c.failThreshold = cfg.getDouble("health.fail", c.failThreshold);
-    c.failConsecutive = static_cast<std::uint32_t>(
-        cfg.getU64("health.fail_consecutive", c.failConsecutive));
+    c.failConsecutive =
+        cfg.getU32("health.fail_consecutive", c.failConsecutive);
     if (cfg.has("health.cooldown_ns"))
         c.cooldown = nanoseconds(cfg.getDouble("health.cooldown_ns"));
-    c.probeQuota = static_cast<std::uint32_t>(
-        cfg.getU64("health.probe_quota", c.probeQuota));
-    c.probeSuccesses = static_cast<std::uint32_t>(
-        cfg.getU64("health.probe_successes", c.probeSuccesses));
+    c.probeQuota = cfg.getU32("health.probe_quota", c.probeQuota);
+    c.probeSuccesses =
+        cfg.getU32("health.probe_successes", c.probeSuccesses);
 
     if (c.window == 0)
         fatal("health.window must be at least 1");
@@ -56,21 +54,7 @@ HealthConfig::fromConfig(const Config &cfg)
 
     // Typos in health.* keys would silently run a scenario with
     // default tuning the author believes was overridden; reject.
-    static const char *known[] = {
-        "health.enabled", "health.window", "health.degrade",
-        "health.fail", "health.fail_consecutive",
-        "health.cooldown_ns", "health.probe_quota",
-        "health.probe_successes",
-    };
-    for (const auto &key : cfg.keys()) {
-        if (key.rfind("health.", 0) != 0)
-            continue;
-        bool ok = false;
-        for (const char *k : known)
-            ok = ok || key == k;
-        if (!ok)
-            fatal("unknown health key '", key, "'");
-    }
+    cfg.requireAllConsumed("health.");
     return c;
 }
 

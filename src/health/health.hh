@@ -52,20 +52,8 @@ constexpr std::size_t healthStateCount = 4;
 /** Stable lowercase identifier used in stats and traces. */
 const char *healthStateName(HealthState s);
 
-/**
- * Monitor tuning, shared by every failure domain of a backend.
- *
- * Config keys (all optional under the `health.` prefix):
- *
- *   health.enabled         = 1       # master switch (default off)
- *   health.window          = 16      # outcomes per evaluation window
- *   health.degrade         = 0.25    # fault fraction -> Degraded
- *   health.fail            = 0.5     # fault fraction -> Failed
- *   health.fail_consecutive = 8      # consecutive faults -> Failed
- *   health.cooldown_ns     = 100000  # Failed -> Probation delay
- *   health.probe_quota     = 4       # probes per half-open round
- *   health.probe_successes = 3       # probe wins to re-close
- */
+/** Monitor tuning, shared by every failure domain of a backend
+ *  (config keys: see fromConfig). */
 struct HealthConfig
 {
     /** Master switch; a disabled monitor admits everything and
@@ -87,9 +75,22 @@ struct HealthConfig
     /** Probe successes required to re-close the breaker. */
     std::uint32_t probeSuccesses = 3;
 
-    /** Parse the health.* keys of a Config (missing keys = defaults).
-     *  @throws FatalError on an unknown key under health. */
-    static HealthConfig fromConfig(const Config &cfg);
+    /**
+     * @p base with the health.* keys applied (absent keys keep the
+     * base's value):
+     *   health.enabled          = 1       # master switch (default off)
+     *   health.window           = 16      # outcomes per window
+     *   health.degrade          = 0.25    # fault fraction -> Degraded
+     *   health.fail             = 0.5     # fault fraction -> Failed
+     *   health.fail_consecutive = 8       # consecutive faults -> Failed
+     *   health.cooldown_ns      = 100000  # Failed -> Probation delay
+     *   health.probe_quota      = 4       # probes per half-open round
+     *   health.probe_successes  = 3       # probe wins to re-close
+     * @throws FatalError on an unknown key under health.
+     */
+    static HealthConfig
+    fromConfig(const Config &cfg,
+               HealthConfig base = defaults<HealthConfig>());
 };
 
 /** Monitor counters (registered into the MetricRegistry). */

@@ -8,14 +8,12 @@ namespace health
 {
 
 ShedConfig
-ShedConfig::fromConfig(const Config &cfg)
+ShedConfig::fromConfig(const Config &cfg, ShedConfig base)
 {
-    ShedConfig c;
+    ShedConfig c = base;
     c.enabled = cfg.getBool("shed.enabled", c.enabled);
-    c.queueHigh = static_cast<std::size_t>(
-        cfg.getU64("shed.queue_high", c.queueHigh));
-    c.queueLow = static_cast<std::size_t>(
-        cfg.getU64("shed.queue_low", c.queueLow));
+    c.queueHigh = cfg.getU64("shed.queue_high", c.queueHigh);
+    c.queueLow = cfg.getU64("shed.queue_low", c.queueLow);
     c.spmHigh = cfg.getDouble("shed.spm_high", c.spmHigh);
     c.spmLow = cfg.getDouble("shed.spm_low", c.spmLow);
 
@@ -27,19 +25,7 @@ ShedConfig::fromConfig(const Config &cfg)
     if (c.spmLow > c.spmHigh)
         fatal("shed.spm_low must not exceed shed.spm_high");
 
-    static const char *known[] = {
-        "shed.enabled", "shed.queue_high", "shed.queue_low",
-        "shed.spm_high", "shed.spm_low",
-    };
-    for (const auto &key : cfg.keys()) {
-        if (key.rfind("shed.", 0) != 0)
-            continue;
-        bool ok = false;
-        for (const char *k : known)
-            ok = ok || key == k;
-        if (!ok)
-            fatal("unknown shed key '", key, "'");
-    }
+    cfg.requireAllConsumed("shed.");
     return c;
 }
 

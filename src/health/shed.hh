@@ -41,17 +41,7 @@ enum class ShedDecision : std::uint8_t
     Reject,    ///< refuse outright (typed Rejected{Overload})
 };
 
-/**
- * Watermark tuning.
- *
- * Config keys (all optional under the `shed.` prefix):
- *
- *   shed.enabled    = 1      # master switch (default off)
- *   shed.queue_high = 64     # arbiter backlog engaging shedding
- *   shed.queue_low  = 16     # backlog at which it may disengage
- *   shed.spm_high   = 0.90   # SPM occupancy fraction engaging
- *   shed.spm_low    = 0.70   # occupancy at which it may disengage
- */
+/** Watermark tuning (config keys: see fromConfig). */
 struct ShedConfig
 {
     bool enabled = false;
@@ -60,9 +50,18 @@ struct ShedConfig
     double spmHigh = 0.90;
     double spmLow = 0.70;
 
-    /** Parse the shed.* keys of a Config (missing keys = defaults).
-     *  @throws FatalError on an unknown key under shed. */
-    static ShedConfig fromConfig(const Config &cfg);
+    /**
+     * @p base with the shed.* keys applied (absent keys keep the
+     * base's value):
+     *   shed.enabled    = 1     # master switch (default off)
+     *   shed.queue_high = 64    # arbiter backlog engaging shedding
+     *   shed.queue_low  = 16    # backlog at which it may disengage
+     *   shed.spm_high   = 0.90  # SPM occupancy fraction engaging
+     *   shed.spm_low    = 0.70  # occupancy at which it may disengage
+     * @throws FatalError on an unknown key under shed.
+     */
+    static ShedConfig fromConfig(const Config &cfg,
+                                 ShedConfig base = defaults<ShedConfig>());
 };
 
 /** Shedder counters. */

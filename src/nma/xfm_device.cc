@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/config.hh"
 #include "common/logging.hh"
 #include "dram/ecc.hh"
 
@@ -10,6 +11,20 @@ namespace xfm
 {
 namespace nma
 {
+
+XfmDeviceConfig
+XfmDeviceConfig::fromConfig(const Config &cfg, XfmDeviceConfig base)
+{
+    XfmDeviceConfig c = std::move(base);
+    c.spmBytes = cfg.getU64("xfm.spm_bytes", c.spmBytes);
+    c.maxAccessesPerWindow =
+        cfg.getU32("xfm.accesses_per_trfc", c.maxAccessesPerWindow);
+    c.sqDepth = cfg.getU32("xfm.sq_depth", c.sqDepth);
+    c.cqCoalesce = cfg.getU32("xfm.cq_coalesce", c.cqCoalesce);
+    c.watchdogWindows =
+        cfg.getU32("xfm.watchdog_windows", c.watchdogWindows);
+    return c;
+}
 
 XfmDevice::XfmDevice(std::string name, EventQueue &eq,
                      const XfmDeviceConfig &cfg,

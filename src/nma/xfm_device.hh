@@ -23,6 +23,7 @@
 #include <memory>
 #include <set>
 
+#include "common/config.hh"
 #include "common/random.hh"
 #include "dram/address_map.hh"
 #include "health/health.hh"
@@ -115,6 +116,14 @@ struct XfmDeviceConfig
      * window boundary. 1 = interrupt per completion.
      */
     std::uint32_t cqCoalesce = 1;
+
+    /** @p base with the per-DIMM keys applied to the fields above
+     *  (absent keys keep the base's value): xfm.spm_bytes,
+     *  xfm.accesses_per_trfc (maxAccessesPerWindow), xfm.sq_depth,
+     *  xfm.cq_coalesce, xfm.watchdog_windows. */
+    static XfmDeviceConfig
+    fromConfig(const Config &cfg,
+               XfmDeviceConfig base = defaults<XfmDeviceConfig>());
 };
 
 /** Device-level statistics. */

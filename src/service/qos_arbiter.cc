@@ -12,24 +12,22 @@ namespace service
 {
 
 QosArbiterConfig
-QosArbiterConfig::fromConfig(const Config &cfg)
+QosArbiterConfig::fromConfig(const Config &cfg, QosArbiterConfig base)
 {
-    QosArbiterConfig c;
-    c.slotsPerWindow = static_cast<std::uint32_t>(
-        cfg.getU64("qos.slots_per_window", c.slotsPerWindow));
-    c.minBatchSlots = static_cast<std::uint32_t>(
-        cfg.getU64("qos.min_batch_slots", c.minBatchSlots));
+    QosArbiterConfig c = base;
+    c.slotsPerWindow =
+        cfg.getU32("qos.slots_per_window", c.slotsPerWindow);
+    c.minBatchSlots = cfg.getU32("qos.min_batch_slots", c.minBatchSlots);
     c.reservedSlotFrac =
         cfg.getDouble("qos.reserved_slot_frac", c.reservedSlotFrac);
     c.slotDebt = cfg.getBool("qos.slot_debt", c.slotDebt);
     c.abuseEnabled = cfg.getBool("qos.abuse_enabled", c.abuseEnabled);
-    c.abuseWindows = static_cast<std::uint32_t>(
-        cfg.getU64("qos.abuse_windows", c.abuseWindows));
+    c.abuseWindows = cfg.getU32("qos.abuse_windows", c.abuseWindows);
     c.abuseZ = cfg.getDouble("qos.abuse_z", c.abuseZ);
     c.abuseMinLoss =
         cfg.getDouble("qos.abuse_min_loss", c.abuseMinLoss);
-    c.abuseConsecutive = static_cast<std::uint32_t>(
-        cfg.getU64("qos.abuse_consecutive", c.abuseConsecutive));
+    c.abuseConsecutive =
+        cfg.getU32("qos.abuse_consecutive", c.abuseConsecutive);
     if (cfg.has("qos.abuse_cooldown_ns"))
         c.abuseCooldown =
             nanoseconds(cfg.getDouble("qos.abuse_cooldown_ns"));
@@ -49,22 +47,7 @@ QosArbiterConfig::fromConfig(const Config &cfg)
 
     // Typos in qos.* keys would silently run a scenario with
     // default tuning the author believes was overridden; reject.
-    static const char *known[] = {
-        "qos.slots_per_window", "qos.min_batch_slots",
-        "qos.reserved_slot_frac", "qos.slot_debt",
-        "qos.abuse_enabled", "qos.abuse_windows", "qos.abuse_z",
-        "qos.abuse_min_loss", "qos.abuse_consecutive",
-        "qos.abuse_cooldown_ns",
-    };
-    for (const auto &key : cfg.keys()) {
-        if (key.rfind("qos.", 0) != 0)
-            continue;
-        bool ok = false;
-        for (const char *k : known)
-            ok = ok || key == k;
-        if (!ok)
-            fatal("unknown qos key '", key, "'");
-    }
+    cfg.requireAllConsumed("qos.");
     return c;
 }
 

@@ -23,6 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/config.hh"
 #include "health/health.hh"
 #include "obs/registry.hh"
 #include "obs/tracer.hh"
@@ -91,14 +92,17 @@ struct QosArbiterConfig
     }
 
     /**
-     * Parse the qos.* keys of a Config (missing keys = defaults):
+     * @p base with the qos.* keys applied (absent keys keep the
+     * base's value; each maps to the field of the same meaning):
      *   qos.slots_per_window, qos.min_batch_slots,
      *   qos.reserved_slot_frac, qos.slot_debt, qos.abuse_enabled,
      *   qos.abuse_windows, qos.abuse_z, qos.abuse_min_loss,
      *   qos.abuse_consecutive, qos.abuse_cooldown_ns.
      * @throws FatalError on an unknown key under qos.
      */
-    static QosArbiterConfig fromConfig(const Config &cfg);
+    static QosArbiterConfig
+    fromConfig(const Config &cfg,
+               QosArbiterConfig base = defaults<QosArbiterConfig>());
 };
 
 /** Per-tenant arbiter statistics. */

@@ -22,6 +22,17 @@ provisioned(ServiceConfig cfg)
 
 } // namespace
 
+ServiceConfig
+ServiceConfig::fromConfig(const Config &cfg, ServiceConfig base)
+{
+    ServiceConfig c = std::move(base);
+    c.arbiter = QosArbiterConfig::fromConfig(cfg, c.arbiter);
+    c.system = xfmsys::XfmSystemConfig::fromConfig(cfg, c.system);
+    c.shed = health::ShedConfig::fromConfig(cfg, c.shed);
+    c.tier = sfm::TierConfig::fromConfig(cfg, c.tier);
+    return c;
+}
+
 FarMemoryService::FarMemoryService(std::string name, EventQueue &eq,
                                    const ServiceConfig &cfg)
     : SimObject(std::move(name), eq), cfg_(provisioned(cfg)),
@@ -42,7 +53,8 @@ FarMemoryService::FarMemoryService(std::string name, EventQueue &eq,
     if (cfg_.tier.enabled) {
         tiers_ = std::make_unique<sfm::TierManager>(
             this->name() + ".tiers", eq, cfg_.tier, backend_,
-            cfg_.system.localPages);
+            cfg_.system.localPages, cfg_.system.faults,
+            cfg_.system.retry);
         tiers_->setTransitionHook(
             [this](sfm::VirtPage page, sfm::Tier from, sfm::Tier to,
                    std::uint32_t freed, bool internal) {

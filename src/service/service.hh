@@ -25,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/config.hh"
 #include "health/shed.hh"
 #include "obs/registry.hh"
 #include "obs/tracer.hh"
@@ -73,9 +74,17 @@ struct ServiceConfig
      * every tenant's shard becomes a TierManager page group carrying
      * that tenant's TenantConfig::tierPolicy, and tenant accounting
      * (stored bytes, far pages, dfm counters) tracks scan-driven
-     * XFM -> DFM spills through the transition hook.
+     * XFM -> DFM spills through the transition hook. The spill
+     * link runs system's fault plan and retry policy.
      */
     sfm::TierConfig tier{};
+
+    /** @p base with the fromConfig keys of arbiter, system, shed
+     *  and tier applied (absent keys keep the base's value); the
+     *  registry and batchSpmCapBytes have no keys. */
+    static ServiceConfig
+    fromConfig(const Config &cfg,
+               ServiceConfig base = defaults<ServiceConfig>());
 };
 
 /**

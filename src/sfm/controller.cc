@@ -7,6 +7,21 @@ namespace xfm
 namespace sfm
 {
 
+ControllerConfig
+ControllerConfig::fromConfig(const Config &cfg, ControllerConfig base)
+{
+    ControllerConfig c = base;
+    if (cfg.has("controller.cold_ms"))
+        c.coldThreshold =
+            milliseconds(cfg.getDouble("controller.cold_ms"));
+    if (cfg.has("controller.scan_ms"))
+        c.scanInterval =
+            milliseconds(cfg.getDouble("controller.scan_ms"));
+    c.prefetchDepth =
+        cfg.getU64("controller.prefetch_depth", c.prefetchDepth);
+    return c;
+}
+
 SfmController::SfmController(std::string name, EventQueue &eq,
                              const ControllerConfig &cfg,
                              SfmBackend &backend,

@@ -16,6 +16,7 @@
 
 #include <vector>
 
+#include "common/config.hh"
 #include "common/stats.hh"
 #include "obs/registry.hh"
 #include "sfm/backend.hh"
@@ -85,6 +86,13 @@ struct ControllerConfig
      * proficiency at predicting access patterns).
      */
     bool stridePrefetch = true;
+
+    /** @p base with the controller.* keys applied (absent keys
+     *  keep the base's value): controller.cold_ms (coldThreshold),
+     *  controller.scan_ms (scanInterval), controller.prefetch_depth. */
+    static ControllerConfig
+    fromConfig(const Config &cfg,
+               ControllerConfig base = defaults<ControllerConfig>());
 };
 
 /** Controller statistics. */

@@ -50,14 +50,14 @@ tierPolicyFromString(const std::string &s)
 }
 
 TierConfig
-TierConfig::fromConfig(Config &cfg)
+TierConfig::fromConfig(const Config &cfg, TierConfig base)
 {
-    TierConfig t;
+    TierConfig t = base;
     t.enabled = cfg.getBool("tier.enabled", t.enabled);
     if (cfg.has("tier.policy"))
         t.policy = tierPolicyFromString(cfg.getString("tier.policy"));
-    t.promoteWatermark = static_cast<std::uint32_t>(
-        cfg.getU64("tier.promote_watermark", t.promoteWatermark));
+    t.promoteWatermark =
+        cfg.getU32("tier.promote_watermark", t.promoteWatermark);
     if (cfg.has("tier.scan_ms"))
         t.scanInterval = milliseconds(cfg.getDouble("tier.scan_ms"));
     if (cfg.has("tier.spill_cold_ms"))
@@ -83,7 +83,9 @@ TierConfig::fromConfig(Config &cfg)
 
 TierManager::TierManager(std::string name, EventQueue &eq,
                          const TierConfig &cfg, SfmBackend &primary,
-                         std::uint64_t num_pages)
+                         std::uint64_t num_pages,
+                         const fault::FaultPlan &faults,
+                         const fault::RetryPolicy &retry)
     : SimObject(std::move(name), eq), cfg_(cfg), primary_(primary),
       num_pages_(num_pages), tier_(num_pages, Tier::Near),
       busy_(num_pages, 0), last_access_(num_pages, 0),
@@ -102,8 +104,8 @@ TierManager::TierManager(std::string name, EventQueue &eq,
     dcfg.poolBytes = cfg_.dfmBytes;
     dcfg.linkLatency = cfg_.dfmLinkLatency;
     dcfg.linkGBps = cfg_.dfmLinkGBps;
-    dcfg.faults = cfg_.faults;
-    dcfg.retry = cfg_.retry;
+    dcfg.faults = faults;
+    dcfg.retry = retry;
     spill_ = std::make_unique<DfmBackend>(this->name() + ".dfm", eq,
                                           dcfg, *spill_mem_);
 

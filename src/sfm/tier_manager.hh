@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hh"
 #include "dram/phys_mem.hh"
 #include "obs/registry.hh"
 #include "obs/tracer.hh"
@@ -46,8 +47,6 @@
 
 namespace xfm
 {
-
-class Config;
 
 namespace sfm
 {
@@ -112,14 +111,19 @@ struct TierConfig
     Tick dfmLinkLatency = nanoseconds(300.0);
     double dfmLinkGBps = 12.0;
 
-    /** Fault scenario forwarded to the spill link (DfmLinkDelay /
-     *  DfmLinkDrop sites; disarmed by default). */
-    fault::FaultPlan faults{};
-    fault::RetryPolicy retry{};
-
-    /** Parse the `tier.*` config keys (faults/retry are the
-     *  caller's: the global plan is shared across backends). */
-    static TierConfig fromConfig(Config &cfg);
+    /**
+     * @p base with the tier.* keys applied to the fields above
+     * (absent keys keep the base's value): tier.enabled,
+     * tier.policy (auto | xfm_first | dfm_first),
+     * tier.promote_watermark, tier.scan_ms, tier.spill_cold_ms,
+     * tier.max_spills_per_scan, tier.xfm_capacity_pages,
+     * tier.target_promotions_per_sec, tier.backoff_factor,
+     * tier.probe_step, tier.dfm_bytes, tier.dfm_link_ns,
+     * tier.dfm_gbps. The spill link's faults come from the owner's
+     * plan (see TierManager).
+     */
+    static TierConfig fromConfig(const Config &cfg,
+                                 TierConfig base = defaults<TierConfig>());
 };
 
 /** Tier-transition statistics. */
@@ -169,9 +173,16 @@ class TierManager : public SimObject, public SfmBackend
                            std::uint32_t freedCompressedBytes,
                            bool internal)>;
 
+    /**
+     * The spill link shares the run's @p faults plan and @p retry
+     * policy with the primary backend (its DfmLinkDelay /
+     * DfmLinkDrop sites are disarmed unless the plan arms them).
+     */
     TierManager(std::string name, EventQueue &eq,
                 const TierConfig &cfg, SfmBackend &primary,
-                std::uint64_t num_pages);
+                std::uint64_t num_pages,
+                const fault::FaultPlan &faults = {},
+                const fault::RetryPolicy &retry = {});
 
     /** Begin the periodic spill scan (no-op when scanInterval 0). */
     void start();

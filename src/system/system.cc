@@ -1,11 +1,34 @@
 #include "system.hh"
 
+#include "common/config.hh"
 #include "common/logging.hh"
 
 namespace xfm
 {
 namespace system
 {
+
+SystemConfig
+SystemConfig::fromConfig(const Config &cfg, SystemConfig base)
+{
+    SystemConfig c = std::move(base);
+    if (cfg.has("backend")) {
+        const std::string backend = cfg.getString("backend");
+        if (backend == "xfm")
+            c.backend = BackendKind::Xfm;
+        else if (backend == "baseline")
+            c.backend = BackendKind::BaselineCpu;
+        else
+            fatal("backend must be 'xfm' or 'baseline', got '",
+                  backend, "'");
+    }
+    c.pages = cfg.getU64("pages", c.pages);
+    c.sfmBytes = cfg.getU64("sfm.bytes", c.sfmBytes);
+    c.xfm = xfmsys::XfmSystemConfig::fromConfig(cfg, c.xfm);
+    c.controller = sfm::ControllerConfig::fromConfig(cfg, c.controller);
+    c.tier = sfm::TierConfig::fromConfig(cfg, c.tier);
+    return c;
+}
 
 System::System(std::string name, EventQueue &eq,
                const SystemConfig &cfg)
@@ -34,24 +57,11 @@ System::System(std::string name, EventQueue &eq,
             host_ctrl_.get());
         backend_ = cpu_backend_.get();
     } else {
-        xfmsys::XfmSystemConfig xcfg;
-        xcfg.numDimms = cfg_.xfmDimms;
-        xcfg.dimmMem.rank.device = cfg_.dimmDevice;
-        xcfg.dimmMem.channels = 1;
-        xcfg.dimmMem.dimmsPerChannel = 1;
-        xcfg.dimmMem.ranksPerDimm = 1;
+        xfmsys::XfmSystemConfig xcfg = cfg_.xfm;
         xcfg.localPages = cfg_.pages;
         xcfg.sfmBase = gib(1);
         xcfg.sfmBytes = cfg_.sfmBytes;
         xcfg.algorithm = cfg_.algorithm;
-        xcfg.device = cfg_.xfmDevice;
-        xcfg.faults = cfg_.faultPlan;
-        xcfg.retry = cfg_.retry;
-        xcfg.health = cfg_.health;
-        xcfg.quarantineCap = cfg_.quarantineCap;
-        xcfg.workers = cfg_.workers;
-        xcfg.shardDict = cfg_.shardDict;
-        xcfg.dictBytes = cfg_.dictBytes;
         xfm_backend_ = std::make_unique<xfmsys::XfmBackend>(
             this->name() + ".backend", eq, xcfg, host_ctrl_.get());
         backend_ = xfm_backend_.get();
@@ -64,7 +74,7 @@ System::System(std::string name, EventQueue &eq,
         // NEAR -> DFM and the spill scan drains cold XFM pages.
         tier_mgr_ = std::make_unique<sfm::TierManager>(
             this->name() + ".tiers", eq, cfg_.tier, *backend_,
-            cfg_.pages);
+            cfg_.pages, cfg_.xfm.faults, cfg_.xfm.retry);
         backend_ = tier_mgr_.get();
     }
 
@@ -76,7 +86,7 @@ System::System(std::string name, EventQueue &eq,
     // in *uncompressed* page terms, as the paper's metric uses).
     const std::uint64_t far_capacity = 3
         * (cfg_.backend == BackendKind::Xfm
-               ? cfg_.sfmBytes * cfg_.xfmDimms
+               ? cfg_.sfmBytes * cfg_.xfm.numDimms
                : cfg_.sfmBytes);
     promotions_ = std::make_unique<workload::PromotionTracker>(
         far_capacity);

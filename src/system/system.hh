@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 
+#include "common/config.hh"
 #include "common/stats.hh"
 #include "dram/mem_ctrl.hh"
 #include "obs/registry.hh"
@@ -55,16 +56,16 @@ struct SystemConfig
     std::uint64_t sfmBytes = mib(16);
     compress::Algorithm algorithm = compress::Algorithm::ZstdLike;
 
-    /** XFM DIMM parameters (used when backend == Xfm). */
-    std::size_t xfmDimms = 4;
-    nma::XfmDeviceConfig xfmDevice{};
     /**
-     * DDR device of the XFM DIMMs — carries the refresh-realism
-     * knobs (refreshMode, RFM thresholds, HiRA). The default is the
-     * same ddr5Device32Gb() the system always used, so untouched
-     * configs stay byte-identical.
+     * The XFM memory system (used when backend == Xfm): DIMMs,
+     * per-DIMM device, fault plan, retry policy, health tuning,
+     * quarantine cap, dictionaries and worker count. Its
+     * localPages, sfmBase, sfmBytes and algorithm are provisioned
+     * from this struct's pages, sfmBytes and algorithm. Its fault
+     * plan and retry policy also drive the tier's spill link, for
+     * either backend.
      */
-    dram::DeviceConfig dimmDevice = dram::ddr5Device32Gb();
+    xfmsys::XfmSystemConfig xfm{};
 
     sfm::ControllerConfig controller{};
 
@@ -72,34 +73,19 @@ struct SystemConfig
     std::uint32_t accessBytes = 64;
 
     /**
-     * Shard-compression worker count for the XFM backend's CPU
-     * paths (1 = fully inline; results are byte-identical for any
-     * value — see WorkerPool).
-     */
-    std::size_t workers = 1;
-
-    /** Multi-channel preset dictionaries for the XFM backend
-     *  (DESIGN.md §16); off by default. */
-    bool shardDict = false;
-    /** Sampled dictionary size in bytes (dict mode only). */
-    std::size_t dictBytes = 2048;
-
-    /** Fault scenario for the XFM backend (disarmed by default). */
-    fault::FaultPlan faultPlan{};
-    /** Driver retry policy for transient injected faults. */
-    fault::RetryPolicy retry{};
-    /** Health-monitor tuning applied to every engine, SPM bank,
-     *  doorbell, and channel shard (disabled by default). */
-    health::HealthConfig health{};
-    /** Quarantine ledger cap for the XFM backend (0 = unbounded). */
-    std::size_t quarantineCap = 0;
-
-    /**
      * Three-tier hierarchy (NEAR/XFM/DFM). Disabled by default:
      * `tier.enabled = 0` builds the exact two-state stack and is
      * byte-identical to pre-tiering output.
      */
     sfm::TierConfig tier{};
+
+    /** @p base with the system keys applied to the fields above
+     *  (absent keys keep the base's value): backend (xfm |
+     *  baseline), pages, sfm.bytes; plus the fromConfig keys of
+     *  xfm, controller and tier. */
+    static SystemConfig
+    fromConfig(const Config &cfg,
+               SystemConfig base = defaults<SystemConfig>());
 };
 
 /**

@@ -4,12 +4,44 @@
 #include <cmath>
 #include <limits>
 
+#include "common/config.hh"
 #include "common/logging.hh"
 
 namespace xfm
 {
 namespace workload
 {
+
+RfmStarverConfig
+RfmStarverConfig::fromConfig(const Config &cfg, RfmStarverConfig base)
+{
+    RfmStarverConfig c = base;
+    c.pages = cfg.getU64("adversary.pages", c.pages);
+    c.burstsPerSecond =
+        cfg.getDouble("adversary.bursts_per_second", c.burstsPerSecond);
+    c.activationsPerBurst = cfg.getU32("adversary.activations_per_burst",
+                                       c.activationsPerBurst);
+    c.targetDimm = cfg.getU32("adversary.target_dimm", c.targetDimm);
+    c.sweepBanks = cfg.getBool("adversary.sweep_banks", c.sweepBanks);
+    c.burstBudget = cfg.getU64("adversary.burst_budget", c.burstBudget);
+    return c;
+}
+
+CovertConfig
+CovertConfig::fromConfig(const Config &cfg, CovertConfig base)
+{
+    CovertConfig c = base;
+    c.bits = cfg.getU32("covert.bits", c.bits);
+    if (cfg.has("covert.bit_period_us"))
+        c.bitPeriod =
+            microseconds(cfg.getDouble("covert.bit_period_us"));
+    c.burstsPerBit = cfg.getU32("covert.bursts_per_bit", c.burstsPerBit);
+    c.activationsPerBurst = cfg.getU32("covert.activations_per_burst",
+                                       c.activationsPerBurst);
+    c.probesPerBit = cfg.getU32("covert.probes_per_bit", c.probesPerBit);
+    c.scheduleSeed = cfg.getU64("covert.seed", c.scheduleSeed);
+    return c;
+}
 
 bool
 covertBit(std::uint64_t schedule_seed, std::uint32_t k)

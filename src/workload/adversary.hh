@@ -32,6 +32,7 @@
 
 #include <vector>
 
+#include "common/config.hh"
 #include "common/random.hh"
 #include "service/service.hh"
 
@@ -59,6 +60,14 @@ struct RfmStarverConfig
      *  bounded budget leaves a quiet tail for detector settlement. */
     std::uint64_t burstBudget = 0;
     std::uint64_t seed = 1;
+
+    /** @p base with the adversary.* keys applied to the fields
+     *  above (absent keys keep the base's value): adversary.pages,
+     *  .bursts_per_second, .activations_per_burst, .target_dimm,
+     *  .sweep_banks, .burst_budget. */
+    static RfmStarverConfig
+    fromConfig(const Config &cfg,
+               RfmStarverConfig base = defaults<RfmStarverConfig>());
 };
 
 /** Attack-side statistics (starver and covert sender share it). */
@@ -127,6 +136,14 @@ struct CovertConfig
      * (all zeros).
      */
     double flatThresholdNs = 4000.0;
+
+    /** @p base with the covert.* keys applied to the fields above
+     *  (absent keys keep the base's value): covert.bits,
+     *  .bit_period_us, .bursts_per_bit, .activations_per_burst,
+     *  .probes_per_bit, .seed (scheduleSeed). */
+    static CovertConfig
+    fromConfig(const Config &cfg,
+               CovertConfig base = defaults<CovertConfig>());
 };
 
 /** The bit the shared schedule assigns to position @p k. */

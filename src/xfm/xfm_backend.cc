@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/config.hh"
 #include "common/logging.hh"
 #include "compress/dict.hh"
 
@@ -9,6 +10,24 @@ namespace xfm
 {
 namespace xfmsys
 {
+
+XfmSystemConfig
+XfmSystemConfig::fromConfig(const Config &cfg, XfmSystemConfig base)
+{
+    XfmSystemConfig c = std::move(base);
+    c.numDimms = cfg.getU64("xfm.dimms", c.numDimms);
+    c.shardDict = cfg.getBool("xfm.shard_dict", c.shardDict);
+    c.dictBytes = cfg.getU64("xfm.dict_bytes", c.dictBytes);
+    c.quarantineCap = cfg.getU64("xfm.quarantine_cap", c.quarantineCap);
+    c.workers = cfg.getU64("workers", c.workers);
+    c.device = nma::XfmDeviceConfig::fromConfig(cfg, c.device);
+    c.dimmMem.rank.device =
+        dram::DeviceConfig::fromConfig(cfg, c.dimmMem.rank.device);
+    c.faults = fault::FaultPlan::fromConfig(cfg, c.faults);
+    c.retry = fault::RetryPolicy::fromConfig(cfg, c.retry);
+    c.health = health::HealthConfig::fromConfig(cfg, c.health);
+    return c;
+}
 
 using sfm::PageState;
 using sfm::SwapCallback;

@@ -22,6 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/worker_pool.hh"
 #include "fault/fault.hh"
 #include "health/health.hh"
@@ -45,8 +46,14 @@ struct XfmSystemConfig
 {
     /** DIMMs a page interleaves over (1, 2, or 4 in the paper). */
     std::size_t numDimms = 4;
-    /** Geometry of one DIMM (must be single-channel, single-rank). */
-    dram::MemSystemConfig dimmMem;
+    /** Geometry of one DIMM: single-channel and single-rank (the
+     *  backend asserts it), built from 32 Gb DDR5 devices. */
+    dram::MemSystemConfig dimmMem{
+        .rank = {.device = dram::ddr5Device32Gb()},
+        .channels = 1,
+        .dimmsPerChannel = 1,
+        .ranksPerDimm = 1,
+    };
 
     std::uint64_t localBase = 0;   ///< per-DIMM local shard region
     std::uint64_t localPages = 0;  ///< virtual pages tracked
@@ -124,6 +131,18 @@ struct XfmSystemConfig
     {
         return pageBytes / numDimms;
     }
+
+    /**
+     * @p base with the XFM system keys applied to the fields above
+     * (absent keys keep the base's value): xfm.dimms (numDimms),
+     * xfm.shard_dict, xfm.dict_bytes, xfm.quarantine_cap, workers;
+     * plus the fromConfig keys of nma::XfmDeviceConfig (device),
+     * dram::DeviceConfig (dimmMem's device: refresh.*, rfm.*),
+     * fault::FaultPlan, fault::RetryPolicy and health::HealthConfig.
+     */
+    static XfmSystemConfig
+    fromConfig(const Config &cfg,
+               XfmSystemConfig base = defaults<XfmSystemConfig>());
 };
 
 /** Extra statistics specific to the XFM backend. */

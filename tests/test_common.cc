@@ -320,13 +320,40 @@ TEST(Config, MalformedLineFatal)
 
 TEST(Config, BadTypesFatal)
 {
-    const auto cfg =
-        Config::parseString("n = abc\nb = maybe\nneg = -1\n");
+    const auto cfg = Config::parseString(
+        "n = abc\nb = maybe\nneg = -1\n"
+        "wide = 4294967304\nhuge = 99999999999999999999999\n");
     EXPECT_THROW(cfg.getU64("n"), FatalError);
     // strtoull would wrap -1 to 2^64 - 1.
     EXPECT_THROW(cfg.getU64("neg"), FatalError);
+    // ...and saturate an overflow at 2^64 - 1 (ERANGE).
+    EXPECT_THROW(cfg.getU64("huge"), FatalError);
+    EXPECT_THROW(cfg.getU32("huge"), FatalError);
+    // 2^32 + 8 is a valid u64 but would truncate to 8 as a u32.
+    EXPECT_EQ(cfg.getU64("wide"), 4294967304ull);
+    EXPECT_THROW(cfg.getU32("wide"), FatalError);
     EXPECT_THROW(cfg.getDouble("n"), FatalError);
     EXPECT_THROW(cfg.getBool("b"), FatalError);
+}
+
+TEST(Config, U32AcceptsItsFullRange)
+{
+    const auto cfg = Config::parseString("max = 0xffffffff\n");
+    EXPECT_EQ(cfg.getU32("max"), 0xffffffffu);
+    EXPECT_EQ(cfg.getU32("absent", 5), 5u);
+}
+
+TEST(Config, NonFiniteDoublesFatal)
+{
+    // A run length of nan never ends and inf runs nothing; no config
+    // quantity is meaningfully non-finite.
+    const auto cfg = Config::parseString(
+        "a = nan\nb = inf\nc = -INF\nd = 1e999\ne = 1e300\n");
+    EXPECT_THROW(cfg.getDouble("a"), FatalError);
+    EXPECT_THROW(cfg.getDouble("b"), FatalError);
+    EXPECT_THROW(cfg.getDouble("c"), FatalError);
+    EXPECT_THROW(cfg.getDouble("d"), FatalError);  // overflows to inf
+    EXPECT_DOUBLE_EQ(cfg.getDouble("e"), 1e300);
 }
 
 TEST(Config, LastValueWinsAndOrderKept)

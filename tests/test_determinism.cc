@@ -41,13 +41,11 @@ faultedConfig(std::uint64_t fault_seed)
     cfg.controller.coldThreshold = milliseconds(5.0);
     cfg.controller.scanInterval = milliseconds(1.0);
     cfg.controller.maxSwapOutsPerScan = 16;
-    cfg.faultPlan.seed = fault_seed;
-    cfg.faultPlan.site(fault::FaultSite::SpmReserveFail).probability =
-        0.15;
-    cfg.faultPlan.site(fault::FaultSite::EngineStall).probability =
-        0.05;
-    cfg.faultPlan.site(fault::FaultSite::MmioDoorbellLoss)
-        .probability = 0.20;
+    fault::FaultPlan &plan = cfg.xfm.faults;
+    plan.seed = fault_seed;
+    plan.site(fault::FaultSite::SpmReserveFail).probability = 0.15;
+    plan.site(fault::FaultSite::EngineStall).probability = 0.05;
+    plan.site(fault::FaultSite::MmioDoorbellLoss).probability = 0.20;
     return cfg;
 }
 
@@ -115,9 +113,9 @@ runSystem(std::uint64_t fault_seed, std::size_t workers = 1,
           DictMode dict_mode = DictMode::Default)
 {
     SystemConfig cfg = faultedConfig(fault_seed);
-    cfg.workers = workers;
-    cfg.xfmDevice.sqDepth = sq_depth;
-    cfg.xfmDevice.cqCoalesce = cq_coalesce;
+    cfg.xfm.workers = workers;
+    cfg.xfm.device.sqDepth = sq_depth;
+    cfg.xfm.device.cqCoalesce = cq_coalesce;
     if (tier_mode != TierMode::Default) {
         // Every tier knob spelled out; only `enabled` differs
         // between the configured-off and the tiered run.
@@ -128,14 +126,12 @@ runSystem(std::uint64_t fault_seed, std::size_t workers = 1,
         cfg.tier.spillColdThreshold = milliseconds(5.0);
         cfg.tier.maxSpillsPerScan = 16;
         cfg.tier.dfmBytes = mib(1);
-        cfg.tier.faults = cfg.faultPlan;
-        cfg.tier.retry = cfg.retry;
     }
     if (dict_mode != DictMode::Default) {
         // Both knobs spelled out; only `shardDict` differs between
         // the configured-off and the dict-enabled run.
-        cfg.shardDict = dict_mode == DictMode::On;
-        cfg.dictBytes = 2048;
+        cfg.xfm.shardDict = dict_mode == DictMode::On;
+        cfg.xfm.dictBytes = 2048;
     }
     return runConfig(cfg);
 }
@@ -224,10 +220,11 @@ TEST(Determinism, ExplicitRefAbMatchesDefault)
     // exact legacy code path (refreshRealismArmed() == false).
     const RunResult def = runSystem(7);
     SystemConfig cfg = faultedConfig(7);
-    cfg.dimmDevice.refreshMode = dram::RefreshMode::RefAb;
-    cfg.dimmDevice.rfmRaaimt = 0;
-    cfg.dimmDevice.rfmRaammt = 0;
-    cfg.dimmDevice.hira = false;
+    dram::DeviceConfig &dev = cfg.xfm.dimmMem.rank.device;
+    dev.refreshMode = dram::RefreshMode::RefAb;
+    dev.rfmRaaimt = 0;
+    dev.rfmRaammt = 0;
+    dev.hira = false;
     const RunResult ref = runConfig(cfg);
     EXPECT_EQ(def.stats, ref.stats);
     EXPECT_EQ(def.json, ref.json);
@@ -374,10 +371,6 @@ fleetSnapshot()
     scfg.registry.maxTenants = 16;
     scfg.registry.pagesPerShard = 64;
     scfg.system.numDimms = 2;
-    scfg.system.dimmMem.rank.device = dram::ddr5Device32Gb();
-    scfg.system.dimmMem.channels = 1;
-    scfg.system.dimmMem.dimmsPerChannel = 1;
-    scfg.system.dimmMem.ranksPerDimm = 1;
     scfg.system.sfmBase = gib(1);
     scfg.system.sfmBytes = mib(4);
     scfg.system.device.spmBytes = kib(512);

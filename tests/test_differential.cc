@@ -216,9 +216,8 @@ runTieredDifferential(compress::Algorithm alg,
     // Pool for half the pages: the other half exercises the
     // pool-full fallback into the compressed tier.
     tcfg.dfmBytes = (numPages / 2) * pageBytes;
-    tcfg.faults = plan;
-    sfm::TierManager xtiers("xfm.tiers", eq, tcfg, xfm, numPages);
-    sfm::TierManager ctiers("cpu.tiers", eq, tcfg, cpu, numPages);
+    sfm::TierManager xtiers("xfm.tiers", eq, tcfg, xfm, numPages, plan);
+    sfm::TierManager ctiers("cpu.tiers", eq, tcfg, cpu, numPages, plan);
     xfm.start();
     xtiers.start();
     ctiers.start();

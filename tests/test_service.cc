@@ -451,10 +451,6 @@ TEST(Fleet, DriverRunsAllTenants)
     scfg.registry.maxTenants = 4;
     scfg.registry.pagesPerShard = 64;
     scfg.system.numDimms = 2;
-    scfg.system.dimmMem.rank.device = dram::ddr5Device32Gb();
-    scfg.system.dimmMem.channels = 1;
-    scfg.system.dimmMem.dimmsPerChannel = 1;
-    scfg.system.dimmMem.ranksPerDimm = 1;
     scfg.system.sfmBase = gib(1);
     scfg.system.sfmBytes = mib(4);
     scfg.system.device.spmBytes = kib(512);
@@ -480,6 +476,35 @@ TEST(Fleet, DriverRunsAllTenants)
     }
     EXPECT_GT(svc.arbiter().stats().windows, 0u);
     EXPECT_GT(svc.arbiter().stats().dispatched, 0u);
+}
+
+TEST(Fleet, ConfigFaultKeysArmTheSharedBackend)
+{
+    // The fault.* keys of a service config arm the shared XFM
+    // backend, not only the tier's spill link: a fleet run under
+    // them must see injections in the backend's own injector.
+    const Config keys = Config::parseString(
+        "fault.seed = 3\n"
+        "fault.engine_stall.p = 0.5\n"
+        "fault.mmio_doorbell.p = 0.5\n");
+    const ServiceConfig scfg =
+        ServiceConfig::fromConfig(keys, testutil::testServiceConfig());
+    EventQueue eq;
+    FarMemoryService svc("svc", eq, scfg);
+
+    workload::FleetConfig fcfg;
+    fcfg.numTenants = 4;
+    fcfg.pagesPerTenant = 32;
+    fcfg.accessesPerSecond = 200000.0;
+    workload::FleetDriver fleet("fleet", eq, svc, fcfg);
+    svc.start();
+    fleet.start();
+    eq.run(milliseconds(5.0));
+
+    EXPECT_GT(svc.faultInjector().totalInjections(), 0u);
+    EXPECT_GT(svc.faultInjector().stats(fault::FaultSite::EngineStall)
+                  .injections,
+              0u);
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 
 #include <optional>
 
+#include "common/config.hh"
 #include "compress/corpus.hh"
 #include "system/system.hh"
 
@@ -123,6 +124,51 @@ TEST(SystemComparison, BothBackendsReachSimilarFarOccupancy)
     const auto xfm = far_pages(BackendKind::Xfm);
     EXPECT_GT(baseline, 100u);
     EXPECT_GT(xfm, 100u);
+}
+
+TEST(SystemConfigParse, KeysReachTheirComponents)
+{
+    // One parse path: every key lands in the struct of the component
+    // that owns it, and an absent key keeps the base's value.
+    const Config keys = Config::parseString(
+        "backend = baseline\npages = 64\nsfm.bytes = 1048576\n"
+        "xfm.dimms = 2\nxfm.sq_depth = 8\nworkers = 3\n"
+        "refresh.mode = refpb\nhealth.enabled = 1\n"
+        "fault.seed = 9\nretry.max_attempts = 5\n"
+        "controller.cold_ms = 5\ntier.enabled = 1\n");
+    SystemConfig base;
+    base.controller.scanInterval = milliseconds(3.0);
+    base.xfm.device.spmBytes = mib(1);
+    const SystemConfig c = SystemConfig::fromConfig(keys, base);
+    EXPECT_NO_THROW(keys.requireAllConsumed());
+
+    EXPECT_EQ(c.backend, BackendKind::BaselineCpu);
+    EXPECT_EQ(c.pages, 64u);
+    EXPECT_EQ(c.sfmBytes, mib(1));
+    EXPECT_EQ(c.xfm.numDimms, 2u);
+    EXPECT_EQ(c.xfm.device.sqDepth, 8u);
+    EXPECT_EQ(c.xfm.device.spmBytes, mib(1));
+    EXPECT_EQ(c.xfm.workers, 3u);
+    EXPECT_EQ(c.xfm.dimmMem.rank.device.refreshMode,
+              dram::RefreshMode::RefPb);
+    EXPECT_TRUE(c.xfm.health.enabled);
+    EXPECT_EQ(c.xfm.faults.seed, 9u);
+    EXPECT_EQ(c.xfm.retry.maxAttempts, 5u);
+    EXPECT_EQ(c.controller.coldThreshold, milliseconds(5.0));
+    EXPECT_EQ(c.controller.scanInterval, milliseconds(3.0));
+    EXPECT_TRUE(c.tier.enabled);
+}
+
+TEST(SystemConfigParse, DefaultDimmIsOneSingleRankChannel)
+{
+    // The backend asserts a single-channel, single-rank DIMM; the
+    // default geometry must satisfy it without any override.
+    const xfmsys::XfmSystemConfig x;
+    EXPECT_EQ(x.dimmMem.channels, 1u);
+    EXPECT_EQ(x.dimmMem.dimmsPerChannel, 1u);
+    EXPECT_EQ(x.dimmMem.ranksPerDimm, 1u);
+    EXPECT_EQ(x.dimmMem.rank.device.capacityBits,
+              dram::ddr5Device32Gb().capacityBits);
 }
 
 } // namespace

@@ -40,10 +40,6 @@ testXfmConfig(std::size_t dimms = 4)
 {
     xfmsys::XfmSystemConfig cfg;
     cfg.numDimms = dimms;
-    cfg.dimmMem.rank.device = dram::ddr5Device32Gb();
-    cfg.dimmMem.channels = 1;
-    cfg.dimmMem.dimmsPerChannel = 1;
-    cfg.dimmMem.ranksPerDimm = 1;
     cfg.localBase = 0;
     cfg.localPages = 256;
     cfg.sfmBase = gib(1);
@@ -64,10 +60,6 @@ testServiceConfig()
     cfg.registry.maxTenants = 4;
     cfg.registry.pagesPerShard = 64;
     cfg.system.numDimms = 4;
-    cfg.system.dimmMem.rank.device = dram::ddr5Device32Gb();
-    cfg.system.dimmMem.channels = 1;
-    cfg.system.dimmMem.dimmsPerChannel = 1;
-    cfg.system.dimmMem.ranksPerDimm = 1;
     cfg.system.sfmBase = gib(1);
     cfg.system.sfmBytes = mib(8);
     cfg.system.device.spmBytes = mib(1);
@@ -91,19 +83,17 @@ chaoticSystemConfig()
     cfg.controller.coldThreshold = milliseconds(5.0);
     cfg.controller.scanInterval = milliseconds(1.0);
     cfg.controller.maxSwapOutsPerScan = 16;
-    cfg.faultPlan.seed = 11;
-    cfg.faultPlan.site(fault::FaultSite::SpmReserveFail).probability =
-        0.20;
-    cfg.faultPlan.site(fault::FaultSite::EngineStall).probability =
-        0.10;
-    cfg.faultPlan.site(fault::FaultSite::MmioDoorbellLoss)
-        .probability = 0.25;
-    cfg.health.enabled = true;
-    cfg.health.window = 8;
-    cfg.health.failConsecutive = 4;
-    cfg.health.cooldown = microseconds(50.0);
-    cfg.xfmDevice.watchdogWindows = 512;
-    cfg.quarantineCap = 4;
+    fault::FaultPlan &plan = cfg.xfm.faults;
+    plan.seed = 11;
+    plan.site(fault::FaultSite::SpmReserveFail).probability = 0.20;
+    plan.site(fault::FaultSite::EngineStall).probability = 0.10;
+    plan.site(fault::FaultSite::MmioDoorbellLoss).probability = 0.25;
+    cfg.xfm.health.enabled = true;
+    cfg.xfm.health.window = 8;
+    cfg.xfm.health.failConsecutive = 4;
+    cfg.xfm.health.cooldown = microseconds(50.0);
+    cfg.xfm.device.watchdogWindows = 512;
+    cfg.xfm.quarantineCap = 4;
     return cfg;
 }
 
