@@ -15,12 +15,14 @@
 
 #include "common/random.hh"
 #include "compress/corpus.hh"
+#include "compress/dict.hh"
 #include "nma/engine.hh"
 #include "obs/tracer.hh"
 #include "service/service.hh"
 #include "system/system.hh"
 #include "test_util.hh"
 #include "workload/fleet.hh"
+#include "xfm/multichannel.hh"
 
 namespace xfm
 {
@@ -413,6 +415,59 @@ codecHash(compress::Algorithm algo)
         }
     }
     return h;
+}
+
+/**
+ * FNV-1a of every shard block the system's CPU path compresses:
+ * all 16 corpus kinds, each page split at the 256 B interleave for
+ * 8 DIMMs (512 B shards) and 4 DIMMs (1 KiB shards), compressed
+ * plain and against the page's preset dictionary. Every block must
+ * round-trip before it is hashed.
+ */
+std::uint64_t
+shardCodecHash(compress::Algorithm algo)
+{
+    const auto codec = compress::makeCompressor(algo);
+    std::uint64_t h = fnvBasis;
+    std::vector<Bytes> shards;
+    Bytes block;
+    Bytes out;
+    for (const auto kind : compress::allCorpusKinds()) {
+        for (std::uint64_t seed = 0; seed < 2; ++seed) {
+            const Bytes page =
+                compress::generateCorpus(kind, seed, pageBytes);
+            const Bytes dict = compress::buildPresetDictionary(
+                page, xfmsys::defaultInterleave, 2048);
+            for (const std::size_t dimms : {8u, 4u}) {
+                xfmsys::splitPageInto(page, dimms,
+                                      xfmsys::defaultInterleave, shards);
+                for (const Bytes &shard : shards) {
+                    codec->compressInto(shard, block);
+                    codec->decompressInto(block, out);
+                    EXPECT_EQ(out, shard);
+                    h = fnv1a(h, block.data(), block.size());
+
+                    codec->compressWithDictInto(dict, shard, block);
+                    codec->decompressWithDictInto(dict, block, out);
+                    EXPECT_EQ(out, shard);
+                    h = fnv1a(h, block.data(), block.size());
+                }
+            }
+        }
+    }
+    return h;
+}
+
+TEST(Determinism, CodecShardGoldenHashes)
+{
+    // Pinned shard blocks. Codec speedups must leave every byte
+    // of every block unchanged.
+    EXPECT_EQ(shardCodecHash(compress::Algorithm::LzFast),
+              4363560260966557899ull);
+    EXPECT_EQ(shardCodecHash(compress::Algorithm::Deflate),
+              10719506611073167777ull);
+    EXPECT_EQ(shardCodecHash(compress::Algorithm::ZstdLike),
+              7740541293967721827ull);
 }
 
 TEST(Determinism, GoldenHashes)
