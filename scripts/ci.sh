@@ -9,10 +9,11 @@
 #
 # SANITIZE=thread builds under TSan and runs the concurrency-facing
 # tests (worker pool, event kernel, service layer, worker-count
-# determinism and the adversary worker matrix) plus the perf-harness
-# smoke. The only threaded code is WorkerPool::parallelFor, the CPU
-# path's per-DIMM shard fan-out in XfmBackend::cpuSwapOut/In; the
-# NMA engine runs its codec inline.
+# determinism, the adversary worker matrix, and the codec tests,
+# whose per-thread scratch the shard fan-out leases) plus the
+# perf-harness smoke. The only threaded code is
+# WorkerPool::parallelFor, the CPU path's per-DIMM shard fan-out in
+# XfmBackend::cpuSwapOut/In; the NMA engine runs its codec inline.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -43,7 +44,7 @@ cmake --build "${build_dir}" -j "${jobs}"
 
 if [[ "${sanitize}" == "thread" ]]; then
     ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
-        -R 'WorkerPool|EventQueue|Determinism|ServiceTest|ArbiterTest|WorkerMatrix'
+        -R 'WorkerPool|EventQueue|Determinism|ServiceTest|ArbiterTest|WorkerMatrix|Codec'
     "${build_dir}/bench/perf_harness" --smoke \
         --out "${build_dir}/BENCH_PERF.json"
     exit 0

@@ -155,7 +155,8 @@ DeflateCodec::compressBody(ByteSpan full, std::size_t start,
 
     Lz77Params params;
     params.windowBytes = window_bytes_;
-    const auto tokens = lz77TokenizeSuffix(full, params, start);
+    std::vector<Lz77Token> tokens;
+    lz77TokenizeSuffix(full, params, start, tokens);
 
     // Gather symbol statistics.
     std::vector<std::uint64_t> lit_counts(litLenSymbols, 0);
@@ -170,8 +171,10 @@ DeflateCodec::compressBody(ByteSpan full, std::size_t start,
     }
     ++lit_counts[eobSymbol];
 
-    const auto lit_lengths = huffmanCodeLengths(lit_counts);
-    const auto dist_lengths = huffmanCodeLengths(dist_counts);
+    std::vector<std::uint8_t> lit_lengths;
+    std::vector<std::uint8_t> dist_lengths;
+    huffmanCodeLengths(lit_counts, lit_lengths);
+    huffmanCodeLengths(dist_counts, dist_lengths);
     HuffmanEncoder lit_enc(lit_lengths);
     HuffmanEncoder dist_enc(dist_lengths);
 
@@ -236,8 +239,10 @@ DeflateCodec::decompressBody(ByteSpan block, ByteSpan dict,
     const std::uint32_t expected = getU32(block, 1);
     const std::size_t target = dict.size() + expected;
     BitReader br(block.subspan(5));
-    const auto lit_lengths = readCodeLengthsRle(br, litLenSymbols);
-    const auto dist_lengths = readCodeLengthsRle(br, distSymbols);
+    std::vector<std::uint8_t> lit_lengths;
+    std::vector<std::uint8_t> dist_lengths;
+    readCodeLengthsRle(br, litLenSymbols, lit_lengths);
+    readCodeLengthsRle(br, distSymbols, dist_lengths);
     HuffmanDecoder lit_dec(lit_lengths);
     HuffmanDecoder dist_dec(dist_lengths);
 

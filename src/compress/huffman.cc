@@ -1,8 +1,7 @@
 #include "huffman.hh"
 
 #include <algorithm>
-#include <numeric>
-#include <queue>
+#include <array>
 
 #include "common/logging.hh"
 
@@ -14,151 +13,242 @@ namespace compress
 namespace
 {
 
-struct TreeNode
+/**
+ * Pooled per-thread builder scratch, leased like lz77's finder
+ * tables: every call resizes instead of reallocating, so steady
+ * state allocates nothing.
+ */
+struct HuffmanScratch
 {
-    std::uint64_t weight;
-    std::uint32_t order;  // tie break for determinism
-    int left = -1;
-    int right = -1;
-    int symbol = -1;
+    std::vector<std::uint32_t> live;   ///< live symbols, ascending
+    std::vector<std::uint32_t> leaf;   ///< live by (count, symbol)
+    std::vector<std::uint32_t> spare;  ///< radix sort ping-pong
+    std::vector<std::uint64_t> weight; ///< leaves, then internal nodes
+    std::vector<std::uint32_t> parent; ///< node -> parent node
+    std::vector<std::uint32_t> depth;  ///< node -> depth (unclamped)
+    std::vector<std::uint32_t> codes;  ///< decoder's canonical codes
 };
 
+HuffmanScratch &
+huffmanScratch()
+{
+    thread_local HuffmanScratch scratch;
+    return scratch;
+}
+
+/** Each byte value with its 8 bits reversed. */
+constexpr std::array<std::uint8_t, 256> reversedBytes = [] {
+    std::array<std::uint8_t, 256> table{};
+    for (unsigned v = 0; v < 256; ++v)
+        for (unsigned bit = 0; bit < 8; ++bit)
+            if (v & (1u << bit))
+                table[v] |= static_cast<std::uint8_t>(0x80u >> bit);
+    return table;
+}();
+
+/** Reverse the low @p len bits of @p code (len <= 16). */
+inline std::uint32_t
+reverseBits(std::uint32_t code, unsigned len)
+{
+    const std::uint32_t r =
+        (std::uint32_t(reversedBytes[code & 0xFF]) << 8)
+        | reversedBytes[(code >> 8) & 0xFF];
+    return r >> (16 - len);
+}
+
+/**
+ * Canonical code assignment into @p codes, bit-reversed for
+ * LSB-first emission (zero-length symbols get code 0).
+ *
+ * Counting lengths and handing out codes both bump a per-length
+ * counter, and neighbouring symbols often share a length, so one
+ * counter array makes a store-to-load chain of the whole alphabet.
+ * The alphabet is instead cut into four contiguous lanes, each
+ * with its own counters, and the lanes are walked in lockstep.
+ * Lane l's first code of each length is the canonical first code
+ * plus the symbols of that length in lanes before l, so the codes
+ * are exactly the sequential ones.
+ */
+void
+canonicalCodes(std::span<const std::uint8_t> lengths,
+               std::vector<std::uint32_t> &codes)
+{
+    constexpr std::size_t lanes = 4;
+    const std::size_t n = lengths.size();
+    const std::size_t stride = n / lanes;
+    // The last lane also takes the n % lanes tail symbols.
+    auto each = [&](auto &&fn) {
+        for (std::size_t i = 0; i < stride; ++i)
+            for (std::size_t l = 0; l < lanes; ++l)
+                fn(l, l * stride + i);
+        for (std::size_t s = lanes * stride; s < n; ++s)
+            fn(lanes - 1, s);
+    };
+
+    std::array<std::array<std::uint32_t, maxCodeLength + 1>, lanes>
+        next{};
+    each([&](std::size_t l, std::size_t s) { ++next[l][lengths[s]]; });
+
+    std::uint32_t code = 0;
+    std::uint32_t prev_count = 0;
+    for (unsigned len = 1; len <= maxCodeLength; ++len) {
+        code = (code + prev_count) << 1;
+        prev_count = 0;
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const std::uint32_t count = next[l][len];
+            next[l][len] = code + prev_count;
+            prev_count += count;
+        }
+    }
+
+    codes.resize(n);
+    each([&](std::size_t l, std::size_t s) {
+        const unsigned len = lengths[s];
+        codes[s] = reverseBits(next[l][len]++, len);
+    });
+}
+
+/**
+ * Order @p live (ascending symbols) by (count, symbol) into
+ * t.leaf: a stable LSD radix sort on the count, one byte per pass
+ * and only as many passes as the largest count has bytes (one or
+ * two for a shard's literals). Stability keeps equal counts in
+ * symbol order.
+ */
+void
+sortLeaves(std::span<const std::uint64_t> counts, HuffmanScratch &t)
+{
+    std::uint64_t max_count = 0;
+    for (std::uint32_t s : t.live)
+        max_count = std::max(max_count, counts[s]);
+    t.leaf.assign(t.live.begin(), t.live.end());
+    t.spare.resize(t.live.size());
+    for (unsigned shift = 0; shift < 64 && (max_count >> shift) != 0;
+         shift += 8) {
+        std::array<std::uint32_t, 257> start{};
+        for (std::uint32_t s : t.leaf)
+            ++start[((counts[s] >> shift) & 0xFF) + 1];
+        for (std::size_t d = 1; d < start.size(); ++d)
+            start[d] += start[d - 1];
+        for (std::uint32_t s : t.leaf)
+            t.spare[start[(counts[s] >> shift) & 0xFF]++] = s;
+        t.leaf.swap(t.spare);
+    }
+}
+
 } // namespace
 
-std::vector<std::uint8_t>
-huffmanCodeLengths(const std::vector<std::uint64_t> &counts)
+void
+huffmanCodeLengths(std::span<const std::uint64_t> counts,
+                   std::vector<std::uint8_t> &lengths)
 {
     const std::size_t n = counts.size();
-    std::vector<std::uint8_t> lengths(n, 0);
+    lengths.assign(n, 0);
 
-    std::vector<int> live;
-    for (std::size_t i = 0; i < n; ++i)
-        if (counts[i] > 0)
-            live.push_back(static_cast<int>(i));
+    HuffmanScratch &t = huffmanScratch();
+    std::vector<std::uint32_t> &live = t.live;
+    // Branch-free compaction: which symbols of a shard's alphabet
+    // occur is irregular, so a branch here mispredicts often.
+    live.resize(n);
+    std::size_t nlive = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        live[nlive] = static_cast<std::uint32_t>(i);
+        nlive += counts[i] > 0;
+    }
+    live.resize(nlive);
 
     if (live.empty())
-        return lengths;
+        return;
     if (live.size() == 1) {
         lengths[live[0]] = 1;
-        return lengths;
+        return;
     }
 
-    // Build the Huffman tree with a deterministic heap order.
-    std::vector<TreeNode> nodes;
-    nodes.reserve(live.size() * 2);
-    auto cmp = [&nodes](int a, int b) {
-        if (nodes[a].weight != nodes[b].weight)
-            return nodes[a].weight > nodes[b].weight;
-        return nodes[a].order > nodes[b].order;
+    // Two-queue build. Nodes [0, L) are the leaves in (count,
+    // symbol) order; internal node L + k is the k-th merge. Merged
+    // weights never decrease, so the internal nodes form a sorted
+    // FIFO and each step takes the lighter queue head, the leaf on
+    // a tie: exactly the pop order of a (weight, creation order)
+    // min-heap, hence the same tree.
+    const std::size_t leaves = live.size();
+    const std::size_t nodes = 2 * leaves - 1;
+    sortLeaves(counts, t);
+    t.weight.resize(nodes);
+    t.parent.resize(nodes);
+    t.depth.resize(nodes);
+    for (std::size_t i = 0; i < leaves; ++i)
+        t.weight[i] = counts[t.leaf[i]];
+    std::size_t next_leaf = 0;
+    std::size_t next_internal = leaves;
+    auto take = [&](std::size_t merged) {
+        const bool leaf = next_leaf < leaves
+            && (next_internal == merged
+                || t.weight[next_leaf] <= t.weight[next_internal]);
+        const std::size_t node = leaf ? next_leaf : next_internal;
+        next_leaf += leaf;
+        next_internal += !leaf;
+        t.parent[node] = static_cast<std::uint32_t>(merged);
+        return t.weight[node];
     };
-    std::priority_queue<int, std::vector<int>, decltype(cmp)> heap(cmp);
-    std::uint32_t order = 0;
-    for (int s : live) {
-        nodes.push_back({counts[s], order++, -1, -1, s});
-        heap.push(static_cast<int>(nodes.size()) - 1);
-    }
-    while (heap.size() > 1) {
-        int a = heap.top();
-        heap.pop();
-        int b = heap.top();
-        heap.pop();
-        nodes.push_back({nodes[a].weight + nodes[b].weight, order++,
-                         a, b, -1});
-        heap.push(static_cast<int>(nodes.size()) - 1);
+    for (std::size_t merged = leaves; merged < nodes; ++merged) {
+        const std::uint64_t a = take(merged);
+        t.weight[merged] = a + take(merged);
     }
 
-    // Depth-first traversal to assign depths.
-    std::vector<std::pair<int, unsigned>> stack;
-    stack.emplace_back(heap.top(), 0);
-    while (!stack.empty()) {
-        auto [idx, depth] = stack.back();
-        stack.pop_back();
-        const TreeNode &node = nodes[idx];
-        if (node.symbol >= 0) {
-            lengths[node.symbol] =
-                static_cast<std::uint8_t>(std::max(1u, depth));
-        } else {
-            stack.emplace_back(node.left, depth + 1);
-            stack.emplace_back(node.right, depth + 1);
-        }
-    }
+    // Parents always follow their children, so one reverse pass
+    // from the root assigns every depth.
+    t.depth[nodes - 1] = 0;
+    for (std::size_t i = nodes - 1; i-- > 0;)
+        t.depth[i] = t.depth[t.parent[i]] + 1;
 
-    // Length-limit: clamp and repair the Kraft inequality.
+    // Length-limit: clamp, then repair the Kraft inequality.
     bool clamped = false;
-    for (int s : live) {
-        if (lengths[s] > maxCodeLength) {
-            lengths[s] = maxCodeLength;
-            clamped = true;
-        }
+    for (std::size_t i = 0; i < leaves; ++i) {
+        const std::uint32_t depth = t.depth[i];
+        clamped |= depth > maxCodeLength;
+        lengths[t.leaf[i]] = static_cast<std::uint8_t>(
+            std::min<std::uint32_t>(depth, maxCodeLength));
     }
-    if (clamped) {
-        auto kraft = [&]() {
-            std::uint64_t k = 0;
-            for (int s : live)
-                k += std::uint64_t(1) << (maxCodeLength - lengths[s]);
-            return k;
-        };
-        const std::uint64_t budget = std::uint64_t(1) << maxCodeLength;
-        while (kraft() > budget) {
-            // Lengthen the deepest code that is still below the cap.
-            int victim = -1;
-            for (int s : live) {
-                if (lengths[s] < maxCodeLength &&
-                    (victim < 0 || lengths[s] > lengths[victim])) {
-                    victim = s;
-                }
+    if (!clamped)
+        return;
+    const std::uint64_t budget = std::uint64_t(1) << maxCodeLength;
+    std::uint64_t kraft = 0;
+    for (std::uint32_t s : live)
+        kraft += std::uint64_t(1) << (maxCodeLength - lengths[s]);
+    // Each step lengthens the deepest code still below the cap,
+    // lowest symbol first. That victim is then the only code at its
+    // new depth, so it keeps being picked until it reaches the cap:
+    // walking depths downward visits the victims in that order, and
+    // the running sum drops by half the victim's share per step.
+    for (unsigned len = maxCodeLength - 1; len > 0 && kraft > budget;
+         --len) {
+        for (std::uint32_t s : live) {
+            if (lengths[s] != len)
+                continue;
+            while (lengths[s] < maxCodeLength && kraft > budget) {
+                kraft -= std::uint64_t(1)
+                    << (maxCodeLength - 1 - lengths[s]);
+                ++lengths[s];
             }
-            XFM_ASSERT(victim >= 0, "cannot satisfy Kraft inequality");
-            ++lengths[victim];
+            if (kraft <= budget)
+                break;
         }
     }
-    return lengths;
+    XFM_ASSERT(kraft <= budget, "cannot satisfy Kraft inequality");
 }
 
-namespace
+void
+HuffmanEncoder::assign(std::span<const std::uint8_t> lengths)
 {
-
-/** Canonical code assignment; returns codes bit-reversed for
- *  LSB-first emission. */
-std::vector<std::uint32_t>
-canonicalCodes(const std::vector<std::uint8_t> &lengths)
-{
-    std::vector<std::uint32_t> bl_count(maxCodeLength + 1, 0);
-    for (auto len : lengths)
-        if (len > 0)
-            ++bl_count[len];
-
-    std::vector<std::uint32_t> next_code(maxCodeLength + 2, 0);
-    std::uint32_t code = 0;
-    for (unsigned len = 1; len <= maxCodeLength; ++len) {
-        code = (code + bl_count[len - 1]) << 1;
-        next_code[len] = code;
-    }
-
-    std::vector<std::uint32_t> codes(lengths.size(), 0);
-    for (std::size_t s = 0; s < lengths.size(); ++s) {
-        const unsigned len = lengths[s];
-        if (len == 0)
-            continue;
-        std::uint32_t c = next_code[len]++;
-        // Bit-reverse to len bits for the LSB-first bitstream.
-        std::uint32_t r = 0;
-        for (unsigned i = 0; i < len; ++i) {
-            r = (r << 1) | (c & 1);
-            c >>= 1;
-        }
-        codes[s] = r;
-    }
-    return codes;
+    XFM_ASSERT(std::all_of(lengths.begin(), lengths.end(),
+                           [](auto len) { return len <= maxCodeLength; }),
+               "huffman code exceeds the length limit");
+    lengths_.assign(lengths.begin(), lengths.end());
+    canonicalCodes(lengths, codes_);
 }
 
-} // namespace
-
-HuffmanEncoder::HuffmanEncoder(const std::vector<std::uint8_t> &lengths)
-    : lengths_(lengths), codes_(canonicalCodes(lengths))
-{}
-
-HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t> &lengths)
+void
+HuffmanDecoder::assign(std::span<const std::uint8_t> lengths)
 {
     XFM_ASSERT(lengths.size() <= 0xFFFF,
                "huffman alphabet too large for packed table");
@@ -170,11 +260,12 @@ HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t> &lengths)
     root_bits_ = std::max(1u, std::min<unsigned>(rootBits, max_len));
     const std::size_t root_size = std::size_t(1) << root_bits_;
     table_.assign(root_size, {0, 0, 0, 0});
+    has_codes_ = max_len > 0;
     if (max_len == 0)
         return;
-    has_codes_ = true;
 
-    const auto codes = canonicalCodes(lengths);
+    std::vector<std::uint32_t> &codes = huffmanScratch().codes;
+    canonicalCodes(lengths, codes);
     // Short codes fill the root directly (LSB-first: a code of
     // `len` bits owns every window whose low bits equal it).
     for (std::size_t s = 0; s < lengths.size(); ++s) {
@@ -188,39 +279,44 @@ HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t> &lengths)
         }
     }
     // Long codes spill into one subtable per root prefix, sized by
-    // the longest code sharing that prefix. Entries store the FULL
-    // code length so a single skip() consumes root and sub bits.
-    for (std::size_t s = 0; s < lengths.size(); ++s) {
-        const unsigned len = lengths[s];
-        if (len <= root_bits_)
-            continue;
-        const std::uint32_t prefix = codes[s] & (root_size - 1);
-        if (table_[prefix].len0 != subLink) {
-            // Size the subtable on first touch: scan the suffix
-            // lengths of every long code with this prefix.
-            unsigned sub_bits = 0;
-            for (std::size_t t = 0; t < lengths.size(); ++t) {
-                if (lengths[t] > root_bits_
-                    && (codes[t] & (root_size - 1)) == prefix)
-                    sub_bits = std::max<unsigned>(
-                        sub_bits, lengths[t] - root_bits_);
-            }
-            const std::size_t off = table_.size();
-            XFM_ASSERT(off <= 0xFFFF,
-                       "huffman subtables exceed the offset field");
-            table_.resize(off + (std::size_t(1) << sub_bits),
-                          {0, 0, 0, 0});
-            table_[prefix].sym0 = static_cast<std::uint16_t>(off);
-            table_[prefix].sym1 = static_cast<std::uint16_t>(sub_bits);
-            table_[prefix].len0 = subLink;
+    // the longest code sharing that prefix. One pass turns each
+    // such prefix into a link holding its widest suffix; a second
+    // places each subtable on first touch (offset 0 is the root, so
+    // it marks "not placed yet") and fills it. Entries store the
+    // FULL code length so a single skip() consumes root and sub
+    // bits.
+    if (max_len > root_bits_) {
+        for (std::size_t s = 0; s < lengths.size(); ++s) {
+            const unsigned len = lengths[s];
+            if (len <= root_bits_)
+                continue;
+            TableEntry &link = table_[codes[s] & (root_size - 1)];
+            if (link.len0 != subLink)
+                link = {0, 0, subLink, 0};
+            link.sym1 = std::max<std::uint16_t>(
+                link.sym1, static_cast<std::uint16_t>(len - root_bits_));
         }
-        const std::size_t off = table_[prefix].sym0;
-        const unsigned sub_bits = table_[prefix].sym1;
-        const std::size_t step = std::size_t(1) << (len - root_bits_);
-        for (std::size_t idx = codes[s] >> root_bits_;
-             idx < (std::size_t(1) << sub_bits); idx += step) {
-            table_[off + idx].sym0 = static_cast<std::uint16_t>(s);
-            table_[off + idx].len0 = static_cast<std::uint8_t>(len);
+        for (std::size_t s = 0; s < lengths.size(); ++s) {
+            const unsigned len = lengths[s];
+            if (len <= root_bits_)
+                continue;
+            const std::uint32_t prefix = codes[s] & (root_size - 1);
+            const unsigned sub_bits = table_[prefix].sym1;
+            if (table_[prefix].sym0 == 0) {
+                const std::size_t off = table_.size();
+                XFM_ASSERT(off <= 0xFFFF,
+                           "huffman subtables exceed the offset field");
+                table_.resize(off + (std::size_t(1) << sub_bits),
+                              {0, 0, 0, 0});
+                table_[prefix].sym0 = static_cast<std::uint16_t>(off);
+            }
+            const std::size_t off = table_[prefix].sym0;
+            const std::size_t step = std::size_t(1) << (len - root_bits_);
+            for (std::size_t idx = codes[s] >> root_bits_;
+                 idx < (std::size_t(1) << sub_bits); idx += step) {
+                table_[off + idx].sym0 = static_cast<std::uint16_t>(s);
+                table_[off + idx].len0 = static_cast<std::uint8_t>(len);
+            }
         }
     }
     // Pair pass over the root only: pre-pair windows whose
@@ -244,7 +340,7 @@ HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t> &lengths)
 
 void
 writeCodeLengthsRle(BitWriter &bw,
-                    const std::vector<std::uint8_t> &lengths)
+                    std::span<const std::uint8_t> lengths)
 {
     std::size_t i = 0;
     while (i < lengths.size()) {
@@ -283,10 +379,11 @@ writeCodeLengthsRle(BitWriter &bw,
     }
 }
 
-std::vector<std::uint8_t>
-readCodeLengthsRle(BitReader &br, std::size_t count)
+void
+readCodeLengthsRle(BitReader &br, std::size_t count,
+                   std::vector<std::uint8_t> &lengths)
 {
-    std::vector<std::uint8_t> lengths;
+    lengths.clear();
     lengths.reserve(count);
     while (lengths.size() < count) {
         const std::uint32_t sym = br.get(5);
@@ -312,7 +409,6 @@ readCodeLengthsRle(BitReader &br, std::size_t count)
     if (lengths.size() != count)
         fatal("codelen rle: overran requested count (", lengths.size(),
               " vs ", count, ")");
-    return lengths;
 }
 
 const HuffmanDecoder::TableEntry &

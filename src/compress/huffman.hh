@@ -5,12 +5,20 @@
  * Code lengths are limited to maxCodeLength (15) using the standard
  * length-limited adjustment, and codes are assigned canonically so a
  * decoder only needs the length array.
+ *
+ * Blocks here are 512 B - 4 KiB shards, so building the code is a
+ * per-shard fixed cost comparable to coding the bytes. The builder
+ * is the linear two-queue (van Leeuwen) construction over leaves
+ * sorted once, working in leased per-thread scratch; encoders and
+ * decoders can be re-assigned in place so a codec that keeps one
+ * per thread allocates nothing per block.
  */
 
 #ifndef XFM_COMPRESS_HUFFMAN_HH
 #define XFM_COMPRESS_HUFFMAN_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "compress/bitstream.hh"
@@ -31,17 +39,32 @@ constexpr unsigned maxCodeLength = 15;
  * symbol has nonzero count it receives length 1 so the bitstream
  * format stays uniform.
  *
+ * The tree is the one a (weight, creation order) min-heap builds:
+ * leaves sorted by (count, symbol), internal nodes in creation
+ * order, and a leaf wins a weight tie against an internal node.
+ * Codes deeper than maxCodeLength are clamped, then the Kraft
+ * inequality is repaired by lengthening the deepest unclamped
+ * code, lowest symbol first, one bit at a time.
+ *
  * @param counts frequency per symbol.
- * @return per-symbol code length, each <= maxCodeLength.
+ * @param lengths out: per-symbol code length, each <=
+ *        maxCodeLength (resized to counts.size(); capacity reused).
  */
-std::vector<std::uint8_t>
-huffmanCodeLengths(const std::vector<std::uint64_t> &counts);
+void huffmanCodeLengths(std::span<const std::uint64_t> counts,
+                        std::vector<std::uint8_t> &lengths);
 
 /** Encoder table built from canonical code lengths. */
 class HuffmanEncoder
 {
   public:
-    explicit HuffmanEncoder(const std::vector<std::uint8_t> &lengths);
+    HuffmanEncoder() = default;
+    explicit HuffmanEncoder(std::span<const std::uint8_t> lengths)
+    {
+        assign(lengths);
+    }
+
+    /** Rebuild for @p lengths, reusing this encoder's storage. */
+    void assign(std::span<const std::uint8_t> lengths);
 
     /** Emit the code for @p symbol. */
     void
@@ -76,7 +99,14 @@ class HuffmanEncoder
 class HuffmanDecoder
 {
   public:
-    explicit HuffmanDecoder(const std::vector<std::uint8_t> &lengths);
+    HuffmanDecoder() = default;
+    explicit HuffmanDecoder(std::span<const std::uint8_t> lengths)
+    {
+        assign(lengths);
+    }
+
+    /** Rebuild for @p lengths, reusing this decoder's table. */
+    void assign(std::span<const std::uint8_t> lengths);
 
     /** Decode one symbol from the reader. */
     std::uint32_t decode(BitReader &br) const;
@@ -124,11 +154,14 @@ class HuffmanDecoder
  * each RLE symbol written as raw 5 bits.
  */
 void writeCodeLengthsRle(BitWriter &bw,
-                         const std::vector<std::uint8_t> &lengths);
+                         std::span<const std::uint8_t> lengths);
 
-/** Inverse of writeCodeLengthsRle; reads exactly @p count lengths. */
-std::vector<std::uint8_t> readCodeLengthsRle(BitReader &br,
-                                             std::size_t count);
+/**
+ * Inverse of writeCodeLengthsRle; reads exactly @p count lengths
+ * into @p lengths (cleared first; capacity reused).
+ */
+void readCodeLengthsRle(BitReader &br, std::size_t count,
+                        std::vector<std::uint8_t> &lengths);
 
 } // namespace compress
 } // namespace xfm

@@ -171,49 +171,55 @@ finderTableStats()
 std::vector<Lz77Token>
 lz77Tokenize(ByteSpan input, const Lz77Params &params)
 {
-    return lz77TokenizeSuffix(input, params, 0);
+    std::vector<Lz77Token> tokens;
+    lz77TokenizeSuffix(input, params, 0, tokens);
+    return tokens;
 }
 
-std::vector<Lz77Token>
+void
 lz77TokenizeSuffix(ByteSpan input, const Lz77Params &params,
-                   std::size_t start)
+                   std::size_t start, std::vector<Lz77Token> &tokens)
 {
     XFM_ASSERT(params.minMatch >= 3, "minMatch must be >= 3");
     XFM_ASSERT(params.windowBytes > 0, "window must be non-empty");
     XFM_ASSERT(start <= input.size(), "suffix start out of range");
 
-    std::vector<Lz77Token> tokens;
+    tokens.clear();
     tokens.reserve((input.size() - start) / 3);
     if (input.size() == start)
-        return tokens;
+        return;
 
     Finder f(input, params);
     // Index the shared history without emitting tokens for it.
     for (std::size_t i = 0; i < start; ++i)
         f.insert(i);
     std::size_t pos = start;
+    // A deferred lazy step has already searched the next position,
+    // and nothing is inserted before that position is visited, so
+    // its result is carried over instead of searched again.
+    std::pair<std::uint32_t, std::uint32_t> next{0, 0};
+    bool have_next = false;
     while (pos < input.size()) {
-        auto [len, dist] = f.bestMatch(pos);
+        const auto [len, dist] = have_next ? next : f.bestMatch(pos);
+        have_next = false;
 
         // Lazy matching: if the next position has a strictly longer
         // match, emit a literal instead and take the later match.
         if (params.lazyMatching && len > 0 && pos + 1 < input.size()) {
             f.insert(pos);
-            auto [nlen, ndist] = f.bestMatch(pos + 1);
-            (void)ndist;
-            if (nlen > len + 1) {
+            next = f.bestMatch(pos + 1);
+            if (next.first > len + 1) {
                 tokens.push_back({false, input[pos], 0, 0});
                 ++pos;
+                have_next = true;
                 continue;
             }
-            if (len > 0) {
-                tokens.push_back({true, 0, len, dist});
-                // pos itself was inserted above; insert interior.
-                for (std::size_t i = pos + 1; i < pos + len; ++i)
-                    f.insert(i);
-                pos += len;
-                continue;
-            }
+            tokens.push_back({true, 0, len, dist});
+            // pos itself was inserted above; insert interior.
+            for (std::size_t i = pos + 1; i < pos + len; ++i)
+                f.insert(i);
+            pos += len;
+            continue;
         }
 
         if (len > 0) {
@@ -227,7 +233,6 @@ lz77TokenizeSuffix(ByteSpan input, const Lz77Params &params,
             ++pos;
         }
     }
-    return tokens;
 }
 
 Bytes

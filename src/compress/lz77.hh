@@ -53,13 +53,14 @@ std::vector<Lz77Token> lz77Tokenize(ByteSpan input,
                                     const Lz77Params &params);
 
 /**
- * Tokenize only input[start..) while letting matches reach back
- * into the full prefix input[0..start) (shared-history streaming:
- * the prefix is indexed but produces no tokens).
+ * Tokenize only input[start..) into @p tokens (cleared first;
+ * capacity reused) while letting matches reach back into the full
+ * prefix input[0..start) (shared-history streaming: the prefix is
+ * indexed but produces no tokens).
  */
-std::vector<Lz77Token> lz77TokenizeSuffix(ByteSpan input,
-                                          const Lz77Params &params,
-                                          std::size_t start);
+void lz77TokenizeSuffix(ByteSpan input, const Lz77Params &params,
+                        std::size_t start,
+                        std::vector<Lz77Token> &tokens);
 
 /** Reconstruct the original bytes from a token stream. */
 Bytes lz77Reconstruct(const std::vector<Lz77Token> &tokens);

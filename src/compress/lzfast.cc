@@ -132,7 +132,8 @@ LzFastCodec::compressBody(ByteSpan full, std::size_t start,
     params.maxMatch = 1 << 16;     // byte-aligned lengths extend freely
     params.maxChainLength = 16;    // fast profile: shallow search
     params.lazyMatching = false;
-    const auto tokens = lz77TokenizeSuffix(full, params, start);
+    std::vector<Lz77Token> tokens;
+    lz77TokenizeSuffix(full, params, start, tokens);
 
     out.clear();
     out.reserve(maxCompressedSize(input.size()));

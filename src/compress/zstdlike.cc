@@ -1,6 +1,7 @@
 #include "zstdlike.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "common/logging.hh"
 #include "compress/bitstream.hh"
@@ -70,6 +71,39 @@ getVarint(ByteSpan in, std::size_t &pos)
     }
 }
 
+/** One sequence: a literal run, then a match. */
+struct Seq
+{
+    std::uint32_t litRun;
+    std::uint32_t matchLen;  // 0 only for the trailing run
+    std::uint32_t offset;
+};
+
+/**
+ * Pooled per-thread shard buffers, leased like lz77's finder
+ * tables: each block resets them instead of reallocating, so
+ * steady-state compression and decompression allocate nothing
+ * beyond the caller's output buffer.
+ */
+struct ShardScratch
+{
+    Bytes concat;  ///< dictionary + input in dict mode
+    std::vector<Lz77Token> tokens;
+    Bytes literals;
+    std::vector<Seq> seqs;
+    std::array<std::uint64_t, 256> counts{};
+    std::vector<std::uint8_t> lengths;
+    HuffmanEncoder enc;
+    HuffmanDecoder dec;
+};
+
+ShardScratch &
+shardScratch()
+{
+    thread_local ShardScratch scratch;
+    return scratch;
+}
+
 void
 storedBlockInto(ByteSpan input, Bytes &out)
 {
@@ -103,9 +137,8 @@ ZstdLikeCodec::compressWithDictInto(ByteSpan dict, ByteSpan input,
         compressBody(input, 0, out);
         return;
     }
-    Bytes concat;
-    concat.reserve(dict.size() + input.size());
-    concat.insert(concat.end(), dict.begin(), dict.end());
+    Bytes &concat = shardScratch().concat;
+    concat.assign(dict.begin(), dict.end());
     concat.insert(concat.end(), input.begin(), input.end());
     compressBody(concat, dict.size(), out);
 }
@@ -137,50 +170,46 @@ ZstdLikeCodec::compressBody(ByteSpan full, std::size_t start,
     params.maxMatch = 1 << 16;
     params.maxChainLength = 128;  // deeper search: ratio profile
     params.lazyMatching = true;
-    const auto tokens = lz77TokenizeSuffix(full, params, start);
+    ShardScratch &t = shardScratch();
+    lz77TokenizeSuffix(full, params, start, t.tokens);
 
     // Split literals from sequences, zstd style.
-    Bytes literals;
-    struct Seq
-    {
-        std::uint32_t litRun;
-        std::uint32_t matchLen;  // 0 only for the trailing run
-        std::uint32_t offset;
-    };
-    std::vector<Seq> seqs;
+    Bytes &literals = t.literals;
+    literals.clear();
+    t.seqs.clear();
     std::uint32_t run = 0;
-    for (const auto &t : tokens) {
-        if (t.isMatch) {
-            seqs.push_back({run, t.length, t.distance});
+    for (const auto &tok : t.tokens) {
+        if (tok.isMatch) {
+            t.seqs.push_back({run, tok.length, tok.distance});
             run = 0;
         } else {
-            literals.push_back(t.literal);
+            literals.push_back(tok.literal);
             ++run;
         }
     }
     if (run > 0)
-        seqs.push_back({run, 0, 0});
+        t.seqs.push_back({run, 0, 0});
 
     // Entropy code the literal stream.
-    std::vector<std::uint64_t> counts(256, 0);
+    t.counts.fill(0);
     for (auto b : literals)
-        ++counts[b];
-    const auto lit_lengths = huffmanCodeLengths(counts);
-    HuffmanEncoder lit_enc(lit_lengths);
+        ++t.counts[b];
+    huffmanCodeLengths(t.counts, t.lengths);
+    t.enc.assign(t.lengths);
 
     out.clear();
     out.reserve(maxCompressedSize(input.size()));
     out.push_back(modeZstd);
     putU32(out, static_cast<std::uint32_t>(input.size()));
     putU32(out, static_cast<std::uint32_t>(literals.size()));
-    putU32(out, static_cast<std::uint32_t>(seqs.size()));
+    putU32(out, static_cast<std::uint32_t>(t.seqs.size()));
 
     // Literals section (bit-packed), then byte-aligned sequences.
     {
         BitWriter bw(out);
-        writeCodeLengthsRle(bw, lit_lengths);
+        writeCodeLengthsRle(bw, t.lengths);
         for (auto b : literals)
-            lit_enc.encode(bw, b);
+            t.enc.encode(bw, b);
         bw.flush();
     }
 
@@ -189,7 +218,7 @@ ZstdLikeCodec::compressBody(ByteSpan full, std::size_t start,
     // follows. matchLen is stored as (len - minMatch + 1) so that 0
     // marks the trailing literals-only sequence.
     std::uint32_t last_offset = 0;
-    for (const auto &s : seqs) {
+    for (const auto &s : t.seqs) {
         const std::uint32_t mcode =
             s.matchLen == 0 ? 0 : s.matchLen - 4 + 1;
         const std::uint8_t lit_nib =
@@ -249,13 +278,16 @@ ZstdLikeCodec::decompressBody(ByteSpan block, ByteSpan dict,
     // Literals section; pair-table decode drains two symbols per
     // lookup (the single-symbol decode handles the last odd
     // literal, where a pair would overrun the count).
-    Bytes literals;
+    ShardScratch &t = shardScratch();
+    Bytes &literals = t.literals;
+    literals.clear();
     literals.reserve(lit_count);
     std::size_t pos = 13;
     {
         BitReader br(block.subspan(pos));
-        const auto lit_lengths = readCodeLengthsRle(br, 256);
-        HuffmanDecoder lit_dec(lit_lengths);
+        readCodeLengthsRle(br, 256, t.lengths);
+        HuffmanDecoder &lit_dec = t.dec;
+        lit_dec.assign(t.lengths);
         std::uint32_t i = 0;
         while (i < lit_count) {
             if (i + 1 < lit_count) {

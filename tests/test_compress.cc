@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <queue>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -33,6 +34,110 @@ Bytes
 toBytes(const std::string &s)
 {
     return Bytes(s.begin(), s.end());
+}
+
+std::vector<std::uint8_t>
+codeLengths(const std::vector<std::uint64_t> &counts)
+{
+    std::vector<std::uint8_t> lengths;
+    huffmanCodeLengths(counts, lengths);
+    return lengths;
+}
+
+/**
+ * Oracle for huffmanCodeLengths: the textbook builder it replaced.
+ * A min-heap ordered by (weight, creation order) merges nodes, a
+ * DFS assigns depths, and the Kraft repair rescans every symbol
+ * for each one-bit lengthening.
+ */
+std::vector<std::uint8_t>
+referenceHuffmanLengths(const std::vector<std::uint64_t> &counts)
+{
+    struct TreeNode
+    {
+        std::uint64_t weight;
+        std::uint32_t order;
+        int left;
+        int right;
+        int symbol;
+    };
+    std::vector<std::uint8_t> lengths(counts.size(), 0);
+    std::vector<int> live;
+    for (std::size_t i = 0; i < counts.size(); ++i)
+        if (counts[i] > 0)
+            live.push_back(static_cast<int>(i));
+    if (live.empty())
+        return lengths;
+    if (live.size() == 1) {
+        lengths[live[0]] = 1;
+        return lengths;
+    }
+
+    std::vector<TreeNode> nodes;
+    auto cmp = [&nodes](int a, int b) {
+        if (nodes[a].weight != nodes[b].weight)
+            return nodes[a].weight > nodes[b].weight;
+        return nodes[a].order > nodes[b].order;
+    };
+    std::priority_queue<int, std::vector<int>, decltype(cmp)> heap(cmp);
+    std::uint32_t order = 0;
+    for (int s : live) {
+        nodes.push_back({counts[s], order++, -1, -1, s});
+        heap.push(static_cast<int>(nodes.size()) - 1);
+    }
+    while (heap.size() > 1) {
+        const int a = heap.top();
+        heap.pop();
+        const int b = heap.top();
+        heap.pop();
+        nodes.push_back({nodes[a].weight + nodes[b].weight, order++,
+                         a, b, -1});
+        heap.push(static_cast<int>(nodes.size()) - 1);
+    }
+
+    std::vector<std::pair<int, unsigned>> stack;
+    stack.emplace_back(heap.top(), 0);
+    while (!stack.empty()) {
+        const auto [idx, depth] = stack.back();
+        stack.pop_back();
+        const TreeNode &node = nodes[idx];
+        if (node.symbol >= 0) {
+            lengths[node.symbol] =
+                static_cast<std::uint8_t>(std::max(1u, depth));
+        } else {
+            stack.emplace_back(node.left, depth + 1);
+            stack.emplace_back(node.right, depth + 1);
+        }
+    }
+
+    bool clamped = false;
+    for (int s : live) {
+        if (lengths[s] > maxCodeLength) {
+            lengths[s] = maxCodeLength;
+            clamped = true;
+        }
+    }
+    if (!clamped)
+        return lengths;
+    auto kraft = [&]() {
+        std::uint64_t k = 0;
+        for (int s : live)
+            k += std::uint64_t(1) << (maxCodeLength - lengths[s]);
+        return k;
+    };
+    while (kraft() > (std::uint64_t(1) << maxCodeLength)) {
+        int victim = -1;
+        for (int s : live) {
+            if (lengths[s] < maxCodeLength
+                && (victim < 0 || lengths[s] > lengths[victim]))
+                victim = s;
+        }
+        EXPECT_GE(victim, 0);
+        if (victim < 0)
+            break;
+        ++lengths[victim];
+    }
+    return lengths;
 }
 
 // ---------------------------------------------------------------- bitstream
@@ -119,7 +224,7 @@ TEST(Huffman, LengthsSatisfyKraft)
     Rng rng(5);
     for (auto &c : counts)
         c = rng.uniformInt(1000);
-    const auto lengths = huffmanCodeLengths(counts);
+    const auto lengths = codeLengths(counts);
     double kraft = 0;
     for (std::size_t i = 0; i < lengths.size(); ++i) {
         if (counts[i] > 0) {
@@ -137,7 +242,7 @@ TEST(Huffman, SingleSymbolGetsLengthOne)
 {
     std::vector<std::uint64_t> counts(10, 0);
     counts[7] = 42;
-    const auto lengths = huffmanCodeLengths(counts);
+    const auto lengths = codeLengths(counts);
     EXPECT_EQ(lengths[7], 1u);
     for (std::size_t i = 0; i < counts.size(); ++i) {
         if (i != 7) {
@@ -149,7 +254,7 @@ TEST(Huffman, SingleSymbolGetsLengthOne)
 TEST(Huffman, EmptyAlphabetAllZero)
 {
     std::vector<std::uint64_t> counts(16, 0);
-    const auto lengths = huffmanCodeLengths(counts);
+    const auto lengths = codeLengths(counts);
     EXPECT_TRUE(std::all_of(lengths.begin(), lengths.end(),
                             [](auto l) { return l == 0; }));
 }
@@ -157,7 +262,7 @@ TEST(Huffman, EmptyAlphabetAllZero)
 TEST(Huffman, SkewedDistributionShorterCodesForFrequent)
 {
     std::vector<std::uint64_t> counts = {1000, 100, 10, 1};
-    const auto lengths = huffmanCodeLengths(counts);
+    const auto lengths = codeLengths(counts);
     EXPECT_LE(lengths[0], lengths[1]);
     EXPECT_LE(lengths[1], lengths[2]);
     EXPECT_LE(lengths[2], lengths[3]);
@@ -173,7 +278,7 @@ TEST(Huffman, EncodeDecodeRoundTrip)
         symbols.push_back(s);
         ++counts[s];
     }
-    const auto lengths = huffmanCodeLengths(counts);
+    const auto lengths = codeLengths(counts);
     HuffmanEncoder enc(lengths);
     HuffmanDecoder dec(lengths);
     Bytes buf;
@@ -196,7 +301,7 @@ TEST(Huffman, ManySymbolsLengthLimited)
         c = v;
         v = std::min<std::uint64_t>(v * 2, std::uint64_t(1) << 60);
     }
-    const auto lengths = huffmanCodeLengths(counts);
+    const auto lengths = codeLengths(counts);
     for (auto l : lengths)
         EXPECT_LE(l, maxCodeLength);
     // Still decodable end to end.
@@ -230,7 +335,73 @@ TEST(Huffman, CodeLengthRleRoundTrip)
     writeCodeLengthsRle(bw, lengths);
     bw.flush();
     BitReader br(buf);
-    EXPECT_EQ(readCodeLengthsRle(br, lengths.size()), lengths);
+    std::vector<std::uint8_t> got;
+    readCodeLengthsRle(br, lengths.size(), got);
+    EXPECT_EQ(got, lengths);
+}
+
+TEST(Huffman, TwoQueueMatchesHeapReference)
+{
+    // Seeded count vectors over 2-600 symbols in six shapes: wide
+    // random counts, heavy ties, 0-2 live symbols, Fibonacci and
+    // power-of-two counts (deep trees that hit the 15-bit clamp and
+    // the Kraft repair), and a zipf skew with a flat tail.
+    Rng rng(1601);
+    std::vector<std::uint8_t> got;
+    std::size_t capped = 0;
+    constexpr int trials = 1200;
+    for (int trial = 0; trial < trials; ++trial) {
+        const std::size_t n = 2 + rng.uniformInt(599);
+        std::vector<std::uint64_t> counts(n, 0);
+        std::vector<std::size_t> perm(n);
+        std::iota(perm.begin(), perm.end(), 0);
+        for (std::size_t i = n; i > 1; --i)
+            std::swap(perm[i - 1], perm[rng.uniformInt(i)]);
+        switch (trial % 6) {
+          case 0:
+            for (auto &c : counts)
+                c = rng.uniformInt(100000);
+            break;
+          case 1:
+            for (auto &c : counts)
+                c = rng.uniformInt(4);
+            break;
+          case 2:
+            for (std::size_t k = 0; k < std::size_t(trial / 6 % 3); ++k)
+                counts[perm[k]] = 1 + rng.uniformInt(8);
+            break;
+          case 3: {
+            std::uint64_t a = 1;
+            std::uint64_t b = 1;
+            for (std::size_t k = 0; k < n; ++k) {
+                counts[perm[k]] = k < 80 ? a : rng.uniformInt(3);
+                const std::uint64_t c = a + b;
+                a = b;
+                b = c;
+            }
+            break;
+          }
+          case 4:
+            for (std::size_t k = 0; k < n; ++k)
+                counts[perm[k]] = k < 60 ? std::uint64_t(1) << k
+                                         : rng.uniformInt(2);
+            break;
+          default:
+            for (int k = 0; k < 4000; ++k)
+                ++counts[rng.zipf(n, 1.2)];
+            break;
+        }
+        huffmanCodeLengths(counts, got);
+        const auto want = referenceHuffmanLengths(counts);
+        ASSERT_EQ(got, want) << "trial " << trial << ", " << n
+                             << " symbols";
+        if (*std::max_element(want.begin(), want.end()) == maxCodeLength)
+            ++capped;
+    }
+    // The Fibonacci and power-of-two shapes alone build trees far
+    // deeper than the cap.
+    EXPECT_GE(capped, std::size_t(trials / 3))
+        << "too few shapes reached the length limit";
 }
 
 // -------------------------------------------------------------------- lz77
@@ -589,8 +760,8 @@ TEST(Lz77Suffix, PrefixProducesNoTokens)
 {
     const Bytes data = generateCorpus(CorpusKind::Html, 2, 8192);
     const auto all = lz77Tokenize(data, Lz77Params{});
-    const auto tail =
-        lz77TokenizeSuffix(data, Lz77Params{}, 4096);
+    std::vector<Lz77Token> tail;
+    lz77TokenizeSuffix(data, Lz77Params{}, 4096, tail);
     // The suffix token stream covers exactly the last 4096 bytes.
     std::size_t covered = 0;
     for (const auto &t : tail)
@@ -682,6 +853,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------------------------------------------------------
 // PR 10 hot-path and preset-dictionary coverage.
 
+#include "common/worker_pool.hh"
 #include "compress/dict.hh"
 
 namespace xfm
@@ -792,7 +964,7 @@ TEST(Huffman, BatchedPairDecodeMatchesScalar)
         }(),
     };
     for (const auto &counts : shapes) {
-        const auto lengths = huffmanCodeLengths(counts);
+        const auto lengths = codeLengths(counts);
         unsigned max_len = 0;
         for (auto len : lengths)
             max_len = std::max<unsigned>(max_len, len);
@@ -838,7 +1010,7 @@ TEST(Huffman, SubtableDeepCodesRoundTrip)
     std::vector<std::uint64_t> counts(600, 1);
     counts[0] = 1ull << 30;
     counts[1] = 1ull << 20;
-    const auto lengths = huffmanCodeLengths(counts);
+    const auto lengths = codeLengths(counts);
     unsigned max_len = 0;
     for (auto len : lengths)
         max_len = std::max<unsigned>(max_len, len);
@@ -1002,6 +1174,65 @@ TEST(Dict, BuildIsDeterministicAndBounded)
     EXPECT_LE(a.size(), 2048u);
     // Whole-chunk sampling: every dictionary byte exists in the page.
     EXPECT_FALSE(a.empty());
+}
+
+// ------------------------------------------------ concurrent shards
+
+TEST(Codec, ConcurrentShardsMatchSerial)
+{
+    // The CPU swap path fans a page's shards out over worker
+    // threads, and each thread leases its own codec scratch (finder
+    // tables, Huffman builder, ZstdLike shard buffers). Run under
+    // TSan this checks no lease is shared; the blocks and restored
+    // shards must match a serial run byte for byte.
+    constexpr std::size_t dimms = 8;
+    constexpr std::size_t interleave = 256;
+    WorkerPool pool(4);
+    for (const auto algo : {Algorithm::LzFast, Algorithm::Deflate,
+                            Algorithm::ZstdLike}) {
+        const auto codec = makeCompressor(algo);
+        for (const auto kind : allCorpusKinds()) {
+            const Bytes page = generateCorpus(kind, 7, 4096);
+            const Bytes dict =
+                buildPresetDictionary(page, interleave, 2048);
+            std::vector<Bytes> shards(dimms);
+            for (std::size_t off = 0; off < page.size();
+                 off += interleave) {
+                Bytes &shard = shards[off / interleave % dimms];
+                shard.insert(shard.end(), page.begin() + off,
+                             page.begin() + off + interleave);
+            }
+            // Slot 2d holds shard d's plain block, 2d + 1 its
+            // dictionary block.
+            auto encode = [&](std::size_t i, Bytes &block) {
+                if (i % 2 == 0)
+                    codec->compressInto(shards[i / 2], block);
+                else
+                    codec->compressWithDictInto(dict, shards[i / 2],
+                                                block);
+            };
+            std::vector<Bytes> serial(2 * dimms);
+            for (std::size_t i = 0; i < serial.size(); ++i)
+                encode(i, serial[i]);
+
+            std::vector<Bytes> blocks(2 * dimms);
+            std::vector<Bytes> restored(2 * dimms);
+            pool.parallelFor(blocks.size(), [&](std::size_t i) {
+                encode(i, blocks[i]);
+                if (i % 2 == 0)
+                    codec->decompressInto(blocks[i], restored[i]);
+                else
+                    codec->decompressWithDictInto(dict, blocks[i],
+                                                  restored[i]);
+            });
+            for (std::size_t i = 0; i < blocks.size(); ++i) {
+                EXPECT_EQ(blocks[i], serial[i])
+                    << algorithmName(algo) << " " << corpusName(kind)
+                    << " slot " << i;
+                EXPECT_EQ(restored[i], shards[i / 2]);
+            }
+        }
+    }
 }
 
 } // namespace
