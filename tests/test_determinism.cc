@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 
 #include "common/random.hh"
@@ -76,9 +77,11 @@ enum class DictMode
     On,            ///< shardDict = true
 };
 
-/** One complete demote/promote run of @p cfg, traced. */
+/** One complete demote/promote run of @p cfg, traced. @p arm, if
+ *  set, runs once right after the system starts. */
 RunResult
-runConfig(const SystemConfig &cfg)
+runConfig(const SystemConfig &cfg,
+          const std::function<void(System &)> &arm = {})
 {
     EventQueue eq;
     System sys("sys", eq, cfg);
@@ -89,6 +92,8 @@ runConfig(const SystemConfig &cfg)
                              compress::CorpusKind::LogLines, p + 1,
                              pageBytes));
     sys.start();
+    if (arm)
+        arm(sys);
     eq.run(milliseconds(60.0));
     // Touch pages in a seeded order so promotions also exercise the
     // backend (and its fault sites) deterministically.
@@ -507,6 +512,139 @@ TEST(Determinism, GoldenHashes)
     EXPECT_EQ(fnv1a(dict.stats), 14070367407899252141ull);
     EXPECT_EQ(fnv1a(dict.json), 9303783945717121759ull);
     EXPECT_EQ(fnv1a(dict.trace), 17269287033067266739ull);
+}
+
+/** Sum of the per-DIMM device counter @p key ("*.dimmN.<key>"). */
+std::uint64_t
+dimmSum(const obs::Snapshot &s, const std::string &key)
+{
+    const std::string suffix = "." + key;
+    std::uint64_t v = 0;
+    for (const auto &leaf : s.leaves())
+        if (leaf.name.find(".dimm") != std::string::npos
+            && leaf.name.ends_with(suffix))
+            v += leaf.u;
+    return v;
+}
+
+/**
+ * A closed swap loop on one 4-DIMM LzFast XfmBackend at ring depth
+ * 8 with refresh running: eight streams each cycle their own page
+ * out and back in, retrying a failed swap-out 1 us later (the
+ * shape of perfbench's swap_nma workload, shortened).
+ */
+RunResult
+runSwapLoop()
+{
+    xfmsys::XfmSystemConfig cfg = testutil::testXfmConfig(4);
+    cfg.localPages = 48;
+    cfg.algorithm = compress::Algorithm::LzFast;
+    cfg.device.sqDepth = 8;
+    cfg.device.cqCoalesce = 1;
+    EventQueue eq;
+    xfmsys::XfmBackend backend("xfm", eq, cfg);
+    obs::MetricRegistry reg;
+    backend.registerMetrics(reg);
+    obs::Tracer tracer(4096);
+    backend.setTracer(&tracer);
+    for (sfm::VirtPage p = 0; p < cfg.localPages; ++p)
+        backend.writePage(p, compress::generateCorpus(
+                                 compress::CorpusKind::LogLines, p + 1,
+                                 pageBytes));
+    backend.start();
+
+    const Tick horizon = milliseconds(30.0);
+    std::function<void(sfm::VirtPage)> cycle = [&](sfm::VirtPage p) {
+        if (eq.now() >= horizon)
+            return;
+        backend.swapOut(p, true, [&, p](const sfm::SwapOutcome &o) {
+            if (!o.success) {
+                eq.scheduleIn(microseconds(1.0), [&, p] { cycle(p); });
+                return;
+            }
+            backend.swapIn(p, true, [&, p](const sfm::SwapOutcome &) {
+                eq.scheduleIn(1, [&, p] { cycle(p); });
+            });
+        });
+    };
+    for (sfm::VirtPage s = 0; s < 8; ++s)
+        cycle(s);
+    eq.run(horizon + milliseconds(1.0));
+
+    RunResult r;
+    r.snap = reg.snapshot();
+    r.stats = r.snap.renderText();
+    r.json = r.snap.toJson();
+    r.trace = tracer.toJsonLines();
+    r.injections = 0;
+    return r;
+}
+
+TEST(Determinism, WindowModelGoldenHashes)
+{
+    // Pinned outputs of the NMA refresh-window model beyond plain
+    // all-bank REF: per-bank REFpb windows with RFM slot steals (and
+    // HiRA, which lets randoms leave the refreshing bank), HiRA bonus
+    // slots and TRR slack at ring depths 1 and 8, and a swap loop
+    // that keeps the random-access pass busy. Each run is guarded so
+    // that the branch it pins really executes.
+    SystemConfig pb_cfg = faultedConfig(7);
+    pb_cfg.xfm.device.sqDepth = 8;
+    pb_cfg.xfm.device.cqCoalesce = 2;
+    pb_cfg.xfm.device.watchdogWindows = 64;
+    pb_cfg.xfm.dimmMem.rank.device.refreshMode =
+        dram::RefreshMode::RefPb;
+    pb_cfg.xfm.dimmMem.rank.device.rfmRaaimt = 64;
+    pb_cfg.xfm.dimmMem.rank.device.hira = true;
+    // Nothing in a plain system activates the DIMMs' rows, so each
+    // REFpb window charges its bank a few activations: every eighth
+    // window of a bank then carries an RFM that steals its slots.
+    const RunResult pb = runConfig(pb_cfg, [](System &sys) {
+        auto &refresh =
+            dynamic_cast<xfmsys::XfmBackend &>(sys.backend()).refresh();
+        refresh.addListener([&refresh](const dram::RefreshWindow &w) {
+            refresh.noteActivates(w.rank, w.bank, 8);
+        });
+    });
+    EXPECT_GT(dimmSum(pb.snap, "pbWindows"), 0u);
+    EXPECT_GT(dimmSum(pb.snap, "rfmStolenWindows"), 0u);
+    EXPECT_GT(dimmSum(pb.snap, "hiraBonusSlots"), 0u);
+    EXPECT_GT(dimmSum(pb.snap, "subarrayConflictRetries"), 0u);
+    EXPECT_GT(dimmSum(pb.snap, "watchdogFires"), 0u);
+
+    const auto hira_run = [](std::uint32_t sq_depth) {
+        SystemConfig cfg = faultedConfig(7);
+        cfg.xfm.device.sqDepth = sq_depth;
+        cfg.xfm.device.cqCoalesce = sq_depth > 1 ? 2 : 1;
+        cfg.xfm.device.trrRandomSlots = 2;
+        cfg.xfm.device.watchdogWindows = 64;
+        cfg.xfm.dimmMem.rank.device.hira = true;
+        return runConfig(cfg);
+    };
+    const RunResult h1 = hira_run(1);
+    const RunResult h8 = hira_run(8);
+    for (const RunResult *r : {&h1, &h8}) {
+        EXPECT_GT(dimmSum(r->snap, "hiraBonusSlots"), 0u);
+        EXPECT_GT(dimmSum(r->snap, "trrSlotsUsed"), 0u);
+        EXPECT_GT(dimmSum(r->snap, "subarrayConflictRetries"), 0u);
+    }
+    EXPECT_GT(dimmSum(h8.snap, "watchdogFires"), 0u);
+
+    const RunResult loop = runSwapLoop();
+    EXPECT_GT(dimmSum(loop.snap, "subarrayConflictRetries"), 0u);
+
+    EXPECT_EQ(fnv1a(pb.stats), 808667226451332868ull);
+    EXPECT_EQ(fnv1a(pb.json), 8453987194415591875ull);
+    EXPECT_EQ(fnv1a(pb.trace), 5837798157392588600ull);
+    EXPECT_EQ(fnv1a(h1.stats), 677539255419195619ull);
+    EXPECT_EQ(fnv1a(h1.json), 4589888585785957423ull);
+    EXPECT_EQ(fnv1a(h1.trace), 2128329288447741892ull);
+    EXPECT_EQ(fnv1a(h8.stats), 9445965763058067084ull);
+    EXPECT_EQ(fnv1a(h8.json), 1259705154763103905ull);
+    EXPECT_EQ(fnv1a(h8.trace), 8499740197731936336ull);
+    EXPECT_EQ(fnv1a(loop.stats), 5517927609148795927ull);
+    EXPECT_EQ(fnv1a(loop.json), 18426180488081706847ull);
+    EXPECT_EQ(fnv1a(loop.trace), 4287628426872533867ull);
 }
 
 TEST(Determinism, ModeledEngineIsPerEngineState)
