@@ -85,6 +85,16 @@ echo "stats.json = ${chaos_dir}/stats.json" >> "${chaos_dir}/chaos.cfg"
 "${build_dir}/examples/xfmsim" "${chaos_dir}/chaos.cfg" > /dev/null
 "${build_dir}/tools/check_obs_output" health "${chaos_dir}/stats.json"
 
+# HiRA end to end: the shipped XFM config with HiRA overlap on, so
+# every window carries a bonus slot, and the page audit armed
+# (verify = 1 exits non-zero on any corrupted byte).
+hira_dir="${build_dir}/hira-smoke"
+mkdir -p "${hira_dir}"
+cat "${repo_root}/configs/xfm.cfg" > "${hira_dir}/hira.cfg"
+echo "refresh.hira = true" >> "${hira_dir}/hira.cfg"
+echo "verify = 1" >> "${hira_dir}/hira.cfg"
+"${build_dir}/examples/xfmsim" "${hira_dir}/hira.cfg" > /dev/null
+
 # Shipped configs: the remaining example configs must run to
 # completion (set -e fails the gate on any non-zero exit, such as a
 # key no component parses any more).

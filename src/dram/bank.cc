@@ -13,6 +13,7 @@ Bank::Bank(const DeviceConfig &dev)
       subarrays_(dev.subarraysPerBank)
 {
     XFM_ASSERT(rows_per_subarray_ > 0, "empty subarrays");
+    subarray_span_ = subarrayOf(rows_per_bank_ - 1) + 1;
 }
 
 void
@@ -25,6 +26,20 @@ Bank::beginRefresh(std::uint32_t first_row, std::uint32_t count)
     refreshing_ = true;
     refresh_first_ = first_row % rows_per_bank_;
     refresh_count_ = count;
+    busy_first_ = subarrayOf(refresh_first_);
+    busy_count_ = 0;
+    if (count > 0) {
+        const std::uint32_t last = static_cast<std::uint32_t>(
+            (std::uint64_t(refresh_first_) + count - 1)
+            % rows_per_bank_);
+        const std::uint32_t last_sub = subarrayOf(last);
+        // A range that wraps past the bank end ends in a subarray
+        // below the one it starts in (count <= subarrays_ rows
+        // cannot reach back into their first subarray).
+        busy_count_ = last_sub >= busy_first_
+            ? last_sub - busy_first_ + 1
+            : subarray_span_ - busy_first_ + last_sub + 1;
+    }
 }
 
 void
@@ -71,13 +86,9 @@ Bank::accessRandom(std::uint32_t row)
 
     // The target subarray must not be refreshing a row this window:
     // its local row buffer is in use.
-    for (std::uint32_t k = 0; k < refresh_count_; ++k) {
-        const std::uint32_t r =
-            (refresh_first_ + k) % rows_per_bank_;
-        if (subarrayOf(r) == sub) {
-            ++subarray_conflicts_;
-            return BankAccessResult::SubarrayBusy;
-        }
+    if (subarrayRefreshing(sub)) {
+        ++subarray_conflicts_;
+        return BankAccessResult::SubarrayBusy;
     }
     // Only one subarray may drive the global bitlines (the added
     // isolation latch selects exactly one).

@@ -51,7 +51,8 @@ class Bank
     /**
      * Begin an all-bank-refresh slice for this bank: rows
      * [first_row, first_row + count) (wrapping) are refreshed, each
-     * in its own subarray's local row buffer.
+     * in its own subarray's local row buffer. The busy subarrays
+     * are fixed here, so accessRandom() tests one in O(1).
      */
     void beginRefresh(std::uint32_t first_row, std::uint32_t count);
 
@@ -102,13 +103,33 @@ class Bank
     }
 
   private:
+    /** True if @p sub holds a row refreshing this window. */
+    bool
+    subarrayRefreshing(std::uint32_t sub) const
+    {
+        const std::uint32_t rel = sub >= busy_first_
+            ? sub - busy_first_
+            : sub + subarray_span_ - busy_first_;
+        return rel < busy_count_;
+    }
+
     std::uint32_t rows_per_bank_;
     std::uint32_t rows_per_subarray_;
     std::uint32_t subarrays_;
+    /** Subarray indices rows map to: subarrayOf(rows_per_bank_ - 1)
+     *  + 1 (subarrays_ unless rows do not divide evenly). */
+    std::uint32_t subarray_span_;
 
     bool refreshing_ = false;
     std::uint32_t refresh_first_ = 0;
     std::uint32_t refresh_count_ = 0;
+    /**
+     * The refreshing rows are contiguous modulo rows_per_bank_, so
+     * the subarrays they occupy are busy_count_ consecutive indices
+     * from busy_first_, wrapping modulo subarray_span_.
+     */
+    std::uint32_t busy_first_ = 0;
+    std::uint32_t busy_count_ = 0;
 
     /** Subarray currently opened for a random access, or -1. */
     std::int64_t random_open_subarray_ = -1;

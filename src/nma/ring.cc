@@ -133,15 +133,15 @@ SubmissionQueue::withdraw(CommandTag tag)
     return true;
 }
 
-std::vector<CommandTag>
-SubmissionQueue::strandedSince(Tick now, Tick limit) const
+void
+SubmissionQueue::strandedSince(Tick now, Tick limit,
+                               std::vector<CommandTag> &out) const
 {
-    std::vector<CommandTag> out;
+    out.clear();
     for (const CommandDescriptor &d : slab_) {
         if (d.inUse && !d.consumed && now > d.enqueued + limit)
             out.push_back(makeTag(d.generation, d.slot));
     }
-    return out;
 }
 
 // ------------------------------------------------- CompletionQueue

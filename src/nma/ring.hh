@@ -122,11 +122,13 @@ class SubmissionQueue
     bool withdraw(CommandTag tag);
 
     /**
-     * Tags of commands pushed but still unconsumed after @p limit
-     * ticks (a lost doorbell whose retries ran out strands them):
-     * the watchdog cancels these and reports them dropped.
+     * Refill @p out with the tags of commands pushed but still
+     * unconsumed after @p limit ticks (a lost doorbell whose retries
+     * ran out strands them): the watchdog cancels these and reports
+     * them dropped.
      */
-    std::vector<CommandTag> strandedSince(Tick now, Tick limit) const;
+    void strandedSince(Tick now, Tick limit,
+                       std::vector<CommandTag> &out) const;
 
     const CommandDescriptor &descriptor(std::uint32_t slot) const
     {

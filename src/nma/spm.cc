@@ -103,11 +103,14 @@ ScratchPad::complete(OffloadId id, Bytes output, Tick when)
 }
 
 void
-ScratchPad::setDestination(OffloadId id, std::uint64_t dst_addr)
+ScratchPad::setDestination(OffloadId id, std::uint64_t dst_addr,
+                           std::uint32_t dst_row, std::uint32_t dst_bank)
 {
     auto it = entries_.find(id);
     XFM_ASSERT(it != entries_.end(), "setDestination: unknown id ", id);
     it->second.dstAddr = dst_addr;
+    it->second.dstRow = dst_row;
+    it->second.dstBank = dst_bank;
     it->second.writebackReady = true;
 }
 
@@ -134,14 +137,13 @@ ScratchPad::popWriteback(SpmEntry &out)
     return false;
 }
 
-std::vector<OffloadId>
-ScratchPad::writebackIds() const
+void
+ScratchPad::writebackIds(std::vector<OffloadId> &out) const
 {
-    std::vector<OffloadId> ids;
+    out.clear();
     for (const auto &[id, e] : entries_)
         if (e.tag == SpmTag::Completed && e.writebackReady)
-            ids.push_back(id);
-    return ids;
+            out.push_back(id);
 }
 
 SpmEntry

@@ -41,8 +41,10 @@ struct SpmEntry
     SpmTag tag = SpmTag::Pending;
     OffloadKind kind = OffloadKind::Compress;
     Bytes data;               ///< engine output (valid when Completed)
-    std::uint32_t reserved;   ///< bytes of SPM this entry holds
+    std::uint32_t reserved = 0;   ///< bytes of SPM this entry holds
     std::uint64_t dstAddr = 0;
+    std::uint32_t dstRow = 0;     ///< dstAddr's row within its bank
+    std::uint32_t dstBank = 0;    ///< dstAddr's bank
     bool writebackReady = false;  ///< destination committed
     Tick stagedAt = 0;            ///< when the entry turned Completed
     std::uint32_t partition = 0;  ///< QoS partition charged (0 = none)
@@ -101,8 +103,10 @@ class ScratchPad
      *  @param when current tick, recorded as the staging time. */
     void complete(OffloadId id, Bytes output, Tick when = 0);
 
-    /** Attach the write-back destination (compress path). */
-    void setDestination(OffloadId id, std::uint64_t dst_addr);
+    /** Attach the write-back destination and its decoded row and
+     *  bank (the window model tests those every refresh window). */
+    void setDestination(OffloadId id, std::uint64_t dst_addr,
+                        std::uint32_t dst_row, std::uint32_t dst_bank);
 
     /** Entry lookup; panics if missing. */
     const SpmEntry &entry(OffloadId id) const;
@@ -120,8 +124,9 @@ class ScratchPad
      */
     bool popWriteback(SpmEntry &out);
 
-    /** Ids of COMPLETED, destination-committed entries (FIFO). */
-    std::vector<OffloadId> writebackIds() const;
+    /** Refill @p out with the ids of COMPLETED,
+     *  destination-committed entries (FIFO). */
+    void writebackIds(std::vector<OffloadId> &out) const;
 
     /** Remove and return a specific entry (for write-back). */
     SpmEntry take(OffloadId id);

@@ -72,21 +72,6 @@ XfmDevice::XfmDevice(std::string name, EventQueue &eq,
     });
 }
 
-std::uint32_t
-XfmDevice::rowOf(std::uint64_t addr) const
-{
-    // Addresses are DIMM-local: the device's AddressMap describes
-    // only its own DRAM. cfg_.rank merely selects which refresh
-    // windows of a (possibly shared) RefreshController apply.
-    return map_.decode(addr).row;
-}
-
-std::uint32_t
-XfmDevice::bankOf(std::uint64_t addr) const
-{
-    return map_.decode(addr).bank;
-}
-
 void
 XfmDevice::registerRegion(std::uint64_t base, std::uint64_t bytes)
 {
@@ -216,7 +201,11 @@ XfmDevice::drainSq()
             tracer_->record(d.req.traceId, obs::Stage::Queue,
                             d.req.submitTick, curTick());
         }
-        reads_.push_back({d.req.id, d.req, curTick()});
+        // Decoded once here: every window tests the row and bank.
+        // Addresses are DIMM-local (the AddressMap describes only
+        // this device's DRAM).
+        const dram::DramCoord src = map_.decode(d.req.srcAddr);
+        reads_.push_back({d.req.id, d.req, curTick(), src.row, src.bank});
     }
 }
 
@@ -231,7 +220,8 @@ XfmDevice::drainQueue()
         if (tracer_ && req.traceId)
             tracer_->record(req.traceId, obs::Stage::Queue,
                             req.submitTick, curTick());
-        reads_.push_back({req.id, req, curTick()});
+        const dram::DramCoord src = map_.decode(req.srcAddr);
+        reads_.push_back({req.id, req, curTick(), src.row, src.bank});
     }
 }
 
@@ -276,7 +266,8 @@ XfmDevice::runWatchdog(Tick now)
     // reclaimed when the driver reaps the Drop record, so a healthy
     // queue's in-flight commands are untouched.
     if (ring_) {
-        for (CommandTag tag : ring_->sq().strandedSince(now, limit)) {
+        ring_->sq().strandedSince(now, limit, ids_);
+        for (CommandTag tag : ids_) {
             if (!ring_->sq().withdraw(tag))
                 continue;
             ++ring_->stats().watchdogCancels;
@@ -299,7 +290,8 @@ XfmDevice::runWatchdog(Tick now)
     }
     // Committed write-backs stranded in the SPM past the deadline:
     // force completion-with-error and free the staging space.
-    for (OffloadId id : spm_.writebackIds()) {
+    spm_.writebackIds(ids_);
+    for (OffloadId id : ids_) {
         if (now > spm_.entry(id).stagedAt + limit) {
             spm_.release(id);
             fire(id);
@@ -351,8 +343,10 @@ XfmDevice::executeRead(const ReadOp &op, AccessClass cls)
         return false;
     }
     spm_health_.recordSuccess(curTick());
-    if (op.req.kind == OffloadKind::Decompress)
-        spm_.setDestination(op.id, op.req.dstAddr);
+    if (op.req.kind == OffloadKind::Decompress) {
+        const dram::DramCoord dst = map_.decode(op.req.dstAddr);
+        spm_.setDestination(op.id, op.req.dstAddr, dst.row, dst.bank);
+    }
 
     chargeAccess(op.req.size, cls);
     stats_.bytesReadFromDram += op.req.size;
@@ -499,7 +493,8 @@ XfmDevice::commitWriteback(OffloadId id, std::uint64_t dst_addr)
                           std::max<std::uint64_t>(e.data.size(), 1)))
         fatal("commitWriteback: destination ", dst_addr,
               " is not in a registered region");
-    spm_.setDestination(id, dst_addr);
+    const dram::DramCoord dst = map_.decode(dst_addr);
+    spm_.setDestination(id, dst_addr, dst.row, dst.bank);
 }
 
 void
@@ -697,22 +692,23 @@ XfmDevice::onWindow(const dram::RefreshWindow &window)
     // Under a per-bank window, conditional accesses must land in
     // the refreshing bank; randoms too, unless HiRA overlap lets an
     // activation hide elsewhere.
-    const auto cond_reachable = [&](std::uint64_t addr) {
-        return !pb || bankOf(addr) == window.bank;
+    const auto cond_reachable = [&](std::uint32_t bank) {
+        return !pb || bank == window.bank;
     };
-    const auto rand_reachable = [&](std::uint64_t addr) {
-        return !pb || window.hira || bankOf(addr) == window.bank;
+    const auto rand_reachable = [&](std::uint32_t bank) {
+        return !pb || window.hira || bank == window.bank;
     };
 
     // Pass 1: conditional write-backs (rows being refreshed now).
-    for (OffloadId id : spm_.writebackIds()) {
+    spm_.writebackIds(ids_);
+    for (OffloadId id : ids_) {
         if (slots == 0)
             break;
         const SpmEntry &e = spm_.entry(id);
         if (e.data.empty())
             continue;
-        if (window.coversRow(rowOf(e.dstAddr), rows_per_bank)
-            && cond_reachable(e.dstAddr)) {
+        if (window.coversRow(e.dstRow, rows_per_bank)
+            && cond_reachable(e.dstBank)) {
             executeWriteback(spm_.take(id), AccessClass::Conditional);
             --slots;
         }
@@ -720,8 +716,8 @@ XfmDevice::onWindow(const dram::RefreshWindow &window)
 
     // Pass 2: conditional reads.
     for (auto it = reads_.begin(); it != reads_.end() && slots > 0;) {
-        if (window.coversRow(rowOf(it->req.srcAddr), rows_per_bank)
-            && cond_reachable(it->req.srcAddr)) {
+        if (window.coversRow(it->srcRow, rows_per_bank)
+            && cond_reachable(it->srcBank)) {
             if (!executeRead(*it, AccessClass::Conditional)) {
                 ++it;  // SPM full: deferred
                 continue;
@@ -755,19 +751,19 @@ XfmDevice::onWindow(const dram::RefreshWindow &window)
             if (best_read != reads_.end()
                 && it->req.deadline >= best_read->req.deadline)
                 continue;
-            if (!rand_reachable(it->req.srcAddr))
+            if (!rand_reachable(it->srcBank))
                 continue;
-            if (!subarray_free(rowOf(it->req.srcAddr)))
+            if (!subarray_free(it->srcRow))
                 continue;
             best_read = it;
         }
 
-        auto wb_ids = spm_.writebackIds();
         // Conflict-free, reachable write-back candidates only.
-        std::erase_if(wb_ids, [&](OffloadId id) {
-            const std::uint64_t dst = spm_.entry(id).dstAddr;
-            return !rand_reachable(dst)
-                || !subarray_free(rowOf(dst));
+        spm_.writebackIds(ids_);
+        std::erase_if(ids_, [&](OffloadId id) {
+            const SpmEntry &e = spm_.entry(id);
+            return !rand_reachable(e.dstBank)
+                || !subarray_free(e.dstRow);
         });
 
         // Write-backs normally wait for their destination row's
@@ -775,20 +771,20 @@ XfmDevice::onWindow(const dram::RefreshWindow &window)
         // burning the random slot on one.
         const bool spm_pressure =
             spm_.usedBytes() * 2 > spm_.capacityBytes();
-        if (spm_pressure && !wb_ids.empty()) {
-            executeWriteback(spm_.take(wb_ids.front()),
+        if (spm_pressure && !ids_.empty()) {
+            executeWriteback(spm_.take(ids_.front()),
                              AccessClass::Random);
         } else if (best_read != reads_.end()) {
             if (!executeRead(*best_read, AccessClass::Random))
                 break;  // SPM full: nothing can execute this window
             reads_.erase(best_read);
-        } else if (!wb_ids.empty()
-                   && curTick() > spm_.entry(wb_ids.front()).stagedAt
+        } else if (!ids_.empty()
+                   && curTick() > spm_.entry(ids_.front()).stagedAt
                           + 2 * (window.end - window.start
                                  + dev_trefi_)) {
             // A write-back has been stranded (its destination row's
             // refresh turn is far away): use the random slot.
-            executeWriteback(spm_.take(wb_ids.front()),
+            executeWriteback(spm_.take(ids_.front()),
                              AccessClass::Random);
         } else {
             break;

@@ -340,6 +340,8 @@ class XfmDevice : public SimObject
         OffloadId id;
         OffloadRequest req;
         Tick accepted;
+        std::uint32_t srcRow;   ///< req.srcAddr's row within its bank
+        std::uint32_t srcBank;  ///< req.srcAddr's bank
     };
 
     void onWindow(const dram::RefreshWindow &window);
@@ -365,8 +367,6 @@ class XfmDevice : public SimObject
     bool executeRead(const ReadOp &op, AccessClass cls);
     void executeWriteback(SpmEntry entry, AccessClass cls);
     void chargeAccess(std::size_t bytes, AccessClass cls);
-    std::uint32_t rowOf(std::uint64_t addr) const;
-    std::uint32_t bankOf(std::uint64_t addr) const;
 
     XfmDeviceConfig cfg_;
     const dram::AddressMap &map_;
@@ -404,6 +404,9 @@ class XfmDevice : public SimObject
      *  (REFpb window opens, RFM slot steals). */
     std::uint64_t refresh_trace_req_ = 0;
     std::deque<ReadOp> reads_;
+    /** Id buffer the window passes and the watchdog refill in place
+     *  (write-back candidates, stranded SQ tags). */
+    std::vector<OffloadId> ids_;
     /** Registered NMA-accessible regions (base -> end). */
     std::vector<std::pair<std::uint64_t, std::uint64_t>> regions_;
     /** Offloads aborted while the engine was running. */

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "common/random.hh"
 #include "compress/corpus.hh"
@@ -56,10 +57,16 @@ TEST(ScratchPad, WritebackRequiresDestination)
     ScratchPad spm(1000);
     ASSERT_TRUE(spm.reserve(1, OffloadKind::Compress, 100));
     spm.complete(1, Bytes(50, 1));
-    EXPECT_TRUE(spm.writebackIds().empty());  // no destination yet
-    spm.setDestination(1, 0x1000);
-    ASSERT_EQ(spm.writebackIds().size(), 1u);
-    EXPECT_EQ(spm.writebackIds()[0], 1u);
+    std::vector<OffloadId> ids{7, 8};  // refilled, not appended to
+    spm.writebackIds(ids);
+    EXPECT_TRUE(ids.empty());  // no destination yet
+    spm.setDestination(1, 0x1000, 12, 3);
+    spm.writebackIds(ids);
+    ASSERT_EQ(ids.size(), 1u);
+    EXPECT_EQ(ids[0], 1u);
+    EXPECT_EQ(spm.entry(1).dstAddr, 0x1000u);
+    EXPECT_EQ(spm.entry(1).dstRow, 12u);
+    EXPECT_EQ(spm.entry(1).dstBank, 3u);
 }
 
 TEST(ScratchPad, TakeFreesBytes)
@@ -67,7 +74,7 @@ TEST(ScratchPad, TakeFreesBytes)
     ScratchPad spm(1000);
     ASSERT_TRUE(spm.reserve(1, OffloadKind::Compress, 100));
     spm.complete(1, Bytes(80, 2));
-    spm.setDestination(1, 0);
+    spm.setDestination(1, 0, 0, 0);
     const SpmEntry e = spm.take(1);
     EXPECT_EQ(e.data.size(), 80u);
     EXPECT_EQ(spm.usedBytes(), 0u);
@@ -88,7 +95,7 @@ TEST(ScratchPad, PopWritebackFifoOrder)
     for (OffloadId id = 1; id <= 3; ++id) {
         ASSERT_TRUE(spm.reserve(id, OffloadKind::Compress, 64));
         spm.complete(id, Bytes(32, static_cast<std::uint8_t>(id)));
-        spm.setDestination(id, id * 0x100);
+        spm.setDestination(id, id * 0x100, 0, 0);
     }
     SpmEntry e;
     ASSERT_TRUE(spm.popWriteback(e));
@@ -126,7 +133,7 @@ TEST(ScratchPad, PartitionChargeFollowsEntryLifecycle)
     EXPECT_TRUE(spm.reserve(2, OffloadKind::Compress, 200, 1));
     // Release/take uncharge the partition entirely.
     spm.release(2);
-    spm.setDestination(1, 0x100);
+    spm.setDestination(1, 0x100, 0, 0);
     spm.take(1);
     EXPECT_EQ(spm.partitionUsed(1), 0u);
     EXPECT_EQ(spm.usedBytes(), 0u);

@@ -171,7 +171,8 @@ TEST(SubmissionQueueTest, StrandedScanFindsOnlyOverdueUnconsumed)
     sq.ringDoorbell(900);
     // Consume nothing: both sit in pending. Only the old one is
     // stranded past a 500-tick limit at t=1000.
-    const auto stranded = sq.strandedSince(1000, 500);
+    std::vector<CommandTag> stranded{stale, young};  // refilled
+    sq.strandedSince(1000, 500, stranded);
     ASSERT_EQ(stranded.size(), 1u);
     EXPECT_EQ(stranded[0], stale);
     (void)young;
