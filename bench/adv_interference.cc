@@ -97,7 +97,6 @@ advConfig(bool defense)
     cfg.system.sfmBase = gib(1);
     cfg.system.sfmBytes = mib(8);
     cfg.system.device.spmBytes = mib(1);
-    cfg.system.device.queueDepth = 64;
     // A fast host CPU keeps the demand-fault baseline dominated by
     // the swap itself, so RFM stalls show undiluted in the tail.
     cfg.system.cpuFreqGHz = 10.0;

@@ -19,6 +19,7 @@
 #include "nma/lockout_device.hh"
 #include "nma/xfm_device.hh"
 #include "workload/spec_model.hh"
+#include "xfm/xfm_driver.hh"
 
 using namespace xfm;
 using namespace xfm::interference;
@@ -156,6 +157,7 @@ main()
 
         std::unique_ptr<nma::HostLockoutDevice> lockout;
         std::unique_ptr<nma::XfmDevice> xfm;
+        std::unique_ptr<xfmsys::XfmDriver> driver;
         if (use_lockout) {
             nma::LockoutDeviceConfig lcfg;
             lcfg.engine = nma::EngineProfile::fpgaSoftCore();
@@ -165,9 +167,10 @@ main()
             nma::XfmDeviceConfig xcfg;
             xfm = std::make_unique<nma::XfmDevice>(
                 "xfm", eq, xcfg, map, mem, refresh);
-            xfm->setCompletionCallback(
-                [&xfm, addr_of_row](const nma::OffloadCompletion &c) {
-                xfm->commitWriteback(c.id, addr_of_row(3000));
+            driver = std::make_unique<xfmsys::XfmDriver>(*xfm);
+            driver->onComplete([&driver, addr_of_row](
+                                   const nma::OffloadCompletion &c) {
+                driver->commitWriteback(c.id, addr_of_row(3000));
             });
         }
         for (int i = 0; i < 400; ++i) {
@@ -180,8 +183,8 @@ main()
                     req.dstAddr = addr_of_row(2000 + i % 64);
                     lockout->offload(req, nullptr);
                 } else {
-                    req.deadline = eq.now() + milliseconds(32.0);
-                    xfm->submit(req);
+                    driver->xfmCompress(req.srcAddr, req.size,
+                                        eq.now() + milliseconds(32.0));
                 }
             });
         }

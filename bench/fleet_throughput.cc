@@ -46,7 +46,6 @@ makeServiceConfig(std::size_t max_tenants)
     cfg.system.sfmBase = gib(1);
     cfg.system.sfmBytes = mib(16);
     cfg.system.device.spmBytes = mib(2);
-    cfg.system.device.queueDepth = 64;
     cfg.batchSpmCapBytes = mib(4);
     return cfg;
 }

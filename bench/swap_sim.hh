@@ -105,7 +105,7 @@ runSwapSim(const SwapSimConfig &sc)
 
     nma::XfmDeviceConfig dcfg;
     dcfg.spmBytes = sc.spmBytes;
-    dcfg.queueDepth = 16384;
+    dcfg.sqDepth = 16384;  // never the bottleneck: the SPM is
     dcfg.maxAccessesPerWindow = sc.accessesPerTrfc;
     dcfg.maxRandomPerWindow = sc.maxRandomPerWindow;
     dcfg.trrRandomSlots = sc.trrRandomSlots;

@@ -92,7 +92,6 @@ runPolicy(sfm::TierPolicy policy, Tick horizon)
     xcfg.sfmBytes = mib(32);
     xcfg.algorithm = compress::Algorithm::LzFast;
     xcfg.device.spmBytes = mib(2);
-    xcfg.device.queueDepth = 64;
     xfmsys::XfmBackend backend("ts", eq, xcfg);
     for (sfm::VirtPage p = 0; p < numPages; ++p)
         backend.writePage(p, pageFor(p));

@@ -15,6 +15,7 @@
 #include "dram/phys_mem.hh"
 #include "dram/refresh.hh"
 #include "nma/xfm_device.hh"
+#include "xfm/xfm_driver.hh"
 
 using namespace xfm;
 using namespace xfm::nma;
@@ -37,6 +38,7 @@ main()
     XfmDeviceConfig dcfg;
     dcfg.maxAccessesPerWindow = 3;
     XfmDevice device("xfm0", eq, dcfg, map, mem, refresh);
+    xfmsys::XfmDriver driver(device);
 
     auto addr_of_row = [&](std::uint32_t row) {
         dram::DramCoord c{};
@@ -51,7 +53,7 @@ main()
                     formatTicks(w.end).c_str(), w.firstRow,
                     w.firstRow + w.rowCount - 1);
     });
-    device.setCompletionCallback([&](const OffloadCompletion &c) {
+    driver.onComplete([&](const OffloadCompletion &c) {
         std::printf("[%9s]   engine: offload %llu %s -> %u B "
                     "(staged in SPM)\n",
                     formatTicks(c.finished).c_str(),
@@ -60,9 +62,9 @@ main()
                                                     : "decompressed",
                     c.outputSize);
         if (c.kind == OffloadKind::Compress)
-            device.commitWriteback(c.id, addr_of_row(40));
+            driver.commitWriteback(c.id, addr_of_row(40));
     });
-    device.setWritebackCallback([&](OffloadId id, Tick t) {
+    driver.onWriteback([&](OffloadId id, Tick t) {
         std::printf("[%9s]   write-back: offload %llu output now in "
                     "DRAM\n",
                     formatTicks(t).c_str(), (unsigned long long)id);
@@ -73,33 +75,21 @@ main()
     mem.write(addr_of_row(5), Bytes(4096, 0xA5));
     mem.write(addr_of_row(60000), Bytes(4096, 0x5A));
 
-    OffloadRequest a;
-    a.kind = OffloadKind::Compress;
-    a.srcAddr = addr_of_row(5);
-    a.size = 4096;
     std::printf("[%9s] submit compress of row 5 (refresh-aligned)\n",
                 formatTicks(eq.now()).c_str());
-    device.submit(a);
+    driver.xfmCompress(addr_of_row(5), 4096, maxTick);
 
-    OffloadRequest b;
-    b.kind = OffloadKind::Decompress;
-    b.srcAddr = addr_of_row(60000);
-    b.size = 1365;
-    b.dstAddr = addr_of_row(70000);
-    b.rawSize = 4096;
     std::printf("[%9s] submit decompress from row 60000 (random "
                 "access)\n",
                 formatTicks(eq.now()).c_str());
     // Pre-stage a compressed block so the decompression has real
     // input (content irrelevant for the timeline).
-    {
-        CompressionEngine eng(compress::Algorithm::ZstdLike);
-        const auto [block, lat] = eng.compress(Bytes(4096, 0x11));
-        (void)lat;
-        mem.write(addr_of_row(60000), block);
-        b.size = static_cast<std::uint32_t>(block.size());
-    }
-    device.submit(b);
+    CompressionEngine eng(compress::Algorithm::ZstdLike);
+    const Bytes block = eng.compress(Bytes(4096, 0x11)).first;
+    mem.write(addr_of_row(60000), block);
+    driver.xfmDecompress(addr_of_row(60000),
+                         static_cast<std::uint32_t>(block.size()),
+                         addr_of_row(70000), 4096, maxTick);
 
     refresh.start();
     eq.run(5 * cfg.rank.device.tREFI());

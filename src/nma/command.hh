@@ -7,8 +7,8 @@
  * counter: `(generation << commandSlotBits) | slot`. Generations
  * start at 1 and are bumped every time a slot is retired, so a tag
  * is unique over the life of the ring and never equals
- * `invalidOffloadId` — in ring mode the tag *is* the OffloadId the
- * driver hands out. A completion record carrying a stale generation
+ * `invalidOffloadId` — the tag *is* the OffloadId the driver hands
+ * out. A completion record carrying a stale generation
  * (its slot was retired by an abort) is rejected at reap time.
  */
 
@@ -24,7 +24,7 @@ namespace xfm
 namespace nma
 {
 
-/** Generation-tagged command identifier (ring-mode OffloadId). */
+/** Generation-tagged command identifier (the OffloadId). */
 using CommandTag = std::uint64_t;
 
 /** Bits of the tag reserved for the slab slot index. */

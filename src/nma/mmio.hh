@@ -1,6 +1,6 @@
 /**
  * @file
- * MMIO register file and Compress_Request_Queue of an XFM DIMM.
+ * MMIO register file of an XFM DIMM.
  *
  * The driver talks to the DIMM exclusively through these registers;
  * every access is counted so tests can verify the backend's lazy
@@ -13,11 +13,9 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "common/stats.hh"
-#include "nma/offload.hh"
 
 namespace xfm
 {
@@ -30,10 +28,10 @@ enum class Reg : std::uint32_t
     SpCapacity,      ///< free SPM bytes (read-only)
     SfmRegionBase,   ///< physical base of the SFM region
     SfmRegionSize,   ///< SFM region size in bytes
-    QueueDepth,      ///< occupied Compress_Request_Queue slots (RO)
+    QueueDepth,      ///< occupied submission-queue slots (RO)
     Control,         ///< enable bit etc.
-    SqTailDoorbell,  ///< ring mode: SQ tail (batched doorbell)
-    CqHeadDoorbell,  ///< ring mode: CQ head (reap acknowledgement)
+    SqTailDoorbell,  ///< SQ tail (batched doorbell)
+    CqHeadDoorbell,  ///< CQ head (reap acknowledgement)
 };
 
 /**
@@ -76,59 +74,6 @@ class RegisterFile
     std::array<Slot, 7> slots_;
     stats::Counter reads_;
     stats::Counter writes_;
-};
-
-/**
- * Bounded descriptor queue fed by MMIO doorbell writes.
- */
-class CompressRequestQueue
-{
-  public:
-    explicit CompressRequestQueue(std::size_t depth) : depth_(depth) {}
-
-    std::size_t depth() const { return depth_; }
-    std::size_t size() const { return q_.size(); }
-    bool full() const { return q_.size() >= depth_; }
-    bool empty() const { return q_.empty(); }
-
-    /** Push a descriptor; returns false when the queue is full. */
-    bool
-    push(const OffloadRequest &req)
-    {
-        if (full())
-            return false;
-        q_.push_back(req);
-        return true;
-    }
-
-    /** Oldest descriptor; queue must not be empty. */
-    const OffloadRequest &front() const { return q_.front(); }
-
-    /** Remove a queued descriptor by id; false if not present. */
-    bool
-    removeById(std::uint64_t id)
-    {
-        for (auto it = q_.begin(); it != q_.end(); ++it) {
-            if (it->id == id) {
-                q_.erase(it);
-                return true;
-            }
-        }
-        return false;
-    }
-
-    /** Pop the oldest descriptor; queue must not be empty. */
-    OffloadRequest
-    pop()
-    {
-        OffloadRequest r = q_.front();
-        q_.pop_front();
-        return r;
-    }
-
-  private:
-    std::size_t depth_;
-    std::deque<OffloadRequest> q_;
 };
 
 } // namespace nma

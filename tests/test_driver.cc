@@ -60,6 +60,14 @@ class DriverTest : public ::testing::Test
         return map_.encode(c);
     }
 
+    /** A row refreshed by window 1: the first window that sees a
+     *  tick-0 submission, whose doorbell is rung after window 0. */
+    std::uint32_t
+    firstServedRow() const
+    {
+        return cfg_.rank.device.rowsPerRefresh + 5;
+    }
+
     EventQueue eq_;
     dram::MemSystemConfig cfg_;
     dram::AddressMap map_;
@@ -84,7 +92,8 @@ TEST_F(DriverTest, BoundGrowsOnSubmit)
 TEST_F(DriverTest, BoundTrimsAtCompletionAndClearsAtWriteback)
 {
     makeDriver();
-    mem_.write(rowAddr(5), Bytes(4096, 0x33));  // compressible
+    const std::uint64_t src = rowAddr(firstServedRow());
+    mem_.write(src, Bytes(4096, 0x33));  // compressible
     std::optional<nma::OffloadCompletion> completion;
     driver_->onComplete([&](const nma::OffloadCompletion &c) {
         completion = c;
@@ -92,9 +101,9 @@ TEST_F(DriverTest, BoundTrimsAtCompletionAndClearsAtWriteback)
     Tick wb_at = 0;
     driver_->onWriteback([&](nma::OffloadId, Tick t) { wb_at = t; });
 
-    // Row 5 is refreshed in the first window: executes immediately.
-    const auto id = driver_->xfmCompress(rowAddr(5), 4096, maxTick);
-    eq_.run(cfg_.rank.device.tREFI());
+    // Window 1 refreshes the source row: executes at once.
+    const auto id = driver_->xfmCompress(src, 4096, maxTick);
+    eq_.run(2 * cfg_.rank.device.tREFI());
     ASSERT_TRUE(completion.has_value());
     // Bound trimmed from worst case (4112) to the actual size.
     EXPECT_EQ(driver_->occupancyBound(), completion->outputSize);
@@ -170,12 +179,13 @@ TEST_F(DriverTest, TrulyFullSpmFallsBackAfterSync)
     Rng rng(9);
     for (auto &b : noise)
         b = static_cast<std::uint8_t>(rng.next());
-    mem_.write(rowAddr(5), noise);
-    // Row 5 executes in window 0; no write-back is committed, so
-    // its output stays staged in the SPM.
-    ASSERT_NE(driver_->xfmCompress(rowAddr(5), 4096, maxTick),
+    const std::uint64_t src = rowAddr(firstServedRow());
+    mem_.write(src, noise);
+    // The source executes in window 1; no write-back is committed,
+    // so its output stays staged in the SPM.
+    ASSERT_NE(driver_->xfmCompress(src, 4096, maxTick),
               nma::invalidOffloadId);
-    eq_.run(cfg_.rank.device.tREFI());
+    eq_.run(2 * cfg_.rank.device.tREFI());
     // Now the SPM is truly occupied: the next admission syncs and
     // falls back.
     EXPECT_EQ(driver_->xfmCompress(rowAddr(6), 4096, maxTick),
@@ -219,7 +229,7 @@ TEST_F(DriverTest, AlwaysSyncReadsEveryTime)
 TEST_F(DriverTest, QueueFullFallsBack)
 {
     nma::XfmDeviceConfig dcfg;
-    dcfg.queueDepth = 2;
+    dcfg.sqDepth = 2;
     makeDriver(dcfg);
     int rejected = 0;
     for (int i = 0; i < 4; ++i) {

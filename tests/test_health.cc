@@ -459,14 +459,13 @@ TEST_F(BackendHealthTest, DoorbellBreakerSkipsRetryLadder)
     cfg.health.failConsecutive = 2;
     makeBackend(cfg);
 
-    // First swap: every doorbell ring on DIMM 0 is lost and the
-    // second consecutive loss trips its breaker mid-ladder; the op
-    // rolls back to the CPU before DIMM 1's doorbell is ever rung
-    // (shard submission is sequential).
+    // First swap: every SQ tail doorbell on DIMM 0 is lost and the
+    // second consecutive loss trips its queue breaker mid-ladder;
+    // the staged shard is redone on the CPU.
     const SwapOutcome first = runSwapOut(1);
     EXPECT_TRUE(first.success);
     EXPECT_TRUE(first.usedCpu);
-    EXPECT_EQ(backend_->driver(0).doorbellHealth().rawState(),
+    EXPECT_EQ(backend_->driver(0).queueHealth().rawState(),
               HealthState::Failed);
     const std::uint64_t retries_after_first =
         backend_->driver(0).stats().retries;
@@ -481,7 +480,7 @@ TEST_F(BackendHealthTest, DoorbellBreakerSkipsRetryLadder)
               retries_after_first);
     EXPECT_GT(backend_->driver(0).stats().breakerFallbacks, 0u);
     EXPECT_GT(backend_->driver(0)
-                  .doorbellHealth()
+                  .queueHealth()
                   .stats()
                   .breakerRejects,
               0u);
@@ -643,7 +642,7 @@ TEST(HealthDeterminism, SameSeedByteIdenticalHealthTimeline)
     // The health layer actually participated: its metrics are in the
     // snapshot and the fault plan left marks on some monitor.
     EXPECT_NE(a.find("health.channel.state"), std::string::npos);
-    EXPECT_NE(a.find("health.doorbell.faults"), std::string::npos);
+    EXPECT_NE(a.find("health.queue.faults"), std::string::npos);
 }
 
 } // namespace

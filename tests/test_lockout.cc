@@ -16,6 +16,7 @@
 #include "dram/refresh.hh"
 #include "nma/lockout_device.hh"
 #include "nma/xfm_device.hh"
+#include "ring_host.hh"
 #include "sim/event_queue.hh"
 
 namespace xfm
@@ -181,6 +182,7 @@ TEST_F(LockoutVsXfmTest, LockoutStallsHostXfmDoesNot)
     dram::PhysMem mem2(cfg_.totalCapacityBytes());
     XfmDeviceConfig xcfg;
     XfmDevice xfm("xfm", eq2, xcfg, map_, mem2, refresh2);
+    RingHost host(xfm);
     refresh2.start();
     mem2.write(rowAddr(10), page_);
     for (int i = 0; i < 400; ++i) {
@@ -190,13 +192,12 @@ TEST_F(LockoutVsXfmTest, LockoutStallsHostXfmDoesNot)
             req.srcAddr = rowAddr(10);
             req.size = 4096;
             req.deadline = eq2.now() + milliseconds(32.0);
-            const auto id = xfm.submit(req);
-            (void)id;
+            host.submit(req);
         });
     }
-    xfm.setCompletionCallback([&](const OffloadCompletion &c) {
+    host.onComplete = [&](const OffloadCompletion &c) {
         xfm.commitWriteback(c.id, rowAddr(3000));
-    });
+    };
     auto sum = std::make_shared<double>(0.0);
     auto count = std::make_shared<int>(0);
     for (Tick t = 0; t < milliseconds(2.0); t += microseconds(1.0)) {

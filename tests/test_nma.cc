@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the NMA: scratchpad accounting, MMIO registers, request
- * queue, engine timing, and the refresh-window scheduler's
+ * Tests for the NMA: scratchpad accounting, MMIO registers, engine
+ * timing, and the refresh-window scheduler's
  * conditional/random access behaviour (paper Sec. 5 and Fig. 10).
  */
 
@@ -20,6 +20,7 @@
 #include "nma/mmio.hh"
 #include "nma/spm.hh"
 #include "nma/xfm_device.hh"
+#include "ring_host.hh"
 #include "sim/event_queue.hh"
 
 namespace xfm
@@ -178,19 +179,6 @@ TEST(Mmio, ReadWriteRegister)
     EXPECT_EQ(regs.writes(), 1u);
 }
 
-TEST(Mmio, QueueBounded)
-{
-    CompressRequestQueue q(2);
-    OffloadRequest r;
-    r.size = 4096;
-    EXPECT_TRUE(q.push(r));
-    EXPECT_TRUE(q.push(r));
-    EXPECT_FALSE(q.push(r));
-    EXPECT_TRUE(q.full());
-    q.pop();
-    EXPECT_FALSE(q.full());
-}
-
 // --------------------------------------------------------------- engine
 
 TEST(Engine, CompressRoundTripsAndTimes)
@@ -255,11 +243,13 @@ class XfmDeviceTest : public ::testing::Test
           refresh_("refresh", eq_, cfg_.rank.device, 1)
     {}
 
-    /** Build a device with the given knobs and start refresh. */
+    /** Build a device with the given knobs, its host side
+     *  (host_), and start refresh. */
     XfmDevice &
     makeDevice(XfmDeviceConfig dcfg = {})
     {
         device_.emplace("xfm0", eq_, dcfg, map_, mem_, refresh_);
+        host_.emplace(*device_);
         refresh_.start();
         return *device_;
     }
@@ -280,6 +270,7 @@ class XfmDeviceTest : public ::testing::Test
     dram::PhysMem mem_;
     dram::RefreshController refresh_;
     std::optional<XfmDevice> device_;
+    std::optional<RingHost> host_;
 };
 
 TEST_F(XfmDeviceTest, CompressOffloadEndToEnd)
@@ -291,19 +282,19 @@ TEST_F(XfmDeviceTest, CompressOffloadEndToEnd)
 
     std::optional<OffloadCompletion> completion;
     Tick writeback_at = 0;
-    dev.setCompletionCallback([&](const OffloadCompletion &c) {
+    host_->onComplete = [&](const OffloadCompletion &c) {
         completion = c;
         // Backend allocates space and commits the destination.
         dev.commitWriteback(c.id, rowAddr(5000));
-    });
-    dev.setWritebackCallback(
-        [&](OffloadId, Tick t) { writeback_at = t; });
+    };
+    host_->onWriteback =
+        [&](OffloadId, Tick t) { writeback_at = t; };
 
     OffloadRequest req;
     req.kind = OffloadKind::Compress;
     req.srcAddr = rowAddr(100);
     req.size = 4096;
-    const OffloadId id = dev.submit(req);
+    const OffloadId id = host_->submit(req);
     EXPECT_NE(id, invalidOffloadId);
 
     eq_.run(cfg_.rank.device.retention);
@@ -329,8 +320,8 @@ TEST_F(XfmDeviceTest, DecompressOffloadEndToEnd)
     mem_.write(rowAddr(7), block);
 
     Tick writeback_at = 0;
-    dev.setWritebackCallback(
-        [&](OffloadId, Tick t) { writeback_at = t; });
+    host_->onWriteback =
+        [&](OffloadId, Tick t) { writeback_at = t; };
 
     OffloadRequest req;
     req.kind = OffloadKind::Decompress;
@@ -338,7 +329,7 @@ TEST_F(XfmDeviceTest, DecompressOffloadEndToEnd)
     req.size = static_cast<std::uint32_t>(block.size());
     req.dstAddr = rowAddr(9000);
     req.rawSize = 4096;
-    ASSERT_NE(dev.submit(req), invalidOffloadId);
+    ASSERT_NE(host_->submit(req), invalidOffloadId);
 
     eq_.run(cfg_.rank.device.retention);
     EXPECT_GT(writeback_at, 0u);
@@ -357,17 +348,17 @@ TEST_F(XfmDeviceTest, MinimumLatencyIsTwoRefreshIntervals)
     mem_.write(rowAddr(60000), page);
 
     Tick writeback_at = 0;
-    dev.setCompletionCallback([&](const OffloadCompletion &c) {
+    host_->onComplete = [&](const OffloadCompletion &c) {
         dev.commitWriteback(c.id, rowAddr(60010));
-    });
-    dev.setWritebackCallback(
-        [&](OffloadId, Tick t) { writeback_at = t; });
+    };
+    host_->onWriteback =
+        [&](OffloadId, Tick t) { writeback_at = t; };
 
     OffloadRequest req;
     req.kind = OffloadKind::Compress;
     req.srcAddr = rowAddr(60000);
     req.size = 4096;
-    dev.submit(req);
+    host_->submit(req);
     eq_.run(cfg_.rank.device.retention);
 
     const Tick trefi = cfg_.rank.device.tREFI();
@@ -385,7 +376,7 @@ TEST_F(XfmDeviceTest, ConditionalAccessWhenRowInRefreshSet)
     req.kind = OffloadKind::Compress;
     req.srcAddr = rowAddr(0);
     req.size = 4096;
-    dev.submit(req);
+    host_->submit(req);
     eq_.run(0);  // first window fires at tick 0
     EXPECT_EQ(dev.stats().conditionalAccesses, 1u);
     EXPECT_EQ(dev.stats().randomAccesses, 0u);
@@ -401,7 +392,7 @@ TEST_F(XfmDeviceTest, RandomAccessForNonRefreshedRow)
     req.kind = OffloadKind::Compress;
     req.srcAddr = rowAddr(60000);
     req.size = 4096;
-    dev.submit(req);
+    host_->submit(req);
     eq_.run(0);
     EXPECT_EQ(dev.stats().randomAccesses, 1u);
     EXPECT_EQ(dev.stats().conditionalAccesses, 0u);
@@ -421,7 +412,7 @@ TEST_F(XfmDeviceTest, RandomBudgetEnforcedPerWindow)
         req.kind = OffloadKind::Compress;
         req.srcAddr = rowAddr(50000 + 16 * i);
         req.size = 4096;
-        dev.submit(req);
+        host_->submit(req);
     }
     eq_.run(0);
     EXPECT_EQ(dev.stats().randomAccesses, 1u);
@@ -430,10 +421,10 @@ TEST_F(XfmDeviceTest, RandomBudgetEnforcedPerWindow)
 
 TEST_F(XfmDeviceTest, QueueDepthBoundsAdmission)
 {
-    // The Compress_Request_Queue is the device's only admission
-    // bound: SPM space is reserved at read-execution time.
+    // The submission queue is the device's only admission bound:
+    // SPM space is reserved at read-execution time.
     XfmDeviceConfig dcfg;
-    dcfg.queueDepth = 4;
+    dcfg.sqDepth = 4;
     auto &dev = makeDevice(dcfg);
     OffloadRequest req;
     req.kind = OffloadKind::Compress;
@@ -443,7 +434,7 @@ TEST_F(XfmDeviceTest, QueueDepthBoundsAdmission)
     int accepted = 0;
     int rejected = 0;
     for (int i = 0; i < 6; ++i) {
-        if (dev.submit(req) != invalidOffloadId)
+        if (host_->submit(req) != invalidOffloadId)
             ++accepted;
         else
             ++rejected;
@@ -451,7 +442,7 @@ TEST_F(XfmDeviceTest, QueueDepthBoundsAdmission)
     EXPECT_EQ(accepted, 4);
     EXPECT_EQ(rejected, 2);
     EXPECT_EQ(dev.stats().queueRejects, 2u);
-    EXPECT_EQ(dev.queuedRequests(), 4u);
+    EXPECT_EQ(dev.ring().sq().inFlight(), 4u);
 }
 
 TEST_F(XfmDeviceTest, SpmFullDefersExecution)
@@ -464,17 +455,17 @@ TEST_F(XfmDeviceTest, SpmFullDefersExecution)
     dcfg.maxRandomPerWindow = 3;
     auto &dev = makeDevice(dcfg);
     int completions = 0;
-    dev.setCompletionCallback([&](const OffloadCompletion &c) {
+    host_->onComplete = [&](const OffloadCompletion &c) {
         dev.commitWriteback(c.id, rowAddr(9000 + 16 * completions));
         ++completions;
-    });
+    };
     for (int i = 0; i < 2; ++i) {
         mem_.write(rowAddr(52000 + 16 * i), Bytes(4096, 7));
         OffloadRequest req;
         req.kind = OffloadKind::Compress;
         req.srcAddr = rowAddr(52000 + 16 * i);
         req.size = 4096;
-        ASSERT_NE(dev.submit(req), invalidOffloadId);
+        ASSERT_NE(host_->submit(req), invalidOffloadId);
     }
     eq_.run(0);  // first window: one executes, one defers
     EXPECT_EQ(dev.stats().deferredExecutions, 1u);
@@ -494,7 +485,7 @@ TEST_F(XfmDeviceTest, SpCapacityRegisterTracksSpm)
     req.kind = OffloadKind::Compress;
     req.srcAddr = rowAddr(10);  // row 10: refreshed by window 0
     req.size = 4096;
-    dev.submit(req);
+    host_->submit(req);
     // SPM is reserved when the read executes, not at submit.
     EXPECT_EQ(dev.regs().read(Reg::SpCapacity), 64u * 1024);
     eq_.run(0);
@@ -505,9 +496,9 @@ TEST_F(XfmDeviceTest, DeadlineDropInvokesCallback)
 {
     auto &dev = makeDevice();
     std::vector<OffloadId> dropped;
-    dev.setDropCallback([&](OffloadId id, DropReason) {
+    host_->onDrop = [&](OffloadId id, DropReason) {
         dropped.push_back(id);
-    });
+    };
 
     mem_.write(rowAddr(40000), Bytes(4096, 4));
     OffloadRequest urgent;
@@ -522,8 +513,8 @@ TEST_F(XfmDeviceTest, DeadlineDropInvokesCallback)
     first.deadline = 0;
     mem_.write(rowAddr(40016), Bytes(4096, 5));
 
-    dev.submit(first);
-    dev.submit(urgent);
+    host_->submit(first);
+    host_->submit(urgent);
     // Window 0 at tick 0 serves `first` (deadline 0 still valid at
     // start). Window 1 finds `urgent` expired.
     eq_.run(2 * cfg_.rank.device.tREFI());
@@ -542,7 +533,7 @@ TEST_F(XfmDeviceTest, EnergySavingsFromConditionalAccesses)
         req.kind = OffloadKind::Compress;
         req.srcAddr = rowAddr(i * 4096);
         req.size = 4096;
-        dev.submit(req);
+        host_->submit(req);
     }
     eq_.run(cfg_.rank.device.retention);
     EXPECT_GT(dev.stats().conditionalAccesses, 0u);
@@ -582,16 +573,16 @@ TEST_F(XfmDeviceTest, WritebackMaintainsSidebandEccParity)
     mem_.write(rowAddr(3), page);  // row 3: first refresh window
 
     bool written = false;
-    dev.setCompletionCallback([&](const OffloadCompletion &c) {
+    host_->onComplete = [&](const OffloadCompletion &c) {
         dev.commitWriteback(c.id, rowAddr(17));  // window 1 rows
-    });
-    dev.setWritebackCallback([&](OffloadId, Tick) { written = true; });
+    };
+    host_->onWriteback = [&](OffloadId, Tick) { written = true; };
 
     OffloadRequest req;
     req.kind = OffloadKind::Compress;
     req.srcAddr = rowAddr(3);
     req.size = 4096;
-    dev.submit(req);
+    host_->submit(req);
     eq_.run(cfg_.rank.device.retention);
     ASSERT_TRUE(written);
     EXPECT_GT(dev.stats().eccParityBytesWritten, 0u);
@@ -608,14 +599,14 @@ TEST_F(XfmDeviceTest, EccDisabledWritesNoParity)
 {
     auto &dev = makeDevice();  // eccParityBase = 0
     mem_.write(rowAddr(3), Bytes(4096, 0x5A));
-    dev.setCompletionCallback([&](const OffloadCompletion &c) {
+    host_->onComplete = [&](const OffloadCompletion &c) {
         dev.commitWriteback(c.id, rowAddr(17));
-    });
+    };
     OffloadRequest req;
     req.kind = OffloadKind::Compress;
     req.srcAddr = rowAddr(3);
     req.size = 4096;
-    dev.submit(req);
+    host_->submit(req);
     eq_.run(cfg_.rank.device.retention);
     EXPECT_EQ(dev.stats().eccParityBytesWritten, 0u);
 }
@@ -641,11 +632,11 @@ TEST_F(XfmDeviceTest, UnregisteredSourceRejected)
     req.kind = OffloadKind::Compress;
     req.srcAddr = gib(2);  // outside the registered window
     req.size = 4096;
-    EXPECT_EQ(dev.submit(req), invalidOffloadId);
+    EXPECT_EQ(host_->submit(req), invalidOffloadId);
     EXPECT_EQ(dev.stats().unregisteredRejects, 1u);
 
     req.srcAddr = mib(1) - 4096;  // inside
-    EXPECT_NE(dev.submit(req), invalidOffloadId);
+    EXPECT_NE(host_->submit(req), invalidOffloadId);
 }
 
 TEST_F(XfmDeviceTest, UnregisteredDecompressDestinationRejected)
@@ -658,7 +649,7 @@ TEST_F(XfmDeviceTest, UnregisteredDecompressDestinationRejected)
     req.size = 1024;
     req.dstAddr = gib(4);  // unregistered destination frame
     req.rawSize = 4096;
-    EXPECT_EQ(dev.submit(req), invalidOffloadId);
+    EXPECT_EQ(host_->submit(req), invalidOffloadId);
     EXPECT_EQ(dev.stats().unregisteredRejects, 1u);
 }
 
@@ -668,14 +659,14 @@ TEST_F(XfmDeviceTest, UnregisteredWritebackDestinationFatal)
     dev.registerRegion(0, mib(1));
     mem_.write(rowAddr(3), Bytes(4096, 0x21));
     std::optional<OffloadCompletion> completion;
-    dev.setCompletionCallback([&](const OffloadCompletion &c) {
+    host_->onComplete = [&](const OffloadCompletion &c) {
         completion = c;
-    });
+    };
     OffloadRequest req;
     req.kind = OffloadKind::Compress;
     req.srcAddr = rowAddr(3);
     req.size = 4096;
-    ASSERT_NE(dev.submit(req), invalidOffloadId);
+    ASSERT_NE(host_->submit(req), invalidOffloadId);
     eq_.run(cfg_.rank.device.tREFI());
     ASSERT_TRUE(completion.has_value());
     EXPECT_THROW(dev.commitWriteback(completion->id, gib(8)),
@@ -689,7 +680,7 @@ TEST_F(XfmDeviceTest, NoRegistrationsMeansPermissive)
     req.kind = OffloadKind::Compress;
     req.srcAddr = gib(2);
     req.size = 4096;
-    EXPECT_NE(dev.submit(req), invalidOffloadId);
+    EXPECT_NE(host_->submit(req), invalidOffloadId);
     EXPECT_EQ(dev.stats().unregisteredRejects, 0u);
 }
 
@@ -744,17 +735,17 @@ TEST_F(XfmDeviceTest, DefaultBudgetDerivedFromDevice)
 
 TEST_F(XfmDeviceTest, EngineCompletionWaitsForTransfer)
 {
-    auto &dev = makeDevice();
+    makeDevice();
     mem_.write(rowAddr(3), Bytes(4096, 0x66));  // window-0 row
     Tick completed = 0;
-    dev.setCompletionCallback([&](const OffloadCompletion &c) {
+    host_->onComplete = [&](const OffloadCompletion &c) {
         completed = c.finished;
-    });
+    };
     OffloadRequest req;
     req.kind = OffloadKind::Compress;
     req.srcAddr = rowAddr(3);
     req.size = 4096;
-    dev.submit(req);
+    host_->submit(req);
     eq_.run(cfg_.rank.device.tREFI());
     // Transfer (110 ns) + engine (~277 ns) past the window start.
     EXPECT_GE(completed,

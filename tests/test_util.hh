@@ -45,7 +45,6 @@ testXfmConfig(std::size_t dimms = 4)
     cfg.sfmBase = gib(1);
     cfg.sfmBytes = mib(16);
     cfg.device.spmBytes = mib(2);
-    cfg.device.queueDepth = 64;
     return cfg;
 }
 
@@ -63,7 +62,6 @@ testServiceConfig()
     cfg.system.sfmBase = gib(1);
     cfg.system.sfmBytes = mib(8);
     cfg.system.device.spmBytes = mib(1);
-    cfg.system.device.queueDepth = 64;
     return cfg;
 }
 

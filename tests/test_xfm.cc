@@ -290,7 +290,7 @@ TEST_F(XfmBackendTest, CapacityExhaustionFallsBackToCpu)
 {
     auto cfg = testSystemConfig(2);
     cfg.device.spmBytes = 4 * 1024;   // fits one 2 KiB-shard offload
-    cfg.device.queueDepth = 1;
+    cfg.device.sqDepth = 1;
     makeBackend(cfg);
     // Burst of swap-outs exceeds SPM + queue; extras run on the CPU.
     for (VirtPage p = 0; p < 8; ++p) {
