@@ -41,9 +41,10 @@ constexpr OffloadId invalidOffloadId = 0;
 /** Why an accepted offload was abandoned (drop callback detail). */
 enum class DropReason : std::uint8_t
 {
-    Deadline,     ///< request deadline passed before execution
-    EngineStall,  ///< injected engine stall/timeout mid-window
-    Watchdog,     ///< stuck past the watchdog deadline
+    Deadline,      ///< request deadline passed before execution
+    EngineStall,   ///< injected engine stall/timeout mid-window
+    Watchdog,      ///< stuck past the watchdog deadline
+    DoorbellLost,  ///< the driver gave up ringing its SQ doorbell
 };
 
 /**

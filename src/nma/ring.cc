@@ -119,29 +119,12 @@ SubmissionQueue::cancel(CommandTag tag)
     return true;
 }
 
-bool
-SubmissionQueue::withdraw(CommandTag tag)
-{
-    if (!validTag(tag))
-        return false;
-    const std::uint32_t slot = slotOf(tag);
-    if (slab_[slot].consumed)
-        return false;  // device already owns it
-    std::erase(staged_, slot);
-    std::erase(pending_, slot);
-    slab_[slot].consumed = true;  // no longer eligible for consume()
-    return true;
-}
-
 void
-SubmissionQueue::strandedSince(Tick now, Tick limit,
-                               std::vector<CommandTag> &out) const
+SubmissionQueue::stagedTags(std::vector<CommandTag> &out) const
 {
     out.clear();
-    for (const CommandDescriptor &d : slab_) {
-        if (d.inUse && !d.consumed && now > d.enqueued + limit)
-            out.push_back(makeTag(d.generation, d.slot));
-    }
+    for (std::uint32_t slot : staged_)
+        out.push_back(makeTag(slab_[slot].generation, slot));
 }
 
 // ------------------------------------------------- CompletionQueue
@@ -221,8 +204,6 @@ CommandRing::registerMetrics(obs::MetricRegistry &r,
               "completion-ring wraps");
     r.counter(p + "phaseCorruptions", &stats_.phaseCorruptions,
               "injected phase-bit misreads (reap round skipped)");
-    r.counter(p + "watchdogCancels", &stats_.watchdogCancels,
-              "stranded SQ entries cancelled by the watchdog");
     r.derived(p + "sqOccupancy",
               [this] {
                   return static_cast<double>(sq_.inFlight());

@@ -150,7 +150,7 @@ struct XfmBackendStats
 {
     std::uint64_t offloadedSwapOuts = 0;
     std::uint64_t offloadedSwapIns = 0;
-    std::uint64_t fallbackCapacity = 0;  ///< SPM/queue exhausted
+    std::uint64_t fallbackCapacity = 0;  ///< SPM/SQ full, doorbell lost
     std::uint64_t fallbackDeadline = 0;  ///< window service too late
     std::uint64_t fallbackAlloc = 0;     ///< SFM region full
     std::uint64_t offloadRetries = 0;    ///< driver re-submissions
@@ -462,10 +462,10 @@ class XfmBackend : public SimObject, public sfm::SfmBackend
     void onDrop(std::size_t dimm, nma::OffloadId id,
                 nma::DropReason reason);
     /** All shards compressed: size the same-offset slot and commit
-     *  write-backs (shared by onComplete and watchdog recovery). */
+     *  write-backs (shared by onComplete and shard recovery). */
     void placeCompressWritebacks(const std::shared_ptr<PendingOp> &op);
-    /** Redo one watchdog-dropped shard on the CPU while the page's
-     *  other shards stay offloaded. */
+    /** Redo one shard dropped by the watchdog or a lost doorbell on
+     *  the CPU while the page's other shards stay offloaded. */
     void recoverShardOnCpu(std::size_t dimm,
                            const std::shared_ptr<PendingOp> &op);
     /** Withdraw every shard of @p op still routed to a device and

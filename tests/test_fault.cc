@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "common/logging.hh"
 #include "dram/ecc.hh"
@@ -365,6 +366,48 @@ TEST_F(BackendFaultTest, PersistentDoorbellLossFallsBackToCpu)
     const SwapOutcome in = runSwapIn(1, false);
     EXPECT_TRUE(in.success);
     EXPECT_EQ(backend_->readPage(1), pageContent(1));
+}
+
+TEST_F(BackendFaultTest, ExhaustedDoorbellBatchRedoesShardsOnCpu)
+{
+    // Every SQ tail doorbell is lost and the watchdog is off: once
+    // a batch's retries run out, the driver must resolve it at once,
+    // or its swaps wait for descriptors the device never sees.
+    auto cfg = testutil::testXfmConfig(2);
+    cfg.device.sqDepth = 8;
+    cfg.device.watchdogWindows = 0;
+    cfg.faults.site(FaultSite::MmioDoorbellLoss).probability = 1.0;
+    makeBackend(cfg);
+
+    constexpr sfm::VirtPage pages = 8;
+    std::vector<SwapOutcome> outs(pages);
+    for (sfm::VirtPage p = 0; p < pages; ++p) {
+        backend_->writePage(p, pageContent(p));
+        backend_->swapOut(p, [&outs, p](const SwapOutcome &o) {
+            outs[p] = o;
+        });
+    }
+    eq_.run(eq_.now() + seconds(0.2));
+    for (sfm::VirtPage p = 0; p < pages; ++p) {
+        EXPECT_TRUE(outs[p].success) << "page " << p;
+        EXPECT_TRUE(outs[p].usedCpu) << "page " << p;
+        EXPECT_EQ(backend_->pageState(p), PageState::Far);
+    }
+
+    std::vector<SwapOutcome> ins(pages);
+    for (sfm::VirtPage p = 0; p < pages; ++p)
+        backend_->swapIn(p, true, [&ins, p](const SwapOutcome &o) {
+            ins[p] = o;
+        });
+    eq_.run(eq_.now() + seconds(0.2));
+    for (sfm::VirtPage p = 0; p < pages; ++p) {
+        EXPECT_TRUE(ins[p].success) << "page " << p;
+        EXPECT_TRUE(ins[p].usedCpu) << "page " << p;
+        EXPECT_EQ(backend_->readPage(p), pageContent(p));
+    }
+    for (std::size_t d = 0; d < 2; ++d)
+        EXPECT_EQ(backend_->driver(d).device().ring().sq().inFlight(),
+                  0u);
 }
 
 TEST_F(BackendFaultTest, EngineStallDropsToCpuFallback)
