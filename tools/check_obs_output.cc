@@ -15,7 +15,7 @@
  *   check_obs_output trace <trace.jsonl>
  *     Every line must be a JSON object carrying integral req (> 0),
  *     start, end (end >= start), arg, and a stage drawn from the
- *     canonical stage vocabulary (including the ring-mode stages
+ *     canonical stage vocabulary (including the ring stages
  *     sq_enqueue and cq_reap) — an unknown stage name means a
  *     producer/consumer skew in the trace schema.
  *
