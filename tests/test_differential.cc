@@ -76,12 +76,13 @@ struct DifferentialResult
 
 /**
  * Run the full demote/promote cycle through both backends and
- * assert byte-identical restoration everywhere.
+ * assert byte-identical restoration everywhere. @p sq_depth 0 keeps
+ * the device's default depth.
  */
 DifferentialResult
 runDifferential(compress::Algorithm alg, const fault::FaultPlan &plan,
                 const health::HealthConfig &health = {},
-                std::uint32_t sq_depth = 1, bool shard_dict = false)
+                std::uint32_t sq_depth = 0, bool shard_dict = false)
 {
     EventQueue eq;
 
@@ -89,8 +90,10 @@ runDifferential(compress::Algorithm alg, const fault::FaultPlan &plan,
     xcfg.algorithm = alg;
     xcfg.faults = plan;
     xcfg.health = health;
-    xcfg.device.sqDepth = sq_depth;
-    xcfg.device.cqCoalesce = sq_depth > 1 ? 2 : 1;
+    if (sq_depth) {
+        xcfg.device.sqDepth = sq_depth;
+        xcfg.device.cqCoalesce = 2;
+    }
     xcfg.shardDict = shard_dict;  // dictBytes keeps its 2048 default
     xfmsys::XfmBackend xfm("xfm", eq, xcfg);
     xfm.start();
@@ -353,7 +356,7 @@ TEST_P(DifferentialTest, DictCleanRunRestoresAllPages)
     // slot tails, and every restore must still be byte-exact against
     // the dict-less CPU baseline.
     const auto r = runDifferential(GetParam(), fault::FaultPlan{},
-                                   {}, 1, true);
+                                   {}, 0, true);
     EXPECT_EQ(r.offloadRetries, 0u);
     // The page mix is dominated by spatially-correlated classes, so
     // dict mode must actually engage, not silently fall back.
@@ -371,7 +374,7 @@ TEST_P(DifferentialTest, DictFaultedRunRestoresAllPages)
     h.failConsecutive = 3;
     h.cooldown = microseconds(50.0);
     const auto r = runDifferential(GetParam(), aggressivePlan(), h,
-                                   1, true);
+                                   0, true);
     EXPECT_GT(r.xfmCpuOps, 0u);
     EXPECT_GT(r.dictShards, 0u);
 }
