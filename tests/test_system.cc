@@ -159,6 +159,20 @@ TEST(SystemConfigParse, KeysReachTheirComponents)
     EXPECT_TRUE(c.tier.enabled);
 }
 
+TEST(SystemConfigParse, SqDepthOutsideTagSlotRangeIsFatal)
+{
+    // A command tag holds a 16-bit slot index, and every DIMM needs
+    // at least one slot.
+    for (const char *depth : {"0", "65537"}) {
+        const Config keys = Config::parseString(
+            std::string("xfm.sq_depth = ") + depth + "\n");
+        EXPECT_THROW(nma::XfmDeviceConfig::fromConfig(keys), FatalError)
+            << "depth " << depth;
+    }
+    const Config max = Config::parseString("xfm.sq_depth = 65536\n");
+    EXPECT_EQ(nma::XfmDeviceConfig::fromConfig(max).sqDepth, 65536u);
+}
+
 TEST(SystemConfigParse, DefaultDimmIsOneSingleRankChannel)
 {
     // The backend asserts a single-channel, single-rank DIMM; the
