@@ -464,6 +464,46 @@ TEST(Determinism, CodecShardGoldenHashes)
               7740541293967721827ull);
 }
 
+TEST(Determinism, CorpusGoldenHashes)
+{
+    // Pinned generator output: FNV-1a over every (seed, size) of each
+    // corpus kind. Generator speedups must leave every byte unchanged.
+    static const std::uint64_t seeds[] = {0, 1, 2, 7, 1000003, 123456789};
+    static const std::size_t sizes[] = {1, 100, 4096, 512 * 1024};
+    static const std::uint64_t pinned[] = {
+        2520221102701565425ull,
+        5161401018758425309ull,
+        9230893641689347922ull,
+        1722794872740976778ull,
+        8495944963851442687ull,
+        13954226735496579852ull,
+        15807708778110195487ull,
+        12315694494660356859ull,
+        9633897119255714396ull,
+        3975681864059805939ull,
+        17647983100864840978ull,
+        2813106225947201301ull,
+        13359731021196303657ull,
+        18228647636911671396ull,
+        6497884612202539122ull,
+        5080735703083362973ull,
+    };
+    const auto &kinds = compress::allCorpusKinds();
+    ASSERT_EQ(kinds.size(), std::size(pinned));
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+        std::uint64_t h = fnvBasis;
+        for (const std::uint64_t seed : seeds) {
+            for (const std::size_t size : sizes) {
+                const Bytes c = compress::generateCorpus(kinds[k], seed,
+                                                         size);
+                ASSERT_EQ(c.size(), size);
+                h = fnv1a(h, c.data(), c.size());
+            }
+        }
+        EXPECT_EQ(h, pinned[k]) << compress::corpusName(kinds[k]);
+    }
+}
+
 TEST(Determinism, GoldenHashes)
 {
     // Pinned outputs of the simulator and the codecs. A refactor
