@@ -43,6 +43,19 @@ TEST_P(CorpusTest, SeedChangesContent)
               generateCorpus(GetParam(), 2, 8192));
 }
 
+TEST_P(CorpusTest, ShorterCorpusIsPrefixOfLonger)
+{
+    // The generators write whole records past the requested size and
+    // then cut; the cut must not change any byte before it.
+    for (const std::size_t n : {std::size_t(1), std::size_t(63),
+                                std::size_t(4095), std::size_t(4097)}) {
+        const Bytes longer = generateCorpus(GetParam(), 11, n + 4096);
+        EXPECT_EQ(generateCorpus(GetParam(), 11, n),
+                  Bytes(longer.begin(), longer.begin() + n))
+            << "n=" << n;
+    }
+}
+
 TEST_P(CorpusTest, RoundTripsThroughDeflate)
 {
     DeflateCodec codec;
