@@ -146,6 +146,13 @@ for workload in swap_cpu swap_nma fleet; do
         --workload "${workload}" --seconds 1
 done
 
+# run.py checks that perfbench's own fleet event source reproduces
+# workload::FleetDriver's metric snapshot only with --trace 1, so run
+# that check here with the binary it just built (non-zero on any
+# difference).
+"${build_dir}/perfbench/perfbench/xfm_perfbench" --check-fleet-driver \
+    --seed 1 > /dev/null
+
 # Perf smoke: the CPU-pipeline worker sweep at tiny sizes. Exits
 # non-zero only if results diverge across worker counts (the
 # determinism contract) — the measured speedup is informational and
