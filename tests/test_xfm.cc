@@ -8,10 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/random.hh"
 #include "compress/corpus.hh"
 #include "compress/deflate.hh"
+#include "compress/dict.hh"
+#include "obs/tracer.hh"
 #include "test_util.hh"
 #include "xfm/multichannel.hh"
 #include "xfm/xfm_backend.hh"
@@ -366,6 +370,213 @@ TEST_F(XfmBackendTest, MinOffloadLatencyTwoRefreshIntervals)
     eq_.run(seconds(0.1));
     // Fig. 10: read in one window, write back in a later one.
     EXPECT_GE(done_at, cfg_.dimmMem.rank.device.tREFI());
+}
+
+// ------------------------------------------------------- CPU route pins
+
+/** (stage, arg) of every trace event of request @p req, in order. */
+std::vector<std::pair<obs::Stage, std::uint64_t>>
+traceOf(const obs::Tracer &tracer, std::uint64_t req)
+{
+    std::vector<std::pair<obs::Stage, std::uint64_t>> out;
+    for (const auto &e : tracer.events())
+        if (e.req == req)
+            out.emplace_back(e.stage, e.arg);
+    return out;
+}
+
+/** Modelled CPU latency of one whole page (XfmBackend::chargeCpu). */
+Tick
+cpuPageLatency(const XfmSystemConfig &cfg, bool compress_op)
+{
+    const auto cost = compress::cpuCost(cfg.algorithm);
+    const double cycles = (compress_op ? cost.compressCyclesPerByte
+                                       : cost.decompressCyclesPerByte)
+        * static_cast<double>(pageBytes);
+    return static_cast<Tick>(cycles / cfg.cpuFreqGHz * 1000.0);
+}
+
+TEST_F(XfmBackendTest, CpuSwapOutIntoFullRegionRejectsSfmFull)
+{
+    auto cfg = testSystemConfig();
+    cfg.sfmBytes = 128;  // smaller than any shard block of this page
+    makeBackend(cfg);
+    obs::Tracer tracer(256);
+    backend_->setTracer(&tracer);
+    backend_->writePage(1, pageContent(1));
+    eq_.run(microseconds(5.0));
+
+    const Tick submitted = eq_.now();
+    std::optional<SwapOutcome> out;
+    backend_->swapOut(1, false, [&](const SwapOutcome &o) { out = o; });
+    // The CPU route sizes the slot at submit and refuses at once.
+    ASSERT_TRUE(out.has_value());
+    EXPECT_EQ(out->page, 1u);
+    EXPECT_FALSE(out->success);
+    EXPECT_TRUE(out->usedCpu);
+    EXPECT_EQ(out->rejected, sfm::RejectReason::SfmFull);
+    EXPECT_EQ(out->completed, submitted);
+    EXPECT_EQ(out->compressedSize, 0u);
+    EXPECT_EQ(out->retries, 0u);
+    EXPECT_EQ(backend_->xfmStats().fallbackAlloc, 1u);
+    EXPECT_EQ(backend_->stats().rejectedSwapOuts, 1u);
+    EXPECT_EQ(backend_->stats().swapOuts, 0u);
+    EXPECT_EQ(backend_->stats().cpuSwapOuts, 0u);
+    EXPECT_EQ(backend_->pageState(1), PageState::Local);
+    EXPECT_EQ(backend_->allocator().highWaterMark(), 0u);
+
+    const std::vector<std::pair<obs::Stage, std::uint64_t>> want = {
+        {obs::Stage::Fallback, obs::fallbackAlloc},
+        {obs::Stage::Complete, obs::outcomeFailed},
+    };
+    EXPECT_EQ(traceOf(tracer, 1), want);
+    for (const auto &e : tracer.events())
+        EXPECT_EQ(e.start, submitted);
+    eq_.run(seconds(0.01));
+    EXPECT_EQ(tracer.size(), 2u);  // no deferred completion follows
+}
+
+TEST_F(XfmBackendTest, OffloadedSwapOutIntoFullRegionRejectsSfmFull)
+{
+    auto cfg = testSystemConfig();
+    cfg.sfmBytes = 128;
+    makeBackend(cfg);
+    obs::Tracer tracer(256);
+    backend_->setTracer(&tracer);
+    backend_->writePage(1, pageContent(1));
+
+    const Tick submitted = eq_.now();
+    std::optional<SwapOutcome> out;
+    backend_->swapOut(1, true, [&](const SwapOutcome &o) { out = o; });
+    EXPECT_FALSE(out.has_value());  // placement waits for the engines
+    eq_.run(seconds(0.1));
+    ASSERT_TRUE(out.has_value());
+    EXPECT_EQ(out->page, 1u);
+    EXPECT_FALSE(out->success);
+    EXPECT_FALSE(out->usedCpu);
+    EXPECT_EQ(out->rejected, sfm::RejectReason::SfmFull);
+    EXPECT_GT(out->completed, submitted);
+    EXPECT_EQ(out->compressedSize, 0u);
+    EXPECT_EQ(backend_->xfmStats().fallbackAlloc, 1u);
+    EXPECT_EQ(backend_->stats().rejectedSwapOuts, 1u);
+    EXPECT_EQ(backend_->stats().swapOuts, 0u);
+    EXPECT_EQ(backend_->xfmStats().offloadedSwapOuts, 0u);
+    EXPECT_EQ(backend_->pageState(1), PageState::Local);
+
+    // The request ends with the placement refusal: one Fallback
+    // point then one failed Complete, both at the completion tick,
+    // and no whole-request span.
+    const auto events = tracer.events();
+    std::vector<obs::TraceEvent> mine;
+    for (const auto &e : events)
+        if (e.req == 1)
+            mine.push_back(e);
+    ASSERT_GE(mine.size(), 2u);
+    const auto &fb = mine[mine.size() - 2];
+    const auto &done = mine.back();
+    EXPECT_EQ(fb.stage, obs::Stage::Fallback);
+    EXPECT_EQ(fb.arg, obs::fallbackAlloc);
+    EXPECT_EQ(fb.start, out->completed);
+    EXPECT_EQ(done.stage, obs::Stage::Complete);
+    EXPECT_EQ(done.arg, obs::outcomeFailed);
+    EXPECT_EQ(done.start, out->completed);
+    for (const auto &e : mine) {
+        EXPECT_NE(e.stage, obs::Stage::SwapOut);
+        EXPECT_NE(e.stage, obs::Stage::CpuCompute);
+    }
+}
+
+TEST_F(XfmBackendTest, CpuSwapsStallOnPerBankRefresh)
+{
+    auto cfg = testSystemConfig();
+    cfg.dimmMem.rank.device.refreshMode = dram::RefreshMode::RefPb;
+    makeBackend(cfg);
+    obs::Tracer tracer(1 << 14);
+    backend_->setTracer(&tracer);
+    const Tick out_lat = cpuPageLatency(cfg, true);
+    const Tick in_lat = cpuPageLatency(cfg, false);
+    const Bytes page = pageContent(2);
+    backend_->writePage(2, page);
+
+    // Sweep submit ticks across refresh turns until both directions
+    // have landed on a locked bank at least once. Every swap must
+    // complete exactly CPU latency + refresh stall after submit.
+    int out_stalls = 0;
+    int in_stalls = 0;
+    for (int i = 0; i < 2000 && (out_stalls == 0 || in_stalls == 0);
+         ++i) {
+        eq_.run(eq_.now() + nanoseconds(37.0));
+        for (const bool compress_op : {true, false}) {
+            const Tick submitted = eq_.now();
+            const std::uint64_t before =
+                backend_->xfmStats().cpuRefreshStallTicks;
+            std::optional<SwapOutcome> o;
+            const auto cb = [&](const SwapOutcome &r) { o = r; };
+            if (compress_op)
+                backend_->swapOut(2, false, cb);
+            else
+                backend_->swapIn(2, false, cb);
+            const Tick stall =
+                backend_->xfmStats().cpuRefreshStallTicks - before;
+            EXPECT_FALSE(o.has_value());  // completes one latency later
+            eq_.run(submitted + (compress_op ? out_lat : in_lat) + stall);
+            ASSERT_TRUE(o.has_value()) << "swap " << i;
+            EXPECT_TRUE(o->success);
+            EXPECT_TRUE(o->usedCpu);
+            EXPECT_EQ(o->completed,
+                      submitted + (compress_op ? out_lat : in_lat)
+                          + stall);
+            if (stall > 0)
+                ++(compress_op ? out_stalls : in_stalls);
+        }
+    }
+    EXPECT_GT(out_stalls, 0);
+    EXPECT_GT(in_stalls, 0);
+    EXPECT_GT(backend_->xfmStats().cpuRefreshStallTicks, 0u);
+    EXPECT_EQ(backend_->readPage(2), page);
+    // One CpuCompute span per page-level CPU leg, and no request span.
+    for (const auto &e : tracer.events()) {
+        EXPECT_NE(e.stage, obs::Stage::SwapOut);
+        EXPECT_NE(e.stage, obs::Stage::SwapIn);
+    }
+}
+
+TEST_F(XfmBackendTest, DictCpuSwapOutWithAllPlainShardsStoresNoDict)
+{
+    auto cfg = testSystemConfig();
+    cfg.shardDict = true;
+    cfg.dictBytes = 8;  // too short to pay for a reference header
+    makeBackend(cfg);
+    const Bytes page = testutil::corpusPage(
+        compress::CorpusKind::RandomBytes, 5);
+    ASSERT_FALSE(compress::buildPresetDictionary(page, cfg.interleave,
+                                                 cfg.dictBytes)
+                     .empty());
+    backend_->writePage(5, page);
+
+    std::optional<SwapOutcome> out;
+    backend_->swapOut(5, false, [&](const SwapOutcome &o) { out = o; });
+    eq_.run(seconds(0.01));
+    ASSERT_TRUE(out.has_value());
+    EXPECT_TRUE(out->success);
+    EXPECT_TRUE(out->usedCpu);
+    EXPECT_EQ(backend_->xfmStats().dictShards, 0u);
+    EXPECT_EQ(backend_->xfmStats().dictFallbacks, cfg.numDimms);
+    // dictStored == 0: the outcome counts no bytes beyond the shard
+    // blocks themselves.
+    EXPECT_EQ(out->compressedSize, backend_->storedCompressedBytes());
+    EXPECT_EQ(backend_->fragmentationBytes()
+                  + backend_->storedCompressedBytes(),
+              std::uint64_t(backend_->allocator().slotSize(0))
+                  * cfg.numDimms);
+
+    std::optional<SwapOutcome> in;
+    backend_->swapIn(5, false, [&](const SwapOutcome &o) { in = o; });
+    eq_.run(seconds(0.02));
+    ASSERT_TRUE(in.has_value());
+    EXPECT_TRUE(in->success);
+    EXPECT_EQ(in->compressedSize, out->compressedSize);
+    EXPECT_EQ(backend_->readPage(5), page);
 }
 
 } // namespace
