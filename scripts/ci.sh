@@ -12,8 +12,9 @@
 # determinism, the adversary worker matrix, and the codec tests,
 # whose per-thread scratch the shard fan-out leases) plus the
 # perf-harness smoke. The only threaded code is
-# WorkerPool::parallelFor, the CPU path's per-DIMM shard fan-out in
-# XfmBackend::cpuSwapOut/In; the NMA engine runs its codec inline.
+# WorkerPool::parallelFor in XfmBackend::codeCpuShards, the per-DIMM
+# codec fan-out of every CPU-coded shard (whole-page CPU legs and
+# breaker-routed shards alike); the NMA engine runs its codec inline.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
