@@ -164,9 +164,6 @@ class BitReader
         fill_ -= nbits;
     }
 
-    /** Bytes consumed so far (rounded up to the buffered byte). */
-    std::size_t consumedBytes() const { return pos_; }
-
     /** Bits currently buffered and available to skip(). */
     unsigned buffered() const { return fill_; }
 

@@ -260,7 +260,6 @@ HuffmanDecoder::assign(std::span<const std::uint8_t> lengths)
     root_bits_ = std::max(1u, std::min<unsigned>(rootBits, max_len));
     const std::size_t root_size = std::size_t(1) << root_bits_;
     table_.assign(root_size, {0, 0, 0, 0});
-    has_codes_ = max_len > 0;
     if (max_len == 0)
         return;
 

@@ -75,11 +75,6 @@ class HuffmanEncoder
         bw.put(codes_[symbol], lengths_[symbol]);
     }
 
-    unsigned lengthOf(std::uint32_t symbol) const
-    {
-        return lengths_[symbol];
-    }
-
   private:
     std::vector<std::uint8_t> lengths_;
     std::vector<std::uint32_t> codes_;
@@ -123,9 +118,6 @@ class HuffmanDecoder
     unsigned decodePair(BitReader &br, std::uint32_t &s0,
                         std::uint32_t &s1) const;
 
-    /** True if at least one symbol has a code. */
-    bool hasCodes() const { return has_codes_; }
-
   private:
     /** Root-table budget; codes longer than this use a subtable. */
     static constexpr unsigned rootBits = 11;
@@ -145,7 +137,6 @@ class HuffmanDecoder
 
     std::vector<TableEntry> table_;  ///< root, then subtables
     unsigned root_bits_ = 1;         ///< actual root width used
-    bool has_codes_ = false;
 };
 
 /**

@@ -72,9 +72,6 @@ class AddressMap
     std::uint32_t banksPerRank() const { return banks_; }
     std::uint32_t rowsPerBank() const { return rows_per_bank_; }
 
-    /** 128 B stripes per row (row bytes / bank interleave). */
-    std::uint32_t stripesPerRow() const { return stripes_per_row_; }
-
   private:
     std::uint32_t channels_;
     std::uint32_t ranks_per_channel_;

@@ -73,13 +73,6 @@ struct RefreshWindow
 
     /** True if @p row is inside the refreshed range (with wrap). */
     bool coversRow(std::uint32_t row, std::uint32_t rows_per_bank) const;
-
-    /** True if the window's lock covers @p b. */
-    bool
-    coversBank(std::uint32_t b) const
-    {
-        return bank == allBanks || bank == b;
-    }
 };
 
 /** Observer of refresh-window starts (e.g. the XFM NMA). */

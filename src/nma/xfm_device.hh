@@ -295,11 +295,6 @@ class XfmDevice : public SimObject
     /** Attached tracer, if any (the driver records CqReap spans). */
     obs::Tracer *tracer() const { return tracer_; }
 
-    /** Health monitor of the (de)compression engine domain. */
-    health::HealthMonitor &engineHealth() { return engine_health_; }
-    /** Health monitor of the scratchpad domain. */
-    health::HealthMonitor &spmHealth() { return spm_health_; }
-
     /** Accepted reads not yet executed in a window. */
     std::size_t pendingReads() const { return reads_.size(); }
 

@@ -45,11 +45,8 @@ class Value
     Value() = default;
 
     Type type() const { return type_; }
-    bool isNull() const { return type_ == Type::Null; }
-    bool isBool() const { return type_ == Type::Bool; }
     bool isNumber() const { return type_ == Type::Number; }
     bool isString() const { return type_ == Type::String; }
-    bool isArray() const { return type_ == Type::ArrayT; }
     bool isObject() const { return type_ == Type::ObjectT; }
 
     bool boolean() const { return b_; }

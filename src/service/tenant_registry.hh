@@ -88,8 +88,6 @@ class TenantRegistry
     TenantStats &stats(TenantId id);
     const TenantStats &stats(TenantId id) const;
 
-    const RegistryConfig &registryConfig() const { return cfg_; }
-
   private:
     struct Entry
     {

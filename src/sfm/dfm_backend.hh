@@ -112,7 +112,6 @@ class DfmBackend : public SimObject, public SfmBackend
     /** Time to move one page across the link. */
     Tick pageTransferTime() const;
 
-    const DfmFaultStats &faultStats() const { return fault_stats_; }
     const fault::FaultInjector &faultInjector() const
     {
         return injector_;

@@ -170,7 +170,6 @@ class XfmDriver
      * paper's CPU_Fallback does.
      */
     void setRetryPolicy(const fault::RetryPolicy &p) { retry_ = p; }
-    const fault::RetryPolicy &retryPolicy() const { return retry_; }
 
     /**
      * Arm the queue-pair health monitor (circuit breaker), which
