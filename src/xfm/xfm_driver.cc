@@ -313,7 +313,8 @@ XfmDriver::registerMetrics(obs::MetricRegistry &r,
               &stats_.backoffTicksAccrued,
               "modelled driver spin time");
     r.counter(p + "breakerFallbacks", &stats_.breakerFallbacks,
-              "submissions refused by the open doorbell breaker");
+              "submissions refused by the open queue breaker, plus "
+              "doorbell batches abandoned when a loss tripped it");
     r.derived(p + "occupancyBound",
               [this] { return static_cast<double>(bound_); },
               "local SPM usage upper bound");

@@ -5,7 +5,7 @@
  * probation, probe cancellation), the OverloadShedder hysteresis and
  * class-aware shed policy, and their integration into the XFM stack
  * — per-channel offlining with byte-identical page reassembly
- * through the per-shard CPU fallback, the doorbell breaker skipping
+ * through the per-shard CPU fallback, the queue breaker skipping
  * the retry ladder, the stuck-offload watchdog, service-level
  * shedding with typed Rejected{Overload} outcomes, and same-seed
  * byte-identical health metric timelines.
