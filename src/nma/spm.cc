@@ -15,19 +15,15 @@ ScratchPad::reserve(OffloadId id, OffloadKind kind, std::uint32_t bytes,
     if (used_ + bytes > capacity_)
         return false;
     if (injector_ && injector_->armed()) {
-        if (injector_->shouldInject(fault::FaultSite::SpmReserveFail)) {
-            ++injected_failures_;
+        if (injector_->shouldInject(fault::FaultSite::SpmReserveFail))
             return false;
-        }
         const double watermark =
             injector_->plan().spmHighWatermark
             * static_cast<double>(capacity_);
         if (static_cast<double>(used_) >= watermark
             && injector_->shouldInject(
-                   fault::FaultSite::SpmHighWatermark)) {
-            ++injected_failures_;
+                   fault::FaultSite::SpmHighWatermark))
             return false;
-        }
     }
     if (partition != 0) {
         const auto cap = partition_caps_.find(partition);

@@ -147,17 +147,10 @@ class ScratchPad
         injector_ = inj;
     }
 
-    /** Reservations refused by an injected fault. */
-    std::uint64_t injectedReserveFailures() const
-    {
-        return injected_failures_;
-    }
-
   private:
     void uncharge(const SpmEntry &e, std::size_t bytes);
 
     fault::FaultInjector *injector_ = nullptr;
-    std::uint64_t injected_failures_ = 0;
     std::size_t capacity_;
     std::size_t used_ = 0;
     std::map<OffloadId, SpmEntry> entries_;  ///< ordered => FIFO pops

@@ -36,8 +36,7 @@ XfmDevice::XfmDevice(std::string name, EventQueue &eq,
     : SimObject(std::move(name), eq), cfg_(cfg), map_(map), mem_(mem),
       spm_(cfg.spmBytes), ring_(cfg.sqDepth),
       engine_(cfg.algorithm, cfg.engine),
-      bank_(refresh.device()), rng_(cfg.seed),
-      engine_health_(cfg.health), spm_health_(cfg.health)
+      bank_(refresh.device()), rng_(cfg.seed)
 {
     if (cfg_.maxAccessesPerWindow == 0) {
         // Derive the budget from the device timing (paper Sec. 5).
@@ -99,12 +98,7 @@ XfmDevice::submit(const OffloadRequest &req)
         ++stats_.unregisteredRejects;
         return invalidOffloadId;
     }
-    // Circuit breakers: a Failed engine or SPM domain admits no new
-    // work at all. The SPM monitor is only consulted (its probes are
-    // consumed where reserve() actually runs, in executeRead).
     const Tick now = curTick();
-    if (!spm_health_.wouldAdmit(now) || !engine_health_.admit(now))
-        return invalidOffloadId;
     OffloadRequest r = req;
     r.submitTick = now;
     const CommandTag tag = ring_.sq().push(r, now);
@@ -112,7 +106,6 @@ XfmDevice::submit(const OffloadRequest &req)
         // Full-SQ backpressure: every slot is owned by an in-flight
         // command, so the descriptor cannot even be written.
         ++stats_.queueRejects;
-        engine_health_.cancelProbe(now);
         return invalidOffloadId;
     }
     ring_.sampleOccupancy();
@@ -183,9 +176,6 @@ XfmDevice::dropExpired(Tick now)
             ++stats_.deadlineDrops;
             const std::uint64_t tid = traceIdOf(it->id);
             trace_ids_.erase(it->id);
-            // The engine never saw the request; an admission probe
-            // consumed at submit would otherwise dangle.
-            engine_health_.cancelProbe(now);
             postDrop(it->id, DropReason::Deadline, tid);
             it = reads_.erase(it);
         } else {
@@ -210,13 +200,13 @@ XfmDevice::runWatchdog(Tick now)
         postDrop(id, DropReason::Watchdog, tid);
     };
 
-    // Doorbell'd offloads that never won a window slot (e.g. an SPM
-    // domain stuck Failed, or pathological subarray conflicts).
+    // Doorbell'd offloads that never won a window slot (e.g. SPM
+    // reservations failing window after window, or pathological
+    // subarray conflicts).
     for (auto it = reads_.begin(); it != reads_.end();) {
         if (now > it->accepted + limit) {
             const OffloadId id = it->id;
             it = reads_.erase(it);
-            engine_health_.cancelProbe(now);  // never executed
             fire(id);
         } else {
             ++it;
@@ -259,24 +249,11 @@ XfmDevice::executeRead(const ReadOp &op, AccessClass cls)
         op.req.kind == OffloadKind::Compress
         ? CompressionEngine::worstCaseCompressedSize(op.req.size)
         : op.req.rawSize;
-    if (!spm_health_.admit(curTick())) {
-        ++stats_.deferredExecutions;
-        return false;
-    }
-    const std::uint64_t inj_before = spm_.injectedReserveFailures();
     if (!spm_.reserve(op.id, op.req.kind, reservation,
                       op.req.partition)) {
-        // Capacity or partition-cap exhaustion is load, not a bank
-        // fault; only injected reservation failures count against
-        // the SPM's health.
-        if (spm_.injectedReserveFailures() > inj_before)
-            spm_health_.recordFault(curTick());
-        else
-            spm_health_.cancelProbe(curTick());
         ++stats_.deferredExecutions;
         return false;
     }
-    spm_health_.recordSuccess(curTick());
     if (op.req.kind == OffloadKind::Decompress) {
         const dram::DramCoord dst = map_.decode(op.req.dstAddr);
         spm_.setDestination(op.id, op.req.dstAddr, dst.row, dst.bank);
@@ -309,7 +286,6 @@ XfmDevice::executeRead(const ReadOp &op, AccessClass cls)
         // Release the staging space and report the offload dropped
         // so the driver/backend redo the work on the CPU.
         ++stats_.engineStalls;
-        engine_health_.recordFault(curTick());
         spm_.release(id);
         const std::uint64_t tid = traceIdOf(id);
         trace_ids_.erase(id);
@@ -342,7 +318,6 @@ XfmDevice::executeRead(const ReadOp &op, AccessClass cls)
     eventq().scheduleIn(transfer + latency,
                         [this, id, kind,
                          out = std::move(out)]() mutable {
-        engine_health_.recordSuccess(curTick());
         if (aborted_.erase(id))
             return;  // offload abandoned mid-compute
         const auto out_size = static_cast<std::uint32_t>(out.size());
@@ -426,11 +401,8 @@ XfmDevice::abort(OffloadId id)
     trace_ids_.erase(id);
     if (!ring_.sq().validTag(id))
         return;  // already retired (or never issued)
-    if (ring_.sq().cancel(id)) {
-        // Unconsumed descriptor: the engine never saw it.
-        engine_health_.cancelProbe(curTick());
-        return;
-    }
+    if (ring_.sq().cancel(id))
+        return;  // unconsumed descriptor: the engine never saw it
     // Consumed: walk the in-flight states, then retire the slot so
     // any completion record already posted for this command reads
     // as stale at reap time.
@@ -441,7 +413,6 @@ XfmDevice::abort(OffloadId id)
     for (auto it = reads_.begin(); it != reads_.end(); ++it) {
         if (it->id == id) {
             reads_.erase(it);  // not yet executed: no SPM held
-            engine_health_.cancelProbe(curTick());
             ring_.sq().retire(id);
             return;
         }
@@ -511,8 +482,6 @@ XfmDevice::registerMetrics(obs::MetricRegistry &r,
         r.counter(p + "hiraBonusSlots", &stats_.hiraBonusSlots,
                   "extra slots granted by HiRA overlap");
     }
-    engine_health_.registerMetrics(r, p + "health.engine");
-    spm_health_.registerMetrics(r, p + "health.spm");
     ring_.registerMetrics(r, prefix);
 }
 

@@ -26,7 +26,6 @@
 #include "common/config.hh"
 #include "common/random.hh"
 #include "dram/address_map.hh"
-#include "health/health.hh"
 #include "dram/bank.hh"
 #include "dram/phys_mem.hh"
 #include "dram/refresh.hh"
@@ -96,9 +95,6 @@ struct XfmDeviceConfig
      * watchdog.
      */
     std::uint32_t watchdogWindows = 0;
-    /** Health-monitor tuning for the engine and SPM failure
-     *  domains (disabled by default: no behaviour change). */
-    health::HealthConfig health{};
 
     /**
      * Submission-queue depth of the DIMM's NVMe-style queue pair:
@@ -191,9 +187,8 @@ class XfmDevice : public SimObject
      * rings the SQ tail doorbell.
      *
      * @return the command's generation tag (its OffloadId), or
-     *         invalidOffloadId on an unregistered address, an open
-     *         engine/SPM breaker, or full-SQ backpressure (CPU
-     *         fallback).
+     *         invalidOffloadId on an unregistered address or full-SQ
+     *         backpressure (CPU fallback).
      */
     OffloadId submit(const OffloadRequest &req);
 
@@ -282,15 +277,8 @@ class XfmDevice : public SimObject
      * Queue/WindowWait/Classify/Engine/SpmStage/Writeback spans for
      * offloads whose request carries a non-zero traceId; with no
      * tracer attached the hot path only pays a pointer check.
-     * Forwarded to the health monitors for transition points.
      */
-    void
-    setTracer(obs::Tracer *t)
-    {
-        tracer_ = t;
-        engine_health_.setTracer(t);
-        spm_health_.setTracer(t);
-    }
+    void setTracer(obs::Tracer *t) { tracer_ = t; }
 
     /** Attached tracer, if any (the driver records CqReap spans). */
     obs::Tracer *tracer() const { return tracer_; }
@@ -354,8 +342,6 @@ class XfmDevice : public SimObject
      */
     dram::Bank bank_;
     Rng rng_;
-    health::HealthMonitor engine_health_;
-    health::HealthMonitor spm_health_;
     fault::FaultInjector *injector_ = nullptr;
     obs::Tracer *tracer_ = nullptr;
     /** OffloadId -> traceId, kept only while tracing is attached so

@@ -91,7 +91,6 @@ XfmBackend::XfmBackend(std::string name, EventQueue &eq,
         nma::XfmDeviceConfig dcfg = cfg_.device;
         dcfg.rank = static_cast<std::uint32_t>(d);
         dcfg.algorithm = cfg_.algorithm;
-        dcfg.health = cfg_.health;
         dimm.device = std::make_unique<nma::XfmDevice>(
             this->name() + ".dimm" + std::to_string(d), eq, dcfg,
             *dimm.map, *dimm.mem, *refresh_);
@@ -130,7 +129,6 @@ XfmBackend::XfmBackend(std::string name, EventQueue &eq,
         dimm.device->setFaultInjector(&injector_);
         dimm.driver->setFaultInjector(&injector_);
         dimm.driver->setRetryPolicy(cfg_.retry);
-        dimm.driver->configureHealth(cfg_.health);
         dimms_.push_back(std::move(dimm));
         channel_health_.emplace_back(cfg_.health);
     }
@@ -664,31 +662,19 @@ XfmBackend::startSwap(VirtPage page, bool compress_op, bool allow_offload,
                                 true, nullptr});
         // Consume the channel's admission (a probe slot while in
         // probation) only now that the shard truly goes to hardware.
-        // A same-tick race with another operation's probes can still
-        // refuse here; roll back like a failed submit.
+        // Its wouldAdmit(), the SQ slot and the SPM room were checked
+        // this tick and nothing has run since, so neither the channel
+        // nor the DIMM can refuse the shard.
         const bool admitted = channel_health_[d].admit(curTick());
-        nma::OffloadId id = nma::invalidOffloadId;
-        if (admitted) {
-            XfmDriver &drv = *dimms_[d].driver;
-            id = compress_op
-                ? drv.xfmCompress(shardFrameAddr(page), shard, deadline,
-                                  partition_, tid, op->dict)
-                : drv.xfmDecompress(slotAddr(op->offset), op->sizes[d],
-                                    shardFrameAddr(page), shard,
-                                    deadline, partition_, tid,
-                                    op->dict);
-        }
-        if (id == nma::invalidOffloadId) {
-            // Roll back what was already submitted; no channel saw
-            // its shard through, so admitted probes are returned.
-            abortShards(*op);
-            if (admitted)
-                channel_health_[d].cancelProbe(curTick());
-            ++xfm_stats_.fallbackCapacity;
-            tracePoint(tid, obs::Stage::Fallback, obs::fallbackCapacity);
-            runOnCpu(op);
-            return;
-        }
+        XfmDriver &drv = *dimms_[d].driver;
+        const nma::OffloadId id = compress_op
+            ? drv.xfmCompress(shardFrameAddr(page), shard, deadline,
+                              partition_, tid, op->dict)
+            : drv.xfmDecompress(slotAddr(op->offset), op->sizes[d],
+                                shardFrameAddr(page), shard, deadline,
+                                partition_, tid, op->dict);
+        XFM_ASSERT(admitted && id != nma::invalidOffloadId,
+                   "DIMM ", d, " refused a pre-checked submit");
         tracePoint(tid, obs::Stage::Submit, d);
         op->ids[d] = id;
         routes_[d].emplace(id, op);
@@ -1087,7 +1073,6 @@ XfmBackend::setTracer(obs::Tracer *t)
     tracer_ = t;
     for (std::size_t d = 0; d < dimms_.size(); ++d) {
         dimms_[d].device->setTracer(t);
-        dimms_[d].driver->queueHealth().setTracer(t);
         channel_health_[d].setTracer(t);
     }
 }

@@ -76,10 +76,10 @@ struct XfmSystemConfig
     fault::RetryPolicy retry{};
 
     /**
-     * Health-monitor tuning for every failure domain of this
-     * backend: each DIMM's channel shard, MMIO doorbell, NMA engine
-     * and SPM bank. Disabled by default — baseline runs take no new
-     * branches and keep their metric namespace unchanged.
+     * Tuning of the one circuit breaker per DIMM on the offload
+     * path, its channel shard (see channelHealth()). Disabled by
+     * default — baseline runs take no new branches and keep their
+     * metric namespace unchanged.
      */
     health::HealthConfig health{};
 
@@ -150,7 +150,10 @@ struct XfmBackendStats
 {
     std::uint64_t offloadedSwapOuts = 0;
     std::uint64_t offloadedSwapIns = 0;
-    std::uint64_t fallbackCapacity = 0;  ///< SPM/SQ full, doorbell lost
+    /** Whole pages sent to the CPU because a DIMM's SQ or SPM was
+     *  full at submit time, plus single shards redone on the CPU
+     *  after a lost doorbell batch. */
+    std::uint64_t fallbackCapacity = 0;
     std::uint64_t fallbackDeadline = 0;  ///< window service too late
     std::uint64_t fallbackAlloc = 0;     ///< SFM region full
     std::uint64_t offloadRetries = 0;    ///< driver re-submissions
@@ -271,9 +274,12 @@ class XfmBackend : public SimObject, public sfm::SfmBackend
     dram::RefreshController &refresh() { return *refresh_; }
 
     /**
-     * Health monitor of one channel shard (the per-DIMM end-to-end
-     * offload path). Tests and escalation policies may forceFail()
-     * a channel here to take it offline administratively.
+     * Health monitor of one channel shard, the only circuit breaker
+     * on DIMM @p dimm's offload path: every write-back counts as a
+     * success, every drop (deadline, engine stall, watchdog, lost
+     * doorbell batch) as a fault. Tests and escalation policies may
+     * forceFail() a channel here to take it offline
+     * administratively.
      */
     health::HealthMonitor &channelHealth(std::size_t dimm)
     {
@@ -471,8 +477,8 @@ class XfmBackend : public SimObject, public sfm::SfmBackend
      * otherwise route each shard (the whole page to the CPU when
      * offload is off, every breaker is open or a DIMM lacks
      * capacity; single shards around open breakers), then submit
-     * the offloaded shards. A refused submit re-routes the whole
-     * page to the CPU.
+     * the offloaded shards, which those checks guarantee go
+     * through.
      */
     void startSwap(sfm::VirtPage page, bool compress_op,
                    bool allow_offload, std::uint64_t tid,

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "fault/fault.hh"
-#include "health/health.hh"
 #include "nma/xfm_device.hh"
 
 namespace xfm
@@ -36,9 +35,6 @@ struct DriverStats
     std::uint64_t fallbacks = 0;              ///< resources exhausted
     std::uint64_t doorbellLosses = 0;  ///< injected lost doorbells
     std::uint64_t retries = 0;         ///< doorbell re-rings attempted
-    /** Submissions refused because the queue breaker was open, and
-     *  doorbell batches abandoned when a loss tripped it. */
-    std::uint64_t breakerFallbacks = 0;
     /** Sum of the exponential backoffs waited before doorbell
      *  re-rings. */
     Tick backoffTicksAccrued = 0;
@@ -172,20 +168,6 @@ class XfmDriver
     void setRetryPolicy(const fault::RetryPolicy &p) { retry_ = p; }
 
     /**
-     * Arm the queue-pair health monitor (circuit breaker), which
-     * counts lost doorbells and phase-bit misreads as faults. While
-     * it is Failed, submissions return invalidOffloadId immediately;
-     * after the cooldown a bounded number of half-open probe
-     * submissions decide whether the queue pair re-closes.
-     */
-    void configureHealth(const health::HealthConfig &cfg)
-    {
-        queue_health_ = health::HealthMonitor(cfg);
-    }
-    /** Breaker scoped to this DIMM's queue pair. */
-    health::HealthMonitor &queueHealth() { return queue_health_; }
-
-    /**
      * True when a submission can be written into the SQ right now.
      * The backend pre-checks this across all shards so a full SQ on
      * one DIMM falls the whole page back to the CPU instead of
@@ -222,7 +204,6 @@ class XfmDriver
     nma::CommandRing &ring_;  ///< the device's queue pair
     fault::FaultInjector *injector_ = nullptr;
     fault::RetryPolicy retry_{};
-    health::HealthMonitor queue_health_{};
     bool always_sync_ = false;
     /** A doorbell-flush event is pending (one per batch). */
     bool doorbell_scheduled_ = false;

@@ -265,7 +265,7 @@ TEST(SpmFault, InjectedReserveFailure)
     EXPECT_TRUE(spm.reserve(1, nma::OffloadKind::Compress, 1024));
     EXPECT_FALSE(spm.reserve(2, nma::OffloadKind::Compress, 1024));
     EXPECT_TRUE(spm.reserve(3, nma::OffloadKind::Compress, 1024));
-    EXPECT_EQ(spm.injectedReserveFailures(), 1u);
+    EXPECT_EQ(inj.stats(FaultSite::SpmReserveFail).injections, 1u);
     EXPECT_EQ(spm.entryCount(), 2u);
 }
 

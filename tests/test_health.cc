@@ -5,8 +5,8 @@
  * probation, probe cancellation), the OverloadShedder hysteresis and
  * class-aware shed policy, and their integration into the XFM stack
  * — per-channel offlining with byte-identical page reassembly
- * through the per-shard CPU fallback, the queue breaker skipping
- * the retry ladder, the stuck-offload watchdog, service-level
+ * through the per-shard CPU fallback, lost doorbell batches tripping
+ * the channel breaker, the stuck-offload watchdog, service-level
  * shedding with typed Rejected{Overload} outcomes, and same-seed
  * byte-identical health metric timelines.
  */
@@ -415,21 +415,34 @@ TEST_F(BackendHealthTest, OfflinedChannelReassemblesViaCpuShard)
     makeBackend(cfg);
     backend_->channelHealth(1).forceFail(0);
 
+    // The CPU is charged for exactly the one rerouted shard in each
+    // direction, once.
+    const auto cost = compress::cpuCost(cfg.algorithm);
+    const auto shard = static_cast<double>(cfg.shardBytes());
+    const auto shard_compress =
+        static_cast<std::uint64_t>(cost.compressCyclesPerByte * shard);
+    const auto shard_decompress =
+        static_cast<std::uint64_t>(cost.decompressCyclesPerByte * shard);
+
     // The page demotes with DIMM 1's shard compressed on the CPU and
     // DIMM 0's shard offloaded as usual.
+    std::uint64_t cycles = backend_->stats().cpuCycles;
     const SwapOutcome out = runSwapOut(1);
     EXPECT_TRUE(out.success);
     EXPECT_EQ(backend_->pageState(1), PageState::Far);
     EXPECT_EQ(backend_->xfmStats().shardCpuFallbacks, 1u);
     EXPECT_EQ(backend_->xfmStats().breakerFallbacks, 0u);
     EXPECT_GT(backend_->xfmStats().dictShards, 0u);
+    EXPECT_EQ(backend_->stats().cpuCycles - cycles, shard_compress);
 
     // Promotion with the channel still offline: the shard comes back
     // through per-shard CPU decompression, byte-identically.
     clobberLocal(1);
+    cycles = backend_->stats().cpuCycles;
     const SwapOutcome in = runSwapIn(1);
     EXPECT_TRUE(in.success);
     EXPECT_EQ(backend_->xfmStats().shardCpuFallbacks, 2u);
+    EXPECT_EQ(backend_->stats().cpuCycles - cycles, shard_decompress);
     EXPECT_EQ(backend_->readPage(1), pageContent(1));
 }
 
@@ -456,34 +469,42 @@ TEST_F(BackendHealthTest, DoorbellBreakerSkipsRetryLadder)
     cfg.faults.site(fault::FaultSite::MmioDoorbellLoss).probability =
         1.0;
     cfg.retry.maxAttempts = 2;
-    cfg.health.failConsecutive = 2;
+    // One swap gives one lost-batch drop per DIMM: trip on the first.
+    cfg.health.failConsecutive = 1;
     makeBackend(cfg);
 
-    // First swap: every SQ tail doorbell on DIMM 0 is lost and the
-    // second consecutive loss trips its queue breaker mid-ladder;
-    // the staged shard is redone on the CPU.
+    // First swap: every SQ tail doorbell is lost, the ladder gives up
+    // after its re-ring, and each DIMM's staged shard is dropped as
+    // DoorbellLost and redone on the CPU. The drop trips the
+    // channel's breaker.
     const SwapOutcome first = runSwapOut(1);
     EXPECT_TRUE(first.success);
     EXPECT_TRUE(first.usedCpu);
-    EXPECT_EQ(backend_->driver(0).queueHealth().rawState(),
-              HealthState::Failed);
+    for (std::size_t d = 0; d < 2; ++d)
+        EXPECT_EQ(backend_->channelHealth(d).rawState(),
+                  HealthState::Failed);
     const std::uint64_t retries_after_first =
         backend_->driver(0).stats().retries;
     EXPECT_GT(retries_after_first, 0u);
+    const std::uint64_t submitted_after_first =
+        backend_->driver(0).stats().offloadsSubmitted;
+    const std::uint64_t cpu_routes_after_first =
+        backend_->xfmStats().shardCpuFallbacks
+        + backend_->xfmStats().breakerFallbacks;
 
-    // Second swap: the open breaker rejects at submission — no MMIO
-    // writes, no backoff, no additional retries.
+    // Second swap: the open breakers route the work to the CPU before
+    // submission — no descriptor, no MMIO writes, no backoff, no
+    // additional retries.
     const SwapOutcome second = runSwapOut(2);
     EXPECT_TRUE(second.success);
     EXPECT_TRUE(second.usedCpu);
     EXPECT_EQ(backend_->driver(0).stats().retries,
               retries_after_first);
-    EXPECT_GT(backend_->driver(0).stats().breakerFallbacks, 0u);
-    EXPECT_GT(backend_->driver(0)
-                  .queueHealth()
-                  .stats()
-                  .breakerRejects,
-              0u);
+    EXPECT_EQ(backend_->driver(0).stats().offloadsSubmitted,
+              submitted_after_first);
+    EXPECT_GT(backend_->xfmStats().shardCpuFallbacks
+                  + backend_->xfmStats().breakerFallbacks,
+              cpu_routes_after_first);
 
     // Data integrity holds throughout.
     EXPECT_TRUE(runSwapIn(1, false).success);
@@ -642,7 +663,7 @@ TEST(HealthDeterminism, SameSeedByteIdenticalHealthTimeline)
     // The health layer actually participated: its metrics are in the
     // snapshot and the fault plan left marks on some monitor.
     EXPECT_NE(a.find("health.channel.state"), std::string::npos);
-    EXPECT_NE(a.find("health.queue.faults"), std::string::npos);
+    EXPECT_NE(a.find("health.channel.faults"), std::string::npos);
 }
 
 } // namespace
