@@ -24,7 +24,9 @@
  *     state leaf (*.health.*.state) must be present, and every one
  *     must read healthy (0), degraded (1), or failed (2) — a monitor
  *     still in probation (3) at the end of a chaos soak means a
- *     half-open round never resolved, i.e. the breaker is stuck.
+ *     half-open round never resolved, i.e. the breaker is stuck —
+ *     and the summed *.health.*.trips must be non-zero: a soak whose
+ *     breakers never opened proves nothing about their recovery.
  *
  *   check_obs_output abuse <stats.json>
  *     Everything `stats` checks, plus: at least one abuse-monitor
@@ -237,10 +239,13 @@ checkHealth(const std::string &path)
         return fail(path, "invalid JSON: " + error);
     const auto &metrics = v.at("metrics").object();
     std::size_t monitors = 0;
+    double trips = 0.0;
     for (const auto &[name, value] : metrics) {
-        if (name.find(".health.") == std::string::npos
-            || name.size() < 6
-            || name.compare(name.size() - 6, 6, ".state") != 0)
+        if (name.find(".health.") == std::string::npos)
+            continue;
+        if (name.ends_with(".trips"))
+            trips += value.number();
+        if (!name.ends_with(".state"))
             continue;
         ++monitors;
         const double s = value.number();
@@ -253,8 +258,11 @@ checkHealth(const std::string &path)
     if (monitors == 0)
         return fail(path, "no health-monitor state leaves found "
                           "(was health.enabled set?)");
-    std::printf("%s: health ok (%zu monitors settled)\n",
-                path.c_str(), monitors);
+    if (trips < 1.0)
+        return fail(path, "no health monitor ever tripped "
+                          "(fault plan too weak to open a breaker?)");
+    std::printf("%s: health ok (%zu monitors settled, %g trips)\n",
+                path.c_str(), monitors, trips);
     return 0;
 }
 
