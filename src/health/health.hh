@@ -2,20 +2,20 @@
  * @file
  * Component health tracking and circuit breaking for the XFM stack.
  *
- * PR 2 gave every layer deterministic fault injection with per-
- * request retry/backoff, but each fault was still treated as an
- * isolated incident: a persistently sick NMA engine or a dead
- * channel would be retried forever at full rate. This subsystem
- * adds the availability contract on top: each failure domain — an
- * NMA engine, an SPM bank, an MMIO doorbell, a channel shard — owns
- * a HealthMonitor that follows windowed fault/success rates through
+ * Fault injection with per-request retry/backoff treats each fault
+ * as an isolated incident: a dead channel would be retried forever
+ * at full rate. A HealthMonitor remembers instead: it follows one
+ * component's windowed fault/success rates through
  *
  *     Healthy -> Degraded -> Failed -> Probation -> Healthy
  *
- * and the drivers/backends consult it as a circuit breaker: a
- * Failed component is not offloaded to at all (the retry ladder is
- * skipped), and after a cooldown a bounded number of half-open
- * probe requests decide whether it re-closes or re-trips.
+ * and its owner consults it as a circuit breaker: a Failed
+ * component is given no work at all (the retry ladder is skipped),
+ * and after a cooldown a bounded number of half-open probe requests
+ * decide whether it re-closes or re-trips. The XFM backend keeps one
+ * per DIMM, on the channel shard of the offload path (an open one
+ * sends that DIMM's shards to the CPU); the QoS arbiter keeps one
+ * per tenant as its abuse throttle.
  *
  * Determinism: monitors are driven purely by recorded outcomes and
  * event-queue ticks — no wall clock, no RNG — so a same-seed run
@@ -52,8 +52,8 @@ constexpr std::size_t healthStateCount = 4;
 /** Stable lowercase identifier used in stats and traces. */
 const char *healthStateName(HealthState s);
 
-/** Monitor tuning, shared by every failure domain of a backend
- *  (config keys: see fromConfig). */
+/** Monitor tuning, shared by every monitor of its owner (config
+ *  keys: see fromConfig). */
 struct HealthConfig
 {
     /** Master switch; a disabled monitor admits everything and
