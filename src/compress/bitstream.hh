@@ -19,7 +19,16 @@ namespace xfm
 namespace compress
 {
 
-/** Append bits LSB-first to a byte vector. */
+/**
+ * Append bits LSB-first to a byte vector.
+ *
+ * Bits collect in a 64-bit accumulator and leave it as whole 32-bit
+ * words, least significant byte first, so most put()s append
+ * nothing and the rest append four bytes at once; the bytes are
+ * those a byte-at-a-time writer would emit. Bytes written since the
+ * last word are held back until flush(), so @p out is complete only
+ * after flush().
+ */
 class BitWriter
 {
   public:
@@ -32,21 +41,27 @@ class BitWriter
         XFM_ASSERT(nbits <= 32, "BitWriter::put nbits too large");
         acc_ |= static_cast<std::uint64_t>(value & mask(nbits)) << fill_;
         fill_ += nbits;
-        while (fill_ >= 8) {
-            out_.push_back(static_cast<std::uint8_t>(acc_ & 0xFF));
-            acc_ >>= 8;
-            fill_ -= 8;
+        if (fill_ >= 32) {
+            const auto w = static_cast<std::uint32_t>(acc_);
+            const std::uint8_t word[4] = {
+                static_cast<std::uint8_t>(w),
+                static_cast<std::uint8_t>(w >> 8),
+                static_cast<std::uint8_t>(w >> 16),
+                static_cast<std::uint8_t>(w >> 24)};
+            out_.insert(out_.end(), word, word + 4);
+            acc_ >>= 32;
+            fill_ -= 32;
         }
     }
 
-    /** Flush any partial byte (zero padded). */
+    /** Write out the held bits, the last byte zero padded. */
     void
     flush()
     {
-        if (fill_ > 0) {
+        while (fill_ > 0) {
             out_.push_back(static_cast<std::uint8_t>(acc_ & 0xFF));
-            acc_ = 0;
-            fill_ = 0;
+            acc_ >>= 8;
+            fill_ = fill_ > 8 ? fill_ - 8 : 0;
         }
     }
 
@@ -58,8 +73,8 @@ class BitWriter
     }
 
     Bytes &out_;
-    std::uint64_t acc_ = 0;
-    unsigned fill_ = 0;
+    std::uint64_t acc_ = 0;   ///< pending bits, oldest in bit 0
+    unsigned fill_ = 0;       ///< pending bit count, < 32 between puts
 };
 
 /**

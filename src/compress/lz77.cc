@@ -26,21 +26,28 @@ hash3(const std::uint8_t *p)
     return (v * 2654435761u) >> (32 - hashBits);
 }
 
+/** Positions are stored as base + index in 32 bits. */
+constexpr std::uint64_t positionSpace = std::uint64_t(1) << 32;
+
 /**
  * Pooled per-thread finder tables: head/prev are leased across
- * Finder constructions instead of reallocated (and memset to -1)
- * per page. A generation stamp on each head bucket makes stale
- * entries from earlier pages read as empty without any clearing,
- * and `prev` needs no initialisation at all because every chain
- * walk only visits positions insert() already wrote this
- * generation — so steady-state tokenisation allocates nothing.
+ * Finder constructions instead of reallocated (and cleared) per
+ * page. Each tokenisation stores its positions as `base + index`
+ * and the next one starts its base past all of them, so a head
+ * bucket is live iff it holds a value >= base: entries of earlier
+ * inputs read as empty without any clearing, and a chain walk stops
+ * at the first entry below base + window start, which covers stale
+ * and out-of-window entries in one compare. `prev` needs no
+ * initialisation because a walk only follows links insert() wrote
+ * for this input. When a base would push a position past 2^32 the
+ * heads are zeroed and the base restarts at 1, so steady-state
+ * tokenisation allocates nothing and clears once per 4 GiB.
  */
 struct FinderTables
 {
     std::vector<std::uint32_t> headPos; ///< hashSize buckets
-    std::vector<std::uint32_t> headGen; ///< bucket valid iff == gen
-    std::vector<std::int32_t> prev;     ///< chain links per position
-    std::uint32_t gen = 0;
+    std::vector<std::uint32_t> prev;    ///< chain links per position
+    std::uint64_t base = 1;             ///< base of the next input
     std::uint64_t allocs = 0;
     std::uint64_t reuses = 0;
 };
@@ -66,6 +73,7 @@ struct Finder
     ByteSpan in;
     const Lz77Params &p;
     FinderTables &t;
+    std::uint32_t base;  ///< stored value of position 0
 
     Finder(ByteSpan input, const Lz77Params &params)
         : in(input), p(params), t(finderTables())
@@ -74,8 +82,7 @@ struct Finder
                    "lz77 input too large for pooled chain links");
         bool grew = false;
         if (t.headPos.empty()) {
-            t.headPos.resize(hashSize);
-            t.headGen.resize(hashSize, 0);
+            t.headPos.resize(hashSize, 0);
             grew = true;
         }
         if (t.prev.size() < in.size()) {
@@ -83,11 +90,12 @@ struct Finder
             grew = true;
         }
         grew ? ++t.allocs : ++t.reuses;
-        if (++t.gen == 0) {
-            // Generation wrap: stale stamps would alias gen 0.
-            std::fill(t.headGen.begin(), t.headGen.end(), 0u);
-            t.gen = 1;
+        if (t.base + in.size() > positionSpace) {
+            std::fill(t.headPos.begin(), t.headPos.end(), 0u);
+            t.base = 1;
         }
+        base = static_cast<std::uint32_t>(t.base);
+        t.base += in.size();
     }
 
     void
@@ -96,44 +104,47 @@ struct Finder
         if (pos + 3 > in.size())
             return;
         const std::uint32_t h = hash3(in.data() + pos);
-        t.prev[pos] = t.headGen[h] == t.gen
-            ? static_cast<std::int32_t>(t.headPos[h])
-            : -1;
-        t.headPos[h] = static_cast<std::uint32_t>(pos);
-        t.headGen[h] = t.gen;
+        t.prev[pos] = t.headPos[h];
+        t.headPos[h] = base + static_cast<std::uint32_t>(pos);
     }
 
-    /** Best match at pos; returns length 0 when none qualifies. */
+    /**
+     * Best match at pos longer than @p floor; returns length 0 when
+     * none qualifies. Candidates that cannot beat the floor are
+     * rejected early, so a caller that only uses a result longer
+     * than some length gets the unfloored search's exact answer
+     * whenever it beats that length.
+     */
     std::pair<std::uint32_t, std::uint32_t>
-    bestMatch(std::size_t pos) const
+    bestMatch(std::size_t pos, std::uint32_t floor) const
     {
         if (pos + p.minMatch > in.size())
             return {0, 0};
         const auto limit = static_cast<std::uint32_t>(
             std::min<std::size_t>(p.maxMatch, in.size() - pos));
+        if (floor >= limit)
+            return {0, 0};
         const std::size_t window_start =
             pos > p.windowBytes ? pos - p.windowBytes : 0;
 
-        std::uint32_t best_len = 0;
+        std::uint32_t best_len = floor;
         std::uint32_t best_dist = 0;
-        const std::uint32_t h = hash3(in.data() + pos);
-        std::int64_t cand =
-            t.headGen[h] == t.gen ? std::int64_t(t.headPos[h]) : -1;
+        const std::uint32_t lowest =
+            base + static_cast<std::uint32_t>(window_start);
+        std::uint32_t cand = t.headPos[hash3(in.data() + pos)];
         unsigned chain = p.maxChainLength;
         const bool prefilter_ok = limit >= 4;
-        while (cand >= 0 && chain-- > 0) {
-            const auto cpos = static_cast<std::size_t>(cand);
-            if (cpos < window_start)
-                break;
+        while (cand >= lowest && chain-- > 0) {
+            const std::size_t cpos = cand - base;
             if (cpos >= pos) {
                 cand = t.prev[cpos];
                 continue;
             }
             // 4-byte candidate prefilter: once any improvement
             // needs >= 4 matching bytes (minMatch >= 4, or a best
-            // of >= 3 already held), a first-dword mismatch proves
-            // the candidate cannot improve, so match selection is
-            // exactly that of a plain chain walk.
+            // or floor of >= 3 already held), a first-dword
+            // mismatch proves the candidate cannot improve, so match
+            // selection is exactly that of a plain chain walk.
             if (prefilter_ok && (best_len >= 3 || p.minMatch >= 4)
                 && load32(in.data() + cpos) != load32(in.data() + pos)) {
                 cand = t.prev[cpos];
@@ -153,7 +164,7 @@ struct Finder
             }
             cand = t.prev[cpos];
         }
-        if (best_len < p.minMatch)
+        if (best_dist == 0 || best_len < p.minMatch)
             return {0, 0};
         return {best_len, best_dist};
     }
@@ -166,6 +177,21 @@ finderTableStats()
 {
     const FinderTables &t = finderTables();
     return {t.allocs, t.reuses};
+}
+
+std::uint64_t
+finderTableBase()
+{
+    return finderTables().base;
+}
+
+void
+setFinderTableBase(std::uint64_t base)
+{
+    FinderTables &t = finderTables();
+    XFM_ASSERT(base >= t.base && base <= positionSpace,
+               "finder base may only move forward, up to 2^32");
+    t.base = base;
 }
 
 std::vector<Lz77Token>
@@ -200,14 +226,16 @@ lz77TokenizeSuffix(ByteSpan input, const Lz77Params &params,
     std::pair<std::uint32_t, std::uint32_t> next{0, 0};
     bool have_next = false;
     while (pos < input.size()) {
-        const auto [len, dist] = have_next ? next : f.bestMatch(pos);
+        const auto [len, dist] = have_next ? next : f.bestMatch(pos, 0);
         have_next = false;
 
-        // Lazy matching: if the next position has a strictly longer
-        // match, emit a literal instead and take the later match.
+        // Lazy matching: if the next position's match is longer by
+        // two or more, emit a literal instead and take the later
+        // match. Only such a match is used, so the probe searches
+        // above that floor.
         if (params.lazyMatching && len > 0 && pos + 1 < input.size()) {
             f.insert(pos);
-            next = f.bestMatch(pos + 1);
+            next = f.bestMatch(pos + 1, len + 1);
             if (next.first > len + 1) {
                 tokens.push_back({false, input[pos], 0, 0});
                 ++pos;

@@ -106,6 +106,20 @@ matchLength(const std::uint8_t *a, const std::uint8_t *b,
  */
 std::pair<std::uint64_t, std::uint64_t> finderTableStats();
 
+/**
+ * Base offset of this thread's finder tables: the next tokenisation
+ * stores input position i as base + i, after zeroing the head table
+ * and restarting the base at 1 if a position would pass 2^32.
+ */
+std::uint64_t finderTableBase();
+
+/**
+ * Move finderTableBase() forward to @p base (<= 2^32), as if that
+ * much more input had been tokenised: lets a test reach the clear
+ * without 4 GiB of input.
+ */
+void setFinderTableBase(std::uint64_t base);
+
 } // namespace compress
 } // namespace xfm
 

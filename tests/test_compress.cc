@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <queue>
 
@@ -1233,6 +1235,724 @@ TEST(Codec, ConcurrentShardsMatchSerial)
             }
         }
     }
+}
+
+} // namespace
+} // namespace compress
+} // namespace xfm
+
+// ------------------------------------------- per-block set-up oracles
+//
+// The codec's per-block set-up (canonical codes, decoder tables,
+// code-length RLE, bit writer, finder tables) was rewritten for
+// speed with byte-identical output. Each piece is checked here
+// against the straightforward version it replaced or the RFC 1951
+// definition it implements.
+
+namespace xfm
+{
+namespace compress
+{
+namespace
+{
+
+/** Byte-at-a-time LSB-first bit writer: the oracle for BitWriter. */
+class ByteBitWriter
+{
+  public:
+    explicit ByteBitWriter(Bytes &out) : out_(out) {}
+
+    void
+    put(std::uint32_t value, unsigned nbits)
+    {
+        const std::uint32_t mask =
+            nbits >= 32 ? 0xFFFFFFFFu : ((1u << nbits) - 1);
+        acc_ |= static_cast<std::uint64_t>(value & mask) << fill_;
+        fill_ += nbits;
+        while (fill_ >= 8) {
+            out_.push_back(static_cast<std::uint8_t>(acc_ & 0xFF));
+            acc_ >>= 8;
+            fill_ -= 8;
+        }
+    }
+
+    void
+    flush()
+    {
+        if (fill_ > 0) {
+            out_.push_back(static_cast<std::uint8_t>(acc_ & 0xFF));
+            acc_ = 0;
+            fill_ = 0;
+        }
+    }
+
+  private:
+    Bytes &out_;
+    std::uint64_t acc_ = 0;
+    unsigned fill_ = 0;
+};
+
+TEST(Bitstream, WordWriterMatchesByteWriter)
+{
+    Rng rng(2401);
+    for (int trial = 0; trial < 200; ++trial) {
+        Bytes got;
+        Bytes want;
+        BitWriter bw(got);
+        ByteBitWriter ref(want);
+        const int puts = static_cast<int>(rng.uniformInt(300));
+        for (int i = 0; i < puts; ++i) {
+            // Widths 0..32, with 32 and tiny widths over-weighted;
+            // values carry junk above nbits, which must be masked.
+            const unsigned nbits = rng.uniformInt(4) == 0
+                ? static_cast<unsigned>(rng.uniformInt(2)) * 32
+                : static_cast<unsigned>(rng.uniformInt(33));
+            const auto value = static_cast<std::uint32_t>(rng.next());
+            bw.put(value, nbits);
+            ref.put(value, nbits);
+            // An occasional mid-stream flush pads to a byte in both.
+            if (rng.uniformInt(64) == 0) {
+                bw.flush();
+                ref.flush();
+            }
+        }
+        bw.flush();
+        ref.flush();
+        ASSERT_EQ(got, want) << "trial " << trial;
+    }
+}
+
+/** RFC 1951 §3.2.2, literally, then each code's low `len` bits
+ *  reversed for LSB-first emission. */
+std::vector<std::uint32_t>
+rfc1951Codes(const std::vector<std::uint8_t> &lengths)
+{
+    std::array<std::uint32_t, maxCodeLength + 1> bl_count{};
+    for (auto len : lengths)
+        ++bl_count[len];
+    bl_count[0] = 0;
+    std::array<std::uint32_t, maxCodeLength + 1> next_code{};
+    std::uint32_t code = 0;
+    for (unsigned bits = 1; bits <= maxCodeLength; ++bits) {
+        code = (code + bl_count[bits - 1]) << 1;
+        next_code[bits] = code;
+    }
+    std::vector<std::uint32_t> codes(lengths.size(), 0);
+    for (std::size_t n = 0; n < lengths.size(); ++n) {
+        const unsigned len = lengths[n];
+        if (len == 0)
+            continue;
+        const std::uint32_t c = next_code[len]++;
+        std::uint32_t rev = 0;
+        for (unsigned b = 0; b < len; ++b)
+            rev |= ((c >> b) & 1u) << (len - 1 - b);
+        codes[n] = rev;
+    }
+    return codes;
+}
+
+TEST(Huffman, CanonicalCodesMatchRfc1951)
+{
+    Rng rng(2402);
+    std::vector<std::uint32_t> got;
+    auto check = [&](const std::vector<std::uint8_t> &lengths) {
+        canonicalCodes(lengths, got);
+        ASSERT_EQ(got, rfc1951Codes(lengths))
+            << lengths.size() << " symbols";
+    };
+    // Empty alphabet, all-zero lengths and every single-symbol
+    // placement of a short alphabet.
+    check({});
+    check(std::vector<std::uint8_t>(286, 0));
+    for (std::size_t n = 1; n <= 17; ++n)
+        for (std::size_t s = 0; s < n; ++s) {
+            std::vector<std::uint8_t> lengths(n, 0);
+            lengths[s] = 1;
+            check(lengths);
+        }
+    // Random vectors over alphabets of 1..286: sparse (a shard's
+    // literals), dense, clustered and zero-free, with lengths up
+    // to 15. Many over-subscribe the code space; the definition
+    // still fixes every code.
+    for (int trial = 0; trial < 2000; ++trial) {
+        const std::size_t n = 1 + rng.uniformInt(286);
+        std::vector<std::uint8_t> lengths(n, 0);
+        const unsigned top = 1 + static_cast<unsigned>(rng.uniformInt(15));
+        switch (trial % 4) {
+          case 0:
+            for (auto &len : lengths)
+                if (rng.uniformInt(7) == 0)
+                    len = static_cast<std::uint8_t>(1 + rng.uniformInt(top));
+            break;
+          case 1:
+            for (auto &len : lengths)
+                len = static_cast<std::uint8_t>(rng.uniformInt(top + 1));
+            break;
+          case 2: {
+            const std::size_t lo = rng.uniformInt(n);
+            const std::size_t hi = lo + rng.uniformInt(n - lo + 1);
+            for (std::size_t s = lo; s < hi; ++s)
+                lengths[s] = static_cast<std::uint8_t>(1 + rng.uniformInt(top));
+            break;
+          }
+          default:
+            for (auto &len : lengths)
+                len = static_cast<std::uint8_t>(1 + rng.uniformInt(top));
+            break;
+        }
+        check(lengths);
+    }
+}
+
+/**
+ * Bit-serial canonical decoder (zlib's puff): read one bit at a
+ * time, most significant code bit first, and find the symbol from
+ * the count of codes of each length. Returns -1 for a bit pattern
+ * no code owns.
+ */
+class BitSerialDecoder
+{
+  public:
+    explicit BitSerialDecoder(const std::vector<std::uint8_t> &lengths)
+    {
+        for (auto len : lengths)
+            ++count_[len];
+        for (unsigned len = 1; len <= maxCodeLength; ++len)
+            for (std::size_t s = 0; s < lengths.size(); ++s)
+                if (lengths[s] == len)
+                    sorted_.push_back(static_cast<std::uint32_t>(s));
+    }
+
+    std::int64_t
+    decode(BitReader &br) const
+    {
+        std::uint32_t code = 0;
+        std::uint32_t first = 0;
+        std::uint32_t index = 0;
+        for (unsigned len = 1; len <= maxCodeLength; ++len) {
+            code |= br.get(1);
+            const std::uint32_t count = count_[len];
+            if (code - first < count)
+                return sorted_[index + (code - first)];
+            index += count;
+            first = (first + count) << 1;
+            code <<= 1;
+        }
+        return -1;
+    }
+
+  private:
+    std::array<std::uint32_t, maxCodeLength + 1> count_{};
+    std::vector<std::uint32_t> sorted_;
+};
+
+/** Decode @p stream until it fails: the symbols, and whether it
+ *  ended in an error (truncation or an unowned code). */
+template <typename Fn>
+std::pair<std::vector<std::uint32_t>, bool>
+decodeAll(const Bytes &stream, std::size_t most, Fn &&one)
+{
+    std::vector<std::uint32_t> out;
+    BitReader br(stream);
+    try {
+        while (out.size() < most)
+            if (!one(br, out))
+                return {out, true};
+    } catch (const FatalError &) {
+        return {out, true};
+    }
+    return {out, false};
+}
+
+TEST(Huffman, TableDecoderMatchesBitSerialDecoder)
+{
+    Rng rng(2403);
+    for (int trial = 0; trial < 300; ++trial) {
+        // Shard-like literal alphabets and deflate-sized ones, with
+        // skews deep enough to push codes past the 11-bit root into
+        // subtables and up to the 15-bit limit.
+        const std::size_t n = trial % 2 ? 256 : 2 + rng.uniformInt(285);
+        std::vector<std::uint64_t> counts(n, 0);
+        switch (trial % 3) {
+          case 0:
+            for (int k = 0; k < 120; ++k)
+                ++counts[rng.zipf(n, 1.0)];
+            break;
+          case 1:
+            for (std::size_t s = 0; s < n; ++s)
+                counts[s] = rng.uniformInt(3) == 0
+                    ? 0 : std::uint64_t(1) << rng.uniformInt(20);
+            break;
+          default:
+            for (std::size_t s = 0; s < n; ++s)
+                counts[s] = 1 + rng.uniformInt(1000);
+            break;
+        }
+        const auto lengths = codeLengths(counts);
+        if (std::all_of(lengths.begin(), lengths.end(),
+                        [](auto len) { return len == 0; }))
+            continue;
+        const HuffmanDecoder table(lengths);
+        const BitSerialDecoder serial(lengths);
+
+        // Random bytes: every code is tried, including patterns no
+        // code owns when the code is incomplete (a single symbol).
+        Bytes stream(64 + rng.uniformInt(512));
+        for (auto &b : stream)
+            b = static_cast<std::uint8_t>(rng.next());
+        // And a valid stream of every live symbol.
+        Bytes valid;
+        {
+            HuffmanEncoder enc(lengths);
+            BitWriter bw(valid);
+            for (int k = 0; k < 2000; ++k) {
+                const auto s = static_cast<std::uint32_t>(rng.uniformInt(n));
+                if (lengths[s] != 0)
+                    enc.encode(bw, s);
+            }
+            bw.flush();
+        }
+        for (const Bytes *in : {&stream, &valid}) {
+            const auto want = decodeAll(
+                *in, SIZE_MAX, [&](BitReader &br, auto &out) {
+                    const std::int64_t s = serial.decode(br);
+                    if (s < 0)
+                        return false;
+                    out.push_back(static_cast<std::uint32_t>(s));
+                    return true;
+                });
+            const auto single = decodeAll(
+                *in, SIZE_MAX, [&](BitReader &br, auto &out) {
+                    out.push_back(table.decode(br));
+                    return true;
+                });
+            const auto paired = decodeAll(
+                *in, SIZE_MAX, [&](BitReader &br, auto &out) {
+                    std::uint32_t s0 = 0;
+                    std::uint32_t s1 = 0;
+                    const unsigned got = table.decodePair(br, s0, s1);
+                    out.push_back(s0);
+                    if (got == 2)
+                        out.push_back(s1);
+                    return true;
+                });
+            ASSERT_EQ(single, want) << "trial " << trial;
+            ASSERT_EQ(paired, want) << "trial " << trial;
+        }
+    }
+}
+
+/** The code-length RLE writer this library used to ship. */
+void
+referenceWriteRle(ByteBitWriter &bw, const std::vector<std::uint8_t> &lengths)
+{
+    std::size_t i = 0;
+    while (i < lengths.size()) {
+        const std::uint8_t cur = lengths[i];
+        std::size_t run = 1;
+        while (i + run < lengths.size() && lengths[i + run] == cur)
+            ++run;
+        if (cur == 0 && run >= 3) {
+            std::size_t left = run;
+            while (left >= 11) {
+                const std::size_t take = std::min<std::size_t>(left, 138);
+                bw.put(18, 5);
+                bw.put(static_cast<std::uint32_t>(take - 11), 7);
+                left -= take;
+            }
+            if (left >= 3) {
+                bw.put(17, 5);
+                bw.put(static_cast<std::uint32_t>(left - 3), 3);
+                left = 0;
+            }
+            while (left-- > 0)
+                bw.put(0, 5);
+        } else {
+            bw.put(cur, 5);
+            std::size_t left = run - 1;
+            while (left >= 3) {
+                const std::size_t take = std::min<std::size_t>(left, 6);
+                bw.put(16, 5);
+                bw.put(static_cast<std::uint32_t>(take - 3), 2);
+                left -= take;
+            }
+            while (left-- > 0)
+                bw.put(cur, 5);
+        }
+        i += run;
+    }
+}
+
+/** The code-length RLE reader this library used to ship. */
+std::vector<std::uint8_t>
+referenceReadRle(BitReader &br, std::size_t count)
+{
+    std::vector<std::uint8_t> lengths;
+    while (lengths.size() < count) {
+        const std::uint32_t sym = br.get(5);
+        if (sym <= 15) {
+            lengths.push_back(static_cast<std::uint8_t>(sym));
+        } else if (sym == 16) {
+            if (lengths.empty())
+                fatal("codelen rle: repeat with no previous length");
+            const std::uint32_t run = 3 + br.get(2);
+            const std::uint8_t v = lengths.back();
+            for (std::uint32_t k = 0; k < run; ++k)
+                lengths.push_back(v);
+        } else if (sym == 17) {
+            lengths.insert(lengths.end(), 3 + br.get(3), 0);
+        } else if (sym == 18) {
+            lengths.insert(lengths.end(), 11 + br.get(7), 0);
+        } else {
+            fatal("codelen rle: invalid symbol ", sym);
+        }
+    }
+    if (lengths.size() != count)
+        fatal("codelen rle: overran requested count");
+    return lengths;
+}
+
+TEST(Huffman, CodeLengthRleMatchesReference)
+{
+    Rng rng(2404);
+    std::vector<std::uint8_t> got;
+    for (int trial = 0; trial < 1500; ++trial) {
+        // Zero runs of every length across the 8-byte skip (and
+        // past 138), repeat runs, and singletons, over 0..300.
+        const std::size_t n = rng.uniformInt(301);
+        std::vector<std::uint8_t> lengths;
+        while (lengths.size() < n) {
+            const std::size_t run = 1 + rng.uniformInt(
+                rng.uniformInt(4) == 0 ? 160 : 12);
+            const auto v = static_cast<std::uint8_t>(
+                rng.uniformInt(3) == 0 ? 0 : rng.uniformInt(16));
+            for (std::size_t k = 0; k < run && lengths.size() < n; ++k)
+                lengths.push_back(v);
+        }
+        Bytes stream;
+        Bytes want;
+        {
+            BitWriter bw(stream);
+            writeCodeLengthsRle(bw, lengths);
+            bw.flush();
+            ByteBitWriter ref(want);
+            referenceWriteRle(ref, lengths);
+            ref.flush();
+        }
+        ASSERT_EQ(stream, want) << "trial " << trial;
+        BitReader br(stream);
+        readCodeLengthsRle(br, n, got);
+        ASSERT_EQ(got, lengths) << "trial " << trial;
+    }
+    // Garbage streams: the reader fails exactly where the reference
+    // does, and otherwise returns the same lengths.
+    for (int trial = 0; trial < 3000; ++trial) {
+        Bytes stream(1 + rng.uniformInt(200));
+        for (auto &b : stream)
+            b = static_cast<std::uint8_t>(rng.next());
+        const std::size_t count = rng.uniformInt(300);
+        std::vector<std::uint8_t> want;
+        bool want_fatal = false;
+        try {
+            BitReader br(stream);
+            want = referenceReadRle(br, count);
+        } catch (const FatalError &) {
+            want_fatal = true;
+        }
+        bool got_fatal = false;
+        try {
+            BitReader br(stream);
+            readCodeLengthsRle(br, count, got);
+        } catch (const FatalError &) {
+            got_fatal = true;
+        }
+        ASSERT_EQ(got_fatal, want_fatal) << "trial " << trial;
+        if (!want_fatal) {
+            ASSERT_EQ(got, want) << "trial " << trial;
+        }
+    }
+}
+
+TEST(Huffman, CodeLengthRleOverrunFailsBeforeWriting)
+{
+    // Three literal lengths, then a zero run of 11 where only two
+    // lengths remain.
+    Bytes stream;
+    {
+        BitWriter bw(stream);
+        for (std::uint32_t len : {3, 3, 2})
+            bw.put(len, 5);
+        bw.put(18, 5);
+        bw.put(0, 7);
+        bw.flush();
+    }
+    std::vector<std::uint8_t> got;
+    BitReader br(stream);
+    EXPECT_THROW(readCodeLengthsRle(br, 5, got), FatalError);
+    EXPECT_EQ(got.size(), 5u) << "the overrunning run was written";
+    EXPECT_EQ(got[0], 3u);
+    EXPECT_EQ(got[2], 2u);
+}
+
+/**
+ * The generation-stamped finder this library used to ship, with
+ * its lazy probe searching from length 0: the oracle for the
+ * base-offset finder tables and the floored lazy probe. Its two
+ * exact shortcuts, the 4-byte candidate prefilter and the carried
+ * lookahead, are left out, so they are checked too.
+ */
+namespace finder_oracle
+{
+
+constexpr std::size_t hashSize = std::size_t(1) << 15;
+
+std::uint32_t
+hash3(const std::uint8_t *p)
+{
+    const std::uint32_t v = static_cast<std::uint32_t>(p[0])
+        | (static_cast<std::uint32_t>(p[1]) << 8)
+        | (static_cast<std::uint32_t>(p[2]) << 16);
+    return (v * 2654435761u) >> (32 - 15);
+}
+
+struct Tables
+{
+    std::vector<std::uint32_t> headPos = std::vector<std::uint32_t>(hashSize);
+    std::vector<std::uint32_t> headGen =
+        std::vector<std::uint32_t>(hashSize, 0);
+    std::vector<std::int32_t> prev;
+    std::uint32_t gen = 0;
+};
+
+struct Finder
+{
+    ByteSpan in;
+    const Lz77Params &p;
+    Tables &t;
+
+    Finder(ByteSpan input, const Lz77Params &params, Tables &tables)
+        : in(input), p(params), t(tables)
+    {
+        if (t.prev.size() < in.size())
+            t.prev.resize(in.size());
+        if (++t.gen == 0) {
+            std::fill(t.headGen.begin(), t.headGen.end(), 0u);
+            t.gen = 1;
+        }
+    }
+
+    void
+    insert(std::size_t pos)
+    {
+        if (pos + 3 > in.size())
+            return;
+        const std::uint32_t h = hash3(in.data() + pos);
+        t.prev[pos] = t.headGen[h] == t.gen
+            ? static_cast<std::int32_t>(t.headPos[h])
+            : -1;
+        t.headPos[h] = static_cast<std::uint32_t>(pos);
+        t.headGen[h] = t.gen;
+    }
+
+    std::pair<std::uint32_t, std::uint32_t>
+    bestMatch(std::size_t pos) const
+    {
+        if (pos + p.minMatch > in.size())
+            return {0, 0};
+        const auto limit = static_cast<std::uint32_t>(
+            std::min<std::size_t>(p.maxMatch, in.size() - pos));
+        const std::size_t window_start =
+            pos > p.windowBytes ? pos - p.windowBytes : 0;
+        std::uint32_t best_len = 0;
+        std::uint32_t best_dist = 0;
+        const std::uint32_t h = hash3(in.data() + pos);
+        std::int64_t cand =
+            t.headGen[h] == t.gen ? std::int64_t(t.headPos[h]) : -1;
+        unsigned chain = p.maxChainLength;
+        while (cand >= 0 && chain-- > 0) {
+            const auto cpos = static_cast<std::size_t>(cand);
+            if (cpos < window_start)
+                break;
+            if (cpos >= pos) {
+                cand = t.prev[cpos];
+                continue;
+            }
+            if (best_len == 0
+                || in[cpos + best_len] == in[pos + best_len]) {
+                std::uint32_t len = 0;
+                while (len < limit && in[cpos + len] == in[pos + len])
+                    ++len;
+                if (len > best_len) {
+                    best_len = len;
+                    best_dist = static_cast<std::uint32_t>(pos - cpos);
+                    if (best_len >= limit)
+                        break;
+                }
+            }
+            cand = t.prev[cpos];
+        }
+        if (best_len < p.minMatch)
+            return {0, 0};
+        return {best_len, best_dist};
+    }
+};
+
+std::vector<Lz77Token>
+tokenize(ByteSpan input, const Lz77Params &params, std::size_t start,
+         Tables &tables)
+{
+    std::vector<Lz77Token> tokens;
+    if (input.size() == start)
+        return tokens;
+    Finder f(input, params, tables);
+    for (std::size_t i = 0; i < start; ++i)
+        f.insert(i);
+    std::size_t pos = start;
+    while (pos < input.size()) {
+        const auto [len, dist] = f.bestMatch(pos);
+        if (params.lazyMatching && len > 0 && pos + 1 < input.size()) {
+            f.insert(pos);
+            const auto next = f.bestMatch(pos + 1);
+            if (next.first > len + 1) {
+                tokens.push_back({false, input[pos], 0, 0});
+                ++pos;
+                continue;
+            }
+            tokens.push_back({true, 0, len, dist});
+            for (std::size_t i = pos + 1; i < pos + len; ++i)
+                f.insert(i);
+            pos += len;
+            continue;
+        }
+        if (len > 0) {
+            tokens.push_back({true, 0, len, dist});
+            for (std::size_t i = pos; i < pos + len; ++i)
+                f.insert(i);
+            pos += len;
+        } else {
+            tokens.push_back({false, input[pos], 0, 0});
+            f.insert(pos);
+            ++pos;
+        }
+    }
+    return tokens;
+}
+
+} // namespace finder_oracle
+
+/** Index of the first differing token, or -1 when equal. */
+std::int64_t
+firstTokenDiff(const std::vector<Lz77Token> &a,
+               const std::vector<Lz77Token> &b)
+{
+    const std::size_t n = std::min(a.size(), b.size());
+    for (std::size_t i = 0; i < n; ++i) {
+        if (a[i].isMatch != b[i].isMatch
+            || (a[i].isMatch ? a[i].length != b[i].length
+                                   || a[i].distance != b[i].distance
+                             : a[i].literal != b[i].literal))
+            return static_cast<std::int64_t>(i);
+    }
+    return a.size() == b.size() ? -1 : static_cast<std::int64_t>(n);
+}
+
+/** Adversarial finder input: a 2-4 symbol alphabet, so every hash
+ *  chain is long and walks exhaust the chain budget, with periodic
+ *  stretches and a random tail. */
+Bytes
+skewedInput(Rng &rng, std::size_t n)
+{
+    const unsigned symbols = 2 + static_cast<unsigned>(rng.uniformInt(3));
+    Bytes in;
+    while (in.size() < n) {
+        const std::size_t period = 1 + rng.uniformInt(12);
+        const std::size_t reps = rng.uniformInt(40);
+        const std::size_t base = in.size();
+        for (std::size_t k = 0; k < period && in.size() < n; ++k)
+            in.push_back(static_cast<std::uint8_t>('a' + rng.uniformInt(symbols)));
+        for (std::size_t k = 0; k < period * reps && in.size() < n; ++k)
+            in.push_back(in[base + k % period]);
+    }
+    return in;
+}
+
+TEST(Lz77, FinderMatchesGenerationStampedOracle)
+{
+    Rng rng(2405);
+    finder_oracle::Tables tables;
+    std::vector<Lz77Token> got;
+    std::size_t matches = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+        const std::size_t n = 1 + rng.uniformInt(3000);
+        Bytes in = trial % 5 == 4
+            ? generateCorpus(allCorpusKinds()[rng.uniformInt(
+                                 allCorpusKinds().size())],
+                             trial, 4096)
+            : skewedInput(rng, n);
+        Lz77Params params;
+        params.minMatch = 3 + static_cast<std::uint32_t>(trial % 2);
+        params.lazyMatching = trial / 2 % 2 == 0;
+        params.maxChainLength = trial % 3 == 0 ? 128
+            : static_cast<unsigned>(1 + rng.uniformInt(64));
+        params.maxMatch = trial % 4 == 0 ? 1 << 16
+            : trial % 4 == 1 ? static_cast<std::uint32_t>(
+                                   params.minMatch + rng.uniformInt(12))
+                             : 258;
+        // Windows shorter than the input in most trials.
+        params.windowBytes = trial % 3 == 1
+            ? 32 * 1024 : 16 + rng.uniformInt(in.size() + 1);
+        const std::size_t start =
+            trial % 4 == 3 ? rng.uniformInt(in.size() + 1) : 0;
+        lz77TokenizeSuffix(in, params, start, got);
+        const auto want = finder_oracle::tokenize(in, params, start, tables);
+        ASSERT_EQ(firstTokenDiff(got, want), -1)
+            << "trial " << trial << ": " << in.size() << " bytes, start "
+            << start << ", minMatch " << params.minMatch << ", lazy "
+            << params.lazyMatching << ", chain " << params.maxChainLength
+            << ", window " << params.windowBytes;
+        for (const auto &t : got)
+            matches += t.isMatch;
+    }
+    EXPECT_GT(matches, 10000u) << "inputs too weak to exercise the finder";
+}
+
+TEST(Lz77, FinderBaseWrapClearsTables)
+{
+    // Positions are stored as base + index in 32 bits; an input
+    // whose last position would pass 2^32 first zeroes the head
+    // table and restarts the base at 1. Park the base just below
+    // the top, fill the table there, then cross.
+    constexpr std::uint64_t top = std::uint64_t(1) << 32;
+    Rng rng(2406);
+    finder_oracle::Tables tables;
+    std::vector<Lz77Token> got;
+    const Lz77Params params;
+    auto check = [&](const Bytes &in, const char *what) {
+        lz77TokenizeSuffix(in, params, 0, got);
+        ASSERT_EQ(firstTokenDiff(
+                      got, finder_oracle::tokenize(in, params, 0, tables)),
+                  -1)
+            << what;
+    };
+    setFinderTableBase(std::max(finderTableBase(), top - 6000));
+    const Bytes first = skewedInput(rng, 2000);
+    check(first, "below the top");
+    EXPECT_EQ(finderTableBase(), top - 4000);
+    // Exactly fits: the last position is stored as 2^32 - 1.
+    const Bytes fits = skewedInput(rng, 4000);
+    check(fits, "up to the top");
+    EXPECT_EQ(finderTableBase(), top);
+    // The same bytes again would find the stale entries near the
+    // top if they were still live.
+    check(fits, "across the top");
+    EXPECT_EQ(finderTableBase(), 1 + fits.size());
+    check(first, "after the clear");
+    EXPECT_EQ(finderTableBase(), 1 + fits.size() + first.size());
+    // One byte too many: the last position would be stored as 2^32.
+    setFinderTableBase(top - fits.size());
+    const Bytes over = skewedInput(rng, fits.size() + 1);
+    check(over, "one past the top");
+    EXPECT_EQ(finderTableBase(), 1 + over.size());
 }
 
 } // namespace
