@@ -178,6 +178,13 @@ HealthMonitor::admit(Tick now)
 }
 
 void
+HealthMonitor::recordReject()
+{
+    if (cfg_.enabled)
+        ++stats_.breakerRejects;
+}
+
+void
 HealthMonitor::cancelProbe(Tick)
 {
     if (!cfg_.enabled || state_ != HealthState::Probation)

@@ -103,7 +103,9 @@ struct HealthStats
     std::uint64_t recoveries = 0;     ///< transitions into Healthy
     std::uint64_t probes = 0;         ///< half-open probes admitted
     std::uint64_t probeFailures = 0;  ///< probes that re-tripped
-    std::uint64_t breakerRejects = 0; ///< admissions refused
+    /** Work refused: admit() refusals plus the routing refusals
+     *  the owner reports through recordReject(). */
+    std::uint64_t breakerRejects = 0;
     std::uint64_t forcedOffline = 0;  ///< administrative forceFail()s
 };
 
@@ -146,6 +148,13 @@ class HealthMonitor
 
     /** admit() without consuming a probe slot or counting a reject. */
     bool wouldAdmit(Tick now);
+
+    /**
+     * The owner routed work around the component because
+     * wouldAdmit() refused it: count that refusal as a
+     * breakerReject, as admit() counts its own.
+     */
+    void recordReject();
 
     /**
      * An admitted probe never actually exercised the component (the

@@ -590,10 +590,13 @@ XfmBackend::startSwap(VirtPage page, bool compress_op, bool allow_offload,
     // page goes to the CPU path.
     // The routing decision uses wouldAdmit() — no half-open probe
     // slot is consumed until the shard is actually submitted below,
-    // so capacity fallbacks cannot churn a probation round.
+    // so capacity fallbacks cannot churn a probation round. Each
+    // refusal is counted as that channel's breakerReject here, the
+    // one place a channel breaker turns work away.
     std::size_t cpu_shards = 0;
     for (std::size_t d = 0; d < n; ++d) {
         if (!channel_health_[d].wouldAdmit(curTick())) {
+            channel_health_[d].recordReject();
             op->cpuShard[d] = 1;
             ++cpu_shards;
         }
@@ -859,7 +862,7 @@ XfmBackend::onDrop(std::size_t dimm, nma::OffloadId id,
         return;
     }
     if (reason == nma::DropReason::DoorbellLost) {
-        ++xfm_stats_.fallbackCapacity;
+        ++xfm_stats_.doorbellShardRedos;
         tracePoint(op->traceId, obs::Stage::Fallback,
                    obs::fallbackCapacity);
         recoverShardOnCpu(dimm, op);
@@ -998,7 +1001,7 @@ XfmBackend::registerMetrics(obs::MetricRegistry &r)
     r.counter(p + "rejectedSwapOuts", &stats_.rejectedSwapOuts,
               "SFM region full");
     r.counter(p + "fallbackCapacity", &xfm_stats_.fallbackCapacity,
-              "SPM/queue exhausted");
+              "whole pages to the CPU: a DIMM's SQ or SPM was full");
     r.counter(p + "fallbackDeadline", &xfm_stats_.fallbackDeadline,
               "window service too late");
     r.counter(p + "fallbackAlloc", &xfm_stats_.fallbackAlloc,
@@ -1016,6 +1019,9 @@ XfmBackend::registerMetrics(obs::MetricRegistry &r)
     r.counter(p + "watchdogShardRedos",
               &xfm_stats_.watchdogShardRedos,
               "single shards redone on the CPU after watchdog drops");
+    r.counter(p + "doorbellShardRedos",
+              &xfm_stats_.doorbellShardRedos,
+              "single shards redone on the CPU after lost doorbell batches");
     r.counter(p + "breakerFallbacks", &xfm_stats_.breakerFallbacks,
               "whole swaps rerouted: every channel breaker open");
     r.counter(p + "dictShards", &xfm_stats_.dictShards,

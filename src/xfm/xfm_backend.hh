@@ -151,8 +151,7 @@ struct XfmBackendStats
     std::uint64_t offloadedSwapOuts = 0;
     std::uint64_t offloadedSwapIns = 0;
     /** Whole pages sent to the CPU because a DIMM's SQ or SPM was
-     *  full at submit time, plus single shards redone on the CPU
-     *  after a lost doorbell batch. */
+     *  full at submit time. */
     std::uint64_t fallbackCapacity = 0;
     std::uint64_t fallbackDeadline = 0;  ///< window service too late
     std::uint64_t fallbackAlloc = 0;     ///< SFM region full
@@ -169,6 +168,10 @@ struct XfmBackendStats
      *  scoped per queue pair: one stranded command no longer fails
      *  the whole page back to the CPU). */
     std::uint64_t watchdogShardRedos = 0;
+    /** Single shards redone on the CPU after their doorbell batch
+     *  was given up on (`DoorbellLost`), while the page's other
+     *  shards stayed offloaded. */
+    std::uint64_t doorbellShardRedos = 0;
     /** Whole swaps routed to the CPU because every channel breaker
      *  was open. */
     std::uint64_t breakerFallbacks = 0;

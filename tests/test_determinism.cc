@@ -525,13 +525,13 @@ TEST(Determinism, GoldenHashes)
     // is meant to alter simulated behaviour or the block format.
     const RunResult d1 = runSystem(7, 1, 1, 1);
     const RunResult d8 = runSystem(7, 1, 8, 2);
-    EXPECT_EQ(fnv1a(d1.stats), 4591248615168921447ull);
-    EXPECT_EQ(fnv1a(d1.json), 13394788893743777134ull);
+    EXPECT_EQ(fnv1a(d1.stats), 1978446287086559044ull);
+    EXPECT_EQ(fnv1a(d1.json), 5706955265475681994ull);
     EXPECT_EQ(fnv1a(d1.trace), 7224220644100302546ull);
-    EXPECT_EQ(fnv1a(d8.stats), 13811207877068001813ull);
-    EXPECT_EQ(fnv1a(d8.json), 2112129612509550880ull);
+    EXPECT_EQ(fnv1a(d8.stats), 3438280620338959114ull);
+    EXPECT_EQ(fnv1a(d8.json), 8690636360194789194ull);
     EXPECT_EQ(fnv1a(d8.trace), 5871594124061554505ull);
-    EXPECT_EQ(fnv1a(fleetSnapshot()), 5852517833511857761ull);
+    EXPECT_EQ(fnv1a(fleetSnapshot()), 18027275129927977908ull);
     EXPECT_EQ(codecHash(compress::Algorithm::LzFast),
               18114446391647626256ull);
     EXPECT_EQ(codecHash(compress::Algorithm::Deflate),
@@ -548,11 +548,11 @@ TEST(Determinism, GoldenHashes)
         runSystem(7, 1, 8, 2, TierMode::Default, DictMode::On);
     EXPECT_GT(hy.snap.u64("sys.backend.shardCpuFallbacks"), 0u);
     EXPECT_GT(dict.snap.u64("sys.backend.dictShards"), 0u);
-    EXPECT_EQ(fnv1a(hy.stats), 15675345096414456737ull);
-    EXPECT_EQ(fnv1a(hy.json), 4004306645990726403ull);
+    EXPECT_EQ(fnv1a(hy.stats), 3845964500775929036ull);
+    EXPECT_EQ(fnv1a(hy.json), 9008138076563087873ull);
     EXPECT_EQ(fnv1a(hy.trace), 17537109823168380386ull);
-    EXPECT_EQ(fnv1a(dict.stats), 17457463331779584064ull);
-    EXPECT_EQ(fnv1a(dict.json), 18359899900286975706ull);
+    EXPECT_EQ(fnv1a(dict.stats), 3418390688988235107ull);
+    EXPECT_EQ(fnv1a(dict.json), 6955202110711745560ull);
     EXPECT_EQ(fnv1a(dict.trace), 5871594124061554505ull);
 }
 
@@ -677,17 +677,17 @@ TEST(Determinism, WindowModelGoldenHashes)
     const RunResult loop = runSwapLoop();
     EXPECT_GT(dimmSum(loop.snap, "subarrayConflictRetries"), 0u);
 
-    EXPECT_EQ(fnv1a(pb.stats), 4234686662086513197ull);
-    EXPECT_EQ(fnv1a(pb.json), 14976354063198256902ull);
+    EXPECT_EQ(fnv1a(pb.stats), 9877335848270207286ull);
+    EXPECT_EQ(fnv1a(pb.json), 17704357434966617442ull);
     EXPECT_EQ(fnv1a(pb.trace), 5837798157392588600ull);
-    EXPECT_EQ(fnv1a(hd.stats), 15232541338923846907ull);
-    EXPECT_EQ(fnv1a(hd.json), 18352611749624961342ull);
+    EXPECT_EQ(fnv1a(hd.stats), 9716415583193456183ull);
+    EXPECT_EQ(fnv1a(hd.json), 6731954781612737265ull);
     EXPECT_EQ(fnv1a(hd.trace), 1397843201361717540ull);
-    EXPECT_EQ(fnv1a(h8.stats), 8143447343584671327ull);
-    EXPECT_EQ(fnv1a(h8.json), 17328205127723583616ull);
+    EXPECT_EQ(fnv1a(h8.stats), 15090623687808273902ull);
+    EXPECT_EQ(fnv1a(h8.json), 1432701936222934132ull);
     EXPECT_EQ(fnv1a(h8.trace), 15150052485202570199ull);
-    EXPECT_EQ(fnv1a(loop.stats), 7964508815773522165ull);
-    EXPECT_EQ(fnv1a(loop.json), 4679324364351981259ull);
+    EXPECT_EQ(fnv1a(loop.stats), 3034312403698692575ull);
+    EXPECT_EQ(fnv1a(loop.json), 8853688863089278436ull);
     EXPECT_EQ(fnv1a(loop.trace), 4287628426872533867ull);
 }
 

@@ -361,7 +361,10 @@ TEST_F(BackendFaultTest, PersistentDoorbellLossFallsBackToCpu)
     EXPECT_TRUE(out.usedCpu);  // retries exhausted -> CPU_Fallback
     EXPECT_GT(out.retries, 0u);
     EXPECT_EQ(backend_->pageState(1), PageState::Far);
-    EXPECT_GT(backend_->xfmStats().fallbackCapacity, 0u);
+    // Each lost shard is redone on its own; no page was refused by
+    // the SQ/SPM pre-check.
+    EXPECT_GT(backend_->xfmStats().doorbellShardRedos, 0u);
+    EXPECT_EQ(backend_->xfmStats().fallbackCapacity, 0u);
     // Data still restores byte-identically through the CPU path.
     const SwapOutcome in = runSwapIn(1, false);
     EXPECT_TRUE(in.success);

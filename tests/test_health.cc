@@ -444,6 +444,11 @@ TEST_F(BackendHealthTest, OfflinedChannelReassemblesViaCpuShard)
     EXPECT_EQ(backend_->xfmStats().shardCpuFallbacks, 2u);
     EXPECT_EQ(backend_->stats().cpuCycles - cycles, shard_decompress);
     EXPECT_EQ(backend_->readPage(1), pageContent(1));
+
+    // Each routing refusal is the open channel's breakerReject; the
+    // healthy channel refused nothing.
+    EXPECT_EQ(backend_->channelHealth(1).stats().breakerRejects, 2u);
+    EXPECT_EQ(backend_->channelHealth(0).stats().breakerRejects, 0u);
 }
 
 TEST_F(BackendHealthTest, AllChannelsFailedFallsBackWholeSwap)
@@ -461,6 +466,8 @@ TEST_F(BackendHealthTest, AllChannelsFailedFallsBackWholeSwap)
     EXPECT_TRUE(in.success);
     EXPECT_EQ(backend_->xfmStats().breakerFallbacks, 2u);
     EXPECT_EQ(backend_->readPage(2), pageContent(2));
+    for (std::size_t d = 0; d < 2; ++d)
+        EXPECT_EQ(backend_->channelHealth(d).stats().breakerRejects, 2u);
 }
 
 TEST_F(BackendHealthTest, DoorbellBreakerSkipsRetryLadder)
