@@ -77,9 +77,10 @@ EOF
 # Chaos soak: the full fault plan with circuit breakers, watchdog,
 # quarantine eviction, and the end-of-run page-content audit armed
 # (verify = 1 makes xfmsim exit non-zero on any data corruption).
-# The health checker then asserts that at least one breaker tripped
-# and that every breaker settled — re-closed or persistently Failed,
-# never stuck mid-probation.
+# The health checker then asserts that at least one breaker tripped,
+# that every breaker settled — re-closed or persistently Failed,
+# never stuck mid-probation — and that shards routed around open
+# channels show up as channel breakerRejects.
 chaos_dir="${build_dir}/chaos-smoke"
 mkdir -p "${chaos_dir}"
 cat "${repo_root}/configs/chaos.cfg" > "${chaos_dir}/chaos.cfg"

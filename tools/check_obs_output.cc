@@ -27,6 +27,10 @@
  *     half-open round never resolved, i.e. the breaker is stuck —
  *     and the summed *.health.*.trips must be non-zero: a soak whose
  *     breakers never opened proves nothing about their recovery.
+ *     When shards were routed around open channels (summed
+ *     *.shardCpuFallbacks > 0), the summed
+ *     *.health.channel.breakerRejects must be non-zero too: each
+ *     such shard was a refusal of its channel's breaker.
  *
  *   check_obs_output abuse <stats.json>
  *     Everything `stats` checks, plus: at least one abuse-monitor
@@ -240,7 +244,13 @@ checkHealth(const std::string &path)
     const auto &metrics = v.at("metrics").object();
     std::size_t monitors = 0;
     double trips = 0.0;
+    double channel_rejects = 0.0;
+    double routed_shards = 0.0;
     for (const auto &[name, value] : metrics) {
+        if (name.ends_with(".shardCpuFallbacks"))
+            routed_shards += value.number();
+        if (name.ends_with(".health.channel.breakerRejects"))
+            channel_rejects += value.number();
         if (name.find(".health.") == std::string::npos)
             continue;
         if (name.ends_with(".trips"))
@@ -261,8 +271,14 @@ checkHealth(const std::string &path)
     if (trips < 1.0)
         return fail(path, "no health monitor ever tripped "
                           "(fault plan too weak to open a breaker?)");
-    std::printf("%s: health ok (%zu monitors settled, %g trips)\n",
-                path.c_str(), monitors, trips);
+    // Every shard routed around an open channel was refused by that
+    // channel's breaker, so the refusals must show.
+    if (routed_shards > 0.0 && channel_rejects < 1.0)
+        return fail(path, "shards were routed around open channels "
+                          "but no channel breakerRejects were counted");
+    std::printf("%s: health ok (%zu monitors settled, %g trips, "
+                "%g channel breakerRejects)\n",
+                path.c_str(), monitors, trips, channel_rejects);
     return 0;
 }
 
