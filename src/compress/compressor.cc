@@ -10,6 +10,20 @@ namespace xfm
 namespace compress
 {
 
+namespace
+{
+
+/** Mode byte of a stored block, whatever the codec. */
+constexpr std::uint8_t modeStored = 0;
+
+} // namespace
+
+Compressor::Compressor(std::uint8_t body_mode) : body_mode_(body_mode)
+{
+    XFM_ASSERT(body_mode_ != modeStored,
+               "mode 0 is the stored block");
+}
+
 Bytes
 Compressor::compress(ByteSpan input) const
 {
@@ -27,23 +41,102 @@ Compressor::decompress(ByteSpan block) const
 }
 
 void
+Compressor::putU32(Bytes &out, std::uint32_t v)
+{
+    out.push_back(static_cast<std::uint8_t>(v));
+    out.push_back(static_cast<std::uint8_t>(v >> 8));
+    out.push_back(static_cast<std::uint8_t>(v >> 16));
+    out.push_back(static_cast<std::uint8_t>(v >> 24));
+}
+
+std::uint32_t
+Compressor::getU32(ByteSpan in, std::size_t off) const
+{
+    if (off + 4 > in.size())
+        fatal(algorithmName(algorithm()), ": truncated header");
+    return static_cast<std::uint32_t>(in[off])
+        | (static_cast<std::uint32_t>(in[off + 1]) << 8)
+        | (static_cast<std::uint32_t>(in[off + 2]) << 16)
+        | (static_cast<std::uint32_t>(in[off + 3]) << 24);
+}
+
+void
+Compressor::compressInto(ByteSpan input, Bytes &out) const
+{
+    encodeFrame(input, 0, out);
+}
+
+void
 Compressor::compressWithDictInto(ByteSpan dict, ByteSpan input,
                                  Bytes &out) const
 {
-    if (!dict.empty())
-        fatal(algorithmName(algorithm()),
-              ": preset dictionaries unsupported");
-    compressInto(input, out);
+    if (dict.empty()) {
+        encodeFrame(input, 0, out);
+        return;
+    }
+    // The finder indexes one contiguous history, so the dictionary
+    // and the input are joined in a per-thread buffer.
+    thread_local Bytes history;
+    history.assign(dict.begin(), dict.end());
+    history.insert(history.end(), input.begin(), input.end());
+    encodeFrame(history, dict.size(), out);
+}
+
+void
+Compressor::encodeFrame(ByteSpan full, std::size_t start,
+                        Bytes &out) const
+{
+    const ByteSpan input = full.subspan(start);
+    out.clear();
+    if (!input.empty()) {
+        out.reserve(maxCompressedSize(input.size()));
+        out.push_back(body_mode_);
+        putU32(out, static_cast<std::uint32_t>(input.size()));
+        encodeBody(full, start, out);
+        if (out.size() < frameBytes + input.size())
+            return;
+        out.clear();
+    }
+    // Empty or incompressible input: a stored block.
+    out.reserve(frameBytes + input.size());
+    out.push_back(modeStored);
+    putU32(out, static_cast<std::uint32_t>(input.size()));
+    out.insert(out.end(), input.begin(), input.end());
+}
+
+void
+Compressor::decompressInto(ByteSpan block, Bytes &out) const
+{
+    decompressWithDictInto({}, block, out);
 }
 
 void
 Compressor::decompressWithDictInto(ByteSpan dict, ByteSpan block,
                                    Bytes &out) const
 {
-    if (!dict.empty())
-        fatal(algorithmName(algorithm()),
-              ": preset dictionaries unsupported");
-    decompressInto(block, out);
+    const std::uint32_t raw_len = getU32(block, 1);
+    const std::uint8_t mode = block[0];
+    const ByteSpan body = block.subspan(frameBytes);
+    if (mode == modeStored) {
+        if (body.size() < raw_len)
+            fatal(algorithmName(algorithm()),
+                  ": stored block truncated");
+        out.assign(body.begin(), body.begin() + raw_len);
+        return;
+    }
+    if (mode != body_mode_)
+        fatal(algorithmName(algorithm()), ": unknown block mode ",
+              unsigned(mode));
+
+    const std::size_t target = dict.size() + raw_len;
+    out.assign(dict.begin(), dict.end());
+    out.reserve(target);
+    decodeBody(body, raw_len, out);
+    if (out.size() != target)
+        fatal(algorithmName(algorithm()), ": size mismatch (",
+              out.size() - dict.size(), " vs ", raw_len, ")");
+    out.erase(out.begin(),
+              out.begin() + static_cast<std::ptrdiff_t>(dict.size()));
 }
 
 std::string

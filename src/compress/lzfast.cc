@@ -14,29 +14,9 @@ namespace compress
 namespace
 {
 
-constexpr std::uint8_t modeStored = 0;
+/** Frame mode of an LZ sequence body. */
 constexpr std::uint8_t modeLz = 1;
 constexpr std::uint32_t minMatch = 4;
-
-void
-putU32(Bytes &out, std::uint32_t v)
-{
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-std::uint32_t
-getU32(ByteSpan in, std::size_t off)
-{
-    if (off + 4 > in.size())
-        fatal("lzfast: truncated header");
-    return static_cast<std::uint32_t>(in[off])
-        | (static_cast<std::uint32_t>(in[off + 1]) << 8)
-        | (static_cast<std::uint32_t>(in[off + 2]) << 16)
-        | (static_cast<std::uint32_t>(in[off + 3]) << 24);
-}
 
 /** Emit a length with nibble base and 255-chained extension bytes. */
 void
@@ -63,69 +43,23 @@ getExtended(ByteSpan in, std::size_t &pos)
     }
 }
 
-void
-storedBlockInto(ByteSpan input, Bytes &out)
-{
-    out.clear();
-    out.reserve(input.size() + 5);
-    out.push_back(modeStored);
-    putU32(out, static_cast<std::uint32_t>(input.size()));
-    out.insert(out.end(), input.begin(), input.end());
-}
-
 } // namespace
 
 LzFastCodec::LzFastCodec(std::size_t window_bytes)
-    : window_bytes_(window_bytes)
+    : Compressor(modeLz), window_bytes_(window_bytes)
 {
     XFM_ASSERT(window_bytes_ >= 16 && window_bytes_ <= 65535,
                "lzfast window must fit 16-bit offsets");
 }
 
-void
-LzFastCodec::compressInto(ByteSpan input, Bytes &out) const
-{
-    compressBody(input, 0, out);
-}
-
-void
-LzFastCodec::compressWithDictInto(ByteSpan dict, ByteSpan input,
-                                  Bytes &out) const
-{
-    if (dict.empty()) {
-        compressBody(input, 0, out);
-        return;
-    }
-    Bytes concat;
-    concat.reserve(dict.size() + input.size());
-    concat.insert(concat.end(), dict.begin(), dict.end());
-    concat.insert(concat.end(), input.begin(), input.end());
-    compressBody(concat, dict.size(), out);
-}
-
-void
-LzFastCodec::decompressWithDictInto(ByteSpan dict, ByteSpan block,
-                                    Bytes &out) const
-{
-    decompressBody(block, dict, out);
-}
-
 /**
- * Compress full[start..) with full[0..start) as shared history
- * (preset-dictionary mode): the prefix is indexed, not emitted.
- * Offsets into the dictionary still fit the 16-bit wire format
+ * Offsets into a preset dictionary still fit the 16-bit wire format
  * because window_bytes_ <= 65535 bounds every distance.
  */
 void
-LzFastCodec::compressBody(ByteSpan full, std::size_t start,
-                          Bytes &out) const
+LzFastCodec::encodeBody(ByteSpan full, std::size_t start,
+                        Bytes &out) const
 {
-    const ByteSpan input = full.subspan(start);
-    if (input.empty()) {
-        storedBlockInto(input, out);
-        return;
-    }
-
     Lz77Params params;
     params.windowBytes = window_bytes_;
     params.minMatch = minMatch;
@@ -134,11 +68,6 @@ LzFastCodec::compressBody(ByteSpan full, std::size_t start,
     params.lazyMatching = false;
     std::vector<Lz77Token> tokens;
     lz77TokenizeSuffix(full, params, start, tokens);
-
-    out.clear();
-    out.reserve(maxCompressedSize(input.size()));
-    out.push_back(modeLz);
-    putU32(out, static_cast<std::uint32_t>(input.size()));
 
     std::size_t i = 0;
     while (i < tokens.size()) {
@@ -175,78 +104,44 @@ LzFastCodec::compressBody(ByteSpan full, std::size_t start,
             ++i;
         }
     }
-
-    if (out.size() >= input.size() + 5)
-        storedBlockInto(input, out);
 }
 
 void
-LzFastCodec::decompressInto(ByteSpan block, Bytes &out) const
+LzFastCodec::decodeBody(ByteSpan body, std::size_t raw_len,
+                        Bytes &out) const
 {
-    decompressBody(block, {}, out);
-}
-
-/**
- * Decompress with @p dict seeded as match history; the seeded
- * prefix is stripped before returning.
- */
-void
-LzFastCodec::decompressBody(ByteSpan block, ByteSpan dict,
-                            Bytes &out) const
-{
-    if (block.empty())
-        fatal("lzfast: empty block");
-    const std::uint8_t mode = block[0];
-    const std::uint32_t expected = getU32(block, 1);
-    if (mode == modeStored) {
-        if (block.size() < 5 + std::size_t(expected))
-            fatal("lzfast: stored block truncated");
-        out.assign(block.begin() + 5, block.begin() + 5 + expected);
-        return;
-    }
-    if (mode != modeLz)
-        fatal("lzfast: unknown block mode ", unsigned(mode));
-
-    const std::size_t target = dict.size() + expected;
-    out.assign(dict.begin(), dict.end());
-    out.reserve(target);
-    std::size_t pos = 5;
+    const std::size_t target = out.size() + raw_len;
+    std::size_t pos = 0;
     while (out.size() < target) {
-        if (pos >= block.size())
+        if (pos >= body.size())
             fatal("lzfast: truncated sequence");
-        const std::uint8_t token = block[pos++];
+        const std::uint8_t token = body[pos++];
         std::uint32_t lit_count = token >> 4;
         if (lit_count == 15)
-            lit_count += getExtended(block, pos);
-        if (pos + lit_count > block.size())
+            lit_count += getExtended(body, pos);
+        if (pos + lit_count > body.size())
             fatal("lzfast: literal run overruns block");
-        out.insert(out.end(), block.begin() + pos,
-                   block.begin() + pos + lit_count);
+        out.insert(out.end(), body.begin() + pos,
+                   body.begin() + pos + lit_count);
         pos += lit_count;
         if (out.size() >= target)
             break;  // final literals-only sequence
 
-        if (pos + 2 > block.size())
+        if (pos + 2 > body.size())
             fatal("lzfast: truncated offset");
         const std::uint32_t dist =
-            static_cast<std::uint32_t>(block[pos])
-            | (static_cast<std::uint32_t>(block[pos + 1]) << 8);
+            static_cast<std::uint32_t>(body[pos])
+            | (static_cast<std::uint32_t>(body[pos + 1]) << 8);
         pos += 2;
         std::uint32_t match_len = (token & 0x0F);
         if (match_len == 15)
-            match_len += getExtended(block, pos);
+            match_len += getExtended(body, pos);
         match_len += minMatch;
 
         if (dist == 0 || dist > out.size())
             fatal("lzfast: bad distance ", dist);
         appendMatch(out, dist, match_len);
     }
-    if (out.size() != target)
-        fatal("lzfast: size mismatch (", out.size() - dict.size(),
-              " vs ", expected, ")");
-    if (!dict.empty())
-        out.erase(out.begin(),
-                  out.begin() + static_cast<std::ptrdiff_t>(dict.size()));
 }
 
 } // namespace compress

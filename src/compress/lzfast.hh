@@ -29,19 +29,13 @@ class LzFastCodec : public Compressor
     explicit LzFastCodec(std::size_t window_bytes = 64 * 1024 - 1);
 
     Algorithm algorithm() const override { return Algorithm::LzFast; }
-    void compressInto(ByteSpan input, Bytes &out) const override;
-    void decompressInto(ByteSpan block, Bytes &out) const override;
-    void compressWithDictInto(ByteSpan dict, ByteSpan input,
-                              Bytes &out) const override;
-    void decompressWithDictInto(ByteSpan dict, ByteSpan block,
-                                Bytes &out) const override;
     std::size_t windowBytes() const override { return window_bytes_; }
 
   private:
-    void compressBody(ByteSpan full, std::size_t start,
-                      Bytes &out) const;
-    void decompressBody(ByteSpan block, ByteSpan dict,
-                        Bytes &out) const;
+    void encodeBody(ByteSpan full, std::size_t start,
+                    Bytes &out) const override;
+    void decodeBody(ByteSpan body, std::size_t raw_len,
+                    Bytes &out) const override;
 
     std::size_t window_bytes_;
 };
