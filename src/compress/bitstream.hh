@@ -179,9 +179,6 @@ class BitReader
         fill_ -= nbits;
     }
 
-    /** Bits currently buffered and available to skip(). */
-    unsigned buffered() const { return fill_; }
-
     /**
      * Byte offset of the next unread datum assuming the writer
      * flushed to a byte boundary here. Accounts for bits that were

@@ -291,7 +291,7 @@ HuffmanDecoder::assign(std::span<const std::uint8_t> lengths)
     const unsigned max_len = liveCanonicalCodes(lengths, t.live, t.codes);
     root_bits_ = std::max(1u, std::min<unsigned>(rootBits, max_len));
     const std::size_t root_size = std::size_t(1) << root_bits_;
-    table_.assign(root_size, {0, 0, 0, 0});
+    table_.assign(root_size, {0, 0, 0});
     if (max_len == 0)
         return;
 
@@ -303,8 +303,8 @@ HuffmanDecoder::assign(std::span<const std::uint8_t> lengths)
             continue;
         const std::size_t step = std::size_t(1) << len;
         for (std::size_t idx = codes[i]; idx < root_size; idx += step) {
-            table_[idx].sym0 = static_cast<std::uint16_t>(live[i]);
-            table_[idx].len0 = static_cast<std::uint8_t>(len);
+            table_[idx].sym = static_cast<std::uint16_t>(live[i]);
+            table_[idx].len = static_cast<std::uint8_t>(len);
         }
     }
     // Long codes spill into one subtable per root prefix, sized by
@@ -320,51 +320,34 @@ HuffmanDecoder::assign(std::span<const std::uint8_t> lengths)
             if (len <= root_bits_)
                 continue;
             TableEntry &link = table_[codes[i] & (root_size - 1)];
-            if (link.len0 != subLink)
-                link = {0, 0, subLink, 0};
-            link.sym1 = std::max<std::uint16_t>(
-                link.sym1, static_cast<std::uint16_t>(len - root_bits_));
+            if (link.len != subLink)
+                link = {0, 0, subLink};
+            link.subBits = std::max<std::uint16_t>(
+                link.subBits, static_cast<std::uint16_t>(len - root_bits_));
         }
         for (std::size_t i = 0; i < live.size(); ++i) {
             const unsigned len = lengths[live[i]];
             if (len <= root_bits_)
                 continue;
             const std::uint32_t prefix = codes[i] & (root_size - 1);
-            const unsigned sub_bits = table_[prefix].sym1;
-            if (table_[prefix].sym0 == 0) {
+            const unsigned sub_bits = table_[prefix].subBits;
+            if (table_[prefix].sym == 0) {
                 const std::size_t off = table_.size();
                 XFM_ASSERT(off <= 0xFFFF,
                            "huffman subtables exceed the offset field");
                 table_.resize(off + (std::size_t(1) << sub_bits),
-                              {0, 0, 0, 0});
-                table_[prefix].sym0 = static_cast<std::uint16_t>(off);
+                              {0, 0, 0});
+                table_[prefix].sym = static_cast<std::uint16_t>(off);
             }
-            const std::size_t off = table_[prefix].sym0;
+            const std::size_t off = table_[prefix].sym;
             const std::size_t step = std::size_t(1) << (len - root_bits_);
             for (std::size_t idx = codes[i] >> root_bits_;
                  idx < (std::size_t(1) << sub_bits); idx += step) {
-                table_[off + idx].sym0 =
+                table_[off + idx].sym =
                     static_cast<std::uint16_t>(live[i]);
-                table_[off + idx].len0 = static_cast<std::uint8_t>(len);
+                table_[off + idx].len = static_cast<std::uint8_t>(len);
             }
         }
-    }
-    // Pair pass over the root only: pre-pair windows whose
-    // remaining bits fully determine a second symbol. Restricted
-    // to literal pairs (both < 256) so decodePair never swallows
-    // bits past a match/EOB symbol whose extra bits follow in the
-    // stream.
-    for (std::size_t w = 0; w < root_size; ++w) {
-        TableEntry &e = table_[w];
-        if (e.len0 == 0 || e.len0 == subLink || e.sym0 >= 256
-            || e.len0 >= root_bits_)
-            continue;
-        const TableEntry &next = table_[w >> e.len0];
-        if (next.len0 == 0 || next.sym0 >= 256
-            || next.len0 > root_bits_ - e.len0)
-            continue;
-        e.sym1 = next.sym0;
-        e.pairLen = static_cast<std::uint8_t>(e.len0 + next.len0);
     }
 }
 
@@ -467,49 +450,22 @@ readCodeLengthsRle(BitReader &br, std::size_t count,
     }
 }
 
-const HuffmanDecoder::TableEntry &
-HuffmanDecoder::lookup(BitReader &br) const
-{
-    const TableEntry &root = table_[br.peek(root_bits_)];
-    if (root.len0 != subLink)
-        return root;
-    // Long code: re-peek wide enough for the subtable suffix. The
-    // entry's len0 holds the FULL code length, so the caller's
-    // skip() consumes root and suffix bits together.
-    const std::uint32_t suffix =
-        br.peek(root_bits_ + root.sym1) >> root_bits_;
-    return table_[root.sym0 + suffix];
-}
-
 std::uint32_t
 HuffmanDecoder::decode(BitReader &br) const
 {
-    const TableEntry &e = lookup(br);
-    if (e.len0 == 0)
-        fatal("huffman decode: invalid code in bitstream");
-    br.skip(e.len0);
-    return e.sym0;
-}
-
-unsigned
-HuffmanDecoder::decodePair(BitReader &br, std::uint32_t &s0,
-                           std::uint32_t &s1) const
-{
-    const TableEntry &e = lookup(br);
-    if (e.len0 == 0)
-        fatal("huffman decode: invalid code in bitstream");
-    // Take the pair only when every one of its bits is real input
-    // (near the end of the stream the peek window is zero-padded,
-    // and the phantom second symbol must not be emitted).
-    if (e.pairLen != 0 && e.pairLen <= br.buffered()) {
-        br.skip(e.pairLen);
-        s0 = e.sym0;
-        s1 = e.sym1;
-        return 2;
+    const TableEntry *e = &table_[br.peek(root_bits_)];
+    if (e->len == subLink) {
+        // Long code: re-peek wide enough for the subtable suffix.
+        // The entry's len holds the FULL code length, so one skip()
+        // consumes root and suffix bits together.
+        const std::uint32_t suffix =
+            br.peek(root_bits_ + e->subBits) >> root_bits_;
+        e = &table_[e->sym + suffix];
     }
-    br.skip(e.len0);
-    s0 = e.sym0;
-    return 1;
+    if (e->len == 0)
+        fatal("huffman decode: invalid code in bitstream");
+    br.skip(e->len);
+    return e->sym;
 }
 
 } // namespace compress

@@ -121,34 +121,19 @@ class HuffmanDecoder
     /** Decode one symbol from the reader. */
     std::uint32_t decode(BitReader &br) const;
 
-    /**
-     * Batched decode: consume one or two symbols with a single
-     * table lookup and return how many were produced. Pairs are
-     * pre-computed at table build and only formed from two literal
-     * symbols (< 256) whose combined length fits one root window,
-     * so mixed-alphabet consumers always receive a match/EOB
-     * symbol alone and can branch on it exactly as with decode().
-     * Bit-for-bit identical consumption to two decode() calls.
-     */
-    unsigned decodePair(BitReader &br, std::uint32_t &s0,
-                        std::uint32_t &s1) const;
-
   private:
     /** Root-table budget; codes longer than this use a subtable. */
     static constexpr unsigned rootBits = 11;
-    /** len0 value marking a subtable link (real codes are <= 15). */
+    /** len value marking a subtable link (real codes are <= 15). */
     static constexpr std::uint8_t subLink = 0xFF;
 
     struct TableEntry
     {
-        std::uint16_t sym0;    ///< symbol, or subtable offset
-        std::uint16_t sym1;    ///< pair partner, or subtable bits
-        std::uint8_t len0;     ///< 0 invalid; subLink = subtable
-        std::uint8_t pairLen;  ///< len0 + len1, or 0 when unpaired
+        std::uint16_t sym;      ///< symbol, or subtable offset
+        std::uint16_t subBits;  ///< subtable index width (links)
+        std::uint8_t len;       ///< full code length; 0 invalid,
+                                ///  subLink = subtable link
     };
-
-    /** Resolve one window to its entry (follows subtable links). */
-    const TableEntry &lookup(BitReader &br) const;
 
     std::vector<TableEntry> table_;  ///< root, then subtables
     unsigned root_bits_ = 1;         ///< actual root width used
