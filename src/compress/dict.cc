@@ -31,12 +31,6 @@ putU16(Bytes &out, std::size_t v)
 } // namespace
 
 bool
-isDictBlock(ByteSpan block)
-{
-    return !block.empty() && block[0] == dictShardMagic;
-}
-
-bool
 isDictRefBlock(ByteSpan block)
 {
     return !block.empty() && block[0] == dictRefMagic;
@@ -75,39 +69,6 @@ buildPresetDictionary(ByteSpan page, std::size_t interleave,
                     page.begin() + off + seg);
     }
     return dict;
-}
-
-bool
-encodeShard(const Compressor &codec, ByteSpan dict, ByteSpan shard,
-            Bytes &out)
-{
-    codec.compressInto(shard, out);
-    if (dict.empty())
-        return false;
-    XFM_ASSERT(dict.size() <= 0xFFFF,
-               "dict: dictionary exceeds u16 length field");
-
-    Bytes dict_block;
-    codec.compressInto(dict, dict_block);
-    if (dict_block.size() > 0xFFFF)
-        return false;  // pathological: keep the plain block
-
-    Bytes payload;
-    codec.compressWithDictInto(dict, shard, payload);
-
-    const std::size_t container =
-        5 + dict_block.size() + payload.size();
-    if (container >= out.size())
-        return false;  // plain block wins: adaptive fallback
-
-    out.clear();
-    out.reserve(container);
-    out.push_back(dictShardMagic);
-    putU16(out, dict.size());
-    putU16(out, dict_block.size());
-    out.insert(out.end(), dict_block.begin(), dict_block.end());
-    out.insert(out.end(), payload.begin(), payload.end());
-    return true;
 }
 
 bool
@@ -154,23 +115,7 @@ decodeShard(const Compressor &codec, ByteSpan block, Bytes &out)
 {
     if (isDictRefBlock(block))
         fatal("dict: 0xD2 block decoded without its dictionary");
-    if (!isDictBlock(block)) {
-        codec.decompressInto(block, out);
-        return;
-    }
-    const std::size_t raw_dict_len = getU16(block, 1);
-    const std::size_t stored_dict_len = getU16(block, 3);
-    if (5 + stored_dict_len > block.size())
-        fatal("dict: container shorter than stored dictionary");
-
-    Bytes dict;
-    codec.decompressInto(block.subspan(5, stored_dict_len), dict);
-    if (dict.size() != raw_dict_len)
-        fatal("dict: dictionary length mismatch (", dict.size(),
-              " vs ", raw_dict_len, ")");
-    codec.decompressWithDictInto(dict,
-                                 block.subspan(5 + stored_dict_len),
-                                 out);
+    codec.decompressInto(block, out);
 }
 
 void

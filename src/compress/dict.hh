@@ -8,27 +8,24 @@
  * *whole* page restores cross-shard redundancy: each shard is
  * compressed with the dictionary preloaded as match history.
  *
- * Two container formats (all integers little-endian):
+ * Dictionary-referencing container (integers little-endian):
  *
- *   self-contained   [0xD1][u16 rawDictLen][u16 storedDictLen]
- *                    [dict block][payload]
- *   dict-referencing [0xD2][u16 rawDictLen][payload]
+ *   [0xD2][u16 rawDictLen][payload]
  *
- * The 0xD1 container embeds the compressed dictionary, so a block
- * decodes with no out-of-band state — but replicating the dictionary
- * into every shard of a page costs more than the cross-shard matches
- * save (a ~2 KiB dictionary compresses to more bytes than a 1 KiB
- * shard recovers). The system therefore stores the dictionary ONCE
- * per page — packDict() output water-filled across the tails of the
- * page's same-offset slots (dictStripes()) — and shards use the
- * 3-byte 0xD2 header, which only records the raw dictionary length
- * so decode can validate the externally supplied dictionary.
+ * The dictionary itself is stored ONCE per page — packDict() output
+ * water-filled across the tails of the page's same-offset slots
+ * (dictStripes()) — because replicating it into every shard costs
+ * more than the cross-shard matches save (a ~2 KiB dictionary
+ * compresses to more bytes than a 1 KiB shard recovers). The
+ * 3-byte header only records the raw dictionary length, so decode
+ * can validate the externally supplied dictionary.
  *
- * Neither magic can collide with a plain block: every codec's first
- * byte is a block mode in {0, 1, 2}. Both encoders fall back to the
- * plain block whenever the dict form is not strictly smaller, so
- * dict mode never loses bytes per shard and the engine's worst-case
- * SPM reservation stays valid.
+ * The magic cannot collide with a plain block: every codec's first
+ * byte is a block mode in {0, 1, 2}, and any other first byte fails
+ * as an unknown block mode. The encoder falls back to the plain
+ * block whenever the dict form is not strictly smaller, so dict
+ * mode never loses bytes per shard and the engine's worst-case SPM
+ * reservation stays valid.
  */
 
 #ifndef XFM_COMPRESS_DICT_HH
@@ -45,15 +42,9 @@ namespace xfm
 namespace compress
 {
 
-/** First byte of a self-contained dict container. */
-constexpr std::uint8_t dictShardMagic = 0xD1;
-
 /** First byte of a dict-referencing container (dictionary stored
  *  out-of-band, once per page; see packDict()). */
 constexpr std::uint8_t dictRefMagic = 0xD2;
-
-/** True if @p block starts with the self-contained dict magic. */
-bool isDictBlock(ByteSpan block);
 
 /** True if @p block starts with the dict-referencing magic. */
 bool isDictRefBlock(ByteSpan block);
@@ -76,16 +67,6 @@ Bytes buildPresetDictionary(ByteSpan page, std::size_t interleave,
                             std::size_t dict_bytes);
 
 /**
- * Compress @p shard with @p dict into a self-describing container.
- *
- * Emits the 0xD1 container only when it beats the plain block;
- * otherwise @p out holds the plain block (adaptive per-shard
- * fallback). Returns true when the dict container was used.
- */
-bool encodeShard(const Compressor &codec, ByteSpan dict,
-                 ByteSpan shard, Bytes &out);
-
-/**
  * Compress @p shard with @p dict into a dict-referencing container
  * ([0xD2][u16 rawDictLen][payload]) — the dictionary itself is NOT
  * stored; the caller must keep it recoverable (packDict()).
@@ -97,14 +78,13 @@ bool encodeShardRef(const Compressor &codec, ByteSpan dict,
                     ByteSpan shard, Bytes &out);
 
 /**
- * Decompress any shard block: plain, 0xD1 (self-contained), or 0xD2
- * (needs @p dict; fatal if the supplied dictionary is missing or of
- * the wrong length).
+ * Decompress a plain or 0xD2 shard block (the latter needs @p dict;
+ * fatal if the supplied dictionary is of the wrong length).
  */
 void decodeShard(const Compressor &codec, ByteSpan block,
                  ByteSpan dict, Bytes &out);
 
-/** Convenience overload for plain/0xD1 blocks (no external dict). */
+/** Overload for a plain block (no dictionary); 0xD2 is fatal. */
 void decodeShard(const Compressor &codec, ByteSpan block, Bytes &out);
 
 /**

@@ -79,7 +79,7 @@ class CompressionEngine
      * @param expected_raw expected decompressed size; required by
      *        size-model mode, ignored (0 allowed) otherwise.
      * @param dict preset dictionary staged by the driver for 0xD2
-     *        blocks (DESIGN.md §16); may be null for plain/0xD1.
+     *        blocks (DESIGN.md §16); may be null for plain blocks.
      */
     std::pair<Bytes, Tick>
     decompress(ByteSpan block, std::uint32_t expected_raw = 0,
