@@ -68,6 +68,7 @@ enum : std::uint64_t
     fallbackAlloc = 2,     ///< far pool allocation failed
     fallbackWatchdog = 3,  ///< device watchdog forced an error
     fallbackBreaker = 4,   ///< circuit breaker open (component Failed)
+    fallbackDoorbell = 5,  ///< doorbell batch lost: one shard redone
 };
 
 /** Outcome codes (Stage::Complete arg). */

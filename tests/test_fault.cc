@@ -16,6 +16,7 @@
 #include "dram/ecc.hh"
 #include "fault/fault.hh"
 #include "nma/spm.hh"
+#include "obs/tracer.hh"
 #include "test_util.hh"
 #include "xfm/xfm_backend.hh"
 
@@ -355,6 +356,8 @@ TEST_F(BackendFaultTest, PersistentDoorbellLossFallsBackToCpu)
     cfg.faults.site(FaultSite::MmioDoorbellLoss).probability = 1.0;
     cfg.retry.maxAttempts = 2;
     makeBackend(cfg);
+    obs::Tracer tracer;
+    backend_->setTracer(&tracer);
 
     const SwapOutcome out = runSwapOut(1);
     EXPECT_TRUE(out.success);
@@ -365,6 +368,15 @@ TEST_F(BackendFaultTest, PersistentDoorbellLossFallsBackToCpu)
     // the SQ/SPM pre-check.
     EXPECT_GT(backend_->xfmStats().doorbellShardRedos, 0u);
     EXPECT_EQ(backend_->xfmStats().fallbackCapacity, 0u);
+    // Every redo is traced as a doorbell fallback of its own.
+    std::uint64_t doorbell_points = 0;
+    for (const obs::TraceEvent &e : tracer.events()) {
+        if (e.stage != obs::Stage::Fallback)
+            continue;
+        EXPECT_EQ(e.arg, obs::fallbackDoorbell);
+        ++doorbell_points;
+    }
+    EXPECT_EQ(doorbell_points, backend_->xfmStats().doorbellShardRedos);
     // Data still restores byte-identically through the CPU path.
     const SwapOutcome in = runSwapIn(1, false);
     EXPECT_TRUE(in.success);
