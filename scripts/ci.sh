@@ -163,6 +163,14 @@ done
 "${build_dir}/bench/perf_harness" --smoke \
     --out "${build_dir}/BENCH_PERF.json"
 
+# Codec microbenchmark smoke: one iteration of each codec's
+# whole-page compress and decompress (min_time 0 is the shortest run
+# this google-benchmark accepts), so the tool that measures codec
+# changes keeps building and running. Timings are not gated.
+"${build_dir}/bench/micro_benchmarks" \
+    --benchmark_filter='BM_(Compress|Decompress)/' \
+    --benchmark_min_time=0 > /dev/null
+
 # Queue-depth sweep smoke: simulated swap throughput versus async
 # command-ring depth. Exits non-zero only if the restored page bytes
 # diverge across depths (data integrity); the pages/sec curve is a
