@@ -1,6 +1,9 @@
 #include "compressor.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
+#include "common/units.hh"
 #include "compress/deflate.hh"
 #include "compress/lzfast.hh"
 #include "compress/zstdlike.hh"
@@ -128,9 +131,13 @@ Compressor::decompressWithDictInto(ByteSpan dict, ByteSpan block,
         fatal(algorithmName(algorithm()), ": unknown block mode ",
               unsigned(mode));
 
+    // The header is untrusted: reserve at most a page, the most any
+    // swap path decodes. A longer raw length fails as a size
+    // mismatch once the body runs out, not as an allocation.
     const std::size_t target = dict.size() + raw_len;
     out.assign(dict.begin(), dict.end());
-    out.reserve(target);
+    out.reserve(dict.size()
+                + std::min<std::size_t>(raw_len, pageBytes));
     decodeBody(body, raw_len, out);
     if (out.size() != target)
         fatal(algorithmName(algorithm()), ": size mismatch (",

@@ -4,6 +4,7 @@
 #include <array>
 
 #include "common/logging.hh"
+#include "common/units.hh"
 #include "compress/bitstream.hh"
 #include "compress/huffman.hh"
 #include "compress/lz77.hh"
@@ -179,7 +180,7 @@ ZstdLikeCodec::decodeBody(ByteSpan body, std::size_t, Bytes &out) const
     ShardScratch &t = shardScratch();
     Bytes &literals = t.literals;
     literals.clear();
-    literals.reserve(lit_count);
+    literals.reserve(std::min<std::size_t>(lit_count, pageBytes));
     std::size_t pos = 8;
     {
         BitReader br(body.subspan(pos));

@@ -10,6 +10,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <queue>
 
@@ -20,6 +21,7 @@
 #include "compress/compressor.hh"
 #include "compress/corpus.hh"
 #include "compress/deflate.hh"
+#include "compress/dict.hh"
 #include "compress/huffman.hh"
 #include "compress/lz77.hh"
 #include "compress/lzfast.hh"
@@ -844,21 +846,74 @@ class CodecRobustness : public ::testing::TestWithParam<Algorithm>
 
 TEST_P(CodecRobustness, SingleByteCorruptionNeverCrashes)
 {
-    const Bytes page =
-        generateCorpus(CorpusKind::EnglishText, 31, 4096);
-    const Bytes block = codec_->compress(page);
+    // Every stored format, damaged: a plain frame, a frame coded
+    // against a preset dictionary, the 0xD2 shard container and the
+    // packed dictionary blob. A decode returns data or throws
+    // FatalError; anything else, bad_alloc included, fails the test.
+    const Compressor &codec = *codec_;
+    const Bytes page = generateCorpus(CorpusKind::EnglishText, 31, 4096);
+    const Bytes dict = buildPresetDictionary(page, 256, 2048);
+    Bytes frame, dict_frame, shard_ref, packed;
+    codec.compressInto(page, frame);
+    codec.compressWithDictInto(dict, page, dict_frame);
+    ASSERT_TRUE(encodeShardRef(codec, dict, ByteSpan{page.data(), 1024},
+                               shard_ref));
+    packDict(codec, dict, packed);
+    ASSERT_LT(packed.size(), 4 + dict.size());  // a coded dictionary
+
+    struct Format
+    {
+        const char *name;
+        const Bytes &block;
+        std::size_t frameAt;  ///< offset of the block frame's mode byte
+        std::function<void(ByteSpan, Bytes &)> decode;
+    };
+    const Format formats[] = {
+        {"frame", frame, 0,
+         [&](ByteSpan b, Bytes &out) { codec.decompressInto(b, out); }},
+        {"dict frame", dict_frame, 0,
+         [&](ByteSpan b, Bytes &out) {
+             codec.decompressWithDictInto(dict, b, out);
+         }},
+        {"0xD2 container", shard_ref, 3,
+         [&](ByteSpan b, Bytes &out) { decodeShard(codec, b, dict, out); }},
+        {"packed dictionary", packed, 4,
+         [&](ByteSpan b, Bytes &out) { out = unpackDict(codec, b); }},
+    };
     Rng rng(37);
-    for (int trial = 0; trial < 200; ++trial) {
-        Bytes damaged = block;
-        const auto pos = rng.uniformInt(damaged.size());
-        damaged[pos] ^= static_cast<std::uint8_t>(
-            1 + rng.uniformInt(255));
-        try {
-            const Bytes out = codec_->decompress(damaged);
-            (void)out;  // silently-wrong output is acceptable here
-        } catch (const FatalError &) {
-            // clean rejection is the expected common case
+    for (const Format &f : formats) {
+        SCOPED_TRACE(f.name);
+        const auto decode = [&f](const Bytes &damaged) {
+            Bytes out;
+            try {
+                f.decode(damaged, out);  // wrong output is acceptable
+            } catch (const FatalError &) {
+                // clean rejection is the expected common case
+            }
+        };
+        for (int trial = 0; trial < 200; ++trial) {
+            Bytes damaged = f.block;
+            damaged[rng.uniformInt(damaged.size())] ^=
+                static_cast<std::uint8_t>(1 + rng.uniformInt(255));
+            decode(damaged);
         }
+        // Edits of the frame's u32 raw length, short and long.
+        const auto with_raw_len = [&f](std::uint32_t raw_len) {
+            Bytes damaged = f.block;
+            for (std::size_t i = 0; i < 4; ++i)
+                damaged[f.frameAt + 1 + i] =
+                    static_cast<std::uint8_t>(raw_len >> (8 * i));
+            return damaged;
+        };
+        for (const std::uint32_t raw_len :
+             {0u, 1u, 1023u, 4095u, 4097u, 0xFFFFu, 0x7FFFFFFFu})
+            decode(with_raw_len(raw_len));
+        // No body holds 4 GiB: the decode fails without reserving
+        // more than a page past the dictionary.
+        Bytes out;
+        EXPECT_THROW(f.decode(with_raw_len(0xFFFFFFFFu), out),
+                     FatalError);
+        EXPECT_LE(out.capacity(), dict.size() + pageBytes);
     }
 }
 
@@ -906,7 +961,6 @@ INSTANTIATE_TEST_SUITE_P(
 // PR 10 hot-path and preset-dictionary coverage.
 
 #include "common/worker_pool.hh"
-#include "compress/dict.hh"
 
 namespace xfm
 {
