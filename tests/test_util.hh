@@ -12,6 +12,7 @@
 #ifndef XFM_TESTS_TEST_UTIL_HH
 #define XFM_TESTS_TEST_UTIL_HH
 
+#include "common/config.hh"
 #include "compress/corpus.hh"
 #include "dram/ddr_config.hh"
 #include "service/service.hh"
@@ -65,6 +66,13 @@ testServiceConfig()
     return cfg;
 }
 
+/** The chaos system's fault plan, as config text. */
+inline constexpr const char *chaosFaults =
+    "fault.seed = 11\n"
+    "fault.spm_reserve.p = 0.20\n"
+    "fault.engine_stall.p = 0.10\n"
+    "fault.mmio_doorbell.p = 0.25\n";
+
 /**
  * The health-armed chaos system: 96 pages under a seeded fault plan
  * whose rates trip channel breakers mid-run, with a small quarantine
@@ -81,11 +89,8 @@ chaoticSystemConfig()
     cfg.controller.coldThreshold = milliseconds(5.0);
     cfg.controller.scanInterval = milliseconds(1.0);
     cfg.controller.maxSwapOutsPerScan = 16;
-    fault::FaultPlan &plan = cfg.xfm.faults;
-    plan.seed = 11;
-    plan.site(fault::FaultSite::SpmReserveFail).probability = 0.20;
-    plan.site(fault::FaultSite::EngineStall).probability = 0.10;
-    plan.site(fault::FaultSite::MmioDoorbellLoss).probability = 0.25;
+    cfg.xfm.faults =
+        fault::FaultPlan::fromConfig(Config::parseString(chaosFaults));
     cfg.xfm.health.enabled = true;
     cfg.xfm.health.window = 8;
     cfg.xfm.health.failConsecutive = 4;
