@@ -8,13 +8,14 @@
 # to fail hard on any report.
 #
 # SANITIZE=thread builds under TSan and runs the concurrency-facing
-# tests (worker pool, event kernel, service layer, worker-count
-# determinism, the adversary worker matrix, and the codec tests,
-# whose per-thread scratch the shard fan-out leases) plus the
-# perf-harness smoke. The only threaded code is
-# WorkerPool::parallelFor in XfmBackend::codeCpuShards, the per-DIMM
-# codec fan-out of every CPU-coded shard (whole-page CPU legs and
-# breaker-routed shards alike); the NMA engine runs its codec inline.
+# tests (worker pool, event kernel, service layer, the determinism
+# tests, the workers = 4 rows of the feature-combination audit, the
+# adversary worker matrix, and the codec tests, whose per-thread
+# scratch the shard fan-out leases) plus the perf-harness smoke.
+# The only threaded code is WorkerPool::parallelFor in
+# XfmBackend::codeCpuShards, the per-DIMM codec fan-out of every
+# CPU-coded shard (whole-page CPU legs and breaker-routed shards
+# alike); the NMA engine runs its codec inline.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -45,7 +46,7 @@ cmake --build "${build_dir}" -j "${jobs}"
 
 if [[ "${sanitize}" == "thread" ]]; then
     ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
-        -R 'WorkerPool|EventQueue|Determinism|ServiceTest|ArbiterTest|WorkerMatrix|Codec'
+        -R 'WorkerPool|EventQueue|Determinism|FeatureAudit.*_w4|ServiceTest|ArbiterTest|WorkerMatrix|Codec'
     "${build_dir}/bench/perf_harness" --smoke \
         --out "${build_dir}/BENCH_PERF.json"
     exit 0
