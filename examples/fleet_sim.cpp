@@ -316,16 +316,6 @@ run(int argc, char **argv)
                     (unsigned long long)t.promotedFromXfm,
                     (unsigned long long)t.promotedFromDfm);
     }
-    if (svc.shedder().enabled()) {
-        const auto &ss = svc.shedder().stats();
-        std::printf("shedding: %llu engages, %llu rejects, "
-                    "%llu down-tiers%s\n",
-                    (unsigned long long)ss.engages,
-                    (unsigned long long)ss.rejects,
-                    (unsigned long long)ss.downTiers,
-                    svc.shedder().shedding() ? " (still engaged)"
-                                             : "");
-    }
     return 0;
 }
 

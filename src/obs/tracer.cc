@@ -27,7 +27,6 @@ stageName(Stage s)
       case Stage::Fallback: return "fallback";
       case Stage::Complete: return "complete";
       case Stage::Health: return "health";
-      case Stage::Shed: return "shed";
       case Stage::SqEnqueue: return "sq_enqueue";
       case Stage::CqReap: return "cq_reap";
       case Stage::TierShift: return "tier_shift";

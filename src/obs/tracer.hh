@@ -45,7 +45,6 @@ enum class Stage : std::uint8_t
     Fallback,    ///< instantaneous: NMA declined (arg = reason)
     Complete,    ///< instantaneous: request settled (arg = outcome)
     Health,      ///< instantaneous: breaker transition (arg = state)
-    Shed,        ///< instantaneous: overload shed toggled (arg = on)
     SqEnqueue,   ///< ring: descriptor written -> doorbell covered
     CqReap,      ///< ring: completion posted -> reaped by the driver
     TierShift,   ///< instantaneous: tier transition committed

@@ -28,7 +28,6 @@ ServiceConfig::fromConfig(const Config &cfg, ServiceConfig base)
     ServiceConfig c = std::move(base);
     c.arbiter = QosArbiterConfig::fromConfig(cfg, c.arbiter);
     c.system = xfmsys::XfmSystemConfig::fromConfig(cfg, c.system);
-    c.shed = health::ShedConfig::fromConfig(cfg, c.shed);
     c.tier = sfm::TierConfig::fromConfig(cfg, c.tier);
     return c;
 }
@@ -38,8 +37,7 @@ FarMemoryService::FarMemoryService(std::string name, EventQueue &eq,
     : SimObject(std::move(name), eq), cfg_(provisioned(cfg)),
       registry_(cfg_.registry),
       backend_(this->name() + ".backend", eq, cfg_.system),
-      arbiter_(this->name() + ".arbiter", eq, cfg_.arbiter),
-      shedder_(cfg_.shed)
+      arbiter_(this->name() + ".arbiter", eq, cfg_.arbiter)
 {
     if (cfg_.batchSpmCapBytes > 0) {
         // The cap is fleet-wide; each DIMM stages an equal shard of
@@ -79,7 +77,6 @@ FarMemoryService::FarMemoryService(std::string name, EventQueue &eq,
         });
     backend_.registerMetrics(metrics_);
     arbiter_.registerMetrics(metrics_);
-    shedder_.registerMetrics(metrics_, this->name() + ".shed");
     metrics_.derived(this->name() + ".rejectedAdmissions",
                      [this] {
                          return static_cast<double>(
@@ -101,8 +98,6 @@ FarMemoryService::addTenant(const TenantConfig &cfg)
     Tenant t;
     t.backend = std::make_unique<TenantBackend>(
         id, registry_, backend_, &arbiter_, partition);
-    t.backend->setShedder(
-        &shedder_, cfg.cls == PriorityClass::LatencySensitive);
     t.promotions = std::make_unique<workload::PromotionTracker>(
         cfg.pages * pageBytes);
     t.backend->setPromotionTracker(t.promotions.get());
@@ -168,10 +163,6 @@ FarMemoryService::registerTenantMetrics(TenantId id)
                      "driver re-submissions consumed");
     metrics_.counter(p + "faultedOps", &ts.faultedOps,
                      "swap ops that failed");
-    metrics_.counter(p + "shedRejects", &ts.shedRejects,
-                     "swap-outs refused while shedding");
-    metrics_.counter(p + "shedDownTiers", &ts.shedDownTiers,
-                     "swap-ins down-tiered while shedding");
     if (cfg_.arbiter.abuseEnabled) {
         metrics_.counter(p + "abuseRejects", &ts.abuseRejects,
                          "swap-outs refused while throttled");

@@ -114,11 +114,6 @@ struct TenantStats
     std::uint64_t offloadRetries = 0;
     /** Operations that failed outright (e.g. quarantined page). */
     std::uint64_t faultedOps = 0;
-    /** Swap-outs refused with Rejected{Overload} while the service
-     *  was shedding load (batch class only). */
-    std::uint64_t shedRejects = 0;
-    /** Swap-ins forced onto the CPU path while shedding (batch). */
-    std::uint64_t shedDownTiers = 0;
     /** Swap-outs refused with Rejected{AbuseThrottle} while the
      *  abuse detector held this tenant throttled. */
     std::uint64_t abuseRejects = 0;

@@ -34,19 +34,6 @@ TenantBackend::local(sfm::VirtPage page) const
     return page - registry_.basePage(id_);
 }
 
-health::ShedDecision
-TenantBackend::shedDecision(bool is_swap_out)
-{
-    if (!shedder_ || !shedder_->enabled())
-        return health::ShedDecision::Admit;
-    // Refresh the pressure signals at the admission point itself so
-    // the hysteresis state reflects this very submission's view.
-    shedder_->observe(arbiter_ ? arbiter_->queued() : 0,
-                      shared_.spmOccupancyFraction(),
-                      shared_.curTick());
-    return shedder_->decide(latency_class_, is_swap_out);
-}
-
 void
 TenantBackend::submit(bool is_swap_out, sfm::VirtPage global_page,
                       bool allow_offload, sfm::SwapCallback done)
@@ -93,22 +80,6 @@ TenantBackend::swapOut(sfm::VirtPage page, bool allow_offload,
         sfm::SwapOutcome out;
         out.page = page;
         out.rejected = sfm::RejectReason::AbuseThrottle;
-        out.completed = shared_.curTick();
-        if (done)
-            done(out);
-        return;
-    }
-
-    // Overload shedding precedes every other check: while the shared
-    // path is saturated, a batch swap-out is refused before it can
-    // consume quota bookkeeping or an arbiter slot. The page simply
-    // stays local; the controller retries on a later pass.
-    if (shedDecision(true) == health::ShedDecision::Reject) {
-        ++ts.shedRejects;
-        ++stats_.rejectedSwapOuts;
-        sfm::SwapOutcome out;
-        out.page = page;
-        out.rejected = sfm::RejectReason::Overload;
         out.completed = shared_.curTick();
         if (done)
             done(out);
@@ -193,16 +164,6 @@ TenantBackend::swapIn(sfm::VirtPage page, bool allow_offload,
         && arbiter_->abuseThrottled(id_)) {
         allow_offload = false;
         ++ts.abuseDownTiers;
-    }
-
-    // A swap-in must complete (the tenant is faulting on the page),
-    // so overload never rejects it — batch-class swap-ins are
-    // down-tiered to the CPU path instead, freeing NMA slots for the
-    // latency class while still making progress.
-    if (allow_offload
-        && shedDecision(false) == health::ShedDecision::DownTier) {
-        allow_offload = false;
-        ++ts.shedDownTiers;
     }
 
     // Offloaded decompression stages the raw page in the SPM.

@@ -23,7 +23,6 @@
 #ifndef XFM_SERVICE_TENANT_BACKEND_HH
 #define XFM_SERVICE_TENANT_BACKEND_HH
 
-#include "health/shed.hh"
 #include "service/qos_arbiter.hh"
 #include "service/tenant_registry.hh"
 #include "workload/promotion_tracker.hh"
@@ -51,20 +50,6 @@ class TenantBackend : public sfm::SfmBackend
     TenantBackend(TenantId id, TenantRegistry &registry,
                   xfmsys::XfmBackend &shared, QosArbiter *arbiter,
                   std::uint32_t partition);
-
-    /**
-     * Attach the service-wide overload shedder (may be null). Each
-     * submission then refreshes the shedder's signals (arbiter
-     * backlog, SPM occupancy) and obeys its decision: batch
-     * swap-outs are rejected with Rejected{Overload}, batch swap-ins
-     * are down-tiered to the CPU path, latency tenants pass through.
-     */
-    void setShedder(health::OverloadShedder *shedder,
-                    bool latency_class)
-    {
-        shedder_ = shedder;
-        latency_class_ = latency_class;
-    }
 
     /**
      * Interpose a routing backend (the service's TierManager)
@@ -116,10 +101,6 @@ class TenantBackend : public sfm::SfmBackend
     void submit(bool is_swap_out, sfm::VirtPage global_page,
                 bool allow_offload, sfm::SwapCallback done);
 
-    /** Consult the shedder for one submission; returns the verdict
-     *  (Admit when no shedder is attached or shedding is off). */
-    health::ShedDecision shedDecision(bool is_swap_out);
-
     TenantId id_;
     TenantRegistry &registry_;
     xfmsys::XfmBackend &shared_;
@@ -128,8 +109,6 @@ class TenantBackend : public sfm::SfmBackend
     sfm::SfmBackend *route_;
     QosArbiter *arbiter_;
     std::uint32_t partition_;
-    health::OverloadShedder *shedder_ = nullptr;
-    bool latency_class_ = false;
     workload::PromotionTracker *promotions_ = nullptr;
 
     sfm::BackendStats stats_;  ///< this tenant's slice of the traffic

@@ -76,7 +76,6 @@ enum class RejectReason : std::uint8_t
     Busy,           ///< an operation on the page is already in flight
     Quarantined,    ///< page poisoned by an uncorrectable ECC error
     QuotaFarPages,  ///< tenant far-page quota exceeded
-    Overload,       ///< shed: service refused best-effort work
     SfmFull,        ///< far pool allocation failed
     AbuseThrottle,  ///< tenant throttled by the RFM-abuse detector
 };
@@ -90,7 +89,6 @@ rejectReasonName(RejectReason r)
       case RejectReason::Busy: return "busy";
       case RejectReason::Quarantined: return "quarantined";
       case RejectReason::QuotaFarPages: return "quota_far_pages";
-      case RejectReason::Overload: return "overload";
       case RejectReason::SfmFull: return "sfm_full";
       case RejectReason::AbuseThrottle: return "abuse_throttle";
     }

@@ -134,21 +134,6 @@ XfmBackend::XfmBackend(std::string name, EventQueue &eq,
     }
 }
 
-double
-XfmBackend::spmOccupancyFraction() const
-{
-    double worst = 0.0;
-    for (const auto &dimm : dimms_) {
-        const auto &spm = dimm.device->spm();
-        if (spm.capacityBytes() == 0)
-            continue;
-        worst = std::max(worst,
-                         static_cast<double>(spm.usedBytes())
-                             / static_cast<double>(spm.capacityBytes()));
-    }
-    return worst;
-}
-
 void
 XfmBackend::start()
 {

@@ -289,8 +289,6 @@ class XfmBackend : public SimObject, public sfm::SfmBackend
         return channel_health_[dimm];
     }
 
-    /** Worst per-DIMM SPM occupancy fraction (overload signal). */
-    double spmOccupancyFraction() const;
     const XfmSystemConfig &config() const { return cfg_; }
     const SameOffsetAllocator &allocator() const { return alloc_; }
 

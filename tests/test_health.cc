@@ -2,12 +2,10 @@
  * @file
  * Tests for the health/robustness layer: the HealthMonitor state
  * machine (every transition, fast trip, cooldown, half-open
- * probation, probe cancellation), the OverloadShedder hysteresis and
- * class-aware shed policy, and their integration into the XFM stack
- * — per-channel offlining with byte-identical page reassembly
+ * probation, probe cancellation) and its integration into the XFM
+ * stack — per-channel offlining with byte-identical page reassembly
  * through the per-shard CPU fallback, lost doorbell batches tripping
- * the channel breaker, the stuck-offload watchdog, service-level
- * shedding with typed Rejected{Overload} outcomes, and same-seed
+ * the channel breaker, the stuck-offload watchdog, and same-seed
  * byte-identical health metric timelines.
  */
 
@@ -19,8 +17,6 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "health/health.hh"
-#include "health/shed.hh"
-#include "service/service.hh"
 #include "system/system.hh"
 #include "test_util.hh"
 #include "xfm/xfm_backend.hh"
@@ -33,7 +29,6 @@ namespace
 {
 
 using sfm::PageState;
-using sfm::RejectReason;
 using sfm::SwapOutcome;
 using sfm::VirtPage;
 using xfmsys::XfmBackend;
@@ -259,91 +254,6 @@ TEST(HealthMonitor, ForceFailAndForceHealthy)
     EXPECT_TRUE(m.admit(2501));
 }
 
-// ------------------------------------------------------------- shedder
-
-ShedConfig
-shedConfig()
-{
-    ShedConfig c;
-    c.enabled = true;
-    c.queueHigh = 10;
-    c.queueLow = 2;
-    c.spmHigh = 0.9;
-    c.spmLow = 0.7;
-    return c;
-}
-
-TEST(OverloadShedder, DisabledShedderAlwaysAdmits)
-{
-    OverloadShedder s;
-    s.observe(1000, 1.0, 0);
-    EXPECT_FALSE(s.shedding());
-    EXPECT_EQ(s.decide(false, true), ShedDecision::Admit);
-}
-
-TEST(OverloadShedder, ShedsByClassAndDirection)
-{
-    OverloadShedder s(shedConfig());
-    s.observe(5, 0.1, 0);
-    EXPECT_FALSE(s.shedding());
-    EXPECT_EQ(s.decide(false, true), ShedDecision::Admit);
-
-    s.observe(11, 0.1, 10);  // queue above high watermark
-    EXPECT_TRUE(s.shedding());
-    EXPECT_EQ(s.stats().engages, 1u);
-    // Latency tenants are never shed; batch swap-outs are rejected
-    // (the page safely stays local) while batch swap-ins, which must
-    // complete, are down-tiered to the CPU path.
-    EXPECT_EQ(s.decide(true, true), ShedDecision::Admit);
-    EXPECT_EQ(s.decide(true, false), ShedDecision::Admit);
-    EXPECT_EQ(s.decide(false, true), ShedDecision::Reject);
-    EXPECT_EQ(s.decide(false, false), ShedDecision::DownTier);
-    EXPECT_EQ(s.stats().rejects, 1u);
-    EXPECT_EQ(s.stats().downTiers, 1u);
-}
-
-TEST(OverloadShedder, HysteresisDisengagesOnlyWhenBothSignalsCalm)
-{
-    OverloadShedder s(shedConfig());
-    s.observe(11, 0.95, 0);
-    ASSERT_TRUE(s.shedding());
-
-    // Queue back under its low watermark but SPM still hot: engaged.
-    s.observe(1, 0.8, 10);
-    EXPECT_TRUE(s.shedding());
-    // Both in the hysteresis band: still engaged.
-    s.observe(5, 0.75, 20);
-    EXPECT_TRUE(s.shedding());
-    // Both at/below the low watermarks: disengage exactly once.
-    s.observe(2, 0.7, 30);
-    EXPECT_FALSE(s.shedding());
-    EXPECT_EQ(s.stats().disengages, 1u);
-    // Mid-band signals do not re-engage (no oscillation).
-    s.observe(5, 0.8, 40);
-    EXPECT_FALSE(s.shedding());
-    EXPECT_EQ(s.stats().engages, 1u);
-}
-
-TEST(OverloadShedder, SpmPressureAloneEngages)
-{
-    OverloadShedder s(shedConfig());
-    s.observe(0, 0.91, 0);
-    EXPECT_TRUE(s.shedding());
-}
-
-TEST(OverloadShedder, ConfigValidation)
-{
-    EXPECT_THROW(ShedConfig::fromConfig(Config::parseString(
-                     "shed.queue_low = 10\nshed.queue_high = 5\n")),
-                 FatalError);
-    EXPECT_THROW(ShedConfig::fromConfig(Config::parseString(
-                     "shed.spm_high = 1.5\n")),
-                 FatalError);
-    EXPECT_THROW(ShedConfig::fromConfig(Config::parseString(
-                     "shed.queue_hi = 5\n")),
-                 FatalError);
-}
-
 // ------------------------------------------- backend-level breakers
 
 class BackendHealthTest : public ::testing::Test
@@ -567,78 +477,6 @@ TEST_F(BackendHealthTest, WatchdogFiresStuckOffload)
         EXPECT_TRUE(runSwapIn(p, false).success) << p;
         EXPECT_EQ(backend_->readPage(p), pageContent(p)) << p;
     }
-}
-
-// --------------------------------------------- service-level shedding
-
-TEST(ServiceShed, BatchSwapOutsRejectedTypedWhileOverloaded)
-{
-    EventQueue eq;
-    auto scfg = testutil::testServiceConfig();
-    scfg.shed.enabled = true;
-    // Engage as soon as anything is queued behind the arbiter.
-    scfg.shed.queueHigh = 0;
-    scfg.shed.queueLow = 0;
-    service::FarMemoryService svc("svc", eq, scfg);
-
-    service::TenantConfig bcfg;
-    bcfg.name = "batch";
-    bcfg.pages = 16;
-    const auto batch = svc.addTenant(bcfg);
-    service::TenantConfig lcfg;
-    lcfg.name = "lat";
-    lcfg.pages = 16;
-    lcfg.cls = service::PriorityClass::LatencySensitive;
-    const auto lat = svc.addTenant(lcfg);
-    ASSERT_NE(batch, service::invalidTenant);
-    ASSERT_NE(lat, service::invalidTenant);
-
-    const auto content = [&](service::TenantId id, VirtPage p) {
-        return testutil::corpusPage(compress::CorpusKind::Json,
-                                    id * 1000 + p + 7);
-    };
-    for (VirtPage p = 0; p < 16; ++p) {
-        svc.writePage(batch, p, content(batch, p));
-        svc.writePage(lat, p, content(lat, p));
-    }
-    svc.start();
-
-    // First batch swap-out is admitted (nothing queued yet) and
-    // parks one op behind the arbiter; the second sees the backlog
-    // above the high watermark and is refused with a typed reason,
-    // leaving its page local.
-    svc.tenantBackend(batch).swapOut(0, sfm::SwapCallback{});
-    SwapOutcome shed_out;
-    svc.tenantBackend(batch).swapOut(
-        1, [&](const SwapOutcome &o) { shed_out = o; });
-    EXPECT_FALSE(shed_out.success);
-    EXPECT_EQ(shed_out.rejected, RejectReason::Overload);
-    EXPECT_EQ(svc.tenantBackend(batch).pageState(1),
-              PageState::Local);
-    EXPECT_EQ(svc.registry().stats(batch).shedRejects, 1u);
-    EXPECT_TRUE(svc.shedder().shedding());
-
-    // A latency-class tenant is never shed, even while engaged.
-    std::optional<SwapOutcome> lat_out;
-    svc.tenantBackend(lat).swapOut(
-        0, [&](const SwapOutcome &o) { lat_out = o; });
-    eq.run(eq.now() + milliseconds(5.0));
-    ASSERT_TRUE(lat_out.has_value());
-    EXPECT_TRUE(lat_out->success);
-    EXPECT_EQ(svc.registry().stats(lat).shedRejects, 0u);
-
-    // Swap-ins must complete, so under pressure they are down-tiered
-    // to the CPU path instead of rejected.
-    ASSERT_EQ(svc.tenantBackend(batch).pageState(0), PageState::Far);
-    svc.tenantBackend(batch).swapOut(2, sfm::SwapCallback{});
-    SwapOutcome in_out;
-    svc.tenantBackend(batch).swapIn(
-        0, true, [&](const SwapOutcome &o) { in_out = o; });
-    eq.run(eq.now() + milliseconds(5.0));
-    EXPECT_TRUE(in_out.success);
-    EXPECT_EQ(svc.registry().stats(batch).shedDownTiers, 1u);
-    EXPECT_EQ(svc.readPage(batch, 0), content(batch, 0));
-    EXPECT_GT(svc.shedder().stats().engages, 0u);
 }
 
 // ------------------------------------------------------- determinism

@@ -76,9 +76,8 @@ knownStages()
         "swap_out",  "swap_in",   "submit",      "queue",
         "window_wait", "classify", "engine",     "spm_stage",
         "writeback", "cpu_compute", "dfm_link",  "fallback",
-        "complete",  "health",    "shed",        "sq_enqueue",
-        "cq_reap",   "tier_shift", "refpb",      "rfm",
-        "slot_steal",
+        "complete",  "health",    "sq_enqueue",  "cq_reap",
+        "tier_shift", "refpb",    "rfm",         "slot_steal",
     };
     return stages;
 }
