@@ -519,7 +519,7 @@ TEST(Determinism, GoldenHashes)
     EXPECT_EQ(fnv1a(d8.stats), 3438280620338959114ull);
     EXPECT_EQ(fnv1a(d8.json), 8690636360194789194ull);
     EXPECT_EQ(fnv1a(d8.trace), 5063554244026298080ull);
-    EXPECT_EQ(fnv1a(fleetSnapshot()), 18027275129927977908ull);
+    EXPECT_EQ(fnv1a(fleetSnapshot()), 8404750613485869870ull);
     EXPECT_EQ(codecHash(compress::Algorithm::LzFast),
               18114446391647626256ull);
     EXPECT_EQ(codecHash(compress::Algorithm::Deflate),
