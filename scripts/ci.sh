@@ -139,6 +139,18 @@ for bad in xyz nan inf; do
         exit 1
     fi
 done
+# A key of a deleted component is unknown: fleet_sim must refuse it
+# by name instead of running without it.
+stale_cfg="${build_dir}/stale-key.cfg"
+echo "shed.enabled = 1" > "${stale_cfg}"
+if stale_out="$("${build_dir}/examples/fleet_sim" --config "${stale_cfg}" 2>&1)"; then
+    echo "ci: fleet_sim accepted a deleted config key" >&2
+    exit 1
+fi
+if [[ "${stale_out}" != *"unknown config key"* ]]; then
+    echo "ci: fleet_sim refused a deleted key without naming it: ${stale_out}" >&2
+    exit 1
+fi
 
 # Repository benchmark (BENCHMARK.json): one short run per workload.
 # run.py builds its own tree under the build dir and exits non-zero

@@ -315,6 +315,58 @@ TEST_F(ServiceTest, OffloadsUseNmaWithinQuota)
     EXPECT_EQ(svc_->registry().spmCharged(id), 0u);
 }
 
+TEST_F(ServiceTest, BatchPartitionCapSparesLatencyOffloads)
+{
+    // Under a batch burst the SPM partition cap sends batch offloads
+    // to the CPU inside the device, while the uncapped latency
+    // partition keeps reaching the NMA; no page loses a byte.
+    auto cfg = makeConfig();
+    cfg.batchSpmCapBytes = kib(8);
+    makeService(cfg);
+    TenantConfig b_cfg, l_cfg;
+    b_cfg.name = "batch";
+    b_cfg.cls = PriorityClass::Batch;
+    l_cfg.name = "lat";
+    l_cfg.cls = PriorityClass::LatencySensitive;
+    const TenantId b = addTenant(b_cfg);
+    const TenantId l = addTenant(l_cfg);
+    ASSERT_NE(b, invalidTenant);
+    ASSERT_NE(l, invalidTenant);
+    seedPages(b);
+    seedPages(l);
+    svc_->start();
+
+    for (VirtPage p = 0; p < tenantPages; ++p) {
+        svc_->tenantBackend(b).swapOut(p, SwapCallback{});
+        if (p < 4)
+            svc_->tenantBackend(l).swapOut(p, SwapCallback{});
+    }
+    // Staged write-backs hold the batch partition until their rows'
+    // refresh turn; the rest of the burst waits out its offload
+    // deadline, so the run spans more than one 32 ms refresh window.
+    eq_.run(eq_.now() + milliseconds(40.0));
+
+    const TenantStats &bs = svc_->registry().stats(b);
+    const TenantStats &ls = svc_->registry().stats(l);
+    EXPECT_EQ(bs.swapOuts, tenantPages);
+    EXPECT_EQ(ls.swapOuts, 4u);
+    EXPECT_GT(bs.nmaFallbacks, 0u);
+    EXPECT_GT(ls.nmaOps, 0u);
+
+    for (VirtPage p = 0; p < tenantPages; ++p) {
+        svc_->tenantBackend(b).swapIn(p, false, SwapCallback{});
+        if (p < 4)
+            svc_->tenantBackend(l).swapIn(p, false, SwapCallback{});
+    }
+    eq_.run(eq_.now() + milliseconds(5.0));
+    for (VirtPage p = 0; p < tenantPages; ++p) {
+        EXPECT_EQ(svc_->readPage(b, p), pageContent(b, p)) << p;
+        EXPECT_EQ(svc_->readPage(l, p), pageContent(l, p)) << p;
+    }
+    EXPECT_EQ(svc_->registry().farPages(b), 0u);
+    EXPECT_EQ(svc_->registry().farPages(l), 0u);
+}
+
 TEST_F(ServiceTest, TenantsKeepDataIntactAcrossSharedBackend)
 {
     makeService(makeConfig());
