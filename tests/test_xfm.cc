@@ -239,45 +239,6 @@ TEST_F(XfmBackendTest, DemandSwapInUsesCpu)
     EXPECT_EQ(backend_->stats().cpuSwapIns, 1u);
 }
 
-TEST_F(XfmBackendTest, SingleDimmModeWorks)
-{
-    makeBackend(testSystemConfig(1));
-    const Bytes page = pageContent(4);
-    backend_->writePage(4, page);
-    SwapOutcome out;
-    backend_->swapOut(4, [&](const SwapOutcome &o) { out = o; });
-    eq_.run(seconds(0.1));
-    EXPECT_TRUE(out.success);
-    SwapOutcome in;
-    backend_->swapIn(4, true, [&](const SwapOutcome &o) { in = o; });
-    eq_.run(seconds(0.2));
-    EXPECT_TRUE(in.success);
-    EXPECT_EQ(backend_->readPage(4), page);
-}
-
-TEST_F(XfmBackendTest, ManyPagesRoundTripAcrossModes)
-{
-    for (std::size_t dimms : {1u, 2u, 4u}) {
-        eq_ = EventQueue();
-        makeBackend(testSystemConfig(dimms));
-        std::vector<Bytes> pages;
-        for (VirtPage p = 0; p < 16; ++p) {
-            pages.push_back(pageContent(p));
-            backend_->writePage(p, pages.back());
-            backend_->swapOut(p, nullptr);
-        }
-        eq_.run(seconds(0.2));
-        EXPECT_EQ(backend_->farPageCount(), 16u) << dimms << " dimms";
-        for (VirtPage p = 0; p < 16; ++p)
-            backend_->swapIn(p, true, nullptr);
-        eq_.run(seconds(0.4));
-        for (VirtPage p = 0; p < 16; ++p) {
-            EXPECT_EQ(backend_->pageState(p), PageState::Local);
-            EXPECT_EQ(backend_->readPage(p), pages[p]) << "page " << p;
-        }
-    }
-}
-
 TEST_F(XfmBackendTest, FragmentationFromSameOffsetPlacement)
 {
     makeBackend(testSystemConfig(4));
