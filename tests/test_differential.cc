@@ -1,10 +1,13 @@
 /**
  * @file
  * The feature-combination audit. Every page of a six-class mix runs
- * through the XFM stack and the baseline CPU stack, each under a
- * TierManager when tiering is on, and must restore byte-identically
- * on both. The feature axes are declared once (axes()); a pairwise
- * covering table of rows (auditRows()) drives the one runner
+ * through two system::System instances built from one config text,
+ * one on the XFM backend and one on the baseline CPU backend, and
+ * must restore byte-identically on both: first demoted and promoted
+ * through each system's backend, then under the control plane
+ * (kstaled cold scans, demand faults and prefetch, and the spill scan
+ * on tiered rows). The feature axes are declared once (axes()); a
+ * pairwise covering table of rows (auditRows()) drives the one runner
  * (runAudit()). Each row also replays with the same seeds to
  * byte-identical stats, JSON and trace, and a workers = 4 row must
  * equal its workers = 1 twin. Faults may degrade the offload path;
@@ -14,19 +17,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
+#include <array>
 #include <ranges>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/config.hh"
-#include "obs/registry.hh"
+#include "common/random.hh"
 #include "obs/tracer.hh"
-#include "sfm/cpu_backend.hh"
-#include "sfm/tier_manager.hh"
+#include "system/system.hh"
 #include "test_util.hh"
-#include "xfm/xfm_backend.hh"
 
 namespace xfm
 {
@@ -36,6 +37,8 @@ namespace
 using sfm::PageState;
 using sfm::SwapOutcome;
 using sfm::VirtPage;
+using system::System;
+using system::SystemConfig;
 
 constexpr VirtPage numPages = 24;
 
@@ -85,9 +88,8 @@ enum AxisId : std::size_t
 
 /**
  * The feature axes, declared once. A value's config text goes
- * through XfmSystemConfig::fromConfig and TierConfig::fromConfig;
- * the codec has no config key, so its label is the algorithm name.
- * Labels are unique across axes.
+ * through SystemConfig::fromConfig; the codec has no config key, so
+ * its label is the algorithm name. Labels are unique across axes.
  */
 const std::vector<Axis> &
 axes()
@@ -107,14 +109,18 @@ axes()
          {{"plain", "xfm.shard_dict = 0\n"},
           {"dict", "xfm.shard_dict = 1\n"}}},
         // A DFM pool for half the pages, so the other half takes the
-        // pool-full fallback into the compressed tier; no background
-        // scan, so routing is pure demand.
+        // pool-full fallback into the compressed tier. The spill scan
+        // runs throughout, but no page is spill-cold before the
+        // controller phase, so the demote/promote phase is routed by
+        // demand alone.
         {"tiering",
          {{"notier", "tier.enabled = 0\n"},
           {"auto", "tier.enabled = 1\ntier.policy = auto\n"
-                   "tier.scan_ms = 0\ntier.dfm_bytes = 49152\n"},
+                   "tier.scan_ms = 1\ntier.spill_cold_ms = 5\n"
+                   "tier.dfm_bytes = 49152\n"},
           {"dfmfirst", "tier.enabled = 1\ntier.policy = dfm_first\n"
-                       "tier.scan_ms = 0\ntier.dfm_bytes = 49152\n"}}},
+                       "tier.scan_ms = 1\ntier.spill_cold_ms = 5\n"
+                       "tier.dfm_bytes = 49152\n"}}},
         {"refresh",
          {{"refab", "refresh.mode = refab\n"},
           {"refpb", "refresh.mode = refpb\n"},
@@ -235,13 +241,39 @@ codecOf(const Labels &row)
     return compress::Algorithm::ZstdLike;
 }
 
+/** kstaled's cold threshold, longer than the demote/promote phase:
+ *  the controller finds its first cold page only after it. */
+constexpr Tick coldThreshold = milliseconds(5.0);
+
+/** The audit System for @p backend ("xfm" or "baseline"): the page
+ *  mix's pages on two DIMMs by default, codec @p alg, and the config
+ *  text @p config applied by SystemConfig::fromConfig. */
+SystemConfig
+systemConfigOf(compress::Algorithm alg, const std::string &config,
+               std::string_view backend)
+{
+    SystemConfig base;
+    base.pages = numPages;
+    base.sfmBytes = mib(16);
+    base.algorithm = alg;
+    base.xfm = testutil::testXfmConfig(2);
+    base.controller.coldThreshold = coldThreshold;
+    base.controller.scanInterval = milliseconds(1.0);
+    const Config cfg = Config::parseString(
+        config + "backend = " + std::string(backend) + "\n");
+    SystemConfig sys = SystemConfig::fromConfig(cfg, base);
+    cfg.requireAllConsumed();
+    return sys;
+}
+
 /** What one audit run leaves behind. */
 struct Audit
 {
-    std::string stats;            ///< rendered metric snapshot
-    std::string json;             ///< JSON snapshot export
+    std::string stats;            ///< both rendered metric snapshots
+    std::string json;             ///< both JSON snapshot exports
     std::string trace;            ///< JSON-lines trace export
-    obs::Snapshot snap;           ///< end-of-run metric snapshot
+    obs::Snapshot xfm;            ///< XFM system's end-of-run snapshot
+    obs::Snapshot cpu;            ///< baseline system's snapshot
     std::uint64_t injections = 0; ///< faults injected, every site
 };
 
@@ -254,166 +286,170 @@ runUntil(EventQueue &eq, const std::uint64_t &fired, std::uint64_t want)
     }
 }
 
+/** Every page of @p sys is Local and holds its original bytes. */
+void
+expectRestored(System &sys)
+{
+    for (VirtPage p = 0; p < numPages; ++p) {
+        EXPECT_EQ(sys.backend().pageState(p), PageState::Local)
+            << sys.name() << " page " << p;
+        EXPECT_EQ(sys.readPage(p), pageFor(p))
+            << sys.name() << " page " << p;
+    }
+}
+
 /**
- * Run the axis values @p labels with codec @p alg: write the page
- * mix, demote every page and promote it back on the XFM stack and
- * on the baseline CPU stack, and check that both restore every byte
- * and that the run shows what its values promise. Both stacks share
- * one metric registry and one tracer.
+ * Run the axis values @p labels with codec @p alg on two Systems
+ * built from the same config text, one with backend = xfm and one
+ * with backend = baseline, on one event queue and one tracer. First
+ * every page is demoted and promoted back through sys.backend();
+ * then the control plane runs: kstaled finds the pages cold, seeded
+ * accesses take demand faults, the spill scan runs on tiered rows,
+ * and every page is faulted back. Both systems must restore every
+ * byte after each phase, and the run must show what its values
+ * promise.
  */
 Audit
 runAudit(compress::Algorithm alg, const Labels &labels)
 {
     const std::string config = configOf(labels);
     SCOPED_TRACE("codec " + algorithmName(alg) + ", config:\n" + config);
-    const Config cfg = Config::parseString(config);
-    auto xcfg = xfmsys::XfmSystemConfig::fromConfig(
-        cfg, testutil::testXfmConfig(2));
-    xcfg.algorithm = alg;
-    const auto tcfg = sfm::TierConfig::fromConfig(cfg, {});
-    cfg.requireAllConsumed();
-
     EventQueue eq;
-    xfmsys::XfmBackend xfm("xfm", eq, xcfg);
-    dram::PhysMem cpu_mem(mib(64));
-    sfm::CpuBackendConfig ccfg;
-    ccfg.localBase = 0;
-    ccfg.localPages = numPages;
-    ccfg.sfmBase = mib(32);
-    ccfg.sfmBytes = mib(16);
-    ccfg.algorithm = alg;
-    sfm::CpuSfmBackend cpu("cpu", eq, ccfg, cpu_mem);
-
-    obs::MetricRegistry reg;
     obs::Tracer tracer;
-    xfm.registerMetrics(reg);
-    cpu.registerMetrics(reg);
-    xfm.setTracer(&tracer);
-    cpu.setTracer(&tracer);
-    std::optional<sfm::TierManager> xtiers;
-    std::optional<sfm::TierManager> ctiers;
-    if (tcfg.enabled) {
-        xtiers.emplace("xfm.tiers", eq, tcfg, xfm, numPages, xcfg.faults,
-                       xcfg.retry);
-        ctiers.emplace("cpu.tiers", eq, tcfg, cpu, numPages, xcfg.faults,
-                       xcfg.retry);
-        for (sfm::TierManager *t : {&*xtiers, &*ctiers}) {
-            t->registerMetrics(reg);
-            t->setTracer(&tracer);
-        }
-    }
-    sfm::SfmBackend &xstack =
-        xtiers ? static_cast<sfm::SfmBackend &>(*xtiers) : xfm;
-    sfm::SfmBackend &cstack =
-        ctiers ? static_cast<sfm::SfmBackend &>(*ctiers) : cpu;
-    xfm.start();
-    if (tcfg.enabled) {
-        xtiers->start();
-        ctiers->start();
-    }
-
-    for (VirtPage p = 0; p < numPages; ++p) {
-        const Bytes content = pageFor(p);
-        xfm.writePage(p, content);
-        cpu_mem.write(cpu.frameAddr(p), content);
+    System xsys("xfm", eq, systemConfigOf(alg, config, "xfm"));
+    System csys("cpu", eq, systemConfigOf(alg, config, "baseline"));
+    const std::array<System *, 2> systems = {&xsys, &csys};
+    for (System *sys : systems) {
+        sys->setTracer(&tracer);
+        for (VirtPage p = 0; p < numPages; ++p)
+            sys->writePage(p, pageFor(p));
+        sys->start();
     }
 
     // Demote everything. A stack may reject a page it cannot shrink
     // (lzfast on Base64Blob), and a failed spill leaves a page Near;
     // either must leave the page Local and intact. Anything accepted
     // must land Far.
-    std::vector<bool> xfm_far(numPages, false);
-    std::vector<bool> cpu_far(numPages, false);
+    std::array<std::vector<bool>, 2> far;
+    far.fill(std::vector<bool>(numPages, false));
     std::uint64_t fired = 0;
-    for (VirtPage p = 0; p < numPages; ++p) {
-        xstack.swapOut(p, [&, p](const SwapOutcome &o) {
-            xfm_far[p] = o.success;
-            ++fired;
-        });
-        cstack.swapOut(p, [&, p](const SwapOutcome &o) {
-            cpu_far[p] = o.success;
-            ++fired;
-        });
-    }
+    for (VirtPage p = 0; p < numPages; ++p)
+        for (std::size_t i = 0; i < systems.size(); ++i)
+            systems[i]->backend().swapOut(
+                p, [&, i, p](const SwapOutcome &o) {
+                    far[i][p] = o.success;
+                    ++fired;
+                });
     runUntil(eq, fired, 2 * numPages);
     EXPECT_EQ(fired, 2 * numPages);
 
     // At most the incompressible class (every 6th page) may stay.
     const VirtPage incompressible = numPages / 6;
-    std::uint64_t xfm_out = 0;
-    std::uint64_t cpu_out = 0;
-    for (VirtPage p = 0; p < numPages; ++p) {
-        xfm_out += xfm_far[p];
-        cpu_out += cpu_far[p];
-        EXPECT_EQ(xstack.pageState(p),
-                  xfm_far[p] ? PageState::Far : PageState::Local);
-        EXPECT_EQ(cstack.pageState(p),
-                  cpu_far[p] ? PageState::Far : PageState::Local);
+    std::uint64_t far_pages = 0;
+    for (std::size_t i = 0; i < systems.size(); ++i) {
+        const std::uint64_t out = std::ranges::count(far[i], true);
+        far_pages += out;
+        EXPECT_GE(out, numPages - incompressible) << systems[i]->name();
+        for (VirtPage p = 0; p < numPages; ++p)
+            EXPECT_EQ(systems[i]->backend().pageState(p),
+                      far[i][p] ? PageState::Far : PageState::Local)
+                << systems[i]->name() << " page " << p;
     }
-    EXPECT_GE(xfm_out, numPages - incompressible);
-    EXPECT_GE(cpu_out, numPages - incompressible);
 
     // Promote everything back, offload allowed on the XFM side.
     // Faults may reroute a promotion to the CPU path but may not
     // fail it: decompression of committed data always succeeds.
     std::uint64_t in_ok = 0;
     fired = 0;
-    for (VirtPage p = 0; p < numPages; ++p) {
-        if (xfm_far[p])
-            xstack.swapIn(p, true, [&](const SwapOutcome &o) {
-                in_ok += o.success;
-                ++fired;
-            });
-        if (cpu_far[p])
-            cstack.swapIn(p, false, [&](const SwapOutcome &o) {
-                in_ok += o.success;
-                ++fired;
-            });
-    }
-    runUntil(eq, fired, xfm_out + cpu_out);
-    EXPECT_EQ(in_ok, xfm_out + cpu_out);
+    for (VirtPage p = 0; p < numPages; ++p)
+        for (std::size_t i = 0; i < systems.size(); ++i)
+            if (far[i][p])
+                systems[i]->backend().swapIn(
+                    p, systems[i] == &xsys,
+                    [&](const SwapOutcome &o) {
+                        in_ok += o.success;
+                        ++fired;
+                    });
+    runUntil(eq, fired, far_pages);
+    EXPECT_EQ(in_ok, far_pages);
+    EXPECT_LT(eq.now(), coldThreshold);
+    for (System *sys : systems)
+        expectRestored(*sys);
 
-    // The payoff: both stacks restore the original bytes exactly.
-    for (VirtPage p = 0; p < numPages; ++p) {
-        const Bytes content = pageFor(p);
-        EXPECT_EQ(xfm.readPage(p), content) << "xfm page " << p;
-        EXPECT_EQ(cpu_mem.read(cpu.frameAddr(p), pageBytes), content)
-            << "cpu page " << p;
+    // The control plane, last. Past the cold threshold kstaled
+    // demotes the untouched pages; seeded accesses then take demand
+    // faults (and prefetch along their stride) while the spill scan
+    // drains cold XFM pages on tiered rows.
+    eq.run(coldThreshold + milliseconds(1.0));
+    Rng rng(99);
+    for (int i = 0; i < 24; ++i) {
+        const VirtPage p = rng.uniformInt(numPages);
+        for (System *sys : systems)
+            sys->access(p);
+        eq.run(eq.now() + microseconds(250.0));
     }
+    // Fault every page back. Touching every page first keeps kstaled
+    // from starting another swap-out before the audit; in-flight
+    // ones settle in the following millisecond.
+    for (VirtPage p = 0; p < numPages; ++p)
+        for (System *sys : systems)
+            sys->access(p);
+    eq.run(eq.now() + milliseconds(1.0));
+    for (int round = 0; round < 100; ++round) {
+        bool all_local = true;
+        for (VirtPage p = 0; p < numPages; ++p)
+            for (System *sys : systems)
+                if (sys->backend().pageState(p) != PageState::Local) {
+                    all_local = false;
+                    sys->access(p);
+                }
+        if (all_local)
+            break;
+        eq.run(eq.now() + microseconds(100.0));
+    }
+    // The payoff: both stacks restore the original bytes exactly.
+    for (System *sys : systems)
+        expectRestored(*sys);
 
     Audit a;
-    a.snap = reg.snapshot();
-    a.stats = a.snap.renderText();
-    a.json = a.snap.toJson();
+    a.xfm = xsys.metrics().snapshot();
+    a.cpu = csys.metrics().snapshot();
+    a.stats = a.xfm.renderText() + a.cpu.renderText();
+    a.json = a.xfm.toJson() + a.cpu.toJson();
     a.trace = tracer.toJsonLines();
-    a.injections = xfm.faultInjector().totalInjections();
-    for (const auto *t : {&xtiers, &ctiers})
-        if (*t)
-            a.injections += (*t)->spill().faultInjector().totalInjections();
+    a.injections = xsys.faultInjections() + csys.faultInjections();
+    EXPECT_FALSE(a.trace.empty());  // the tracer saw the swaps
 
-    const obs::Snapshot &s = a.snap;
-    if (!xcfg.faults.anyArmed()) {
+    const SystemConfig &cfg = xsys.config();
+    const obs::Snapshot &x = a.xfm;
+    if (!cfg.xfm.faults.anyArmed()) {
         // Some swap rode the NMA, and nothing retried.
-        EXPECT_GT(s.u64("xfm.offloadedSwapOuts"), 0u);
-        EXPECT_EQ(s.u64("xfm.offloadRetries"), 0u);
+        EXPECT_GT(x.u64("xfm.backend.offloadedSwapOuts"), 0u);
+        EXPECT_EQ(x.u64("xfm.backend.offloadRetries"), 0u);
     } else {
-        // Faults fired, and some swaps degraded to the CPU.
+        // Faults fired, and some swap-outs degraded to the CPU.
         EXPECT_GT(a.injections, 0u);
-        EXPECT_GT(s.u64("xfm.cpuSwapOuts") + s.u64("xfm.cpuSwapIns"), 0u);
+        EXPECT_GT(x.u64("xfm.backend.cpuSwapOuts"), 0u);
     }
-    if (xcfg.shardDict) {
+    if (cfg.xfm.shardDict) {
         // One DIMM gets no page dictionary: its shard is the page.
-        if (xcfg.numDimms == 1)
-            EXPECT_EQ(s.u64("xfm.dictShards"), 0u);
+        if (cfg.xfm.numDimms == 1)
+            EXPECT_EQ(x.u64("xfm.backend.dictShards"), 0u);
         else
-            EXPECT_GT(s.u64("xfm.dictShards"), 0u);
+            EXPECT_GT(x.u64("xfm.backend.dictShards"), 0u);
     }
-    if (tcfg.enabled) {
-        // Both tiers engaged on both stacks.
-        for (const std::string stack : {"xfm", "cpu"}) {
-            const std::string p = stack + ".tiers.tier.";
-            EXPECT_GT(s.u64(p + "demotedNearToDfm"), 0u) << stack;
-            EXPECT_GT(s.u64(p + "demotedNearToXfm"), 0u) << stack;
+    for (const obs::Snapshot *s : {&a.xfm, &a.cpu}) {
+        const std::string p = s == &a.xfm ? "xfm." : "cpu.";
+        // kstaled demoted cold pages and accesses faulted them back.
+        EXPECT_GT(s->u64(p + "controller.swapOutsInitiated"), 0u) << p;
+        EXPECT_GT(s->u64(p + "controller.demandFaults"), 0u) << p;
+        if (cfg.tier.enabled) {
+            // Both tiers engaged, and the spill scan moved cold
+            // pages from the compressed tier to DFM.
+            EXPECT_GT(s->u64(p + "tiers.tier.demotedNearToDfm"), 0u) << p;
+            EXPECT_GT(s->u64(p + "tiers.tier.demotedNearToXfm"), 0u) << p;
+            EXPECT_GT(s->u64(p + "tiers.tier.spillScans"), 0u) << p;
+            EXPECT_GT(s->u64(p + "tiers.tier.demotedXfmToDfm"), 0u) << p;
         }
     }
     return a;
@@ -491,8 +527,8 @@ TEST_P(FeatureAudit, RestoresAndReplays)
         expectSameExports(a, runAudit(alg, twin));
     }
     if (rowName(row) == mixedRoutesRow) {
-        EXPECT_GT(a.snap.u64("xfm.shardCpuFallbacks"), 0u);
-        EXPECT_GT(a.snap.u64("xfm.cpuSwapOuts"), 0u);
+        EXPECT_GT(a.xfm.u64("xfm.backend.shardCpuFallbacks"), 0u);
+        EXPECT_GT(a.xfm.u64("xfm.backend.cpuSwapOuts"), 0u);
     }
 }
 
