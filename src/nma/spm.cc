@@ -25,12 +25,8 @@ ScratchPad::reserve(OffloadId id, OffloadKind kind, std::uint32_t bytes,
                    fault::FaultSite::SpmHighWatermark))
             return false;
     }
-    if (partition != 0) {
-        const auto cap = partition_caps_.find(partition);
-        if (cap != partition_caps_.end()
-            && partition_used_[partition] + bytes > cap->second)
-            return false;
-    }
+    if (!partitionFits(partition, bytes))
+        return false;
     SpmEntry e;
     e.id = id;
     e.kind = kind;

@@ -93,6 +93,21 @@ class ScratchPad
      */
     void setPartitionCap(std::uint32_t partition, std::size_t bytes);
 
+    /**
+     * Whether @p partition has room for @p bytes more under its cap.
+     * Side-effect free: it draws nothing from the fault injector, so
+     * a scheduler may test a candidate before committing to it.
+     */
+    bool
+    partitionFits(std::uint32_t partition, std::uint32_t bytes) const
+    {
+        if (partition == 0)
+            return true;
+        const auto cap = partition_caps_.find(partition);
+        return cap == partition_caps_.end()
+            || partitionUsed(partition) + bytes <= cap->second;
+    }
+
     /** Bytes currently reserved under @p partition. */
     std::size_t partitionUsed(std::uint32_t partition) const;
 

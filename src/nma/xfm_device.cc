@@ -12,6 +12,21 @@ namespace xfm
 namespace nma
 {
 
+namespace
+{
+
+/** SPM bytes an offload's read reserves for the engine output: the
+ *  worst-case compressed size, or the page a decompression yields. */
+std::uint32_t
+spmReservation(const OffloadRequest &req)
+{
+    return req.kind == OffloadKind::Compress
+        ? CompressionEngine::worstCaseCompressedSize(req.size)
+        : req.rawSize;
+}
+
+} // namespace
+
 XfmDeviceConfig
 XfmDeviceConfig::fromConfig(const Config &cfg, XfmDeviceConfig base)
 {
@@ -245,11 +260,7 @@ XfmDevice::executeRead(const ReadOp &op, AccessClass cls)
 {
     // Reserve SPM space for the engine output now; if the SPM is
     // full the access is deferred to a later window.
-    const std::uint32_t reservation =
-        op.req.kind == OffloadKind::Compress
-        ? CompressionEngine::worstCaseCompressedSize(op.req.size)
-        : op.req.rawSize;
-    if (!spm_.reserve(op.id, op.req.kind, reservation,
+    if (!spm_.reserve(op.id, op.req.kind, spmReservation(op.req),
                       op.req.partition)) {
         ++stats_.deferredExecutions;
         return false;
@@ -615,6 +626,11 @@ XfmDevice::onWindow(const dram::RefreshWindow &window)
                 && it->req.deadline >= best_read->req.deadline)
                 continue;
             if (!rand_reachable(it->srcBank))
+                continue;
+            // A read whose partition is at its cap waits for its
+            // partition's write-backs; it must not block the others.
+            if (!spm_.partitionFits(it->req.partition,
+                                    spmReservation(it->req)))
                 continue;
             if (!subarray_free(it->srcRow))
                 continue;

@@ -236,8 +236,9 @@ class XfmDevice : public SimObject
     /**
      * Cap the SPM bytes offloads tagged with @p partition may stage
      * concurrently (multi-tenant QoS partitioning). Reads that find
-     * their partition full are deferred exactly like an SPM-full
-     * condition, so capacity pressure propagates per class.
+     * their partition full are deferred, and the window scheduler
+     * passes over them to other partitions' reads, so capacity
+     * pressure propagates per class.
      */
     void
     setSpmPartitionCap(std::uint32_t partition, std::size_t bytes)

@@ -44,6 +44,14 @@ FarMemoryService::FarMemoryService(std::string name, EventQueue &eq,
         // every offloaded page, so split it evenly.
         const std::size_t per_dimm =
             cfg_.batchSpmCapBytes / cfg_.system.numDimms;
+        // A cap below one shard's worst-case staging could never
+        // admit a batch offload.
+        const std::uint32_t shard = nma::CompressionEngine::
+            worstCaseCompressedSize(pageBytes / cfg_.system.numDimms);
+        if (per_dimm < shard)
+            fatal("batch SPM cap of ", cfg_.batchSpmCapBytes, " B is ",
+                  per_dimm, " B per DIMM, below one shard's worst-case ",
+                  shard, " B reservation");
         for (std::size_t d = 0; d < cfg_.system.numDimms; ++d)
             backend_.driver(d).device().setSpmPartitionCap(
                 batchSpmPartition, per_dimm);

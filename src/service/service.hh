@@ -59,8 +59,10 @@ struct ServiceConfig
     xfmsys::XfmSystemConfig system;
     /**
      * Total SPM bytes (across DIMMs) the batch class may occupy;
-     * batch offloads beyond this fall back to CPU inside the device.
-     * 0 leaves the batch partition uncapped.
+     * a batch read beyond this waits in the device until the
+     * partition drains (or its deadline drops it to the CPU). The
+     * per-DIMM share must hold one shard's worst-case reservation
+     * (fatal otherwise); 0 leaves the batch partition uncapped.
      */
     std::uint64_t batchSpmCapBytes = 0;
 

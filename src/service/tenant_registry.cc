@@ -39,15 +39,6 @@ TenantRegistry::add(const TenantConfig &cfg)
         ++rejected_;
         return invalidTenant;
     }
-    if (cfg_.totalSpmBytes
-        && spm_quota_sum_ + cfg.quota.spmBytes > cfg_.totalSpmBytes) {
-        warn("tenant '", cfg.name, "' rejected: SPM quota ",
-             cfg.quota.spmBytes, " B oversubscribes the ",
-             cfg_.totalSpmBytes, " B scratchpad");
-        ++rejected_;
-        return invalidTenant;
-    }
-    spm_quota_sum_ += cfg.quota.spmBytes;
     Entry e;
     e.cfg = cfg;
     tenants_.push_back(std::move(e));

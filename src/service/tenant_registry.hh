@@ -30,12 +30,6 @@ struct RegistryConfig
     std::size_t maxTenants = 16;
     /** Global pages reserved per shard. */
     std::uint64_t pagesPerShard = 512;
-    /**
-     * Total SPM bytes across all DIMMs; the sum of admitted SPM
-     * quotas may not exceed it (no oversubscription of staging
-     * space). 0 disables the check.
-     */
-    std::uint64_t totalSpmBytes = 0;
 };
 
 /**
@@ -50,8 +44,8 @@ class TenantRegistry
      * Admit a tenant.
      *
      * @return its id, or invalidTenant when admission control
-     *         rejects it (no shard slot left, shard too small for
-     *         its pages, or SPM quota oversubscribed).
+     *         rejects it (no shard slot left, or shard too small
+     *         for its pages).
      */
     TenantId add(const TenantConfig &cfg);
 
@@ -103,7 +97,6 @@ class TenantRegistry
 
     RegistryConfig cfg_;
     std::vector<Entry> tenants_;
-    std::uint64_t spm_quota_sum_ = 0;
     std::uint64_t rejected_ = 0;
 };
 
