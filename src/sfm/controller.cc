@@ -103,7 +103,7 @@ SfmController::prefetchAround(VirtPage page)
         // Stamp the page so the next scan does not immediately
         // re-demote what we just promoted.
         last_access_[next] = curTick();
-        backend_.swapIn(next, cfg_.offloadPrefetch,
+        backend_.swapIn(next, true,
                         [this, next](const SwapOutcome &) {
             inflight_.clear(next);
         });

@@ -75,10 +75,9 @@ struct ControllerConfig
     Tick scanInterval = seconds(1.0);
     /** Swap-out batch bound per scan. */
     std::size_t maxSwapOutsPerScan = 64;
-    /** Pages promoted ahead of a fault (along the detected stride). */
+    /** Pages promoted ahead of a fault (along the detected stride);
+     *  prefetches may be offloaded to the NMA. */
     std::size_t prefetchDepth = 2;
-    /** Prefetch promotions may be offloaded to the NMA. */
-    bool offloadPrefetch = true;
     /**
      * Detect non-unit strides from the fault history instead of
      * always prefetching the next sequential pages (the paper's

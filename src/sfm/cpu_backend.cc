@@ -57,9 +57,11 @@ CpuSfmBackend::cpuSwapOut(VirtPage page, SwapCallback done)
     mem_.read(src, pageBytes, raw_scratch_);
     const Bytes &raw = raw_scratch_;
 
-    // zswap same-filled shortcut: no compression, no pool space.
+    // zswap's same-filled-page optimisation: a page whose every word
+    // repeats one value (zero pages above all) is recorded as a
+    // marker, with no compression and no pool space.
     std::uint64_t fill;
-    if (cfg_.sameFilledOptimisation && sameFilled(raw, fill)) {
+    if (sameFilled(raw, fill)) {
         same_filled_.emplace(page, fill);
         ++stats_.swapOuts;
         ++stats_.cpuSwapOuts;
@@ -93,8 +95,9 @@ CpuSfmBackend::cpuSwapOut(VirtPage page, SwapCallback done)
         return;
     }
 
+    // A failed insert compacts the pool and tries once more.
     ZHandle h = pool_.insert(block);
-    if (h == invalidZHandle && cfg_.autoCompact) {
+    if (h == invalidZHandle) {
         compact();
         h = pool_.insert(block);
     }

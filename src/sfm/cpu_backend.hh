@@ -39,14 +39,6 @@ struct CpuBackendConfig
     std::uint64_t sfmBytes = 0;       ///< SFM region size
     compress::Algorithm algorithm = compress::Algorithm::ZstdLike;
     double cpuFreqGHz = 2.6;          ///< Xeon E5-2670 (Sec. 3.1)
-    /** Compact automatically when an insert fails. */
-    bool autoCompact = true;
-    /**
-     * zswap's same-filled-page optimisation: pages whose every word
-     * repeats one value (zero pages above all) are recorded as a
-     * marker instead of being compressed and stored.
-     */
-    bool sameFilledOptimisation = true;
 };
 
 /**

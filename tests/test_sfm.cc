@@ -440,22 +440,6 @@ TEST_F(CpuBackendTest, NonZeroFillPatternRoundTrips)
     EXPECT_EQ(mem_.read(backend_->frameAddr(10), pageBytes), pattern);
 }
 
-TEST_F(CpuBackendTest, SameFilledOptimisationCanBeDisabled)
-{
-    CpuBackendConfig cfg;
-    cfg.localBase = 0;
-    cfg.localPages = numPages;
-    cfg.sfmBase = mib(32);
-    cfg.sfmBytes = mib(1);
-    cfg.sameFilledOptimisation = false;
-    CpuSfmBackend plain("plain", eq_, cfg, mem_);
-    mem_.fill(plain.frameAddr(0), pageBytes, 0x00);
-    plain.swapOut(0, nullptr);
-    eq_.run();
-    EXPECT_EQ(plain.stats().sameFilledPages, 0u);
-    EXPECT_GT(plain.pool().usedBytes(), 0u);  // really compressed
-}
-
 } // namespace
 } // namespace sfm
 } // namespace xfm

@@ -87,6 +87,28 @@ TEST(SwapTrace, MeasuredRateMatchesConfig)
                 gen.eventsPerSecond() * 0.1);
 }
 
+TEST(SwapTrace, PromotedBytesMatchEq1)
+{
+    SwapTraceConfig cfg;
+    cfg.farCapacityGB = 8.0;
+    cfg.promotionRate = 0.5;
+    SwapTraceGenerator gen(cfg);
+    int ins = 0;
+    int outs = 0;
+    Tick first = 0;
+    Tick last = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const SwapEvent e = gen.next();
+        first = i == 0 ? e.when : first;
+        last = e.when;
+        ++(e.kind == SwapKind::SwapIn ? ins : outs);
+    }
+    EXPECT_EQ(ins, outs);
+    // EQ1: 8 GB x 50%/min = 4 GB promoted per minute.
+    const double gb = static_cast<double>(ins) * pageBytes / 1e9;
+    EXPECT_NEAR(gb / (ticksToSec(last - first) / 60.0), 4.0, 0.4);
+}
+
 TEST(SwapTrace, PredictabilityControlsPrefetchableShare)
 {
     SwapTraceConfig cfg;
@@ -187,134 +209,6 @@ TEST(WebFrontend, ObjectsInRange)
     WebFrontendGenerator gen(cfg);
     for (int i = 0; i < 1000; ++i)
         EXPECT_LT(gen.next().object, 100u);
-}
-
-} // namespace
-} // namespace workload
-} // namespace xfm
-
-#include <limits>
-#include <sstream>
-
-#include "common/logging.hh"
-#include "workload/trace_io.hh"
-
-namespace xfm
-{
-namespace workload
-{
-namespace
-{
-
-TEST(TraceIo, WriteReadRoundTrip)
-{
-    SwapTraceConfig cfg;
-    cfg.farCapacityGB = 1.0;
-    SwapTraceGenerator gen(cfg);
-    const auto events = captureTrace(gen, 500);
-
-    std::stringstream ss;
-    writeTrace(ss, events);
-    const auto loaded = readTrace(ss);
-    ASSERT_EQ(loaded.size(), events.size());
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        EXPECT_EQ(loaded[i].when, events[i].when);
-        EXPECT_EQ(static_cast<int>(loaded[i].kind),
-                  static_cast<int>(events[i].kind));
-        EXPECT_EQ(loaded[i].page, events[i].page);
-        EXPECT_EQ(loaded[i].prefetchable, events[i].prefetchable);
-    }
-}
-
-TEST(TraceIo, RejectsMalformedLine)
-{
-    std::stringstream ss("12 SIDEWAYS 3 0\n");
-    EXPECT_THROW(readTrace(ss), FatalError);
-}
-
-TEST(TraceIo, RejectsNonMonotonicTimestamps)
-{
-    std::stringstream ss("100 IN 1 0\n50 OUT 2 0\n");
-    EXPECT_THROW(readTrace(ss), FatalError);
-}
-
-TEST(TraceIo, SkipsCommentsAndBlankLines)
-{
-    std::stringstream ss("# header\n\n10 IN 5 1\n# tail\n20 OUT 6 0\n");
-    const auto events = readTrace(ss);
-    ASSERT_EQ(events.size(), 2u);
-    EXPECT_EQ(events[0].page, 5u);
-    EXPECT_TRUE(events[0].prefetchable);
-}
-
-TEST(TraceIo, EmptyTraceRoundTrips)
-{
-    std::stringstream ss;
-    writeTrace(ss, {});
-    const auto loaded = readTrace(ss);
-    EXPECT_TRUE(loaded.empty());
-    const auto s = summarise(loaded);
-    EXPECT_EQ(s.events, 0u);
-    EXPECT_EQ(s.duration, 0u);
-}
-
-TEST(TraceIo, MaxWidthRecordsRoundTrip)
-{
-    // Records at the extremes of the field types must survive a
-    // round trip without truncation.
-    std::vector<SwapEvent> events(2);
-    events[0].when = 0;
-    events[0].kind = SwapKind::SwapOut;
-    events[0].page = 0;
-    events[0].prefetchable = false;
-    events[1].when = std::numeric_limits<Tick>::max();
-    events[1].kind = SwapKind::SwapIn;
-    events[1].page = std::numeric_limits<std::uint64_t>::max();
-    events[1].prefetchable = true;
-
-    std::stringstream ss;
-    writeTrace(ss, events);
-    const auto loaded = readTrace(ss);
-    ASSERT_EQ(loaded.size(), 2u);
-    EXPECT_EQ(loaded[1].when, std::numeric_limits<Tick>::max());
-    EXPECT_EQ(loaded[1].page,
-              std::numeric_limits<std::uint64_t>::max());
-    EXPECT_TRUE(loaded[1].prefetchable);
-}
-
-TEST(TraceIo, ToleratesCrlfAndWhitespaceLines)
-{
-    // Traces edited on Windows or hand-padded used to abort on the
-    // trailing '\r' (parsed into the prefetchable field) and on
-    // whitespace-only lines.
-    std::stringstream ss("# header\r\n10 IN 5 1\r\n   \t\n20 OUT 6 0\r\n");
-    const auto events = readTrace(ss);
-    ASSERT_EQ(events.size(), 2u);
-    EXPECT_EQ(events[0].page, 5u);
-    EXPECT_TRUE(events[0].prefetchable);
-    EXPECT_EQ(events[1].page, 6u);
-}
-
-TEST(TraceIo, RejectsTruncatedFinalRecord)
-{
-    // A record cut off mid-line (e.g. a partial flush before a
-    // crash) must be reported, not silently dropped or misparsed.
-    std::stringstream ss("10 IN 5 1\n20 OUT");
-    EXPECT_THROW(readTrace(ss), FatalError);
-}
-
-TEST(TraceIo, SummaryMatchesConfiguredRate)
-{
-    SwapTraceConfig cfg;
-    cfg.farCapacityGB = 8.0;
-    cfg.promotionRate = 0.5;
-    SwapTraceGenerator gen(cfg);
-    const auto events = captureTrace(gen, 20000);
-    const auto s = summarise(events);
-    EXPECT_EQ(s.events, 20000u);
-    EXPECT_EQ(s.swapIns, s.swapOuts);
-    // EQ1: 8 GB x 50%/min = 4 GB promoted per minute.
-    EXPECT_NEAR(s.gbPromotedPerMin(), 4.0, 0.4);
 }
 
 } // namespace
