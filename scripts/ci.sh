@@ -8,10 +8,11 @@
 # to fail hard on any report.
 #
 # SANITIZE=thread builds under TSan and runs the concurrency-facing
-# tests (worker pool, event kernel, service layer, the determinism
-# tests, the workers = 4 rows of the feature-combination audit, the
-# adversary worker matrix, and the codec tests, whose per-thread
-# scratch the shard fan-out leases) plus the perf-harness smoke.
+# tests (worker pool, event kernel, service layer, the pinned-hash
+# determinism tests, the workers = 4 rows of the feature-combination
+# audit, which are the System-level threaded check, the adversary
+# worker matrix, and the codec tests, whose per-thread scratch the
+# shard fan-out leases) plus the perf-harness smoke.
 # The only threaded code is WorkerPool::parallelFor in
 # XfmBackend::codeCpuShards, the per-DIMM codec fan-out of every
 # CPU-coded shard (whole-page CPU legs and breaker-routed shards
