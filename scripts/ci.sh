@@ -140,18 +140,23 @@ for bad in xyz nan inf; do
         exit 1
     fi
 done
-# A key of a deleted component is unknown: fleet_sim must refuse it
-# by name instead of running without it.
+# A key of a deleted component or setting is unknown: fleet_sim must
+# refuse it by name instead of running without it. One file per key,
+# because the qos.* check fails before the top-level check could
+# list the others.
 stale_cfg="${build_dir}/stale-key.cfg"
-echo "shed.enabled = 1" > "${stale_cfg}"
-if stale_out="$("${build_dir}/examples/fleet_sim" --config "${stale_cfg}" 2>&1)"; then
-    echo "ci: fleet_sim accepted a deleted config key" >&2
-    exit 1
-fi
-if [[ "${stale_out}" != *"unknown config key"* ]]; then
-    echo "ci: fleet_sim refused a deleted key without naming it: ${stale_out}" >&2
-    exit 1
-fi
+for stale_key in shed.enabled tier.xfm_capacity_pages \
+        adversary.burst_budget qos.abuse_z; do
+    echo "${stale_key} = 1" > "${stale_cfg}"
+    if stale_out="$("${build_dir}/examples/fleet_sim" --config "${stale_cfg}" 2>&1)"; then
+        echo "ci: fleet_sim accepted the deleted config key ${stale_key}" >&2
+        exit 1
+    fi
+    if [[ "${stale_out}" != *"unknown config key '${stale_key}'"* ]]; then
+        echo "ci: fleet_sim refused ${stale_key} without naming it: ${stale_out}" >&2
+        exit 1
+    fi
+done
 
 # Repository benchmark (BENCHMARK.json): one short run per workload.
 # run.py builds its own tree under the build dir and exits non-zero

@@ -13,16 +13,12 @@ AddressMap::AddressMap(const MemSystemConfig &cfg)
       banks_(cfg.rank.device.banksPerChip),
       rows_per_bank_(cfg.rank.device.rowsPerBank),
       rows_per_subarray_(cfg.rank.device.rowsPerSubarray()),
-      channel_interleave_(cfg.channelInterleave),
-      bank_interleave_(cfg.bankInterleave),
-      stripes_per_row_(cfg.rank.rowBytes() / cfg.bankInterleave),
+      stripes_per_row_(cfg.rank.rowBytes() / bankStripeBytes),
       capacity_(cfg.totalCapacityBytes())
 {
     XFM_ASSERT(banks_ % 2 == 0, "bank-pair interleave needs even banks");
-    XFM_ASSERT(cfg.rank.rowBytes() % bank_interleave_ == 0,
+    XFM_ASSERT(cfg.rank.rowBytes() % bankStripeBytes == 0,
                "row size must be a multiple of the bank interleave");
-    XFM_ASSERT(channel_interleave_ % bank_interleave_ == 0,
-               "channel interleave must contain whole bank stripes");
 }
 
 DramCoord
@@ -32,14 +28,14 @@ AddressMap::decode(std::uint64_t addr) const
                capacity_);
     DramCoord c{};
     c.channel = static_cast<std::uint32_t>(
-        (addr / channel_interleave_) % channels_);
+        (addr / channelChunkBytes) % channels_);
     const std::uint64_t local =
-        (addr / (std::uint64_t(channel_interleave_) * channels_))
-            * channel_interleave_
-        + (addr % channel_interleave_);
+        (addr / (std::uint64_t(channelChunkBytes) * channels_))
+            * channelChunkBytes
+        + (addr % channelChunkBytes);
 
-    c.offset = static_cast<std::uint32_t>(local % bank_interleave_);
-    std::uint64_t s = local / bank_interleave_;
+    c.offset = static_cast<std::uint32_t>(local % bankStripeBytes);
+    std::uint64_t s = local / bankStripeBytes;
     const std::uint32_t bank_lsb = static_cast<std::uint32_t>(s % 2);
     s /= 2;
     c.column = static_cast<std::uint32_t>(s % stripes_per_row_);
@@ -62,7 +58,7 @@ AddressMap::encode(const DramCoord &coord) const
                && coord.row < rows_per_bank_
                && coord.rank < ranks_per_channel_
                && coord.column < stripes_per_row_
-               && coord.offset < bank_interleave_,
+               && coord.offset < bankStripeBytes,
                "encode: coordinate out of range");
     const std::uint32_t bank_lsb = coord.bank % 2;
     const std::uint32_t bank_group = coord.bank / 2;
@@ -73,10 +69,10 @@ AddressMap::encode(const DramCoord &coord) const
     s = s * stripes_per_row_ + coord.column;
     s = s * 2 + bank_lsb;
 
-    const std::uint64_t local = s * bank_interleave_ + coord.offset;
-    const std::uint64_t block = local / channel_interleave_;
-    const std::uint64_t within = local % channel_interleave_;
-    return (block * channels_ + coord.channel) * channel_interleave_
+    const std::uint64_t local = s * bankStripeBytes + coord.offset;
+    const std::uint64_t block = local / channelChunkBytes;
+    const std::uint64_t within = local % channelChunkBytes;
+    return (block * channels_ + coord.channel) * channelChunkBytes
         + within;
 }
 

@@ -21,6 +21,14 @@ namespace xfm
 namespace dram
 {
 
+/** Channel interleave granularity in bytes (Skylake: 256 B). */
+constexpr std::uint32_t channelChunkBytes = 256;
+/** Bank interleave granularity in bytes (Skylake: 128 B): one
+ *  column stripe, moved across the rank in one tBURST. */
+constexpr std::uint32_t bankStripeBytes = 128;
+static_assert(channelChunkBytes % bankStripeBytes == 0,
+              "channel interleave must contain whole bank stripes");
+
 /** Fully decoded DRAM coordinates of a physical byte address. */
 struct DramCoord
 {
@@ -78,8 +86,6 @@ class AddressMap
     std::uint32_t banks_;
     std::uint32_t rows_per_bank_;
     std::uint32_t rows_per_subarray_;
-    std::uint32_t channel_interleave_;
-    std::uint32_t bank_interleave_;
     std::uint32_t stripes_per_row_;
     std::uint64_t capacity_;
 };

@@ -126,12 +126,8 @@ DeviceConfig::fromConfig(const Config &cfg, DeviceConfig base)
         fatal("refresh.mode must be 'refab' or 'refpb', got '", mode,
               "'");
     dev.hira = cfg.getBool("refresh.hira", dev.hira);
-    if (cfg.has("refresh.trfcpb_ns"))
-        dev.tRFCpb = nanoseconds(cfg.getDouble("refresh.trfcpb_ns"));
     dev.rfmRaaimt = cfg.getU32("rfm.raaimt", dev.rfmRaaimt);
     dev.rfmRaammt = cfg.getU32("rfm.raammt", dev.rfmRaammt);
-    if (cfg.has("rfm.trfm_ns"))
-        dev.tRFM = nanoseconds(cfg.getDouble("rfm.trfm_ns"));
     return dev;
 }
 

@@ -160,9 +160,9 @@ struct DeviceConfig
      * @p base with the refresh-realism keys applied to the fields
      * above (absent keys keep the base's value, so a config without
      * them stays byte-identical to the pre-realism model):
-     * refresh.mode (refab | refpb), refresh.hira,
-     * refresh.trfcpb_ns, rfm.raaimt, rfm.raammt, rfm.trfm_ns. Timing
-     * and geometry come from the base only.
+     * refresh.mode (refab | refpb), refresh.hira, rfm.raaimt,
+     * rfm.raammt. Timing (tRFCpb and tRFM included) and geometry
+     * come from the base only.
      */
     static DeviceConfig
     fromConfig(const Config &cfg,
@@ -227,11 +227,6 @@ struct MemSystemConfig
     std::uint32_t channels = 4;
     std::uint32_t dimmsPerChannel = 2;
     std::uint32_t ranksPerDimm = 1;
-
-    /** Channel interleave granularity (Skylake: 256 B). */
-    std::uint32_t channelInterleave = 256;
-    /** Bank interleave granularity (Skylake: 128 B). */
-    std::uint32_t bankInterleave = 128;
 
     /** Peak per-channel bandwidth in bytes/sec. */
     double

@@ -46,7 +46,7 @@ MemCtrl::submit(MemRequest req)
                "request beyond capacity");
 
     // Count the chunks first so the completion latch is exact.
-    const std::uint64_t ileave = cfg_.channelInterleave;
+    const std::uint64_t ileave = channelChunkBytes;
     std::uint32_t nchunks = 0;
     {
         std::uint64_t a = req.addr;
@@ -192,7 +192,7 @@ MemCtrl::serviceChunk(const Chunk &chunk, Tick start)
     // 128 B cross the rank per tBURST (paper Sec. 5: 32 bursts move
     // a 4 KiB page).
     const std::uint32_t bursts =
-        (chunk.size + cfg_.bankInterleave - 1) / cfg_.bankInterleave;
+        (chunk.size + bankStripeBytes - 1) / bankStripeBytes;
     const Tick transfer = dev.tBURST * bursts;
 
     const Tick done = t + access + transfer;

@@ -255,14 +255,6 @@ HealthMonitor::forceFail(Tick now)
 }
 
 void
-HealthMonitor::forceHealthy(Tick now)
-{
-    if (!cfg_.enabled)
-        return;
-    transition(HealthState::Healthy, now);
-}
-
-void
 HealthMonitor::registerMetrics(obs::MetricRegistry &r,
                                const std::string &prefix)
 {

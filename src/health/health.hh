@@ -177,9 +177,6 @@ class HealthMonitor
      */
     void forceFail(Tick now);
 
-    /** Administrative reset to Healthy, clearing window state. */
-    void forceHealthy(Tick now);
-
     /** Probes admitted whose outcome has not been recorded yet. */
     std::uint32_t outstandingProbes() const { return probes_inflight_; }
 

@@ -15,6 +15,13 @@ namespace nma
 namespace
 {
 
+/** Probability a TRR cycle is unused in a given window. */
+constexpr double trrIdleChance = 0.95;
+/** Energy model: row activation saved by conditional accesses. */
+constexpr double activateEnergyNj = 7.5;
+/** On-DIMM IO energy per byte moved (25 Gb/s links, Sec. 4.1). */
+constexpr double ioEnergyPjPerByte = 9.5;
+
 /** SPM bytes an offload's read reserves for the engine output: the
  *  worst-case compressed size, or the page a decompression yields. */
 std::uint32_t
@@ -241,16 +248,15 @@ XfmDevice::runWatchdog(Tick now)
 void
 XfmDevice::chargeAccess(std::size_t bytes, AccessClass cls)
 {
-    const double io = cfg_.ioPicojoulePerByte
+    const double io = ioEnergyPjPerByte
         * static_cast<double>(bytes) / 1000.0;  // pJ -> nJ
     if (cls == AccessClass::Conditional) {
         // The row is open for its refresh already: activation free.
         stats_.accessEnergyNanojoules += io;
-        stats_.energySavedNanojoules += cfg_.rowActivateNanojoule;
+        stats_.energySavedNanojoules += activateEnergyNj;
         ++stats_.conditionalAccesses;
     } else {
-        stats_.accessEnergyNanojoules +=
-            io + cfg_.rowActivateNanojoule;
+        stats_.accessEnergyNanojoules += io + activateEnergyNj;
         ++stats_.randomAccesses;
     }
 }
@@ -535,7 +541,7 @@ XfmDevice::onWindow(const dram::RefreshWindow &window)
     // unused this window becomes one extra random access slot.
     std::uint32_t trr_bonus = 0;
     for (std::uint32_t k = 0; k < cfg_.trrRandomSlots; ++k)
-        if (rng_.chance(cfg_.trrUnusedProbability))
+        if (rng_.chance(trrIdleChance))
             ++trr_bonus;
     slots += trr_bonus;
     random_budget += trr_bonus;

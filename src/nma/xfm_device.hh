@@ -65,8 +65,6 @@ struct XfmDeviceConfig
      * [TRRespass], so XFM can opportunistically reuse the slack.
      */
     std::uint32_t trrRandomSlots = 0;
-    /** Probability a TRR cycle is unused in a given window. */
-    double trrUnusedProbability = 0.95;
     /** RNG seed for the TRR-availability draw. */
     std::uint64_t seed = 1;
 
@@ -80,11 +78,6 @@ struct XfmDeviceConfig
      * CPU reads of NMA-written data still verify.
      */
     std::uint64_t eccParityBase = 0;
-
-    /** Energy model: row activation saved by conditional accesses. */
-    double rowActivateNanojoule = 7.5;
-    /** On-DIMM IO energy per byte moved (25 Gb/s links, Sec. 4.1). */
-    double ioPicojoulePerByte = 9.5;
 
     /**
      * Watchdog deadline, in refresh windows (tREFI intervals): an

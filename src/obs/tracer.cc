@@ -99,31 +99,6 @@ Tracer::toJsonLines() const
     return out;
 }
 
-std::string
-Tracer::toChromeTrace() const
-{
-    // Ticks are picoseconds; Chrome wants microseconds. Emit with
-    // enough digits to round-trip sub-us spans.
-    std::string out = "[";
-    char buf[320];
-    bool first = true;
-    for (const auto &ev : events()) {
-        std::snprintf(
-            buf, sizeof(buf),
-            "%s\n  {\"name\": \"%s\", \"cat\": \"xfm\", "
-            "\"ph\": \"X\", \"pid\": 1, \"tid\": %llu, "
-            "\"ts\": %.6f, \"dur\": %.6f, "
-            "\"args\": {\"arg\": %llu}}",
-            first ? "" : ",", stageName(ev.stage),
-            (unsigned long long)ev.req, ev.start / 1e6,
-            (ev.end - ev.start) / 1e6, (unsigned long long)ev.arg);
-        first = false;
-        out += buf;
-    }
-    out += "\n]\n";
-    return out;
-}
-
 void
 Tracer::clear()
 {

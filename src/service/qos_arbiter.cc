@@ -23,9 +23,6 @@ QosArbiterConfig::fromConfig(const Config &cfg, QosArbiterConfig base)
     c.slotDebt = cfg.getBool("qos.slot_debt", c.slotDebt);
     c.abuseEnabled = cfg.getBool("qos.abuse_enabled", c.abuseEnabled);
     c.abuseWindows = cfg.getU32("qos.abuse_windows", c.abuseWindows);
-    c.abuseZ = cfg.getDouble("qos.abuse_z", c.abuseZ);
-    c.abuseMinLoss =
-        cfg.getDouble("qos.abuse_min_loss", c.abuseMinLoss);
     c.abuseConsecutive =
         cfg.getU32("qos.abuse_consecutive", c.abuseConsecutive);
     if (cfg.has("qos.abuse_cooldown_ns"))
@@ -53,6 +50,16 @@ QosArbiterConfig::fromConfig(const Config &cfg, QosArbiterConfig base)
 
 namespace
 {
+
+/**
+ * z-score at/above which a tenant's RFM-induced slot loss is an
+ * outlier. For one attacker among N tenants the attainable z is
+ * sqrt(N-1) (~1.73 at N=4), so this stays below that.
+ */
+constexpr double outlierZScore = 1.5;
+/** Minimum slots of RFM loss per evaluation before a tenant can be
+ *  flagged (absolute floor under the z-score). */
+constexpr double minFlaggedLoss = 4.0;
 
 /** HealthMonitor tuning for the per-tenant abuse throttle. */
 health::HealthConfig
@@ -199,8 +206,8 @@ QosArbiter::evaluateAbuse(Tick now)
         const double x = static_cast<double>(l.rfmLossEval);
         l.rfmLossEval = 0;
         const bool outlier =
-            sd > 0.0 && (x - mean) / sd >= cfg_.abuseZ;
-        const bool flagged = x >= cfg_.abuseMinLoss && outlier;
+            sd > 0.0 && (x - mean) / sd >= outlierZScore;
+        const bool flagged = x >= minFlaggedLoss && outlier;
         if (flagged) {
             ++l.stats.abuseFlags;
             ++stats_.abuseFlags;

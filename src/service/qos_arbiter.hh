@@ -70,15 +70,6 @@ struct QosArbiterConfig
     bool abuseEnabled = false;
     /** Dispatch windows per abuse-detector evaluation. */
     std::uint32_t abuseWindows = 64;
-    /**
-     * z-score at/above which a tenant's RFM-induced slot loss is an
-     * outlier. For one attacker among N tenants the attainable
-     * z is sqrt(N-1) (~1.73 at N=4), so keep this below that.
-     */
-    double abuseZ = 1.5;
-    /** Minimum slots of RFM loss per evaluation before a tenant can
-     *  be flagged (absolute floor under the z-score). */
-    double abuseMinLoss = 4.0;
     /** Consecutive flagged evaluations before escalation. */
     std::uint32_t abuseConsecutive = 2;
     /** Throttle cooldown (HealthMonitor Failed -> Probation). */
@@ -96,8 +87,8 @@ struct QosArbiterConfig
      * base's value; each maps to the field of the same meaning):
      *   qos.slots_per_window, qos.min_batch_slots,
      *   qos.reserved_slot_frac, qos.slot_debt, qos.abuse_enabled,
-     *   qos.abuse_windows, qos.abuse_z, qos.abuse_min_loss,
-     *   qos.abuse_consecutive, qos.abuse_cooldown_ns.
+     *   qos.abuse_windows, qos.abuse_consecutive,
+     *   qos.abuse_cooldown_ns.
      * @throws FatalError on an unknown key under qos.
      */
     static QosArbiterConfig

@@ -78,6 +78,7 @@ enum class RejectReason : std::uint8_t
     QuotaFarPages,  ///< tenant far-page quota exceeded
     SfmFull,        ///< far pool allocation failed
     AbuseThrottle,  ///< tenant throttled by the RFM-abuse detector
+    Incompressible, ///< the compressed block would not shrink the page
 };
 
 /** Stable lowercase identifier for stats tables and logs. */
@@ -91,6 +92,7 @@ rejectReasonName(RejectReason r)
       case RejectReason::QuotaFarPages: return "quota_far_pages";
       case RejectReason::SfmFull: return "sfm_full";
       case RejectReason::AbuseThrottle: return "abuse_throttle";
+      case RejectReason::Incompressible: return "incompressible";
     }
     return "unknown";
 }

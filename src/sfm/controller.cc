@@ -28,7 +28,8 @@ SfmController::SfmController(std::string name, EventQueue &eq,
                              std::uint64_t num_pages)
     : SimObject(std::move(name), eq), cfg_(cfg), backend_(backend),
       num_pages_(num_pages), last_access_(num_pages, 0),
-      inflight_(num_pages), prefetched_(num_pages)
+      inflight_(num_pages), prefetched_(num_pages),
+      incompressible_(num_pages)
 {
     XFM_ASSERT(num_pages_ > 0, "controller needs at least one page");
 }
@@ -51,7 +52,7 @@ SfmController::scan()
          p < num_pages_ && initiated < cfg_.maxSwapOutsPerScan; ++p) {
         if (backend_.pageState(p) != PageState::Local)
             continue;
-        if (inflight_.test(p))
+        if (inflight_.test(p) || incompressible_.test(p))
             continue;
         if (curTick() - last_access_[p] < cfg_.coldThreshold)
             continue;
@@ -59,8 +60,11 @@ SfmController::scan()
         ++stats_.swapOutsInitiated;
         ++initiated;
         inflight_.set(p);
-        backend_.swapOut(p, [this, p](const SwapOutcome &) {
+        backend_.swapOut(p, [this, p](const SwapOutcome &o) {
             inflight_.clear(p);
+            // Unchanged bytes would be refused again on every scan.
+            if (o.rejected == RejectReason::Incompressible)
+                incompressible_.set(p);
         });
     }
     eventq().scheduleIn(cfg_.scanInterval, [this] { scan(); });
@@ -115,6 +119,7 @@ SfmController::recordAccess(VirtPage page)
 {
     XFM_ASSERT(page < num_pages_, "access beyond address space");
     last_access_[page] = curTick();
+    incompressible_.clear(page);
     backend_.noteAccess(page, curTick());
 
     if (backend_.pageState(page) == PageState::Local) {

@@ -152,6 +152,9 @@ class SfmController : public SimObject
     std::vector<Tick> last_access_;
     PageFlags inflight_;
     PageFlags prefetched_;  ///< promoted but not yet touched
+    /** Refused by the backend as incompressible since the last
+     *  access: the cold scan skips them until they are touched. */
+    PageFlags incompressible_;
 
     /** Fault-stream stride detector state. */
     VirtPage last_fault_ = ~VirtPage(0);

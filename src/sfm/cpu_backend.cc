@@ -89,6 +89,7 @@ CpuSfmBackend::cpuSwapOut(VirtPage page, SwapCallback done)
         outcome.page = page;
         outcome.usedCpu = true;
         outcome.success = false;
+        outcome.rejected = RejectReason::Incompressible;
         outcome.completed = curTick();
         if (done)
             done(outcome);
@@ -108,6 +109,7 @@ CpuSfmBackend::cpuSwapOut(VirtPage page, SwapCallback done)
     if (h == invalidZHandle) {
         ++stats_.rejectedSwapOuts;
         outcome.success = false;
+        outcome.rejected = RejectReason::SfmFull;
         outcome.completed = curTick();
         if (done)
             done(outcome);

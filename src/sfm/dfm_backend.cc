@@ -6,6 +6,15 @@ namespace xfm
 {
 namespace sfm
 {
+namespace
+{
+
+/** One-way interconnect latency (CXL class: ~300 ns). */
+constexpr Tick interconnectLatency = nanoseconds(300.0);
+/** Link bandwidth in GB/s (x8 CXL/PCIe5 class). */
+constexpr double interconnectGBps = 12.0;
+
+} // namespace
 
 DfmBackend::DfmBackend(std::string name, EventQueue &eq,
                        const DfmBackendConfig &cfg,
@@ -16,7 +25,6 @@ DfmBackend::DfmBackend(std::string name, EventQueue &eq,
     XFM_ASSERT(cfg_.localPages > 0, "local region must be non-empty");
     XFM_ASSERT(cfg_.poolBytes >= pageBytes,
                "pool must hold at least one page");
-    XFM_ASSERT(cfg_.linkGBps > 0, "link bandwidth must be positive");
     // Static provisioning: pre-build the slot free list.
     free_slots_.reserve(poolSlots());
     for (std::uint64_t s = poolSlots(); s-- > 0;)
@@ -26,9 +34,8 @@ DfmBackend::DfmBackend(std::string name, EventQueue &eq,
 Tick
 DfmBackend::pageTransferTime() const
 {
-    const double ns =
-        static_cast<double>(pageBytes) / cfg_.linkGBps;
-    return cfg_.linkLatency + nanoseconds(ns);
+    const double ns = static_cast<double>(pageBytes) / interconnectGBps;
+    return interconnectLatency + nanoseconds(ns);
 }
 
 bool

@@ -36,11 +36,6 @@ struct DfmBackendConfig
     std::uint64_t poolBase = 0;    ///< remote pool base address
     std::uint64_t poolBytes = 0;   ///< provisioned pool capacity
 
-    /** One-way interconnect latency (CXL class: ~300 ns). */
-    Tick linkLatency = nanoseconds(300.0);
-    /** Link bandwidth in GB/s (x8 CXL/PCIe5 class). */
-    double linkGBps = 12.0;
-
     /** Link fault scenario (DfmLinkDelay / DfmLinkDrop sites). The
      *  default plan is disarmed and adds no overhead. */
     fault::FaultPlan faults{};

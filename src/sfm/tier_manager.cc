@@ -15,6 +15,14 @@ namespace
 /** Group id of pages never assigned to a group. */
 constexpr std::uint32_t ungrouped = ~0u;
 
+/** Pressure target: application promotions per second above which
+ *  the spill batch backs off. */
+constexpr double promotionTargetPerSec = 2000.0;
+/** Multiplicative spill-batch backoff when over target. */
+constexpr double spillBackoff = 0.5;
+/** Additive spill-batch probe when under target. */
+constexpr std::size_t spillProbe = 2;
+
 /** Trace argument encoding a transition edge: from << 2 | to. */
 std::uint64_t
 edgeArg(Tier from, Tier to)
@@ -65,19 +73,7 @@ TierConfig::fromConfig(const Config &cfg, TierConfig base)
             milliseconds(cfg.getDouble("tier.spill_cold_ms"));
     t.maxSpillsPerScan = cfg.getU64("tier.max_spills_per_scan",
                                     t.maxSpillsPerScan);
-    t.xfmCapacityPages =
-        cfg.getU64("tier.xfm_capacity_pages", t.xfmCapacityPages);
-    t.targetPromotionsPerSec =
-        cfg.getDouble("tier.target_promotions_per_sec",
-                      t.targetPromotionsPerSec);
-    t.backoffFactor =
-        cfg.getDouble("tier.backoff_factor", t.backoffFactor);
-    t.probeStep = cfg.getU64("tier.probe_step", t.probeStep);
     t.dfmBytes = cfg.getU64("tier.dfm_bytes", t.dfmBytes);
-    if (cfg.has("tier.dfm_link_ns"))
-        t.dfmLinkLatency =
-            nanoseconds(cfg.getDouble("tier.dfm_link_ns"));
-    t.dfmLinkGBps = cfg.getDouble("tier.dfm_gbps", t.dfmLinkGBps);
     return t;
 }
 
@@ -102,8 +98,6 @@ TierManager::TierManager(std::string name, EventQueue &eq,
     dcfg.localPages = num_pages_;
     dcfg.poolBase = mirror;
     dcfg.poolBytes = cfg_.dfmBytes;
-    dcfg.linkLatency = cfg_.dfmLinkLatency;
-    dcfg.linkGBps = cfg_.dfmLinkGBps;
     dcfg.faults = faults;
     dcfg.retry = retry;
     spill_ = std::make_unique<DfmBackend>(this->name() + ".dfm", eq,
@@ -428,20 +422,20 @@ TierManager::spillScan()
         static_cast<double>(promoted - promotions_at_last_scan_) /
         interval_s;
     promotions_at_last_scan_ = promoted;
-    if (rate > cfg_.targetPromotionsPerSec) {
+    if (rate > promotionTargetPerSec) {
         spill_batch_ = static_cast<std::size_t>(
-            static_cast<double>(spill_batch_) * cfg_.backoffFactor);
+            static_cast<double>(spill_batch_) * spillBackoff);
         ++tier_stats_.pressureBackoffs;
     } else if (spill_batch_ < cfg_.maxSpillsPerScan) {
         spill_batch_ = std::min(cfg_.maxSpillsPerScan,
-                                spill_batch_ + cfg_.probeStep);
+                                spill_batch_ + spillProbe);
         ++tier_stats_.pressureProbes;
     }
 
     std::size_t budget = spill_batch_;
     const Tick now = curTick();
 
-    // Pass 1 — second-level coldness, ascending page order for
+    // Second-level coldness, in ascending page order for
     // determinism: XFM pages untouched past the threshold spill,
     // unless the frequency watermark holds them back. Pages whose
     // group policy pins them to the compressed tier (xfm_first)
@@ -459,26 +453,6 @@ TierManager::spillScan()
         }
         --budget;
         spillFromXfm(p);
-    }
-
-    // Pass 2 — capacity pressure: when the XFM tier overflows its
-    // target, evict the coldest pages regardless of watermark.
-    if (cfg_.xfmCapacityPages && xfm_pages_ > cfg_.xfmCapacityPages &&
-        budget) {
-        std::vector<std::pair<Tick, VirtPage>> victims;
-        for (VirtPage p = 0; p < num_pages_; ++p)
-            if (tier_[p] == Tier::Xfm && !busy_[p] &&
-                pagePolicy(p) != TierPolicy::XfmFirst)
-                victims.emplace_back(last_access_[p], p);
-        std::sort(victims.begin(), victims.end());
-        std::uint64_t excess = xfm_pages_ - cfg_.xfmCapacityPages;
-        for (const auto &[t, p] : victims) {
-            if (!budget || !excess)
-                break;
-            --budget;
-            --excess;
-            spillFromXfm(p);
-        }
     }
 
     eventq().scheduleIn(cfg_.scanInterval, [this] { spillScan(); });

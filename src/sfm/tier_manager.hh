@@ -10,8 +10,8 @@
  *   NEAR --swapOut--> XFM     demote on coldness (controller scan)
  *   NEAR --swapOut--> DFM     demote truly-cold pages straight to
  *                             the spill tier (policy-routed)
- *   XFM  --spill---> DFM      second-level coldness or capacity
- *                             pressure (TierManager's own scan)
+ *   XFM  --spill---> DFM      second-level coldness (the
+ *                             TierManager's own scan)
  *   XFM/DFM --swapIn--> NEAR  promote on fault / prefetch
  *
  * The TierManager is itself an SfmBackend: the controller above it
@@ -94,33 +94,17 @@ struct TierConfig
     /** Upper bound on the per-scan spill batch (the pressure loop
      *  adapts within [0, this]). */
     std::size_t maxSpillsPerScan = 16;
-    /** Pages the XFM tier should hold at most (0 = uncapped);
-     *  excess spills to DFM under capacity pressure. */
-    std::uint64_t xfmCapacityPages = 0;
 
-    /** Pressure target: application promotions per second above
-     *  which spilling backs off. */
-    double targetPromotionsPerSec = 2000.0;
-    /** Multiplicative spill-batch backoff when over target. */
-    double backoffFactor = 0.5;
-    /** Additive spill-batch probe when under target. */
-    std::size_t probeStep = 2;
-
-    /** Spill-tier provisioning (the owned DfmBackend). */
+    /** Spill-tier pool capacity (the owned DfmBackend). */
     std::uint64_t dfmBytes = mib(8);
-    Tick dfmLinkLatency = nanoseconds(300.0);
-    double dfmLinkGBps = 12.0;
 
     /**
      * @p base with the tier.* keys applied to the fields above
      * (absent keys keep the base's value): tier.enabled,
      * tier.policy (auto | xfm_first | dfm_first),
      * tier.promote_watermark, tier.scan_ms, tier.spill_cold_ms,
-     * tier.max_spills_per_scan, tier.xfm_capacity_pages,
-     * tier.target_promotions_per_sec, tier.backoff_factor,
-     * tier.probe_step, tier.dfm_bytes, tier.dfm_link_ns,
-     * tier.dfm_gbps. The spill link's faults come from the owner's
-     * plan (see TierManager).
+     * tier.max_spills_per_scan, tier.dfm_bytes. The spill link's
+     * faults come from the owner's plan (see TierManager).
      */
     static TierConfig fromConfig(const Config &cfg,
                                  TierConfig base = defaults<TierConfig>());

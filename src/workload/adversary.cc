@@ -23,7 +23,6 @@ RfmStarverConfig::fromConfig(const Config &cfg, RfmStarverConfig base)
                                        c.activationsPerBurst);
     c.targetDimm = cfg.getU32("adversary.target_dimm", c.targetDimm);
     c.sweepBanks = cfg.getBool("adversary.sweep_banks", c.sweepBanks);
-    c.burstBudget = cfg.getU64("adversary.burst_budget", c.burstBudget);
     return c;
 }
 
@@ -67,6 +66,17 @@ binaryEntropy(double p)
 namespace
 {
 
+/** Bank the starver (unless it sweeps) and the covert sender
+ *  hammer on their target DIMM. */
+constexpr std::uint32_t hammeredBank = 0;
+/**
+ * Minimum hi-lo spread (ns) of per-bit probe latencies before the
+ * receiver trusts a decode threshold. A refresh-timing signal must
+ * stall grants by at least about a tREFI; smaller spread is
+ * dispatch-phase noise and the trace decodes as flat (all zeros).
+ */
+constexpr double flatSpreadNs = 4000.0;
+
 /** Admit the model's tenant or die trying. */
 service::TenantId
 admit(service::FarMemoryService &svc, const std::string &who,
@@ -83,18 +93,12 @@ admit(service::FarMemoryService &svc, const std::string &who,
 /** Validate a hammer target against the backend's geometry. */
 void
 checkTarget(const service::FarMemoryService &svc,
-            const std::string &who, std::uint32_t dimm,
-            std::uint32_t bank)
+            const std::string &who, std::uint32_t dimm)
 {
     const auto &sys = svc.config().system;
     if (dimm >= sys.numDimms)
         fatal(who, ": target DIMM ", dimm, " out of range (",
               sys.numDimms, " DIMMs)");
-    const std::uint32_t banks =
-        sys.dimmMem.rank.device.banksPerChip;
-    if (bank >= banks)
-        fatal(who, ": target bank ", bank, " out of range (", banks,
-              " banks)");
 }
 
 } // namespace
@@ -113,11 +117,9 @@ RfmStarverModel::RfmStarverModel(std::string name, EventQueue &eq,
                "starver needs a positive burst rate");
     XFM_ASSERT(cfg_.activationsPerBurst > 0,
                "starver needs activations per burst");
-    checkTarget(svc_, this->name(), cfg_.targetDimm,
-                cfg_.targetBank);
+    checkTarget(svc_, this->name(), cfg_.targetDimm);
     tenant_ = admit(svc_, this->name(), std::move(tenant_cfg),
                     cfg_.pages);
-    bank_cursor_ = cfg_.targetBank;
 }
 
 void
@@ -131,10 +133,6 @@ RfmStarverModel::start()
 void
 RfmStarverModel::burst()
 {
-    // A bounded budget simply stops: the quiet tail lets the abuse
-    // detector's throttle age out (or a test observe settlement).
-    if (cfg_.burstBudget && stats_.bursts >= cfg_.burstBudget)
-        return;
     ++stats_.bursts;
     if (svc_.arbiter().abuseThrottled(tenant_)) {
         // Throttled: the tenant's far-memory traffic is refused, so
@@ -145,7 +143,7 @@ RfmStarverModel::burst()
             svc_.config().system.dimmMem.rank.device.banksPerChip;
         const std::uint32_t bank = cfg_.sweepBanks
             ? (bank_cursor_ = (bank_cursor_ + 1) % banks)
-            : cfg_.targetBank;
+            : hammeredBank;
         svc_.backend().refresh().noteActivates(
             cfg_.targetDimm, bank, cfg_.activationsPerBurst,
             tenant_);
@@ -171,8 +169,7 @@ CovertSenderModel::CovertSenderModel(std::string name,
     XFM_ASSERT(cfg_.bits > 0, "need at least one bit");
     XFM_ASSERT(cfg_.burstsPerBit > 0 && cfg_.activationsPerBurst > 0,
                "sender needs hammer pressure for a 1 bit");
-    checkTarget(svc_, this->name(), cfg_.targetDimm,
-                cfg_.targetBank);
+    checkTarget(svc_, this->name(), cfg_.targetDimm);
     tenant_ = admit(svc_, this->name(), std::move(tenant_cfg),
                     cfg_.pages);
 }
@@ -203,8 +200,8 @@ CovertSenderModel::burst(std::uint32_t remaining)
         ++stats_.suppressedBursts;
     } else {
         svc_.backend().refresh().noteActivates(
-            cfg_.targetDimm, cfg_.targetBank,
-            cfg_.activationsPerBurst, tenant_);
+            cfg_.targetDimm, hammeredBank, cfg_.activationsPerBurst,
+            tenant_);
         stats_.activationsInjected += cfg_.activationsPerBurst;
     }
     if (remaining <= 1)
@@ -301,12 +298,12 @@ CovertReceiverModel::decode()
     std::vector<double> sorted = bit_latency_ns_;
     std::sort(sorted.begin(), sorted.end());
     const double lo = sorted.front(), hi = sorted.back();
-    const bool flat = !(hi > lo + cfg_.flatThresholdNs);
+    const bool flat = !(hi > lo + flatSpreadNs);
     double threshold = hi + 1.0;
     double best = 0.0;
     for (std::size_t k = 0; k + 1 < sorted.size(); ++k) {
         const double a = sorted[k], b = sorted[k + 1];
-        const double score = (b - a) / (a + cfg_.flatThresholdNs);
+        const double score = (b - a) / (a + flatSpreadNs);
         if (score > best) {
             best = score;
             threshold = a + (b - a) / 2.0;

@@ -50,21 +50,17 @@ struct RfmStarverConfig
     double burstsPerSecond = 200000.0;
     /** Row activations injected per burst. */
     std::uint32_t activationsPerBurst = 32;
-    /** DIMM (refresh-controller rank) under attack. */
+    /** DIMM (refresh-controller rank) under attack; its bank 0 is
+     *  hammered unless sweepBanks is set. */
     std::uint32_t targetDimm = 0;
-    /** Bank under attack; ignored when sweepBanks is set. */
-    std::uint32_t targetBank = 0;
     /** Rotate the hammered bank every burst (spread the pressure). */
     bool sweepBanks = false;
-    /** Stop hammering after this many bursts (0 = unlimited); a
-     *  bounded budget leaves a quiet tail for detector settlement. */
-    std::uint64_t burstBudget = 0;
     std::uint64_t seed = 1;
 
     /** @p base with the adversary.* keys applied to the fields
      *  above (absent keys keep the base's value): adversary.pages,
      *  .bursts_per_second, .activations_per_burst, .target_dimm,
-     *  .sweep_banks, .burst_budget. */
+     *  .sweep_banks. */
     static RfmStarverConfig
     fromConfig(const Config &cfg,
                RfmStarverConfig base = defaults<RfmStarverConfig>());
@@ -121,21 +117,13 @@ struct CovertConfig
     std::uint32_t burstsPerBit = 8;
     /** Row activations injected per hammer burst. */
     std::uint32_t activationsPerBurst = 32;
+    /** DIMM whose bank 0 the sender hammers. */
     std::uint32_t targetDimm = 0;
-    std::uint32_t targetBank = 0;
     /** Receiver arbiter-lane probes per bit period. */
     std::uint32_t probesPerBit = 4;
     /** Shared secret: both endpoints derive the bit schedule from
      *  it, so the receiver can self-score its decoding. */
     std::uint64_t scheduleSeed = 0x5eedu;
-    /**
-     * Minimum hi-lo spread (ns) of per-bit probe latencies before
-     * the receiver trusts a decode threshold. A refresh-timing
-     * signal must stall grants by at least about a tREFI; smaller
-     * spread is dispatch-phase noise and the trace decodes as flat
-     * (all zeros).
-     */
-    double flatThresholdNs = 4000.0;
 
     /** @p base with the covert.* keys applied to the fields above
      *  (absent keys keep the base's value): covert.bits,

@@ -12,6 +12,11 @@ namespace workload
 namespace
 {
 
+/** KV GET fraction; SETs rewrite the page content (dirty data). */
+constexpr double kvGetFraction = 0.9;
+/** KV requests issued back-to-back per arrival (pipelining). */
+constexpr std::uint32_t kvRequestsPerBurst = 4;
+
 /** Seed one tenant's shard with corpus content. */
 void
 seedShard(service::FarMemoryService &svc, service::TenantId id,
@@ -43,7 +48,7 @@ KvStoreModel::KvStoreModel(std::string name, EventQueue &eq,
     : SimObject(std::move(name), eq), svc_(svc), cfg_(cfg),
       rng_(cfg.seed * 0x9E3779B9ull + 7)
 {
-    XFM_ASSERT(cfg_.opsPerSecond > 0.0 && cfg_.pipelineDepth > 0,
+    XFM_ASSERT(cfg_.opsPerSecond > 0.0,
                "kv model needs a positive request rate");
     tenant_cfg.pages = cfg_.pages;
     tenant_ = svc_.addTenant(tenant_cfg);
@@ -58,7 +63,7 @@ KvStoreModel::KvStoreModel(std::string name, EventQueue &eq,
 void
 KvStoreModel::start()
 {
-    const double mean_gap = seconds(1.0) * cfg_.pipelineDepth
+    const double mean_gap = seconds(1.0) * kvRequestsPerBurst
         / cfg_.opsPerSecond;
     eventq().scheduleIn(exponentialGap(rng_, mean_gap),
                         [this] { burst(); });
@@ -68,7 +73,7 @@ void
 KvStoreModel::burst()
 {
     ++stats_.bursts;
-    for (std::uint32_t i = 0; i < cfg_.pipelineDepth; ++i) {
+    for (std::uint32_t i = 0; i < kvRequestsPerBurst; ++i) {
         const sfm::VirtPage page =
             rng_.zipf(cfg_.pages, cfg_.zipfTheta);
         ++stats_.requests;
@@ -82,7 +87,7 @@ KvStoreModel::burst()
         // Only resident pages are rewritten — a miss must complete
         // its swap-in first, or the promotion would clobber the new
         // value with the stale compressed image.
-        if (hit && rng_.uniformReal() >= cfg_.getRatio) {
+        if (hit && rng_.uniformReal() >= kvGetFraction) {
             ++stats_.writes;
             const Bytes value = compress::generateCorpus(
                 compress::CorpusKind::KeyValue,
@@ -90,7 +95,7 @@ KvStoreModel::burst()
             svc_.writePage(tenant_, page, value);
         }
     }
-    const double mean_gap = seconds(1.0) * cfg_.pipelineDepth
+    const double mean_gap = seconds(1.0) * kvRequestsPerBurst
         / cfg_.opsPerSecond;
     eventq().scheduleIn(exponentialGap(rng_, mean_gap),
                         [this] { burst(); });

@@ -40,15 +40,12 @@ struct KvStoreConfig
 {
     /** Shard-local pages backing the keyspace. */
     std::uint64_t pages = 128;
-    /** Mean request rate (requests/s; bursts of pipelineDepth). */
+    /** Mean request rate (requests/s, arriving in pipelined
+     *  bursts; 90% GETs, SETs rewrite the page content). */
     double opsPerSecond = 50000.0;
     /** Key-popularity skew (memtier's default gaussian roughly
      *  matches a high-theta zipf over pages). */
     double zipfTheta = 0.99;
-    /** GET fraction; SETs rewrite the page content (dirty data). */
-    double getRatio = 0.9;
-    /** Requests issued back-to-back per arrival (pipelining). */
-    std::uint32_t pipelineDepth = 4;
     std::uint64_t seed = 1;
 };
 

@@ -127,16 +127,6 @@ SameOffsetAllocator::highWaterMark() const
     return off + len;
 }
 
-bool
-SameOffsetAllocator::resize(std::uint64_t new_region_bytes)
-{
-    XFM_ASSERT(new_region_bytes > 0, "cannot resize to zero");
-    if (new_region_bytes < highWaterMark())
-        return false;
-    region_ = new_region_bytes;
-    return true;
-}
-
 void
 SameOffsetAllocator::repack(
     const std::function<void(std::uint64_t, std::uint64_t,

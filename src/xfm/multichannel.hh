@@ -76,17 +76,7 @@ class SameOffsetAllocator
     /** Release a slot previously returned by allocate(). */
     void release(std::uint64_t offset);
 
-    /**
-     * Resize the region (SFM elasticity, paper G3/Sec. 4.2).
-     * Growing always succeeds. Shrinking requires every live slot
-     * to fit below the new size — compact (repack) first.
-     *
-     * @retval false the shrink would cut live slots; nothing
-     *         changed.
-     */
-    bool resize(std::uint64_t new_region_bytes);
-
-    /** End of the highest live slot (smallest legal shrink size). */
+    /** End of the highest live slot. */
     std::uint64_t highWaterMark() const;
 
     /**
@@ -112,7 +102,7 @@ class SameOffsetAllocator
     static constexpr std::uint64_t invalidOffset = ~std::uint64_t(0);
 
   private:
-    std::uint64_t region_;
+    const std::uint64_t region_;
     std::uint32_t alignment_;
     std::uint64_t used_ = 0;
     /** offset -> slot size, both aligned. */

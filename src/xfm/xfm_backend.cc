@@ -64,7 +64,7 @@ XfmBackend::XfmBackend(std::string name, EventQueue &eq,
                "per-DIMM geometry must be single-channel/rank");
     XFM_ASSERT(pageBytes % cfg_.numDimms == 0,
                "page must split evenly across DIMMs");
-    XFM_ASSERT((pageBytes / cfg_.interleave) % cfg_.numDimms == 0,
+    XFM_ASSERT((pageBytes / defaultInterleave) % cfg_.numDimms == 0,
                "interleave chunks must split evenly across DIMMs");
     XFM_ASSERT(cfg_.localPages > 0, "no virtual pages configured");
 
@@ -170,7 +170,7 @@ XfmBackend::pageDict(VirtPage page) const
     if (!cfg_.shardDict || cfg_.dictBytes == 0 || cfg_.numDimms < 2)
         return nullptr;
     auto dict = std::make_shared<Bytes>(compress::buildPresetDictionary(
-        readPage(page), cfg_.interleave, cfg_.dictBytes));
+        readPage(page), defaultInterleave, cfg_.dictBytes));
     if (dict->empty())
         return nullptr;
     return dict;
@@ -237,7 +237,7 @@ XfmBackend::writePage(VirtPage page, ByteSpan data)
 {
     XFM_ASSERT(page < cfg_.localPages, "page out of range");
     XFM_ASSERT(data.size() == pageBytes, "writePage needs a full page");
-    splitPageInto(data, cfg_.numDimms, cfg_.interleave, shard_scratch_);
+    splitPageInto(data, cfg_.numDimms, defaultInterleave, shard_scratch_);
     for (std::size_t d = 0; d < cfg_.numDimms; ++d)
         dimms_[d].mem->write(shardFrameAddr(page), shard_scratch_[d]);
 }
@@ -251,7 +251,7 @@ XfmBackend::readPage(VirtPage page) const
         dimms_[d].mem->read(shardFrameAddr(page), cfg_.shardBytes(),
                             shards[d]);
     Bytes page_data;
-    gatherPageInto(shards, cfg_.interleave, page_data);
+    gatherPageInto(shards, defaultInterleave, page_data);
     return page_data;
 }
 
@@ -1066,30 +1066,6 @@ XfmBackend::setTracer(obs::Tracer *t)
         dimms_[d].device->setTracer(t);
         channel_health_[d].setTracer(t);
     }
-}
-
-bool
-XfmBackend::resizeSfmRegion(std::uint64_t new_bytes)
-{
-    XFM_ASSERT(cfg_.sfmBase + new_bytes
-                   <= cfg_.dimmMem.totalCapacityBytes(),
-               "resized SFM region beyond DIMM capacity");
-    if (new_bytes < alloc_.highWaterMark()) {
-        compact();
-        if (new_bytes < alloc_.highWaterMark())
-            return false;
-    }
-    if (!alloc_.resize(new_bytes))
-        return false;
-    cfg_.sfmBytes = new_bytes;
-    // Re-run xfm_paramset and re-register the resized region so the
-    // DIMM-side registers and the NMA access window see the new
-    // provisioning (Sec. 6, Initialization).
-    for (auto &dimm : dimms_) {
-        dimm.driver->xfmParamset(cfg_.sfmBase, cfg_.sfmBytes);
-        dimm.driver->xfmRegisterRegion(cfg_.sfmBase, cfg_.sfmBytes);
-    }
-    return true;
 }
 
 void

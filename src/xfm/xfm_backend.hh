@@ -66,7 +66,6 @@ struct XfmSystemConfig
 
     /** Deadline slack for offloaded (prefetch) decompressions. */
     Tick decompressSlack = 0;  ///< 0 => 10 x tREFI
-    std::size_t interleave = defaultInterleave;
 
     /** Fault scenario injected into every layer of this backend
      *  (devices, SPMs, drivers, the backend itself). The default
@@ -310,16 +309,6 @@ class XfmBackend : public SimObject, public sfm::SfmBackend
      */
     void setTracer(obs::Tracer *t);
 
-    /**
-     * Re-provision the per-DIMM SFM region size (the elasticity
-     * that distinguishes SFM from DFM, paper Sec. 1/4.2). Growth is
-     * immediate; a shrink first compacts and fails if the live
-     * compressed data still does not fit.
-     *
-     * @retval false shrink rejected; capacity unchanged.
-     */
-    bool resizeSfmRegion(std::uint64_t new_bytes);
-
   private:
     struct Dimm
     {
@@ -505,7 +494,7 @@ class XfmBackend : public SimObject, public sfm::SfmBackend
     /** Commit @p op's page state, counters and outcome. */
     void finishOp(const std::shared_ptr<PendingOp> &op, Tick now);
 
-    XfmSystemConfig cfg_;
+    const XfmSystemConfig cfg_;
     dram::MemCtrl *host_ctrl_;
     fault::FaultInjector injector_;
     std::unique_ptr<compress::Compressor> codec_;

@@ -547,34 +547,14 @@ class DifferentialTest
     void run(const Labels &labels) { runAudit(GetParam(), labels); }
 };
 
-TEST_P(DifferentialTest, CleanRunRestoresAllPages)
-{
-    run({});
-}
-
-TEST_P(DifferentialTest, FaultedRunRestoresAllPages)
-{
-    run({"aggressive"});
-}
-
 TEST_P(DifferentialTest, FaultedRunWithBreakersRestoresAllPages)
 {
     run({"aggressive", "health"});
 }
 
-TEST_P(DifferentialTest, RingDepthEightRestoresAllPages)
-{
-    run({"sq8"});
-}
-
 TEST_P(DifferentialTest, RingDepthEightFaultedRestoresAllPages)
 {
     run({"sq8", "aggressive", "health"});
-}
-
-TEST_P(DifferentialTest, DictCleanRunRestoresAllPages)
-{
-    run({"dict"});
 }
 
 TEST_P(DifferentialTest, DictFaultedRunRestoresAllPages)

@@ -238,7 +238,7 @@ TEST(HealthMonitor, StragglerOutcomesIgnoredWhileFailed)
     EXPECT_EQ(m.state(100 + 1000), HealthState::Probation);
 }
 
-TEST(HealthMonitor, ForceFailAndForceHealthy)
+TEST(HealthMonitor, ForceFailRestartsCooldown)
 {
     HealthMonitor m(monitorConfig());
     m.forceFail(500);
@@ -248,10 +248,7 @@ TEST(HealthMonitor, ForceFailAndForceHealthy)
     // forceFail on an already-Failed domain restarts the cooldown.
     m.forceFail(1200);
     EXPECT_EQ(m.state(1200 + 999), HealthState::Failed);
-
-    m.forceHealthy(2500);
-    EXPECT_EQ(m.rawState(), HealthState::Healthy);
-    EXPECT_TRUE(m.admit(2501));
+    EXPECT_EQ(m.state(1200 + 1000), HealthState::Probation);
 }
 
 // ------------------------------------------- backend-level breakers

@@ -126,6 +126,35 @@ TEST(SystemComparison, BothBackendsReachSimilarFarOccupancy)
     EXPECT_GT(xfm, 100u);
 }
 
+TEST(SystemComparison, BaselineSkipsRefusedPageUntilTouched)
+{
+    // The baseline refuses a page whose block does not shrink. Its
+    // bytes cannot change without an access, so kstaled must not
+    // compress it again on every later scan.
+    auto cfg = testConfig(BackendKind::BaselineCpu);
+    cfg.pages = 1;
+    cfg.algorithm = compress::Algorithm::LzFast;
+    EventQueue eq;
+    System sys("sys", eq, cfg);
+    const Bytes blob = compress::generateCorpus(
+        compress::CorpusKind::Base64Blob, 6, pageBytes);
+    sys.writePage(0, blob);
+    sys.start();
+
+    // Cold after 5 ms and scanned every 1 ms: 16 scans see it cold.
+    eq.run(milliseconds(20.0));
+    const auto &ctrl = sys.controller().stats();
+    EXPECT_EQ(ctrl.swapOutsInitiated, 1u);
+    EXPECT_EQ(sys.backend().stats().rejectedSwapOuts, 1u);
+    EXPECT_EQ(sys.backend().pageState(0), sfm::PageState::Local);
+
+    // A touch clears the mark: once cold again it is retried once.
+    EXPECT_TRUE(sys.access(0));
+    eq.run(eq.now() + milliseconds(20.0));
+    EXPECT_EQ(ctrl.swapOutsInitiated, 2u);
+    EXPECT_EQ(sys.readPage(0), blob);
+}
+
 TEST(SystemConfigParse, KeysReachTheirComponents)
 {
     // One parse path: every key lands in the struct of the component

@@ -1,10 +1,10 @@
 /**
  * @file
  * TierManager unit tests: watermark routing across the NEAR/XFM/DFM
- * lattice, the spill scan (second-level coldness and capacity
- * pressure), per-group policy isolation, pool-full fallback, busy
- * re-entry, and tier-map coherence across backend-initiated
- * reclaims (quarantine-cap evictions).
+ * lattice, the spill scan (second-level coldness), per-group
+ * policy isolation, pool-full fallback, busy re-entry, and tier-map
+ * coherence across backend-initiated reclaims (quarantine-cap
+ * evictions).
  */
 
 #include <gtest/gtest.h>
@@ -217,37 +217,6 @@ TEST(TierManager, WatermarkHoldsHotPagesInXfm)
     EXPECT_EQ(rig.tiers.tier(0), Tier::Xfm);
     EXPECT_EQ(rig.tiers.tierStats().demotedXfmToDfm, 0u);
     EXPECT_GT(rig.tiers.tierStats().watermarkHolds, 0u);
-}
-
-TEST(TierManager, CapacityPressureSpillsColdestRegardlessOfWatermark)
-{
-    TierConfig t = baseTierConfig();
-    t.promoteWatermark = 1;
-    t.scanInterval = milliseconds(1.0);
-    // Far-future coldness: pass 1 never fires, only capacity
-    // pressure (pass 2) can spill.
-    t.spillColdThreshold = seconds(10.0);
-    t.xfmCapacityPages = 2;
-    CpuTierRig rig(t);
-
-    for (VirtPage p = 0; p < 4; ++p) {
-        rig.touch(p, 2);  // halved to 1 == watermark: pass 1 holds
-        ASSERT_TRUE(rig.demote(p).success);
-        ASSERT_EQ(rig.tiers.tier(p), Tier::Xfm);
-    }
-
-    rig.tiers.start();
-    rig.run(milliseconds(20.0));
-
-    EXPECT_EQ(rig.tiers.xfmPages(), 2u);
-    EXPECT_EQ(rig.tiers.dfmPages(), 2u);
-    EXPECT_EQ(rig.tiers.tierStats().demotedXfmToDfm, 2u);
-    // Oldest-access victims go first: pages 0 and 1 were demoted
-    // (and thus last touched) earliest.
-    EXPECT_EQ(rig.tiers.tier(0), Tier::Dfm);
-    EXPECT_EQ(rig.tiers.tier(1), Tier::Dfm);
-    EXPECT_EQ(rig.tiers.tier(2), Tier::Xfm);
-    EXPECT_EQ(rig.tiers.tier(3), Tier::Xfm);
 }
 
 TEST(TierManager, PerGroupPolicyIsolation)

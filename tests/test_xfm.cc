@@ -510,8 +510,8 @@ TEST_F(XfmBackendTest, DictCpuSwapOutWithAllPlainShardsStoresNoDict)
     makeBackend(cfg);
     const Bytes page = testutil::corpusPage(
         compress::CorpusKind::RandomBytes, 5);
-    ASSERT_FALSE(compress::buildPresetDictionary(page, cfg.interleave,
-                                                 cfg.dictBytes)
+    ASSERT_FALSE(compress::buildPresetDictionary(
+                     page, xfmsys::defaultInterleave, cfg.dictBytes)
                      .empty());
     backend_->writePage(5, page);
 
@@ -551,113 +551,8 @@ namespace xfmsys
 namespace
 {
 
-// ------------------------------------------------ elasticity (paper G3)
-
-TEST(SameOffsetAllocatorResize, GrowAndShrink)
-{
-    SameOffsetAllocator alloc(1024, 64);
-    const auto a = alloc.allocate(512);
-    (void)a;
-    EXPECT_EQ(alloc.highWaterMark(), 512u);
-    EXPECT_TRUE(alloc.resize(4096));
-    EXPECT_EQ(alloc.regionBytes(), 4096u);
-    // Shrink below the live slot fails; to its edge succeeds.
-    EXPECT_FALSE(alloc.resize(256));
-    EXPECT_TRUE(alloc.resize(512));
-    EXPECT_EQ(alloc.regionBytes(), 512u);
-    EXPECT_EQ(alloc.allocate(64), SameOffsetAllocator::invalidOffset);
-}
-
-TEST_F(XfmBackendTest, SfmRegionGrowsUnderPressure)
-{
-    auto cfg = testSystemConfig(2);
-    cfg.sfmBytes = 1024;  // tiny: roughly one shard slot
-    makeBackend(cfg);
-    int failures = 0;
-    for (sfm::VirtPage p = 0; p < 6; ++p) {
-        backend_->writePage(p, pageContent(p));
-        backend_->swapOut(p, [&](const sfm::SwapOutcome &o) {
-            if (!o.success)
-                ++failures;
-        });
-        eq_.run(eq_.now() + milliseconds(1.0));
-    }
-    eq_.run(eq_.now() + milliseconds(50.0));
-    EXPECT_GT(failures, 0);  // region exhausted
-
-    // Elastic re-provisioning: grow the region, retry the failures.
-    EXPECT_TRUE(backend_->resizeSfmRegion(mib(1)));
-    int late_failures = 0;
-    for (sfm::VirtPage p = 0; p < 6; ++p) {
-        if (backend_->pageState(p) == sfm::PageState::Local) {
-            backend_->swapOut(p, [&](const sfm::SwapOutcome &o) {
-                if (!o.success)
-                    ++late_failures;
-            });
-            eq_.run(eq_.now() + milliseconds(1.0));
-        }
-    }
-    eq_.run(eq_.now() + milliseconds(50.0));
-    EXPECT_EQ(late_failures, 0);
-    EXPECT_EQ(backend_->farPageCount(), 6u);
-}
-
-TEST_F(XfmBackendTest, SfmRegionShrinkCompactsFirst)
-{
-    makeBackend(testSystemConfig(2));
-    std::vector<Bytes> pages;
-    for (sfm::VirtPage p = 0; p < 8; ++p) {
-        pages.push_back(pageContent(p));
-        backend_->writePage(p, pages.back());
-        backend_->swapOut(p, nullptr);
-    }
-    eq_.run(seconds(0.2));
-    ASSERT_EQ(backend_->farPageCount(), 8u);
-    // Promote every other page: holes spread through the region.
-    for (sfm::VirtPage p = 0; p < 8; p += 2)
-        backend_->swapIn(p, true, nullptr);
-    eq_.run(seconds(0.4));
-
-    // Shrink to just above the live bytes: resize must compact.
-    const auto live = backend_->allocator().usedBytes();
-    EXPECT_TRUE(backend_->resizeSfmRegion(live + 4096));
-    // Remaining far pages still intact.
-    for (sfm::VirtPage p = 1; p < 8; p += 2) {
-        backend_->swapIn(p, false, nullptr);
-        eq_.run(eq_.now() + milliseconds(1.0));
-        EXPECT_EQ(backend_->readPage(p), pages[p]) << "page " << p;
-    }
-}
-
-TEST_F(XfmBackendTest, ShrinkBelowLiveDataRejected)
-{
-    makeBackend(testSystemConfig(2));
-    for (sfm::VirtPage p = 0; p < 8; ++p) {
-        backend_->writePage(p, pageContent(p));
-        backend_->swapOut(p, nullptr);
-    }
-    eq_.run(seconds(0.2));
-    const auto live = backend_->allocator().usedBytes();
-    ASSERT_GT(live, 64u);
-    EXPECT_FALSE(backend_->resizeSfmRegion(live / 2));
-    // Capacity unchanged; data still retrievable.
-    EXPECT_EQ(backend_->config().sfmBytes,
-              testSystemConfig(2).sfmBytes);
-}
-
-} // namespace
-} // namespace xfmsys
-} // namespace xfm
-
-namespace xfm
-{
-namespace xfmsys
-{
-namespace
-{
-
-/** Integration fuzz: random swap-out / swap-in / compact / resize
- *  sequences against a shadow map of page contents. Every page the
+/** Integration fuzz: random swap-out / swap-in / compact sequences
+ *  against a shadow map of page contents. Every page the
  *  shadow says is Far must decompress back to its exact bytes. */
 TEST_F(XfmBackendTest, FuzzAgainstShadowContents)
 {
@@ -693,13 +588,8 @@ TEST_F(XfmBackendTest, FuzzAgainstShadowContents)
                 backend_->swapIn(p, rng.chance(0.5), nullptr);
                 far.erase(it);
             }
-        } else if (dice < 0.9) {
-            backend_->compact();
         } else {
-            // Elastic resize within sane bounds.
-            const std::uint64_t target =
-                mib(2) + rng.uniformInt(mib(6));
-            backend_->resizeSfmRegion(target);
+            backend_->compact();
         }
         // Let in-flight offloads settle frequently enough that the
         // shadow's Local/Far view stays in sync.
