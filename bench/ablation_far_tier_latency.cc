@@ -41,7 +41,7 @@ main()
     scfg.sfmBytes = mib(1);
     CpuSfmBackend sfm_backend("sfm", eq, scfg, mem);
     mem.write(sfm_backend.frameAddr(0), page);
-    sfm_backend.swapOut(0, nullptr);
+    sfm_backend.swapOut(0, true, nullptr);
     eq.run();
     Tick start = eq.now();
     Tick sfm_latency = 0;
@@ -58,7 +58,7 @@ main()
     dcfg.poolBytes = mib(1);
     DfmBackend dfm_backend("dfm", eq, dcfg, mem);
     mem.write(dfm_backend.frameAddr(0), page);
-    dfm_backend.swapOut(0, nullptr);
+    dfm_backend.swapOut(0, true, nullptr);
     eq.run();
     start = eq.now();
     Tick dfm_latency = 0;
@@ -77,7 +77,7 @@ main()
     xfmsys::XfmBackend xfm_backend("xfm", eq2, xcfg);
     xfm_backend.start();
     xfm_backend.writePage(0, page);
-    xfm_backend.swapOut(0, nullptr);
+    xfm_backend.swapOut(0, true, nullptr);
     eq2.run(seconds(0.05));
     start = eq2.now();
     Tick xfm_prefetch_latency = 0;

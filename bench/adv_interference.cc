@@ -104,11 +104,7 @@ advConfig(bool defense)
     dev.refreshMode = dram::RefreshMode::RefPb;
     dev.rfmRaaimt = 32;
     if (defense) {
-        cfg.arbiter.reservedSlotFrac = 0.25;
-        cfg.arbiter.slotDebt = true;
-        cfg.arbiter.abuseEnabled = true;
-        cfg.arbiter.abuseWindows = 16;
-        cfg.arbiter.abuseConsecutive = 2;
+        cfg.arbiter.defense = true;
         cfg.arbiter.abuseCooldown = milliseconds(10.0);
     }
     return cfg;

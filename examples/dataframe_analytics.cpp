@@ -106,7 +106,7 @@ main()
 
     // Cold phase: the whole table is demoted to far memory.
     for (std::uint64_t p = 0; p < loaded_pages; ++p)
-        backend.swapOut(p, nullptr);
+        backend.swapOut(p, true, nullptr);
     eq.run(eq.now() + seconds(0.2));
     std::printf("demoted: %llu pages far, %s stored (%.2fx), "
                 "fragmentation %s\n",

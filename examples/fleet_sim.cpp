@@ -14,13 +14,8 @@
  * A flag is the config key of its name (`--ms 5` is `ms = 5`); later
  * flags and files override earlier ones. The run keys are read here:
  *   tenants = 8    ms = 50    rate = 100000    seed = 1
- *   workload.model = fleet    # fleet | apps | adversary
+ *   workload.model = fleet    # fleet | adversary
  * `fleet` is the classic heterogeneous zipf fleet (workload/fleet).
- * `apps` alternates two application models per tenant slot
- * (workload/app_model): memtier-like KV stores (latency class,
- * kstaled, xfm_first group policy) and inference-batch servers
- * (batch class, senpai, auto policy) whose drifting activation
- * windows feed the spill scan.
  * `adversary` runs the zipf fleet as victims plus three abusive
  * tenants (workload/adversary): an RFM-starver and a covert
  * sender/receiver pair (see configs/adversary.cfg).
@@ -35,14 +30,12 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/config.hh"
 #include "common/logging.hh"
 #include "obs/sinks.hh"
 #include "service/service.hh"
 #include "workload/adversary.hh"
-#include "workload/app_model.hh"
 #include "workload/fleet.hh"
 
 using namespace xfm;
@@ -112,6 +105,9 @@ run(int argc, char **argv)
     const double rate = cfg.getDouble("rate", 100000.0);
     const std::uint64_t seed = cfg.getU64("seed", 1);
     const std::string model = cfg.getString("workload.model", "fleet");
+    if (model != "fleet" && model != "adversary")
+        fatal("workload.model must be 'fleet' or 'adversary', got '",
+              model, "'");
     // The adversary model admits three abusive tenants on top of
     // the victim fleet, so the registry needs the extra slots.
     const auto scfg = service::ServiceConfig::fromConfig(
@@ -127,21 +123,15 @@ run(int argc, char **argv)
     if (obs::Tracer *tracer = sinks.tracer())
         svc.setTracer(tracer);
 
-    std::unique_ptr<workload::FleetDriver> fleet;
-    std::vector<std::unique_ptr<workload::KvStoreModel>> kvs;
-    std::vector<std::unique_ptr<workload::InferenceBatchModel>> infer;
+    workload::FleetConfig fcfg;
+    fcfg.numTenants = tenants;
+    fcfg.pagesPerTenant = 128;
+    fcfg.accessesPerSecond = rate;
+    fcfg.seed = seed;
+    workload::FleetDriver fleet("fleet", eq, svc, fcfg);
     std::unique_ptr<workload::RfmStarverModel> starver;
     std::unique_ptr<workload::CovertSenderModel> covert_tx;
     std::unique_ptr<workload::CovertReceiverModel> covert_rx;
-    if (model == "fleet" || model == "adversary") {
-        workload::FleetConfig fcfg;
-        fcfg.numTenants = tenants;
-        fcfg.pagesPerTenant = 128;
-        fcfg.accessesPerSecond = rate;
-        fcfg.seed = seed;
-        fleet = std::make_unique<workload::FleetDriver>(
-            "fleet", eq, svc, fcfg);
-    }
     if (model == "adversary") {
         // Three abusive tenants next to the victim fleet: the
         // starver hammers RAA counters on one DIMM while the covert
@@ -160,63 +150,10 @@ run(int argc, char **argv)
         txcfg.name = "covert_tx";
         covert_tx = std::make_unique<workload::CovertSenderModel>(
             "covert_tx", eq, svc, covert_cfg, txcfg);
-    } else if (model == "apps") {
-        // Application-model mix: KV serving jobs alternate with
-        // inference-batch servers. The KV tenants pin their hot
-        // heads near and prefer the compressed tier for the warm
-        // middle (xfm_first); the inference tenants let the
-        // watermark router decide, so their retired activation
-        // windows drain to the spill tier.
-        sfm::ControllerConfig kstaled;
-        kstaled.coldThreshold = milliseconds(2.0);
-        kstaled.scanInterval = milliseconds(1.0);
-        kstaled.maxSwapOutsPerScan = 16;
-        sfm::SenpaiConfig senpai;
-        senpai.interval = milliseconds(1.0);
-        senpai.targetFaultsPerSec = 20000.0;
-        senpai.initialReclaim = 8;
-        senpai.maxReclaim = 64;
-        for (std::size_t i = 0; i < tenants; ++i) {
-            service::TenantConfig tcfg;
-            tcfg.kstaled = kstaled;
-            tcfg.senpai = senpai;
-            if (i % 2 == 0) {
-                tcfg.name = "kv_" + std::to_string(i);
-                tcfg.cls = service::PriorityClass::LatencySensitive;
-                tcfg.policy = service::ControlPolicy::Kstaled;
-                tcfg.tierPolicy = sfm::TierPolicy::XfmFirst;
-                workload::KvStoreConfig kcfg;
-                kcfg.opsPerSecond = rate;
-                kcfg.seed = seed + i;
-                kvs.push_back(
-                    std::make_unique<workload::KvStoreModel>(
-                        "kv" + std::to_string(i), eq, svc, kcfg,
-                        tcfg));
-            } else {
-                tcfg.name = "infer_" + std::to_string(i);
-                tcfg.cls = service::PriorityClass::Batch;
-                tcfg.policy = service::ControlPolicy::Senpai;
-                tcfg.tierPolicy = sfm::TierPolicy::Auto;
-                workload::InferenceBatchConfig icfg;
-                icfg.seed = seed + i;
-                infer.push_back(
-                    std::make_unique<workload::InferenceBatchModel>(
-                        "infer" + std::to_string(i), eq, svc, icfg,
-                        tcfg));
-            }
-        }
-    } else if (model != "fleet") {
-        fatal("workload.model must be 'fleet', 'apps', or "
-              "'adversary', got '", model, "'");
     }
 
     svc.start();
-    if (fleet)
-        fleet->start();
-    for (auto &m : kvs)
-        m->start();
-    for (auto &m : infer)
-        m->start();
+    fleet.start();
     if (starver)
         starver->start();
     if (covert_rx)
@@ -225,41 +162,10 @@ run(int argc, char **argv)
         covert_tx->start();
     eq.run(milliseconds(sim_ms));
 
-    std::uint64_t touches = 0;
-    if (fleet) {
-        touches = fleet->totalAccesses();
-    } else {
-        for (const auto &m : kvs)
-            touches += m->stats().requests;
-        for (const auto &m : infer)
-            touches += m->stats().requests;
-    }
     std::printf("fleet_sim: %zu tenants, %.1f ms simulated, "
                 "%llu page touches\n\n",
-                fleet ? fleet->numTenants() : kvs.size() + infer.size(),
-                sim_ms, (unsigned long long)touches);
-
-    for (const auto &m : kvs) {
-        const auto &s = m->stats();
-        std::printf("kv tenant %u: %llu requests (%llu bursts), "
-                    "%llu hits, %llu faults, %llu writes\n",
-                    m->tenantId(), (unsigned long long)s.requests,
-                    (unsigned long long)s.bursts,
-                    (unsigned long long)s.localHits,
-                    (unsigned long long)s.faults,
-                    (unsigned long long)s.writes);
-    }
-    for (const auto &m : infer) {
-        const auto &s = m->stats();
-        std::printf("inference tenant %u: %llu touches "
-                    "(%llu batches), %llu hits, %llu faults\n",
-                    m->tenantId(), (unsigned long long)s.requests,
-                    (unsigned long long)s.bursts,
-                    (unsigned long long)s.localHits,
-                    (unsigned long long)s.faults);
-    }
-    if (!kvs.empty() || !infer.empty())
-        std::printf("\n");
+                fleet.numTenants(), sim_ms,
+                (unsigned long long)fleet.totalAccesses());
 
     const obs::Snapshot snap = svc.metrics().snapshot();
     std::printf("%s\n", snap.renderText().c_str());

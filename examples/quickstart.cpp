@@ -44,7 +44,7 @@ main()
     //    every page during DRAM refresh windows.
     std::uint64_t stored = 0;
     for (sfm::VirtPage p = 0; p < 8; ++p) {
-        backend.swapOut(p, [&](const sfm::SwapOutcome &o) {
+        backend.swapOut(p, true, [&](const sfm::SwapOutcome &o) {
             std::printf("swap-out page %llu: %s via %s, %u B "
                         "compressed, done at %s\n",
                         (unsigned long long)o.page,

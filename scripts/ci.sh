@@ -146,7 +146,7 @@ done
 # list the others.
 stale_cfg="${build_dir}/stale-key.cfg"
 for stale_key in shed.enabled tier.xfm_capacity_pages \
-        adversary.burst_budget qos.abuse_z; do
+        adversary.burst_budget qos.abuse_z qos.slot_debt; do
     echo "${stale_key} = 1" > "${stale_cfg}"
     if stale_out="$("${build_dir}/examples/fleet_sim" --config "${stale_cfg}" 2>&1)"; then
         echo "ci: fleet_sim accepted the deleted config key ${stale_key}" >&2
@@ -157,6 +157,17 @@ for stale_key in shed.enabled tier.xfm_capacity_pages \
         exit 1
     fi
 done
+# The KV/inference application models are gone: the apps workload
+# must be refused by name, not run as some other fleet.
+echo "workload.model = apps" > "${stale_cfg}"
+if apps_out="$("${build_dir}/examples/fleet_sim" --config "${stale_cfg}" 2>&1)"; then
+    echo "ci: fleet_sim accepted workload.model = apps" >&2
+    exit 1
+fi
+if [[ "${apps_out}" != *"'apps'"* ]]; then
+    echo "ci: fleet_sim refused workload.model = apps without naming it: ${apps_out}" >&2
+    exit 1
+fi
 
 # Repository benchmark (BENCHMARK.json): one short run per workload.
 # run.py builds its own tree under the build dir and exits non-zero

@@ -1,11 +1,9 @@
 #include "xfm_device.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/config.hh"
 #include "common/logging.hh"
-#include "dram/ecc.hh"
 
 namespace xfm
 {
@@ -372,25 +370,6 @@ XfmDevice::executeWriteback(SpmEntry entry, AccessClass cls)
         }
     }
 
-    // Sec. 4.1: regenerate the side-band SECDED parity for every
-    // 64-bit word the write-back touched, so the memory controller
-    // can still verify CPU reads of this data.
-    if (cfg_.eccParityBase != 0) {
-        const std::uint64_t start = entry.dstAddr & ~std::uint64_t(7);
-        const std::uint64_t end =
-            (entry.dstAddr + entry.data.size() + 7)
-            & ~std::uint64_t(7);
-        const Bytes words = mem_.read(start, end - start);
-        Bytes parity((end - start) / 8);
-        for (std::size_t w = 0; w < parity.size(); ++w) {
-            std::uint64_t word;
-            std::memcpy(&word, words.data() + w * 8, 8);
-            parity[w] = dram::ecc::encode(word);
-        }
-        mem_.write(cfg_.eccParityBase + start / 8, parity);
-        stats_.eccParityBytesWritten += parity.size();
-    }
-
     eventq().scheduleIn(transfer, [this, id = entry.id, tid] {
         CompletionRecord rec;
         rec.tag = id;
@@ -472,7 +451,6 @@ XfmDevice::registerMetrics(obs::MetricRegistry &r,
     r.counter(p + "trrSlotsUsed", &stats_.trrSlotsUsed);
     r.counter(p + "dramBytesRead", &stats_.bytesReadFromDram);
     r.counter(p + "dramBytesWritten", &stats_.bytesWrittenToDram);
-    r.counter(p + "eccParityBytes", &stats_.eccParityBytesWritten);
     r.gauge(p + "accessEnergyNanojoules",
             &stats_.accessEnergyNanojoules);
     r.gauge(p + "energySavedNanojoules",

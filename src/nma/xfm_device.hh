@@ -72,14 +72,6 @@ struct XfmDeviceConfig
     EngineProfile engine{};
 
     /**
-     * Side-band ECC (paper Sec. 4.1): when non-zero, the NMA
-     * regenerates the SECDED parity for every write-back and stores
-     * it in the ECC chips at this parity-region base address, so
-     * CPU reads of NMA-written data still verify.
-     */
-    std::uint64_t eccParityBase = 0;
-
-    /**
      * Watchdog deadline, in refresh windows (tREFI intervals): an
      * accepted offload that has not executed after this many
      * windows, or a committed write-back stranded in the SPM that
@@ -135,7 +127,6 @@ struct XfmDeviceStats
     std::uint64_t hiraBonusSlots = 0;  ///< extra slots from HiRA
     std::uint64_t bytesReadFromDram = 0;
     std::uint64_t bytesWrittenToDram = 0;
-    std::uint64_t eccParityBytesWritten = 0;
     double accessEnergyNanojoules = 0.0;
     double energySavedNanojoules = 0.0;
 

@@ -18,13 +18,7 @@ QosArbiterConfig::fromConfig(const Config &cfg, QosArbiterConfig base)
     c.slotsPerWindow =
         cfg.getU32("qos.slots_per_window", c.slotsPerWindow);
     c.minBatchSlots = cfg.getU32("qos.min_batch_slots", c.minBatchSlots);
-    c.reservedSlotFrac =
-        cfg.getDouble("qos.reserved_slot_frac", c.reservedSlotFrac);
-    c.slotDebt = cfg.getBool("qos.slot_debt", c.slotDebt);
-    c.abuseEnabled = cfg.getBool("qos.abuse_enabled", c.abuseEnabled);
-    c.abuseWindows = cfg.getU32("qos.abuse_windows", c.abuseWindows);
-    c.abuseConsecutive =
-        cfg.getU32("qos.abuse_consecutive", c.abuseConsecutive);
+    c.defense = cfg.getBool("qos.defense", c.defense);
     if (cfg.has("qos.abuse_cooldown_ns"))
         c.abuseCooldown =
             nanoseconds(cfg.getDouble("qos.abuse_cooldown_ns"));
@@ -33,12 +27,6 @@ QosArbiterConfig::fromConfig(const Config &cfg, QosArbiterConfig base)
         fatal("qos.slots_per_window must be at least 1");
     if (c.minBatchSlots >= c.slotsPerWindow)
         fatal("qos.min_batch_slots must be below slots_per_window");
-    if (c.reservedSlotFrac < 0.0 || c.reservedSlotFrac > 1.0)
-        fatal("qos.reserved_slot_frac must be in [0, 1]");
-    if (c.abuseWindows == 0)
-        fatal("qos.abuse_windows must be at least 1");
-    if (c.abuseConsecutive == 0)
-        fatal("qos.abuse_consecutive must be at least 1");
     if (c.abuseCooldown == 0)
         fatal("qos.abuse_cooldown_ns must be positive");
 
@@ -50,6 +38,14 @@ QosArbiterConfig::fromConfig(const Config &cfg, QosArbiterConfig base)
 
 namespace
 {
+
+/** Defense: fraction of slotsPerWindow the hard-isolation pass
+ *  grants round-robin before RFM steals shrink the window. */
+constexpr double reservedSlotFrac = 0.25;
+/** Defense: dispatch windows per abuse-detector evaluation. */
+constexpr std::uint32_t abuseWindows = 16;
+/** Defense: consecutive flagged evaluations before escalation. */
+constexpr std::uint32_t abuseConsecutive = 2;
 
 /**
  * z-score at/above which a tenant's RFM-induced slot loss is an
@@ -85,9 +81,6 @@ QosArbiter::QosArbiter(std::string name, EventQueue &eq,
     XFM_ASSERT(cfg_.slotsPerWindow > 0, "need at least one slot");
     XFM_ASSERT(cfg_.minBatchSlots < cfg_.slotsPerWindow,
                "batch floor must leave room for latency work");
-    XFM_ASSERT(cfg_.reservedSlotFrac >= 0.0
-                   && cfg_.reservedSlotFrac <= 1.0,
-               "reserved slot fraction must be in [0, 1]");
 }
 
 void
@@ -104,7 +97,7 @@ QosArbiter::addTenant(TenantId id, PriorityClass cls,
     l.weight = weight;
     l.slotQuota = slot_quota;
     l.quotaThisWindow = slot_quota;
-    if (cfg_.abuseEnabled)
+    if (cfg_.defense)
         l.monitor = health::HealthMonitor(abuseHealthConfig(cfg_));
     index_.emplace(id, lanes_.size());
     lanes_.push_back(std::move(l));
@@ -145,7 +138,7 @@ QosArbiter::noteRfmSteal(std::uint32_t slots, TenantId culprit)
         Lane &l = lanes_[it->second];
         l.stats.rfmLoss += slots;
         l.rfmLossEval += slots;
-        if (cfg_.slotDebt) {
+        if (cfg_.defense) {
             // The ledger charges the culprit's own future grants;
             // the shared window stays whole for everyone else.
             l.debt += slots;
@@ -158,7 +151,7 @@ QosArbiter::noteRfmSteal(std::uint32_t slots, TenantId culprit)
 bool
 QosArbiter::abuseThrottled(TenantId id)
 {
-    if (!cfg_.abuseEnabled)
+    if (!cfg_.defense)
         return false;
     return lane(id).monitor.state(curTick())
         == health::HealthState::Failed;
@@ -179,7 +172,7 @@ QosArbiter::abuseMonitor(TenantId id)
 bool
 QosArbiter::laneBlocked(Lane &l)
 {
-    if (!cfg_.abuseEnabled)
+    if (!cfg_.defense)
         return false;
     return l.monitor.state(curTick()) == health::HealthState::Failed;
 }
@@ -232,7 +225,7 @@ QosArbiter::evaluateAbuse(Tick now)
             break;
           default:
             l.flaggedStreak = flagged ? l.flaggedStreak + 1 : 0;
-            if (l.flaggedStreak >= cfg_.abuseConsecutive) {
+            if (l.flaggedStreak >= abuseConsecutive) {
                 l.flaggedStreak = 0;
                 l.monitor.forceFail(now);
                 ++stats_.abuseEscalations;
@@ -276,17 +269,15 @@ QosArbiter::registerMetrics(obs::MetricRegistry &r)
               "slots left unused with work queued");
     r.derived(p + "queued",
               [this] { return static_cast<double>(queued()); });
-    // Defense metrics appear only when a defense feature is armed so
+    // Defense metrics appear only when the defense is armed so
     // default runs keep their metric namespace byte-identical.
-    if (cfg_.defenseArmed()) {
+    if (cfg_.defense) {
         r.counter(p + "rfmStolenSlots", &stats_.rfmStolenSlots,
                   "service slots destroyed by RFM commands");
         r.counter(p + "debtCharged", &stats_.debtCharged,
                   "slots repaid from tenant RFM debt ledgers");
         r.counter(p + "reservedGrants", &stats_.reservedGrants,
                   "grants made by the hard-isolation pass");
-    }
-    if (cfg_.abuseEnabled) {
         const std::string a = p + "abuse.";
         r.counter(a + "evals", &stats_.abuseEvals,
                   "abuse-detector evaluations run");
@@ -309,7 +300,7 @@ QosArbiter::registerLaneMetrics(obs::MetricRegistry &r, TenantId id,
     r.counter(p + "dispatched", &ls.dispatched);
     r.average(p + "waitNs", &ls.waitNs,
               "queueing delay before dispatch");
-    if (cfg_.abuseEnabled) {
+    if (cfg_.defense) {
         r.counter(p + "rfmLoss", &ls.rfmLoss,
                   "slot loss this tenant's RFMs caused");
         r.counter(p + "abuseFlags", &ls.abuseFlags,
@@ -363,8 +354,7 @@ QosArbiter::window()
     ++stats_.windows;
     const Tick now = curTick();
 
-    if (cfg_.abuseEnabled
-        && ++windows_since_eval_ >= cfg_.abuseWindows) {
+    if (cfg_.defense && ++windows_since_eval_ >= abuseWindows) {
         windows_since_eval_ = 0;
         evaluateAbuse(now);
     }
@@ -375,9 +365,9 @@ QosArbiter::window()
         Lane &l = lanes_[i];
         l.grantedThisWindow = 0;
         l.quotaThisWindow = l.slotQuota;
-        if (cfg_.abuseEnabled && laneBlocked(l))
+        if (laneBlocked(l))
             blocked[i] = 1;
-        if (cfg_.slotDebt && l.debt > 0) {
+        if (cfg_.defense && l.debt > 0) {
             // Repay RFM slot debt out of this window's own quota.
             const std::uint32_t pay = static_cast<std::uint32_t>(
                 std::min<std::uint64_t>(l.debt, l.quotaThisWindow));
@@ -393,9 +383,11 @@ QosArbiter::window()
     // Hard-isolation pass: the reserved fraction is granted
     // round-robin across tenants before RFM steals can shrink the
     // window, so no tenant is starved to zero by refresh pressure.
-    std::uint32_t reserved = static_cast<std::uint32_t>(
-        cfg_.reservedSlotFrac
-        * static_cast<double>(cfg_.slotsPerWindow));
+    std::uint32_t reserved = cfg_.defense
+        ? static_cast<std::uint32_t>(
+              reservedSlotFrac
+              * static_cast<double>(cfg_.slotsPerWindow))
+        : 0;
     reserved = std::min(reserved, slots);
     while (reserved > 0 && progress) {
         progress = false;

@@ -50,44 +50,29 @@ struct QosArbiterConfig
      */
     std::uint32_t minBatchSlots = 1;
 
-    // --- Adversarial-refresh defense (all default-off: a default
-    // --- arbiter behaves byte-identically to the pre-defense one).
     /**
-     * Hard slot isolation: this fraction of slotsPerWindow is
-     * granted round-robin across tenants before RFM slot steals
-     * shrink the window, so no tenant can be starved to zero by
-     * another's refresh pressure. 0 disables the reserved pass.
+     * Adversarial-refresh defense (default off; the off arbiter
+     * registers no defense metrics). Arms three parts together,
+     * tuned by constants in qos_arbiter.cc:
+     *  - hard slot isolation: a fixed fraction of slotsPerWindow is
+     *    granted round-robin across tenants before RFM slot steals
+     *    shrink the window, so no tenant can be starved to zero by
+     *    another's refresh pressure;
+     *  - the slot-debt ledger: RFM steals attributed to a tenant
+     *    charge that tenant's own future grants (its per-window
+     *    quota is suppressed until the debt is repaid) instead of
+     *    shrinking the shared window; unattributed (host) steals
+     *    still shrink it;
+     *  - the windowed z-score abuse detector and its throttle.
      */
-    double reservedSlotFrac = 0.0;
-    /**
-     * Slot-debt ledger: RFM steals attributed to a tenant charge
-     * that tenant's own future grants (its per-window quota is
-     * suppressed until the debt is repaid) instead of shrinking the
-     * shared window. Unattributed (host) steals still shrink it.
-     */
-    bool slotDebt = false;
-    /** Arm the windowed z-score abuse detector. */
-    bool abuseEnabled = false;
-    /** Dispatch windows per abuse-detector evaluation. */
-    std::uint32_t abuseWindows = 64;
-    /** Consecutive flagged evaluations before escalation. */
-    std::uint32_t abuseConsecutive = 2;
+    bool defense = false;
     /** Throttle cooldown (HealthMonitor Failed -> Probation). */
     Tick abuseCooldown = microseconds(50.0);
-
-    /** True when any defense feature changes behaviour. */
-    bool
-    defenseArmed() const
-    {
-        return reservedSlotFrac > 0.0 || slotDebt || abuseEnabled;
-    }
 
     /**
      * @p base with the qos.* keys applied (absent keys keep the
      * base's value; each maps to the field of the same meaning):
-     *   qos.slots_per_window, qos.min_batch_slots,
-     *   qos.reserved_slot_frac, qos.slot_debt, qos.abuse_enabled,
-     *   qos.abuse_windows, qos.abuse_consecutive,
+     *   qos.slots_per_window, qos.min_batch_slots, qos.defense,
      *   qos.abuse_cooldown_ns.
      * @throws FatalError on an unknown key under qos.
      */
@@ -169,11 +154,12 @@ class QosArbiter : public SimObject
     /** True while the abuse detector holds @p id throttled. */
     bool abuseThrottled(TenantId id);
 
-    /** Outstanding slot debt of @p id (0 unless slotDebt is on). */
+    /** Outstanding slot debt of @p id (0 unless the defense is
+     *  on). */
     std::uint64_t slotDebt(TenantId id) const;
 
     /** Abuse-detector health monitor of @p id (enabled only when
-     *  cfg.abuseEnabled; used for metrics and tests). */
+     *  cfg.defense; used for metrics and tests). */
     health::HealthMonitor &abuseMonitor(TenantId id);
 
     /** Attach a span tracer (null detaches): RFM slot steals then
@@ -219,13 +205,13 @@ class QosArbiter : public SimObject
         std::uint32_t grantedThisWindow = 0;
         /** slotQuota minus this window's debt repayment. */
         std::uint32_t quotaThisWindow = 0;
-        /** Outstanding RFM slot debt (slotDebt ledger). */
+        /** Outstanding RFM slot debt (the defense's ledger). */
         std::uint64_t debt = 0;
         /** RFM slot loss caused since the last abuse evaluation. */
         std::uint64_t rfmLossEval = 0;
         /** Consecutive evaluations this lane was flagged. */
         std::uint32_t flaggedStreak = 0;
-        /** Throttle/probation state machine (abuseEnabled only). */
+        /** Throttle/probation state machine (defense only). */
         health::HealthMonitor monitor;
         ArbiterLaneStats stats;
     };
@@ -246,8 +232,8 @@ class QosArbiter : public SimObject
     std::size_t latency_rr_ = 0;  ///< rotation among latency lanes
     std::size_t batch_rr_ = 0;    ///< rotation among batch lanes
     std::size_t reserved_rr_ = 0; ///< rotation for the reserved pass
-    /** Stolen slots not yet deducted from a window (with slotDebt
-     *  on, only unattributed steals land here). */
+    /** Stolen slots not yet deducted from a window (with the
+     *  defense on, only unattributed steals land here). */
     std::uint64_t pending_steal_ = 0;
     std::uint32_t windows_since_eval_ = 0;
     bool started_ = false;

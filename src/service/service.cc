@@ -171,7 +171,7 @@ FarMemoryService::registerTenantMetrics(TenantId id)
                      "driver re-submissions consumed");
     metrics_.counter(p + "faultedOps", &ts.faultedOps,
                      "swap ops that failed");
-    if (cfg_.arbiter.abuseEnabled) {
+    if (cfg_.arbiter.defense) {
         metrics_.counter(p + "abuseRejects", &ts.abuseRejects,
                          "swap-outs refused while throttled");
         metrics_.counter(p + "abuseDownTiers", &ts.abuseDownTiers,

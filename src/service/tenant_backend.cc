@@ -59,12 +59,6 @@ TenantBackend::submit(bool is_swap_out, sfm::VirtPage global_page,
 }
 
 void
-TenantBackend::swapOut(sfm::VirtPage page, sfm::SwapCallback done)
-{
-    swapOut(page, true, std::move(done));
-}
-
-void
 TenantBackend::swapOut(sfm::VirtPage page, bool allow_offload,
                        sfm::SwapCallback done)
 {

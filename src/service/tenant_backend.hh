@@ -71,9 +71,6 @@ class TenantBackend : public sfm::SfmBackend
         promotions_ = tracker;
     }
 
-    using SfmBackend::swapOut;  // keep the 2-arg convenience overload
-
-    void swapOut(sfm::VirtPage page, sfm::SwapCallback done) override;
     void swapOut(sfm::VirtPage page, bool allow_offload,
                  sfm::SwapCallback done) override;
     void swapIn(sfm::VirtPage page, bool allow_offload,

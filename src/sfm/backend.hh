@@ -158,28 +158,18 @@ class SfmBackend
     /**
      * Compress a Local page into the SFM region.
      *
+     * The multi-tenant service layer degrades over-quota tenants to
+     * the CPU path by forbidding offload. Backends without an
+     * offload engine ignore the flag.
+     *
      * @param page virtual page to demote; must be Local.
+     * @param allow_offload permit the NMA to perform the compression;
+     *        when false the CPU path is used unconditionally.
      * @param done invoked when the operation (including any
      *             write-back) completes or fails.
      */
-    virtual void swapOut(VirtPage page, SwapCallback done) = 0;
-
-    /**
-     * Compress a Local page, optionally forbidding NMA offload.
-     *
-     * The multi-tenant service layer degrades over-quota tenants to
-     * the CPU path this way. Backends without an offload engine
-     * ignore the flag (the default forwards to the plain overload).
-     *
-     * @param allow_offload permit the NMA to perform the compression;
-     *        when false the CPU path is used unconditionally.
-     */
-    virtual void
-    swapOut(VirtPage page, bool allow_offload, SwapCallback done)
-    {
-        (void)allow_offload;
-        swapOut(page, std::move(done));
-    }
+    virtual void swapOut(VirtPage page, bool allow_offload,
+                         SwapCallback done) = 0;
 
     /**
      * Decompress a Far page back into its local frame.

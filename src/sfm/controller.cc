@@ -60,7 +60,7 @@ SfmController::scan()
         ++stats_.swapOutsInitiated;
         ++initiated;
         inflight_.set(p);
-        backend_.swapOut(p, [this, p](const SwapOutcome &o) {
+        backend_.swapOut(p, true, [this, p](const SwapOutcome &o) {
             inflight_.clear(p);
             // Unchanged bytes would be refused again on every scan.
             if (o.rejected == RejectReason::Incompressible)

@@ -242,8 +242,10 @@ CpuSfmBackend::cpuSwapIn(VirtPage page, SwapCallback done)
 }
 
 void
-CpuSfmBackend::swapOut(VirtPage page, SwapCallback done)
+CpuSfmBackend::swapOut(VirtPage page, bool allow_offload,
+                       SwapCallback done)
 {
+    (void)allow_offload;  // the CPU baseline has nothing to offload
     cpuSwapOut(page, std::move(done));
 }
 

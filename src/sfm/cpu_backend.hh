@@ -58,8 +58,8 @@ class CpuSfmBackend : public SimObject, public SfmBackend
                   const CpuBackendConfig &cfg, dram::PhysMem &mem,
                   dram::MemCtrl *mem_ctrl = nullptr);
 
-    using SfmBackend::swapOut;  // keep the allow_offload overload
-    void swapOut(VirtPage page, SwapCallback done) override;
+    void swapOut(VirtPage page, bool allow_offload,
+                 SwapCallback done) override;
     void swapIn(VirtPage page, bool allow_offload,
                 SwapCallback done) override;
     PageState pageState(VirtPage page) const override;

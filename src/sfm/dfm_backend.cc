@@ -65,8 +65,10 @@ DfmBackend::transferPage(Tick &total, std::uint32_t &retries)
 }
 
 void
-DfmBackend::swapOut(VirtPage page, SwapCallback done)
+DfmBackend::swapOut(VirtPage page, bool allow_offload,
+                    SwapCallback done)
 {
+    (void)allow_offload;  // no accelerator on the DFM path
     XFM_ASSERT(page < cfg_.localPages, "page out of range");
     if (entries_.count(page))
         fatal("swapOut: page ", page, " already in far memory");

@@ -61,8 +61,8 @@ class DfmBackend : public SimObject, public SfmBackend
     DfmBackend(std::string name, EventQueue &eq,
                const DfmBackendConfig &cfg, dram::PhysMem &mem);
 
-    using SfmBackend::swapOut;  // keep the allow_offload overload
-    void swapOut(VirtPage page, SwapCallback done) override;
+    void swapOut(VirtPage page, bool allow_offload,
+                 SwapCallback done) override;
     void swapIn(VirtPage page, bool allow_offload,
                 SwapCallback done) override;
     PageState pageState(VirtPage page) const override;

@@ -8,6 +8,16 @@ namespace xfm
 {
 namespace sfm
 {
+namespace
+{
+
+/** Multiplicative reclaim-batch backoff when over the pressure
+ *  target. */
+constexpr double reclaimBackoff = 0.5;
+/** Additive reclaim-batch probe when under the pressure target. */
+constexpr std::size_t reclaimProbe = 4;
+
+} // namespace
 
 SenpaiController::SenpaiController(std::string name, EventQueue &eq,
                                    const SenpaiConfig &cfg,
@@ -18,8 +28,6 @@ SenpaiController::SenpaiController(std::string name, EventQueue &eq,
       inflight_(num_pages, false)
 {
     XFM_ASSERT(num_pages_ > 0, "need at least one page");
-    XFM_ASSERT(cfg_.minReclaim <= cfg_.maxReclaim,
-               "reclaim bounds inverted");
 }
 
 void
@@ -44,15 +52,13 @@ SenpaiController::tick()
 
     if (faults_per_sec > cfg_.targetFaultsPerSec) {
         // Over target: back off reclaim multiplicatively.
-        reclaim_ = std::max<std::size_t>(
-            cfg_.minReclaim,
-            static_cast<std::size_t>(
-                static_cast<double>(reclaim_) * cfg_.backoffFactor));
+        reclaim_ = static_cast<std::size_t>(
+            static_cast<double>(reclaim_) * reclaimBackoff);
         ++stats_.backoffs;
     } else {
         // Under target: probe more aggressively (additive).
         reclaim_ = std::min<std::size_t>(cfg_.maxReclaim,
-                                         reclaim_ + cfg_.probeStep);
+                                         reclaim_ + reclaimProbe);
         ++stats_.probes;
     }
     stats_.reclaimRate.sample(static_cast<double>(reclaim_));
@@ -68,7 +74,7 @@ SenpaiController::tick()
             continue;
         inflight_[p] = true;
         ++done;
-        backend_.swapOut(p, [this, p](const SwapOutcome &) {
+        backend_.swapOut(p, true, [this, p](const SwapOutcome &) {
             inflight_[p] = false;
         });
     }

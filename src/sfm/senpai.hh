@@ -32,13 +32,8 @@ struct SenpaiConfig
     double targetFaultsPerSec = 50.0;
     /** Initial reclaim rate (pages per interval). */
     std::size_t initialReclaim = 8;
-    /** Bounds on the per-interval reclaim batch. */
-    std::size_t minReclaim = 0;
+    /** Upper bound on the per-interval reclaim batch. */
     std::size_t maxReclaim = 512;
-    /** Multiplicative backoff when over pressure target. */
-    double backoffFactor = 0.5;
-    /** Additive probe when under pressure target. */
-    std::size_t probeStep = 4;
 };
 
 /** Controller statistics. */

@@ -260,8 +260,8 @@ TierManager::spillLeg(VirtPage page, Tier from, std::uint32_t freed,
     // authoritative bytes while the page sits in DFM.
     spill_->writeLocalPage(page, primary_.readLocalPage(page));
     spill_->swapOut(
-        page, [this, page, from, freed, internal,
-               done = std::move(done)](const SwapOutcome &o) {
+        page, true, [this, page, from, freed, internal,
+                     done = std::move(done)](const SwapOutcome &o) {
             busy_[page] = 0;
             if (!internal) {
                 ++stats_.swapOuts;
@@ -286,12 +286,6 @@ TierManager::spillLeg(VirtPage page, Tier from, std::uint32_t freed,
             if (done)
                 done(out);
         });
-}
-
-void
-TierManager::swapOut(VirtPage page, SwapCallback done)
-{
-    swapOut(page, true, std::move(done));
 }
 
 void

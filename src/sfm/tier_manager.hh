@@ -172,8 +172,6 @@ class TierManager : public SimObject, public SfmBackend
     void start();
 
     // SfmBackend interface -------------------------------------------
-    using SfmBackend::swapOut;  // keep the 2-arg convenience overload
-    void swapOut(VirtPage page, SwapCallback done) override;
     void swapOut(VirtPage page, bool allow_offload,
                  SwapCallback done) override;
     void swapIn(VirtPage page, bool allow_offload,

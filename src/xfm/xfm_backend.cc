@@ -492,12 +492,6 @@ XfmBackend::completeCpuLeg(PendingOp &op, const SwapOutcome &outcome)
 // ------------------------------------------------------------- offloads
 
 void
-XfmBackend::swapOut(VirtPage page, SwapCallback done)
-{
-    swapOut(page, true, std::move(done));
-}
-
-void
 XfmBackend::swapOut(VirtPage page, bool allow_offload,
                     SwapCallback done)
 {

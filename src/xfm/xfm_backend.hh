@@ -203,7 +203,6 @@ class XfmBackend : public SimObject, public sfm::SfmBackend
                dram::MemCtrl *host_ctrl = nullptr);
 
     // SfmBackend interface -------------------------------------------
-    void swapOut(sfm::VirtPage page, sfm::SwapCallback done) override;
     void swapOut(sfm::VirtPage page, bool allow_offload,
                  sfm::SwapCallback done) override;
     void swapIn(sfm::VirtPage page, bool allow_offload,

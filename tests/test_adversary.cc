@@ -64,11 +64,7 @@ adversarialConfig(bool defense)
     dev.refreshMode = dram::RefreshMode::RefPb;
     dev.rfmRaaimt = 32;
     if (defense) {
-        cfg.arbiter.reservedSlotFrac = 0.25;
-        cfg.arbiter.slotDebt = true;
-        cfg.arbiter.abuseEnabled = true;
-        cfg.arbiter.abuseWindows = 16;
-        cfg.arbiter.abuseConsecutive = 2;
+        cfg.arbiter.defense = true;
         // Longer than any test run: one throttle decision sticks.
         cfg.arbiter.abuseCooldown = milliseconds(10.0);
     }
@@ -191,7 +187,7 @@ runStarver(bool attack, bool defense, std::size_t workers = 1)
                       testutil::corpusPage(
                           compress::CorpusKind::EnglishText, 99));
         svc.tenantBackend(starver.tenantId())
-            .swapOut(0, sfm::SwapCallback{});
+            .swapOut(0, true, sfm::SwapCallback{});
         eq.run(eq.now() + microseconds(10.0));
     }
     r.abuseRejects =
@@ -287,10 +283,7 @@ runCovert(bool defense)
     ServiceConfig cfg = testutil::testServiceConfig();
     cfg.system.dimmMem.rank.device.rfmRaaimt = 32;
     if (defense) {
-        cfg.arbiter.reservedSlotFrac = 0.25;
-        cfg.arbiter.slotDebt = true;
-        cfg.arbiter.abuseEnabled = true;
-        cfg.arbiter.abuseWindows = 16;
+        cfg.arbiter.defense = true;
         cfg.arbiter.abuseCooldown = milliseconds(10.0);
     }
     FarMemoryService svc("svc", eq, cfg);

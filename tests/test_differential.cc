@@ -336,7 +336,7 @@ runAudit(compress::Algorithm alg, const Labels &labels)
     for (VirtPage p = 0; p < numPages; ++p)
         for (std::size_t i = 0; i < systems.size(); ++i)
             systems[i]->backend().swapOut(
-                p, [&, i, p](const SwapOutcome &o) {
+                p, true, [&, i, p](const SwapOutcome &o) {
                     far[i][p] = o.success;
                     ++fired;
                 });

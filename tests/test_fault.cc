@@ -2,9 +2,10 @@
  * @file
  * Tests for the deterministic fault-injection subsystem: plan
  * parsing, injector determinism and trigger semantics, the retry
- * policy, and the injection sites threaded through the ECC store,
- * the SPM, the driver (doorbell loss + retry/backoff), the NMA
- * engine (stall), and the backend's poisoned-page quarantine.
+ * policy, and the injection sites threaded through the SPM, the
+ * driver (doorbell loss + retry/backoff), the NMA engine (stall),
+ * and the backend's swap-in ECC sites with their poisoned-page
+ * quarantine.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "dram/ecc.hh"
 #include "fault/fault.hh"
 #include "nma/spm.hh"
 #include "obs/tracer.hh"
@@ -190,69 +190,6 @@ TEST(FaultInjector, UnarmedSitesCostNoEvaluations)
     EXPECT_TRUE(inj.shouldInject(FaultSite::EngineStall));
 }
 
-// ------------------------------------------------------------ ECC site
-
-class EccFaultTest : public ::testing::Test
-{
-  protected:
-    EccFaultTest() : mem_(mib(1)), store_(mem_, kib(512), kib(256)) {}
-
-    dram::PhysMem mem_;
-    dram::EccStore store_;
-};
-
-TEST_F(EccFaultTest, InjectedCorrectableErrorIsScrubbed)
-{
-    FaultPlan plan;
-    plan.site(FaultSite::EccCorrectable).oneShotAt = 1;
-    FaultInjector inj(plan);
-    store_.setFaultInjector(&inj);
-
-    const Bytes data{1, 2, 3, 4, 5, 6, 7, 8};
-    store_.write(64, data);
-    EXPECT_EQ(store_.read(64, 8), data);
-    EXPECT_EQ(store_.stats().correctedErrors, 1u);
-    EXPECT_EQ(store_.stats().uncorrectableErrors, 0u);
-    // The flip hit the in-DRAM copy only at check time; a re-read
-    // with the one-shot spent is clean.
-    store_.setFaultInjector(nullptr);
-    EXPECT_EQ(store_.read(64, 8), data);
-}
-
-TEST_F(EccFaultTest, UncorrectableWithoutHandlerIsFatal)
-{
-    FaultPlan plan;
-    plan.site(FaultSite::EccUncorrectable).oneShotAt = 1;
-    FaultInjector inj(plan);
-    store_.setFaultInjector(&inj);
-
-    store_.write(0, Bytes(8, 0xAB));
-    EXPECT_THROW(store_.read(0, 8), FatalError);
-}
-
-TEST_F(EccFaultTest, UncorrectableWithHandlerPoisonsWord)
-{
-    FaultPlan plan;
-    plan.site(FaultSite::EccUncorrectable).oneShotAt = 1;
-    FaultInjector inj(plan);
-    store_.setFaultInjector(&inj);
-
-    std::uint64_t poisoned_addr = ~0ull;
-    store_.setPoisonHandler(
-        [&](std::uint64_t addr) { poisoned_addr = addr; });
-
-    store_.write(128, Bytes(16, 0xCD));
-    store_.read(128, 16);  // corrupt data returned, no throw
-    EXPECT_EQ(poisoned_addr, 128u);
-    EXPECT_TRUE(store_.isPoisoned(128, 8));
-    EXPECT_FALSE(store_.isPoisoned(136, 8));
-    EXPECT_EQ(store_.poisonedWords(), 1u);
-    EXPECT_EQ(store_.stats().uncorrectableErrors, 1u);
-
-    store_.clearPoison(128);
-    EXPECT_FALSE(store_.isPoisoned(128, 8));
-}
-
 // ------------------------------------------------------------ SPM site
 
 TEST(SpmFault, InjectedReserveFailure)
@@ -315,7 +252,7 @@ class BackendFaultTest : public ::testing::Test
     {
         SwapOutcome out;
         backend_->writePage(p, pageContent(p));
-        backend_->swapOut(p, [&](const SwapOutcome &o) { out = o; });
+        backend_->swapOut(p, true, [&](const SwapOutcome &o) { out = o; });
         eq_.run(eq_.now() + seconds(0.2));
         return out;
     }
@@ -398,7 +335,7 @@ TEST_F(BackendFaultTest, ExhaustedDoorbellBatchRedoesShardsOnCpu)
     std::vector<SwapOutcome> outs(pages);
     for (sfm::VirtPage p = 0; p < pages; ++p) {
         backend_->writePage(p, pageContent(p));
-        backend_->swapOut(p, [&outs, p](const SwapOutcome &o) {
+        backend_->swapOut(p, true, [&outs, p](const SwapOutcome &o) {
             outs[p] = o;
         });
     }

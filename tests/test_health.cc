@@ -286,7 +286,7 @@ class BackendHealthTest : public ::testing::Test
     {
         SwapOutcome out;
         backend_->writePage(p, pageContent(p));
-        backend_->swapOut(p, [&](const SwapOutcome &o) { out = o; });
+        backend_->swapOut(p, true, [&](const SwapOutcome &o) { out = o; });
         eq_.run(eq_.now() + seconds(0.2));
         return out;
     }
@@ -464,7 +464,7 @@ TEST_F(BackendHealthTest, WatchdogFiresStuckOffload)
     redos = backend_->xfmStats().watchdogShardRedos;
     for (VirtPage p = 10; p < 42; ++p) {
         backend_->writePage(p, pageContent(p));
-        backend_->swapOut(p, [](const SwapOutcome &) {});
+        backend_->swapOut(p, true, [](const SwapOutcome &) {});
     }
     eq_.run(eq_.now() + seconds(0.2));
     EXPECT_GT(backend_->xfmStats().watchdogShardRedos, redos);

@@ -13,7 +13,6 @@
 #include "common/random.hh"
 #include "compress/corpus.hh"
 #include "dram/address_map.hh"
-#include "dram/ecc.hh"
 #include "dram/phys_mem.hh"
 #include "dram/refresh.hh"
 #include "nma/engine.hh"
@@ -546,69 +545,6 @@ TEST_F(XfmDeviceTest, WindowCounterAdvances)
     auto &dev = makeDevice();
     eq_.run(10 * cfg_.rank.device.tREFI());
     EXPECT_GE(dev.stats().windows, 10u);
-}
-
-} // namespace
-} // namespace nma
-} // namespace xfm
-
-namespace xfm
-{
-namespace nma
-{
-namespace
-{
-
-/** Paper Sec. 4.1: the NMA regenerates side-band ECC parity when
- *  writing back, so a later ECC-checked read verifies cleanly. */
-TEST_F(XfmDeviceTest, WritebackMaintainsSidebandEccParity)
-{
-    XfmDeviceConfig dcfg;
-    dcfg.eccParityBase = gib(16);  // parity region above the data
-    auto &dev = makeDevice(dcfg);
-
-    const Bytes page =
-        compress::generateCorpus(compress::CorpusKind::Json, 21,
-                                 4096);
-    mem_.write(rowAddr(3), page);  // row 3: first refresh window
-
-    bool written = false;
-    host_->onComplete = [&](const OffloadCompletion &c) {
-        dev.commitWriteback(c.id, rowAddr(17));  // window 1 rows
-    };
-    host_->onWriteback = [&](OffloadId, Tick) { written = true; };
-
-    OffloadRequest req;
-    req.kind = OffloadKind::Compress;
-    req.srcAddr = rowAddr(3);
-    req.size = 4096;
-    host_->submit(req);
-    eq_.run(cfg_.rank.device.retention);
-    ASSERT_TRUE(written);
-    EXPECT_GT(dev.stats().eccParityBytesWritten, 0u);
-
-    // An ECC-checked read over the written range must verify: wrap
-    // the same PhysMem in an EccStore bound to the same parity base.
-    dram::EccStore store(mem_, gib(16), gib(16));
-    const std::uint64_t dst = rowAddr(17) & ~std::uint64_t(7);
-    EXPECT_NO_THROW(store.read(dst, 512));
-    EXPECT_EQ(store.stats().correctedErrors, 0u);
-}
-
-TEST_F(XfmDeviceTest, EccDisabledWritesNoParity)
-{
-    auto &dev = makeDevice();  // eccParityBase = 0
-    mem_.write(rowAddr(3), Bytes(4096, 0x5A));
-    host_->onComplete = [&](const OffloadCompletion &c) {
-        dev.commitWriteback(c.id, rowAddr(17));
-    };
-    OffloadRequest req;
-    req.kind = OffloadKind::Compress;
-    req.srcAddr = rowAddr(3);
-    req.size = 4096;
-    host_->submit(req);
-    eq_.run(cfg_.rank.device.retention);
-    EXPECT_EQ(dev.stats().eccParityBytesWritten, 0u);
 }
 
 } // namespace

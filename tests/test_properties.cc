@@ -14,7 +14,6 @@
 
 #include "common/random.hh"
 #include "dram/address_map.hh"
-#include "dram/ecc.hh"
 #include "dram/phys_mem.hh"
 #include "sfm/zpool.hh"
 #include "sim/event_queue.hh"
@@ -284,33 +283,6 @@ TEST(PropertyPhysMem, FuzzAgainstShadowBuffer)
                                 + static_cast<long>(addr + len)));
         }
     }
-}
-
-// ------------------------------------------------------ ecc fuzz
-
-TEST(PropertyEcc, RandomSingleFlipsAlwaysRecovered)
-{
-    dram::PhysMem mem(mib(4));
-    dram::EccStore store(mem, mib(2), mib(1));
-    Rng rng(23);
-
-    Bytes data(256);
-    for (auto &b : data)
-        b = static_cast<std::uint8_t>(rng.next());
-    store.write(0, data);
-
-    for (int trial = 0; trial < 300; ++trial) {
-        const std::uint64_t word = rng.uniformInt(32) * 8;
-        if (rng.chance(0.8))
-            store.injectDataError(word, static_cast<unsigned>(
-                                            rng.uniformInt(64)));
-        else
-            store.injectParityError(word, static_cast<unsigned>(
-                                              rng.uniformInt(8)));
-        ASSERT_EQ(store.read(0, 256), data) << "trial " << trial;
-    }
-    EXPECT_EQ(store.stats().uncorrectableErrors, 0u);
-    EXPECT_EQ(store.stats().correctedErrors, 300u);
 }
 
 } // namespace

@@ -191,6 +191,47 @@ TEST_F(ArbiterTest, PerTenantSlotQuotaThrottles)
     EXPECT_GT(arb_->queued(0), 0u);
 }
 
+TEST(QosArbiterConfig, DefenseKeyArmsAllThreeParts)
+{
+    EXPECT_FALSE(
+        QosArbiterConfig::fromConfig(Config::parseString("")).defense);
+    QosArbiterConfig cfg = QosArbiterConfig::fromConfig(
+        Config::parseString("qos.defense = 1\n"));
+    ASSERT_TRUE(cfg.defense);
+
+    cfg.window = microseconds(1.0);
+    EventQueue eq;
+    QosArbiter arb("arb", eq, cfg);
+    arb.addTenant(0, PriorityClass::Batch, 1, 4);
+    arb.addTenant(1, PriorityClass::Batch, 1, 4);
+    // The slot-debt ledger charges an attributed RFM steal to its
+    // culprit instead of the shared window.
+    arb.noteRfmSteal(2, 1);
+    EXPECT_EQ(arb.slotDebt(1), 2u);
+    std::uint64_t done = 0;
+    for (int i = 0; i < 200; ++i)
+        arb.enqueue(0, [&done] { ++done; });
+    arb.start();
+    eq.run(cfg.window * 40);
+    EXPECT_GT(done, 0u);
+    // Hard slot isolation grants slots in its reserved pass, and the
+    // abuse detector evaluates the lanes.
+    EXPECT_GT(arb.stats().reservedGrants, 0u);
+    EXPECT_GT(arb.stats().abuseEvals, 0u);
+
+    // The keys of the parts are gone: one is refused by name.
+    try {
+        QosArbiterConfig::fromConfig(
+            Config::parseString("qos.slot_debt = 1\n"));
+        ADD_FAILURE() << "qos.slot_debt was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unknown config key 'qos.slot_debt'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 // ------------------------------------------------- service end-to-end
 
 class ServiceTest : public ::testing::Test
@@ -236,7 +277,7 @@ class ServiceTest : public ::testing::Test
     swapOutPages(TenantId id, VirtPage n)
     {
         for (VirtPage p = 0; p < n; ++p)
-            svc_->tenantBackend(id).swapOut(p, SwapCallback{});
+            svc_->tenantBackend(id).swapOut(p, true, SwapCallback{});
         eq_.run(eq_.now() + milliseconds(5.0));
     }
 
@@ -328,9 +369,9 @@ TEST_F(ServiceTest, BatchPartitionCapSparesLatencyOffloads)
     const Tick start = eq_.now();
     Tick lat_done = 0;
     for (VirtPage p = 0; p < tenantPages; ++p) {
-        svc_->tenantBackend(b).swapOut(p, SwapCallback{});
+        svc_->tenantBackend(b).swapOut(p, true, SwapCallback{});
         if (p < 4)
-            svc_->tenantBackend(l).swapOut(p, [&](const SwapOutcome &o) {
+            svc_->tenantBackend(l).swapOut(p, true, [&](const SwapOutcome &o) {
                 lat_done = std::max(lat_done, o.completed);
             });
     }
@@ -391,8 +432,8 @@ TEST_F(ServiceTest, TenantsKeepDataIntactAcrossSharedBackend)
     // Interleave both tenants' demotions of the same shard-local
     // page numbers through the one shared backend.
     for (VirtPage p = 0; p < 4; ++p) {
-        svc_->tenantBackend(a).swapOut(p, SwapCallback{});
-        svc_->tenantBackend(b).swapOut(p, SwapCallback{});
+        svc_->tenantBackend(a).swapOut(p, true, SwapCallback{});
+        svc_->tenantBackend(b).swapOut(p, true, SwapCallback{});
     }
     eq_.run(eq_.now() + milliseconds(5.0));
     for (VirtPage p = 0; p < 4; ++p) {

@@ -185,7 +185,7 @@ TEST_F(CpuBackendTest, SwapOutThenInPreservesData)
 {
     loadPage(3);
     SwapOutcome out_result;
-    backend_->swapOut(3, [&](const SwapOutcome &o) { out_result = o; });
+    backend_->swapOut(3, true, [&](const SwapOutcome &o) { out_result = o; });
     eq_.run();
     EXPECT_TRUE(out_result.success);
     EXPECT_TRUE(out_result.usedCpu);
@@ -210,7 +210,7 @@ TEST_F(CpuBackendTest, SwapLatencyMatchesCycleModel)
 {
     loadPage(0);
     Tick done_at = 0;
-    backend_->swapOut(0, [&](const SwapOutcome &o) {
+    backend_->swapOut(0, true, [&](const SwapOutcome &o) {
         done_at = o.completed;
     });
     eq_.run();
@@ -223,8 +223,8 @@ TEST_F(CpuBackendTest, CpuCyclesAccumulate)
 {
     loadPage(0);
     loadPage(1);
-    backend_->swapOut(0, nullptr);
-    backend_->swapOut(1, nullptr);
+    backend_->swapOut(0, true, nullptr);
+    backend_->swapOut(1, true, nullptr);
     eq_.run();
     // Two pages at 14 cycles/byte.
     EXPECT_EQ(backend_->stats().cpuCycles,
@@ -241,7 +241,7 @@ TEST_F(CpuBackendTest, RejectsWhenSfmRegionFull)
         for (auto &b : noise)
             b = static_cast<std::uint8_t>(rng.next());
         mem_.write(backend_->frameAddr(p), noise);
-        backend_->swapOut(p, [&](const SwapOutcome &o) {
+        backend_->swapOut(p, true, [&](const SwapOutcome &o) {
             if (!o.success)
                 ++rejected;
         });
@@ -255,9 +255,9 @@ TEST_F(CpuBackendTest, RejectsWhenSfmRegionFull)
 TEST_F(CpuBackendTest, DoubleSwapOutIsFatal)
 {
     loadPage(5);
-    backend_->swapOut(5, nullptr);
+    backend_->swapOut(5, true, nullptr);
     eq_.run();
-    EXPECT_THROW(backend_->swapOut(5, nullptr), FatalError);
+    EXPECT_THROW(backend_->swapOut(5, true, nullptr), FatalError);
 }
 
 TEST_F(CpuBackendTest, SwapInOfLocalPageIsFatal)
@@ -268,7 +268,7 @@ TEST_F(CpuBackendTest, SwapInOfLocalPageIsFatal)
 TEST_F(CpuBackendTest, StoredBytesTrackPool)
 {
     loadPage(2);
-    backend_->swapOut(2, nullptr);
+    backend_->swapOut(2, true, nullptr);
     eq_.run();
     EXPECT_EQ(backend_->storedCompressedBytes(),
               backend_->pool().usedBytes());
@@ -408,7 +408,7 @@ TEST_F(CpuBackendTest, SameFilledPageStoredAsMarker)
 {
     mem_.fill(backend_->frameAddr(9), pageBytes, 0x00);  // zero page
     SwapOutcome out;
-    backend_->swapOut(9, [&](const SwapOutcome &o) { out = o; });
+    backend_->swapOut(9, true, [&](const SwapOutcome &o) { out = o; });
     eq_.run();
     EXPECT_TRUE(out.success);
     EXPECT_EQ(out.compressedSize, 8u);
@@ -432,7 +432,7 @@ TEST_F(CpuBackendTest, NonZeroFillPatternRoundTrips)
     for (std::size_t off = 0; off < pageBytes; off += 8)
         std::memcpy(pattern.data() + off, &word, 8);
     mem_.write(backend_->frameAddr(10), pattern);
-    backend_->swapOut(10, nullptr);
+    backend_->swapOut(10, true, nullptr);
     eq_.run();
     EXPECT_EQ(backend_->stats().sameFilledPages, 1u);
     backend_->swapIn(10, false, nullptr);
@@ -561,7 +561,7 @@ TEST_F(DfmBackendTest, SwapRoundTripPreservesData)
     const Bytes page = compress::generateCorpus(
         compress::CorpusKind::Html, 1, pageBytes);
     mem_.write(backend_->frameAddr(2), page);
-    backend_->swapOut(2, nullptr);
+    backend_->swapOut(2, true, nullptr);
     eq_.run();
     EXPECT_EQ(backend_->pageState(2), PageState::Far);
     mem_.fill(backend_->frameAddr(2), pageBytes, 0xEE);
@@ -573,7 +573,7 @@ TEST_F(DfmBackendTest, SwapRoundTripPreservesData)
 TEST_F(DfmBackendTest, LatencyIsLinkBound)
 {
     mem_.write(backend_->frameAddr(0), Bytes(pageBytes, 1));
-    backend_->swapOut(0, nullptr);
+    backend_->swapOut(0, true, nullptr);
     eq_.run();
     Tick start = eq_.now();
     Tick done = 0;
@@ -591,7 +591,7 @@ TEST_F(DfmBackendTest, StaticPoolRejectsWhenFull)
     int rejected = 0;
     for (VirtPage p = 0; p < 20; ++p) {
         mem_.write(backend_->frameAddr(p), Bytes(pageBytes, 2));
-        backend_->swapOut(p, [&](const SwapOutcome &o) {
+        backend_->swapOut(p, true, [&](const SwapOutcome &o) {
             if (!o.success)
                 ++rejected;
         });
@@ -608,7 +608,7 @@ TEST_F(DfmBackendTest, StaticPoolRejectsWhenFull)
 TEST_F(DfmBackendTest, StoresUncompressed)
 {
     mem_.write(backend_->frameAddr(5), Bytes(pageBytes, 0));  // zeros!
-    backend_->swapOut(5, nullptr);
+    backend_->swapOut(5, true, nullptr);
     eq_.run();
     // Even a zero page occupies a full uncompressed slot.
     EXPECT_EQ(backend_->storedCompressedBytes(), pageBytes);

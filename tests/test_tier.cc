@@ -86,7 +86,7 @@ struct CpuTierRig
     {
         SwapOutcome r;
         bool fired = false;
-        tiers.swapOut(p, [&](const SwapOutcome &o) {
+        tiers.swapOut(p, true, [&](const SwapOutcome &o) {
             r = o;
             fired = true;
         });
@@ -286,10 +286,10 @@ TEST(TierManager, BusyReentryRejected)
     // touching the tier map.
     bool first_ok = false;
     SwapOutcome second;
-    rig.tiers.swapOut(0, [&](const SwapOutcome &o) {
+    rig.tiers.swapOut(0, true, [&](const SwapOutcome &o) {
         first_ok = o.success;
     });
-    rig.tiers.swapOut(0, [&](const SwapOutcome &o) { second = o; });
+    rig.tiers.swapOut(0, true, [&](const SwapOutcome &o) { second = o; });
     EXPECT_FALSE(second.success);
     EXPECT_EQ(second.rejected, RejectReason::Busy);
 
@@ -330,7 +330,7 @@ TEST(TierManager, QuarantineReclaimKeepsTierCoherent)
     for (VirtPage p = 0; p < 2; ++p) {
         tiers.writeLocalPage(p, pageFor(p));
         bool ok = false;
-        tiers.swapOut(p,
+        tiers.swapOut(p, true,
                       [&ok](const SwapOutcome &o) { ok = o.success; });
         eq.run(eq.now() + milliseconds(1.0));
         ASSERT_TRUE(ok);
@@ -363,7 +363,7 @@ TEST(TierManager, QuarantineReclaimKeepsTierCoherent)
     // and it can demote again without tripping a state assert.
     EXPECT_EQ(tiers.readLocalPage(0), pageFor(0));
     bool ok = false;
-    tiers.swapOut(0,
+    tiers.swapOut(0, true,
                   [&ok](const SwapOutcome &o) { ok = o.success; });
     eq.run(eq.now() + milliseconds(1.0));
     EXPECT_TRUE(ok);

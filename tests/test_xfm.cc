@@ -200,7 +200,7 @@ TEST_F(XfmBackendTest, OffloadedSwapOutAndIn)
     backend_->writePage(2, page);
 
     SwapOutcome out;
-    backend_->swapOut(2, [&](const SwapOutcome &o) { out = o; });
+    backend_->swapOut(2, true, [&](const SwapOutcome &o) { out = o; });
     eq_.run(seconds(0.1));
     EXPECT_TRUE(out.success);
     EXPECT_FALSE(out.usedCpu);
@@ -226,7 +226,7 @@ TEST_F(XfmBackendTest, DemandSwapInUsesCpu)
     makeBackend();
     const Bytes page = pageContent(3);
     backend_->writePage(3, page);
-    backend_->swapOut(3, nullptr);
+    backend_->swapOut(3, true, nullptr);
     eq_.run(seconds(0.1));
     ASSERT_EQ(backend_->pageState(3), PageState::Far);
 
@@ -245,7 +245,7 @@ TEST_F(XfmBackendTest, FragmentationFromSameOffsetPlacement)
     // Pages whose shards compress very differently maximise padding.
     for (VirtPage p = 0; p < 8; ++p) {
         backend_->writePage(p, pageContent(p));
-        backend_->swapOut(p, nullptr);
+        backend_->swapOut(p, true, nullptr);
     }
     eq_.run(seconds(0.2));
     EXPECT_GT(backend_->fragmentationBytes(), 0u);
@@ -260,7 +260,7 @@ TEST_F(XfmBackendTest, CapacityExhaustionFallsBackToCpu)
     // Burst of swap-outs exceeds SPM + queue; extras run on the CPU.
     for (VirtPage p = 0; p < 8; ++p) {
         backend_->writePage(p, pageContent(p));
-        backend_->swapOut(p, nullptr);
+        backend_->swapOut(p, true, nullptr);
     }
     eq_.run(seconds(0.2));
     EXPECT_GT(backend_->xfmStats().fallbackCapacity, 0u);
@@ -272,9 +272,9 @@ TEST_F(XfmBackendTest, BusyPageRejectsSecondOperation)
 {
     makeBackend();
     backend_->writePage(5, pageContent(5));
-    backend_->swapOut(5, nullptr);
+    backend_->swapOut(5, true, nullptr);
     SwapOutcome second;
-    backend_->swapOut(5, [&](const SwapOutcome &o) { second = o; });
+    backend_->swapOut(5, true, [&](const SwapOutcome &o) { second = o; });
     EXPECT_FALSE(second.success);
     eq_.run(seconds(0.1));
     EXPECT_EQ(backend_->farPageCount(), 1u);
@@ -287,7 +287,7 @@ TEST_F(XfmBackendTest, CompactPreservesData)
     for (VirtPage p = 0; p < 12; ++p) {
         pages.push_back(pageContent(p));
         backend_->writePage(p, pages.back());
-        backend_->swapOut(p, nullptr);
+        backend_->swapOut(p, true, nullptr);
     }
     eq_.run(seconds(0.2));
     // Promote some pages to punch holes, then compact.
@@ -310,7 +310,7 @@ TEST_F(XfmBackendTest, LazyAccountingAvoidsMmioReads)
     makeBackend();
     for (VirtPage p = 0; p < 32; ++p) {
         backend_->writePage(p, pageContent(p));
-        backend_->swapOut(p, nullptr);
+        backend_->swapOut(p, true, nullptr);
         eq_.run(eq_.now() + milliseconds(2.0));
     }
     // With a 2 MiB SPM and paced submissions the lazy bound never
@@ -325,7 +325,7 @@ TEST_F(XfmBackendTest, MinOffloadLatencyTwoRefreshIntervals)
     makeBackend();
     backend_->writePage(6, pageContent(6));
     Tick done_at = 0;
-    backend_->swapOut(6, [&](const SwapOutcome &o) {
+    backend_->swapOut(6, true, [&](const SwapOutcome &o) {
         done_at = o.completed;
     });
     eq_.run(seconds(0.1));
@@ -576,7 +576,7 @@ TEST_F(XfmBackendTest, FuzzAgainstShadowContents)
             const VirtPage p = rng.uniformInt(64);
             if (!far.count(p)
                 && backend_->pageState(p) == PageState::Local) {
-                backend_->swapOut(p, nullptr);
+                backend_->swapOut(p, true, nullptr);
                 far.insert(p);
             }
         } else if (dice < 0.80) {
@@ -630,7 +630,7 @@ TEST_F(XfmBackendTest, LargeSparseRegionWorks)
     for (VirtPage p = 0; p < 32; ++p) {
         pages.push_back(pageContent(p));
         backend_->writePage(p, pages.back());
-        backend_->swapOut(p, nullptr);
+        backend_->swapOut(p, true, nullptr);
     }
     eq_.run(seconds(0.2));
     EXPECT_EQ(backend_->farPageCount(), 32u);

@@ -317,7 +317,7 @@ checkAbuse(const std::string &path)
     }
     if (monitors == 0)
         return fail(path, "no abuse-monitor state leaves found "
-                          "(was qos.abuse_enabled set?)");
+                          "(was qos.defense set?)");
     if (escalations < 1.0)
         return fail(path, "abuse detector never escalated "
                           "(attack not detected?)");
