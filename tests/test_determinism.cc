@@ -413,13 +413,13 @@ TEST(Determinism, GoldenHashes)
     // is meant to alter simulated behaviour or the block format.
     const RunResult d1 = runSystem(7, "xfm.sq_depth = 1\n");
     const RunResult d8 = runSystem(7, ring8);
-    EXPECT_EQ(fnv1a(d1.stats), 1978446287086559044ull);
-    EXPECT_EQ(fnv1a(d1.json), 5706955265475681994ull);
+    EXPECT_EQ(fnv1a(d1.stats), 13467544213567124426ull);
+    EXPECT_EQ(fnv1a(d1.json), 7898403774202052332ull);
     EXPECT_EQ(fnv1a(d1.trace), 10183888145436731143ull);
-    EXPECT_EQ(fnv1a(d8.stats), 3438280620338959114ull);
-    EXPECT_EQ(fnv1a(d8.json), 8690636360194789194ull);
+    EXPECT_EQ(fnv1a(d8.stats), 15386274913883847584ull);
+    EXPECT_EQ(fnv1a(d8.json), 10000132142344704942ull);
     EXPECT_EQ(fnv1a(d8.trace), 5063554244026298080ull);
-    EXPECT_EQ(fnv1a(fleetSnapshot()), 8404750613485869870ull);
+    EXPECT_EQ(fnv1a(fleetSnapshot()), 11454985887657889496ull);
     EXPECT_EQ(codecHash(compress::Algorithm::LzFast),
               18114446391647626256ull);
     EXPECT_EQ(codecHash(compress::Algorithm::Deflate),
@@ -435,11 +435,11 @@ TEST(Determinism, GoldenHashes)
     const RunResult dict = runSystem(7, dicts + ring8);
     EXPECT_GT(hy.snap.u64("sys.backend.shardCpuFallbacks"), 0u);
     EXPECT_GT(dict.snap.u64("sys.backend.dictShards"), 0u);
-    EXPECT_EQ(fnv1a(hy.stats), 3845964500775929036ull);
-    EXPECT_EQ(fnv1a(hy.json), 9008138076563087873ull);
+    EXPECT_EQ(fnv1a(hy.stats), 13030632658617390652ull);
+    EXPECT_EQ(fnv1a(hy.json), 8060588463417427391ull);
     EXPECT_EQ(fnv1a(hy.trace), 2974187081404863087ull);
-    EXPECT_EQ(fnv1a(dict.stats), 3418390688988235107ull);
-    EXPECT_EQ(fnv1a(dict.json), 6955202110711745560ull);
+    EXPECT_EQ(fnv1a(dict.stats), 1400828671653749133ull);
+    EXPECT_EQ(fnv1a(dict.json), 3492529493050691590ull);
     EXPECT_EQ(fnv1a(dict.trace), 5063554244026298080ull);
 }
 
@@ -564,17 +564,17 @@ TEST(Determinism, WindowModelGoldenHashes)
     const RunResult loop = runSwapLoop();
     EXPECT_GT(dimmSum(loop.snap, "subarrayConflictRetries"), 0u);
 
-    EXPECT_EQ(fnv1a(pb.stats), 9877335848270207286ull);
-    EXPECT_EQ(fnv1a(pb.json), 17704357434966617442ull);
+    EXPECT_EQ(fnv1a(pb.stats), 14254651075383028920ull);
+    EXPECT_EQ(fnv1a(pb.json), 12686865771072793836ull);
     EXPECT_EQ(fnv1a(pb.trace), 5837798157392588600ull);
-    EXPECT_EQ(fnv1a(hd.stats), 9716415583193456183ull);
-    EXPECT_EQ(fnv1a(hd.json), 6731954781612737265ull);
+    EXPECT_EQ(fnv1a(hd.stats), 14409305266439788901ull);
+    EXPECT_EQ(fnv1a(hd.json), 8491087556714782889ull);
     EXPECT_EQ(fnv1a(hd.trace), 7342714977053670558ull);
-    EXPECT_EQ(fnv1a(h8.stats), 15090623687808273902ull);
-    EXPECT_EQ(fnv1a(h8.json), 1432701936222934132ull);
+    EXPECT_EQ(fnv1a(h8.stats), 15044137774300157944ull);
+    EXPECT_EQ(fnv1a(h8.json), 17400297491839771008ull);
     EXPECT_EQ(fnv1a(h8.trace), 15150052485202570199ull);
-    EXPECT_EQ(fnv1a(loop.stats), 3034312403698692575ull);
-    EXPECT_EQ(fnv1a(loop.json), 8853688863089278436ull);
+    EXPECT_EQ(fnv1a(loop.stats), 1009001994707339615ull);
+    EXPECT_EQ(fnv1a(loop.json), 942071156553247528ull);
     EXPECT_EQ(fnv1a(loop.trace), 4287628426872533867ull);
 }
 
