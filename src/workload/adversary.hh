@@ -19,8 +19,8 @@
  *    bit schedule from a shared seed, so the receiver can report bit
  *    error rate and the resulting channel capacity.
  *
- * Each model admits its own tenant (like the app models) so the
- * defense layer can attribute, flag, and throttle it individually.
+ * Each model admits its own tenant so the defense layer can
+ * attribute, flag, and throttle it individually.
  * Hammering is injected via RefreshController::noteActivates with the
  * tenant id as the activation source — the modelling shortcut for
  * "this tenant's row-activation traffic", which a throttled tenant
