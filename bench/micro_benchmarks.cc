@@ -1,7 +1,8 @@
 /**
  * @file
  * Google-benchmark microbenchmarks for the core substrates:
- * compression codecs, the ZPool allocator, the event kernel, the
+ * compression codecs (whole pages and single shards), the ZPool
+ * allocator, the event kernel, the
  * DRAM address map, and the LLC simulator.
  */
 
@@ -16,6 +17,7 @@
 #include "interference/cache.hh"
 #include "sfm/zpool.hh"
 #include "sim/event_queue.hh"
+#include "xfm/multichannel.hh"
 
 using namespace xfm;
 
@@ -71,6 +73,37 @@ BENCHMARK(BM_Decompress)
     ->Arg(static_cast<int>(compress::Algorithm::LzFast))
     ->Arg(static_cast<int>(compress::Algorithm::Deflate))
     ->Arg(static_cast<int>(compress::Algorithm::ZstdLike));
+
+/**
+ * One shard of the sizes the system compresses: shard 0 of a
+ * LogLines page split over range(1) DIMMs at the default interleave
+ * (LzFast over 4 DIMMs is the NMA workload's 1 KiB shard, ZstdLike
+ * over 8 the CPU workloads' 512 B one).
+ */
+void
+BM_CompressShard(benchmark::State &state)
+{
+    const auto algo =
+        static_cast<compress::Algorithm>(state.range(0));
+    const auto codec = compress::makeCompressor(algo);
+    const Bytes shard =
+        xfmsys::splitPage(testPage(compress::CorpusKind::LogLines),
+                          static_cast<std::size_t>(state.range(1)))
+            .front();
+    Bytes block;
+    for (auto _ : state) {
+        codec->compressInto(shard, block);
+        benchmark::DoNotOptimize(block.data());
+    }
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations() * shard.size()));
+    state.counters["ratio"] =
+        static_cast<double>(shard.size())
+        / static_cast<double>(block.size());
+}
+BENCHMARK(BM_CompressShard)
+    ->Args({static_cast<int>(compress::Algorithm::LzFast), 4})
+    ->Args({static_cast<int>(compress::Algorithm::ZstdLike), 8});
 
 void
 BM_ZPoolInsertErase(benchmark::State &state)

@@ -85,18 +85,20 @@ DeflateCodec::encodeBody(ByteSpan full, std::size_t start,
 {
     Lz77Params params;
     params.windowBytes = window_bytes_;
-    std::vector<Lz77Token> tokens;
-    lz77TokenizeSuffix(full, params, start, tokens);
+    const auto seqs = lz77Sequences(full, params, start);
+    const ByteSpan input = full.subspan(start);
 
-    // Gather symbol statistics.
+    // Gather symbol statistics, walking the literal runs in place.
     std::vector<std::uint64_t> lit_counts(litLenSymbols, 0);
     std::vector<std::uint64_t> dist_counts(distSymbols, 0);
-    for (const auto &t : tokens) {
-        if (t.isMatch) {
-            ++lit_counts[257 + lengthCode(t.length).first];
-            ++dist_counts[distCode(t.distance).first];
-        } else {
-            ++lit_counts[t.literal];
+    std::size_t pos = 0;
+    for (const Lz77Seq &s : seqs) {
+        for (std::size_t k = pos; k < pos + s.litRun; ++k)
+            ++lit_counts[input[k]];
+        pos += s.litRun + s.matchLen;
+        if (s.matchLen > 0) {
+            ++lit_counts[257 + lengthCode(s.matchLen).first];
+            ++dist_counts[distCode(s.offset).first];
         }
     }
     ++lit_counts[eobSymbol];
@@ -111,19 +113,21 @@ DeflateCodec::encodeBody(ByteSpan full, std::size_t start,
     BitWriter bw(out);
     writeCodeLengthsRle(bw, lit_lengths);
     writeCodeLengthsRle(bw, dist_lengths);
-    for (const auto &t : tokens) {
-        if (t.isMatch) {
-            const auto [lcode, lextra] = lengthCode(t.length);
-            lit_enc.encode(bw, 257 + lcode);
-            if (lengthExtra[lcode] > 0)
-                bw.put(lextra, lengthExtra[lcode]);
-            const auto [dcode, dextra] = distCode(t.distance);
-            dist_enc.encode(bw, dcode);
-            if (distExtra[dcode] > 0)
-                bw.put(dextra, distExtra[dcode]);
-        } else {
-            lit_enc.encode(bw, t.literal);
-        }
+    pos = 0;
+    for (const Lz77Seq &s : seqs) {
+        for (std::size_t k = pos; k < pos + s.litRun; ++k)
+            lit_enc.encode(bw, input[k]);
+        pos += s.litRun + s.matchLen;
+        if (s.matchLen == 0)
+            continue;
+        const auto [lcode, lextra] = lengthCode(s.matchLen);
+        lit_enc.encode(bw, 257 + lcode);
+        if (lengthExtra[lcode] > 0)
+            bw.put(lextra, lengthExtra[lcode]);
+        const auto [dcode, dextra] = distCode(s.offset);
+        dist_enc.encode(bw, dcode);
+        if (distExtra[dcode] > 0)
+            bw.put(dextra, distExtra[dcode]);
     }
     lit_enc.encode(bw, eobSymbol);
     bw.flush();

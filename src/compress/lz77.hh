@@ -2,10 +2,12 @@
  * @file
  * Shared LZ77 match finder.
  *
- * Produces a token stream of literals and (length, distance) matches
- * using hash-chain search. The window size and search effort are
- * configurable so the same engine backs all three codecs; Fig. 8's
- * window-truncation experiments reuse it directly.
+ * Produces zstd-style sequences (a literal run, then a (length,
+ * offset) match) using hash-chain search. Literal bytes are never
+ * copied out: each codec reads a run straight from the input. The
+ * window size and search effort are configurable so the same engine
+ * backs all three codecs; Fig. 8's window-truncation experiments
+ * reuse it directly.
  */
 
 #ifndef XFM_COMPRESS_LZ77_HH
@@ -14,6 +16,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -24,13 +27,18 @@ namespace xfm
 namespace compress
 {
 
-/** One LZ77 token: either a literal byte or a back-reference. */
-struct Lz77Token
+/**
+ * One LZ77 sequence: litRun literal bytes taken from the input at
+ * the current position, then a match of matchLen bytes copied from
+ * offset bytes back. Only the last sequence of an input may have
+ * matchLen 0 (trailing literals, offset 0); every other sequence
+ * has matchLen >= minMatch.
+ */
+struct Lz77Seq
 {
-    bool isMatch;
-    std::uint8_t literal;    ///< valid when !isMatch
-    std::uint32_t length;    ///< valid when isMatch
-    std::uint32_t distance;  ///< valid when isMatch; 1-based
+    std::uint32_t litRun;
+    std::uint32_t matchLen;
+    std::uint32_t offset;  ///< 1-based distance; 0 when matchLen is 0
 };
 
 /** Tuning knobs for the match finder. */
@@ -44,26 +52,18 @@ struct Lz77Params
 };
 
 /**
- * Run the match finder over @p input.
+ * Run the match finder over input[start..), letting matches reach
+ * back into the prefix input[0..start) (shared-history streaming:
+ * the prefix is indexed but produces no sequences). The sequences
+ * cover exactly input.size() - start bytes.
  *
- * Deterministic: identical inputs and params yield identical token
- * streams.
+ * Deterministic: identical inputs and params yield identical
+ * sequences. The result lives in this thread's pooled buffer and
+ * stays valid until the thread's next call.
  */
-std::vector<Lz77Token> lz77Tokenize(ByteSpan input,
-                                    const Lz77Params &params);
-
-/**
- * Tokenize only input[start..) into @p tokens (cleared first;
- * capacity reused) while letting matches reach back into the full
- * prefix input[0..start) (shared-history streaming: the prefix is
- * indexed but produces no tokens).
- */
-void lz77TokenizeSuffix(ByteSpan input, const Lz77Params &params,
-                        std::size_t start,
-                        std::vector<Lz77Token> &tokens);
-
-/** Reconstruct the original bytes from a token stream. */
-Bytes lz77Reconstruct(const std::vector<Lz77Token> &tokens);
+std::span<const Lz77Seq> lz77Sequences(ByteSpan input,
+                                       const Lz77Params &params,
+                                       std::size_t start = 0);
 
 /**
  * Length of the common prefix of @p a and @p b, up to @p limit: the
@@ -101,21 +101,21 @@ matchLength(const std::uint8_t *a, const std::uint8_t *b,
 
 /**
  * Allocation stats of this thread's pooled finder tables:
- * {table growths, reuses}. Steady-state tokenisation of same-sized
- * inputs must only ever bump the reuse counter.
+ * {table growths, reuses}. Steady-state match finding over
+ * same-sized inputs must only ever bump the reuse counter.
  */
 std::pair<std::uint64_t, std::uint64_t> finderTableStats();
 
 /**
- * Base offset of this thread's finder tables: the next tokenisation
- * stores input position i as base + i, after zeroing the head table
+ * Base offset of this thread's finder tables: the next input
+ * stores its position i as base + i, after zeroing the head table
  * and restarting the base at 1 if a position would pass 2^32.
  */
 std::uint64_t finderTableBase();
 
 /**
  * Move finderTableBase() forward to @p base (<= 2^32), as if that
- * much more input had been tokenised: lets a test reach the clear
+ * much more input had been searched: lets a test reach the clear
  * without 4 GiB of input.
  */
 void setFinderTableBase(std::uint64_t base);

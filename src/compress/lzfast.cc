@@ -1,6 +1,7 @@
 #include "lzfast.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/logging.hh"
 #include "compress/bitstream.hh"
@@ -18,15 +19,19 @@ namespace
 constexpr std::uint8_t modeLz = 1;
 constexpr std::uint32_t minMatch = 4;
 
-/** Emit a length with nibble base and 255-chained extension bytes. */
-void
-putExtended(Bytes &out, std::uint32_t value)
+/**
+ * Write a length's 255-chained extension bytes at @p op (the nibble
+ * holds the first 15); returns the end of what was written.
+ */
+std::uint8_t *
+putExtended(std::uint8_t *op, std::uint32_t value)
 {
     while (value >= 255) {
-        out.push_back(255);
+        *op++ = 255;
         value -= 255;
     }
-    out.push_back(static_cast<std::uint8_t>(value));
+    *op++ = static_cast<std::uint8_t>(value);
+    return op;
 }
 
 std::uint32_t
@@ -52,6 +57,17 @@ LzFastCodec::LzFastCodec(std::size_t window_bytes)
                "lzfast window must fit 16-bit offsets");
 }
 
+std::size_t
+LzFastCodec::maxBodyBytes(std::size_t raw)
+{
+    // A match of L >= 4 bytes costs at most L - 1: its token, two
+    // offset bytes and (L - 4 + 240) / 255 extension bytes. It pays
+    // for the first extension byte of the literal run before it, so
+    // literals cost themselves plus one extension byte per 255 and
+    // the trailing run adds at most its token and one more byte.
+    return raw + raw / 255 + 2;
+}
+
 /**
  * Offsets into a preset dictionary still fit the 16-bit wire format
  * because window_bytes_ <= 65535 bounds every distance.
@@ -66,44 +82,44 @@ LzFastCodec::encodeBody(ByteSpan full, std::size_t start,
     params.maxMatch = 1 << 16;     // byte-aligned lengths extend freely
     params.maxChainLength = 16;    // fast profile: shallow search
     params.lazyMatching = false;
-    std::vector<Lz77Token> tokens;
-    lz77TokenizeSuffix(full, params, start, tokens);
+    const auto seqs = lz77Sequences(full, params, start);
 
-    std::size_t i = 0;
-    while (i < tokens.size()) {
-        // Collect a literal run.
-        std::uint32_t lit_count = 0;
-        const std::size_t lit_start = i;
-        while (i < tokens.size() && !tokens[i].isMatch) {
-            ++lit_count;
-            ++i;
-        }
-        const bool have_match = i < tokens.size();
-        const std::uint32_t match_len =
-            have_match ? tokens[i].length : 0;
-
-        const std::uint8_t lit_nibble =
-            static_cast<std::uint8_t>(std::min(lit_count, 15u));
+    // Write through a pointer into a body sized once to the worst
+    // case plus copySlack, then trim it to what was written. A run
+    // of at most copySlack literals is copied as one fixed-size
+    // block when the input holds that many bytes: the bytes past
+    // the run land in the slack or under later writes.
+    constexpr std::size_t copySlack = 16;
+    const std::size_t body_start = out.size();
+    const std::size_t bound = maxBodyBytes(full.size() - start);
+    out.resize(body_start + bound + copySlack);
+    std::uint8_t *const body = out.data() + body_start;
+    std::uint8_t *op = body;
+    const std::uint8_t *lit = full.data() + start;
+    const std::uint8_t *const lit_end = full.data() + full.size();
+    for (const Lz77Seq &s : seqs) {
         const std::uint32_t match_code =
-            have_match ? match_len - minMatch : 0;
-        const std::uint8_t match_nibble = have_match
-            ? static_cast<std::uint8_t>(std::min(match_code, 15u))
-            : 0;
-        out.push_back(static_cast<std::uint8_t>((lit_nibble << 4)
-                                                | match_nibble));
-        if (lit_count >= 15)
-            putExtended(out, lit_count - 15);
-        for (std::size_t k = 0; k < lit_count; ++k)
-            out.push_back(tokens[lit_start + k].literal);
-        if (have_match) {
-            const std::uint32_t dist = tokens[i].distance;
-            out.push_back(static_cast<std::uint8_t>(dist));
-            out.push_back(static_cast<std::uint8_t>(dist >> 8));
+            s.matchLen > 0 ? s.matchLen - minMatch : 0;
+        *op++ = static_cast<std::uint8_t>(
+            (std::min(s.litRun, 15u) << 4) | std::min(match_code, 15u));
+        if (s.litRun >= 15)
+            op = putExtended(op, s.litRun - 15);
+        if (s.litRun <= copySlack && lit + copySlack <= lit_end)
+            std::memcpy(op, lit, copySlack);
+        else
+            std::memcpy(op, lit, s.litRun);
+        op += s.litRun;
+        lit += s.litRun + s.matchLen;
+        if (s.matchLen > 0) {
+            *op++ = static_cast<std::uint8_t>(s.offset);
+            *op++ = static_cast<std::uint8_t>(s.offset >> 8);
             if (match_code >= 15)
-                putExtended(out, match_code - 15);
-            ++i;
+                op = putExtended(op, match_code - 15);
         }
     }
+    const auto written = static_cast<std::size_t>(op - body);
+    XFM_ASSERT(written <= bound, "lzfast body overran its bound");
+    out.resize(body_start + written);
 }
 
 void

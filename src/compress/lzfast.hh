@@ -31,6 +31,12 @@ class LzFastCodec : public Compressor
     Algorithm algorithm() const override { return Algorithm::LzFast; }
     std::size_t windowBytes() const override { return window_bytes_; }
 
+    /**
+     * Most body bytes that @p raw input bytes can encode to, under
+     * any dictionary: the size the body writer reserves up front.
+     */
+    static std::size_t maxBodyBytes(std::size_t raw);
+
   private:
     void encodeBody(ByteSpan full, std::size_t start,
                     Bytes &out) const override;

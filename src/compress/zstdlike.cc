@@ -52,14 +52,6 @@ getVarint(ByteSpan in, std::size_t &pos)
     }
 }
 
-/** One sequence: a literal run, then a match. */
-struct Seq
-{
-    std::uint32_t litRun;
-    std::uint32_t matchLen;  // 0 only for the trailing run
-    std::uint32_t offset;
-};
-
 /**
  * Pooled per-thread shard buffers, leased like lz77's finder
  * tables: each block resets them instead of reallocating, so
@@ -68,9 +60,7 @@ struct Seq
  */
 struct ShardScratch
 {
-    std::vector<Lz77Token> tokens;
-    Bytes literals;
-    std::vector<Seq> seqs;
+    Bytes literals;  ///< the decoder's literal stream
     std::array<std::uint64_t, 256> counts{};
     std::vector<std::uint8_t> lengths;
     HuffmanEncoder enc;
@@ -103,42 +93,37 @@ ZstdLikeCodec::encodeBody(ByteSpan full, std::size_t start,
     params.maxMatch = 1 << 16;
     params.maxChainLength = 128;  // deeper search: ratio profile
     params.lazyMatching = true;
-    ShardScratch &t = shardScratch();
-    lz77TokenizeSuffix(full, params, start, t.tokens);
+    const auto seqs = lz77Sequences(full, params, start);
 
-    // Split literals from sequences, zstd style.
-    Bytes &literals = t.literals;
-    literals.clear();
-    t.seqs.clear();
-    std::uint32_t run = 0;
-    for (const auto &tok : t.tokens) {
-        if (tok.isMatch) {
-            t.seqs.push_back({run, tok.length, tok.distance});
-            run = 0;
-        } else {
-            literals.push_back(tok.literal);
-            ++run;
+    // The literal stream, zstd style, is the runs' input bytes in
+    // order: count them, then entropy code them.
+    const ByteSpan input = full.subspan(start);
+    auto for_each_literal = [&](auto &&fn) {
+        std::size_t pos = 0;
+        for (const Lz77Seq &s : seqs) {
+            for (std::size_t k = pos; k < pos + s.litRun; ++k)
+                fn(input[k]);
+            pos += s.litRun + s.matchLen;
         }
-    }
-    if (run > 0)
-        t.seqs.push_back({run, 0, 0});
-
-    // Entropy code the literal stream.
+    };
+    ShardScratch &t = shardScratch();
+    std::uint32_t lit_total = 0;
     t.counts.fill(0);
-    for (auto b : literals)
+    for_each_literal([&](std::uint8_t b) {
         ++t.counts[b];
+        ++lit_total;
+    });
     huffmanCodeLengths(t.counts, t.lengths);
     t.enc.assign(t.lengths);
 
-    putU32(out, static_cast<std::uint32_t>(literals.size()));
-    putU32(out, static_cast<std::uint32_t>(t.seqs.size()));
+    putU32(out, lit_total);
+    putU32(out, static_cast<std::uint32_t>(seqs.size()));
 
     // Literals section (bit-packed), then byte-aligned sequences.
     {
         BitWriter bw(out);
         writeCodeLengthsRle(bw, t.lengths);
-        for (auto b : literals)
-            t.enc.encode(bw, b);
+        for_each_literal([&](std::uint8_t b) { t.enc.encode(bw, b); });
         bw.flush();
     }
 
@@ -147,7 +132,7 @@ ZstdLikeCodec::encodeBody(ByteSpan full, std::size_t start,
     // follows. matchLen is stored as (len - minMatch + 1) so that 0
     // marks the trailing literals-only sequence.
     std::uint32_t last_offset = 0;
-    for (const auto &s : t.seqs) {
+    for (const Lz77Seq &s : seqs) {
         const std::uint32_t mcode =
             s.matchLen == 0 ? 0 : s.matchLen - 4 + 1;
         const std::uint8_t lit_nib =

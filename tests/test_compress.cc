@@ -26,6 +26,7 @@
 #include "compress/lz77.hh"
 #include "compress/lzfast.hh"
 #include "compress/zstdlike.hh"
+#include "lz77_oracle.hh"
 
 namespace xfm
 {
@@ -410,34 +411,40 @@ TEST(Huffman, TwoQueueMatchesHeapReference)
 
 // -------------------------------------------------------------------- lz77
 
+/** Rebuild @p in from the finder's sequences for it. */
+Bytes
+reconstructSequences(const Bytes &in, const Lz77Params &params)
+{
+    return lz77Reconstruct(in, 0, lz77Sequences(in, params));
+}
+
 TEST(Lz77, LiteralOnlyForShortInput)
 {
     const Bytes in = toBytes("ab");
-    const auto tokens = lz77Tokenize(in, Lz77Params{});
-    ASSERT_EQ(tokens.size(), 2u);
-    EXPECT_FALSE(tokens[0].isMatch);
-    EXPECT_FALSE(tokens[1].isMatch);
-    EXPECT_EQ(lz77Reconstruct(tokens), in);
+    const auto seqs = lz77Sequences(in, Lz77Params{});
+    ASSERT_EQ(seqs.size(), 1u);
+    EXPECT_EQ(seqs[0].litRun, 2u);
+    EXPECT_EQ(seqs[0].matchLen, 0u);
+    EXPECT_EQ(reconstructSequences(in, Lz77Params{}), in);
 }
 
 TEST(Lz77, FindsRepeats)
 {
     const Bytes in = toBytes("abcdefabcdefabcdef");
-    const auto tokens = lz77Tokenize(in, Lz77Params{});
+    const auto seqs = lz77Sequences(in, Lz77Params{});
     const auto matches = std::count_if(
-        tokens.begin(), tokens.end(),
-        [](const auto &t) { return t.isMatch; });
+        seqs.begin(), seqs.end(),
+        [](const Lz77Seq &s) { return s.matchLen > 0; });
     EXPECT_GE(matches, 1);
-    EXPECT_EQ(lz77Reconstruct(tokens), in);
+    EXPECT_EQ(reconstructSequences(in, Lz77Params{}), in);
 }
 
 TEST(Lz77, OverlappingMatchRle)
 {
     // 'aaaa...' forces distance-1 overlapping matches.
     const Bytes in(500, 'a');
-    const auto tokens = lz77Tokenize(in, Lz77Params{});
-    EXPECT_LT(tokens.size(), 20u);
-    EXPECT_EQ(lz77Reconstruct(tokens), in);
+    EXPECT_LT(lz77Sequences(in, Lz77Params{}).size(), 20u);
+    EXPECT_EQ(reconstructSequences(in, Lz77Params{}), in);
 }
 
 TEST(Lz77, WindowLimitsDistance)
@@ -448,13 +455,9 @@ TEST(Lz77, WindowLimitsDistance)
     Bytes in;
     for (int i = 0; i < 2000; ++i)
         in.push_back(static_cast<std::uint8_t>(rng.uniformInt(4)));
-    const auto tokens = lz77Tokenize(in, params);
-    for (const auto &t : tokens) {
-        if (t.isMatch) {
-            EXPECT_LE(t.distance, 64u);
-        }
-    }
-    EXPECT_EQ(lz77Reconstruct(tokens), in);
+    for (const Lz77Seq &s : lz77Sequences(in, params))
+        EXPECT_LE(s.offset, 64u);
+    EXPECT_EQ(reconstructSequences(in, params), in);
 }
 
 TEST(Lz77, MaxMatchRespected)
@@ -462,20 +465,15 @@ TEST(Lz77, MaxMatchRespected)
     Lz77Params params;
     params.maxMatch = 16;
     const Bytes in(1000, 'x');
-    const auto tokens = lz77Tokenize(in, params);
-    for (const auto &t : tokens) {
-        if (t.isMatch) {
-            EXPECT_LE(t.length, 16u);
-        }
-    }
-    EXPECT_EQ(lz77Reconstruct(tokens), in);
+    for (const Lz77Seq &s : lz77Sequences(in, params))
+        EXPECT_LE(s.matchLen, 16u);
+    EXPECT_EQ(reconstructSequences(in, params), in);
 }
 
 TEST(Lz77, EmptyInput)
 {
-    const auto tokens = lz77Tokenize({}, Lz77Params{});
-    EXPECT_TRUE(tokens.empty());
-    EXPECT_TRUE(lz77Reconstruct(tokens).empty());
+    EXPECT_TRUE(lz77Sequences({}, Lz77Params{}).empty());
+    EXPECT_TRUE(reconstructSequences({}, Lz77Params{}).empty());
 }
 
 TEST(Lz77, ReconstructRejectsBadDistance)
@@ -485,6 +483,9 @@ TEST(Lz77, ReconstructRejectsBadDistance)
         {true, 0, 5, 10},  // distance beyond output
     };
     EXPECT_THROW(lz77Reconstruct(tokens), FatalError);
+    const Bytes in = toBytes("aaaaaa");
+    const std::vector<Lz77Seq> seqs = {{1, 5, 10}};
+    EXPECT_THROW(lz77Reconstruct(in, 0, seqs), FatalError);
 }
 
 // ------------------------------------------------------------------ codecs
@@ -810,18 +811,81 @@ TEST(CodecComparison, RatioHelper)
     EXPECT_DOUBLE_EQ(ratio(4096, 0), 0.0);
 }
 
+/** A stored block: the frame's mode 0, the raw length, the input. */
+Bytes
+storedBlock(const Bytes &in)
+{
+    Bytes b = {0};
+    for (int shift = 0; shift < 32; shift += 8)
+        b.push_back(static_cast<std::uint8_t>(in.size() >> shift));
+    b.insert(b.end(), in.begin(), in.end());
+    return b;
+}
+
+/**
+ * LzFast writes its body through a pointer into a buffer sized once
+ * to maxBodyBytes(); the writer asserts it stayed inside. An
+ * all-literal input is the worst case; a page of it fills the bound
+ * exactly.
+ */
+TEST(LzFast, BodyWriterStaysWithinBoundAtWorstCase)
+{
+    // One all-literal sequence: a token, the extension bytes of
+    // every 255 literals past the first 15, the literals.
+    auto all_literal = [](std::size_t n) {
+        return 1 + (n >= 15 ? (n - 15) / 255 + 1 : 0) + n;
+    };
+    for (std::size_t n : {1u, 14u, 15u, 16u, 269u, 270u, 525u})
+        EXPECT_LE(all_literal(n), LzFastCodec::maxBodyBytes(n)) << n;
+    EXPECT_EQ(all_literal(pageBytes), LzFastCodec::maxBodyBytes(pageBytes));
+
+    const LzFastCodec codec;
+    const Bytes dict = generateCorpus(CorpusKind::RandomBytes, 7, 2048);
+    const Bytes page =
+        generateCorpus(CorpusKind::RandomBytes, 8, pageBytes);
+    Bytes block;
+    Bytes back;
+    // A 2 KiB random dictionary gives a random page nothing to
+    // match: one 4096-literal run, so the stored block is chosen.
+    codec.compressWithDictInto(dict, page, block);
+    EXPECT_EQ(block, storedBlock(page));
+    codec.decompressWithDictInto(dict, block, back);
+    EXPECT_EQ(back, page);
+
+    // A coded block whose first run is 600 literals long.
+    Bytes mixed(page.begin(), page.begin() + 600);
+    mixed.resize(pageBytes, 0);
+    codec.compressWithDictInto(dict, mixed, block);
+    ASSERT_NE(block[0], 0) << "expected a coded block";
+    EXPECT_LE(block.size() - 5, LzFastCodec::maxBodyBytes(mixed.size()));
+    codec.decompressWithDictInto(dict, block, back);
+    EXPECT_EQ(back, mixed);
+
+    // The stored fallback is taken exactly when the body is not
+    // smaller than the input: "abcdabcd" codes to 7 body bytes, one
+    // more literal makes body and input 9 bytes each.
+    const Bytes coded = toBytes("abcdabcd");
+    const Bytes tied = toBytes("abcdabcdX");
+    EXPECT_EQ(codec.compress(coded),
+              (Bytes{1, 8, 0, 0, 0, 0x40, 'a', 'b', 'c', 'd', 4, 0}));
+    EXPECT_EQ(codec.compress(tied), storedBlock(tied));
+}
+
 TEST(Lz77Suffix, PrefixProducesNoTokens)
 {
     const Bytes data = generateCorpus(CorpusKind::Html, 2, 8192);
-    const auto all = lz77Tokenize(data, Lz77Params{});
-    std::vector<Lz77Token> tail;
-    lz77TokenizeSuffix(data, Lz77Params{}, 4096, tail);
-    // The suffix token stream covers exactly the last 4096 bytes.
+    const std::size_t all = lz77Sequences(data, Lz77Params{}).size();
+    const auto suffix = lz77Sequences(data, Lz77Params{}, 4096);
+    const std::vector<Lz77Seq> tail(suffix.begin(), suffix.end());
+    // The suffix sequences cover exactly the last 4096 bytes and
+    // rebuild them on top of the prefix.
     std::size_t covered = 0;
-    for (const auto &t : tail)
-        covered += t.isMatch ? t.length : 1;
+    for (const Lz77Seq &s : tail)
+        covered += s.litRun + s.matchLen;
     EXPECT_EQ(covered, 4096u);
-    EXPECT_LT(tail.size(), all.size());
+    EXPECT_LT(tail.size(), all);
+    EXPECT_EQ(lz77Reconstruct(data, 4096, tail),
+              Bytes(data.begin() + 4096, data.end()));
 }
 
 } // namespace
@@ -1080,18 +1144,18 @@ TEST(Huffman, SubtableDeepCodesRoundTrip)
         EXPECT_EQ(dec.decode(br), want);
 }
 
-/** Steady-state tokenisation reuses the pooled finder tables
- *  instead of reallocating them per call. */
+/** Steady-state match finding reuses the pooled finder tables and
+ *  sequence buffer instead of reallocating them per call. */
 TEST(FinderPool, NoAllocationSteadyState)
 {
     const Bytes page = generateCorpus(CorpusKind::Html, 3, 4096);
-    lz77Tokenize(page, Lz77Params{});  // warm this thread's pool
+    lz77Sequences(page, Lz77Params{});  // warm this thread's pool
     const auto warm = finderTableStats();
     for (int i = 0; i < 16; ++i)
-        lz77Tokenize(page, Lz77Params{});
+        lz77Sequences(page, Lz77Params{});
     const auto after = finderTableStats();
     EXPECT_EQ(after.first, warm.first)
-        << "steady-state tokenisation grew a finder table";
+        << "steady-state match finding grew a finder table";
     EXPECT_GE(after.second, warm.second + 16);
 }
 
@@ -1875,17 +1939,14 @@ tokenize(ByteSpan input, const Lz77Params &params, std::size_t start,
 
 } // namespace finder_oracle
 
-/** Index of the first differing token, or -1 when equal. */
+/** Index of the first differing sequence, or -1 when equal. */
 std::int64_t
-firstTokenDiff(const std::vector<Lz77Token> &a,
-               const std::vector<Lz77Token> &b)
+firstSeqDiff(std::span<const Lz77Seq> a, std::span<const Lz77Seq> b)
 {
     const std::size_t n = std::min(a.size(), b.size());
     for (std::size_t i = 0; i < n; ++i) {
-        if (a[i].isMatch != b[i].isMatch
-            || (a[i].isMatch ? a[i].length != b[i].length
-                                   || a[i].distance != b[i].distance
-                             : a[i].literal != b[i].literal))
+        if (a[i].litRun != b[i].litRun || a[i].matchLen != b[i].matchLen
+            || a[i].offset != b[i].offset)
             return static_cast<std::int64_t>(i);
     }
     return a.size() == b.size() ? -1 : static_cast<std::int64_t>(n);
@@ -1915,7 +1976,6 @@ TEST(Lz77, FinderMatchesGenerationStampedOracle)
 {
     Rng rng(2405);
     finder_oracle::Tables tables;
-    std::vector<Lz77Token> got;
     std::size_t matches = 0;
     for (int trial = 0; trial < 600; ++trial) {
         const std::size_t n = 1 + rng.uniformInt(3000);
@@ -1938,17 +1998,65 @@ TEST(Lz77, FinderMatchesGenerationStampedOracle)
             ? 32 * 1024 : 16 + rng.uniformInt(in.size() + 1);
         const std::size_t start =
             trial % 4 == 3 ? rng.uniformInt(in.size() + 1) : 0;
-        lz77TokenizeSuffix(in, params, start, got);
-        const auto want = finder_oracle::tokenize(in, params, start, tables);
-        ASSERT_EQ(firstTokenDiff(got, want), -1)
+        const auto got = lz77Sequences(in, params, start);
+        const auto want = groupIntoSequences(
+            finder_oracle::tokenize(in, params, start, tables));
+        ASSERT_EQ(firstSeqDiff(got, want), -1)
             << "trial " << trial << ": " << in.size() << " bytes, start "
             << start << ", minMatch " << params.minMatch << ", lazy "
             << params.lazyMatching << ", chain " << params.maxChainLength
             << ", window " << params.windowBytes;
-        for (const auto &t : got)
-            matches += t.isMatch;
+        for (const Lz77Seq &s : got)
+            matches += s.matchLen > 0;
     }
     EXPECT_GT(matches, 10000u) << "inputs too weak to exercise the finder";
+}
+
+/**
+ * The finder's sequences are the token oracle's tokens grouped into
+ * runs: the bulk match-interior insert and the one-load hash index
+ * exactly what per-position 3-byte inserts did.
+ */
+TEST(Lz77, SequencesMatchTokenOracle)
+{
+    Rng rng(3101);
+    std::size_t matches = 0;
+    std::size_t suffixes = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        const std::size_t n = 1 + rng.uniformInt(4096);
+        Bytes in;
+        if (trial % 2 == 0) {
+            in = skewedInput(rng, n);
+        } else {
+            in.resize(n);
+            for (auto &b : in)
+                b = static_cast<std::uint8_t>(rng.uniformInt(256));
+        }
+        Lz77Params params;
+        params.minMatch = 3 + static_cast<std::uint32_t>(trial / 2 % 2);
+        params.lazyMatching = trial / 4 % 2 == 0;
+        params.maxMatch = trial % 3 == 0 ? 1 << 16 : 258;
+        params.maxChainLength = trial % 5 == 0 ? 16 : 128;
+        // Every third trial starts past a shared-history prefix, as
+        // a preset dictionary does.
+        const std::size_t start =
+            trial % 3 == 2 ? rng.uniformInt(in.size() + 1) : 0;
+        suffixes += start > 0;
+        const auto got = lz77Sequences(in, params, start);
+        const auto tokens = lz77Tokenize(in, params, start);
+        ASSERT_EQ(firstSeqDiff(got, groupIntoSequences(tokens)), -1)
+            << "trial " << trial << ": " << in.size() << " bytes, start "
+            << start << ", minMatch " << params.minMatch << ", lazy "
+            << params.lazyMatching;
+        ASSERT_EQ(lz77Reconstruct(in, start, got),
+                  Bytes(in.begin() + static_cast<std::ptrdiff_t>(start),
+                        in.end()))
+            << "trial " << trial;
+        for (const Lz77Seq &s : got)
+            matches += s.matchLen > 0;
+    }
+    EXPECT_GT(matches, 5000u) << "inputs too weak to exercise the finder";
+    EXPECT_GT(suffixes, 100u);
 }
 
 TEST(Lz77, FinderBaseWrapClearsTables)
@@ -1960,12 +2068,11 @@ TEST(Lz77, FinderBaseWrapClearsTables)
     constexpr std::uint64_t top = std::uint64_t(1) << 32;
     Rng rng(2406);
     finder_oracle::Tables tables;
-    std::vector<Lz77Token> got;
     const Lz77Params params;
     auto check = [&](const Bytes &in, const char *what) {
-        lz77TokenizeSuffix(in, params, 0, got);
-        ASSERT_EQ(firstTokenDiff(
-                      got, finder_oracle::tokenize(in, params, 0, tables)),
+        ASSERT_EQ(firstSeqDiff(lz77Sequences(in, params),
+                               groupIntoSequences(finder_oracle::tokenize(
+                                   in, params, 0, tables))),
                   -1)
             << what;
     };

@@ -97,16 +97,6 @@ TEST_F(SenpaiTest, BacksOffUnderFaultStorm)
     EXPECT_GT(ctrl_->stats().demandFaults, 0u);
 }
 
-TEST_F(SenpaiTest, ReclaimBatchStaysWithinBounds)
-{
-    SenpaiConfig cfg;
-    cfg.interval = milliseconds(5.0);
-    cfg.maxReclaim = 32;
-    makeController(cfg);
-    eq_.run(milliseconds(200.0));
-    EXPECT_LE(ctrl_->reclaimBatch(), 32u);
-}
-
 TEST_F(SenpaiTest, ProbeClampsExactlyAtMaxReclaim)
 {
     // A probe step larger than the headroom (10 + 4 > 12) must
