@@ -309,8 +309,8 @@ lz77Sequences(ByteSpan input, const Lz77Params &params,
         // searches above that floor.
         if (params.lazyMatching) {
             f.link(pos, h);
-            // pos + 1 starts no key unless pos + 4 <= size, and
-            // then it has no match either.
+            // pos + 1 starts a key only when pos + 4 <= size;
+            // otherwise it has no match either.
             next = pos + 4 <= input.size()
                 ? f.bestMatch(pos + 1, len + 1, f.keyHash(pos + 1))
                 : std::pair<std::uint32_t, std::uint32_t>{0, 0};
