@@ -78,7 +78,9 @@ BENCHMARK(BM_Decompress)
  * One shard of the sizes the system compresses: shard 0 of a
  * LogLines page split over range(1) DIMMs at the default interleave
  * (LzFast over 4 DIMMs is the NMA workload's 1 KiB shard, ZstdLike
- * over 8 the CPU workloads' 512 B one).
+ * over 8 the CPU workloads' 512 B one). Every iteration compresses
+ * the same shard, which the branch predictors learn: a stream of
+ * different shards costs several times more per shard.
  */
 void
 BM_CompressShard(benchmark::State &state)

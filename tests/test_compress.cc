@@ -824,7 +824,8 @@ storedBlock(const Bytes &in)
 
 /**
  * LzFast writes its body through a pointer into a buffer sized once
- * to maxBodyBytes(); the writer asserts it stayed inside. An
+ * to maxBodyBytes() plus copy slack, and asserts it wrote no more
+ * than maxBodyBytes(). An
  * all-literal input is the worst case; a page of it fills the bound
  * exactly.
  */
