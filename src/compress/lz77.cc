@@ -61,12 +61,12 @@ constexpr std::uint64_t positionSpace = std::uint64_t(1) << 32;
  * Pooled per-thread finder tables: head/prev and the sequence
  * buffer are leased across Finder constructions instead of
  * reallocated (and cleared) per page. Each input stores its
- * positions as `base + index`
- * and the next one starts its base past all of them, so a head
- * bucket is live iff it holds a value >= base: entries of earlier
- * inputs read as empty without any clearing, and a chain walk stops
- * at the first entry below base + window start, which covers stale
- * and out-of-window entries in one compare. `prev` needs no
+ * positions as `base + index` and the next one starts its base past
+ * all of them, so a head bucket is live iff it holds a value >=
+ * base: entries of earlier inputs read as empty without any
+ * clearing, and a chain walk stops at the first entry below base +
+ * window start, which covers stale and out-of-window entries in one
+ * compare. `prev` needs no
  * initialisation because a walk only follows links link() wrote
  * for this input. When a base would push a position past 2^32 the
  * heads are zeroed and the base restarts at 1, so steady-state
