@@ -11,8 +11,10 @@
 # tests (worker pool, event kernel, service layer, the pinned-hash
 # determinism tests, the workers = 4 rows of the feature-combination
 # audit, which are the System-level threaded check, the adversary
-# worker matrix, and the codec tests, whose per-thread scratch the
-# shard fan-out leases) plus the perf-harness smoke.
+# worker matrix, the codec tests, whose per-thread scratch the
+# shard fan-out leases, and the XfmBackend and System families,
+# which fan out at the default `workers` on any multi-CPU host)
+# plus the perf-harness smoke.
 # The only threaded code is WorkerPool::parallelFor in
 # XfmBackend::codeCpuShards, the per-DIMM codec fan-out of every
 # CPU-coded shard (whole-page CPU legs and breaker-routed shards
@@ -47,7 +49,7 @@ cmake --build "${build_dir}" -j "${jobs}"
 
 if [[ "${sanitize}" == "thread" ]]; then
     ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
-        -R 'WorkerPool|EventQueue|Determinism|FeatureAudit.*_w4|ServiceTest|ArbiterTest|WorkerMatrix|Codec'
+        -R 'WorkerPool|EventQueue|Determinism|FeatureAudit.*_w4|ServiceTest|ArbiterTest|WorkerMatrix|Codec|XfmBackendTest|SystemTest|SystemComparison'
     "${build_dir}/bench/perf_harness" --smoke \
         --out "${build_dir}/BENCH_PERF.json"
     exit 0
@@ -117,6 +119,24 @@ for cfg in xfm baseline; do
     "${build_dir}/examples/xfmsim" "${repo_root}/configs/${cfg}.cfg" \
         > /dev/null
 done
+
+# Worker-count identity: the shipped XFM config at workers = 1 (one
+# thread, the simulator without the shard fan-out) and at the
+# default (one context per DIMM, up to the CPUs this process may run
+# on) must print byte-identical output.
+workers_dir="${build_dir}/workers-smoke"
+mkdir -p "${workers_dir}"
+cat "${repo_root}/configs/xfm.cfg" > "${workers_dir}/w1.cfg"
+echo "workers = 1" >> "${workers_dir}/w1.cfg"
+"${build_dir}/examples/xfmsim" "${workers_dir}/w1.cfg" \
+    > "${workers_dir}/w1.out"
+"${build_dir}/examples/xfmsim" "${repo_root}/configs/xfm.cfg" \
+    > "${workers_dir}/default.out"
+if ! cmp -s "${workers_dir}/w1.out" "${workers_dir}/default.out"; then
+    echo "ci: xfmsim configs/xfm.cfg output differs between workers = 1 and the default" >&2
+    diff "${workers_dir}/w1.out" "${workers_dir}/default.out" | head -20 >&2
+    exit 1
+fi
 
 # Adversary soak: the RFM-starver and covert pair against a victim
 # fleet with the full QoS defense armed (configs/adversary.cfg).

@@ -1,26 +1,72 @@
 #include "worker_pool.hh"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <utility>
 
 namespace xfm
 {
 
+namespace
+{
+
+void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+/** Poll @p a until it differs from @p old: spin for up to
+ *  WorkerPool::spinBudget, then park in std::atomic::wait. */
+std::uint32_t
+awaitChange(const std::atomic<std::uint32_t> &a, std::uint32_t old)
+{
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point deadline = Clock::now()
+                                       + WorkerPool::spinBudget;
+    for (unsigned i = 1;; ++i) {
+        const std::uint32_t v = a.load(std::memory_order_acquire);
+        if (v != old)
+            return v;
+        cpuRelax();
+        // Read the clock only now and then: a poll is ~100 ns.
+        if (i % 64 == 0 && Clock::now() >= deadline)
+            break;
+    }
+    a.wait(old, std::memory_order_acquire);
+    return a.load(std::memory_order_acquire);
+}
+
+} // namespace
+
+std::size_t
+availableCpus() noexcept
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+        return std::max(1, CPU_COUNT(&set));
+    // A mask wider than cpu_set_t: fall back to the machine's count.
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
 WorkerPool::WorkerPool(std::size_t workers)
     : workers_(std::max<std::size_t>(1, workers))
 {
-    threads_.reserve(workers_ - 1);
-    for (std::size_t i = 0; i + 1 < workers_; ++i)
-        threads_.emplace_back([this] { workerLoop(); });
 }
 
 WorkerPool::~WorkerPool()
 {
-    {
-        std::lock_guard<std::mutex> g(m_);
-        stop_ = true;
-    }
-    wake_.notify_all();
+    if (threads_.empty())
+        return;
+    stop_.store(true);
+    gen_.fetch_add(1);
+    gen_.notify_all();
     for (auto &t : threads_)
         t.join();
 }
@@ -29,35 +75,38 @@ void
 WorkerPool::parallelFor(std::size_t n,
                         const std::function<void(std::size_t)> &fn)
 {
-    if (!parallel() || n <= 1) {
+    if (workers_ <= 1 || n <= 1) {
         for (std::size_t i = 0; i < n; ++i)
             fn(i);
         return;
     }
-
-    // Helpers and the caller drain one shared index counter.
-    const std::size_t helpers = std::min(threads_.size(), n - 1);
-    {
-        std::lock_guard<std::mutex> g(m_);
-        body_ = &fn;
-        n_ = n;
-        next_.store(0);
-        tickets_ = helpers;
-        busy_ = helpers;
+    if (threads_.empty()) {
+        threads_.reserve(workers_ - 1);
+        const std::uint32_t seen = gen_.load();
+        for (std::size_t i = 0; i + 1 < workers_; ++i)
+            threads_.emplace_back([this, seen] { helperLoop(seen); });
     }
-    for (std::size_t h = 0; h < helpers; ++h)
-        wake_.notify_one();
+
+    // Open the loop, then wake the helpers; they and the caller
+    // drain one shared index counter.
+    body_ = &fn;
+    n_ = n;
+    next_.store(0, std::memory_order_relaxed);
+    entry_.store(openBit, std::memory_order_release);
+    gen_.fetch_add(1);
+    gen_.notify_all();
     drain();
 
-    // Join before rethrowing: fn and everything its bodies reference
-    // must outlive every helper's last body.
-    std::unique_lock<std::mutex> g(m_);
-    idle_.wait(g, [this] { return busy_ == 0; });
+    // Close it and join before rethrowing: fn and everything its
+    // bodies reference must outlive every helper's last body.
+    for (std::uint32_t inside = entry_.fetch_and(~openBit) & ~openBit;
+         inside != 0;)
+        inside = awaitChange(entry_, inside);
     body_ = nullptr;
-    const std::exception_ptr error = std::exchange(error_, nullptr);
-    g.unlock();
-    if (error)
-        std::rethrow_exception(error);
+    if (failed_.load(std::memory_order_relaxed)) {
+        failed_.store(false, std::memory_order_relaxed);
+        std::rethrow_exception(std::exchange(error_, nullptr));
+    }
 }
 
 void
@@ -70,26 +119,32 @@ WorkerPool::drain()
         }
     } catch (...) {
         next_.store(n_);  // start no further index
-        std::lock_guard<std::mutex> g(m_);
-        if (!error_)
+        if (!failed_.exchange(true))
             error_ = std::current_exception();
     }
 }
 
 void
-WorkerPool::workerLoop()
+WorkerPool::helperLoop(std::uint32_t seen)
 {
-    std::unique_lock<std::mutex> g(m_);
     for (;;) {
-        wake_.wait(g, [this] { return stop_ || tickets_ > 0; });
-        if (stop_)
+        seen = awaitChange(gen_, seen);
+        if (stop_.load())
             return;
-        --tickets_;
-        g.unlock();
+        // Join only an open loop; a closed one is over (or not yet
+        // published) and needs nothing from this helper.
+        std::uint32_t e = entry_.load(std::memory_order_relaxed);
+        do {
+            if (!(e & openBit))
+                break;
+        } while (!entry_.compare_exchange_weak(e, e + 1,
+                                               std::memory_order_acquire,
+                                               std::memory_order_relaxed));
+        if (!(e & openBit))
+            continue;
         drain();
-        g.lock();
-        if (--busy_ == 0)
-            idle_.notify_one();
+        if (entry_.fetch_sub(1, std::memory_order_release) == 1)
+            entry_.notify_one();  // the last one out of a closed loop
     }
 }
 

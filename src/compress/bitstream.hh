@@ -12,6 +12,7 @@
 #include <cstring>
 
 #include "common/logging.hh"
+#include "common/units.hh"
 #include "compress/compressor.hh"
 
 namespace xfm
@@ -78,8 +79,9 @@ class BitWriter
 };
 
 /**
- * Append an LZ match to @p out: copy @p len bytes starting @p dist
- * bytes before the current end of @p out.
+ * Write an LZ match at @p op: copy @p len bytes starting @p dist
+ * bytes before @p op, and return op + len. The caller guarantees
+ * that op - dist is produced output and op + len is writable.
  *
  * Overlap-aware block copy shared by every decoder. When the match
  * does not overlap its source (dist >= len) it is a single memcpy.
@@ -89,29 +91,109 @@ class BitWriter
  * chunk, which keeps every memcpy source fully written and
  * non-overlapping with its destination.
  */
-inline void
-appendMatch(Bytes &out, std::size_t dist, std::size_t len)
+inline std::uint8_t *
+appendMatch(std::uint8_t *op, std::size_t dist, std::size_t len)
 {
-    XFM_ASSERT(dist >= 1 && dist <= out.size(),
-               "appendMatch: distance outside produced output");
-    if (len == 0)
-        return;
-    const std::size_t start = out.size() - dist;
-    out.resize(out.size() + len);
-    std::uint8_t *dst = out.data() + out.size() - len;
-    const std::uint8_t *src = out.data() + start;
+    const std::uint8_t *src = op - dist;
     if (len <= dist) {
-        std::memcpy(dst, src, len);
-        return;
+        std::memcpy(op, src, len);
+        return op + len;
     }
-    std::memcpy(dst, src, dist);
+    std::memcpy(op, src, dist);
     std::size_t filled = dist;
     while (filled < len) {
         const std::size_t chunk = std::min(filled, len - filled);
-        std::memcpy(dst + filled, dst, chunk);
+        std::memcpy(op + filled, op, chunk);
         filled += chunk;
     }
+    return op + len;
 }
+
+/**
+ * A decoder's output: literals and matches are written through a
+ * pointer into @p out, after the history (the dictionary, or
+ * nothing) that it already holds and that matches may reach into.
+ *
+ * The raw length comes from an untrusted header, so @p out is sized
+ * once up front to at most a page past the history; an output that
+ * needs more grows to at most a page past the sequence that needs
+ * it. Writing past the raw length is fatal. Each sequence checks
+ * its room once, with room(); finish() trims @p out to the bytes
+ * written.
+ */
+class DecodeOut
+{
+  public:
+    DecodeOut(Bytes &out, std::size_t raw_len, const char *codec)
+        : out_(out), target_(out.size() + raw_len), codec_(codec)
+    {
+        const std::size_t history = out.size();
+        resize(history + std::min<std::size_t>(raw_len, pageBytes));
+        op_ = out_.data() + history;
+    }
+
+    /** Bytes produced so far, history included. */
+    std::size_t
+    produced() const
+    {
+        return static_cast<std::size_t>(op_ - out_.data());
+    }
+
+    /** Bytes still to produce before the raw length is reached. */
+    std::size_t left() const { return target_ - produced(); }
+
+    /** Make room for @p n more bytes; fatal past the raw length. */
+    void
+    room(std::size_t n)
+    {
+        if (n <= static_cast<std::size_t>(end_ - op_))
+            return;
+        if (n > left())
+            fatal(codec_, ": output overruns the raw length");
+        const std::size_t at = produced();
+        resize(std::min<std::size_t>(target_, at + n + pageBytes));
+        op_ = out_.data() + at;
+    }
+
+    /** Copy @p n literal bytes; room() must cover them. */
+    void
+    literals(const std::uint8_t *src, std::size_t n)
+    {
+        if (n == 0)
+            return;  // src may be null: an empty literal stream
+        std::memcpy(op_, src, n);
+        op_ += n;
+    }
+
+    /** Write one byte; room() must cover it. */
+    void byte(std::uint8_t b) { *op_++ = b; }
+
+    /** Copy a match (1 <= dist <= produced()); room() must cover it. */
+    void
+    match(std::size_t dist, std::size_t len)
+    {
+        op_ = appendMatch(op_, dist, len);
+    }
+
+    /** Trim @p out to the bytes produced. */
+    void finish() { out_.resize(produced()); }
+
+  private:
+    /** Exact-capacity resize: reserve never rounds up. */
+    void
+    resize(std::size_t size)
+    {
+        out_.reserve(size);
+        out_.resize(size);
+        end_ = out_.data() + size;
+    }
+
+    Bytes &out_;
+    std::size_t target_;
+    const char *codec_;
+    std::uint8_t *op_ = nullptr;
+    std::uint8_t *end_ = nullptr;
+};
 
 /** Read bits LSB-first from a byte span. */
 class BitReader

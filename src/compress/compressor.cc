@@ -131,13 +131,11 @@ Compressor::decompressWithDictInto(ByteSpan dict, ByteSpan block,
         fatal(algorithmName(algorithm()), ": unknown block mode ",
               unsigned(mode));
 
-    // The header is untrusted: reserve at most a page, the most any
-    // swap path decodes. A longer raw length fails as a size
-    // mismatch once the body runs out, not as an allocation.
+    // The header is untrusted: the body's decoder sizes the output
+    // (DecodeOut), so a longer raw length fails once the body runs
+    // out, not as an allocation.
     const std::size_t target = dict.size() + raw_len;
     out.assign(dict.begin(), dict.end());
-    out.reserve(dict.size()
-                + std::min<std::size_t>(raw_len, pageBytes));
     decodeBody(body, raw_len, out);
     if (out.size() != target)
         fatal(algorithmName(algorithm()), ": size mismatch (",

@@ -134,7 +134,8 @@ DeflateCodec::encodeBody(ByteSpan full, std::size_t start,
 }
 
 void
-DeflateCodec::decodeBody(ByteSpan body, std::size_t, Bytes &out) const
+DeflateCodec::decodeBody(ByteSpan body, std::size_t raw_len,
+                         Bytes &out) const
 {
     BitReader br(body);
     std::vector<std::uint8_t> lit_lengths;
@@ -144,10 +145,12 @@ DeflateCodec::decodeBody(ByteSpan body, std::size_t, Bytes &out) const
     HuffmanDecoder lit_dec(lit_lengths);
     HuffmanDecoder dist_dec(dist_lengths);
 
+    DecodeOut dst(out, raw_len, "deflate");
     for (;;) {
         const std::uint32_t sym = lit_dec.decode(br);
         if (sym < 256) {
-            out.push_back(static_cast<std::uint8_t>(sym));
+            dst.room(1);
+            dst.byte(static_cast<std::uint8_t>(sym));
             continue;
         }
         if (sym == eobSymbol)
@@ -166,11 +169,13 @@ DeflateCodec::decodeBody(ByteSpan body, std::size_t, Bytes &out) const
         if (distExtra[dcode] > 0)
             dist += br.get(distExtra[dcode]);
 
-        if (dist > out.size())
+        if (dist > dst.produced())
             fatal("deflate: distance ", dist, " beyond output size ",
-                  out.size());
-        appendMatch(out, dist, len);
+                  dst.produced());
+        dst.room(len);
+        dst.match(dist, len);
     }
+    dst.finish();
 }
 
 } // namespace compress

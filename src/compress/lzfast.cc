@@ -126,9 +126,9 @@ void
 LzFastCodec::decodeBody(ByteSpan body, std::size_t raw_len,
                         Bytes &out) const
 {
-    const std::size_t target = out.size() + raw_len;
+    DecodeOut dst(out, raw_len, "lzfast");
     std::size_t pos = 0;
-    while (out.size() < target) {
+    while (dst.left() > 0) {
         if (pos >= body.size())
             fatal("lzfast: truncated sequence");
         const std::uint8_t token = body[pos++];
@@ -137,11 +137,14 @@ LzFastCodec::decodeBody(ByteSpan body, std::size_t raw_len,
             lit_count += getExtended(body, pos);
         if (pos + lit_count > body.size())
             fatal("lzfast: literal run overruns block");
-        out.insert(out.end(), body.begin() + pos,
-                   body.begin() + pos + lit_count);
+        const std::uint8_t *lits = body.data() + pos;
         pos += lit_count;
-        if (out.size() >= target)
-            break;  // final literals-only sequence
+        if (lit_count >= dst.left()) {
+            // Final literals-only sequence.
+            dst.room(lit_count);
+            dst.literals(lits, lit_count);
+            break;
+        }
 
         if (pos + 2 > body.size())
             fatal("lzfast: truncated offset");
@@ -154,10 +157,13 @@ LzFastCodec::decodeBody(ByteSpan body, std::size_t raw_len,
             match_len += getExtended(body, pos);
         match_len += minMatch;
 
-        if (dist == 0 || dist > out.size())
+        if (dist == 0 || dist > dst.produced() + lit_count)
             fatal("lzfast: bad distance ", dist);
-        appendMatch(out, dist, match_len);
+        dst.room(std::size_t(lit_count) + match_len);
+        dst.literals(lits, lit_count);
+        dst.match(dist, match_len);
     }
+    dst.finish();
 }
 
 } // namespace compress

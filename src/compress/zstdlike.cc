@@ -156,7 +156,8 @@ ZstdLikeCodec::encodeBody(ByteSpan full, std::size_t start,
 }
 
 void
-ZstdLikeCodec::decodeBody(ByteSpan body, std::size_t, Bytes &out) const
+ZstdLikeCodec::decodeBody(ByteSpan body, std::size_t raw_len,
+                          Bytes &out) const
 {
     const std::uint32_t lit_count = getU32(body, 0);
     const std::uint32_t seq_count = getU32(body, 4);
@@ -179,6 +180,7 @@ ZstdLikeCodec::decodeBody(ByteSpan body, std::size_t, Bytes &out) const
     }
 
     // Sequence replay on top of the seeded history.
+    DecodeOut dst(out, raw_len, "zstdlike");
     std::size_t lit_pos = 0;
     std::uint32_t last_offset = 0;
     for (std::uint32_t i = 0; i < seq_count; ++i) {
@@ -193,21 +195,26 @@ ZstdLikeCodec::decodeBody(ByteSpan body, std::size_t, Bytes &out) const
             mcode += getVarint(body, pos);
         if (lit_pos + lit_run > literals.size())
             fatal("zstdlike: literal stream overrun");
-        out.insert(out.end(), literals.begin() + lit_pos,
-                   literals.begin() + lit_pos + lit_run);
+        const std::uint8_t *lits = literals.data() + lit_pos;
         lit_pos += lit_run;
-        if (mcode == 0)
+        if (mcode == 0) {
+            dst.room(lit_run);
+            dst.literals(lits, lit_run);
             continue;
+        }
         const std::uint32_t match_len = mcode - 1 + 4;
         std::uint32_t offset = getVarint(body, pos);
         if (offset == 0)
             offset = last_offset;
         else
             last_offset = offset;
-        if (offset == 0 || offset > out.size())
+        if (offset == 0 || offset > dst.produced() + lit_run)
             fatal("zstdlike: bad offset ", offset);
-        appendMatch(out, offset, match_len);
+        dst.room(std::size_t(lit_run) + match_len);
+        dst.literals(lits, lit_run);
+        dst.match(offset, match_len);
     }
+    dst.finish();
 }
 
 } // namespace compress

@@ -11,6 +11,16 @@ namespace xfm
 namespace xfmsys
 {
 
+namespace
+{
+
+/** Largest accepted `workers`: more contexts than any DIMM count
+ *  could use, small enough that a typo cannot ask for a thread per
+ *  page. */
+constexpr std::uint64_t maxWorkers = 64;
+
+} // namespace
+
 XfmSystemConfig
 XfmSystemConfig::fromConfig(const Config &cfg, XfmSystemConfig base)
 {
@@ -20,6 +30,9 @@ XfmSystemConfig::fromConfig(const Config &cfg, XfmSystemConfig base)
     c.dictBytes = cfg.getU64("xfm.dict_bytes", c.dictBytes);
     c.quarantineCap = cfg.getU64("xfm.quarantine_cap", c.quarantineCap);
     c.workers = cfg.getU64("workers", c.workers);
+    if (cfg.has("workers") && c.workers > maxWorkers)
+        fatal("config key 'workers': '", c.workers,
+              "' is above the ceiling of ", maxWorkers);
     c.device = nma::XfmDeviceConfig::fromConfig(cfg, c.device);
     c.dimmMem.rank.device =
         dram::DeviceConfig::fromConfig(cfg, c.dimmMem.rank.device);
@@ -55,7 +68,7 @@ XfmBackend::XfmBackend(std::string name, EventQueue &eq,
       codec_(compress::makeCompressor(cfg.algorithm)),
       alloc_(cfg.sfmBytes), routes_(cfg.numDimms),
       shard_scratch_(cfg.numDimms), block_scratch_(cfg.numDimms),
-      pool_(cfg.workers)
+      pool_(std::min(cfg.workers, cfg.numDimms))
 {
     XFM_ASSERT(cfg_.numDimms >= 1, "need at least one DIMM");
     XFM_ASSERT(cfg_.dimmMem.channels == 1

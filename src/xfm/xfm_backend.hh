@@ -118,11 +118,14 @@ struct XfmSystemConfig
      * Wall-clock execution contexts for the CPU path's per-DIMM
      * shard (de)compression. Only host runtime changes: results are
      * committed in shard order, so simulated timing, metrics, and
-     * traces are byte-identical for any value. 1 (the default)
-     * spawns no threads and is exactly the single-threaded
-     * simulator.
+     * traces are byte-identical for any value. The backend runs
+     * min(workers, numDimms) contexts, so the default (the CPUs
+     * this process may run on) means min(numDimms, CPUs): 1 on a
+     * one-CPU host, which starts no thread and is exactly the
+     * single-threaded simulator. Helpers start on the first
+     * fan-out, so a backend that never codes on the CPU starts none.
      */
-    std::size_t workers = 1;
+    std::size_t workers = availableCpus();
 
     /** Shard of a page stored on each DIMM. */
     std::uint64_t
@@ -134,7 +137,8 @@ struct XfmSystemConfig
     /**
      * @p base with the XFM system keys applied to the fields above
      * (absent keys keep the base's value): xfm.dimms (numDimms),
-     * xfm.shard_dict, xfm.dict_bytes, xfm.quarantine_cap, workers;
+     * xfm.shard_dict, xfm.dict_bytes, xfm.quarantine_cap, workers
+     * (at most 64; a larger value is a FatalError naming the key);
      * plus the fromConfig keys of nma::XfmDeviceConfig (device),
      * dram::DeviceConfig (dimmMem's device: refresh.*, rfm.*),
      * fault::FaultPlan, fault::RetryPolicy and health::HealthConfig.

@@ -715,31 +715,41 @@ TEST_P(CodecTest, MaxCompressedSizeBoundsEveryCorpus)
 
 // ----------------------------------------------- overlap-aware copies
 
+/** appendMatch() at the end of @p out, grown by @p len first. */
+void
+appendMatchTo(Bytes &out, std::size_t dist, std::size_t len)
+{
+    const std::size_t at = out.size();
+    out.resize(at + len);
+    EXPECT_EQ(appendMatch(out.data() + at, dist, len),
+              out.data() + out.size());
+}
+
 TEST(AppendMatch, NonOverlappingIsPlainCopy)
 {
     Bytes out = toBytes("abcdef");
-    appendMatch(out, 6, 3);  // dist >= len: straight memcpy
+    appendMatchTo(out, 6, 3);  // dist >= len: straight memcpy
     EXPECT_EQ(out, toBytes("abcdefabc"));
 }
 
 TEST(AppendMatch, DistanceOneRunLengthEncodes)
 {
     Bytes out = toBytes("x");
-    appendMatch(out, 1, 9);
+    appendMatchTo(out, 1, 9);
     EXPECT_EQ(out, toBytes("xxxxxxxxxx"));
 }
 
 TEST(AppendMatch, ShortPeriodReplicates)
 {
     Bytes out = toBytes("abc");
-    appendMatch(out, 3, 10);
+    appendMatchTo(out, 3, 10);
     EXPECT_EQ(out, toBytes("abcabcabcabca"));
 }
 
 TEST(AppendMatch, OverlapWithinExistingOutput)
 {
     Bytes out = toBytes("0123456789");
-    appendMatch(out, 4, 6);  // copies "6789" then wraps
+    appendMatchTo(out, 4, 6);  // copies "6789" then wraps
     EXPECT_EQ(out, toBytes("0123456789678967"));
 }
 
@@ -754,7 +764,7 @@ TEST(AppendMatch, MatchesByteAtATimeReference)
         const std::size_t len = 1 + rng.uniformInt(64);
 
         Bytes fast = seed;
-        appendMatch(fast, dist, len);
+        appendMatchTo(fast, dist, len);
 
         Bytes slow = seed;
         for (std::size_t i = 0; i < len; ++i)

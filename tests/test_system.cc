@@ -188,6 +188,34 @@ TEST(SystemConfigParse, KeysReachTheirComponents)
     EXPECT_TRUE(c.tier.enabled);
 }
 
+TEST(SystemConfigParse, AbsentWorkersFollowTheHost)
+{
+    // No `workers` key: one context per CPU this process may run on
+    // (the backend then runs min(workers, xfm.dimms) of them).
+    const SystemConfig c = SystemConfig::fromConfig(
+        Config::parseString("xfm.dimms = 8\n"));
+    EXPECT_EQ(c.xfm.workers, availableCpus());
+    EXPECT_GE(c.xfm.workers, 1u);
+}
+
+TEST(SystemConfigParse, WorkersAboveTheCeilingIsFatal)
+{
+    // Parsing only: no pool of this size is ever built.
+    EXPECT_EQ(SystemConfig::fromConfig(
+                  Config::parseString("workers = 64\n")).xfm.workers,
+              64u);
+    for (const char *workers : {"65", "100000"}) {
+        try {
+            SystemConfig::fromConfig(Config::parseString(
+                std::string("workers = ") + workers + "\n"));
+            ADD_FAILURE() << "workers = " << workers << " accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("'workers'"),
+                      std::string::npos) << e.what();
+        }
+    }
+}
+
 TEST(SystemConfigParse, SqDepthOutsideTagSlotRangeIsFatal)
 {
     // A command tag holds a 16-bit slot index, and every DIMM needs

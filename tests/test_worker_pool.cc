@@ -1,15 +1,19 @@
 /**
  * @file
- * WorkerPool unit tests: inline execution, the parallelFor barrier
- * and full index coverage, join-before-rethrow on exceptions, and
- * the determinism contract (index-order commits produce identical
- * results for any worker count).
+ * WorkerPool unit tests: inline execution, lazy helper start, the
+ * parallelFor barrier and full index coverage (also over many
+ * back-to-back loops of the spin-then-park hand-off),
+ * join-before-rethrow on exceptions, and the determinism contract
+ * (index-order commits produce identical results for any worker
+ * count).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -22,11 +26,28 @@ namespace xfm
 namespace
 {
 
+/** Threads of this process, from the kernel's own list. The first
+ *  call starts and joins one thread, so a runtime that adds a thread
+ *  of its own at the first thread start (TSan does) has done so
+ *  before anything is counted. */
+std::size_t
+osThreads()
+{
+    static const bool warmed = [] {
+        std::thread([] {}).join();
+        return true;
+    }();
+    (void)warmed;
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return static_cast<std::size_t>(
+        std::distance(tasks, std::filesystem::directory_iterator{}));
+}
+
 TEST(WorkerPool, SingleWorkerIsInline)
 {
     WorkerPool pool(1);
     EXPECT_EQ(pool.workers(), 1u);
-    EXPECT_FALSE(pool.parallel());
+    EXPECT_EQ(pool.helpers(), 0u);
 
     // Every body runs on this thread, in index order.
     const auto self = std::this_thread::get_id();
@@ -42,7 +63,66 @@ TEST(WorkerPool, ZeroClampsToOne)
 {
     WorkerPool pool(0);
     EXPECT_EQ(pool.workers(), 1u);
-    EXPECT_FALSE(pool.parallel());
+    EXPECT_EQ(pool.helpers(), 0u);
+}
+
+TEST(WorkerPool, HelpersStartOnFirstFanOut)
+{
+    const std::size_t before = osThreads();
+    {
+        WorkerPool pool(4);
+        pool.parallelFor(0, [](std::size_t) {});
+        pool.parallelFor(1, [](std::size_t) {});
+        EXPECT_EQ(pool.helpers(), 0u) << "no fan-out yet";
+        EXPECT_EQ(osThreads(), before);
+
+        pool.parallelFor(8, [](std::size_t) {});
+        EXPECT_EQ(pool.helpers(), 3u);
+        EXPECT_EQ(osThreads(), before + 3);
+        pool.parallelFor(8, [](std::size_t) {});
+        EXPECT_EQ(osThreads(), before + 3) << "helpers are reused";
+    }
+    EXPECT_EQ(osThreads(), before) << "the destructor joins them";
+}
+
+TEST(WorkerPool, SingleWorkerNeverStartsAThread)
+{
+    const std::size_t before = osThreads();
+    WorkerPool pool(1);
+    int calls = 0;
+    for (int loop = 0; loop < 100; ++loop)
+        pool.parallelFor(8, [&](std::size_t) { ++calls; });
+    EXPECT_EQ(calls, 800);
+    EXPECT_EQ(pool.helpers(), 0u);
+    EXPECT_EQ(osThreads(), before);
+}
+
+TEST(WorkerPool, BackToBackLoopsRunEachIndexOnceInsideTheLoop)
+{
+    // The hand-off under load: helpers mostly catch each loop while
+    // still spinning from the last one. Every index of every loop
+    // runs exactly once, and no body runs after its loop returned.
+    constexpr int loops = 10000;
+    WorkerPool pool(4);
+    std::vector<std::atomic<int>> hits(8);
+    std::atomic<int> current{-1};
+    std::atomic<int> in_flight{0};
+    std::atomic<int> strays{0};
+    for (int loop = 0; loop < loops; ++loop) {
+        current.store(loop);
+        pool.parallelFor(hits.size(), [&, loop](std::size_t i) {
+            ++in_flight;
+            ++hits[i];
+            if (current.load() != loop)
+                ++strays;
+            --in_flight;
+        });
+        ASSERT_EQ(in_flight.load(), 0) << "loop " << loop;
+        for (std::size_t i = 0; i < hits.size(); ++i)
+            ASSERT_EQ(hits[i].exchange(0), 1)
+                << "loop " << loop << " index " << i;
+    }
+    EXPECT_EQ(strays.load(), 0);
 }
 
 TEST(WorkerPool, ParallelForCoversEveryIndexExactlyOnce)
@@ -143,6 +223,36 @@ TEST(WorkerPool, SubmitPropagatesExceptions)
                 << "helper_throws=" << helper_throws;
         }
         EXPECT_TRUE(caught) << "helper_throws=" << helper_throws;
+    }
+}
+
+TEST(WorkerPool, EveryFailedLoopJoinsBeforeRethrowing)
+{
+    // Back-to-back failing loops: each rethrow waits for every body
+    // of its loop, and the pool runs whole loops again afterwards.
+    WorkerPool pool(4);
+    std::atomic<int> in_flight{0};
+    for (int loop = 0; loop < 200; ++loop) {
+        bool caught = false;
+        try {
+            pool.parallelFor(8, [&](std::size_t i) {
+                ++in_flight;
+                if (i == 3) {
+                    --in_flight;
+                    throw std::runtime_error("boom");
+                }
+                std::this_thread::sleep_for(std::chrono::microseconds(20));
+                --in_flight;
+            });
+        } catch (const std::runtime_error &) {
+            caught = true;
+            ASSERT_EQ(in_flight.load(), 0) << "loop " << loop;
+        }
+        ASSERT_TRUE(caught) << "loop " << loop;
+
+        std::atomic<int> ran{0};
+        pool.parallelFor(8, [&](std::size_t) { ++ran; });
+        ASSERT_EQ(ran.load(), 8) << "loop " << loop;
     }
 }
 
