@@ -5,12 +5,17 @@
  * configurations that several test binaries build on.
  *
  * Everything here is inline and header-only, so a test that uses
- * only the page helpers does not need to link the service or XFM
- * libraries.
+ * only the page helpers or the thread count does not need to link
+ * the service or XFM libraries.
  */
 
 #ifndef XFM_TESTS_TEST_UTIL_HH
 #define XFM_TESTS_TEST_UTIL_HH
+
+#include <cstddef>
+#include <filesystem>
+#include <iterator>
+#include <thread>
 
 #include "common/config.hh"
 #include "compress/corpus.hh"
@@ -23,6 +28,23 @@ namespace xfm
 {
 namespace testutil
 {
+
+/** Threads of this process, from the kernel's own list. The first
+ *  call starts and joins one thread, so a runtime that adds a thread
+ *  of its own at the first thread start (TSan does) has done so
+ *  before anything is counted. */
+inline std::size_t
+osThreads()
+{
+    static const bool warmed = [] {
+        std::thread([] {}).join();
+        return true;
+    }();
+    (void)warmed;
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return static_cast<std::size_t>(
+        std::distance(tasks, std::filesystem::directory_iterator{}));
+}
 
 /** One page of deterministic corpus content. */
 inline Bytes

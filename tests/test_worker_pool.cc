@@ -12,36 +12,18 @@
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
-#include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/worker_pool.hh"
+#include "test_util.hh"
 
 namespace xfm
 {
 namespace
 {
-
-/** Threads of this process, from the kernel's own list. The first
- *  call starts and joins one thread, so a runtime that adds a thread
- *  of its own at the first thread start (TSan does) has done so
- *  before anything is counted. */
-std::size_t
-osThreads()
-{
-    static const bool warmed = [] {
-        std::thread([] {}).join();
-        return true;
-    }();
-    (void)warmed;
-    const std::filesystem::directory_iterator tasks("/proc/self/task");
-    return static_cast<std::size_t>(
-        std::distance(tasks, std::filesystem::directory_iterator{}));
-}
 
 TEST(WorkerPool, SingleWorkerIsInline)
 {
@@ -68,33 +50,34 @@ TEST(WorkerPool, ZeroClampsToOne)
 
 TEST(WorkerPool, HelpersStartOnFirstFanOut)
 {
-    const std::size_t before = osThreads();
+    const std::size_t before = testutil::osThreads();
     {
         WorkerPool pool(4);
         pool.parallelFor(0, [](std::size_t) {});
         pool.parallelFor(1, [](std::size_t) {});
         EXPECT_EQ(pool.helpers(), 0u) << "no fan-out yet";
-        EXPECT_EQ(osThreads(), before);
+        EXPECT_EQ(testutil::osThreads(), before);
 
         pool.parallelFor(8, [](std::size_t) {});
         EXPECT_EQ(pool.helpers(), 3u);
-        EXPECT_EQ(osThreads(), before + 3);
+        EXPECT_EQ(testutil::osThreads(), before + 3);
         pool.parallelFor(8, [](std::size_t) {});
-        EXPECT_EQ(osThreads(), before + 3) << "helpers are reused";
+        EXPECT_EQ(testutil::osThreads(), before + 3)
+            << "helpers are reused";
     }
-    EXPECT_EQ(osThreads(), before) << "the destructor joins them";
+    EXPECT_EQ(testutil::osThreads(), before) << "the destructor joins them";
 }
 
 TEST(WorkerPool, SingleWorkerNeverStartsAThread)
 {
-    const std::size_t before = osThreads();
+    const std::size_t before = testutil::osThreads();
     WorkerPool pool(1);
     int calls = 0;
     for (int loop = 0; loop < 100; ++loop)
         pool.parallelFor(8, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls, 800);
     EXPECT_EQ(pool.helpers(), 0u);
-    EXPECT_EQ(osThreads(), before);
+    EXPECT_EQ(testutil::osThreads(), before);
 }
 
 TEST(WorkerPool, BackToBackLoopsRunEachIndexOnceInsideTheLoop)

@@ -7,11 +7,8 @@
 
 #include <gtest/gtest.h>
 #include <algorithm>
-#include <filesystem>
-#include <iterator>
 
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -243,29 +240,12 @@ TEST_F(XfmBackendTest, DemandSwapInUsesCpu)
     EXPECT_EQ(backend_->stats().cpuSwapIns, 1u);
 }
 
-/** Threads of this process, from the kernel's own list. The first
- *  call starts and joins one thread, so a runtime that adds a thread
- *  of its own at the first thread start (TSan does) has done so
- *  before anything is counted. */
-std::size_t
-osThreads()
-{
-    static const bool warmed = [] {
-        std::thread([] {}).join();
-        return true;
-    }();
-    (void)warmed;
-    const std::filesystem::directory_iterator tasks("/proc/self/task");
-    return static_cast<std::size_t>(
-        std::distance(tasks, std::filesystem::directory_iterator{}));
-}
-
 TEST_F(XfmBackendTest, CodecHelpersStartOnlyForACpuLegFanOut)
 {
     // An offloaded round trip codes nothing on the CPU, so it starts
     // no thread; the first CPU leg starts min(workers, dimms) - 1
     // helpers, and workers = 1 never starts one.
-    const std::size_t before = osThreads();
+    const std::size_t before = testutil::osThreads();
     const Bytes page = pageContent(4);
     for (const std::size_t workers : {4u, 1u, 64u}) {
         XfmSystemConfig cfg = testSystemConfig(workers == 64 ? 2 : 4);
@@ -283,17 +263,18 @@ TEST_F(XfmBackendTest, CodecHelpersStartOnlyForACpuLegFanOut)
             eq.run(seconds(0.2));
             ASSERT_TRUE(in.success && !in.usedCpu)
                 << "workers=" << workers;
-            EXPECT_EQ(osThreads(), before) << "workers=" << workers;
+            EXPECT_EQ(testutil::osThreads(), before)
+                << "workers=" << workers;
 
             backend.swapOut(4, false, nullptr);
             eq.run(seconds(0.3));
             EXPECT_EQ(backend.pageState(4), PageState::Far);
             const std::size_t helpers =
                 std::min(workers, cfg.numDimms) - 1;
-            EXPECT_EQ(osThreads(), before + helpers)
+            EXPECT_EQ(testutil::osThreads(), before + helpers)
                 << "workers=" << workers;
         }
-        EXPECT_EQ(osThreads(), before) << "workers=" << workers;
+        EXPECT_EQ(testutil::osThreads(), before) << "workers=" << workers;
     }
 }
 
