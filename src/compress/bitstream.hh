@@ -168,10 +168,12 @@ class DecodeOut
     /** Write one byte; room() must cover it. */
     void byte(std::uint8_t b) { *op_++ = b; }
 
-    /** Copy a match (1 <= dist <= produced()); room() must cover it. */
+    /** Copy a match; room() must cover it. */
     void
     match(std::size_t dist, std::size_t len)
     {
+        XFM_ASSERT(dist >= 1 && dist <= produced(),
+                   "appendMatch: distance outside produced output");
         op_ = appendMatch(op_, dist, len);
     }
 
