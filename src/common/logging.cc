@@ -1,29 +1,11 @@
 #include "logging.hh"
 
-#include <atomic>
 #include <cstdio>
 
 namespace xfm
 {
 namespace detail
 {
-
-namespace
-{
-std::atomic<bool> verbose{false};
-} // namespace
-
-bool
-verboseEnabled()
-{
-    return verbose.load(std::memory_order_relaxed);
-}
-
-void
-setVerbose(bool enable)
-{
-    verbose.store(enable, std::memory_order_relaxed);
-}
 
 void
 emit(const char *level, const std::string &msg)

@@ -43,22 +43,9 @@ concat(Args &&...args)
     return os.str();
 }
 
-/** Global verbosity switch; informational messages honour this. */
-bool verboseEnabled();
-void setVerbose(bool enable);
-
 void emit(const char *level, const std::string &msg);
 
 } // namespace detail
-
-/** Print an informational message (suppressed unless verbose). */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    if (detail::verboseEnabled())
-        detail::emit("info", detail::concat(std::forward<Args>(args)...));
-}
 
 /** Print a warning about questionable but survivable conditions. */
 template <typename... Args>

@@ -76,16 +76,6 @@ Rng::zipf(std::uint64_t n, double theta)
     return zipfIndex(n, theta, uniformReal());
 }
 
-std::uint64_t
-Rng::geometric(double p)
-{
-    if (p >= 1.0)
-        return 0;
-    XFM_ASSERT(p > 0.0, "geometric requires p in (0, 1]");
-    const double u = uniformReal();
-    return static_cast<std::uint64_t>(std::log1p(-u) / std::log1p(-p));
-}
-
 ZipfSampler::ZipfSampler(std::uint64_t n, double theta)
     : n_(n), theta_(theta)
 {

@@ -97,9 +97,6 @@ class Rng
      */
     std::uint64_t zipf(std::uint64_t n, double theta);
 
-    /** Geometric draw: number of failures before first success. */
-    std::uint64_t geometric(double p);
-
   private:
     std::array<std::uint64_t, 4> state_;
 };

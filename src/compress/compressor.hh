@@ -147,13 +147,6 @@ class Compressor
         return raw + raw / 8 + 256;
     }
 
-    /**
-     * Maximum window the match finder may reference, in bytes.
-     * Multi-channel mode shrinks effective windows; Fig. 8 sweeps
-     * this.
-     */
-    virtual std::size_t windowBytes() const = 0;
-
   protected:
     /** @param body_mode this codec's frame mode byte (nonzero). */
     explicit Compressor(std::uint8_t body_mode);

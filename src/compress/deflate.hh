@@ -31,7 +31,6 @@ class DeflateCodec : public Compressor
     explicit DeflateCodec(std::size_t window_bytes = 32 * 1024);
 
     Algorithm algorithm() const override { return Algorithm::Deflate; }
-    std::size_t windowBytes() const override { return window_bytes_; }
 
   private:
     void encodeBody(ByteSpan full, std::size_t start,

@@ -29,7 +29,6 @@ class LzFastCodec : public Compressor
     explicit LzFastCodec(std::size_t window_bytes = 64 * 1024 - 1);
 
     Algorithm algorithm() const override { return Algorithm::LzFast; }
-    std::size_t windowBytes() const override { return window_bytes_; }
 
     /**
      * Most body bytes that @p raw input bytes can encode to, under

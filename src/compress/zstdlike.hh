@@ -28,7 +28,6 @@ class ZstdLikeCodec : public Compressor
     explicit ZstdLikeCodec(std::size_t window_bytes = 128 * 1024);
 
     Algorithm algorithm() const override { return Algorithm::ZstdLike; }
-    std::size_t windowBytes() const override { return window_bytes_; }
 
   private:
     void encodeBody(ByteSpan full, std::size_t start,

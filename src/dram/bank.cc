@@ -24,13 +24,12 @@ Bank::beginRefresh(std::uint32_t first_row, std::uint32_t count)
                "cannot refresh more rows in parallel than there are "
                "subarrays (one local row buffer each)");
     refreshing_ = true;
-    refresh_first_ = first_row % rows_per_bank_;
-    refresh_count_ = count;
-    busy_first_ = subarrayOf(refresh_first_);
+    const std::uint32_t first = first_row % rows_per_bank_;
+    busy_first_ = subarrayOf(first);
     busy_count_ = 0;
     if (count > 0) {
         const std::uint32_t last = static_cast<std::uint32_t>(
-            (std::uint64_t(refresh_first_) + count - 1)
+            (std::uint64_t(first) + count - 1)
             % rows_per_bank_);
         const std::uint32_t last_sub = subarrayOf(last);
         // A range that wraps past the bank end ends in a subarray
@@ -47,33 +46,9 @@ Bank::endRefresh()
 {
     XFM_ASSERT(refreshing_, "endRefresh outside a window");
     refreshing_ = false;
-    refresh_count_ = 0;
     // A random-access row held open across the window boundary is
     // precharged with the rest of the bank (auto-precharge).
     random_open_subarray_ = -1;
-}
-
-bool
-Bank::rowInRefreshSet(std::uint32_t row) const
-{
-    if (!refreshing_)
-        return false;
-    const std::uint32_t rel =
-        (row + rows_per_bank_ - refresh_first_) % rows_per_bank_;
-    return rel < refresh_count_;
-}
-
-BankAccessResult
-Bank::accessConditional(std::uint32_t row)
-{
-    XFM_ASSERT(row < rows_per_bank_, "row out of range");
-    if (!rowInRefreshSet(row)) {
-        ++subarray_conflicts_;
-        return BankAccessResult::SubarrayBusy;
-    }
-    // The refresh already activated this row in its subarray's
-    // local row buffer; bursting it out is free of activation.
-    return BankAccessResult::Ok;
 }
 
 BankAccessResult

@@ -16,6 +16,10 @@
  *    occupied by the refresh);
  *  - only one subarray can drive the global bitlines at a time, so
  *    at most one non-refresh row can be open per bank.
+ *
+ * A conditional access needs no bank state: its row is already in a
+ * row buffer because it is being refreshed. Whether a row is in the
+ * refresh set is answered once, by RefreshWindow::coversRow.
  */
 
 #ifndef XFM_DRAM_BANK_HH
@@ -60,13 +64,6 @@ class Bank
     void endRefresh();
 
     /**
-     * Attempt a *conditional* access: legal only while the row is
-     * part of the current refresh set (its row buffer already holds
-     * the row).
-     */
-    BankAccessResult accessConditional(std::uint32_t row);
-
-    /**
      * Attempt a *random* (SALP) access to a row outside the refresh
      * set. Requires the row's subarray to be idle and the global
      * bitlines to be free; on success the subarray is held open
@@ -79,9 +76,6 @@ class Bank
 
     /** True while inside a refresh window. */
     bool refreshing() const { return refreshing_; }
-
-    /** True if @p row is in the current refresh set. */
-    bool rowInRefreshSet(std::uint32_t row) const;
 
     /** Subarray index of @p row. */
     std::uint32_t
@@ -121,8 +115,6 @@ class Bank
     std::uint32_t subarray_span_;
 
     bool refreshing_ = false;
-    std::uint32_t refresh_first_ = 0;
-    std::uint32_t refresh_count_ = 0;
     /**
      * The refreshing rows are contiguous modulo rows_per_bank_, so
      * the subarrays they occupy are busy_count_ consecutive indices

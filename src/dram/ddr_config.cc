@@ -25,7 +25,6 @@ ddr5Device8Gb()
 {
     DeviceConfig c;
     c.name = "DDR5-3200 8Gb";
-    c.generation = DdrGeneration::Ddr5;
     c.capacityBits = std::uint64_t(8) << 30;
     c.banksPerChip = 16;
     c.rowsPerBank = 64 * 1024;
@@ -41,7 +40,6 @@ ddr5Device16Gb()
 {
     DeviceConfig c;
     c.name = "DDR5-3200 16Gb";
-    c.generation = DdrGeneration::Ddr5;
     c.capacityBits = std::uint64_t(16) << 30;
     c.banksPerChip = 32;
     c.rowsPerBank = 64 * 1024;
@@ -57,7 +55,6 @@ ddr5Device32Gb()
 {
     DeviceConfig c;
     c.name = "DDR5-3200 32Gb";
-    c.generation = DdrGeneration::Ddr5;
     c.capacityBits = std::uint64_t(32) << 30;
     c.banksPerChip = 32;
     c.rowsPerBank = 128 * 1024;
@@ -65,28 +62,6 @@ ddr5Device32Gb()
     c.rowBytesPerChip = 1024;
     c.rowsPerRefresh = 16;
     c.tRFC = nanoseconds(410.0);
-    return c;
-}
-
-DeviceConfig
-ddr4Device8Gb2400()
-{
-    DeviceConfig c;
-    c.name = "DDR4-2400 8Gb";
-    c.generation = DdrGeneration::Ddr4;
-    c.capacityBits = std::uint64_t(8) << 30;
-    c.banksPerChip = 16;
-    c.rowsPerBank = 64 * 1024;
-    c.subarraysPerBank = 128;
-    c.rowBytesPerChip = 1024;
-    c.rowsPerRefresh = 8;
-    c.tCK = 833;  // 2400 MT/s
-    c.tRCD = nanoseconds(14.16);
-    c.tCL = nanoseconds(14.16);
-    c.tRP = nanoseconds(14.16);
-    c.tRC = nanoseconds(46.0);
-    c.tRFC = nanoseconds(350.0);
-    c.tBURST = picoseconds(3333);  // BL8 at 2400 MT/s
     return c;
 }
 

@@ -23,13 +23,6 @@ namespace xfm
 namespace dram
 {
 
-/** DRAM device generation. */
-enum class DdrGeneration
-{
-    Ddr4,
-    Ddr5,
-};
-
 /**
  * Refresh command granularity.
  *
@@ -57,7 +50,6 @@ const char *refreshModeName(RefreshMode m);
 struct DeviceConfig
 {
     std::string name;
-    DdrGeneration generation = DdrGeneration::Ddr5;
 
     std::uint64_t capacityBits = 0;   ///< device density, e.g. 32 Gb
     std::uint32_t banksPerChip = 32;
@@ -191,9 +183,6 @@ Tick accessCompletionOffset(const DeviceConfig &dev, std::uint32_t k);
 DeviceConfig ddr5Device8Gb();
 DeviceConfig ddr5Device16Gb();
 DeviceConfig ddr5Device32Gb();
-
-/** DDR4-2400 device used by the emulator methodology (gem5 model). */
-DeviceConfig ddr4Device8Gb2400();
 
 /**
  * A rank: eight x8 devices in lockstep (plus implicit ECC chips).

@@ -18,14 +18,6 @@ constexpr std::array<const char *, faultSiteCount> siteNames = {
 
 } // namespace
 
-const char *
-faultSiteName(FaultSite site)
-{
-    const auto idx = static_cast<std::size_t>(site);
-    XFM_ASSERT(idx < faultSiteCount, "invalid fault site ", idx);
-    return siteNames[idx];
-}
-
 bool
 FaultPlan::anyArmed() const
 {

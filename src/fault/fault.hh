@@ -57,9 +57,6 @@ enum class FaultSite : std::uint32_t
 
 constexpr std::size_t faultSiteCount = 8;
 
-/** Stable lowercase identifier used in config keys and stats. */
-const char *faultSiteName(FaultSite site);
-
 /** Per-site trigger description. */
 struct SiteTrigger
 {

@@ -7,18 +7,6 @@ namespace xfm
 namespace health
 {
 
-const char *
-healthStateName(HealthState s)
-{
-    switch (s) {
-      case HealthState::Healthy: return "healthy";
-      case HealthState::Degraded: return "degraded";
-      case HealthState::Failed: return "failed";
-      case HealthState::Probation: return "probation";
-    }
-    return "unknown";
-}
-
 HealthConfig
 HealthConfig::fromConfig(const Config &cfg, HealthConfig base)
 {

@@ -47,11 +47,6 @@ enum class HealthState : std::uint8_t
     Probation,  ///< half-open: bounded probe requests admitted
 };
 
-constexpr std::size_t healthStateCount = 4;
-
-/** Stable lowercase identifier used in stats and traces. */
-const char *healthStateName(HealthState s);
-
 /** Monitor tuning, shared by every monitor of its owner (config
  *  keys: see fromConfig). */
 struct HealthConfig

@@ -114,21 +114,6 @@ ScratchPad::entry(OffloadId id) const
     return it->second;
 }
 
-bool
-ScratchPad::popWriteback(SpmEntry &out)
-{
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->second.tag == SpmTag::Completed
-            && it->second.writebackReady) {
-            out = std::move(it->second);
-            uncharge(out, out.reserved);
-            entries_.erase(it);
-            return true;
-        }
-    }
-    return false;
-}
-
 void
 ScratchPad::writebackIds(std::vector<OffloadId> &out) const
 {

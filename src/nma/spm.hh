@@ -132,13 +132,6 @@ class ScratchPad
         return entries_.find(id) != entries_.end();
     }
 
-    /**
-     * Pop one COMPLETED, destination-committed entry (FIFO order).
-     *
-     * @retval true an entry was popped into @p out.
-     */
-    bool popWriteback(SpmEntry &out);
-
     /** Refill @p out with the ids of COMPLETED,
      *  destination-committed entries (FIFO). */
     void writebackIds(std::vector<OffloadId> &out) const;
@@ -168,7 +161,7 @@ class ScratchPad
     fault::FaultInjector *injector_ = nullptr;
     std::size_t capacity_;
     std::size_t used_ = 0;
-    std::map<OffloadId, SpmEntry> entries_;  ///< ordered => FIFO pops
+    std::map<OffloadId, SpmEntry> entries_;  ///< ordered => FIFO ids
     std::map<std::uint32_t, std::size_t> partition_caps_;
     std::map<std::uint32_t, std::size_t> partition_used_;
 };

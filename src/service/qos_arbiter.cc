@@ -163,12 +163,6 @@ QosArbiter::slotDebt(TenantId id) const
     return lane(id).debt;
 }
 
-health::HealthMonitor &
-QosArbiter::abuseMonitor(TenantId id)
-{
-    return lane(id).monitor;
-}
-
 bool
 QosArbiter::laneBlocked(Lane &l)
 {

@@ -158,10 +158,6 @@ class QosArbiter : public SimObject
      *  on). */
     std::uint64_t slotDebt(TenantId id) const;
 
-    /** Abuse-detector health monitor of @p id (enabled only when
-     *  cfg.defense; used for metrics and tests). */
-    health::HealthMonitor &abuseMonitor(TenantId id);
-
     /** Attach a span tracer (null detaches): RFM slot steals then
      *  emit Stage::SlotSteal points on a lazily-made timeline. */
     void setTracer(obs::Tracer *t) { tracer_ = t; }

@@ -222,12 +222,6 @@ TenantBackend::pageState(sfm::VirtPage page) const
     return route_->pageState(global(page));
 }
 
-void
-TenantBackend::compact()
-{
-    route_->compact();
-}
-
 std::uint64_t
 TenantBackend::farPageCount() const
 {

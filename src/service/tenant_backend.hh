@@ -76,7 +76,6 @@ class TenantBackend : public sfm::SfmBackend
     void swapIn(sfm::VirtPage page, bool allow_offload,
                 sfm::SwapCallback done) override;
     sfm::PageState pageState(sfm::VirtPage page) const override;
-    void compact() override;
     std::uint64_t farPageCount() const override;
     std::uint64_t storedCompressedBytes() const override;
     const sfm::BackendStats &stats() const override { return stats_; }

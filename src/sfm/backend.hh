@@ -185,9 +185,6 @@ class SfmBackend
     /** Current residence of a page. */
     virtual PageState pageState(VirtPage page) const = 0;
 
-    /** Manually compact the SFM region (xfm_compact()). */
-    virtual void compact() = 0;
-
     /** Pages currently held compressed. */
     virtual std::uint64_t farPageCount() const = 0;
 

@@ -63,7 +63,9 @@ class CpuSfmBackend : public SimObject, public SfmBackend
     void swapIn(VirtPage page, bool allow_offload,
                 SwapCallback done) override;
     PageState pageState(VirtPage page) const override;
-    void compact() override;
+    /** Compact the zpool (xfm_compact()); swapOut runs it when an
+     *  allocation fails. */
+    void compact();
     std::uint64_t farPageCount() const override
     {
         return entries_.size() + same_filled_.size();

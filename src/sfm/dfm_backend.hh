@@ -66,7 +66,6 @@ class DfmBackend : public SimObject, public SfmBackend
     void swapIn(VirtPage page, bool allow_offload,
                 SwapCallback done) override;
     PageState pageState(VirtPage page) const override;
-    void compact() override {}  // nothing to compact: fixed slots
     std::uint64_t farPageCount() const override
     {
         return entries_.size();

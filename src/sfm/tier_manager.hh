@@ -177,7 +177,6 @@ class TierManager : public SimObject, public SfmBackend
     void swapIn(VirtPage page, bool allow_offload,
                 SwapCallback done) override;
     PageState pageState(VirtPage page) const override;
-    void compact() override { primary_.compact(); }
     std::uint64_t farPageCount() const override
     {
         return xfm_pages_ + dfm_pages_;

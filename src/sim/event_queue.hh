@@ -3,16 +3,15 @@
  * Discrete-event simulation kernel.
  *
  * A single EventQueue orders callbacks by (tick, priority, sequence
- * number) so same-tick events run in a deterministic order. Events
- * are cancellable via the returned EventId.
+ * number) so same-tick events run in a deterministic order. A
+ * scheduled event cannot be cancelled.
  *
  * Hot-path design (DESIGN.md §11): entries live in a slab of
  * fixed-size chunks and are recycled through a free list, the heap
  * is an inline std::vector of plain (tick, priority, seq, slot)
  * nodes, and callbacks are stored in an EventCallback with a large
  * small-buffer optimization — so steady-state scheduling performs
- * no heap allocation at all. Cancelled entries are swept out of the
- * heap when they outnumber live ones (see deschedule()).
+ * no heap allocation at all.
  */
 
 #ifndef XFM_SIM_EVENT_QUEUE_HH
@@ -30,12 +29,6 @@
 
 namespace xfm
 {
-
-/** Handle to a scheduled event, usable for cancellation. */
-using EventId = std::uint64_t;
-
-/** Invalid event handle. */
-constexpr EventId invalidEventId = 0;
 
 /**
  * Move-only callable wrapper with a small-buffer optimization wide
@@ -222,31 +215,21 @@ class EventQueue
      * Schedule a callback at an absolute tick.
      *
      * @param when absolute time; must be >= now().
-     * @return handle usable with deschedule().
      */
-    EventId schedule(Tick when, Callback cb,
-                     int priority = defaultPriority);
+    void schedule(Tick when, Callback cb, int priority = defaultPriority);
 
     /** Schedule a callback @p delta ticks in the future. */
-    EventId
+    void
     scheduleIn(Tick delta, Callback cb, int priority = defaultPriority)
     {
-        return schedule(now_ + delta, std::move(cb), priority);
+        schedule(now_ + delta, std::move(cb), priority);
     }
 
-    /**
-     * Cancel a pending event.
-     *
-     * @retval true the event was pending and is now cancelled.
-     * @retval false the event already ran or was cancelled.
-     */
-    bool deschedule(EventId id);
-
     /** True if no events remain. */
-    bool empty() const { return pending() == 0; }
+    bool empty() const { return heap_.empty(); }
 
-    /** Number of pending (non-cancelled) events. */
-    std::size_t pending() const { return heap_.size() - cancelled_; }
+    /** Number of pending events. */
+    std::size_t pending() const { return heap_.size(); }
 
     /**
      * Run events until the queue empties or @p limit is reached.
@@ -263,28 +246,10 @@ class EventQueue
     /** Total events executed over the queue's lifetime. */
     std::uint64_t executed() const { return executed_; }
 
-    /** Total successful deschedules over the queue's lifetime. */
-    std::uint64_t descheduled() const { return descheduled_; }
-
-    /** Entry slots currently allocated (capacity, not pending). */
+    /** Callback slots currently allocated (capacity, not pending). */
     std::size_t slots() const { return slot_count_; }
 
-    /** Times the cancelled-entry sweep ran. */
-    std::uint64_t compactions() const { return compactions_; }
-
   private:
-    /**
-     * Slab entry. The slot index plus a generation counter forms the
-     * EventId; the generation is bumped on release so stale handles
-     * never resolve to a recycled slot.
-     */
-    struct Entry
-    {
-        EventCallback cb;
-        std::uint32_t gen = 0;
-        bool cancelled = false;
-    };
-
     /** Heap node; everything the comparator needs, no pointers. */
     struct HeapNode
     {
@@ -309,37 +274,26 @@ class EventQueue
     };
 
     static constexpr std::size_t chunkSize = 128;
-    /** Don't bother sweeping tiny heaps. */
-    static constexpr std::size_t compactMinHeap = 64;
 
-    Entry &
+    EventCallback &
     entry(std::uint32_t slot)
     {
         return chunks_[slot / chunkSize][slot % chunkSize];
     }
 
     std::uint32_t acquireSlot();
-    void releaseSlot(std::uint32_t slot);
-    void compact();
 
-    /** Remove and return the heap top. */
-    HeapNode popTop();
-    /** Reap the heap top if it is a tombstone; true if it was. */
-    bool dropCancelledTop();
-    /** Run the (live) heap top's callback. */
+    /** Pop the heap top and run its callback. */
     void fireTop();
 
     Tick now_ = 0;
     std::uint64_t next_seq_ = 1;
     std::uint64_t executed_ = 0;
-    std::uint64_t descheduled_ = 0;
     std::vector<HeapNode> heap_;
-    std::vector<std::unique_ptr<Entry[]>> chunks_;
+    /** Slab of callbacks, indexed by a heap node's slot. */
+    std::vector<std::unique_ptr<EventCallback[]>> chunks_;
     std::vector<std::uint32_t> free_slots_;
     std::uint32_t slot_count_ = 0;
-    /** Tombstones still inside the heap. */
-    std::size_t cancelled_ = 0;
-    std::uint64_t compactions_ = 0;
 };
 
 } // namespace xfm

@@ -280,11 +280,11 @@ CovertReceiverModel::decode()
     // no matter how much queueing bled over from earlier bits. A
     // bit whose probes were never served at all saw effectively
     // unbounded latency — the strongest possible "hammered" signal.
-    bit_latency_ns_ = wait_min_ns_;
+    std::vector<double> latency = wait_min_ns_;
     // A bit none of whose probes were ever served is pinned to a
     // huge-but-finite wait so threshold arithmetic stays sane.
     constexpr double starvedNs = 1.0e12;
-    for (double &v : bit_latency_ns_)
+    for (double &v : latency)
         v = std::min(v, starvedNs);
     // The decode threshold sits in the largest relative gap of the
     // sorted per-bit latencies: hammered bits wait out whole bit
@@ -295,7 +295,7 @@ CovertReceiverModel::decode()
     // refresh-scale floor) has no usable threshold: everything
     // decodes 0 and BER collapses to the schedule's 1-density,
     // i.e. near-zero capacity.
-    std::vector<double> sorted = bit_latency_ns_;
+    std::vector<double> sorted = latency;
     std::sort(sorted.begin(), sorted.end());
     const double lo = sorted.front(), hi = sorted.back();
     const bool flat = !(hi > lo + flatSpreadNs);
@@ -310,7 +310,7 @@ CovertReceiverModel::decode()
         }
     }
     for (std::uint32_t k = 0; k < cfg_.bits; ++k) {
-        const bool rx = !flat && bit_latency_ns_[k] >= threshold;
+        const bool rx = !flat && latency[k] >= threshold;
         ++stats_.bitsDecoded;
         if (rx != covertBit(cfg_.scheduleSeed, k))
             ++stats_.bitErrors;

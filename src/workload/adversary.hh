@@ -204,14 +204,6 @@ class CovertReceiverModel : public SimObject
     /** True once all cfg.bits bit periods have been sampled. */
     bool done() const { return stats_.bitsDecoded >= cfg_.bits; }
 
-    /** Fastest probe wait (ns) observed in each bit period — the
-     *  minimum rides out queueing carried over from earlier bits,
-     *  which the mean does not. */
-    const std::vector<double> &bitLatencies() const
-    {
-        return bit_latency_ns_;
-    }
-
     /**
      * Measured channel capacity in bits/s: the signalling rate
      * discounted by the binary symmetric channel's capacity at the
@@ -230,7 +222,6 @@ class CovertReceiverModel : public SimObject
     std::uint32_t bit_ = 0;
     /** Fastest probe wait seen per bit period (indexed by bit). */
     std::vector<double> wait_min_ns_;
-    std::vector<double> bit_latency_ns_;
     CovertReceiverStats stats_;
 };
 

@@ -212,7 +212,9 @@ class XfmBackend : public SimObject, public sfm::SfmBackend
     void swapIn(sfm::VirtPage page, bool allow_offload,
                 sfm::SwapCallback done) override;
     sfm::PageState pageState(sfm::VirtPage page) const override;
-    void compact() override;
+    /** Repack the SFM region (xfm_compact()); a swap-out runs it
+     *  when placement fails. */
+    void compact();
     std::uint64_t farPageCount() const override
     {
         return entries_.size();

@@ -10,9 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-
 #include <algorithm>
 #include <optional>
 #include <vector>
@@ -316,15 +313,6 @@ runCovert(bool defense)
     eq.run((ccfg.bits + 3) * ccfg.bitPeriod);
 
     CovertResult r;
-    if (std::getenv("ADV_DEBUG")) {
-        const auto &lat = rx.bitLatencies();
-        for (std::size_t k = 0; k < lat.size(); ++k)
-            std::printf("bit %2zu tx=%d lat=%.1f\n", k,
-                        int(covertBit(ccfg.scheduleSeed, k)), lat[k]);
-        std::printf("probes=%llu served=%llu\n",
-                    (unsigned long long)rx.stats().probes,
-                    (unsigned long long)rx.stats().probesServed);
-    }
     EXPECT_TRUE(rx.done());
     r.ber = rx.stats().bitErrorRate();
     r.capacityBps = rx.channelCapacityBps();

@@ -57,30 +57,6 @@ TEST_F(BankTest, GeometryFromDevice)
     EXPECT_EQ(bank_.subarrayOf(dev_.rowsPerSubarray()), 1u);
 }
 
-TEST_F(BankTest, ConditionalRequiresRefreshSet)
-{
-    bank_.beginRefresh(100, 16);
-    EXPECT_EQ(bank_.accessConditional(100), BankAccessResult::Ok);
-    EXPECT_EQ(bank_.accessConditional(115), BankAccessResult::Ok);
-    EXPECT_EQ(bank_.accessConditional(116),
-              BankAccessResult::SubarrayBusy);
-    EXPECT_EQ(bank_.accessConditional(99),
-              BankAccessResult::SubarrayBusy);
-    bank_.endRefresh();
-}
-
-TEST_F(BankTest, RefreshSetWrapsAtBankEnd)
-{
-    const std::uint32_t last = dev_.rowsPerBank - 4;
-    bank_.beginRefresh(last, 16);
-    EXPECT_TRUE(bank_.rowInRefreshSet(last));
-    EXPECT_TRUE(bank_.rowInRefreshSet(dev_.rowsPerBank - 1));
-    EXPECT_TRUE(bank_.rowInRefreshSet(0));   // wrapped
-    EXPECT_TRUE(bank_.rowInRefreshSet(11));
-    EXPECT_FALSE(bank_.rowInRefreshSet(12));
-    bank_.endRefresh();
-}
-
 TEST_F(BankTest, RandomAccessToRefreshedSubarrayConflicts)
 {
     // Rows 0..15 are being refreshed: rows 0..511 share subarray 0
@@ -144,8 +120,7 @@ TEST_F(BankTest, RefreshSpansManySubarraysConflictRate)
 TEST(Bank, SubarrayTestMatchesRowScan)
 {
     std::vector<DeviceConfig> devs = {ddr5Device8Gb(), ddr5Device16Gb(),
-                                      ddr5Device32Gb(),
-                                      ddr4Device8Gb2400()};
+                                      ddr5Device32Gb()};
     DeviceConfig one_row = ddr5Device8Gb();  // rowsPerSubarray == 1
     one_row.rowsPerBank = 512;
     one_row.subarraysPerBank = 512;

@@ -258,18 +258,6 @@ TEST(ZipfSampler, RejectsTablesAboveMaxN)
     EXPECT_DEATH(ZipfSampler(ZipfSampler::maxN + 1, 0.9), "O\\(n\\)");
 }
 
-TEST(Rng, GeometricMeanMatches)
-{
-    Rng rng(23);
-    const double p = 0.2;
-    double sum = 0;
-    const int draws = 50000;
-    for (int i = 0; i < draws; ++i)
-        sum += static_cast<double>(rng.geometric(p));
-    // Mean of geometric (failures before success) is (1-p)/p = 4.
-    EXPECT_NEAR(sum / draws, 4.0, 0.15);
-}
-
 TEST(Stats, CounterBasics)
 {
     stats::Counter c;

@@ -97,14 +97,13 @@ TEST(ScratchPad, PopWritebackFifoOrder)
         spm.complete(id, Bytes(32, static_cast<std::uint8_t>(id)));
         spm.setDestination(id, id * 0x100, 0, 0);
     }
-    SpmEntry e;
-    ASSERT_TRUE(spm.popWriteback(e));
-    EXPECT_EQ(e.id, 1u);
-    ASSERT_TRUE(spm.popWriteback(e));
-    EXPECT_EQ(e.id, 2u);
-    ASSERT_TRUE(spm.popWriteback(e));
-    EXPECT_EQ(e.id, 3u);
-    EXPECT_FALSE(spm.popWriteback(e));
+    std::vector<OffloadId> ids;
+    spm.writebackIds(ids);
+    ASSERT_EQ(ids, (std::vector<OffloadId>{1, 2, 3}));
+    for (OffloadId id : ids)
+        EXPECT_EQ(spm.take(id).id, id);
+    spm.writebackIds(ids);
+    EXPECT_TRUE(ids.empty());
 }
 
 TEST(ScratchPad, PartitionCapRejectsOnlyThatPartition)

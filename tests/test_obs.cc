@@ -1,10 +1,10 @@
 /**
  * @file
- * Observability-layer tests: registry registration rules, snapshot
- * export round-trips, delta/reset semantics, tracer ring-buffer
- * accounting, and the Histogram saturation regression (out-of-range
- * samples must participate in percentile rank math and surface as
- * underflow/overflow counts).
+ * Observability-layer tests: JSON literals, registry registration
+ * rules, snapshot export round-trips, delta/reset semantics, tracer
+ * ring-buffer accounting, and the Histogram saturation regression
+ * (out-of-range samples must participate in percentile rank math
+ * and surface as underflow/overflow counts).
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +24,33 @@ namespace obs
 {
 namespace
 {
+
+// -------------------------------------------------------------- json
+
+TEST(Json, ParsesLiterals)
+{
+    json::Value v;
+    std::string error;
+    ASSERT_TRUE(json::parse("[true,false,null]", v, error)) << error;
+    const json::Array &items = v.array();
+    ASSERT_EQ(items.size(), 3u);
+    EXPECT_EQ(items[0].type(), json::Value::Type::Bool);
+    EXPECT_TRUE(items[0].boolean());
+    EXPECT_EQ(items[1].type(), json::Value::Type::Bool);
+    EXPECT_FALSE(items[1].boolean());
+    EXPECT_EQ(items[2].type(), json::Value::Type::Null);
+}
+
+TEST(Json, RejectsBadLiterals)
+{
+    for (const char *text : {"tru", "nul", "falsy"}) {
+        json::Value v;
+        std::string error;
+        EXPECT_FALSE(json::parse(text, v, error)) << text;
+        EXPECT_NE(error.find("bad literal"), std::string::npos)
+            << text << ": " << error;
+    }
+}
 
 // ---------------------------------------------------------- registry
 

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <array>
 #include <functional>
-#include <set>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -54,17 +53,6 @@ TEST(EventQueue, ScheduleInIsRelative)
     });
     eq.run();
     EXPECT_EQ(seen, 150u);
-}
-
-TEST(EventQueue, DescheduleCancelsPending)
-{
-    EventQueue eq;
-    bool ran = false;
-    EventId id = eq.schedule(10, [&] { ran = true; });
-    EXPECT_TRUE(eq.deschedule(id));
-    EXPECT_FALSE(eq.deschedule(id));  // double cancel fails
-    eq.run();
-    EXPECT_FALSE(ran);
 }
 
 TEST(EventQueue, RunRespectsLimit)
@@ -113,11 +101,12 @@ TEST(EventQueue, EmptyAndPendingAccounting)
 {
     EventQueue eq;
     EXPECT_TRUE(eq.empty());
-    EventId a = eq.schedule(1, [] {});
+    eq.schedule(1, [] {});
     eq.schedule(2, [] {});
     EXPECT_EQ(eq.pending(), 2u);
-    eq.deschedule(a);
+    EXPECT_TRUE(eq.step());
     EXPECT_EQ(eq.pending(), 1u);
+    EXPECT_FALSE(eq.empty());
     eq.run();
     EXPECT_TRUE(eq.empty());
 }
@@ -154,80 +143,6 @@ TEST(EventQueue, SlabRecyclesSlots)
     EXPECT_LE(eq.slots(), 256u);
 }
 
-TEST(EventQueue, StaleIdAfterRecycleDoesNotCancel)
-{
-    // A slot freed by execution may be recycled for a new event;
-    // the old id's generation must no longer match, so a late
-    // deschedule neither succeeds nor kills the new occupant.
-    EventQueue eq;
-    const EventId old_id = eq.schedule(1, [] {});
-    eq.run();  // executes and frees the slot
-    bool ran = false;
-    // Recycle until some new event reuses old_id's slot.
-    std::vector<EventId> ids;
-    for (int i = 0; i < 300; ++i)
-        ids.push_back(eq.schedule(10, [&] { ran = true; }));
-    EXPECT_FALSE(eq.deschedule(old_id));
-    eq.run();
-    EXPECT_TRUE(ran);
-}
-
-TEST(EventQueue, CancelledEntriesAreCompacted)
-{
-    // Satellite fix: descheduled entries used to ride the heap until
-    // their tick. Mass-cancelling must trigger the sweep instead of
-    // retaining thousands of tombstones.
-    EventQueue eq;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 2000; ++i)
-        ids.push_back(eq.schedule(1000000 + i, [] {}));
-    for (const auto id : ids)
-        EXPECT_TRUE(eq.deschedule(id));
-    EXPECT_GT(eq.compactions(), 0u);
-    EXPECT_TRUE(eq.empty());
-    eq.run();
-    EXPECT_EQ(eq.executed(), 0u);
-}
-
-TEST(EventQueue, CompactionPreservesOrdering)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    // Interleave keepers with a larger population of cancels so the
-    // sweep fires while keepers are still pending.
-    std::vector<EventId> cancels;
-    for (int i = 0; i < 512; ++i)
-        cancels.push_back(eq.schedule(10 + i, [] {}));
-    eq.schedule(600, [&] { order.push_back(2); },
-                EventQueue::defaultPriority);
-    eq.schedule(600, [&] { order.push_back(1); },
-                EventQueue::refreshPriority);
-    eq.schedule(550, [&] { order.push_back(0); });
-    eq.schedule(700, [&] { order.push_back(3); });
-    for (const auto id : cancels)
-        eq.deschedule(id);
-    EXPECT_GT(eq.compactions(), 0u);
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(EventQueue, SelfDescheduleDuringCallbackIsHarmless)
-{
-    // The executing event's slot is released before its callback
-    // runs (matching the old erase-before-call): cancelling
-    // yourself mid-callback reports false and corrupts nothing.
-    EventQueue eq;
-    EventId self = 0;
-    bool saw_false = false;
-    self = eq.schedule(5, [&] {
-        saw_false = !eq.deschedule(self);
-        eq.scheduleIn(1, [] {});
-    });
-    eq.run();
-    EXPECT_TRUE(saw_false);
-    EXPECT_EQ(eq.executed(), 2u);
-}
-
 TEST(EventQueue, LargeCallbacksFallBackToHeap)
 {
     // Callbacks above the SBO threshold take the heap path; both
@@ -255,41 +170,22 @@ TEST(SimObject, ExposesNameAndTime)
 
 /**
  * Naive reference queue: a std::vector of (tick, priority, seq)
- * kept sorted latest-first, so the next event is always at the back,
- * plus the set of cancelled sequence numbers. No slab, no heap, no
- * generations, no compaction: the ordering contract in its plainest
- * form.
+ * kept sorted latest-first, so the next event is always at the back.
+ * No slab, no heap: the ordering contract in its plainest form.
  */
 class ReferenceQueue
 {
   public:
     Tick now() const { return now_; }
     std::uint64_t executed() const { return executed_; }
-    std::uint64_t descheduled() const { return descheduled_; }
 
-    std::uint64_t
+    void
     schedule(Tick when, std::function<void()> cb, int priority)
     {
         Item item{when, priority, next_seq_++, std::move(cb)};
         const auto pos = std::lower_bound(items_.begin(), items_.end(),
                                           item, runsLater);
-        const std::uint64_t id = item.seq;
         items_.insert(pos, std::move(item));
-        return id;
-    }
-
-    bool
-    deschedule(std::uint64_t id)
-    {
-        // Only a pending event can be cancelled: one that already
-        // ran (or is running) has left the vector.
-        const bool pending =
-            std::any_of(items_.begin(), items_.end(),
-                        [id](const Item &i) { return i.seq == id; });
-        if (!pending || !cancelled_.insert(id).second)
-            return false;
-        ++descheduled_;
-        return true;
     }
 
     void
@@ -298,8 +194,6 @@ class ReferenceQueue
         while (!items_.empty()) {
             Item item = std::move(items_.back());
             items_.pop_back();
-            if (cancelled_.erase(item.seq))
-                continue;
             now_ = item.when;
             item.cb();
             ++executed_;
@@ -326,11 +220,9 @@ class ReferenceQueue
     }
 
     std::vector<Item> items_;
-    std::set<std::uint64_t> cancelled_;
     Tick now_ = 0;
     std::uint64_t next_seq_ = 1;
     std::uint64_t executed_ = 0;
-    std::uint64_t descheduled_ = 0;
 };
 
 /** One fired event, as observed by the harness. */
@@ -353,7 +245,6 @@ struct ReplayResult
 {
     std::vector<FireRecord> fires;
     std::uint64_t executed = 0;
-    std::uint64_t descheduled = 0;
     Tick finalNow = 0;
 };
 
@@ -386,24 +277,21 @@ class ScheduleRng
  * exact (tick, priority, serial) fire order.
  *
  * The generator exercises every mutation the real simulator
- * performs: plain posts, posts landing on the same tick, up-front
- * cancels (@p cancels of them) and reschedules (cancel + repost at
- * a new tick), cancels from inside a callback — including of the
- * running event itself — and callbacks that post follow-up work.
+ * performs: plain posts, posts landing on the same tick and
+ * callbacks that post follow-up work.
  */
 template <typename Queue>
 ReplayResult
-replaySchedule(Queue &eq, std::uint64_t seed, int cancels = 170)
+replaySchedule(Queue &eq, std::uint64_t seed)
 {
     constexpr Tick kSpan = 40000;
     ReplayResult out;
     ScheduleRng rng(seed);
-    std::vector<std::pair<std::uint64_t, EventId>> live;
     std::uint64_t serial = 0;
 
     auto post = [&](Tick when, int prio, auto &&self) -> void {
         const std::uint64_t id = serial++;
-        EventId ev = eq.schedule(when, [&, id, prio, self]() mutable {
+        eq.schedule(when, [&, id, prio, self]() mutable {
             out.fires.push_back({eq.now(), prio, id});
             // 1 in 4 callbacks posts follow-up work.
             if (rng.pick(4) == 0 && serial < 4096) {
@@ -411,16 +299,7 @@ replaySchedule(Queue &eq, std::uint64_t seed, int cancels = 170)
                 self(eq.now() + delta,
                      static_cast<int>(rng.pick(3)) - 1, self);
             }
-            // 1 in 8 callbacks cancels a random event it has seen
-            // posted: pending, already fired, or itself.
-            if (rng.pick(8) == 0 && !live.empty()) {
-                const std::size_t idx = rng.pick(live.size());
-                if (eq.deschedule(live[idx].second))
-                    live.erase(live.begin()
-                               + static_cast<std::ptrdiff_t>(idx));
-            }
         }, prio);
-        live.push_back({id, ev});
     };
 
     // Seed schedule over three priorities; a fifth of the posts
@@ -431,21 +310,9 @@ replaySchedule(Queue &eq, std::uint64_t seed, int cancels = 170)
             when = (1 + rng.pick(40)) * (kSpan / 40);
         post(when, static_cast<int>(rng.pick(3)) - 1, post);
     }
-    // Up-front cancels, half of them rescheduled elsewhere.
-    for (int i = 0; i < cancels && !live.empty(); ++i) {
-        const std::size_t idx = rng.pick(live.size());
-        if (eq.deschedule(live[idx].second)) {
-            live.erase(live.begin()
-                       + static_cast<std::ptrdiff_t>(idx));
-            if (rng.pick(2) == 0)
-                post(1 + rng.pick(kSpan),
-                     static_cast<int>(rng.pick(3)) - 1, post);
-        }
-    }
 
     eq.run();
     out.executed = eq.executed();
-    out.descheduled = eq.descheduled();
     out.finalNow = eq.now();
     return out;
 }
@@ -464,7 +331,6 @@ expectSameReplay(const ReplayResult &got, const ReplayResult &want,
             << want.fires[i].serial << ")";
     }
     EXPECT_EQ(got.executed, want.executed) << "seed " << seed;
-    EXPECT_EQ(got.descheduled, want.descheduled) << "seed " << seed;
     EXPECT_EQ(got.finalNow, want.finalNow) << "seed " << seed;
 }
 
@@ -477,7 +343,6 @@ checkAgainstReference(std::uint64_t seed)
     EventQueue eq;
     const ReplayResult got = replaySchedule(eq, seed);
     expectSameReplay(got, want, seed);
-    EXPECT_GT(got.descheduled, 0u);
     EXPECT_EQ(eq.pending(), 0u);
 }
 
@@ -495,21 +360,6 @@ TEST(EventQueueReference, MatchesNaiveModelSeed99)
 TEST(EventQueueReference, MatchesNaiveModelSeed1234567)
 {
     checkAgainstReference(1234567);
-}
-
-TEST(EventQueueReference, MatchesNaiveModelThroughCompaction)
-{
-    // Cancel most of the seed schedule up front: the tombstones
-    // outnumber live entries, so the sweep runs mid-replay and must
-    // not perturb the fire order.
-    const std::uint64_t seed = 2024;
-    ReferenceQueue ref;
-    const ReplayResult want = replaySchedule(ref, seed, 450);
-    EventQueue eq;
-    const ReplayResult got = replaySchedule(eq, seed, 450);
-    EXPECT_GT(eq.compactions(), 0u);
-    expectSameReplay(got, want, seed);
-    EXPECT_EQ(eq.pending(), 0u);
 }
 
 } // namespace

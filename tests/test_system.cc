@@ -155,6 +155,29 @@ TEST(SystemComparison, BaselineSkipsRefusedPageUntilTouched)
     EXPECT_EQ(sys.readPage(0), blob);
 }
 
+TEST(SystemComparison, FullSfmRegionCompactsAndKeepsPages)
+{
+    // An SFM region far smaller than the working set: each backend
+    // compacts when a placement fails, refuses what still does not
+    // fit, and every page reads back intact.
+    for (BackendKind kind : {BackendKind::BaselineCpu, BackendKind::Xfm}) {
+        auto cfg = testConfig(kind);
+        cfg.sfmBytes = kib(16);
+        EventQueue eq;
+        System sys("sys", eq, cfg);
+        for (sfm::VirtPage p = 0; p < 128; ++p)
+            sys.writePage(p, pageContent(p));
+        sys.start();
+        eq.run(milliseconds(40.0));
+        const auto &st = sys.backend().stats();
+        EXPECT_GT(st.compactions, 0u);
+        EXPECT_GT(st.rejectedSwapOuts, 0u);
+        EXPECT_GT(sys.backend().farPageCount(), 0u);
+        for (sfm::VirtPage p = 0; p < 128; ++p)
+            ASSERT_EQ(sys.readPage(p), pageContent(p)) << "page " << p;
+    }
+}
+
 TEST(SystemConfigParse, KeysReachTheirComponents)
 {
     // One parse path: every key lands in the struct of the component
