@@ -52,8 +52,6 @@ using namespace xfm::xfmsys;
 namespace
 {
 
-constexpr std::size_t dictBytes = 2048;  ///< backend default
-
 /** DDR5 channel bandwidth for slot reads / dict staging. */
 constexpr double channelGBps = 25.6;
 
@@ -123,7 +121,7 @@ main(int argc, char **argv)
     std::printf("dict_sweep%s: %zu KiB per corpus, dict_bytes=%zu, "
                 "Deflate\n\n",
                 smoke ? " (smoke)" : "", corpus_bytes / 1024,
-                dictBytes);
+                pageDictBytes);
     std::printf("%-14s %5s %5s %8s %8s %10s %10s\n", "corpus",
                 "dimms", "dict", "ratio", "placed", "restore ns",
                 "recovered");
@@ -156,7 +154,7 @@ main(int argc, char **argv)
             // Round-trip of every dict-mode page is asserted
             // inside measureMultiChannelDict().
             const auto dicted = measureMultiChannelDict(
-                pages, codec, d, dictBytes);
+                pages, codec, d, pageDictBytes);
             Point q;
             q.kind = kind;
             q.dimms = d;
@@ -204,7 +202,7 @@ main(int argc, char **argv)
                   "  \"dict_bytes\": %zu,\n"
                   "  \"recovery_4d_mean\": %.4f,\n"
                   "  \"recovery_4d_min\": %.4f,\n",
-                  smoke ? "true" : "false", dictBytes, rec_mean,
+                  smoke ? "true" : "false", pageDictBytes, rec_mean,
                   rec_min);
     j += buf;
     j += "  \"sweep\": [\n";

@@ -51,8 +51,6 @@ struct SwapSimConfig
     Tick burstQuantum = milliseconds(1.0);
     /** Fault scenario (disarmed by default = seed behaviour). */
     fault::FaultPlan faults{};
-    /** Driver retry policy for transient injected faults. */
-    fault::RetryPolicy retry{};
 };
 
 /** Point outcome. */
@@ -117,7 +115,6 @@ runSwapSim(const SwapSimConfig &sc)
     fault::FaultInjector injector(sc.faults);
     device.setFaultInjector(&injector);
     driver.setFaultInjector(&injector);
-    driver.setRetryPolicy(sc.retry);
 
     // Tuned-controller reservation calendar: window w serves at
     // most (accesses - randoms) conditional accesses; bursts spread

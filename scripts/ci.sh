@@ -141,14 +141,27 @@ fi
 # Adversary soak: the RFM-starver and covert pair against a victim
 # fleet with the full QoS defense armed (configs/adversary.cfg).
 # The abuse checker then asserts the detector settled: at least one
-# escalation fired and no abuse monitor is stuck mid-probation.
+# escalation fired and no abuse monitor is stuck mid-probation. The
+# run is traced too: the trace must pass the schema check and hold
+# the service layer's slot_steal records. The ring holds the whole
+# run (about 170k events); at the default cap of 65536 per-bank
+# refresh points crowd out every slot_steal record.
 adv_dir="${build_dir}/adversary-smoke"
 mkdir -p "${adv_dir}"
 cat "${repo_root}/configs/adversary.cfg" > "${adv_dir}/adversary.cfg"
-echo "stats.json = ${adv_dir}/stats.json" >> "${adv_dir}/adversary.cfg"
+{
+    echo "stats.json = ${adv_dir}/stats.json"
+    echo "trace.out = ${adv_dir}/trace.jsonl"
+    echo "trace.cap = 262144"
+} >> "${adv_dir}/adversary.cfg"
 "${build_dir}/examples/fleet_sim" --config "${adv_dir}/adversary.cfg" \
     > /dev/null
 "${build_dir}/tools/check_obs_output" abuse "${adv_dir}/stats.json"
+"${build_dir}/tools/check_obs_output" trace "${adv_dir}/trace.jsonl"
+if ! grep -q '"slot_steal"' "${adv_dir}/trace.jsonl"; then
+    echo "ci: the adversary trace holds no slot_steal record" >&2
+    exit 1
+fi
 
 # Flag validation: fleet_sim reads its flags through the same
 # Config getters as its file keys, so a malformed or non-finite
@@ -166,7 +179,11 @@ done
 # list the others.
 stale_cfg="${build_dir}/stale-key.cfg"
 for stale_key in shed.enabled tier.xfm_capacity_pages \
-        adversary.burst_budget qos.abuse_z qos.slot_debt; do
+        adversary.burst_budget qos.abuse_z qos.slot_debt \
+        health.degrade health.fail health.probe_quota \
+        health.probe_successes qos.slots_per_window qos.min_batch_slots \
+        fault.spm_watermark fault.dfm_delay_ns retry.max_attempts \
+        retry.backoff_ns retry.cap_ns rfm.raammt xfm.dict_bytes; do
     echo "${stale_key} = 1" > "${stale_cfg}"
     if stale_out="$("${build_dir}/examples/fleet_sim" --config "${stale_cfg}" 2>&1)"; then
         echo "ci: fleet_sim accepted the deleted config key ${stale_key}" >&2
@@ -177,6 +194,12 @@ for stale_key in shed.enabled tier.xfm_capacity_pages \
         exit 1
     fi
 done
+# A site key under a deleted setting's prefix still arms its site.
+echo "fault.spm_watermark.p = 0.1" > "${stale_cfg}"
+if ! site_out="$("${build_dir}/examples/fleet_sim" --config "${stale_cfg}" --ms 1 2>&1)"; then
+    echo "ci: fleet_sim refused fault.spm_watermark.p: ${site_out}" >&2
+    exit 1
+fi
 # The KV/inference application models are gone: the apps workload
 # must be refused by name, not run as some other fleet.
 echo "workload.model = apps" > "${stale_cfg}"

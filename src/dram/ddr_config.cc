@@ -102,7 +102,6 @@ DeviceConfig::fromConfig(const Config &cfg, DeviceConfig base)
               "'");
     dev.hira = cfg.getBool("refresh.hira", dev.hira);
     dev.rfmRaaimt = cfg.getU32("rfm.raaimt", dev.rfmRaaimt);
-    dev.rfmRaammt = cfg.getU32("rfm.raammt", dev.rfmRaammt);
     return dev;
 }
 

@@ -97,13 +97,6 @@ struct DeviceConfig
      */
     std::uint32_t rfmRaaimt = 0;
     /**
-     * RAA Maximum Management Threshold: at or above this, further
-     * ACTs to the bank are blocked until an RFM drains the counter —
-     * the CPU-visible denial-of-service lever RogueRFM weaponizes.
-     * 0 derives 4 x rfmRaaimt when RFM is armed.
-     */
-    std::uint32_t rfmRaammt = 0;
-    /**
      * HiRA-like hidden row activation: refresh of one subarray
      * overlaps with activation elsewhere, widening the NMA's service
      * slots (the device adds hiraBonusSlots per window).
@@ -118,11 +111,16 @@ struct DeviceConfig
             || hira;
     }
 
-    /** Effective RAAMMT (derives the default from rfmRaaimt). */
+    /**
+     * RAA Maximum Management Threshold, 4 x rfmRaaimt: at or above
+     * it, further ACTs to the bank are blocked until an RFM drains
+     * the counter — the CPU-visible denial-of-service lever
+     * RogueRFM weaponizes.
+     */
     std::uint32_t
-    effectiveRaammt() const
+    raammt() const
     {
-        return rfmRaammt ? rfmRaammt : 4 * rfmRaaimt;
+        return 4 * rfmRaaimt;
     }
 
     /** Derived: the average interval between REF commands. */
@@ -152,9 +150,9 @@ struct DeviceConfig
      * @p base with the refresh-realism keys applied to the fields
      * above (absent keys keep the base's value, so a config without
      * them stays byte-identical to the pre-realism model):
-     * refresh.mode (refab | refpb), refresh.hira, rfm.raaimt,
-     * rfm.raammt. Timing (tRFCpb and tRFM included) and geometry
-     * come from the base only.
+     * refresh.mode (refab | refpb), refresh.hira, rfm.raaimt.
+     * Timing (tRFCpb and tRFM included) and geometry come from the
+     * base only.
      */
     static DeviceConfig
     fromConfig(const Config &cfg,

@@ -89,7 +89,7 @@ RefreshController::noteActivates(std::uint32_t rank,
     // The device caps the RAA counter at RAAMMT: beyond it further
     // ACTs are blocked (accessStall), not counted.
     raa_[idx] = std::min<std::uint64_t>(raa_[idx] + count,
-                                        dev_.effectiveRaammt());
+                                        dev_.raammt());
     contrib_[idx][source] += count;
 }
 
@@ -350,7 +350,7 @@ RefreshController::accessStall(std::uint32_t rank, std::uint32_t bank,
     if (lock_end > when)
         stall = lock_end - when;
     if (rfmArmed()
-        && raa_[bankIndex(rank, bank)] >= dev_.effectiveRaammt()) {
+        && raa_[bankIndex(rank, bank)] >= dev_.raammt()) {
         // RAAMMT reached: the ACT blocks until the bank's next
         // refresh slot carries an RFM and drains the counter.
         ++rstats_.raammtBlocks;

@@ -1,5 +1,7 @@
 #include "fault.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace xfm
@@ -15,6 +17,11 @@ constexpr std::array<const char *, faultSiteCount> siteNames = {
     "spm_watermark",   "engine_stall",      "mmio_doorbell",
     "dfm_delay",       "dfm_drop",
 };
+
+/** Backoff after the first failed attempt of a transient fault. */
+constexpr Tick backoffStart = nanoseconds(200.0);
+/** Ceiling the doubling backoff saturates at. */
+constexpr Tick backoffCeiling = microseconds(50.0);
 
 } // namespace
 
@@ -32,14 +39,6 @@ FaultPlan::fromConfig(const Config &cfg, FaultPlan base)
 {
     FaultPlan plan = base;
     plan.seed = cfg.getU64("fault.seed", plan.seed);
-    plan.spmHighWatermark =
-        cfg.getDouble("fault.spm_watermark", plan.spmHighWatermark);
-    if (cfg.has("fault.dfm_delay_ns"))
-        plan.dfmDelayPenalty = nanoseconds(
-            cfg.getDouble("fault.dfm_delay_ns"));
-    XFM_ASSERT(plan.spmHighWatermark > 0.0
-                   && plan.spmHighWatermark <= 1.0,
-               "fault.spm_watermark must be in (0, 1]");
 
     for (std::size_t s = 0; s < faultSiteCount; ++s) {
         const std::string base =
@@ -58,20 +57,15 @@ FaultPlan::fromConfig(const Config &cfg, FaultPlan base)
     return plan;
 }
 
-RetryPolicy
-RetryPolicy::fromConfig(const Config &cfg, RetryPolicy base)
+Tick
+retryBackoff(std::uint32_t attempt)
 {
-    RetryPolicy policy = base;
-    policy.maxAttempts =
-        cfg.getU32("retry.max_attempts", policy.maxAttempts);
-    if (cfg.has("retry.backoff_ns"))
-        policy.backoffBase =
-            nanoseconds(cfg.getDouble("retry.backoff_ns"));
-    if (cfg.has("retry.cap_ns"))
-        policy.backoffCap = nanoseconds(cfg.getDouble("retry.cap_ns"));
-    XFM_ASSERT(policy.maxAttempts >= 1,
-               "retry.max_attempts must be at least 1");
-    return policy;
+    const auto headroom =
+        static_cast<std::uint32_t>(std::countl_zero(backoffStart));
+    if (attempt >= headroom)
+        return backoffCeiling;
+    const Tick raw = backoffStart << attempt;
+    return raw < backoffCeiling ? raw : backoffCeiling;
 }
 
 bool

@@ -28,7 +28,6 @@
 #define XFM_FAULT_FAULT_HH
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -87,11 +86,6 @@ struct FaultPlan
     std::uint64_t seed = 1;
     std::array<SiteTrigger, faultSiteCount> sites{};
 
-    /** SPM occupancy fraction above which SpmHighWatermark applies. */
-    double spmHighWatermark = 0.875;
-    /** Extra latency a DfmLinkDelay injection adds to a transfer. */
-    Tick dfmDelayPenalty = nanoseconds(2000.0);
-
     SiteTrigger &
     site(FaultSite s)
     {
@@ -110,14 +104,14 @@ struct FaultPlan
      * @p base with the fault.* keys applied (absent keys keep the
      * base's value):
      *   fault.seed            = 7      # injector RNG seed
-     *   fault.spm_watermark   = 0.875  # high-watermark fraction
-     *   fault.dfm_delay_ns    = 2000   # link latency spike size
      *   fault.<site>.p        = 0.1    # per-evaluation probability
      *   fault.<site>.one_shot = 12     # fire on the Nth evaluation
      *   fault.<site>.max      = 3      # cap on injections
      * where <site> is one of: ecc_correctable, ecc_uncorrectable,
      * spm_reserve, spm_watermark, engine_stall, mmio_doorbell,
-     * dfm_delay, dfm_drop.
+     * dfm_delay, dfm_drop. The spm_watermark site applies at or
+     * above 87.5% SPM occupancy (spm.cc) and a dfm_delay injection
+     * adds 2 us to the transfer (dfm_backend.cc).
      * @throws FatalError on an unknown key under fault.
      */
     static FaultPlan fromConfig(const Config &cfg,
@@ -125,45 +119,20 @@ struct FaultPlan
 };
 
 /**
- * Driver-style bounded retry with exponential backoff.
- *
- * Attempt k (0-based) that fails waits backoffFor(k) before the
- * next try; after maxAttempts total attempts the caller falls back
- * to the CPU path. maxAttempts = 1 degenerates to first-failure
- * fallback.
+ * Attempts (the first included) a transient fault gets before the
+ * caller gives up on it: a batch whose SQ tail doorbell was lost
+ * this many times is redone on the CPU, a page transfer the DFM link
+ * dropped this many times fails.
  */
-struct RetryPolicy
-{
-    std::uint32_t maxAttempts = 3;
-    Tick backoffBase = nanoseconds(200.0);
-    Tick backoffCap = microseconds(50.0);
+constexpr std::uint32_t transientAttempts = 3;
 
-    /**
-     * Backoff after failed attempt @p attempt (0-based), saturated
-     * at backoffCap. The shift is clamped against the base's leading
-     * zero bits first: `backoffBase << attempt` would wrap (UB for
-     * attempt >= 64, silent overflow before that) long before the
-     * old `attempt < 63` guard kicked in for realistic bases.
-     */
-    Tick
-    backoffFor(std::uint32_t attempt) const
-    {
-        if (backoffBase == 0)
-            return 0;
-        const auto headroom = static_cast<std::uint32_t>(
-            std::countl_zero(backoffBase));
-        if (attempt >= headroom)
-            return backoffCap;
-        const Tick raw = backoffBase << attempt;
-        return raw < backoffCap ? raw : backoffCap;
-    }
-
-    /** @p base with the retry.* keys applied (absent keys keep the
-     *  base's value): retry.max_attempts, retry.backoff_ns (base of
-     *  the exponential backoff) and retry.cap_ns. */
-    static RetryPolicy fromConfig(const Config &cfg,
-                                  RetryPolicy base = defaults<RetryPolicy>());
-};
+/**
+ * Exponential backoff after failed attempt @p attempt (0-based):
+ * 200 ns doubling per attempt, saturated at 50 us. The shift is
+ * clamped against the base's leading zero bits first, so no attempt
+ * count can wrap it.
+ */
+Tick retryBackoff(std::uint32_t attempt);
 
 /**
  * Seeded evaluator components query at each injection site.

@@ -6,6 +6,19 @@ namespace xfm
 {
 namespace health
 {
+namespace
+{
+
+/** Window fault fraction at/above which the domain turns Degraded. */
+constexpr double degradedFraction = 0.25;
+/** Window fault fraction at/above which the breaker trips. */
+constexpr double trippedFraction = 0.5;
+/** Probe requests admitted per half-open round. */
+constexpr std::uint32_t probesPerRound = 4;
+/** Probe successes that re-close the breaker. */
+constexpr std::uint32_t probeWinsToClose = 3;
+
+} // namespace
 
 HealthConfig
 HealthConfig::fromConfig(const Config &cfg, HealthConfig base)
@@ -13,32 +26,17 @@ HealthConfig::fromConfig(const Config &cfg, HealthConfig base)
     HealthConfig c = base;
     c.enabled = cfg.getBool("health.enabled", c.enabled);
     c.window = cfg.getU32("health.window", c.window);
-    c.degradeThreshold =
-        cfg.getDouble("health.degrade", c.degradeThreshold);
-    c.failThreshold = cfg.getDouble("health.fail", c.failThreshold);
     c.failConsecutive =
         cfg.getU32("health.fail_consecutive", c.failConsecutive);
     if (cfg.has("health.cooldown_ns"))
         c.cooldown = nanoseconds(cfg.getDouble("health.cooldown_ns"));
-    c.probeQuota = cfg.getU32("health.probe_quota", c.probeQuota);
-    c.probeSuccesses =
-        cfg.getU32("health.probe_successes", c.probeSuccesses);
 
     if (c.window == 0)
         fatal("health.window must be at least 1");
-    if (c.degradeThreshold < 0.0 || c.degradeThreshold > 1.0
-        || c.failThreshold < 0.0 || c.failThreshold > 1.0)
-        fatal("health thresholds must be fractions in [0, 1]");
-    if (c.failThreshold < c.degradeThreshold)
-        fatal("health.fail must be >= health.degrade");
     if (c.failConsecutive == 0)
         fatal("health.fail_consecutive must be at least 1");
     if (c.cooldown == 0)
         fatal("health.cooldown_ns must be positive");
-    if (c.probeQuota == 0)
-        fatal("health.probe_quota must be at least 1");
-    if (c.probeSuccesses > c.probeQuota)
-        fatal("health.probe_successes cannot exceed the quota");
 
     // Typos in health.* keys would silently run a scenario with
     // default tuning the author believes was overridden; reject.
@@ -98,9 +96,9 @@ HealthMonitor::evaluateWindow(Tick now)
         return;
     const double frac = static_cast<double>(win_faults_)
         / static_cast<double>(win_events_);
-    if (frac >= cfg_.failThreshold)
+    if (frac >= trippedFraction)
         transition(HealthState::Failed, now);
-    else if (frac >= cfg_.degradeThreshold)
+    else if (frac >= degradedFraction)
         transition(HealthState::Degraded, now);
     else
         transition(HealthState::Healthy, now);
@@ -129,7 +127,7 @@ HealthMonitor::wouldAdmit(Tick now)
       case HealthState::Failed:
         return false;
       case HealthState::Probation:
-        if (probes_issued_ < cfg_.probeQuota)
+        if (probes_issued_ < probesPerRound)
             return true;
         // The round's probes are spent. If none are pending an
         // outcome and another cooldown has passed, a fresh round
@@ -152,7 +150,7 @@ HealthMonitor::admit(Tick now)
         return false;
     }
     if (state_ == HealthState::Probation) {
-        if (probes_issued_ >= cfg_.probeQuota) {
+        if (probes_issued_ >= probesPerRound) {
             // wouldAdmit() vetted the replenish condition.
             probes_issued_ = 0;
             probe_wins_ = 0;
@@ -194,7 +192,7 @@ HealthMonitor::recordSuccess(Tick now)
     if (state_ == HealthState::Probation) {
         if (probes_inflight_ > 0)
             --probes_inflight_;
-        if (++probe_wins_ >= cfg_.probeSuccesses)
+        if (++probe_wins_ >= probeWinsToClose)
             transition(HealthState::Healthy, now);
         return;
     }

@@ -56,31 +56,22 @@ struct HealthConfig
     bool enabled = false;
     /** Outcomes per evaluation window. */
     std::uint32_t window = 16;
-    /** Fault fraction at/above which the domain turns Degraded. */
-    double degradeThreshold = 0.25;
-    /** Fault fraction at/above which the breaker trips to Failed. */
-    double failThreshold = 0.5;
     /** Consecutive faults that trip the breaker immediately,
      *  without waiting for a full window (fast trip). */
     std::uint32_t failConsecutive = 8;
     /** Failed -> Probation delay (and probe-round replenish delay). */
     Tick cooldown = microseconds(100.0);
-    /** Probe requests admitted per half-open round. */
-    std::uint32_t probeQuota = 4;
-    /** Probe successes required to re-close the breaker. */
-    std::uint32_t probeSuccesses = 3;
 
     /**
      * @p base with the health.* keys applied (absent keys keep the
      * base's value):
      *   health.enabled          = 1       # master switch (default off)
      *   health.window           = 16      # outcomes per window
-     *   health.degrade          = 0.25    # fault fraction -> Degraded
-     *   health.fail             = 0.5     # fault fraction -> Failed
      *   health.fail_consecutive = 8       # consecutive faults -> Failed
      *   health.cooldown_ns      = 100000  # Failed -> Probation delay
-     *   health.probe_quota      = 4       # probes per half-open round
-     *   health.probe_successes  = 3       # probe wins to re-close
+     * The fault fractions that turn a window Degraded (0.25) or
+     * Failed (0.5) and the half-open round (4 probes, 3 wins
+     * re-close) are constants in health.cc.
      * @throws FatalError on an unknown key under health.
      */
     static HealthConfig
@@ -133,7 +124,7 @@ class HealthMonitor
     /**
      * Circuit-breaker gate: may the component be given new work now?
      *
-     * Failed refuses; Probation admits up to probeQuota probes per
+     * Failed refuses; Probation admits up to four probes per
      * half-open round (a new round replenishes after another
      * cooldown, so probes whose outcome was lost cannot strand the
      * domain in Probation forever). Consumes a probe slot on admit —

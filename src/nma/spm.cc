@@ -4,6 +4,14 @@ namespace xfm
 {
 namespace nma
 {
+namespace
+{
+
+/** SPM occupancy fraction at/above which the SpmHighWatermark fault
+ *  site pushes reservations back. */
+constexpr double backpressureFraction = 0.875;
+
+} // namespace
 
 bool
 ScratchPad::reserve(OffloadId id, OffloadKind kind, std::uint32_t bytes,
@@ -18,8 +26,7 @@ ScratchPad::reserve(OffloadId id, OffloadKind kind, std::uint32_t bytes,
         if (injector_->shouldInject(fault::FaultSite::SpmReserveFail))
             return false;
         const double watermark =
-            injector_->plan().spmHighWatermark
-            * static_cast<double>(capacity_);
+            backpressureFraction * static_cast<double>(capacity_);
         if (static_cast<double>(used_) >= watermark
             && injector_->shouldInject(
                    fault::FaultSite::SpmHighWatermark))

@@ -15,6 +15,8 @@ namespace
 
 /** Probability a TRR cycle is unused in a given window. */
 constexpr double trrIdleChance = 0.95;
+/** RNG seed of the TRR-availability draw. */
+constexpr std::uint64_t trrDrawSeed = 1;
 /** Energy model: row activation saved by conditional accesses. */
 constexpr double activateEnergyNj = 7.5;
 /** On-DIMM IO energy per byte moved (25 Gb/s links, Sec. 4.1). */
@@ -56,7 +58,7 @@ XfmDevice::XfmDevice(std::string name, EventQueue &eq,
     : SimObject(std::move(name), eq), cfg_(cfg), map_(map), mem_(mem),
       spm_(cfg.spmBytes), ring_(cfg.sqDepth),
       engine_(cfg.algorithm, cfg.engine),
-      bank_(refresh.device()), rng_(cfg.seed)
+      bank_(refresh.device()), rng_(trrDrawSeed)
 {
     if (cfg_.maxAccessesPerWindow == 0) {
         // Derive the budget from the device timing (paper Sec. 5).

@@ -46,7 +46,6 @@ namespace nma
 /** Static configuration of one XFM DIMM device. */
 struct XfmDeviceConfig
 {
-    std::uint32_t channel = 0;  ///< channel this DIMM sits on
     std::uint32_t rank = 0;     ///< rank within the channel
 
     std::size_t spmBytes = mib(2);          ///< prototype SPM size
@@ -65,8 +64,6 @@ struct XfmDeviceConfig
      * [TRRespass], so XFM can opportunistically reuse the slack.
      */
     std::uint32_t trrRandomSlots = 0;
-    /** RNG seed for the TRR-availability draw. */
-    std::uint64_t seed = 1;
 
     compress::Algorithm algorithm = compress::Algorithm::ZstdLike;
     EngineProfile engine{};

@@ -15,18 +15,11 @@ QosArbiterConfig
 QosArbiterConfig::fromConfig(const Config &cfg, QosArbiterConfig base)
 {
     QosArbiterConfig c = base;
-    c.slotsPerWindow =
-        cfg.getU32("qos.slots_per_window", c.slotsPerWindow);
-    c.minBatchSlots = cfg.getU32("qos.min_batch_slots", c.minBatchSlots);
     c.defense = cfg.getBool("qos.defense", c.defense);
     if (cfg.has("qos.abuse_cooldown_ns"))
         c.abuseCooldown =
             nanoseconds(cfg.getDouble("qos.abuse_cooldown_ns"));
 
-    if (c.slotsPerWindow == 0)
-        fatal("qos.slots_per_window must be at least 1");
-    if (c.minBatchSlots >= c.slotsPerWindow)
-        fatal("qos.min_batch_slots must be below slots_per_window");
     if (c.abuseCooldown == 0)
         fatal("qos.abuse_cooldown_ns must be positive");
 
@@ -39,7 +32,22 @@ QosArbiterConfig::fromConfig(const Config &cfg, QosArbiterConfig base)
 namespace
 {
 
-/** Defense: fraction of slotsPerWindow the hard-isolation pass
+/**
+ * Dispatch period, close to the devices' tREFI (3.90625 us) but not
+ * equal to it: the window cadence is part of every pinned service
+ * run.
+ */
+constexpr Tick dispatchWindow = microseconds(3.9);
+/** Offload submissions released per window (the shared
+ *  conditional-access budget). */
+constexpr std::uint32_t windowSlots = 4;
+/** Slots per window reserved for the batch class while batch work
+ *  is queued: the starvation-freedom guarantee. */
+constexpr std::uint32_t batchFloorSlots = 1;
+static_assert(batchFloorSlots < windowSlots,
+              "batch floor must leave room for latency work");
+
+/** Defense: fraction of windowSlots the hard-isolation pass
  *  grants round-robin before RFM steals shrink the window. */
 constexpr double reservedSlotFrac = 0.25;
 /** Defense: dispatch windows per abuse-detector evaluation. */
@@ -65,9 +73,8 @@ abuseHealthConfig(const QosArbiterConfig &cfg)
     hc.enabled = true;
     hc.cooldown = cfg.abuseCooldown;
     // The detector drives the monitor synchronously: one "probe"
-    // per evaluation while in Probation, a clean streak re-closes.
-    hc.probeQuota = 4;
-    hc.probeSuccesses = 3;
+    // per evaluation while in Probation, and the monitor's clean
+    // streak of three re-closes.
     return hc;
 }
 
@@ -77,10 +84,6 @@ QosArbiter::QosArbiter(std::string name, EventQueue &eq,
                        const QosArbiterConfig &cfg)
     : SimObject(std::move(name), eq), cfg_(cfg)
 {
-    XFM_ASSERT(cfg_.window > 0, "dispatch window must be positive");
-    XFM_ASSERT(cfg_.slotsPerWindow > 0, "need at least one slot");
-    XFM_ASSERT(cfg_.minBatchSlots < cfg_.slotsPerWindow,
-               "batch floor must leave room for latency work");
 }
 
 void
@@ -109,7 +112,7 @@ QosArbiter::start()
     if (started_)
         return;
     started_ = true;
-    eventq().scheduleIn(cfg_.window, [this] { window(); });
+    eventq().scheduleIn(dispatchWindow, [this] { window(); });
 }
 
 void
@@ -371,7 +374,7 @@ QosArbiter::window()
         }
     }
 
-    std::uint32_t slots = cfg_.slotsPerWindow;
+    std::uint32_t slots = windowSlots;
     bool progress = true;
 
     // Hard-isolation pass: the reserved fraction is granted
@@ -380,7 +383,7 @@ QosArbiter::window()
     std::uint32_t reserved = cfg_.defense
         ? static_cast<std::uint32_t>(
               reservedSlotFrac
-              * static_cast<double>(cfg_.slotsPerWindow))
+              * static_cast<double>(windowSlots))
         : 0;
     reserved = std::min(reserved, slots);
     while (reserved > 0 && progress) {
@@ -413,8 +416,8 @@ QosArbiter::window()
     // reserved batch floor (starvation freedom).
     const bool batch_backlog = batchWaiting(blocked);
     std::uint32_t latency_budget = slots;
-    if (batch_backlog && cfg_.minBatchSlots < slots)
-        latency_budget = slots - cfg_.minBatchSlots;
+    if (batch_backlog && batchFloorSlots < slots)
+        latency_budget = slots - batchFloorSlots;
     progress = true;
     while (slots > 0 && latency_budget > 0 && progress) {
         progress = false;
@@ -487,7 +490,7 @@ QosArbiter::window()
         batch_rr_ = (batch_rr_ + 1) % n;
         reserved_rr_ = (reserved_rr_ + 1) % n;
     }
-    eventq().scheduleIn(cfg_.window, [this] { window(); });
+    eventq().scheduleIn(dispatchWindow, [this] { window(); });
 }
 
 } // namespace service

@@ -6,8 +6,8 @@
  * Every tREFI the NMA serves a small, fixed budget of conditional
  * accesses inside the refresh window (paper Sec. 5), so the slots a
  * window can start are the contended resource. The arbiter paces
- * tenant offload submissions to that cadence: each dispatch window
- * it releases up to slotsPerWindow queued operations, serving the
+ * tenant offload submissions to that cadence: each 3.9 us dispatch
+ * window it releases up to four queued operations, serving the
  * latency-sensitive class first (preempting batch tenants) and
  * dividing the remainder over batch tenants with weighted
  * round-robin (deficit counters). A reserved minimum of batch slots
@@ -35,26 +35,15 @@ namespace xfm
 namespace service
 {
 
-/** Arbiter tuning. */
+/** Arbiter tuning (the dispatch window and its slot budget are
+ *  constants in qos_arbiter.cc). */
 struct QosArbiterConfig
 {
-    /** Dispatch period; align with the device's tREFI. */
-    Tick window = microseconds(3.9);
-    /** Offload submissions released per window (the shared
-     *  conditional-access budget). */
-    std::uint32_t slotsPerWindow = 4;
-    /**
-     * Slots per window reserved for the batch class while batch work
-     * is queued — the starvation-freedom guarantee. Must be below
-     * slotsPerWindow.
-     */
-    std::uint32_t minBatchSlots = 1;
-
     /**
      * Adversarial-refresh defense (default off; the off arbiter
      * registers no defense metrics). Arms three parts together,
      * tuned by constants in qos_arbiter.cc:
-     *  - hard slot isolation: a fixed fraction of slotsPerWindow is
+     *  - hard slot isolation: a fixed fraction of the window's slots is
      *    granted round-robin across tenants before RFM slot steals
      *    shrink the window, so no tenant can be starved to zero by
      *    another's refresh pressure;
@@ -72,8 +61,7 @@ struct QosArbiterConfig
     /**
      * @p base with the qos.* keys applied (absent keys keep the
      * base's value; each maps to the field of the same meaning):
-     *   qos.slots_per_window, qos.min_batch_slots, qos.defense,
-     *   qos.abuse_cooldown_ns.
+     *   qos.defense, qos.abuse_cooldown_ns.
      * @throws FatalError on an unknown key under qos.
      */
     static QosArbiterConfig

@@ -59,8 +59,7 @@ FarMemoryService::FarMemoryService(std::string name, EventQueue &eq,
     if (cfg_.tier.enabled) {
         tiers_ = std::make_unique<sfm::TierManager>(
             this->name() + ".tiers", eq, cfg_.tier, backend_,
-            cfg_.system.localPages, cfg_.system.faults,
-            cfg_.system.retry);
+            cfg_.system.localPages, cfg_.system.faults);
         tiers_->setTransitionHook(
             [this](sfm::VirtPage page, sfm::Tier from, sfm::Tier to,
                    std::uint32_t freed, bool internal) {
@@ -109,14 +108,8 @@ FarMemoryService::addTenant(const TenantConfig &cfg)
     t.promotions = std::make_unique<workload::PromotionTracker>(
         cfg.pages * pageBytes);
     t.backend->setPromotionTracker(t.promotions.get());
-    if (tiers_) {
-        // The tenant's shard becomes its page group: demotion
-        // routing follows the tenant's own policy, isolated from
-        // its neighbours'.
+    if (tiers_)
         t.backend->setRoute(tiers_.get());
-        tiers_->assignGroup(registry_.basePage(id), cfg.pages, id);
-        tiers_->setGroupPolicy(id, cfg.tierPolicy);
-    }
     const std::string base = name() + "." + cfg.name;
     if (cfg.policy == ControlPolicy::Kstaled) {
         t.kstaled = std::make_unique<sfm::SfmController>(
@@ -124,8 +117,7 @@ FarMemoryService::addTenant(const TenantConfig &cfg)
             cfg.pages);
     } else {
         t.senpai = std::make_unique<sfm::SenpaiController>(
-            base + ".senpai", eventq(), cfg.senpai, *t.backend,
-            cfg.pages);
+            base + ".senpai", eventq(), *t.backend, cfg.pages);
     }
     arbiter_.addTenant(id, cfg.cls, cfg.weight,
                        cfg.quota.offloadSlotsPerTrefi);

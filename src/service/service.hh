@@ -37,6 +37,7 @@
 #include "service/tenant_registry.hh"
 #include "sfm/controller.hh"
 #include "sfm/senpai.hh"
+#include "sfm/tier_manager.hh"
 
 namespace xfm
 {
@@ -68,11 +69,10 @@ struct ServiceConfig
 
     /**
      * Three-tier hierarchy over the shared backend. When enabled,
-     * every tenant's shard becomes a TierManager page group carrying
-     * that tenant's TenantConfig::tierPolicy, and tenant accounting
-     * (stored bytes, far pages, dfm counters) tracks scan-driven
-     * XFM -> DFM spills through the transition hook. The spill
-     * link runs system's fault plan and retry policy.
+     * its policy routes every tenant's demotions, and tenant
+     * accounting (stored bytes, far pages, dfm counters) tracks
+     * scan-driven XFM -> DFM spills through the transition hook.
+     * The spill link runs system's fault plan.
      */
     sfm::TierConfig tier{};
 

@@ -20,8 +20,6 @@
 #include "common/stats.hh"
 #include "common/units.hh"
 #include "sfm/controller.hh"
-#include "sfm/senpai.hh"
-#include "sfm/tier_manager.hh"
 
 namespace xfm
 {
@@ -79,13 +77,6 @@ struct TenantConfig
     TenantQuota quota;
     ControlPolicy policy = ControlPolicy::Kstaled;
     sfm::ControllerConfig kstaled;
-    sfm::SenpaiConfig senpai;
-    /**
-     * Demotion-routing policy of this tenant's page group when the
-     * service runs the three-tier hierarchy (SMDK-style group
-     * policy). Ignored while tiering is disabled.
-     */
-    sfm::TierPolicy tierPolicy = sfm::TierPolicy::Auto;
 };
 
 /**

@@ -70,7 +70,6 @@ TenantBackend::swapOut(sfm::VirtPage page, bool allow_offload,
     // far-memory work is accepted until the cooldown clears.
     if (arbiter_ && arbiter_->abuseThrottled(id_)) {
         ++ts.abuseRejects;
-        ++stats_.rejectedSwapOuts;
         sfm::SwapOutcome out;
         out.page = page;
         out.rejected = sfm::RejectReason::AbuseThrottle;
@@ -82,7 +81,6 @@ TenantBackend::swapOut(sfm::VirtPage page, bool allow_offload,
 
     if (!registry_.underFarQuota(id_)) {
         ++ts.quotaRejects;
-        ++stats_.rejectedSwapOuts;
         sfm::SwapOutcome out;
         out.page = page;
         out.rejected = sfm::RejectReason::QuotaFarPages;
@@ -115,17 +113,14 @@ TenantBackend::swapOut(sfm::VirtPage page, bool allow_offload,
         sfm::SwapOutcome out = o;
         out.page = local(o.page);
         if (o.success) {
-            ++stats_.swapOuts;
             ++ts.swapOuts;
             if (o.servedTier == sfm::Tier::Dfm) {
                 // Spill-tier demotion: no compression, no NMA; the
                 // outcome carries compressedSize 0 so stored-bytes
                 // accounting stays symmetric with the swap-in side.
                 ++ts.dfmOps;
-                ++stats_.cpuSwapOuts;
                 ++ts.cpuOps;
             } else if (o.usedCpu) {
-                ++stats_.cpuSwapOuts;
                 ++ts.cpuOps;
                 if (allow_offload)
                     ++ts.nmaFallbacks;
@@ -135,7 +130,6 @@ TenantBackend::swapOut(sfm::VirtPage page, bool allow_offload,
             registry_.noteStoredBytes(id_, o.compressedSize);
         } else {
             registry_.noteFarPages(id_, -1);
-            ++stats_.rejectedSwapOuts;
             ++ts.faultedOps;
         }
         if (done)
@@ -181,14 +175,11 @@ TenantBackend::swapIn(sfm::VirtPage page, bool allow_offload,
         sfm::SwapOutcome out = o;
         out.page = local(o.page);
         if (o.success) {
-            ++stats_.swapIns;
             ++ts.swapIns;
             if (o.servedTier == sfm::Tier::Dfm) {
                 ++ts.dfmOps;
-                ++stats_.cpuSwapIns;
                 ++ts.cpuOps;
             } else if (o.usedCpu) {
-                ++stats_.cpuSwapIns;
                 ++ts.cpuOps;
                 if (allow_offload)
                     ++ts.nmaFallbacks;

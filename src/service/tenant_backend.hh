@@ -78,7 +78,15 @@ class TenantBackend : public sfm::SfmBackend
     sfm::PageState pageState(sfm::VirtPage page) const override;
     std::uint64_t farPageCount() const override;
     std::uint64_t storedCompressedBytes() const override;
-    const sfm::BackendStats &stats() const override { return stats_; }
+    /** Fatal guard: a tenant's counters are its TenantStats in the
+     *  registry, and the shared backend keeps the backend-wide
+     *  ones. */
+    const sfm::BackendStats &
+    stats() const override
+    {
+        fatal("tenant ", id_, " keeps no backend stats; read its "
+              "TenantStats");
+    }
     void
     noteAccess(sfm::VirtPage page, Tick now) override
     {
@@ -106,8 +114,6 @@ class TenantBackend : public sfm::SfmBackend
     QosArbiter *arbiter_;
     std::uint32_t partition_;
     workload::PromotionTracker *promotions_ = nullptr;
-
-    sfm::BackendStats stats_;  ///< this tenant's slice of the traffic
 };
 
 } // namespace service

@@ -13,6 +13,8 @@ namespace
 constexpr Tick interconnectLatency = nanoseconds(300.0);
 /** Link bandwidth in GB/s (x8 CXL/PCIe5 class). */
 constexpr double interconnectGBps = 12.0;
+/** Extra latency a DfmLinkDelay injection adds to a transfer. */
+constexpr Tick linkSpikePenalty = nanoseconds(2000.0);
 
 } // namespace
 
@@ -48,19 +50,18 @@ DfmBackend::transferPage(Tick &total, std::uint32_t &retries)
     for (std::uint32_t attempt = 1;; ++attempt) {
         if (injector_.shouldInject(fault::FaultSite::DfmLinkDelay)) {
             ++fault_stats_.linkDelays;
-            total += injector_.plan().dfmDelayPenalty;
+            total += linkSpikePenalty;
         }
         if (!injector_.shouldInject(fault::FaultSite::DfmLinkDrop))
             return true;
         ++fault_stats_.linkDrops;
-        if (attempt >= cfg_.retry.maxAttempts) {
+        if (attempt >= fault::transientAttempts) {
             ++fault_stats_.deliveryFailures;
             return false;
         }
         ++fault_stats_.linkRetries;
         ++retries;
-        total += cfg_.retry.backoffFor(attempt - 1)
-            + pageTransferTime();
+        total += fault::retryBackoff(attempt - 1) + pageTransferTime();
     }
 }
 

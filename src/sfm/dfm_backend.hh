@@ -39,8 +39,6 @@ struct DfmBackendConfig
     /** Link fault scenario (DfmLinkDelay / DfmLinkDrop sites). The
      *  default plan is disarmed and adds no overhead. */
     fault::FaultPlan faults{};
-    /** Bounded retry for dropped link transfers. */
-    fault::RetryPolicy retry{};
 };
 
 /** Link-level fault statistics (zero unless a plan is armed). */

@@ -11,6 +11,15 @@ namespace sfm
 namespace
 {
 
+/** Control-loop period. */
+constexpr Tick controlPeriod = milliseconds(1.0);
+/** Target demand-fault pressure (faults per second). */
+constexpr double targetFaultRate = 20000.0;
+/** Reclaim batch (pages per interval) the loop starts from. */
+constexpr std::size_t startingReclaim = 8;
+/** Upper bound on the per-interval reclaim batch. */
+constexpr std::size_t reclaimCeiling = 64;
+
 /** Multiplicative reclaim-batch backoff when over the pressure
  *  target. */
 constexpr double reclaimBackoff = 0.5;
@@ -20,11 +29,10 @@ constexpr std::size_t reclaimProbe = 4;
 } // namespace
 
 SenpaiController::SenpaiController(std::string name, EventQueue &eq,
-                                   const SenpaiConfig &cfg,
                                    SfmBackend &backend,
                                    std::uint64_t num_pages)
-    : SimObject(std::move(name), eq), cfg_(cfg), backend_(backend),
-      num_pages_(num_pages), reclaim_(cfg.initialReclaim),
+    : SimObject(std::move(name), eq), backend_(backend),
+      num_pages_(num_pages), reclaim_(startingReclaim),
       inflight_(num_pages, false)
 {
     XFM_ASSERT(num_pages_ > 0, "need at least one page");
@@ -36,7 +44,7 @@ SenpaiController::start()
     if (started_)
         return;
     started_ = true;
-    eventq().scheduleIn(cfg_.interval, [this] { tick(); });
+    eventq().scheduleIn(controlPeriod, [this] { tick(); });
 }
 
 void
@@ -47,17 +55,17 @@ SenpaiController::tick()
     // Pressure feedback: fault rate over the last interval.
     const double faults_per_sec =
         static_cast<double>(faults_this_interval_)
-        / ticksToSec(cfg_.interval);
+        / ticksToSec(controlPeriod);
     faults_this_interval_ = 0;
 
-    if (faults_per_sec > cfg_.targetFaultsPerSec) {
+    if (faults_per_sec > targetFaultRate) {
         // Over target: back off reclaim multiplicatively.
         reclaim_ = static_cast<std::size_t>(
             static_cast<double>(reclaim_) * reclaimBackoff);
         ++stats_.backoffs;
     } else {
         // Under target: probe more aggressively (additive).
-        reclaim_ = std::min<std::size_t>(cfg_.maxReclaim,
+        reclaim_ = std::min<std::size_t>(reclaimCeiling,
                                          reclaim_ + reclaimProbe);
         ++stats_.probes;
     }
@@ -80,7 +88,7 @@ SenpaiController::tick()
     }
     stats_.reclaimed += done;
 
-    eventq().scheduleIn(cfg_.interval, [this] { tick(); });
+    eventq().scheduleIn(controlPeriod, [this] { tick(); });
 }
 
 bool

@@ -23,19 +23,6 @@ namespace xfm
 namespace sfm
 {
 
-/** Tuning of the pressure controller. */
-struct SenpaiConfig
-{
-    /** Control-loop period. */
-    Tick interval = milliseconds(100.0);
-    /** Target demand-fault pressure (faults per second). */
-    double targetFaultsPerSec = 50.0;
-    /** Initial reclaim rate (pages per interval). */
-    std::size_t initialReclaim = 8;
-    /** Upper bound on the per-interval reclaim batch. */
-    std::size_t maxReclaim = 512;
-};
-
 /** Controller statistics. */
 struct SenpaiStats
 {
@@ -52,14 +39,15 @@ struct SenpaiStats
  *
  * Reclaim victims are chosen round-robin over the Local pages (the
  * kernel's LRU stands in); the pressure feedback loop is the point
- * of this controller, not victim selection.
+ * of this controller, not victim selection. Its period, pressure
+ * target and batch bounds are constants in senpai.cc, the
+ * datacenter's seconds re-scaled to the simulator's milliseconds.
  */
 class SenpaiController : public SimObject
 {
   public:
     SenpaiController(std::string name, EventQueue &eq,
-                     const SenpaiConfig &cfg, SfmBackend &backend,
-                     std::uint64_t num_pages);
+                     SfmBackend &backend, std::uint64_t num_pages);
 
     /** Begin the control loop. */
     void start();
@@ -83,7 +71,6 @@ class SenpaiController : public SimObject
   private:
     void tick();
 
-    SenpaiConfig cfg_;
     SfmBackend &backend_;
     std::uint64_t num_pages_;
     bool started_ = false;

@@ -12,9 +12,6 @@ namespace sfm
 namespace
 {
 
-/** Group id of pages never assigned to a group. */
-constexpr std::uint32_t ungrouped = ~0u;
-
 /** Pressure target: application promotions per second above which
  *  the spill batch backs off. */
 constexpr double promotionTargetPerSec = 2000.0;
@@ -80,12 +77,11 @@ TierConfig::fromConfig(const Config &cfg, TierConfig base)
 TierManager::TierManager(std::string name, EventQueue &eq,
                          const TierConfig &cfg, SfmBackend &primary,
                          std::uint64_t num_pages,
-                         const fault::FaultPlan &faults,
-                         const fault::RetryPolicy &retry)
+                         const fault::FaultPlan &faults)
     : SimObject(std::move(name), eq), cfg_(cfg), primary_(primary),
       num_pages_(num_pages), tier_(num_pages, Tier::Near),
       busy_(num_pages, 0), last_access_(num_pages, 0),
-      access_count_(num_pages, 0), group_(num_pages, ungrouped),
+      access_count_(num_pages, 0),
       spill_batch_(cfg.maxSpillsPerScan)
 {
     // The spill tier mirrors every local frame (transition staging)
@@ -99,7 +95,6 @@ TierManager::TierManager(std::string name, EventQueue &eq,
     dcfg.poolBase = mirror;
     dcfg.poolBytes = cfg_.dfmBytes;
     dcfg.faults = faults;
-    dcfg.retry = retry;
     spill_ = std::make_unique<DfmBackend>(this->name() + ".dfm", eq,
                                           dcfg, *spill_mem_);
 
@@ -132,31 +127,6 @@ TierManager::noteAccess(VirtPage page, Tick now)
     last_access_[page] = now;
     if (access_count_[page] != ~0u)
         ++access_count_[page];
-}
-
-TierPolicy
-TierManager::pagePolicy(VirtPage page) const
-{
-    const std::uint32_t g = group_[page];
-    if (g != ungrouped && g < group_policy_.size())
-        return group_policy_[g];
-    return cfg_.policy;
-}
-
-void
-TierManager::assignGroup(VirtPage first, std::uint64_t count,
-                         std::uint32_t group)
-{
-    for (std::uint64_t i = 0; i < count; ++i)
-        group_[first + i] = group;
-}
-
-void
-TierManager::setGroupPolicy(std::uint32_t group, TierPolicy policy)
-{
-    if (group_policy_.size() <= group)
-        group_policy_.resize(group + 1, cfg_.policy);
-    group_policy_[group] = policy;
 }
 
 PageState
@@ -301,7 +271,7 @@ TierManager::swapOut(VirtPage page, bool allow_offload,
     }
 
     bool to_dfm = false;
-    switch (pagePolicy(page)) {
+    switch (cfg_.policy) {
       case TierPolicy::XfmFirst:
         break;
       case TierPolicy::DfmFirst:
@@ -431,13 +401,12 @@ TierManager::spillScan()
 
     // Second-level coldness, in ascending page order for
     // determinism: XFM pages untouched past the threshold spill,
-    // unless the frequency watermark holds them back. Pages whose
-    // group policy pins them to the compressed tier (xfm_first)
-    // never spill.
+    // unless the frequency watermark holds them back. Under
+    // xfm_first nothing spills.
+    if (cfg_.policy == TierPolicy::XfmFirst)
+        budget = 0;
     for (VirtPage p = 0; p < num_pages_ && budget; ++p) {
         if (tier_[p] != Tier::Xfm || busy_[p])
-            continue;
-        if (pagePolicy(p) == TierPolicy::XfmFirst)
             continue;
         if (now - last_access_[p] < cfg_.spillColdThreshold)
             continue;

@@ -19,8 +19,8 @@
  * would on a two-state backend, and the manager routes each
  * operation to the primary compressed backend (CpuSfmBackend or
  * XfmBackend) or the owned DfmBackend spill tier using
- * access-frequency watermarks and per-page-group (per-tenant)
- * policies. Demotion routing and the spill scan are driven by a
+ * access-frequency watermarks and one demotion-routing policy for
+ * every page. Demotion routing and the spill scan are driven by a
  * senpai-style pressure loop: when promotions run hot the spill
  * batch backs off multiplicatively, when they run cold it probes
  * additively.
@@ -51,7 +51,7 @@ namespace xfm
 namespace sfm
 {
 
-/** Demotion-routing policy of a page group (SMDK "group policy"). */
+/** Demotion-routing policy of the hierarchy. */
 enum class TierPolicy : std::uint8_t
 {
     /** Watermark-routed: pages whose access count reached the
@@ -78,7 +78,7 @@ struct TierConfig
      *  builds. */
     bool enabled = false;
 
-    /** Default demotion-routing policy (per-group overrides win). */
+    /** Demotion-routing policy of every page. */
     TierPolicy policy = TierPolicy::Auto;
 
     /** Accesses (since the page last changed tier) at which a page
@@ -158,15 +158,14 @@ class TierManager : public SimObject, public SfmBackend
                            bool internal)>;
 
     /**
-     * The spill link shares the run's @p faults plan and @p retry
-     * policy with the primary backend (its DfmLinkDelay /
-     * DfmLinkDrop sites are disarmed unless the plan arms them).
+     * The spill link shares the run's @p faults plan with the
+     * primary backend (its DfmLinkDelay / DfmLinkDrop sites are
+     * disarmed unless the plan arms them).
      */
     TierManager(std::string name, EventQueue &eq,
                 const TierConfig &cfg, SfmBackend &primary,
                 std::uint64_t num_pages,
-                const fault::FaultPlan &faults = {},
-                const fault::RetryPolicy &retry = {});
+                const fault::FaultPlan &faults = {});
 
     /** Begin the periodic spill scan (no-op when scanInterval 0). */
     void start();
@@ -208,17 +207,6 @@ class TierManager : public SimObject, public SfmBackend
     std::uint64_t dfmPages() const { return dfm_pages_; }
     /** Current pressure-adapted spill batch. */
     std::size_t spillBatch() const { return spill_batch_; }
-
-    /**
-     * Assign pages [first, first + count) to @p group. Groups carry
-     * the SMDK-style per-tenant policy override; ungrouped pages use
-     * cfg.policy.
-     */
-    void assignGroup(VirtPage first, std::uint64_t count,
-                     std::uint32_t group);
-    void setGroupPolicy(std::uint32_t group, TierPolicy policy);
-    /** Effective demotion policy of @p page. */
-    TierPolicy pagePolicy(VirtPage page) const;
 
     void setTransitionHook(TransitionHook hook)
     {
@@ -271,9 +259,6 @@ class TierManager : public SimObject, public SfmBackend
     std::vector<Tick> last_access_;
     /** Accesses since the page last changed tier (saturating). */
     std::vector<std::uint32_t> access_count_;
-    /** Page group ids (per-tenant policy scoping); ~0 = ungrouped. */
-    std::vector<std::uint32_t> group_;
-    std::vector<TierPolicy> group_policy_;
 
     std::uint64_t xfm_pages_ = 0;
     std::uint64_t dfm_pages_ = 0;

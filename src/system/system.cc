@@ -7,6 +7,13 @@ namespace xfm
 {
 namespace system
 {
+namespace
+{
+
+/** Bytes of host DRAM traffic per application page access. */
+constexpr std::uint32_t appAccessBytes = 64;
+
+} // namespace
 
 SystemConfig
 SystemConfig::fromConfig(const Config &cfg, SystemConfig base)
@@ -36,13 +43,15 @@ System::System(std::string name, EventQueue &eq,
 {
     XFM_ASSERT(cfg_.pages > 0, "system needs at least one page");
 
+    // The host channels the CPU contends on.
+    const dram::MemSystemConfig host_mem = dram::defaultMemSystem();
     host_phys_ = std::make_unique<dram::PhysMem>(
-        cfg_.hostMem.totalCapacityBytes());
+        host_mem.totalCapacityBytes());
     host_refresh_ = std::make_unique<dram::RefreshController>(
-        this->name() + ".hostRefresh", eq, cfg_.hostMem.rank.device,
-        cfg_.hostMem.dimmsPerChannel * cfg_.hostMem.ranksPerDimm);
+        this->name() + ".hostRefresh", eq, host_mem.rank.device,
+        host_mem.dimmsPerChannel * host_mem.ranksPerDimm);
     host_ctrl_ = std::make_unique<dram::MemCtrl>(
-        this->name() + ".hostCtrl", eq, cfg_.hostMem,
+        this->name() + ".hostCtrl", eq, host_mem,
         host_refresh_.get());
 
     if (cfg_.backend == BackendKind::BaselineCpu) {
@@ -74,7 +83,7 @@ System::System(std::string name, EventQueue &eq,
         // NEAR -> DFM and the spill scan drains cold XFM pages.
         tier_mgr_ = std::make_unique<sfm::TierManager>(
             this->name() + ".tiers", eq, cfg_.tier, *backend_,
-            cfg_.pages, cfg_.xfm.faults, cfg_.xfm.retry);
+            cfg_.pages, cfg_.xfm.faults);
         backend_ = tier_mgr_.get();
     }
 
@@ -152,10 +161,10 @@ bool
 System::access(sfm::VirtPage page)
 {
     // Application DRAM traffic through the host channels.
-    const std::uint64_t addr = (page * pageBytes)
-        % cfg_.hostMem.totalCapacityBytes();
-    host_ctrl_->submit({addr, cfg_.accessBytes, false, nullptr});
-    app_bytes_ += cfg_.accessBytes;
+    const std::uint64_t addr =
+        (page * pageBytes) % host_phys_->capacityBytes();
+    host_ctrl_->submit({addr, appAccessBytes, false, nullptr});
+    app_bytes_ += appAccessBytes;
     return controller_->recordAccess(page);
 }
 

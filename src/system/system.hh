@@ -47,9 +47,6 @@ struct SystemConfig
 {
     BackendKind backend = BackendKind::Xfm;
 
-    /** Host-visible memory system (channels the CPU contends on). */
-    dram::MemSystemConfig hostMem = dram::defaultMemSystem();
-
     /** Virtual pages of the modelled application. */
     std::uint64_t pages = 1024;
     /** SFM region size (per DIMM for XFM; total for baseline). */
@@ -58,19 +55,15 @@ struct SystemConfig
 
     /**
      * The XFM memory system (used when backend == Xfm): DIMMs,
-     * per-DIMM device, fault plan, retry policy, health tuning,
-     * quarantine cap, dictionaries and worker count. Its
-     * localPages, sfmBase, sfmBytes and algorithm are provisioned
-     * from this struct's pages, sfmBytes and algorithm. Its fault
-     * plan and retry policy also drive the tier's spill link, for
-     * either backend.
+     * per-DIMM device, fault plan, health tuning, quarantine cap,
+     * dictionaries and worker count. Its localPages, sfmBase,
+     * sfmBytes and algorithm are provisioned from this struct's
+     * pages, sfmBytes and algorithm. Its fault plan also drives the
+     * tier's spill link, for either backend.
      */
     xfmsys::XfmSystemConfig xfm{};
 
     sfm::ControllerConfig controller{};
-
-    /** Bytes of host DRAM traffic per application page access. */
-    std::uint32_t accessBytes = 64;
 
     /**
      * Three-tier hierarchy (NEAR/XFM/DFM). Disabled by default:
@@ -106,8 +99,8 @@ class System : public SimObject
 
     /**
      * The application touches @p page: the access stamps the
-     * controller, faults if the page is Far, and issues
-     * `accessBytes` of host DRAM traffic.
+     * controller, faults if the page is Far, and issues 64 bytes
+     * of host DRAM traffic.
      *
      * @retval true local hit.
      */

@@ -34,19 +34,13 @@ heterogeneousFleet(const FleetConfig &cfg)
     std::vector<FleetTenantSpec> fleet;
     fleet.reserve(cfg.numTenants);
 
-    // Controller periods re-scaled from the datacenter's seconds to
+    // kstaled periods re-scaled from the datacenter's seconds to
     // the simulator's milliseconds so a short run exercises the full
-    // reclaim/fault cycle.
+    // reclaim/fault cycle (senpai.cc scales senpai's the same way).
     sfm::ControllerConfig kstaled;
     kstaled.coldThreshold = milliseconds(2.0);
     kstaled.scanInterval = milliseconds(1.0);
     kstaled.maxSwapOutsPerScan = 16;
-
-    sfm::SenpaiConfig senpai;
-    senpai.interval = milliseconds(1.0);
-    senpai.targetFaultsPerSec = 20000.0;
-    senpai.initialReclaim = 8;
-    senpai.maxReclaim = 64;
 
     for (std::size_t i = 0; i < cfg.numTenants; ++i) {
         const AppProfile &prof = profiles[i % profiles.size()];
@@ -54,7 +48,6 @@ heterogeneousFleet(const FleetConfig &cfg)
         spec.cfg.name = prof.name + "_" + std::to_string(i);
         spec.cfg.pages = cfg.pagesPerTenant;
         spec.cfg.kstaled = kstaled;
-        spec.cfg.senpai = senpai;
         spec.corpus = fleetCorpora[i % std::size(fleetCorpora)];
         spec.seed = cfg.seed + i;
 

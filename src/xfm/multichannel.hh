@@ -30,6 +30,14 @@ namespace xfmsys
 constexpr std::size_t defaultInterleave = 256;
 
 /**
+ * Sampled preset-dictionary size in bytes (XfmSystemConfig::shardDict
+ * mode). Half a page samples enough cross-shard context to recover
+ * most of the 4-DIMM ratio loss while packing into a few hundred
+ * stored bytes on correlated data.
+ */
+constexpr std::size_t pageDictBytes = 2048;
+
+/**
  * Split a page into per-DIMM shards.
  *
  * Chunk i of the page (interleave-sized) goes to DIMM i % D, in

@@ -27,7 +27,6 @@ XfmSystemConfig::fromConfig(const Config &cfg, XfmSystemConfig base)
     XfmSystemConfig c = std::move(base);
     c.numDimms = cfg.getU64("xfm.dimms", c.numDimms);
     c.shardDict = cfg.getBool("xfm.shard_dict", c.shardDict);
-    c.dictBytes = cfg.getU64("xfm.dict_bytes", c.dictBytes);
     c.quarantineCap = cfg.getU64("xfm.quarantine_cap", c.quarantineCap);
     c.workers = cfg.getU64("workers", c.workers);
     if (cfg.has("workers") && c.workers > maxWorkers)
@@ -37,7 +36,6 @@ XfmSystemConfig::fromConfig(const Config &cfg, XfmSystemConfig base)
     c.dimmMem.rank.device =
         dram::DeviceConfig::fromConfig(cfg, c.dimmMem.rank.device);
     c.faults = fault::FaultPlan::fromConfig(cfg, c.faults);
-    c.retry = fault::RetryPolicy::fromConfig(cfg, c.retry);
     c.health = health::HealthConfig::fromConfig(cfg, c.health);
     return c;
 }
@@ -141,7 +139,6 @@ XfmBackend::XfmBackend(std::string name, EventQueue &eq,
         // orders evaluations deterministically across DIMMs.
         dimm.device->setFaultInjector(&injector_);
         dimm.driver->setFaultInjector(&injector_);
-        dimm.driver->setRetryPolicy(cfg_.retry);
         dimms_.push_back(std::move(dimm));
         channel_health_.emplace_back(cfg_.health);
     }
@@ -180,10 +177,10 @@ XfmBackend::pageDict(VirtPage page) const
     // Single-DIMM mode is gated off: the shard IS the page, so the
     // codec's own window already sees everything the sampled
     // dictionary could carry and storing it can only lose bytes.
-    if (!cfg_.shardDict || cfg_.dictBytes == 0 || cfg_.numDimms < 2)
+    if (!cfg_.shardDict || cfg_.numDimms < 2)
         return nullptr;
     auto dict = std::make_shared<Bytes>(compress::buildPresetDictionary(
-        readPage(page), defaultInterleave, cfg_.dictBytes));
+        readPage(page), defaultInterleave, pageDictBytes));
     if (dict->empty())
         return nullptr;
     return dict;

@@ -71,8 +71,6 @@ struct XfmSystemConfig
      *  (devices, SPMs, drivers, the backend itself). The default
      *  plan is disarmed and adds no overhead. */
     fault::FaultPlan faults{};
-    /** Driver retry policy for transient submission faults. */
-    fault::RetryPolicy retry{};
 
     /**
      * Tuning of the one circuit breaker per DIMM on the offload
@@ -108,11 +106,6 @@ struct XfmSystemConfig
      * stored bytes are unchanged.
      */
     bool shardDict = false;
-    /** Sampled dictionary size in bytes (dict mode only). Half a
-     *  page samples enough cross-shard context to recover most of
-     *  the 4-DIMM ratio loss while packing into a few hundred
-     *  stored bytes on correlated data. */
-    std::size_t dictBytes = 2048;
 
     /**
      * Wall-clock execution contexts for the CPU path's per-DIMM
@@ -137,11 +130,11 @@ struct XfmSystemConfig
     /**
      * @p base with the XFM system keys applied to the fields above
      * (absent keys keep the base's value): xfm.dimms (numDimms),
-     * xfm.shard_dict, xfm.dict_bytes, xfm.quarantine_cap, workers
-     * (at most 64; a larger value is a FatalError naming the key);
-     * plus the fromConfig keys of nma::XfmDeviceConfig (device),
+     * xfm.shard_dict, xfm.quarantine_cap, workers (at most 64; a
+     * larger value is a FatalError naming the key); plus the
+     * fromConfig keys of nma::XfmDeviceConfig (device),
      * dram::DeviceConfig (dimmMem's device: refresh.*, rfm.*),
-     * fault::FaultPlan, fault::RetryPolicy and health::HealthConfig.
+     * fault::FaultPlan and health::HealthConfig.
      */
     static XfmSystemConfig
     fromConfig(const Config &cfg,

@@ -126,12 +126,12 @@ XfmDriver::flushDoorbell()
         // whole staged batch stays invisible.
         ++stats_.doorbellLosses;
         ++doorbell_attempts_;
-        if (doorbell_attempts_ >= retry_.maxAttempts) {
+        if (doorbell_attempts_ >= fault::transientAttempts) {
             abandonBatch();
             return;
         }
         ++stats_.retries;
-        const Tick backoff = retry_.backoffFor(doorbell_attempts_ - 1);
+        const Tick backoff = fault::retryBackoff(doorbell_attempts_ - 1);
         stats_.backoffTicksAccrued += backoff;
         doorbell_scheduled_ = true;
         dev_.eventq().scheduleIn(backoff, [this] { flushDoorbell(); });

@@ -150,22 +150,17 @@ class XfmDriver
      * Attach a fault injector (may be null to detach). Each SQ tail
      * doorbell write then evaluates MmioDoorbellLoss, and so does
      * each reap round (a phase-bit misread). A lost doorbell is
-     * re-rung under the retry policy.
-     */
-    void setFaultInjector(fault::FaultInjector *inj)
-    {
-        injector_ = inj;
-    }
-
-    /**
-     * Bounded retry-with-exponential-backoff for transient
-     * submission faults (lost doorbells). Deterministic same-tick
+     * re-rung with exponential backoff (fault::retryBackoff) until
+     * fault::transientAttempts writes were lost. Deterministic same-tick
      * conditions — SPM exhaustion, SQ full — are not retried:
      * nothing can change before the driver re-reads the registers,
      * so they fall back to the CPU immediately, exactly as the
      * paper's CPU_Fallback does.
      */
-    void setRetryPolicy(const fault::RetryPolicy &p) { retry_ = p; }
+    void setFaultInjector(fault::FaultInjector *inj)
+    {
+        injector_ = inj;
+    }
 
     /**
      * True when a submission can be written into the SQ right now.
@@ -203,7 +198,6 @@ class XfmDriver
     nma::XfmDevice &dev_;
     nma::CommandRing &ring_;  ///< the device's queue pair
     fault::FaultInjector *injector_ = nullptr;
-    fault::RetryPolicy retry_{};
     bool always_sync_ = false;
     /** A doorbell-flush event is pending (one per batch). */
     bool doorbell_scheduled_ = false;

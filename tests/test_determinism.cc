@@ -116,7 +116,7 @@ runSystem(std::uint64_t fault_seed, const std::string &config = "")
 /** The async command ring at depth 8 with coalesced reaps. */
 const std::string ring8 = "xfm.sq_depth = 8\nxfm.cq_coalesce = 2\n";
 /** Per-page preset dictionaries. */
-const std::string dicts = "xfm.shard_dict = 1\nxfm.dict_bytes = 2048\n";
+const std::string dicts = "xfm.shard_dict = 1\n";
 
 void
 expectSameExports(const RunResult &a, const RunResult &b)
@@ -129,16 +129,15 @@ expectSameExports(const RunResult &a, const RunResult &b)
 
 /** All-bank REF with RFM and HiRA off. */
 const std::string refabOff =
-    "refresh.mode = refab\nrfm.raaimt = 0\nrfm.raammt = 0\n"
-    "refresh.hira = 0\n";
+    "refresh.mode = refab\nrfm.raaimt = 0\nrefresh.hira = 0\n";
 /** Tiering disabled with every tier knob set. */
 const std::string tieringOff = "tier.enabled = 0\ntier.policy = auto\n"
                                "tier.promote_watermark = 2\n"
                                "tier.scan_ms = 1\ntier.spill_cold_ms = 5\n"
                                "tier.max_spills_per_scan = 16\n"
                                "tier.dfm_bytes = 1048576\n";
-/** No dictionaries, at the default dictionary size. */
-const std::string dictOff = "xfm.shard_dict = 0\nxfm.dict_bytes = 2048\n";
+/** No dictionaries. */
+const std::string dictOff = "xfm.shard_dict = 0\n";
 
 /** Opt-out contract of a default-off mode: spelling out its
  *  defaults (@p spelled) must not change a byte of any export

@@ -509,12 +509,12 @@ TEST(Refresh, RaammtBlocksHostActs)
 {
     EventQueue eq;
     auto dev = ddr5Device32Gb();
-    dev.rfmRaaimt = 32;  // effectiveRaammt() == 128
+    dev.rfmRaaimt = 32;  // raammt() == 128
     RefreshController ctrl("refresh", eq, dev, 1);
     ctrl.start();
     // The counter caps at RAAMMT no matter how hard the bank is hit.
     ctrl.noteActivates(0, 0, 500);
-    EXPECT_EQ(ctrl.raa(0, 0), dev.effectiveRaammt());
+    EXPECT_EQ(ctrl.raa(0, 0), dev.raammt());
     // An ACT at tick 5 waits out the current lock AND the next
     // refresh slot plus its RFM, which finally drains the counter.
     const Tick when = 5;

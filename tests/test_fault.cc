@@ -48,16 +48,12 @@ TEST(FaultPlan, ParsesConfigKeys)
 {
     const auto cfg = Config::parseString(
         "fault.seed = 42\n"
-        "fault.spm_watermark = 0.5\n"
-        "fault.dfm_delay_ns = 750\n"
         "fault.spm_reserve.p = 0.25\n"
         "fault.mmio_doorbell.one_shot = 3\n"
         "fault.engine_stall.max = 2\n"
         "fault.engine_stall.p = 1.0\n");
     const FaultPlan plan = FaultPlan::fromConfig(cfg);
     EXPECT_EQ(plan.seed, 42u);
-    EXPECT_DOUBLE_EQ(plan.spmHighWatermark, 0.5);
-    EXPECT_EQ(plan.dfmDelayPenalty, nanoseconds(750.0));
     EXPECT_DOUBLE_EQ(plan.site(FaultSite::SpmReserveFail).probability,
                      0.25);
     EXPECT_EQ(plan.site(FaultSite::MmioDoorbellLoss).oneShotAt, 3u);
@@ -80,48 +76,28 @@ TEST(FaultPlan, RejectsUnknownKeysAndBadProbabilities)
 
 TEST(RetryPolicy, BackoffGrowsExponentiallyToCap)
 {
-    RetryPolicy p;
-    p.backoffBase = nanoseconds(100.0);
-    p.backoffCap = nanoseconds(500.0);
-    EXPECT_EQ(p.backoffFor(0), nanoseconds(100.0));
-    EXPECT_EQ(p.backoffFor(1), nanoseconds(200.0));
-    EXPECT_EQ(p.backoffFor(2), nanoseconds(400.0));
-    EXPECT_EQ(p.backoffFor(3), nanoseconds(500.0));  // capped
-    EXPECT_EQ(p.backoffFor(63), nanoseconds(500.0));  // no overflow
+    EXPECT_EQ(retryBackoff(0), nanoseconds(200.0));
+    EXPECT_EQ(retryBackoff(1), nanoseconds(400.0));
+    EXPECT_EQ(retryBackoff(2), nanoseconds(800.0));
+    EXPECT_EQ(retryBackoff(7), nanoseconds(25600.0));
+    EXPECT_EQ(retryBackoff(8), microseconds(50.0));  // capped
+    EXPECT_EQ(retryBackoff(63), microseconds(50.0));  // no overflow
 }
 
 TEST(RetryPolicy, BackoffLargeBaseSaturatesInsteadOfWrapping)
 {
-    // Regression: with a realistic base, `base << attempt` wraps
-    // long before attempt 63, so a fixed attempt guard silently
-    // returned a tiny (wrapped) backoff for mid-range attempts. The
-    // backoff must saturate at the cap and stay monotone for every
-    // attempt count instead.
-    RetryPolicy p;
-    p.backoffBase = nanoseconds(200.0);
-    p.backoffCap = ~Tick{0};  // effectively uncapped: expose wraps
+    // Regression: `base << attempt` wraps long before attempt 63, so
+    // a fixed attempt guard silently returned a tiny (wrapped)
+    // backoff for mid-range attempts. The backoff must saturate at
+    // the cap and stay monotone for every attempt count instead.
     Tick prev = 0;
     for (std::uint32_t a = 0; a < 128; ++a) {
-        const Tick b = p.backoffFor(a);
+        const Tick b = retryBackoff(a);
         ASSERT_GE(b, prev) << "backoff regressed at attempt " << a;
+        ASSERT_LE(b, microseconds(50.0)) << "attempt " << a;
         prev = b;
     }
-    EXPECT_EQ(p.backoffFor(62), p.backoffCap);
-
-    p.backoffBase = 0;
-    EXPECT_EQ(p.backoffFor(100), 0u);
-}
-
-TEST(RetryPolicy, ParsesConfigKeys)
-{
-    const auto cfg = Config::parseString(
-        "retry.max_attempts = 5\n"
-        "retry.backoff_ns = 100\n"
-        "retry.cap_ns = 1000\n");
-    const RetryPolicy p = RetryPolicy::fromConfig(cfg);
-    EXPECT_EQ(p.maxAttempts, 5u);
-    EXPECT_EQ(p.backoffBase, nanoseconds(100.0));
-    EXPECT_EQ(p.backoffCap, nanoseconds(1000.0));
+    EXPECT_EQ(retryBackoff(~std::uint32_t{0}), microseconds(50.0));
 }
 
 // ------------------------------------------------------------ injector
@@ -211,21 +187,23 @@ TEST(SpmFault, WatermarkBackpressureOnlyAboveWatermark)
 {
     nma::ScratchPad spm(kib(64));
     FaultPlan plan;
-    plan.spmHighWatermark = 0.5;
     plan.site(FaultSite::SpmHighWatermark).probability = 1.0;
     FaultInjector inj(plan);
     spm.setFaultInjector(&inj);
 
-    // Below the watermark the site never evaluates.
+    // Below the 87.5% watermark (56 KiB of 64) the site never
+    // evaluates.
     EXPECT_TRUE(spm.reserve(1, nma::OffloadKind::Compress, kib(16)));
     EXPECT_TRUE(spm.reserve(2, nma::OffloadKind::Compress, kib(16)));
+    EXPECT_TRUE(spm.reserve(3, nma::OffloadKind::Compress, kib(16)));
+    EXPECT_TRUE(spm.reserve(4, nma::OffloadKind::Compress, kib(8)));
     EXPECT_EQ(inj.stats(FaultSite::SpmHighWatermark).evaluations, 0u);
-    // At 50% occupancy every further reservation is pushed back.
-    EXPECT_FALSE(spm.reserve(3, nma::OffloadKind::Compress, kib(1)));
+    // At the watermark every further reservation is pushed back.
+    EXPECT_FALSE(spm.reserve(5, nma::OffloadKind::Compress, kib(1)));
     EXPECT_GT(inj.stats(FaultSite::SpmHighWatermark).injections, 0u);
     spm.release(1);
     spm.release(2);
-    EXPECT_TRUE(spm.reserve(4, nma::OffloadKind::Compress, kib(1)));
+    EXPECT_TRUE(spm.reserve(6, nma::OffloadKind::Compress, kib(1)));
 }
 
 // ------------------------------------------- backend-integrated sites
@@ -291,7 +269,6 @@ TEST_F(BackendFaultTest, PersistentDoorbellLossFallsBackToCpu)
 {
     auto cfg = testutil::testXfmConfig(2);
     cfg.faults.site(FaultSite::MmioDoorbellLoss).probability = 1.0;
-    cfg.retry.maxAttempts = 2;
     makeBackend(cfg);
     obs::Tracer tracer;
     backend_->setTracer(&tracer);

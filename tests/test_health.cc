@@ -41,32 +41,17 @@ TEST(HealthConfigParse, ParsesKeysAndValidates)
     const auto cfg = Config::parseString(
         "health.enabled = 1\n"
         "health.window = 8\n"
-        "health.degrade = 0.2\n"
-        "health.fail = 0.6\n"
         "health.fail_consecutive = 4\n"
-        "health.cooldown_ns = 5000\n"
-        "health.probe_quota = 3\n"
-        "health.probe_successes = 2\n");
+        "health.cooldown_ns = 5000\n");
     const HealthConfig c = HealthConfig::fromConfig(cfg);
     EXPECT_TRUE(c.enabled);
     EXPECT_EQ(c.window, 8u);
-    EXPECT_DOUBLE_EQ(c.degradeThreshold, 0.2);
-    EXPECT_DOUBLE_EQ(c.failThreshold, 0.6);
     EXPECT_EQ(c.failConsecutive, 4u);
     EXPECT_EQ(c.cooldown, nanoseconds(5000.0));
-    EXPECT_EQ(c.probeQuota, 3u);
-    EXPECT_EQ(c.probeSuccesses, 2u);
 
     // Typo'd keys and inconsistent tuning must be fatal, not silent.
     EXPECT_THROW(HealthConfig::fromConfig(Config::parseString(
                      "health.windw = 8\n")),
-                 FatalError);
-    EXPECT_THROW(HealthConfig::fromConfig(Config::parseString(
-                     "health.fail = 0.2\nhealth.degrade = 0.5\n")),
-                 FatalError);
-    EXPECT_THROW(HealthConfig::fromConfig(Config::parseString(
-                     "health.probe_successes = 9\n"
-                     "health.probe_quota = 2\n")),
                  FatalError);
     EXPECT_THROW(HealthConfig::fromConfig(Config::parseString(
                      "health.window = 0\n")),
@@ -75,19 +60,20 @@ TEST(HealthConfigParse, ParsesKeysAndValidates)
 
 // ------------------------------------------------------------- monitor
 
-/** Small deterministic tuning used by the unit tests below. */
+/**
+ * Small deterministic tuning used by the unit tests below. The
+ * thresholds are health.cc's constants: a window fault fraction of
+ * 25% degrades, 50% trips, and a half-open round admits four probes,
+ * three wins of which re-close the breaker.
+ */
 HealthConfig
 monitorConfig()
 {
     HealthConfig c;
     c.enabled = true;
     c.window = 4;
-    c.degradeThreshold = 0.25;
-    c.failThreshold = 0.5;
     c.failConsecutive = 3;
     c.cooldown = 1000;  // raw ticks, for easy arithmetic below
-    c.probeQuota = 2;
-    c.probeSuccesses = 2;
     return c;
 }
 
@@ -166,16 +152,17 @@ TEST(HealthMonitor, CooldownOpensProbationAndProbesReclose)
     EXPECT_EQ(m.state(100 + 1000), HealthState::Probation);
 
     // The probe quota bounds half-open admissions.
-    EXPECT_TRUE(m.admit(1200));
-    EXPECT_TRUE(m.admit(1201));
-    EXPECT_FALSE(m.wouldAdmit(1202));
-    EXPECT_EQ(m.stats().probes, 2u);
-    EXPECT_EQ(m.outstandingProbes(), 2u);
+    for (Tick t = 1200; t < 1204; ++t)
+        EXPECT_TRUE(m.admit(t));
+    EXPECT_FALSE(m.wouldAdmit(1204));
+    EXPECT_EQ(m.stats().probes, 4u);
+    EXPECT_EQ(m.outstandingProbes(), 4u);
 
     // Enough probe wins re-close the breaker.
     m.recordSuccess(1300);
-    EXPECT_EQ(m.rawState(), HealthState::Probation);
     m.recordSuccess(1301);
+    EXPECT_EQ(m.rawState(), HealthState::Probation);
+    m.recordSuccess(1302);
     EXPECT_EQ(m.rawState(), HealthState::Healthy);
     EXPECT_EQ(m.stats().recoveries, 1u);
 }
@@ -207,19 +194,19 @@ TEST(HealthMonitor, CancelProbeReturnsTheSlot)
     // Spend the whole quota, then abandon one probe (the request
     // fell back before exercising the component): the slot must come
     // back, so lost outcomes cannot strand the domain in Probation.
-    ASSERT_TRUE(m.admit(1100));
-    ASSERT_TRUE(m.admit(1101));
-    ASSERT_FALSE(m.wouldAdmit(1102));
-    m.cancelProbe(1103);
-    EXPECT_EQ(m.outstandingProbes(), 1u);
-    EXPECT_TRUE(m.wouldAdmit(1104));
-    EXPECT_TRUE(m.admit(1104));
+    for (Tick t = 1100; t < 1104; ++t)
+        ASSERT_TRUE(m.admit(t));
+    ASSERT_FALSE(m.wouldAdmit(1104));
+    m.cancelProbe(1105);
+    EXPECT_EQ(m.outstandingProbes(), 3u);
+    EXPECT_TRUE(m.wouldAdmit(1106));
+    EXPECT_TRUE(m.admit(1106));
 
     // wouldAdmit() consumes nothing: asking N times costs no slots.
-    m.cancelProbe(1105);
+    m.cancelProbe(1107);
     for (int i = 0; i < 10; ++i)
-        EXPECT_TRUE(m.wouldAdmit(1106));
-    EXPECT_EQ(m.stats().probes, 3u);
+        EXPECT_TRUE(m.wouldAdmit(1108));
+    EXPECT_EQ(m.stats().probes, 5u);
 }
 
 TEST(HealthMonitor, StragglerOutcomesIgnoredWhileFailed)
@@ -382,7 +369,6 @@ TEST_F(BackendHealthTest, DoorbellBreakerSkipsRetryLadder)
     auto cfg = healthConfig();
     cfg.faults.site(fault::FaultSite::MmioDoorbellLoss).probability =
         1.0;
-    cfg.retry.maxAttempts = 2;
     // One swap gives one lost-batch drop per DIMM: trip on the first.
     cfg.health.failConsecutive = 1;
     makeBackend(cfg);

@@ -45,9 +45,9 @@ class SenpaiTest : public ::testing::Test
     }
 
     void
-    makeController(SenpaiConfig cfg = {})
+    makeController()
     {
-        ctrl_.emplace("senpai", eq_, cfg, *backend_, numPages);
+        ctrl_.emplace("senpai", eq_, *backend_, numPages);
         ctrl_->start();
     }
 
@@ -57,41 +57,40 @@ class SenpaiTest : public ::testing::Test
     std::optional<SenpaiController> ctrl_;
 };
 
+// The controller runs on senpai.cc's constants: a 1 ms period, a
+// 20000 faults/s target (20 faults per period), a batch that starts
+// at 8 pages, probes up by 4 and is capped at 64.
+
 TEST_F(SenpaiTest, ProbesUpWhenNoPressure)
 {
-    SenpaiConfig cfg;
-    cfg.interval = milliseconds(10.0);
-    cfg.initialReclaim = 4;
-    makeController(cfg);
+    makeController();
     // No accesses at all: zero faults, reclaim should grow.
-    eq_.run(milliseconds(100.0));
-    EXPECT_GT(ctrl_->reclaimBatch(), 4u);
+    eq_.run(milliseconds(10.0));
+    EXPECT_GT(ctrl_->reclaimBatch(), 8u);
     EXPECT_GT(ctrl_->stats().probes, 5u);
     EXPECT_GT(backend_->farPageCount(), 0u);
 }
 
 TEST_F(SenpaiTest, BacksOffUnderFaultStorm)
 {
-    SenpaiConfig cfg;
-    cfg.interval = milliseconds(10.0);
-    cfg.initialReclaim = 64;
-    cfg.targetFaultsPerSec = 10.0;
-    makeController(cfg);
+    makeController();
     // Phase 1: reclaim everything it can.
-    eq_.run(milliseconds(50.0));
+    eq_.run(milliseconds(20.0));
     const auto batch_before = ctrl_->reclaimBatch();
-    // Phase 2: hammer random pages -> fault storm -> backoff.
+    ASSERT_EQ(backend_->farPageCount(), numPages);
+    // Phase 2: hammer random pages (100 per period, well over the
+    // 20-fault target) -> fault storm -> backoff.
     Rng rng(3);
-    for (int i = 1; i <= 400; ++i) {
-        eq_.scheduleIn(microseconds(i * 100.0), [this, &rng] {
+    for (int i = 1; i <= 500; ++i) {
+        eq_.scheduleIn(microseconds(i * 10.0), [this, &rng] {
             ctrl_->recordAccess(rng.uniformInt(numPages));
         });
     }
     // The first interval over target halves the batch.
-    eq_.run(eq_.now() + milliseconds(10.0));
+    eq_.run(eq_.now() + milliseconds(1.0));
     EXPECT_EQ(ctrl_->stats().backoffs, 1u);
     EXPECT_EQ(ctrl_->reclaimBatch(), batch_before / 2);
-    eq_.run(eq_.now() + milliseconds(50.0));
+    eq_.run(eq_.now() + milliseconds(5.0));
     EXPECT_LT(ctrl_->reclaimBatch(), batch_before);
     EXPECT_GT(ctrl_->stats().backoffs, 0u);
     EXPECT_GT(ctrl_->stats().demandFaults, 0u);
@@ -99,26 +98,19 @@ TEST_F(SenpaiTest, BacksOffUnderFaultStorm)
 
 TEST_F(SenpaiTest, ProbeClampsExactlyAtMaxReclaim)
 {
-    // A probe step larger than the headroom (10 + 4 > 12) must
-    // saturate at maxReclaim, not overshoot it.
-    SenpaiConfig cfg;
-    cfg.interval = milliseconds(5.0);
-    cfg.initialReclaim = 10;
-    cfg.maxReclaim = 12;
-    makeController(cfg);
-    eq_.run(milliseconds(100.0));  // no faults: probes every tick
-    EXPECT_EQ(ctrl_->reclaimBatch(), 12u);
-    EXPECT_LE(ctrl_->stats().reclaimRate.max(), 12.0);
-    EXPECT_GT(ctrl_->stats().probes, 10u);
+    // Fourteen probes take the batch from 8 to the 64-page ceiling;
+    // every later probe must hold it there, not overshoot it.
+    makeController();
+    eq_.run(milliseconds(30.0));  // no faults: probes every tick
+    EXPECT_EQ(ctrl_->reclaimBatch(), 64u);
+    EXPECT_LE(ctrl_->stats().reclaimRate.max(), 64.0);
+    EXPECT_GT(ctrl_->stats().probes, 14u);
 }
 
 TEST_F(SenpaiTest, FaultedPagesReturnLocal)
 {
-    SenpaiConfig cfg;
-    cfg.interval = milliseconds(5.0);
-    cfg.initialReclaim = 128;
-    makeController(cfg);
-    eq_.run(milliseconds(50.0));
+    makeController();
+    eq_.run(milliseconds(10.0));
     ASSERT_GT(backend_->farPageCount(), 0u);
     // Find a far page and fault it.
     VirtPage victim = numPages;
@@ -140,10 +132,8 @@ TEST_F(SenpaiTest, FaultedPagesReturnLocal)
 
 TEST_F(SenpaiTest, StatsTrackIntervals)
 {
-    SenpaiConfig cfg;
-    cfg.interval = milliseconds(10.0);
-    makeController(cfg);
-    eq_.run(milliseconds(105.0));
+    makeController();
+    eq_.run(milliseconds(10.5));
     EXPECT_GE(ctrl_->stats().intervals, 10u);
     EXPECT_GT(ctrl_->stats().reclaimRate.count(), 0u);
 }

@@ -93,16 +93,14 @@ TEST(TenantRegistry, QuotaAccountingRoundTrips)
 class ArbiterTest : public ::testing::Test
 {
   protected:
-    static constexpr Tick window = microseconds(1.0);
+    /** The arbiter's dispatch window (four slots, one of them the
+     *  batch floor while batch work is queued). */
+    static constexpr Tick window = microseconds(3.9);
 
     void
-    makeArbiter(std::uint32_t slots = 4, std::uint32_t min_batch = 1)
+    makeArbiter()
     {
-        QosArbiterConfig cfg;
-        cfg.window = window;
-        cfg.slotsPerWindow = slots;
-        cfg.minBatchSlots = min_batch;
-        arb_.emplace("arb", eq_, cfg);
+        arb_.emplace("arb", eq_, QosArbiterConfig{});
     }
 
     /** Enqueue n jobs on lane id, each bumping its counter. */
@@ -141,7 +139,7 @@ TEST_F(ArbiterTest, WrrFollowsWeightsAndStarvesNobody)
 
 TEST_F(ArbiterTest, LatencyClassPreemptsButBatchKeepsFloor)
 {
-    makeArbiter(4, 1);
+    makeArbiter();
     arb_->addTenant(0, PriorityClass::LatencySensitive, 1, 4);
     arb_->addTenant(1, PriorityClass::Batch, 1, 4);
     std::uint64_t lat = 0, batch = 0;
@@ -162,7 +160,7 @@ TEST_F(ArbiterTest, LatencyClassPreemptsButBatchKeepsFloor)
 
 TEST_F(ArbiterTest, IdleLatencyLaneYieldsAllSlotsToBatch)
 {
-    makeArbiter(4, 1);
+    makeArbiter();
     arb_->addTenant(0, PriorityClass::LatencySensitive, 1, 4);
     arb_->addTenant(1, PriorityClass::Batch, 1, 4);
     std::uint64_t batch = 0;
@@ -178,7 +176,7 @@ TEST_F(ArbiterTest, IdleLatencyLaneYieldsAllSlotsToBatch)
 
 TEST_F(ArbiterTest, PerTenantSlotQuotaThrottles)
 {
-    makeArbiter(4, 1);
+    makeArbiter();
     arb_->addTenant(0, PriorityClass::Batch, 1, 1);  // 1 slot/window
     std::uint64_t c = 0;
     flood(0, &c, 100);
@@ -199,7 +197,6 @@ TEST(QosArbiterConfig, DefenseKeyArmsAllThreeParts)
         Config::parseString("qos.defense = 1\n"));
     ASSERT_TRUE(cfg.defense);
 
-    cfg.window = microseconds(1.0);
     EventQueue eq;
     QosArbiter arb("arb", eq, cfg);
     arb.addTenant(0, PriorityClass::Batch, 1, 4);
@@ -212,7 +209,7 @@ TEST(QosArbiterConfig, DefenseKeyArmsAllThreeParts)
     for (int i = 0; i < 200; ++i)
         arb.enqueue(0, [&done] { ++done; });
     arb.start();
-    eq.run(cfg.window * 40);
+    eq.run(microseconds(3.9) * 40);
     EXPECT_GT(done, 0u);
     // Hard slot isolation grants slots in its reserved pass, and the
     // abuse detector evaluates the lanes.
@@ -282,6 +279,39 @@ class ServiceTest : public ::testing::Test
     }
 
     using SwapCallback = sfm::SwapCallback;
+
+    /**
+     * Build the service under `tier.policy = @p policy`, touch
+     * pages [0, 8) of a new tenant up to the promote watermark, swap
+     * them out, and return the tier they all landed in (Near if they
+     * disagree). Once per test: the service is bound to eq_.
+     */
+    sfm::Tier
+    demoteHotPages(const std::string &policy)
+    {
+        const ServiceConfig cfg = ServiceConfig::fromConfig(
+            Config::parseString("tier.enabled = 1\ntier.policy = "
+                                + policy + "\n"),
+            makeConfig());
+        makeService(cfg);
+        const TenantId id = addTenant(TenantConfig{});
+        EXPECT_NE(id, invalidTenant);
+        seedPages(id);
+        svc_->start();
+        for (VirtPage p = 0; p < 8; ++p)
+            for (std::uint32_t i = 0; i < cfg.tier.promoteWatermark; ++i)
+                svc_->access(id, p);
+
+        swapOutPages(id, 8);
+        EXPECT_EQ(svc_->registry().stats(id).swapOuts, 8u);
+
+        const VirtPage base = svc_->registry().basePage(id);
+        const sfm::Tier tier = svc_->tierManager()->tier(base);
+        for (VirtPage p = 1; p < 8; ++p)
+            if (svc_->tierManager()->tier(base + p) != tier)
+                return sfm::Tier::Near;
+        return tier;
+    }
 
     EventQueue eq_;
     std::optional<FarMemoryService> svc_;
@@ -412,6 +442,19 @@ TEST_F(ServiceTest, BatchCapBelowOneShardIsFatal)
     EXPECT_THROW(makeService(cfg), FatalError);
     cfg.batchSpmCapBytes = 4 * 1040;
     EXPECT_NO_THROW(makeService(cfg));
+}
+
+TEST_F(ServiceTest, AutoTierPolicyKeepsHotTenantPagesInXfm)
+{
+    EXPECT_EQ(demoteHotPages("auto"), sfm::Tier::Xfm);
+}
+
+TEST_F(ServiceTest, DfmFirstTierPolicyRoutesTenantDemotions)
+{
+    // tier.policy routes every page, tenants' pages included: under
+    // dfm_first even pages hot enough for auto to keep them in the
+    // compressed tier spill straight to DFM.
+    EXPECT_EQ(demoteHotPages("dfm_first"), sfm::Tier::Dfm);
 }
 
 TEST_F(ServiceTest, TenantsKeepDataIntactAcrossSharedBackend)
@@ -574,6 +617,42 @@ TEST(Fleet, DriverRunsAllTenants)
     }
     EXPECT_GT(svc.arbiter().stats().windows, 0u);
     EXPECT_GT(svc.arbiter().stats().dispatched, 0u);
+}
+
+TEST(ServiceConfigParse, ConstantSettingKeysAreUnknown)
+{
+    // These settings are constants in the code and have no key: each
+    // is refused by name, by the parser that owns its prefix or by
+    // the leftover-key check, never silently ignored.
+    for (const char *key :
+         {"health.degrade", "health.fail", "health.probe_quota",
+          "health.probe_successes", "qos.slots_per_window",
+          "qos.min_batch_slots", "fault.spm_watermark",
+          "fault.dfm_delay_ns", "retry.max_attempts", "retry.backoff_ns",
+          "retry.cap_ns", "rfm.raammt", "xfm.dict_bytes"}) {
+        const Config keys = Config::parseString(std::string(key) + " = 1\n");
+        std::string error;
+        try {
+            ServiceConfig::fromConfig(keys, testutil::testServiceConfig());
+            keys.requireAllConsumed();
+        } catch (const FatalError &e) {
+            error = e.what();
+        }
+        EXPECT_NE(error.find(std::string("unknown config key '") + key
+                             + "'"),
+                  std::string::npos)
+            << key << ": " << error;
+    }
+
+    // The spm_watermark fault site keeps its keys.
+    const Config site = Config::parseString("fault.spm_watermark.p = 0.1\n");
+    const ServiceConfig cfg =
+        ServiceConfig::fromConfig(site, testutil::testServiceConfig());
+    EXPECT_NO_THROW(site.requireAllConsumed());
+    EXPECT_DOUBLE_EQ(
+        cfg.system.faults.site(fault::FaultSite::SpmHighWatermark)
+            .probability,
+        0.1);
 }
 
 TEST(Fleet, ConfigFaultKeysArmTheSharedBackend)

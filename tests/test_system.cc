@@ -186,7 +186,7 @@ TEST(SystemConfigParse, KeysReachTheirComponents)
         "backend = baseline\npages = 64\nsfm.bytes = 1048576\n"
         "xfm.dimms = 2\nxfm.sq_depth = 8\nworkers = 3\n"
         "refresh.mode = refpb\nhealth.enabled = 1\n"
-        "fault.seed = 9\nretry.max_attempts = 5\n"
+        "fault.seed = 9\n"
         "controller.cold_ms = 5\ntier.enabled = 1\n");
     SystemConfig base;
     base.controller.scanInterval = milliseconds(3.0);
@@ -205,7 +205,6 @@ TEST(SystemConfigParse, KeysReachTheirComponents)
               dram::RefreshMode::RefPb);
     EXPECT_TRUE(c.xfm.health.enabled);
     EXPECT_EQ(c.xfm.faults.seed, 9u);
-    EXPECT_EQ(c.xfm.retry.maxAttempts, 5u);
     EXPECT_EQ(c.controller.coldThreshold, milliseconds(5.0));
     EXPECT_EQ(c.controller.scanInterval, milliseconds(3.0));
     EXPECT_TRUE(c.tier.enabled);

@@ -219,34 +219,24 @@ TEST(TierManager, WatermarkHoldsHotPagesInXfm)
     EXPECT_GT(rig.tiers.tierStats().watermarkHolds, 0u);
 }
 
-TEST(TierManager, PerGroupPolicyIsolation)
+TEST(TierManager, XfmFirstPolicyNeverSpills)
 {
     TierConfig t = baseTierConfig();
+    t.policy = TierPolicy::XfmFirst;
     t.scanInterval = milliseconds(1.0);
     t.spillColdThreshold = milliseconds(2.0);
     CpuTierRig rig(t);
 
-    // Tenant 0 (pages 0-7) pins the compressed tier; tenant 1
-    // (pages 8-15) goes straight to spill.
-    rig.tiers.assignGroup(0, 8, 0);
-    rig.tiers.assignGroup(8, 8, 1);
-    rig.tiers.setGroupPolicy(0, TierPolicy::XfmFirst);
-    rig.tiers.setGroupPolicy(1, TierPolicy::DfmFirst);
-
     for (VirtPage p = 0; p < CpuTierRig::pages; ++p)
         ASSERT_TRUE(rig.demote(p).success);
-    for (VirtPage p = 0; p < 8; ++p)
-        EXPECT_EQ(rig.tiers.tier(p), Tier::Xfm) << "page " << p;
-    for (VirtPage p = 8; p < 16; ++p)
-        EXPECT_EQ(rig.tiers.tier(p), Tier::Dfm) << "page " << p;
 
     // A long cold scan may never leak an xfm_first page into DFM.
     rig.tiers.start();
     rig.run(milliseconds(50.0));
-    for (VirtPage p = 0; p < 8; ++p)
+    for (VirtPage p = 0; p < CpuTierRig::pages; ++p)
         EXPECT_EQ(rig.tiers.tier(p), Tier::Xfm) << "page " << p;
     EXPECT_EQ(rig.tiers.tierStats().demotedXfmToDfm, 0u);
-    EXPECT_EQ(rig.tiers.dfmPages(), 8u);
+    EXPECT_EQ(rig.tiers.dfmPages(), 0u);
 }
 
 TEST(TierManager, DfmPoolFullFallsBackToXfm)

@@ -545,12 +545,13 @@ TEST_F(XfmBackendTest, DictCpuSwapOutWithAllPlainShardsStoresNoDict)
 {
     auto cfg = testSystemConfig();
     cfg.shardDict = true;
-    cfg.dictBytes = 8;  // too short to pay for a reference header
     makeBackend(cfg);
-    const Bytes page = testutil::corpusPage(
-        compress::CorpusKind::RandomBytes, 5);
+    // One repeated byte: each shard compresses to a few bytes on its
+    // own, so no dictionary reference can pay for its header.
+    const Bytes page(pageBytes, 0x5A);
     ASSERT_FALSE(compress::buildPresetDictionary(
-                     page, xfmsys::defaultInterleave, cfg.dictBytes)
+                     page, xfmsys::defaultInterleave,
+                     xfmsys::pageDictBytes)
                      .empty());
     backend_->writePage(5, page);
 
