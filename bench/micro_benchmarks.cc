@@ -2,11 +2,13 @@
  * @file
  * Google-benchmark microbenchmarks for the core substrates:
  * compression codecs (whole pages and single shards), the ZPool
- * allocator, the event kernel, the
+ * and same-offset slot allocators, the event kernel, the
  * DRAM address map, and the LLC simulator.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "common/random.hh"
 #include "compress/compressor.hh"
@@ -120,6 +122,41 @@ BM_ZPoolInsertErase(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ZPoolInsertErase)->Arg(512)->Arg(1365)->Arg(4096);
+
+void
+BM_SameOffsetAllocate(benchmark::State &state)
+{
+    // The fleet's 16 MiB SFM region fragmented to range(0) live
+    // slots; each iteration frees a random slot and places a new one.
+    xfmsys::SameOffsetAllocator alloc(mib(16));
+    Rng rng(3);
+    const auto slot_bytes = [&] {
+        return static_cast<std::uint32_t>(1 + rng.uniformInt(1100));
+    };
+    std::vector<std::uint64_t> live;
+    while (live.size() < static_cast<std::size_t>(state.range(0))) {
+        if (!live.empty() && rng.chance(0.3)) {
+            const std::size_t i = rng.uniformInt(live.size());
+            alloc.release(live[i]);
+            live[i] = live.back();
+            live.pop_back();
+        } else {
+            live.push_back(alloc.allocate(slot_bytes()));
+        }
+    }
+    for (auto _ : state) {
+        const std::size_t i = rng.uniformInt(live.size());
+        alloc.release(live[i]);
+        live[i] = alloc.allocate(slot_bytes());
+        benchmark::DoNotOptimize(live[i]);
+        if (live[i] == xfmsys::SameOffsetAllocator::invalidOffset) {
+            state.SkipWithError("SFM region full");
+            break;
+        }
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SameOffsetAllocate)->Arg(7600);
 
 void
 BM_EventQueueScheduleRun(benchmark::State &state)

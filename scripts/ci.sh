@@ -236,13 +236,14 @@ done
 "${build_dir}/bench/perf_harness" --smoke \
     --out "${build_dir}/BENCH_PERF.json"
 
-# Codec microbenchmark smoke: one iteration of each codec's
-# whole-page compress and decompress and of the two shard compress
-# sizes (min_time 0 is the shortest run this google-benchmark
-# accepts), so the tool that measures codec changes keeps building
-# and running. Timings are not gated.
+# Microbenchmark smoke: one iteration of each codec's whole-page
+# compress and decompress, of the two shard compress sizes and of
+# same-offset slot placement in a fragmented region (min_time 0 is
+# the shortest run this google-benchmark accepts), so the tools that
+# measure codec and allocator changes keep building and running.
+# Timings are not gated.
 "${build_dir}/bench/micro_benchmarks" \
-    --benchmark_filter='BM_(Compress|CompressShard|Decompress)/' \
+    --benchmark_filter='BM_(Compress|CompressShard|Decompress|SameOffsetAllocate)/' \
     --benchmark_min_time=0 > /dev/null
 
 # Queue-depth sweep smoke: simulated swap throughput versus async

@@ -1,6 +1,7 @@
 #include "multichannel.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "compress/dict.hh"
@@ -76,37 +77,150 @@ gatherPage(const std::vector<Bytes> &shards, std::size_t interleave)
     return page;
 }
 
-SameOffsetAllocator::SameOffsetAllocator(std::uint64_t region_bytes,
-                                         std::uint32_t alignment)
-    : region_(region_bytes), alignment_(alignment)
+namespace
+{
+
+constexpr std::uint64_t allFree = ~std::uint64_t(0);
+
+} // namespace
+
+SameOffsetAllocator::FreeRuns
+SameOffsetAllocator::summarise(std::uint64_t word)
+{
+    std::uint32_t longest = 0;
+    for (std::uint64_t w = word; w != 0;) {
+        w >>= std::countr_zero(w);
+        const int run = std::countr_one(w);
+        longest = std::max<std::uint32_t>(longest, run);
+        if (run == 64)
+            break;
+        w >>= run;
+    }
+    return {static_cast<std::uint32_t>(std::countr_one(word)),
+            static_cast<std::uint32_t>(std::countl_one(word)), longest};
+}
+
+SameOffsetAllocator::FreeRuns
+SameOffsetAllocator::combine(const FreeRuns &l, const FreeRuns &r,
+                             std::uint64_t half)
+{
+    return {static_cast<std::uint32_t>(
+                l.prefix == half ? half + r.prefix : l.prefix),
+            static_cast<std::uint32_t>(
+                r.suffix == half ? half + l.suffix : r.suffix),
+            std::max({l.longest, r.longest, l.suffix + r.prefix})};
+}
+
+SameOffsetAllocator::SameOffsetAllocator(std::uint64_t region_bytes)
+    : region_(region_bytes)
 {
     XFM_ASSERT(region_ > 0, "empty region");
-    XFM_ASSERT(alignment_ > 0, "alignment must be positive");
+    const std::uint64_t granules = region_ / alignment;
+    XFM_ASSERT(granules <= UINT32_MAX, "SFM region too large: ",
+               region_);
+    while (leaves_ * 64 < granules)
+        leaves_ *= 2;
+    free_.resize(leaves_);
+    tree_.resize(2 * leaves_);
+    resetFree();
+    refresh(0, leaves_ - 1);
+}
+
+void
+SameOffsetAllocator::resetFree()
+{
+    const std::uint64_t granules = region_ / alignment;
+    std::fill(free_.begin(), free_.end(), 0);
+    std::fill_n(free_.begin(), granules / 64, allFree);
+    if (granules % 64)
+        free_[granules / 64] = (std::uint64_t(1) << granules % 64) - 1;
+}
+
+void
+SameOffsetAllocator::mark(std::uint64_t first, std::uint64_t count,
+                          bool free)
+{
+    const std::uint64_t end = first + count;
+    for (std::uint64_t g = first; g < end;) {
+        const std::uint64_t lo = g % 64;
+        const std::uint64_t n = std::min<std::uint64_t>(64 - lo, end - g);
+        const std::uint64_t bits =
+            (n == 64 ? allFree : (std::uint64_t(1) << n) - 1) << lo;
+        std::uint64_t &word = free_[g / 64];
+        XFM_ASSERT((word & bits) == (free ? 0 : bits),
+                   "slot index out of step at granule ", g);
+        word ^= bits;
+        g += n;
+    }
+}
+
+void
+SameOffsetAllocator::refresh(std::size_t first, std::size_t last)
+{
+    for (std::size_t w = first; w <= last; ++w)
+        tree_[leaves_ + w] = summarise(free_[w]);
+    std::size_t lo = leaves_ + first;
+    std::size_t hi = leaves_ + last;
+    for (std::uint64_t half = 64; lo > 1; half *= 2) {
+        lo /= 2;
+        hi /= 2;
+        for (std::size_t i = lo; i <= hi; ++i)
+            tree_[i] = combine(tree_[2 * i], tree_[2 * i + 1], half);
+    }
+}
+
+std::uint64_t
+SameOffsetAllocator::firstFit(std::uint64_t count) const
+{
+    if (tree_[1].longest < count)
+        return invalidOffset;
+    // Descend to the leftmost run of count: a fit inside the left
+    // child starts lowest, then one across the middle, then right.
+    std::size_t i = 1;
+    std::uint64_t base = 0;
+    std::uint64_t span = leaves_ * 64;
+    while (i < leaves_) {
+        span /= 2;
+        const FreeRuns &l = tree_[2 * i];
+        const FreeRuns &r = tree_[2 * i + 1];
+        if (l.longest >= count) {
+            i = 2 * i;
+        } else if (std::uint64_t(l.suffix) + r.prefix >= count) {
+            return base + span - l.suffix;
+        } else {
+            i = 2 * i + 1;
+            base += span;
+        }
+    }
+    // The run lies inside one word (count <= 64): bit p of starts
+    // survives while granules [p, p + len) are all free.
+    std::uint64_t starts = free_[i - leaves_];
+    for (std::uint64_t len = 1; len < count;) {
+        const std::uint64_t s = std::min(len, count - len);
+        starts &= starts >> s;
+        len += s;
+    }
+    return base + std::countr_zero(starts);
 }
 
 std::uint64_t
 SameOffsetAllocator::allocate(std::uint32_t bytes)
 {
     XFM_ASSERT(bytes > 0, "zero-size slot");
-    const std::uint32_t size =
-        (bytes + alignment_ - 1) / alignment_ * alignment_;
-
-    // First fit in the gaps between existing slots.
-    std::uint64_t prev_end = 0;
-    for (const auto &[off, len] : slots_) {
-        if (off - prev_end >= size) {
-            slots_.emplace(prev_end, size);
-            used_ += size;
-            return prev_end;
-        }
-        prev_end = off + len;
-    }
-    if (region_ - prev_end >= size) {
-        slots_.emplace(prev_end, size);
-        used_ += size;
-        return prev_end;
-    }
-    return invalidOffset;
+    const std::uint64_t granules =
+        (std::uint64_t(bytes) + alignment - 1) / alignment;
+    XFM_ASSERT(granules * alignment <= UINT32_MAX, "slot too large: ",
+               bytes);
+    const std::uint64_t first = firstFit(granules);
+    if (first == invalidOffset)
+        return invalidOffset;
+    mark(first, granules, false);
+    refresh(first / 64, (first + granules - 1) / 64);
+    const std::uint64_t offset = first * alignment;
+    const auto size = static_cast<std::uint32_t>(granules * alignment);
+    slots_.emplace(offset, size);
+    used_ += size;
+    return offset;
 }
 
 void
@@ -114,6 +228,10 @@ SameOffsetAllocator::release(std::uint64_t offset)
 {
     auto it = slots_.find(offset);
     XFM_ASSERT(it != slots_.end(), "release: unknown slot ", offset);
+    const std::uint64_t first = offset / alignment;
+    const std::uint64_t granules = it->second / alignment;
+    mark(first, granules, true);
+    refresh(first / 64, (first + granules - 1) / 64);
     used_ -= it->second;
     slots_.erase(it);
 }
@@ -165,6 +283,10 @@ SameOffsetAllocator::repack(
         next = target + len;
     }
     slots_ = std::move(packed);
+    resetFree();
+    for (const auto &[off, len] : slots_)
+        mark(off / alignment, len / alignment, false);
+    refresh(0, leaves_ - 1);
 }
 
 std::uint32_t

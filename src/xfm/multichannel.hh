@@ -65,15 +65,20 @@ void gatherPageInto(const std::vector<Bytes> &shards,
  * Same-offset slot allocator over D equally-sized SFM regions.
  *
  * One allocation reserves [offset, offset + slot) in *every* DIMM
- * region. First-fit over a sorted free list; slots are aligned to
- * @c alignment so compressed shards never straddle host pages
- * unnecessarily.
+ * region. A slot is a run of whole @c alignment-byte granules,
+ * placed first fit: at the lowest offset whose gap holds it. A gap
+ * index finds that offset in O(log n) (DESIGN.md §11): a bitmap
+ * with one bit per free granule and a tree over the bitmap's 64-bit
+ * words, each node holding the free run at its start, the one at its
+ * end and the longest one inside it.
  */
 class SameOffsetAllocator
 {
   public:
-    SameOffsetAllocator(std::uint64_t region_bytes,
-                        std::uint32_t alignment = 64);
+    /** Slot granule in bytes; every offset and size is a multiple. */
+    static constexpr std::uint32_t alignment = 64;
+
+    explicit SameOffsetAllocator(std::uint64_t region_bytes);
 
     /**
      * Allocate a slot of at least @p bytes.
@@ -110,11 +115,38 @@ class SameOffsetAllocator
     static constexpr std::uint64_t invalidOffset = ~std::uint64_t(0);
 
   private:
+    /** Free runs in one tree node's span, counted in granules. */
+    struct FreeRuns
+    {
+        std::uint32_t prefix = 0;   ///< run at the low end
+        std::uint32_t suffix = 0;   ///< run at the high end
+        std::uint32_t longest = 0;  ///< longest run anywhere
+    };
+
+    /** Free runs of one bitmap word. */
+    static FreeRuns summarise(std::uint64_t word);
+    /** Parent of two siblings that span @p half granules each. */
+    static FreeRuns combine(const FreeRuns &l, const FreeRuns &r,
+                            std::uint64_t half);
+    /** Mark every granule inside the region free, the rest used. */
+    void resetFree();
+    /** Set granules [first, first + count) free or used. */
+    void mark(std::uint64_t first, std::uint64_t count, bool free);
+    /** Re-summarise leaves [first, last] and their ancestors. */
+    void refresh(std::size_t first, std::size_t last);
+    /** Lowest granule starting @p count free ones, or invalid. */
+    std::uint64_t firstFit(std::uint64_t count) const;
+
     const std::uint64_t region_;
-    std::uint32_t alignment_;
     std::uint64_t used_ = 0;
     /** offset -> slot size, both aligned. */
     std::map<std::uint64_t, std::uint32_t> slots_;
+    /** Word count, a power of two; words past the region are 0. */
+    std::size_t leaves_ = 1;
+    /** Bit g % 64 of word g / 64 is set while granule g is free. */
+    std::vector<std::uint64_t> free_;
+    /** Heap-ordered tree; word w's leaf is tree_[leaves_ + w]. */
+    std::vector<FreeRuns> tree_;
 };
 
 /** Result of a multi-channel compression measurement (Fig. 8). */

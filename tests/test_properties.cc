@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -18,6 +19,8 @@
 #include "sfm/zpool.hh"
 #include "sim/event_queue.hh"
 #include "xfm/multichannel.hh"
+
+#include "same_offset_oracle.hh"
 
 namespace xfm
 {
@@ -147,7 +150,7 @@ TEST(PropertyEventQueue, MatchesReferenceOrdering)
 TEST(PropertyAllocator, NoOverlapsAndExactAccounting)
 {
     Rng rng(11);
-    xfmsys::SameOffsetAllocator alloc(64 * 1024, 64);
+    xfmsys::SameOffsetAllocator alloc(64 * 1024);
     std::map<std::uint64_t, std::uint32_t> model;  // offset -> size
 
     for (int op = 0; op < 5000; ++op) {
@@ -183,7 +186,7 @@ TEST(PropertyAllocator, NoOverlapsAndExactAccounting)
 TEST(PropertyAllocator, RepackPreservesSlotSizes)
 {
     Rng rng(13);
-    xfmsys::SameOffsetAllocator alloc(64 * 1024, 64);
+    xfmsys::SameOffsetAllocator alloc(64 * 1024);
     std::vector<std::uint64_t> offsets;
     for (int i = 0; i < 40; ++i) {
         const auto off = alloc.allocate(
@@ -206,6 +209,199 @@ TEST(PropertyAllocator, RepackPreservesSlotSizes)
     ASSERT_EQ(alloc.usedBytes(), live);
     // Slots are now densely packed from offset 0.
     ASSERT_EQ(alloc.highWaterMark(), live);
+}
+
+// ----------------------- same-offset allocator vs the linear walk
+
+namespace
+{
+
+/**
+ * The gap-indexed allocator and the linear first-fit oracle, driven
+ * in lockstep. Every call compares the returned offset and moves,
+ * then usedBytes, slotCount and highWaterMark.
+ */
+struct AllocatorPair
+{
+    explicit AllocatorPair(std::uint64_t region)
+        : indexed(region), linear(region)
+    {
+    }
+
+    std::uint64_t
+    allocate(std::uint32_t bytes)
+    {
+        const auto off = indexed.allocate(bytes);
+        EXPECT_EQ(off, linear.allocate(bytes))
+            << "allocate(" << bytes << ") with " << live.size()
+            << " live slots";
+        if (off != xfmsys::SameOffsetAllocator::invalidOffset)
+            live.push_back(off);
+        compareTotals();
+        return off;
+    }
+
+    void
+    release(std::size_t i)
+    {
+        indexed.release(live[i]);
+        linear.release(live[i]);
+        live[i] = live.back();
+        live.pop_back();
+        compareTotals();
+    }
+
+    /** Repack both, pinning each live slot with probability @p p. */
+    void
+    repack(Rng &rng, double p)
+    {
+        std::set<std::uint64_t> pins;
+        for (const auto off : live)
+            if (rng.chance(p))
+                pins.insert(off);
+        using Move = std::tuple<std::uint64_t, std::uint64_t,
+                                std::uint32_t>;
+        std::vector<Move> got, want;
+        const auto pinned = [&](std::uint64_t off) {
+            return pins.count(off) != 0;
+        };
+        indexed.repack(
+            [&](std::uint64_t o, std::uint64_t n, std::uint32_t len) {
+                got.emplace_back(o, n, len);
+            },
+            pinned);
+        linear.repack(
+            [&](std::uint64_t o, std::uint64_t n, std::uint32_t len) {
+                want.emplace_back(o, n, len);
+            },
+            pinned);
+        EXPECT_EQ(got, want);
+        std::map<std::uint64_t, std::uint64_t> moved;
+        for (const auto &[o, n, len] : want)
+            moved.emplace(o, n);
+        for (auto &off : live) {
+            const auto it = moved.find(off);
+            if (it != moved.end())
+                off = it->second;
+        }
+        compareTotals();
+    }
+
+    void
+    compareTotals()
+    {
+        EXPECT_EQ(indexed.usedBytes(), linear.usedBytes());
+        EXPECT_EQ(indexed.slotCount(), linear.slotCount());
+        EXPECT_EQ(indexed.highWaterMark(), linear.highWaterMark());
+    }
+
+    xfmsys::SameOffsetAllocator indexed;
+    xfmsys::LinearSameOffsetAllocator linear;
+    std::vector<std::uint64_t> live;
+};
+
+/**
+ * 1 B up to 12 KiB: single granules, XFM shard slots, and slots of
+ * more than 64 granules (a 1-DIMM page slot is 4 KiB + 16 B) whose
+ * free run spans several bitmap words.
+ */
+std::uint32_t
+drawSlotBytes(Rng &rng)
+{
+    switch (rng.uniformInt(10)) {
+      case 0:
+        return static_cast<std::uint32_t>(1 + rng.uniformInt(64));
+      case 1: case 2: case 3: case 4:
+        return static_cast<std::uint32_t>(1 + rng.uniformInt(1024));
+      case 5: case 6: case 7:
+        return static_cast<std::uint32_t>(1 + rng.uniformInt(4096));
+      case 8:
+        return 4096 + 16;
+      default:
+        return static_cast<std::uint32_t>(4097 + rng.uniformInt(8192));
+    }
+}
+
+} // namespace
+
+TEST(AllocatorOracle, SeededSequencesMatchLinearWalk)
+{
+    // 256 B and 1 KiB are less than one bitmap word (64 granules),
+    // 5000 B and 64 KiB + 200 B end inside a word and inside a
+    // granule.
+    for (const std::uint64_t region :
+         {std::uint64_t(256), std::uint64_t(1024), std::uint64_t(5000),
+          std::uint64_t(64 * 1024), std::uint64_t(64 * 1024 + 200),
+          mib(16)}) {
+        for (const std::uint64_t seed : {1, 2, 3}) {
+            SCOPED_TRACE(testing::Message()
+                         << "region " << region << " seed " << seed);
+            Rng rng(seed * 7919 + region);
+            AllocatorPair pair(region);
+            for (int op = 0; op < 3000 && !HasFailure(); ++op) {
+                const double dice = rng.uniformReal();
+                if (pair.live.empty() || dice < 0.55)
+                    pair.allocate(drawSlotBytes(rng));
+                else if (dice < 0.98)
+                    pair.release(rng.uniformInt(pair.live.size()));
+                else
+                    pair.repack(rng, rng.chance(0.5) ? 0.2 : 0.0);
+            }
+        }
+    }
+}
+
+TEST(AllocatorOracle, FullRegionReturnsInvalidOffset)
+{
+    for (const std::uint64_t region :
+         {std::uint64_t(32), std::uint64_t(64), std::uint64_t(100),
+          std::uint64_t(256), std::uint64_t(1024),
+          std::uint64_t(4096 + 64), std::uint64_t(64 * 1024)}) {
+        SCOPED_TRACE(testing::Message() << "region " << region);
+        AllocatorPair pair(region);
+        while (pair.allocate(64)
+               != xfmsys::SameOffsetAllocator::invalidOffset) {
+        }
+        EXPECT_EQ(pair.live.size(), region / 64);
+        EXPECT_EQ(pair.allocate(1),
+                  xfmsys::SameOffsetAllocator::invalidOffset);
+        if (pair.live.size() < 3)
+            continue;
+        // One free granule in the middle: a two-granule slot still
+        // fails, a one-granule slot takes exactly that gap.
+        const auto hole = pair.live[pair.live.size() / 2];
+        pair.release(pair.live.size() / 2);
+        EXPECT_EQ(pair.allocate(65),
+                  xfmsys::SameOffsetAllocator::invalidOffset);
+        EXPECT_EQ(pair.allocate(64), hole);
+    }
+}
+
+TEST(AllocatorOracle, FragmentedFleetRegionMatches)
+{
+    // The fleet's 16 MiB region at its peak of about 7,600 live
+    // slots: mostly shard-sized slots, some whole-page ones.
+    Rng rng(1001);
+    AllocatorPair pair(mib(16));
+    const auto fleetSlotBytes = [&] {
+        return rng.chance(0.05)
+            ? std::uint32_t(4096 + 16)
+            : static_cast<std::uint32_t>(1 + rng.uniformInt(1100));
+    };
+    while (pair.live.size() < 7600 && !HasFailure()) {
+        if (pair.live.empty() || rng.chance(0.7))
+            pair.allocate(fleetSlotBytes());
+        else
+            pair.release(rng.uniformInt(pair.live.size()));
+    }
+    for (int round = 0; round < 2 && !HasFailure(); ++round) {
+        for (int op = 0; op < 2000 && !HasFailure(); ++op) {
+            pair.release(rng.uniformInt(pair.live.size()));
+            pair.allocate(fleetSlotBytes());
+        }
+        pair.repack(rng, 0.1);
+    }
+    EXPECT_GE(pair.indexed.slotCount(), 7500u);
 }
 
 // --------------------------------------------------- zpool fuzz

@@ -92,7 +92,7 @@ TEST(MultiChannel, InterleaveShrinksEffectiveWindow)
 
 TEST(SameOffsetAllocator, AllocatesAlignedSlots)
 {
-    SameOffsetAllocator alloc(4096, 64);
+    SameOffsetAllocator alloc(4096);
     const auto a = alloc.allocate(100);
     const auto b = alloc.allocate(65);
     EXPECT_EQ(a, 0u);
@@ -104,7 +104,7 @@ TEST(SameOffsetAllocator, AllocatesAlignedSlots)
 
 TEST(SameOffsetAllocator, ReusesFreedGaps)
 {
-    SameOffsetAllocator alloc(1024, 64);
+    SameOffsetAllocator alloc(1024);
     const auto a = alloc.allocate(256);
     const auto b = alloc.allocate(256);
     (void)b;
@@ -115,14 +115,14 @@ TEST(SameOffsetAllocator, ReusesFreedGaps)
 
 TEST(SameOffsetAllocator, FailsWhenFull)
 {
-    SameOffsetAllocator alloc(256, 64);
+    SameOffsetAllocator alloc(256);
     EXPECT_NE(alloc.allocate(256), SameOffsetAllocator::invalidOffset);
     EXPECT_EQ(alloc.allocate(1), SameOffsetAllocator::invalidOffset);
 }
 
 TEST(SameOffsetAllocator, RepackSlidesSlotsDown)
 {
-    SameOffsetAllocator alloc(4096, 64);
+    SameOffsetAllocator alloc(4096);
     const auto a = alloc.allocate(512);
     const auto b = alloc.allocate(512);
     alloc.release(a);
@@ -138,7 +138,7 @@ TEST(SameOffsetAllocator, RepackSlidesSlotsDown)
 
 TEST(SameOffsetAllocator, RepackHonoursPins)
 {
-    SameOffsetAllocator alloc(4096, 64);
+    SameOffsetAllocator alloc(4096);
     const auto a = alloc.allocate(512);
     const auto b = alloc.allocate(512);
     const auto c = alloc.allocate(512);
